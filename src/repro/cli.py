@@ -881,109 +881,21 @@ def _verify(args) -> int:
             fh.write(report.to_json())
         print(f"wrote JSON report -> {args.json}")
 
-    observe_ok = True
-    backend_ok = True
-    perf_ok = True
-    vectorized_ok = True
-    serve_ok = True
-    ingest_ok = True
+    ok = report.ok
     if args.smoke:
-        observe_ok = _traced_smoke(args.observe_baseline, human)
-        if args.backend == "serial":
-            # The sweep above ran serial; add one process-backend cell
-            # so smoke always exercises the cross-backend oracle.
-            backend_ok = _process_smoke(human)
-        if not args.vectorized:
-            # The sweep above ran scalar; add one vectorized cell so
-            # smoke always exercises the batch engine's oracle too.
-            vectorized_ok = _vectorized_smoke(human)
-        perf_ok = _perf_smoke(human)
-        serve_ok = _serve_smoke(human)
-        ingest_ok = _ingest_smoke(human)
-    return 0 if (report.ok and observe_ok and backend_ok
-                 and vectorized_ok and perf_ok and serve_ok
-                 and ingest_ok) else 1
+        from repro.verify.runner import SMOKE_CELLS
 
-
-def _vectorized_smoke(human) -> bool:
-    """The vectorized smoke cell of ``repro verify --smoke``.
-
-    One MIS cell on the batch engine (`vectorized=True`): the
-    differential oracle against ``sequential_lfmis`` plus the usual
-    invariant observers must pass on the vectorized path.
-    """
-    from repro.verify.oracles import CASES
-    from repro.verify.runner import SMOKE_SIZE, _run_cell
-
-    record = _run_cell(CASES["mis"], "er", SMOKE_SIZE, 0,
-                       balance_slack=4.0, chaos=False, vectorized=True)
-    cell_ok = record.ok and record.vectorized
-    print(f"  [{'ok ' if cell_ok else 'FAIL'}] vectorized: "
-          f"mis er n={record.n} batch-engine path", file=human)
-    if record.error:
-        print(f"    vectorized smoke error: {record.error}", file=human)
-    return cell_ok
-
-
-def _perf_smoke(human) -> bool:
-    """The perf-smoke cell of ``repro verify --smoke``.
-
-    Collects the smoke suite at tiny quick sizes into a temporary
-    profile store, pins the profile as its own baseline, and checks it
-    against that just-written baseline: every cell must classify as
-    no-change (identical samples), and the profile must conform to the
-    observe/export JSONL schema. No wall-clock thresholds — the cell
-    cannot flake on a loaded CI host.
-    """
-    from repro.verify.runner import perf_smoke_cell
-
-    outcome = perf_smoke_cell()
-    print(f"  [{'ok ' if outcome['ok'] else 'FAIL'}] perf smoke: "
-          f"collect+self-check, {outcome['cells']} cells no-change",
-          file=human)
-    for problem in outcome["problems"]:
-        print(f"    perf smoke problem: {problem}", file=human)
-    return outcome["ok"]
-
-
-def _serve_smoke(human) -> bool:
-    """The serve smoke cell of ``repro verify --smoke``.
-
-    Builds a tiny resident engine, replays a 50-request mixed workload
-    through the scheduler, oracle-checks every answer, reconciles the
-    per-request ledgers against the tick rows and observe counters, and
-    exercises admission-control rejection accounting. No wall-clock
-    thresholds.
-    """
-    from repro.verify.runner import serve_smoke_cell
-
-    outcome = serve_smoke_cell()
-    print(f"  [{'ok ' if outcome['ok'] else 'FAIL'}] serve smoke: "
-          f"resident engine, {outcome['requests']} requests "
-          f"ledger-reconciled, {outcome['rejected']} shed", file=human)
-    for problem in outcome["problems"]:
-        print(f"    serve smoke problem: {problem}", file=human)
-    return outcome["ok"]
-
-
-def _ingest_smoke(human) -> bool:
-    """The ingest smoke cell of ``repro verify --smoke``.
-
-    Round-trips a small graph through the binary edge cache and the
-    out-of-core CSR builder, then runs connectivity and MIS from the
-    mmap-backed graph on both the scalar and array-native setup paths:
-    results AND per-round cost ledgers must be bit-identical to the
-    in-memory ``Graph`` baseline. No wall-clock thresholds.
-    """
-    from repro.verify.runner import ingest_smoke_cell
-
-    outcome = ingest_smoke_cell()
-    print(f"  [{'ok ' if outcome['ok'] else 'FAIL'}] ingest smoke: "
-          f"mmap CSR n={outcome['n']} m={outcome['m']}, "
-          f"{outcome['checks']} parity checks", file=human)
-    for problem in outcome["problems"]:
-        print(f"    ingest smoke problem: {problem}", file=human)
-    return outcome["ok"]
+        markers = {True: "ok ", False: "FAIL", None: "skip"}
+        for _name, skip, run in SMOKE_CELLS:
+            if skip(args):
+                continue
+            for outcome in run(args):
+                print(f"  [{markers[outcome['ok']]}] {outcome['summary']}",
+                      file=human)
+                for problem in outcome["problems"]:
+                    print(f"    {problem}", file=human)
+                ok = ok and outcome["ok"] is not False
+    return 0 if ok else 1
 
 
 def _serve_graph(args):
@@ -1083,115 +995,6 @@ def _loadgen(args) -> int:
             fh.write("\n")
         print(f"wrote {args.json}")
     return 0 if all_ok else 1
-
-
-def _process_smoke(human) -> bool:
-    """The process-backend smoke cell of ``repro verify --smoke``.
-
-    Runs connectivity, list-ranking, and MIS cells on the process
-    backend (2 workers) and requires bit-identical results and
-    per-round ledgers against their serial twins (the
-    ``backend_identical`` oracle in :func:`verify_sweep`'s cells),
-    then one worker-crash-recovery cell with the default real-process
-    fault plan armed (SIGKILL/hang/delay at 10% each).
-    """
-    from repro.parallel import RecoveryPolicy, use_recovery
-    from repro.verify.oracles import CASES
-    from repro.verify.runner import (
-        SMOKE_SIZE,
-        _run_cell,
-        default_process_fault_plan,
-    )
-
-    ok = True
-    for name, family in (("connectivity", "er"),
-                         ("list-ranking", "list-uniform"),
-                         ("mis", "er")):
-        case = CASES[name]
-        record = _run_cell(case, family, SMOKE_SIZE, 0,
-                           balance_slack=4.0, chaos=False,
-                           backend="process", workers=2)
-        cell_ok = record.ok and record.backend_identical is True
-        ok = ok and cell_ok
-        print(f"  [{'ok ' if cell_ok else 'FAIL'}] process backend: "
-              f"{name} {family} n={record.n} bit-identical="
-              f"{record.backend_identical}", file=human)
-        if record.error:
-            print(f"    process backend error: {record.error}",
-                  file=human)
-
-    # Worker-crash-recovery cell: workers are really SIGKILLed, hung,
-    # and delayed mid-round; the supervisor must recover every shard and
-    # the answer must still be bit-identical to the fault-free serial
-    # twin. The tight deadline turns dropped replies into fast respawns.
-    case = CASES["connectivity"]
-    with use_recovery(RecoveryPolicy(task_deadline_s=10.0)):
-        record = _run_cell(
-            case, "er", SMOKE_SIZE, 0,
-            balance_slack=4.0, chaos=False,
-            backend="process", workers=2,
-            process_faults=default_process_fault_plan(3),
-        )
-    cell_ok = record.ok and record.backend_identical is True
-    ok = ok and cell_ok
-    print(f"  [{'ok ' if cell_ok else 'FAIL'}] worker-crash recovery: "
-          f"connectivity er n={record.n} (kill/hang/delay 10%) "
-          f"bit-identical={record.backend_identical}", file=human)
-    if record.error:
-        print(f"    worker-crash recovery error: {record.error}",
-              file=human)
-    return ok
-
-
-def _traced_smoke(baseline_path: str, human) -> bool:
-    """The traced smoke case of ``repro verify --smoke``.
-
-    Runs one connectivity cell inside a :class:`TracingSession`, checks
-    the exported trace against the schema and the cost ledger, then
-    guards the armed-overhead budget against the checked-in baseline
-    via :func:`repro.perf.observe_overhead_gate` (the same retry-
-    tolerant gate ``repro perf check --observe-baseline`` runs).
-    """
-    from repro.observe import (
-        TracingSession,
-        reconcile_metrics,
-        reconcile_with_report,
-        to_chrome_trace,
-        to_records,
-        validate_chrome,
-        validate_records,
-    )
-    from repro.perf import observe_overhead_gate
-    from repro.verify.oracles import CASES
-    from repro.verify.runner import make_workload
-
-    problems: list[str] = []
-    case = CASES["connectivity"]
-    workload = make_workload(case, "er", 300, 0)
-    with TracingSession(detail="machine") as session:
-        result = case.run(workload, 0)
-    report = case.report_of(result)
-    problems += validate_records(to_records(session.events))
-    problems += validate_chrome(to_chrome_trace(session.events))
-    problems += reconcile_with_report(session.events, report)
-    problems += reconcile_metrics(session.snapshot, report)
-    print(f"  [{'ok ' if not problems else 'FAIL'}] traced smoke: "
-          f"connectivity er n=300, {len(session.events)} events, "
-          f"schema+ledger reconciled", file=human)
-
-    gate = observe_overhead_gate(baseline_path)
-    if gate["skipped"]:
-        print(f"  [skip] observe overhead gate: no baseline at "
-              f"{baseline_path}", file=human)
-    else:
-        problems += gate["problems"]
-        print(f"  [{'ok ' if gate['ok'] else 'FAIL'}] observe "
-              f"overhead: armed {gate['armed_pct']:+.1f}% vs gate "
-              f"{gate['allowed_pct']:.1f}%", file=human)
-
-    for p in problems:
-        print(f"    traced smoke problem: {p}", file=human)
-    return not problems
 
 
 def _trace(args) -> int:

@@ -13,7 +13,15 @@ Public surface:
   round replay (see :mod:`repro.core.chaos`).
 """
 
-from .chaos import ChaosMixin, ChaosRuntime, ChaosSession, FaultPlan, RetryPolicy, arm
+from .chaos import (
+    ChaosMixin,
+    ChaosRuntime,
+    ChaosSession,
+    FaultInjectingRuntime,
+    FaultPlan,
+    RetryPolicy,
+    arm,
+)
 from .config import AMPCConfig
 from .cost import RoundStats, RunReport, Timer, load_balance_gini, merge_reports
 from .dds import DistributedDataStore, ReplicatedDataStore, value_words
@@ -21,6 +29,7 @@ from .errors import (
     AdaptivityError,
     AMPCError,
     BudgetExceededError,
+    MachineCrash,
     RoundAbortedError,
     RoundProtocolError,
     ServerUnavailableError,
@@ -28,8 +37,12 @@ from .errors import (
     StoreSealedError,
     ValueSizeError,
 )
-from .faults import CrashingContext, FaultInjectingRuntime, MachineCrash
-from .machine import MachineContext, MPCMachineContext, TransactionalContextMixin
+from .machine import (
+    CrashingContext,
+    MachineContext,
+    MPCMachineContext,
+    TransactionalContextMixin,
+)
 from .partition import (
     key_hash,
     machine_of,

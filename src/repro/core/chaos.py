@@ -22,6 +22,8 @@ module makes every one of those failure modes executable and measurable:
   aborted, rolled back to the :meth:`~repro.core.runtime.AMPCRuntime.checkpoint`
   taken at round entry, and replayed — recovery the immutable-store
   design makes an O(1) pointer swap.
+* :class:`FaultInjectingRuntime` — the minimal §2.1 story as a preset:
+  worker crashes only, no outages, timeouts or stragglers.
 
 Everything is deterministic in ``FaultPlan.seed`` and independent of the
 algorithm's own randomness, so a faulty run must produce *bit-identical*
@@ -41,7 +43,11 @@ import numpy as np
 from .config import AMPCConfig
 from .dds import DistributedDataStore, ReplicatedDataStore
 from .errors import MachineCrash, RoundAbortedError, ServerUnavailableError
-from .machine import TRANSACTIONAL_SLOTS, TransactionalContextMixin
+from .machine import (
+    TRANSACTIONAL_SLOTS,
+    CrashingContext,
+    TransactionalContextMixin,
+)
 from .partition import splitmix64
 from .runtime import AMPCRuntime, RoundResult
 
@@ -53,6 +59,7 @@ __all__ = [
     "ChaosSession",
     "ChaosMixin",
     "ChaosRuntime",
+    "FaultInjectingRuntime",
     "arm",
 ]
 
@@ -502,6 +509,20 @@ class FaultPlan:
         return frozenset(int(s) for s in np.flatnonzero(mask))
 
 
+#: What recovery cost a session accumulates while a round is in flight;
+#: :class:`~repro.core.cost.RoundStats` has a field of each name.
+_RECOVERY_COUNTERS = (
+    "crashes",
+    "server_outages",
+    "stragglers",
+    "retry_reads",
+    "failover_reads",
+    "wasted_reads",
+    "checkpoint_restores",
+    "recovery_wall_s",
+)
+
+
 class ChaosSession:
     """Live fault channel between a chaos runtime and its stores.
 
@@ -519,14 +540,7 @@ class ChaosSession:
         "rng",
         "simulated_s",
         "attempt_reads",
-        "crashes",
-        "server_outages",
-        "stragglers",
-        "retry_reads",
-        "failover_reads",
-        "wasted_reads",
-        "checkpoint_restores",
-        "recovery_wall_s",
+        *_RECOVERY_COUNTERS,
     )
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -536,14 +550,8 @@ class ChaosSession:
         self.rng = plan.rng(_SALT_TIMEOUT)
         self.simulated_s = 0.0
         self.attempt_reads = 0
-        self.crashes = 0
-        self.server_outages = 0
-        self.stragglers = 0
-        self.retry_reads = 0
-        self.failover_reads = 0
-        self.wasted_reads = 0
-        self.checkpoint_restores = 0
-        self.recovery_wall_s = 0.0
+        for name in _RECOVERY_COUNTERS:
+            setattr(self, name, 0)
 
     # -- runtime-side lifecycle -------------------------------------------
 
@@ -584,22 +592,9 @@ class ChaosSession:
 
     def flush_into(self, stats) -> None:
         """Move accumulated recovery counters into a round's statistics."""
-        stats.crashes += self.crashes
-        stats.server_outages += self.server_outages
-        stats.stragglers += self.stragglers
-        stats.retry_reads += self.retry_reads
-        stats.failover_reads += self.failover_reads
-        stats.wasted_reads += self.wasted_reads
-        stats.checkpoint_restores += self.checkpoint_restores
-        stats.recovery_wall_s += self.recovery_wall_s
-        self.crashes = 0
-        self.server_outages = 0
-        self.stragglers = 0
-        self.retry_reads = 0
-        self.failover_reads = 0
-        self.wasted_reads = 0
-        self.checkpoint_restores = 0
-        self.recovery_wall_s = 0.0
+        for name in _RECOVERY_COUNTERS:
+            setattr(stats, name, getattr(stats, name) + getattr(self, name))
+            setattr(self, name, 0)
         self.end_round()
 
     # -- store-side hooks (ReplicatedDataStore injector protocol) ---------
@@ -707,7 +702,7 @@ class ChaosMixin:
             injector=self.session,
         )
 
-    # -- convenience mirrors (same names as FaultInjectingRuntime) --------
+    # -- convenience mirrors ----------------------------------------------
 
     @property
     def crashes_injected(self) -> int:
@@ -746,7 +741,9 @@ class ChaosMixin:
         # would be exhausted by the first (aborted) execution.
         if kwargs.get("setup") is not None:
             kwargs["setup"] = list(kwargs["setup"])
-        cp = self.checkpoint()
+        # Announce the replay point. An execution that raises has already
+        # been aborted back to it by the round pipeline.
+        self.checkpoint()
         max_attempts = max(1, plan.retry.max_round_attempts)
         last_error: Exception | None = None
 
@@ -779,19 +776,17 @@ class ChaosMixin:
             if plan.machine_crash_probability > 0.0:
                 if worker is not None:
                     wrapped_worker = self._with_crash_recovery(
-                        worker, crash_rng, per_item=True
+                        worker, crash_rng
                     )
-                per_machine = kw.get("per_machine")
-                if per_machine is not None:
+                if kw.get("per_machine") is not None:
                     kw["per_machine"] = self._with_crash_recovery(
-                        per_machine, crash_rng, per_item=False
+                        kw["per_machine"], crash_rng
                     )
             started = time.perf_counter()
             try:
                 result = super().round(work, wrapped_worker, **kw)
             except (ServerUnavailableError, RoundAbortedError) as exc:
                 last_error = exc
-                self.restore(cp)
                 session.note_round_abort(time.perf_counter() - started)
                 continue
             self._draw_stragglers(result.stats, logical_round)
@@ -806,19 +801,16 @@ class ChaosMixin:
     # -- internals ---------------------------------------------------------
 
     def _with_crash_recovery(
-        self,
-        fn: Callable[..., Any],
-        crash_rng: np.random.Generator,
-        *,
-        per_item: bool,
+        self, fn: Callable[..., Any], crash_rng: np.random.Generator
     ) -> Callable[..., Any]:
-        """Wrap a machine program in the crash/replacement loop."""
+        """Wrap a machine program — ``fn(ctx, item)`` or ``fn(ctx)`` — in
+        the crash/replacement loop."""
         plan = self.plan
         session = self.session
         p_crash = plan.machine_crash_probability
         max_retries = plan.max_machine_retries
 
-        def attempt_loop(ctx, call: Callable[[], Any]) -> Any:
+        def attempt_loop(ctx, *item) -> Any:
             for attempt in range(max_retries + 1):
                 if attempt < max_retries and crash_rng.random() < p_crash:
                     ctx.crash_at = ctx.reads_used + int(
@@ -829,7 +821,7 @@ class ChaosMixin:
                 reads_mark = ctx.reads_used
                 writes_mark = len(ctx.buffered_writes)
                 try:
-                    out = call()
+                    out = fn(ctx, *item)
                     ctx.crash_at = None
                     ctx.commit()
                     return out
@@ -841,9 +833,7 @@ class ChaosMixin:
                 f"in a row"
             )
 
-        if per_item:
-            return lambda ctx, item: attempt_loop(ctx, lambda: fn(ctx, item))
-        return lambda ctx: attempt_loop(ctx, lambda: fn(ctx))
+        return attempt_loop
 
     def _draw_stragglers(self, stats, logical_round: int) -> None:
         p = self.plan.straggler_probability
@@ -854,11 +844,6 @@ class ChaosMixin:
         if hit:
             self.session.stragglers += hit
             self.session.recovery_wall_s += hit * self.plan.straggler_delay_s
-
-
-# Premixed chaos runtime over the standard AMPC runtime. Its context
-# class is the same transactional context the worker-crash runtime uses.
-from .faults import CrashingContext  # noqa: E402  (avoids a module cycle)
 
 
 class ChaosRuntime(ChaosMixin, AMPCRuntime):
@@ -875,6 +860,43 @@ class ChaosRuntime(ChaosMixin, AMPCRuntime):
     """
 
     machine_context_cls = CrashingContext
+
+
+class FaultInjectingRuntime(ChaosRuntime):
+    """The minimal fault-tolerance story of §2.1: worker crashes only.
+
+    "A failing machine can be simply replaced with a different machine
+    that would perform the computation from scratch" — possible because
+    the readable store is immutable for the whole round. A preset over
+    ``FaultPlan.machine_crashes``: machine programs crash mid-read with
+    ``crash_probability`` per attempt (every attempt but the last of
+    ``max_retries`` replacements, so the bounded simulation terminates),
+    the attempt's buffered writes are discarded, and a replacement with
+    a fresh O(S) budget re-runs the work against the same sealed store.
+
+    Attributes:
+        crashes_injected: machine crashes so far.
+        retry_reads: reads the crashed attempts burned — recovery
+            overhead (the ledger's ``wasted_reads``), not machine load.
+    """
+
+    def __init__(
+        self,
+        config: AMPCConfig,
+        *,
+        crash_probability: float = 0.2,
+        max_retries: int = 16,
+    ) -> None:
+        super().__init__(
+            config,
+            plan=FaultPlan.machine_crashes(
+                crash_probability, seed=config.seed, max_retries=max_retries
+            ),
+        )
+
+    @property
+    def retry_reads(self) -> int:
+        return self.report.wasted_reads + self.session.wasted_reads
 
 
 _ARMED: dict[type, type] = {AMPCRuntime: ChaosRuntime}

@@ -355,6 +355,64 @@ def value_words(value: Any) -> int:
     return 1
 
 
+def check_write(key: Hashable, value: Any, max_words: int) -> None:
+    """Enforce the model's constant-size bound on one key-value pair.
+
+    The one definition of a scalar write's validity: the real store
+    applies it before storing, the process backend's worker-side journal
+    before journaling, so a model violation raises the same error type
+    and message wherever the machine program ran.
+    """
+    if value_words(key) > max_words:
+        raise ValueSizeError(f"key exceeds {max_words} words: {key!r}")
+    if value_words(value) > max_words:
+        raise ValueSizeError(f"value exceeds {max_words} words: {value!r}")
+
+
+def check_write_array(
+    namespace: str,
+    ids: np.ndarray,
+    values: np.ndarray,
+    slots: np.ndarray | None,
+    max_words: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Validate one columnar write; returns ``(ids, values, slots)`` as
+    arrays (int64 ids/slots). The batch counterpart of :func:`check_write`,
+    shared by the real store and the worker-side journal."""
+    if not isinstance(namespace, str):
+        raise TypeError(
+            f"write_array namespaces must be str, got {type(namespace).__name__}"
+        )
+    ids = np.asarray(ids, dtype=np.int64)
+    values = np.asarray(values)
+    if ids.ndim != 1:
+        raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
+    if values.ndim not in (1, 2) or len(values) != ids.size:
+        raise ValueError(
+            f"values must be 1-D or 2-D with {ids.size} rows, "
+            f"got shape {values.shape}"
+        )
+    if slots is not None:
+        slots = np.asarray(slots, dtype=np.int64)
+        if slots.shape != ids.shape:
+            raise ValueError(
+                f"slots must match ids shape {ids.shape}, "
+                f"got shape {slots.shape}"
+            )
+    width = 1 if values.ndim == 1 else values.shape[1]
+    key_words = 2 if slots is None else 3
+    if key_words > max_words:
+        raise ValueSizeError(
+            f"key exceeds {max_words} words: "
+            f"({namespace!r}, id{', slot' if slots is not None else ''})"
+        )
+    if width > max_words:
+        raise ValueSizeError(
+            f"values exceed {max_words} words: width {width}"
+        )
+    return ids, values, slots
+
+
 class DistributedDataStore:
     """One round's key-value store D_i.
 
@@ -503,12 +561,7 @@ class DistributedDataStore:
                 f"store D_{self.round_index} is sealed; writes belong to the "
                 f"next round's store"
             )
-        if value_words(key) > self.max_words:
-            raise ValueSizeError(f"key exceeds {self.max_words} words: {key!r}")
-        if value_words(value) > self.max_words:
-            raise ValueSizeError(
-                f"value exceeds {self.max_words} words: {value!r}"
-            )
+        check_write(key, value, self.max_words)
         existing = self._data.get(key)
         if existing is None:
             self._data[key] = value
@@ -607,41 +660,15 @@ class DistributedDataStore:
                 f"store D_{self.round_index} is sealed; writes belong to the "
                 f"next round's store"
             )
-        if not isinstance(namespace, str):
-            raise TypeError(
-                f"write_array namespaces must be str, got {type(namespace).__name__}"
-            )
-        ids = np.asarray(ids, dtype=np.int64)
-        values = np.asarray(values)
-        if ids.ndim != 1:
-            raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
-        if values.ndim not in (1, 2) or len(values) != ids.size:
-            raise ValueError(
-                f"values must be 1-D or 2-D with {ids.size} rows, "
-                f"got shape {values.shape}"
-            )
-        if slots is not None:
-            slots = np.asarray(slots, dtype=np.int64)
-            if slots.shape != ids.shape:
-                raise ValueError(
-                    f"slots must match ids shape {ids.shape}, "
-                    f"got shape {slots.shape}"
-                )
-        width = 1 if values.ndim == 1 else values.shape[1]
-        key_words = 2 if slots is None else 3
-        if key_words > self.max_words:
-            raise ValueSizeError(
-                f"key exceeds {self.max_words} words: "
-                f"({namespace!r}, id{', slot' if slots is not None else ''})"
-            )
-        if width > self.max_words:
-            raise ValueSizeError(
-                f"values exceed {self.max_words} words: width {width}"
-            )
+        ids, values, slots = check_write_array(
+            namespace, ids, values, slots, self.max_words
+        )
         column = self._columns.get(namespace)
         if column is None:
             column = self._columns[namespace] = _Column(
-                width, values.dtype, slotted=slots is not None
+                1 if values.ndim == 1 else values.shape[1],
+                values.dtype,
+                slotted=slots is not None,
             )
         column.append(ids, values, slots)
         self.n_writes += ids.size

@@ -8,17 +8,28 @@ O(S) budgets (paper §2) and caches read results (paper §2.1 assumption 4:
 "each worker machine queries for each key at most once ... machines have
 sufficient space to cache the results"), so repeated reads of a key cost one
 query total.
+
+The module also owns what a round *does* with a machine once its items
+are known — :func:`group_by_machine`, the two block runners
+(:func:`run_items`, :func:`run_block`) and the :class:`OutputCollector` —
+shared verbatim by the serial round loop and the process backend's pool
+task and merge, so the two executions cannot drift apart.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .config import AMPCConfig
 from .dds import DistributedDataStore
-from .errors import AdaptivityError, BudgetExceededError, MachineCrash
+from .errors import (
+    AdaptivityError,
+    BudgetExceededError,
+    MachineCrash,
+    RoundProtocolError,
+)
 
 
 class MachineContext:
@@ -263,14 +274,17 @@ class TransactionalContextMixin:
         self.crash_at: int | None = None
         self.buffered_writes: list[tuple[Hashable, Any]] = []
 
-    def read(self, key: Hashable) -> Any:
+    def _crash_point(self) -> None:
+        """Every read entry point passes here first (cached or not)."""
         if self.crash_at is not None and self.reads_used >= self.crash_at:
             raise MachineCrash(self.machine_id, self.reads_used)
+
+    def read(self, key: Hashable) -> Any:
+        self._crash_point()
         return super().read(key)
 
     def read_indexed(self, key: Hashable, index: int) -> Any:
-        if self.crash_at is not None and self.reads_used >= self.crash_at:
-            raise MachineCrash(self.machine_id, self.reads_used)
+        self._crash_point()
         return super().read_indexed(key, index)
 
     def write(self, key: Hashable, value: Any) -> None:
@@ -280,13 +294,11 @@ class TransactionalContextMixin:
         self.buffered_writes.append((key, value))
 
     def read_array(self, namespace: str, ids: np.ndarray, **kwargs: Any) -> Any:
-        if self.crash_at is not None and self.reads_used >= self.crash_at:
-            raise MachineCrash(self.machine_id, self.reads_used)
+        self._crash_point()
         return super().read_array(namespace, ids, **kwargs)
 
     def charge_read_array(self, namespace: str, *columns: np.ndarray) -> None:
-        if self.crash_at is not None and self.reads_used >= self.crash_at:
-            raise MachineCrash(self.machine_id, self.reads_used)
+        self._crash_point()
         super().charge_read_array(namespace, *columns)
 
     def write_array(
@@ -333,6 +345,13 @@ class TransactionalContextMixin:
 TRANSACTIONAL_SLOTS = ("crash_at", "buffered_writes")
 
 
+class CrashingContext(TransactionalContextMixin, MachineContext):
+    """MachineContext that raises MachineCrash at a preselected read and
+    buffers writes until the machine finishes cleanly."""
+
+    __slots__ = TRANSACTIONAL_SLOTS
+
+
 class MPCMachineContext(MachineContext):
     """Machine context restricted to MPC semantics.
 
@@ -355,32 +374,187 @@ class MPCMachineContext(MachineContext):
         """Send a message to machine ``dst_machine`` (arrives next round)."""
         self.write(("msg", dst_machine), payload)
 
-    def read(self, key: Hashable) -> Any:
+    def _own_inbox_only(self, key: Hashable) -> None:
         if not (isinstance(key, tuple) and len(key) == 2 and key[0] == "msg"
                 and key[1] == self.machine_id):
             raise AdaptivityError(
                 f"MPC machine {self.machine_id} attempted adaptive read of "
                 f"{key!r}; MPC machines may only read their own inbox"
             )
+
+    def read(self, key: Hashable) -> Any:
+        self._own_inbox_only(key)
         return super().read(key)
 
     def read_indexed(self, key: Hashable, index: int) -> Any:
-        if not (isinstance(key, tuple) and len(key) == 2 and key[0] == "msg"
-                and key[1] == self.machine_id):
-            raise AdaptivityError(
-                f"MPC machine {self.machine_id} attempted adaptive read of "
-                f"{key!r}; MPC machines may only read their own inbox"
-            )
+        self._own_inbox_only(key)
         return super().read_indexed(key, index)
 
-    def read_array(self, namespace: str, ids: np.ndarray, **kwargs: Any) -> Any:
+    def read_array(self, namespace: str, *args: Any, **kwargs: Any) -> Any:
         raise AdaptivityError(
             f"MPC machine {self.machine_id} attempted batch adaptive reads "
             f"of {namespace!r} keys; MPC machines may only read their own inbox"
         )
 
-    def charge_read_array(self, namespace: str, *columns: np.ndarray) -> None:
-        raise AdaptivityError(
-            f"MPC machine {self.machine_id} attempted batch adaptive reads "
-            f"of {namespace!r} keys; MPC machines may only read their own inbox"
+    charge_read_array = read_array
+
+
+# ---------------------------------------------------------------------------
+# machine blocks: grouping, running, collecting (serial loop + process backend)
+# ---------------------------------------------------------------------------
+
+#: Index of a round's only machine group: every item, in work order.
+ALL_ITEMS = slice(None)
+
+
+def group_by_machine(
+    assignment: np.ndarray, single: bool = False, as_lists: bool = False
+) -> list[tuple[int, Any]]:
+    """``(machine_id, item_indices)`` groups in the serial visiting order:
+    ascending machine id, items in work order within each machine.
+
+    Each machine's items run consecutively against one shared read cache
+    — a machine processes all items it was assigned within the round —
+    and the groups are the machine-step boundaries observers are told
+    about. Indices are int64 arrays, or plain lists with ``as_lists``
+    (per-item rounds index Python sequences one element at a time). A
+    round with one item, or a deployment with one machine (``single``),
+    is one group indexed by :data:`ALL_ITEMS`: no sort, no index arrays,
+    and :func:`take_items` hands the work through as is.
+    """
+    n_items = len(assignment)
+    if n_items == 0:
+        return []
+    if single or n_items == 1:
+        return [(int(assignment[0]), ALL_ITEMS)]
+    order = np.argsort(assignment, kind="stable")
+    if as_lists:
+        # A per-item round visits every item in Python anyway, and its
+        # rounds are often a handful of items (one serving tick): walking
+        # the sorted order costs less than the array calls below.
+        machines = assignment.tolist()
+        groups: list[tuple[int, Any]] = []
+        current = None
+        for i in order.tolist():
+            if machines[i] != current:
+                current = machines[i]
+                members: list[int] = []
+                groups.append((current, members))
+            members.append(i)
+        return groups
+    sorted_assign = assignment[order]
+    starts = np.concatenate(
+        ([0], np.flatnonzero(sorted_assign[1:] != sorted_assign[:-1]) + 1)
+    )
+    return [
+        (mid, order[s:e])
+        for mid, s, e in zip(
+            sorted_assign[starts].tolist(),
+            starts.tolist(),
+            [*starts[1:].tolist(), n_items],
         )
+    ]
+
+
+def take_items(work: Sequence[Any], idx: Any) -> Sequence[Any]:
+    """One machine group's items, in work order."""
+    if idx is ALL_ITEMS:
+        return work
+    if isinstance(idx, list):
+        return [work[i] for i in idx]
+    return work[idx]
+
+
+def run_items(
+    ctx: MachineContext, worker: Callable[..., Any], items: Iterable[Any]
+) -> list[Any]:
+    """The per-item program shape: ``worker(ctx, item)`` for each of one
+    machine's items; returns their outputs in item order."""
+    outs = []
+    for item in items:
+        out = worker(ctx, item)
+        outs.append(out)
+        if out is not None:
+            # Publishing the result for the driver / next round costs one
+            # write in a real deployment.
+            ctx._charge_write(1)
+    return outs
+
+
+def run_block(
+    ctx: MachineContext, worker: Callable[..., Any], block: np.ndarray
+) -> Any:
+    """The per-block program shape: one ``worker(ctx, block)`` call for
+    all of a machine's items.
+
+    Returns None, or the output as an array (tuple of arrays for a tuple)
+    with one row per block item, each row charged one publication write
+    like the per-item shape's non-None returns.
+    """
+    out = worker(ctx, block)
+    if out is None:
+        return None
+    cols = tuple(
+        np.asarray(c) for c in (out if isinstance(out, tuple) else (out,))
+    )
+    for col in cols:
+        if len(col) != len(block):
+            raise RoundProtocolError(
+                f"round_batch worker returned {len(col)} rows "
+                f"for a block of {len(block)} items"
+            )
+    ctx._charge_write(len(block))
+    return cols if isinstance(out, tuple) else cols[0]
+
+
+class OutputCollector:
+    """Puts per-machine outputs back into work order.
+
+    ``per_item`` rounds collect a list aligned with the work items. Block
+    rounds scatter rows into arrays allocated from the first block that
+    returns output (its dtype and trailing shape; tuple-ness likewise),
+    and every block must then return output or none may.
+    """
+
+    __slots__ = ("n_items", "per_item", "_out", "_tuple", "_silent")
+
+    def __init__(self, n_items: int, per_item: bool) -> None:
+        self.n_items = n_items
+        self.per_item = per_item
+        self._out: Any = [None] * n_items if per_item else None
+        self._tuple = False
+        self._silent = 0
+
+    def add(self, idx: Any, out: Any) -> None:
+        """Record the output :func:`run_items` / :func:`run_block`
+        returned for the machine group indexed by ``idx``."""
+        if self.per_item:
+            if idx is ALL_ITEMS:
+                self._out = out
+            else:
+                results = self._out
+                for i, item_out in zip(idx, out):
+                    results[i] = item_out
+        elif out is None:
+            self._silent += 1
+        else:
+            cols = out if isinstance(out, tuple) else (out,)
+            if self._out is None:
+                self._tuple = isinstance(out, tuple)
+                self._out = [
+                    np.empty((self.n_items,) + col.shape[1:], dtype=col.dtype)
+                    for col in cols
+                ]
+            for dst, col in zip(self._out, cols):
+                dst[idx] = col
+
+    def results(self) -> Any:
+        """The round's results: a list, or None / array / tuple of arrays."""
+        if self.per_item or self._out is None:
+            return self._out
+        if self._silent:
+            raise RoundProtocolError(
+                "round_batch workers must return outputs for every "
+                "block or for none"
+            )
+        return tuple(self._out) if self._tuple else self._out[0]

@@ -33,7 +33,7 @@ though the simulator is a single process.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -43,10 +43,33 @@ from .cost import RoundStats, RunReport
 from .dds import DistributedDataStore
 from .errors import BudgetExceededError, RoundProtocolError
 from .hooks import ObserverFan
-from .machine import MachineContext, MPCMachineContext
+from .machine import (
+    MachineContext,
+    MPCMachineContext,
+    OutputCollector,
+    group_by_machine,
+    run_block,
+    run_items,
+    take_items,
+)
 from .partition import machine_of, partition_items
 
 Pairs = Iterable[tuple[Hashable, Any]]
+
+# The three calling conventions of a machine program (see _run_round).
+_PER_ITEM, _PER_BLOCK, _FUSED = "per-item", "per-block", "fused"
+
+_NO_ITEMS = np.empty(0, dtype=np.int64)
+
+
+def check_fused_rows(out: Any, n_items: int) -> None:
+    """Require one output row per work item from a fused worker."""
+    for col in out if isinstance(out, tuple) else (out,):
+        if len(col) != n_items:
+            raise RoundProtocolError(
+                f"fused round_batch worker returned {len(col)} "
+                f"rows for {n_items} work items"
+            )
 
 # ---------------------------------------------------------------------------
 # observer plumbing (repro.verify invariants, repro.observe tracing/metrics)
@@ -233,6 +256,28 @@ class AMPCRuntime:
         for obs in self.observers:
             obs.on_restore(self, checkpoint)
 
+    def _stage(
+        self, pairs: Pairs | None, arrays: Iterable[tuple] | None
+    ) -> tuple[DistributedDataStore, int]:
+        """Stage a readable store: write scalar ``pairs`` and columnar
+        ``arrays`` — ``(namespace, ids, values)`` triples or slotted
+        ``(namespace, ids, slots, values)`` quadruples — into a fresh
+        store and seal it. Returns the store and its write count."""
+        store = self._new_store()
+        count = 0
+        if pairs is not None:
+            count += store.write_many(pairs)
+        if arrays is not None:
+            for entry in arrays:
+                ids = np.asarray(entry[1], dtype=np.int64)
+                store.write_array(
+                    entry[0], ids, entry[-1],
+                    slots=entry[2] if len(entry) == 4 else None,
+                )
+                count += ids.size
+        store.seal()
+        return store, count
+
     def publish_state(
         self,
         *,
@@ -255,38 +300,14 @@ class AMPCRuntime:
         against it (same placement seed, same ledger indices: every
         query observes the state exactly as the first one did).
         """
-        store = self._new_store()
-        count = 0
-        if pairs is not None:
-            count += store.write_many(pairs)
-        if arrays is not None:
-            for entry in arrays:
-                if len(entry) == 4:
-                    namespace, ids, slots, values = entry
-                else:
-                    namespace, ids, values = entry
-                    slots = None
-                ids = np.asarray(ids, dtype=np.int64)
-                store.write_array(namespace, ids, values, slots=slots)
-                count += ids.size
-        store.seal()
-        self._store = store
-        self._round_counter += 1
+        self._store, count = self._stage(pairs, arrays)
         per_machine = int(np.ceil(count / self.config.n_machines))
-        stats = RoundStats(
-            index=len(self.report.rounds),
-            tag=tag,
-            kind="primitive",
-            rounds=1,
+        self.charge_stats(self._stats(
+            tag, "primitive", 1,
             total_writes=count,
             max_machine_writes=per_machine,
             n_machines_active=self.config.n_machines,
-            read_budget=self.config.read_budget,
-            write_budget=self.config.write_budget,
-        )
-        self.report.add(stats)
-        for obs in self.observers:
-            obs.on_charge(self, stats)
+        ))
         return self.checkpoint()
 
     def query_round(
@@ -303,10 +324,12 @@ class AMPCRuntime:
 
         The second half of a serving deployment: runs a plain
         :meth:`round` (same random placement, budgets, and observer
-        hooks), captures the ledger rows it recorded, then rolls the
-        runtime back to ``resident`` (default: a checkpoint taken on
-        entry). Because :meth:`restore` resets the round counter and
-        the readable store, consecutive query rounds are mutually
+        hooks), captures the ledger rows it recorded, then aborts the
+        round back to ``resident`` (default: a checkpoint taken on
+        entry) — on every exit path, so a tick whose worker raises
+        leaves no read load or counter drift behind for the next one.
+        Because the abort resets the round counter, the readable store
+        and its read load, consecutive query rounds are mutually
         independent — each replays bit-identically to the first query
         a freshly built engine would execute, which is what lets a
         long-lived engine answer requests indefinitely while staying
@@ -317,14 +340,11 @@ class AMPCRuntime:
         serving ledger of their own).
         """
         checkpoint = resident if resident is not None else self.checkpoint()
-        result = self.round(work, worker, tag=tag, item_key=item_key)
-        rows = self.report.rounds[checkpoint.report_length:]
-        self.restore(checkpoint)
-        if checkpoint.store is not None:
-            # The resident store's read-load histogram is absolute state;
-            # zero it so the next query round's contention row reads as if
-            # the store were freshly sealed (tick-vs-fresh bit-identity).
-            checkpoint.store.reset_read_load()
+        try:
+            result = self.round(work, worker, tag=tag, item_key=item_key)
+            rows = self.report.rounds[checkpoint.report_length:]
+        finally:
+            self._abort(checkpoint)
         return result, rows
 
     def bootstrap(self, pairs: Pairs, tag: str = "bootstrap") -> None:
@@ -333,23 +353,10 @@ class AMPCRuntime:
 
         Charged zero rounds — the input placement is given, not computed.
         """
-        store = self._new_store()
-        count = store.write_many(pairs)
-        store.seal()
-        self._store = store
-        self.report.add(
-            RoundStats(
-                index=len(self.report.rounds),
-                tag=tag,
-                kind="bootstrap",
-                rounds=0,
-                total_writes=count,
-                read_budget=self.config.read_budget,
-                write_budget=self.config.write_budget,
-            )
-        )
+        self._store, count = self._stage(pairs, None)
+        self.report.add(self._stats(tag, "bootstrap", 0, total_writes=count))
         for obs in self.observers:
-            obs.on_bootstrap(self, store, count)
+            obs.on_bootstrap(self, self._store, count)
 
     # ------------------------------------------------------------------
     # rounds
@@ -378,7 +385,8 @@ class AMPCRuntime:
                 ``RoundResult.results`` aligned with ``work``.
             setup: key-value pairs readable by the machines this round.
             per_machine: alternative to work/worker — called once per
-                machine as ``per_machine(ctx)``.
+                machine as ``per_machine(ctx)``; the non-None returns are
+                collected in ``machines`` order.
             machines: machine ids to run ``per_machine`` on (default: all).
             tag: label for the cost ledger.
             item_key: optional projection of a work item to the hashable
@@ -393,155 +401,25 @@ class AMPCRuntime:
             raise RoundProtocolError("give either work/worker or per_machine")
         if (work is None) != (worker is None):
             raise RoundProtocolError("work and worker must be given together")
-        start = time.perf_counter()
-
-        # Stage the readable store: previous-round data plus driver setup.
-        setup_writes = 0
-        if setup is not None:
-            read_store = self._new_store()
-            setup_writes = read_store.write_many(setup)
-            read_store.seal()
-        else:
-            read_store = self._store
-            if read_store is None:
-                read_store = self._new_store()
-                read_store.seal()
-        next_store = self._new_store()
-        for obs in self.observers:
-            obs.on_round_start(self, read_store, next_store)
-
-        contexts: dict[int, MachineContext] = {}
-
-        def ctx_for(mid: int) -> MachineContext:
-            ctx = contexts.get(mid)
-            if ctx is None:
-                ctx = self.machine_context_cls(
-                    mid, self.config, read_store, next_store
-                )
-                fan = self._fan
-                if fan is not None:
-                    if fan.any_machine_scalar_hooks:
-                        ctx.observer = fan
-                    if fan.any_machine_batch_hooks:
-                        ctx.batch_observer = fan
-                contexts[mid] = ctx
-            return ctx
-
-        fan = self._fan
-        results: list[Any] = []
-        if worker is not None and work is not None:
-            assignment = self._assign(work, item_key)
-            results = [None] * len(work)
-            if self.config.n_machines == 1:
-                # Unit-machine deployments: every item lands on machine 0,
-                # so the argsort grouping and index boxing below are pure
-                # interpreter overhead.
-                ctx = ctx_for(0)
-                if fan is not None:
-                    fan.on_machine_start(ctx)
-                for i, item in enumerate(work):
-                    out = worker(ctx, item)
-                    results[i] = out
-                    if out is not None:
-                        ctx._charge_write(1)
-                if fan is not None:
-                    fan.on_machine_end(ctx)
-            else:
-                executed = False
-                if self._use_process_backend(
-                    read_store, next_store, len(work)
-                ):
-                    import repro.parallel.backend as _pbackend
-                    from repro.parallel.pool import (
-                        CallableShipError,
-                        WorkerPoolRecoveryError,
-                    )
-
-                    try:
-                        _pbackend.run_scalar_round(
-                            self, read_store, next_store, work, worker,
-                            assignment, results, contexts,
-                        )
-                        executed = True
-                    except CallableShipError:
-                        # Unshippable worker or work items: run the
-                        # round serially (bit-identical by construction;
-                        # workers mutate no parent state before raising).
-                        self.parallel_fallbacks += 1
-                    except WorkerPoolRecoveryError:
-                        # Supervised recovery gave up (retries exhausted,
-                        # respawn impossible): degrade gracefully to the
-                        # serial path — equally safe, since no parent
-                        # state was mutated. The failed attempt's
-                        # recovery tally was already queued for this
-                        # round's ledger by the dispatcher.
-                        self.parallel_fallbacks += 1
-                        self.recovery_fallbacks += 1
-                if not executed:
-                    # Group by machine so each machine's items run
-                    # consecutively against one shared read cache, matching
-                    # the model: a machine processes all items it was
-                    # assigned within the round. Grouping also yields the
-                    # machine-step boundaries observers are told about:
-                    # each machine's span covers its whole block.
-                    order = np.argsort(assignment, kind="stable")
-                    running_ctx: MachineContext | None = None
-                    for idx in order:
-                        item = work[int(idx)]
-                        ctx = ctx_for(int(assignment[int(idx)]))
-                        if fan is not None and ctx is not running_ctx:
-                            if running_ctx is not None:
-                                fan.on_machine_end(running_ctx)
-                            fan.on_machine_start(ctx)
-                            running_ctx = ctx
-                        out = worker(ctx, item)
-                        results[int(idx)] = out
-                        if out is not None:
-                            # Publishing the result for the driver / next
-                            # round costs one write in a real deployment.
-                            ctx._charge_write(1)
-                    if fan is not None and running_ctx is not None:
-                        fan.on_machine_end(running_ctx)
-        elif per_machine is not None:
-            ids = range(self.config.n_machines) if machines is None else machines
-            for mid in ids:
-                ctx = ctx_for(int(mid))
-                if fan is not None:
-                    fan.on_machine_start(ctx)
-                out = per_machine(ctx)
-                if fan is not None:
-                    fan.on_machine_end(ctx)
-                if out is not None:
-                    ctx._charge_write(1)
-                    results.append(out)
-
-        # Flush transactional contexts (fault-injecting runtimes buffer
-        # writes until a clean finish); a no-op for the base context.
-        for ctx in contexts.values():
-            ctx.commit()
-
-        next_store.seal()
-        self._store = next_store
-        self._round_counter += 1
-
-        stats = self._record(
-            tag=tag,
-            kind="adaptive",
-            contexts=contexts.values(),
-            read_store=read_store,
-            setup_writes=setup_writes,
-            next_store=next_store,
-            wall=time.perf_counter() - start,
-        )
-        for obs in self.observers:
-            obs.on_round_end(
-                self, stats, list(contexts.values()), read_store, next_store
+        if per_machine is None:
+            return self._run_round(
+                _PER_ITEM, () if work is None else work, worker,
+                setup=setup, tag=tag, item_key=item_key,
+                placement=_NO_ITEMS if work is None else None,
             )
-        return RoundResult(results=results, store=next_store, stats=stats)
-
-    # ------------------------------------------------------------------
-    # vectorized rounds
-    # ------------------------------------------------------------------
+        # The per-item shape with one anonymous item per listed machine,
+        # placed on that machine.
+        placement = (
+            np.arange(self.config.n_machines)
+            if machines is None
+            else np.asarray(machines, dtype=np.int64)
+        )
+        result = self._run_round(
+            _PER_ITEM, placement.tolist(), lambda ctx, _: per_machine(ctx),
+            setup=setup, tag=tag, placement=placement,
+        )
+        result.results = [out for out in result.results if out is not None]
+        return result
 
     @property
     def parallel_capable(self) -> bool:
@@ -566,27 +444,6 @@ class AMPCRuntime:
         if ambient is not None:
             return max(1, int(ambient))
         return _parallel.autodetect_workers()
-
-    def _use_process_backend(
-        self,
-        read_store: DistributedDataStore,
-        next_store: DistributedDataStore,
-        n_items: int,
-    ) -> bool:
-        """Whether this round runs on the process backend.
-
-        Requires plain stores on both sides of the round: the read store
-        must be exportable to shared memory, and replicated/chaos stores
-        carry per-key failover state that must stay serial.
-        """
-        return (
-            self.backend == "process"
-            and n_items > 1
-            and self.config.n_machines > 1
-            and self.parallel_capable
-            and type(read_store) is DistributedDataStore
-            and type(next_store) is DistributedDataStore
-        )
 
     @property
     def batch_capable(self) -> bool:
@@ -641,7 +498,6 @@ class AMPCRuntime:
                 like ``setup`` pairs.
             tag: label for the cost ledger.
         """
-        start = time.perf_counter()
         work = np.asarray(work)
         if work.dtype.kind not in "iu":
             raise RoundProtocolError(
@@ -653,191 +509,234 @@ class AMPCRuntime:
             raise RoundProtocolError(
                 f"round_batch work must be 1-D, got shape {work.shape}"
             )
-        n_items = work.size
+        return self._run_round(
+            _FUSED if fused else _PER_BLOCK, work, worker,
+            setup=setup, setup_arrays=setup_arrays, tag=tag,
+        )
 
-        setup_writes = 0
-        if setup is not None or setup_arrays is not None:
-            read_store = self._new_store()
-            if setup is not None:
-                setup_writes += read_store.write_many(setup)
-            if setup_arrays is not None:
-                for entry in setup_arrays:
-                    if len(entry) == 4:
-                        namespace, ids, slots, values = entry
-                    else:
-                        namespace, ids, values = entry
-                        slots = None
-                    ids = np.asarray(ids, dtype=np.int64)
-                    read_store.write_array(namespace, ids, values, slots=slots)
-                    setup_writes += ids.size
-            read_store.seal()
-        else:
-            read_store = self._store
-            if read_store is None:
-                read_store = self._new_store()
-                read_store.seal()
-        next_store = self._new_store()
-        for obs in self.observers:
-            obs.on_round_start(self, read_store, next_store)
+    # ------------------------------------------------------------------
+    # the round pipeline: stage, assign, group, run, collect, finish/abort
+    # ------------------------------------------------------------------
 
-        assignment = self._assign(work, None)
+    def _run_round(
+        self,
+        shape: str,
+        work: Sequence[Any],
+        worker: Callable[..., Any] | None,
+        *,
+        setup: Pairs | None = None,
+        setup_arrays: Iterable[tuple] | None = None,
+        tag: str,
+        item_key: Callable[[Any], Hashable] | None = None,
+        placement: np.ndarray | None = None,
+    ) -> "RoundResult":
+        """The one execution path behind :meth:`round` and
+        :meth:`round_batch`.
+
+        ``shape`` names the machine program's calling convention —
+        per-item ``worker(ctx, item)``, per-block ``worker(ctx, block)``
+        or fused ``worker(gctx)``. ``placement`` pins each item to a
+        machine; without it items are placed by the seeded hash, and only
+        such rounds may shard over the process backend.
+        """
+        start = time.perf_counter()
+        entry = (
+            self._store, self._round_counter, self._store_counter,
+            len(self.report.rounds),
+        )
+        try:
+            # Stage the readable store: driver setup, else the previous
+            # round's data.
+            if setup is None and setup_arrays is None and self._store is not None:
+                read_store, setup_writes = self._store, 0
+            else:
+                read_store, setup_writes = self._stage(setup, setup_arrays)
+            next_store = self._new_store()
+            for obs in self.observers:
+                obs.on_round_start(self, read_store, next_store)
+            outcome = None
+            if placement is None:
+                placement = self._assign(work, item_key)
+                outcome = self._dispatch(
+                    shape, work, worker, placement, read_store, next_store
+                )
+            if outcome is None:
+                outcome = self._run_machines(
+                    shape, work, worker, placement, read_store, next_store
+                )
+            results, contexts = outcome
+
+            # Finish. Transactional contexts (fault-injecting runtimes)
+            # buffer writes until a clean finish; commit is a no-op for
+            # the base context.
+            for ctx in contexts:
+                ctx.commit()
+            next_store.seal()
+            self._store = next_store
+            self._round_counter += 1
+            stats = self._record(
+                tag, contexts, read_store, setup_writes,
+                time.perf_counter() - start,
+            )
+            for obs in self.observers:
+                obs.on_round_end(self, stats, contexts, read_store, next_store)
+        except BaseException:
+            self._abort(RoundCheckpoint(*entry))
+            raise
+        return RoundResult(results=results, store=next_store, stats=stats)
+
+    def _abort(self, checkpoint: "RoundCheckpoint") -> None:
+        """The abort stage: leave the runtime and its readable store as
+        if no round had run since ``checkpoint``.
+
+        Besides :meth:`restore`, zero the read load the abandoned round
+        put on the checkpointed store — the load histogram is absolute
+        state, and the next round's contention row must read as if the
+        store were freshly sealed (tick-vs-fresh bit-identity for
+        :meth:`query_round`, replay-vs-clean for chaos) — and drop pool
+        recovery tallies queued for a ledger row that will never exist.
+        """
+        self.restore(checkpoint)
+        if checkpoint.store is not None:
+            checkpoint.store.reset_read_load()
+        self._pending_recovery.clear()
+
+    def _context(
+        self,
+        machine_id: int,
+        read_store: DistributedDataStore,
+        next_store: DistributedDataStore,
+    ) -> MachineContext:
+        """One machine's context for this round, wired to the observers."""
+        ctx = self.machine_context_cls(
+            machine_id, self.config, read_store, next_store
+        )
         fan = self._fan
-        results: Any = None
-        executed = False
-        # Fused rounds in strict mode stay serial: a budget breach must
-        # raise at the exact op where the *global* cumulative count
-        # crosses the budget, which per-shard cumulative arrays cannot
-        # reproduce. Non-strict fused and all non-fused rounds shard.
-        use_proc = self._use_process_backend(read_store, next_store, n_items)
-        if use_proc and fused and self.config.strict:
-            # Counted like every other serial degradation so operators
-            # can see a process-backend round that didn't shard.
-            self.parallel_fallbacks += 1
-        elif use_proc:
-            import repro.parallel.backend as _pbackend
-            from repro.parallel.pool import (
-                CallableShipError,
-                WorkerPoolRecoveryError,
-            )
+        if fan is not None:
+            if fan.any_machine_scalar_hooks:
+                ctx.observer = fan
+            if fan.any_machine_batch_hooks:
+                ctx.batch_observer = fan
+        return ctx
 
-            try:
-                if fused:
-                    results, gctx = _pbackend.run_fused_round(
-                        self, read_store, next_store, work, assignment,
-                        worker,
-                    )
-                    ledger_contexts: list[Any] = gctx.ledgers()
-                else:
-                    results, contexts = _pbackend.run_block_round(
-                        self, read_store, next_store, work, assignment,
-                        worker,
-                    )
-                    ledger_contexts = list(contexts.values())
-                executed = True
-            except CallableShipError:
-                # Unshippable worker: run serially (bit-identical by
-                # construction; workers mutate no parent state).
-                self.parallel_fallbacks += 1
-            except WorkerPoolRecoveryError:
-                # Recovery gave up: degrade to the serial path (safe —
-                # no parent state was mutated); the failed attempt's
-                # tally was already queued by the dispatcher.
-                self.parallel_fallbacks += 1
-                self.recovery_fallbacks += 1
-        if fused and not executed:
-            gctx = BatchRoundContext(
-                self.config, read_store, next_store, work, assignment,
-                fan
-                if fan is not None and fan.any_machine_batch_hooks
-                else None,
-            )
+    def _fused_context(
+        self,
+        read_store: DistributedDataStore,
+        next_store: DistributedDataStore,
+        work: np.ndarray,
+        assignment: np.ndarray,
+    ) -> "BatchRoundContext":
+        """The whole-round context of a fused round, wired likewise."""
+        fan = self._fan
+        return BatchRoundContext(
+            self.config, read_store, next_store, work, assignment,
+            fan if fan is not None and fan.any_machine_batch_hooks else None,
+        )
+
+    def _dispatch(
+        self,
+        shape: str,
+        work: Sequence[Any],
+        worker: Callable[..., Any],
+        assignment: np.ndarray,
+        read_store: DistributedDataStore,
+        next_store: DistributedDataStore,
+    ) -> tuple[Any, list[Any]] | None:
+        """Run the round's machines on the process backend.
+
+        Returns what :meth:`_run_machines` would, or None when the round
+        must run in this process instead — wrong backend or stores, or a
+        serial degradation counted in :attr:`parallel_fallbacks`. Every
+        degradation is bit-identical by construction: pool workers mutate
+        no parent state before raising.
+        """
+        if not (
+            self.backend == "process"
+            and len(work) > 1
+            and self.config.n_machines > 1
+            and self.parallel_capable
+            # Plain stores on both sides of the round: the read store must
+            # be exportable to shared memory, and replicated/chaos stores
+            # carry per-key failover state that must stay serial.
+            and type(read_store) is DistributedDataStore
+            and type(next_store) is DistributedDataStore
+        ):
+            return None
+        if shape == _FUSED and self.config.strict:
+            # Fused rounds in strict mode stay serial: a budget breach
+            # must raise at the exact op where the *global* cumulative
+            # count crosses the budget, which per-shard cumulative arrays
+            # cannot reproduce.
+            self.parallel_fallbacks += 1
+            return None
+        import repro.parallel.backend as _pbackend
+        from repro.parallel.pool import (
+            CallableShipError,
+            WorkerPoolRecoveryError,
+        )
+
+        if shape == _FUSED:
+            run = _pbackend.run_fused_round
+        elif shape == _PER_BLOCK:
+            run = _pbackend.run_block_round
+        else:
+            run = _pbackend.run_scalar_round
+        try:
+            return run(self, read_store, next_store, work, assignment, worker)
+        except CallableShipError:
+            # Unshippable worker, work items or outputs.
+            self.parallel_fallbacks += 1
+        except WorkerPoolRecoveryError:
+            # Supervised recovery gave up (retries exhausted, respawn
+            # impossible). The failed attempt's recovery tally was
+            # already queued for this round's ledger by the dispatcher.
+            self.parallel_fallbacks += 1
+            self.recovery_fallbacks += 1
+        return None
+
+    def _run_machines(
+        self,
+        shape: str,
+        work: Sequence[Any],
+        worker: Callable[..., Any],
+        assignment: np.ndarray,
+        read_store: DistributedDataStore,
+        next_store: DistributedDataStore,
+    ) -> tuple[Any, list[Any]]:
+        """Group, run and collect in this process; returns the results
+        and the per-machine ledger contexts."""
+        fan = self._fan
+        if shape == _FUSED:
+            gctx = self._fused_context(read_store, next_store, work, assignment)
             # The fused worker advances every machine in lockstep: observers
             # see one machine-step span whose ctx carries per-machine arrays.
             if fan is not None:
                 fan.on_machine_start(gctx)
-            out = worker(gctx) if n_items else None
+            out = worker(gctx) if work.size else None
             if out is not None:
-                for col in out if isinstance(out, tuple) else (out,):
-                    if len(col) != n_items:
-                        raise RoundProtocolError(
-                            f"fused round_batch worker returned {len(col)} "
-                            f"rows for {n_items} work items"
-                        )
-                # Publishing each item's result costs one write, exactly
-                # like the scalar path's +1 per non-None worker return.
+                check_fused_rows(out, work.size)
                 gctx.charge_publications()
             if fan is not None:
-                # End after the publication charge so the span's write
-                # totals match the scalar path's accounting.
                 fan.on_machine_end(gctx)
-            results = out
-            ledger_contexts = gctx.ledgers()
-        elif not executed:
-            contexts = {}
-            out_arrays: list[np.ndarray] | None = None
-            tuple_out = False
-            silent_blocks = 0
-            if n_items:
-                if self.config.n_machines == 1:
-                    groups = [(0, np.arange(n_items))]
-                else:
-                    order = np.argsort(assignment, kind="stable")
-                    sorted_assign = assignment[order]
-                    cuts = np.flatnonzero(np.diff(sorted_assign)) + 1
-                    starts = np.concatenate(([0], cuts))
-                    ends = np.concatenate((cuts, [n_items]))
-                    groups = [
-                        (int(sorted_assign[s]), order[s:e])
-                        for s, e in zip(starts, ends)
-                    ]
-                for mid, idx in groups:
-                    ctx = self.machine_context_cls(
-                        mid, self.config, read_store, next_store
-                    )
-                    if fan is not None:
-                        if fan.any_machine_scalar_hooks:
-                            ctx.observer = fan
-                        if fan.any_machine_batch_hooks:
-                            ctx.batch_observer = fan
-                    contexts[mid] = ctx
-                    if fan is not None:
-                        fan.on_machine_start(ctx)
-                    out = ctx_out = worker(ctx, work[idx])
-                    if out is None:
-                        if fan is not None:
-                            fan.on_machine_end(ctx)
-                        silent_blocks += 1
-                        continue
-                    cols = out if isinstance(out, tuple) else (out,)
-                    cols = [np.asarray(c) for c in cols]
-                    for col in cols:
-                        if len(col) != idx.size:
-                            raise RoundProtocolError(
-                                f"round_batch worker returned {len(col)} rows "
-                                f"for a block of {idx.size} items"
-                            )
-                    if out_arrays is None:
-                        tuple_out = isinstance(ctx_out, tuple)
-                        out_arrays = [
-                            np.empty((n_items,) + col.shape[1:], dtype=col.dtype)
-                            for col in cols
-                        ]
-                    for dst, col in zip(out_arrays, cols):
-                        dst[idx] = col
-                    ctx._charge_write(idx.size)
-                    if fan is not None:
-                        # End after the publication charge so the machine
-                        # span's write count matches the scalar path's.
-                        fan.on_machine_end(ctx)
-                for ctx in contexts.values():
-                    ctx.commit()
-            if out_arrays is not None:
-                if silent_blocks:
-                    raise RoundProtocolError(
-                        "round_batch workers must return outputs for every "
-                        "block or for none"
-                    )
-                results = tuple(out_arrays) if tuple_out else out_arrays[0]
-            ledger_contexts = list(contexts.values())
-
-        next_store.seal()
-        self._store = next_store
-        self._round_counter += 1
-
-        stats = self._record(
-            tag=tag,
-            kind="adaptive",
-            contexts=ledger_contexts,
-            read_store=read_store,
-            setup_writes=setup_writes,
-            next_store=next_store,
-            wall=time.perf_counter() - start,
-        )
-        for obs in self.observers:
-            obs.on_round_end(
-                self, stats, ledger_contexts, read_store, next_store
-            )
-        return RoundResult(results=results, store=next_store, stats=stats)
+            return out, gctx.ledgers()
+        per_item = shape == _PER_ITEM
+        run = run_items if per_item else run_block
+        collector = OutputCollector(len(work), per_item)
+        contexts = []
+        for mid, idx in group_by_machine(
+            assignment, self.config.n_machines == 1, as_lists=per_item
+        ):
+            ctx = self._context(mid, read_store, next_store)
+            contexts.append(ctx)
+            if fan is not None:
+                fan.on_machine_start(ctx)
+            out = run(ctx, worker, take_items(work, idx))
+            if fan is not None:
+                # After the publication charge, so the machine span's
+                # write count includes it for every program shape.
+                fan.on_machine_end(ctx)
+            collector.add(idx, out)
+        return collector.results(), contexts
 
     def charge(
         self,
@@ -859,24 +758,14 @@ class AMPCRuntime:
         if rounds < 0:
             raise ValueError("rounds must be non-negative")
         per_machine = int(np.ceil(max(reads, writes) / self.config.n_machines))
-        stats = RoundStats(
-            index=len(self.report.rounds),
-            tag=tag,
-            kind=kind,
-            rounds=rounds,
+        return self.charge_stats(self._stats(
+            tag, kind, rounds,
             total_reads=reads,
             total_writes=writes,
             max_machine_reads=per_machine,
             max_machine_writes=per_machine,
             n_machines_active=self.config.n_machines,
-            read_budget=self.config.read_budget,
-            write_budget=self.config.write_budget,
-        )
-        self._round_counter += rounds
-        self.report.add(stats)
-        for obs in self.observers:
-            obs.on_charge(self, stats)
-        return stats
+        ))
 
     def charge_stats(self, stats: RoundStats) -> RoundStats:
         """Record an externally-accounted ledger row.
@@ -922,36 +811,45 @@ class AMPCRuntime:
             obs.on_assignment(self, assignment, len(work))
         return assignment
 
-    def _record(
-        self,
-        *,
-        tag: str,
-        kind: str,
-        contexts: Iterable[MachineContext],
-        read_store: DistributedDataStore,
-        setup_writes: int,
-        next_store: DistributedDataStore,
-        wall: float,
-    ) -> RoundStats:
-        ctx_list = list(contexts)
-        total_reads = sum(c.reads_used for c in ctx_list)
-        total_writes = setup_writes + sum(c.writes_used for c in ctx_list)
-        violations = sum(
-            (1 if c.read_violation else 0) + (1 if c.write_violation else 0)
-            for c in ctx_list
-        )
-        stats = RoundStats(
+    def _stats(self, tag: str, kind: str, rounds: int, **costs: Any) -> RoundStats:
+        """A ledger row for the next report index, budgets filled in."""
+        return RoundStats(
             index=len(self.report.rounds),
             tag=tag,
             kind=kind,
-            rounds=1,
-            total_reads=total_reads,
-            total_writes=total_writes,
-            max_machine_reads=max((c.reads_used for c in ctx_list), default=0),
-            max_machine_writes=max((c.writes_used for c in ctx_list), default=0),
-            n_machines_active=len(ctx_list),
+            rounds=rounds,
             read_budget=self.config.read_budget,
             write_budget=self.config.write_budget,
+            **costs,
+        )
+
+    def _record(
+        self,
+        tag: str,
+        contexts: list[Any],
+        read_store: DistributedDataStore,
+        setup_writes: int,
+        wall: float,
+    ) -> RoundStats:
+        """The ledger row of an executed round, added to the report."""
+        total_reads = max_reads = max_writes = violations = 0
+        total_writes = setup_writes
+        for ctx in contexts:
+            reads, writes = ctx.reads_used, ctx.writes_used
+            total_reads += reads
+            total_writes += writes
+            if reads > max_reads:
+                max_reads = reads
+            if writes > max_writes:
+                max_writes = writes
+            violations += ctx.read_violation + ctx.write_violation
+        stats = self._stats(
+            tag, "adaptive", 1,
+            total_reads=total_reads,
+            total_writes=total_writes,
+            max_machine_reads=max_reads,
+            max_machine_writes=max_writes,
+            n_machines_active=len(contexts),
             budget_violations=violations,
             max_server_load=read_store.max_server_load(),
             wall_time_s=wall,
@@ -1101,11 +999,6 @@ class BatchRoundContext:
 
     def ledgers(self) -> list["_MachineLedger"]:
         """Per-active-machine accounting views for _record / observers."""
-        active = (
-            np.unique(self.machines)
-            if self.machines.size
-            else np.empty(0, dtype=np.int64)
-        )
         return [
             _MachineLedger(
                 int(mid),
@@ -1116,10 +1009,11 @@ class BatchRoundContext:
                 self._prev,
                 self._next,
             )
-            for mid in active
+            for mid in np.unique(self.machines)
         ]
 
 
+@dataclass(slots=True, eq=False)
 class _MachineLedger:
     """Frozen per-machine accounting view of a fused batch round.
 
@@ -1127,71 +1021,36 @@ class _MachineLedger:
     that :meth:`AMPCRuntime._record` and round-end observers consume.
     """
 
-    __slots__ = (
-        "machine_id",
-        "reads_used",
-        "writes_used",
-        "read_violation",
-        "write_violation",
-        "_prev",
-        "_next",
-    )
-
-    def __init__(
-        self,
-        machine_id: int,
-        reads_used: int,
-        writes_used: int,
-        read_violation: bool,
-        write_violation: bool,
-        prev_store: DistributedDataStore,
-        next_store: DistributedDataStore,
-    ) -> None:
-        self.machine_id = machine_id
-        self.reads_used = reads_used
-        self.writes_used = writes_used
-        self.read_violation = read_violation
-        self.write_violation = write_violation
-        self._prev = prev_store
-        self._next = next_store
+    machine_id: int
+    reads_used: int
+    writes_used: int
+    read_violation: bool
+    write_violation: bool
+    _prev: DistributedDataStore
+    _next: DistributedDataStore
 
     def commit(self) -> None:
         """Batch writes go straight to the store; nothing to flush."""
 
 
+@dataclass(slots=True, eq=False)
 class RoundCheckpoint:
     """O(1) snapshot of a runtime's round state (see
     :meth:`AMPCRuntime.checkpoint`)."""
 
-    __slots__ = ("store", "round_counter", "store_counter", "report_length")
-
-    def __init__(
-        self,
-        store: DistributedDataStore | None,
-        round_counter: int,
-        store_counter: int,
-        report_length: int,
-    ) -> None:
-        self.store = store
-        self.round_counter = round_counter
-        self.store_counter = store_counter
-        self.report_length = report_length
+    store: DistributedDataStore | None
+    round_counter: int
+    store_counter: int
+    report_length: int
 
 
+@dataclass(slots=True, eq=False)
 class RoundResult:
     """Outcome of one executed round."""
 
-    __slots__ = ("results", "store", "stats")
-
-    def __init__(
-        self,
-        results: list[Any],
-        store: DistributedDataStore,
-        stats: RoundStats,
-    ) -> None:
-        self.results = results
-        self.store = store
-        self.stats = stats
+    results: Any
+    store: DistributedDataStore
+    stats: RoundStats
 
 
 class MPCRuntime(AMPCRuntime):

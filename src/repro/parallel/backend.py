@@ -3,17 +3,20 @@
 How a parallel round runs
 -------------------------
 
-1. The parent computes the round's machine assignment (seeded hash — the
-   same placement the serial path uses), groups items by machine in the
-   serial visiting order (stable argsort), and cuts the group list into
-   contiguous shards of roughly equal item counts.
+1. The round pipeline (:mod:`repro.core.runtime`) has staged the stores
+   and assigned the items; this module groups them by machine with the
+   serial loop's own :func:`~repro.core.machine.group_by_machine` and
+   cuts the group list into contiguous shards of roughly equal item
+   counts.
 2. The sealed read store is exported into shared memory
    (:mod:`repro.parallel.shm`) and each shard ships to a pool worker
    along with the encoded round worker and its work items.
-3. Each pool worker runs the *real* machine programs against a shadow
-   read store (zero-copy views of the parent's arrays) and a
-   :class:`_JournalStore` in place of the next store: writes are
-   validated exactly like the real store would, then journaled. Charged
+3. Each pool worker runs the *real* machine programs — through the
+   serial loop's block runners, :func:`~repro.core.machine.run_items` /
+   :func:`~repro.core.machine.run_block` — against a shadow read store
+   (zero-copy views of the parent's arrays) and a :class:`_JournalStore`
+   in place of the next store: writes pass the real store's validators,
+   then are journaled. Charged
    reads are journaled too (:class:`~repro.core.hooks.OpRecorder`), into
    the same per-machine op list, so the journal preserves the machine's
    true read/write interleaving.
@@ -21,16 +24,18 @@ How a parallel round runs
    serial execution order — replaying each machine's journal: observer
    hooks fire through the real :class:`~repro.core.hooks.ObserverFan`,
    writes apply through the *real* next store (firing its store hooks and
-   advancing its counters naturally), and shadow-store read counters
-   merge back as integer deltas.
+   advancing its counters naturally), shadow-store read counters merge
+   back as integer deltas, and outputs are scattered by the serial
+   loop's :class:`~repro.core.machine.OutputCollector`. The pipeline then
+   finishes the round exactly as it would a serial one.
 
 Because machine placement, per-machine op order, merge order, and every
 counter reduction are independent of which OS worker ran which shard,
 results, per-round cost ledgers, and trace digests are bit-identical to
-the serial backend. The one documented divergence is the *error* path:
-when a worker raises (strict-mode budget breach, protocol violation),
-the parent re-raises the lowest-machine error like the serial path, but
-the abandoned next store holds no partial writes (serially it would).
+the serial backend. On the *error* path — a worker raises (strict-mode
+budget breach, protocol violation) — the parent re-raises the
+lowest-machine error, the one the serial loop would have hit first, and
+the pipeline aborts the round either way.
 
 Replayed per-op hooks observe the context's wiring and identity exactly
 as the serial path; budget counters are finalized before
@@ -46,10 +51,18 @@ from typing import Any, Callable, Hashable, Sequence
 import numpy as np
 
 from repro.core.cost import merge_shard_counters
-from repro.core.dds import DistributedDataStore, value_words
-from repro.core.errors import RoundProtocolError, ValueSizeError
+from repro.core.dds import DistributedDataStore, check_write, check_write_array
+from repro.core.errors import RoundProtocolError
 from repro.core.hooks import OpRecorder
-from repro.core.machine import MachineContext
+from repro.core.machine import (
+    MachineContext,
+    OutputCollector,
+    group_by_machine,
+    run_block,
+    run_items,
+    take_items,
+)
+from repro.core.runtime import BatchRoundContext, check_fused_rows
 
 from .pool import (
     CallableShipError,
@@ -88,45 +101,34 @@ class _JournalStore:
         self.ops = ops
 
     def write(self, key: Hashable, value: Any) -> None:
-        if value_words(key) > self.max_words:
-            raise ValueSizeError(f"key exceeds {self.max_words} words: {key!r}")
-        if value_words(value) > self.max_words:
-            raise ValueSizeError(
-                f"value exceeds {self.max_words} words: {value!r}"
-            )
+        check_write(key, value, self.max_words)
         self.ops.append(("w", key, value))
 
     def write_array(
         self, namespace: str, ids: np.ndarray, values: np.ndarray
     ) -> None:
-        if not isinstance(namespace, str):
-            raise TypeError(
-                f"write_array namespaces must be str, got {type(namespace).__name__}"
-            )
-        ids = np.array(ids, dtype=np.int64, copy=True)
-        values = np.array(values, copy=True)
-        if ids.ndim != 1:
-            raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
-        if values.ndim not in (1, 2) or len(values) != ids.size:
-            raise ValueError(
-                f"values must be 1-D or 2-D with {ids.size} rows, "
-                f"got shape {values.shape}"
-            )
-        width = 1 if values.ndim == 1 else values.shape[1]
-        if 2 > self.max_words:
-            raise ValueSizeError(
-                f"key exceeds {self.max_words} words: ({namespace!r}, id)"
-            )
-        if width > self.max_words:
-            raise ValueSizeError(
-                f"values exceed {self.max_words} words: width {width}"
-            )
+        ids, values, _ = check_write_array(
+            namespace,
+            np.array(ids, dtype=np.int64),
+            np.array(values),
+            None,
+            self.max_words,
+        )
         self.ops.append(("wa", namespace, ids, values))
 
 
 # ---------------------------------------------------------------------------
 # worker-side tasks (run in pool processes; see pool.TASKS dispatch)
 # ---------------------------------------------------------------------------
+
+
+def _store_reads(store: DistributedDataStore) -> dict:
+    """A shard's read traffic on its shadow store, for the parent's
+    :func:`_merge_store_reads`."""
+    return {
+        "n_reads": store.n_reads,
+        "server_reads": store._server_reads if store._route_reads else None,
+    }
 
 
 def _task_machine_shard(payload: dict) -> dict:
@@ -137,9 +139,9 @@ def _task_machine_shard(payload: dict) -> dict:
         worker = decode_callable(payload["worker"])
         config = payload["config"]
         record_reads = payload["record_reads"]
-        scalar_mode = payload["mode"] == "scalar"
+        run = run_items if payload["per_item"] else run_block
         machine_records = []
-        for mid, items in payload["machines"]:
+        for mid, block in payload["machines"]:
             ops: list = []
             journal = _JournalStore(store.max_words, ops)
             ctx = MachineContext(mid, config, store, journal)
@@ -147,35 +149,10 @@ def _task_machine_shard(payload: dict) -> dict:
                 recorder = OpRecorder(ops)
                 ctx.observer = recorder
                 ctx.batch_observer = recorder
-            if scalar_mode:
-                outs: Any = []
-                for item in items:
-                    out = worker(ctx, item)
-                    outs.append(out)
-                    if out is not None:
-                        ctx._charge_write(1)
-            else:
-                out = worker(ctx, items)
-                if out is None:
-                    outs = None
-                else:
-                    cols = [
-                        np.asarray(c)
-                        for c in (out if isinstance(out, tuple) else (out,))
-                    ]
-                    for col in cols:
-                        if len(col) != items.size:
-                            raise RoundProtocolError(
-                                f"round_batch worker returned {len(col)} rows "
-                                f"for a block of {items.size} items"
-                            )
-                    outs = (isinstance(out, tuple), cols)
-                    ctx._charge_write(items.size)
             machine_records.append(
                 {
-                    "mid": mid,
                     "ops": ops,
-                    "outs": outs,
+                    "outs": run(ctx, worker, block),
                     "reads": ctx.reads_used,
                     "writes": ctx.writes_used,
                     "rv": ctx.read_violation,
@@ -184,10 +161,7 @@ def _task_machine_shard(payload: dict) -> dict:
             )
         return {
             "machines": machine_records,
-            "n_reads": store.n_reads,
-            "server_reads": (
-                store._server_reads if store._route_reads else None
-            ),
+            **_store_reads(store),
         }
     finally:
         handles.close()
@@ -196,8 +170,6 @@ def _task_machine_shard(payload: dict) -> dict:
 def _task_fused_shard(payload: dict) -> dict:
     """Run the fused worker over a contiguous item range; journal its
     batch ops; ship the per-machine budget arrays and output columns."""
-    from repro.core.runtime import BatchRoundContext
-
     store, handles = attach_store(payload["store"])
     try:
         worker = decode_callable(payload["worker"])
@@ -231,10 +203,7 @@ def _task_fused_shard(payload: dict) -> dict:
             "outs": outs,
             "reads_used": gctx.reads_used,
             "writes_used": gctx.writes_used,
-            "n_reads": store.n_reads,
-            "server_reads": (
-                store._server_reads if store._route_reads else None
-            ),
+            **_store_reads(store),
         }
     finally:
         handles.close()
@@ -272,21 +241,6 @@ def _dumps(payload: dict) -> bytes:
         raise CallableShipError(
             f"round payload could not be shipped to the process backend: {exc}"
         ) from exc
-
-
-def _machine_groups(
-    assignment: np.ndarray,
-) -> list[tuple[int, np.ndarray]]:
-    """(machine_id, item_indices) groups in the serial visiting order:
-    ascending machine id, items in work order within each machine."""
-    order = np.argsort(assignment, kind="stable")
-    sorted_assign = assignment[order]
-    cuts = np.flatnonzero(np.diff(sorted_assign)) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [order.size]))
-    return [
-        (int(sorted_assign[s]), order[s:e]) for s, e in zip(starts, ends)
-    ]
 
 
 def _split_contiguous(weights: Sequence[int], n_shards: int) -> list[tuple[int, int]]:
@@ -401,18 +355,14 @@ def _replay_machine(
     runtime: Any,
     read_store: DistributedDataStore,
     next_store: DistributedDataStore,
+    mid: int,
     mrec: dict,
     worker_idx: int,
 ) -> MachineContext:
     """Rebuild one machine's round against the real stores: start hook,
     journaled ops, shipped counters, end hook."""
     fan = runtime._fan
-    ctx = MachineContext(mrec["mid"], runtime.config, read_store, next_store)
-    if fan is not None:
-        if fan.any_machine_scalar_hooks:
-            ctx.observer = fan
-        if fan.any_machine_batch_hooks:
-            ctx.batch_observer = fan
+    ctx = runtime._context(mid, read_store, next_store)
     ctx.worker_id = worker_idx
     if fan is not None:
         fan.on_machine_start(ctx)
@@ -432,10 +382,10 @@ def _dispatch_shards(
     task_name: str,
     build_payload: Callable[[dict, tuple[int, int]], dict],
     bounds: list[tuple[int, int]],
-) -> tuple[list[dict], list[int], int]:
+) -> tuple[list[dict], list[int]]:
     """Export the store, ship one payload per shard, collect results.
 
-    Returns ``(shard_results, worker_of, pool_workers)`` where
+    Returns ``(shard_results, worker_of)`` where
     ``worker_of[i]`` is the worker whose reply won shard ``i`` (under
     retries or hedging that need not be ``i % n_workers``). The shm
     arena lives exactly as long as the workers need it — unlinked on
@@ -446,13 +396,10 @@ def _dispatch_shards(
     (even of a failed attempt) is queued on the runtime for this
     round's ledger.
     """
-    pool = get_pool(
-        runtime.resolved_workers(),
-        getattr(runtime, "recovery_policy", None),
-    )
-    plan = getattr(runtime, "process_fault_plan", None)
+    pool = get_pool(runtime.resolved_workers(), runtime.recovery_policy)
+    plan = runtime.process_fault_plan
     faults = (
-        plan.bind(getattr(runtime, "_round_counter", 0))
+        plan.bind(runtime._round_counter)
         if plan is not None and not plan.is_null
         else None
     )
@@ -462,12 +409,63 @@ def _dispatch_shards(
             blobs = [_dumps(build_payload(export, span)) for span in bounds]
             outcome = pool.run_tasks(task_name, blobs, faults=faults)
     except WorkerPoolRecoveryError as exc:
-        if hasattr(runtime, "_note_recovery"):
-            runtime._note_recovery(exc.recovery)
+        runtime._note_recovery(exc.recovery)
         raise
-    if hasattr(runtime, "_note_recovery"):
-        runtime._note_recovery(outcome.recovery)
-    return outcome.results, outcome.worker_of, pool.n_workers
+    runtime._note_recovery(outcome.recovery)
+    return outcome.results, outcome.worker_of
+
+
+def _run_machine_shards(
+    runtime: Any,
+    read_store: DistributedDataStore,
+    next_store: DistributedDataStore,
+    work: Sequence[Any],
+    assignment: np.ndarray,
+    worker: Callable[..., Any],
+    per_item: bool,
+) -> tuple[Any, list[MachineContext]]:
+    """Shard a per-item or per-block round's machine groups over the
+    pool and merge the journals back in the serial visiting order.
+
+    Returns ``(results, contexts)`` exactly as the serial loop would:
+    the same grouping, the same block runner (in the pool task), the
+    same output collector.
+    """
+    encoded = encode_callable(worker)
+    record_reads = _record_reads(runtime)
+    groups = group_by_machine(assignment, as_lists=per_item)
+    bounds = _split_contiguous(
+        [len(idx) for _, idx in groups], runtime.resolved_workers()
+    )
+
+    def build_payload(export: dict, span: tuple[int, int]) -> dict:
+        return {
+            "store": export,
+            "config": runtime.config,
+            "worker": encoded,
+            "record_reads": record_reads,
+            "per_item": per_item,
+            "machines": [
+                (mid, take_items(work, idx))
+                for mid, idx in groups[span[0]:span[1]]
+            ],
+        }
+
+    shard_results, worker_of = _dispatch_shards(
+        runtime, read_store, "machine_shard", build_payload, bounds
+    )
+    collector = OutputCollector(len(work), per_item)
+    contexts = []
+    for (start, end), res, worker_idx in zip(bounds, shard_results, worker_of):
+        _merge_store_reads(read_store, res)
+        for (mid, idx), mrec in zip(groups[start:end], res["machines"]):
+            contexts.append(
+                _replay_machine(
+                    runtime, read_store, next_store, mid, mrec, worker_idx
+                )
+            )
+            collector.add(idx, mrec["outs"])
+    return collector.results(), contexts
 
 
 def run_scalar_round(
@@ -475,51 +473,18 @@ def run_scalar_round(
     read_store: DistributedDataStore,
     next_store: DistributedDataStore,
     work: Sequence[Any],
-    worker: Callable[..., Any],
     assignment: np.ndarray,
-    results: list[Any],
-    contexts: dict[int, MachineContext],
-) -> None:
-    """Process-backend execution of :meth:`AMPCRuntime.round`'s
-    work/worker path. Fills ``results`` and ``contexts`` in place.
+    worker: Callable[..., Any],
+) -> tuple[list[Any], list[MachineContext]]:
+    """Process-backend execution of the per-item program shape
+    (:meth:`AMPCRuntime.round`'s work/worker path).
 
     Raises :class:`CallableShipError` when the worker or its items
     cannot be shipped; the runtime falls back to the serial loop.
     """
-    encoded = encode_callable(worker)
-    record_reads = _record_reads(runtime)
-    groups = _machine_groups(assignment)
-    bounds = _split_contiguous(
-        [idx.size for _, idx in groups], runtime.resolved_workers()
+    return _run_machine_shards(
+        runtime, read_store, next_store, work, assignment, worker, True
     )
-
-    def build_payload(export: dict, span: tuple[int, int]) -> dict:
-        s, e = span
-        return {
-            "store": export,
-            "config": runtime.config,
-            "worker": encoded,
-            "record_reads": record_reads,
-            "mode": "scalar",
-            "machines": [
-                (mid, [work[int(i)] for i in idx]) for mid, idx in groups[s:e]
-            ],
-        }
-
-    shard_results, worker_of, _ = _dispatch_shards(
-        runtime, read_store, "machine_shard", build_payload, bounds
-    )
-    for shard_idx, (span, res) in enumerate(zip(bounds, shard_results)):
-        _merge_store_reads(read_store, res)
-        worker_idx = worker_of[shard_idx]
-        s, e = span
-        for (mid, idx), mrec in zip(groups[s:e], res["machines"]):
-            ctx = _replay_machine(
-                runtime, read_store, next_store, mrec, worker_idx
-            )
-            contexts[mid] = ctx
-            for i, out in zip(idx, mrec["outs"]):
-                results[int(i)] = out
 
 
 def run_block_round(
@@ -529,69 +494,12 @@ def run_block_round(
     work: np.ndarray,
     assignment: np.ndarray,
     worker: Callable[..., Any],
-) -> tuple[Any, dict[int, MachineContext]]:
-    """Process-backend execution of the non-fused ``round_batch`` path.
-
-    Returns ``(results, contexts)`` with the serial path's scatter,
-    dtype-from-first-block, and all-or-none semantics.
-    """
-    encoded = encode_callable(worker)
-    record_reads = _record_reads(runtime)
-    groups = _machine_groups(assignment)
-    bounds = _split_contiguous(
-        [idx.size for _, idx in groups], runtime.resolved_workers()
+) -> tuple[Any, list[MachineContext]]:
+    """Process-backend execution of the per-block program shape (the
+    non-fused ``round_batch`` path)."""
+    return _run_machine_shards(
+        runtime, read_store, next_store, work, assignment, worker, False
     )
-    n_items = work.size
-
-    def build_payload(export: dict, span: tuple[int, int]) -> dict:
-        s, e = span
-        return {
-            "store": export,
-            "config": runtime.config,
-            "worker": encoded,
-            "record_reads": record_reads,
-            "mode": "block",
-            "machines": [(mid, work[idx]) for mid, idx in groups[s:e]],
-        }
-
-    shard_results, worker_of, _ = _dispatch_shards(
-        runtime, read_store, "machine_shard", build_payload, bounds
-    )
-    contexts: dict[int, MachineContext] = {}
-    out_arrays: list[np.ndarray] | None = None
-    tuple_out = False
-    silent_blocks = 0
-    for shard_idx, (span, res) in enumerate(zip(bounds, shard_results)):
-        _merge_store_reads(read_store, res)
-        worker_idx = worker_of[shard_idx]
-        s, e = span
-        for (mid, idx), mrec in zip(groups[s:e], res["machines"]):
-            ctx = _replay_machine(
-                runtime, read_store, next_store, mrec, worker_idx
-            )
-            contexts[mid] = ctx
-            outs = mrec["outs"]
-            if outs is None:
-                silent_blocks += 1
-                continue
-            is_tuple, cols = outs
-            if out_arrays is None:
-                tuple_out = is_tuple
-                out_arrays = [
-                    np.empty((n_items,) + col.shape[1:], dtype=col.dtype)
-                    for col in cols
-                ]
-            for dst, col in zip(out_arrays, cols):
-                dst[idx] = col
-    results: Any = None
-    if out_arrays is not None:
-        if silent_blocks:
-            raise RoundProtocolError(
-                "round_batch workers must return outputs for every "
-                "block or for none"
-            )
-        results = tuple(out_arrays) if tuple_out else out_arrays[0]
-    return results, contexts
 
 
 def run_fused_round(
@@ -601,8 +509,8 @@ def run_fused_round(
     work: np.ndarray,
     assignment: np.ndarray,
     worker: Callable[..., Any],
-) -> tuple[Any, Any]:
-    """Process-backend execution of the fused ``round_batch`` path.
+) -> tuple[Any, list[Any]]:
+    """Process-backend execution of the fused program shape.
 
     Shards are contiguous *item* ranges; every shard runs the same fused
     program over its slice, so the per-shard batch-op streams are
@@ -611,10 +519,8 @@ def run_fused_round(
     the serial event granularity exactly. Data-dependent control flow
     that diverges across shards is detected (kind/namespace mismatch at
     a stream position) and rejected with a pointer at the serial
-    backend. Returns ``(results, gctx)``.
+    backend. Returns ``(results, per-machine ledgers)``.
     """
-    from repro.core.runtime import BatchRoundContext
-
     encoded = encode_callable(worker)
     record_reads = _record_reads(runtime)
     fan = runtime._fan
@@ -632,7 +538,7 @@ def run_fused_round(
             "assignment": assignment[s:e],
         }
 
-    shard_results, _, _ = _dispatch_shards(
+    shard_results, _ = _dispatch_shards(
         runtime, read_store, "fused_shard", build_payload, bounds
     )
     for res in shard_results:
@@ -643,14 +549,7 @@ def run_fused_round(
         runtime.config.write_budget,
     )
 
-    gctx = BatchRoundContext(
-        runtime.config,
-        read_store,
-        next_store,
-        work,
-        assignment,
-        fan if fan is not None and fan.any_machine_batch_hooks else None,
-    )
+    gctx = runtime._fused_context(read_store, next_store, work, assignment)
     if fan is not None:
         fan.on_machine_start(gctx)
     _replay_fused_ops(
@@ -668,17 +567,11 @@ def run_fused_round(
                 "returned output columns, some did not); run this round "
                 "with backend='serial'"
             )
-        tuple_out = first[0]
         cols = [
             np.concatenate([o[1][c] for o in outs]) for c in range(n_cols)
         ]
-        for col in cols:
-            if len(col) != n_items:
-                raise RoundProtocolError(
-                    f"fused round_batch worker returned {len(col)} "
-                    f"rows for {n_items} work items"
-                )
-        results = tuple(cols) if tuple_out else cols[0]
+        results = tuple(cols) if first[0] else cols[0]
+        check_fused_rows(results, n_items)
 
     gctx.reads_used[:] = reads
     gctx.writes_used[:] = writes
@@ -686,7 +579,7 @@ def run_fused_round(
     gctx._write_over[:] = write_over
     if fan is not None:
         fan.on_machine_end(gctx)
-    return results, gctx
+    return results, gctx.ledgers()
 
 
 def _replay_fused_ops(
@@ -712,20 +605,13 @@ def _replay_fused_ops(
                     "backend shards (data-dependent op streams); run this "
                     "round with backend='serial'"
                 )
-        ids = (
-            np.concatenate([op[2] for op in live])
-            if len(live) > 1
-            else live[0][2]
-        )
+        ids = np.concatenate([op[2] for op in live])
         if kind == "wa":
-            values = (
-                np.concatenate([op[3] for op in live])
-                if len(live) > 1
-                else live[0][3]
-            )
             if batch_hooks:
                 fan.on_machine_write_batch(gctx, namespace, ids)
-            next_store.write_array(namespace, ids, values)
+            next_store.write_array(
+                namespace, ids, np.concatenate([op[3] for op in live])
+            )
         elif kind == "rb":
             if batch_hooks:
                 fan.on_machine_read_batch(gctx, namespace, ids)

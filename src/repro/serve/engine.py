@@ -202,7 +202,9 @@ class ServingEngine:
         is the contention the ledger row records). Returns responses
         aligned with ``requests``; appends the tick's ledger row to
         :attr:`serve_report` and rolls the runtime back to the resident
-        checkpoint, so ticks are mutually independent.
+        checkpoint, so ticks are mutually independent. A tick that
+        raises is rolled back the same way and counts as never served:
+        no ledger row, no tick number, no metrics.
         """
         reqs = list(requests)
         if not reqs:

@@ -474,6 +474,24 @@ def _run_cell(
     return record
 
 
+# ---------------------------------------------------------------------------
+# the extra cells of ``repro verify --smoke``
+# ---------------------------------------------------------------------------
+#
+# A smoke cell reports one outcome per line it prints: ``ok`` (True, False,
+# or None for a skipped check), ``summary`` (the line's text) and
+# ``problems`` (detail lines printed under it).
+
+
+def _outcome(label: str, problems: list[str], text: str, **extra: Any) -> dict:
+    return {
+        "ok": not problems,
+        "summary": f"{label}: {text}",
+        "problems": [f"{label} problem: {p}" for p in problems],
+        **extra,
+    }
+
+
 def perf_smoke_cell(store_root: str | None = None) -> dict:
     """The ``perf-smoke`` cell of ``repro verify --smoke``.
 
@@ -486,7 +504,7 @@ def perf_smoke_cell(store_root: str | None = None) -> dict:
     themselves broke, not that the host got slower. The profile's JSONL
     records are also validated against the observe/export schema.
 
-    Returns ``{"ok": bool, "cells": int, "problems": [str, ...]}``.
+    Returns a smoke-cell outcome (see :data:`SMOKE_CELLS`) plus ``cells``.
     """
     import tempfile
 
@@ -518,7 +536,10 @@ def perf_smoke_cell(store_root: str | None = None) -> dict:
         if not result.cells:
             problems.append("self-check compared zero cells")
         n_cells = len(result.cells)
-    return {"ok": not problems, "cells": n_cells, "problems": problems}
+    return _outcome(
+        "perf smoke", problems,
+        f"collect+self-check, {n_cells} cells no-change", cells=n_cells,
+    )
 
 
 def serve_smoke_cell() -> dict:
@@ -538,7 +559,7 @@ def serve_smoke_cell() -> dict:
       overflow and every submitted request must be accounted accepted
       or rejected.
 
-    Returns ``{"ok", "requests", "rejected", "problems"}``.
+    Returns a smoke-cell outcome plus ``requests`` and ``rejected``.
     """
     from repro.algorithms.mis import sequential_lfmis
     from repro.graph import generators, validation
@@ -600,12 +621,12 @@ def serve_smoke_cell() -> dict:
         problems.append(f"admission accounting leak: {counts}")
     problems += engine.reconcile()
 
-    return {
-        "ok": not problems,
-        "requests": len(outcome.responses),
-        "rejected": counts["rejected"],
-        "problems": problems,
-    }
+    return _outcome(
+        "serve smoke", problems,
+        f"resident engine, {len(outcome.responses)} requests "
+        f"ledger-reconciled, {counts['rejected']} shed",
+        requests=len(outcome.responses), rejected=counts["rejected"],
+    )
 
 
 def ingest_smoke_cell() -> dict:
@@ -624,7 +645,7 @@ def ingest_smoke_cell() -> dict:
       produce bit-identical labels/membership AND bit-identical
       per-round cost ledgers vs the in-memory baseline.
 
-    Returns ``{"ok", "n", "m", "checks", "problems"}``.
+    Returns a smoke-cell outcome plus ``n``, ``m`` and ``checks``.
     """
     import tempfile
     from pathlib import Path
@@ -688,13 +709,145 @@ def ingest_smoke_cell() -> dict:
                                 f"mmap graph")
             checks += 2
 
+    return _outcome(
+        "ingest smoke", problems,
+        f"mmap CSR n={base.n} m={base.m}, {checks} parity checks",
+        n=base.n, m=base.m, checks=checks,
+    )
+
+
+def _cell_outcome(
+    record: CellRecord, ok: bool, label: str, text: str, error_label: str = ""
+) -> dict:
+    error_label = error_label or label
     return {
-        "ok": not problems,
-        "n": base.n,
-        "m": base.m,
-        "checks": checks,
-        "problems": problems,
+        "ok": ok,
+        "summary": f"{label}: {text}",
+        "problems": (
+            [f"{error_label} error: {record.error}"] if record.error else []
+        ),
     }
+
+
+def _traced_smoke(args: Any) -> list[dict]:
+    """One connectivity cell inside a :class:`TracingSession`: the exported
+    trace must match the schema and the cost ledger. Then the armed-
+    overhead budget is guarded against the checked-in baseline via
+    :func:`repro.perf.observe_overhead_gate` (the same retry-tolerant
+    gate ``repro perf check --observe-baseline`` runs)."""
+    from repro.observe import (
+        TracingSession,
+        reconcile_metrics,
+        reconcile_with_report,
+        to_chrome_trace,
+        to_records,
+        validate_chrome,
+        validate_records,
+    )
+    from repro.perf import observe_overhead_gate
+
+    case = CASES["connectivity"]
+    workload = make_workload(case, "er", 300, 0)
+    with TracingSession(detail="machine") as session:
+        result = case.run(workload, 0)
+    report = case.report_of(result)
+    problems = validate_records(to_records(session.events))
+    problems += validate_chrome(to_chrome_trace(session.events))
+    problems += reconcile_with_report(session.events, report)
+    problems += reconcile_metrics(session.snapshot, report)
+    traced = {
+        "ok": not problems,
+        "summary": f"traced smoke: connectivity er n=300, "
+                   f"{len(session.events)} events, schema+ledger reconciled",
+        "problems": [],
+    }
+    gate = observe_overhead_gate(args.observe_baseline)
+    if gate["skipped"]:
+        gated = {
+            "ok": None,
+            "summary": f"observe overhead gate: no baseline at "
+                       f"{args.observe_baseline}",
+        }
+    else:
+        problems += gate["problems"]
+        gated = {
+            "ok": gate["ok"],
+            "summary": f"observe overhead: armed {gate['armed_pct']:+.1f}% "
+                       f"vs gate {gate['allowed_pct']:.1f}%",
+        }
+    # Both lines' problems are listed together, under the second.
+    gated["problems"] = [f"traced smoke problem: {p}" for p in problems]
+    return [traced, gated]
+
+
+def _process_smoke(args: Any) -> list[dict]:
+    """Connectivity, list-ranking, and MIS cells on the process backend
+    (2 workers), bit-identical in results and per-round ledgers to their
+    serial twins (the ``backend_identical`` oracle), then one worker-
+    crash-recovery cell with the default real-process fault plan armed
+    (SIGKILL/hang/delay at 10% each)."""
+    from repro.parallel import RecoveryPolicy, use_recovery
+
+    outcomes = []
+    for name, family in (("connectivity", "er"),
+                         ("list-ranking", "list-uniform"),
+                         ("mis", "er")):
+        record = _run_cell(CASES[name], family, SMOKE_SIZE, 0,
+                           balance_slack=4.0, chaos=False,
+                           backend="process", workers=2)
+        outcomes.append(_cell_outcome(
+            record, record.ok and record.backend_identical is True,
+            "process backend",
+            f"{name} {family} n={record.n} bit-identical="
+            f"{record.backend_identical}",
+        ))
+    # Workers are really SIGKILLed, hung, and delayed mid-round; the
+    # supervisor must recover every shard and the answer must still be
+    # bit-identical to the fault-free serial twin. The tight deadline
+    # turns dropped replies into fast respawns.
+    with use_recovery(RecoveryPolicy(task_deadline_s=10.0)):
+        record = _run_cell(
+            CASES["connectivity"], "er", SMOKE_SIZE, 0,
+            balance_slack=4.0, chaos=False,
+            backend="process", workers=2,
+            process_faults=default_process_fault_plan(3),
+        )
+    outcomes.append(_cell_outcome(
+        record, record.ok and record.backend_identical is True,
+        "worker-crash recovery",
+        f"connectivity er n={record.n} (kill/hang/delay 10%) "
+        f"bit-identical={record.backend_identical}",
+    ))
+    return outcomes
+
+
+def _vectorized_smoke(args: Any) -> list[dict]:
+    """One MIS cell on the batch engine (``vectorized=True``): the
+    differential oracle against ``sequential_lfmis`` plus the usual
+    invariant observers must pass on the vectorized path."""
+    record = _run_cell(CASES["mis"], "er", SMOKE_SIZE, 0,
+                       balance_slack=4.0, chaos=False, vectorized=True)
+    return [_cell_outcome(
+        record, record.ok and record.vectorized, "vectorized",
+        f"mis er n={record.n} batch-engine path", "vectorized smoke",
+    )]
+
+
+def _never(args: Any) -> bool:
+    return False
+
+
+#: The cells ``repro verify --smoke`` runs after the sweep, in order:
+#: ``(name, skip(args), run(args))``. A cell whose path the sweep itself
+#: already took (``--backend process``, ``--vectorized``) is skipped.
+SMOKE_CELLS: list[tuple[str, Callable[[Any], bool], Callable[[Any], list[dict]]]] = [
+    ("traced", _never, _traced_smoke),
+    ("process", lambda args: args.backend != "serial", _process_smoke),
+    ("vectorized", lambda args: args.vectorized, _vectorized_smoke),
+    ("perf", _never, lambda args: [perf_smoke_cell()]),
+    ("serve", _never, lambda args: [serve_smoke_cell()]),
+    ("ingest", _never, lambda args: [ingest_smoke_cell()]),
+]
 
 
 def verify_sweep(

@@ -274,6 +274,31 @@ class TestBatchContext:
         with pytest.raises(RoundProtocolError):
             rt.round_batch(np.arange(8, dtype=np.int64), worker, tag="t")
 
+    @pytest.mark.parametrize("n_machines", [1, 4])
+    @pytest.mark.parametrize("fused, worker, message", [
+        (False, lambda ctx, block: block[:-1],
+         r"returned \d+ rows for a block of \d+ items"),
+        (False, lambda ctx, block: (block, block[:-1]),
+         r"returned \d+ rows for a block of \d+ items"),
+        (True, lambda gctx: gctx.items[:-1],
+         "returned 7 rows for 8 work items"),
+    ], ids=["block", "block-tuple", "fused"])
+    def test_misaligned_output_message_names_the_counts(
+            self, n_machines, fused, worker, message):
+        rt = AMPCRuntime(AMPCConfig(space=64, n_machines=n_machines, seed=2))
+        with pytest.raises(RoundProtocolError, match=message):
+            rt.round_batch(np.arange(8, dtype=np.int64), worker,
+                           fused=fused, tag="t")
+
+    def test_round_batch_outputs_are_all_or_none(self):
+        rt = AMPCRuntime(AMPCConfig(space=64, n_machines=4, seed=2))
+
+        def worker(ctx, block):
+            return block if ctx.machine_id % 2 else None
+
+        with pytest.raises(RoundProtocolError, match="for every block or"):
+            rt.round_batch(np.arange(32, dtype=np.int64), worker, tag="t")
+
 
 # ---------------------------------------------------------------------------
 # round_batch vs round: identical stats
@@ -284,56 +309,51 @@ class TestRoundParity:
     def _setup_pairs(self, n):
         return [(("v", i), float(i)) for i in range(n)]
 
-    def test_per_machine_mode_matches_scalar_round(self):
-        n = 300
-        config = AMPCConfig(space=256, n_machines=8, seed=5)
-
-        rt_a = AMPCRuntime(config)
-        res_a = rt_a.round(
+    def _scalar_round(self, config, n):
+        rt = AMPCRuntime(config)
+        res = rt.round(
             list(range(n)),
             lambda ctx, v: ctx.read(("v", v)) * 2,
             setup=self._setup_pairs(n), tag="t",
         )
-        scalar_out = [res_a.results[i] for i in range(n)]
+        return res.results, _ledger(rt.report)
 
-        rt_b = AMPCRuntime(config)
+    def _batch_round(self, config, n, fused):
+        rt = AMPCRuntime(config)
         ids = np.arange(n, dtype=np.int64)
 
-        def worker(ctx, block):
+        def per_block(ctx, block):
             return ctx.read_array("v", block) * 2
 
-        res_b = rt_b.round_batch(
-            ids, worker,
-            setup_arrays=[("v", ids, ids.astype(np.float64))], tag="t",
-        )
-        assert scalar_out == res_b.results.tolist()
-        assert _ledger(rt_a.report) == _ledger(rt_b.report)
-
-    def test_fused_mode_matches_scalar_round(self):
-        n = 300
-        config = AMPCConfig(space=256, n_machines=8, seed=5)
-
-        rt_a = AMPCRuntime(config)
-        rt_a.round(
-            list(range(n)),
-            lambda ctx, v: ctx.read(("v", v)) * 2,
-            setup=self._setup_pairs(n), tag="t",
-        )
-
-        rt_b = AMPCRuntime(config)
-        ids = np.arange(n, dtype=np.int64)
-
-        def fused(gctx):
+        def lockstep(gctx):
             vals = gctx.read_array("v", gctx.items, owner=gctx.machines)
             return vals * 2
 
-        res_b = rt_b.round_batch(
-            ids, fused,
+        res = rt.round_batch(
+            ids, lockstep if fused else per_block,
             setup_arrays=[("v", ids, ids.astype(np.float64))],
-            fused=True, tag="t",
+            fused=fused, tag="t",
         )
-        assert res_b.results.tolist() == (ids * 2).tolist()
-        assert _ledger(rt_a.report) == _ledger(rt_b.report)
+        return res.results.tolist(), _ledger(rt.report)
+
+    def test_per_machine_mode_matches_scalar_round(self):
+        config = AMPCConfig(space=256, n_machines=8, seed=5)
+        assert self._batch_round(config, 300, False) == \
+            self._scalar_round(config, 300)
+
+    def test_fused_mode_matches_scalar_round(self):
+        config = AMPCConfig(space=256, n_machines=8, seed=5)
+        assert self._batch_round(config, 300, True) == \
+            self._scalar_round(config, 300)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("n_machines, n", [(1, 300), (8, 1), (1, 1)])
+    def test_single_group_rounds_match_scalar_round(self, n_machines, n, fused):
+        """One machine or one item: the round is a single group, and must
+        still agree with the scalar round on results and ledger."""
+        config = AMPCConfig(space=1024, n_machines=n_machines, seed=5)
+        assert self._batch_round(config, n, fused) == \
+            self._scalar_round(config, n)
 
     def test_single_machine_fast_path_matches_grouped_loop(self):
         n = 64

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import AMPCConfig, AMPCRuntime
-from repro.core.faults import FaultInjectingRuntime, MachineCrash
+from repro.core import FaultInjectingRuntime, MachineCrash
 from repro.graph import generators
 from repro.graph.io import orient_cycles
 

@@ -15,7 +15,8 @@ import pytest
 import repro
 from repro.core import AMPCConfig, AMPCRuntime
 from repro.core.chaos import ChaosRuntime, FaultPlan
-from repro.core.errors import BudgetExceededError
+from repro.core.errors import BudgetExceededError, RoundProtocolError
+from repro.core.hooks import RuntimeObserver
 from repro.graph import generators
 from repro.parallel import autodetect_workers, use_backend
 from repro.verify.runner import _run_cell, _summary_without_walltime
@@ -112,19 +113,6 @@ def test_unknown_backend_rejected():
         AMPCRuntime(config, backend="threads")
 
 
-def test_fallback_on_unshippable_result(small_config):
-    """A worker output that cannot be pickled falls back to serial."""
-    runtime = AMPCRuntime(small_config, backend="process", n_workers=2)
-    runtime.bootstrap(("x", i) for i in range(16))
-
-    def worker(ctx, item):
-        return lambda: item  # unpicklable result
-
-    results = runtime.round(list(range(16)), worker).results
-    assert runtime.parallel_fallbacks == 1
-    assert [r() for r in results] == list(range(16))
-
-
 def test_fused_strict_stays_serial_and_counts_fallback():
     """Fused round_batch in strict mode never shards, and the serial
     degradation is visible in the fallback counter."""
@@ -191,6 +179,299 @@ def test_chaos_runtime_stays_serial_and_identical():
         under = connectivity(g, runtime=chaos_runtime)
     assert np.array_equal(base.labels, under.labels)
     assert _ledger(base.report) == _ledger(under.report)
+
+
+# -- the round contract: one matrix over shape x backend x P x observer -----
+
+N_ITEMS = 48
+SHAPES = ("per-item", "per-block", "fused", "per-machine")
+
+
+def _item_program(ctx, v):
+    x = ctx.read(("v", v))
+    ctx.write(("o", v), x + 1)
+    return x * 2
+
+
+def _block_program(ctx, block):
+    x = ctx.read_array("v", block)
+    ctx.write_array("o", block, x + 1)
+    return x * 2
+
+
+def _fused_program(gctx):
+    x = gctx.read_array("v", gctx.items, owner=gctx.machines)
+    gctx.write_array("o", gctx.items, x + 1, owner=gctx.machines)
+    return x * 2
+
+
+def _machine_program(ctx):
+    x = ctx.read(("v", ctx.machine_id))
+    ctx.write(("o", ctx.machine_id), x + 1)
+    return x * 2 if ctx.machine_id % 2 else None
+
+
+def _run_shape(runtime, shape, program=None, n_items=N_ITEMS):
+    """One round of ``shape`` reading v[i] = 3i; returns the RoundResult."""
+    ids = np.arange(n_items, dtype=np.int64)
+    pairs = [(("v", i), 3 * i) for i in range(n_items)]
+    arrays = [("v", ids, 3 * ids)]
+    if shape == "per-item":
+        return runtime.round(list(range(n_items)), program or _item_program,
+                             setup=pairs, tag="t")
+    if shape == "per-machine":
+        return runtime.round(per_machine=program or _machine_program,
+                             setup=pairs, tag="t")
+    return runtime.round_batch(
+        ids, program or (_fused_program if shape == "fused" else _block_program),
+        setup_arrays=arrays, fused=shape == "fused", tag="t",
+    )
+
+
+def _row(stats):
+    return (stats.tag, stats.kind, stats.rounds, stats.total_reads,
+            stats.total_writes, stats.max_machine_reads,
+            stats.max_machine_writes, stats.n_machines_active,
+            stats.budget_violations, stats.max_server_load)
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return tuple(_plain(v) for v in value)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+class _Recorder(RuntimeObserver):
+    """Records every hook, in order, with its model-visible arguments."""
+
+    def __init__(self):
+        self.events = []
+        self.worker_ids = set()
+
+    def _machine(self, ctx):
+        return getattr(ctx, "machine_id", "fused")
+
+    def on_round_start(self, runtime, read_store, next_store):
+        self.events.append(("round_start", read_store.round_index,
+                            next_store.round_index))
+
+    def on_assignment(self, runtime, assignment, n_items):
+        self.events.append(("assignment", assignment.tolist(), n_items))
+
+    def on_machine_start(self, ctx):
+        self.events.append(("machine_start", self._machine(ctx)))
+
+    def on_machine_end(self, ctx):
+        self.worker_ids.add(getattr(ctx, "worker_id", None))
+        self.events.append(("machine_end", self._machine(ctx),
+                            _plain(ctx.reads_used), _plain(ctx.writes_used)))
+
+    def on_machine_read(self, ctx, key):
+        self.events.append(("machine_read", self._machine(ctx), key))
+
+    def on_machine_write(self, ctx, key):
+        self.events.append(("machine_write", self._machine(ctx), key))
+
+    def on_machine_read_batch(self, ctx, namespace, ids):
+        self.events.append(("machine_read_batch", self._machine(ctx),
+                            namespace, ids.tolist()))
+
+    def on_machine_write_batch(self, ctx, namespace, ids):
+        self.events.append(("machine_write_batch", self._machine(ctx),
+                            namespace, ids.tolist()))
+
+    def on_store_read(self, store, key):
+        self.events.append(("store_read", store.round_index, key))
+
+    def on_store_write(self, store, key):
+        self.events.append(("store_write", store.round_index, key))
+
+    def on_store_read_batch(self, store, namespace, ids):
+        self.events.append(("store_read_batch", store.round_index,
+                            namespace, ids.tolist()))
+
+    def on_store_write_batch(self, store, namespace, ids):
+        self.events.append(("store_write_batch", store.round_index,
+                            namespace, ids.tolist()))
+
+    def on_store_seal(self, store):
+        self.events.append(("store_seal", store.round_index))
+
+    def on_round_end(self, runtime, stats, contexts, read_store, next_store):
+        self.events.append(("round_end", _row(stats),
+                            [c.machine_id for c in contexts]))
+
+    def on_restore(self, runtime, checkpoint):
+        self.events.append(("restore", checkpoint.report_length))
+
+
+def _contract_runtime(backend, n_machines, observed, space=256, **config):
+    runtime = AMPCRuntime(
+        AMPCConfig(epsilon=0.5, space=space, n_machines=n_machines, seed=7,
+                   **config),
+        backend=backend, n_workers=2,
+    )
+    recorder = None
+    if observed:
+        recorder = _Recorder()
+        runtime.attach_observer(recorder)
+    return runtime, recorder
+
+
+@pytest.mark.parametrize("n_machines", [1, 8])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_round_contract_matrix(shape, n_machines):
+    """Every program shape gives the same results, ledger row, next store
+    and hook-event order on both backends, observed or not."""
+    outcomes = {}
+    for backend in ("serial", "process"):
+        for observed in (False, True):
+            runtime, recorder = _contract_runtime(backend, n_machines, observed)
+            result = _run_shape(runtime, shape)
+            assert runtime.parallel_fallbacks == 0
+            outcomes[backend, observed] = (
+                _plain(result.results),
+                _row(result.stats),
+                sorted(result.store.items()),
+                recorder,
+            )
+    results, row, written, _ = outcomes["serial", False]
+    if shape == "per-machine":
+        assert results == [6 * m for m in range(n_machines) if m % 2]
+    else:
+        assert results == [6 * i for i in range(N_ITEMS)]
+    for got in outcomes.values():
+        assert got[:3] == (results, row, written)
+    serial, process = outcomes["serial", True][3], outcomes["process", True][3]
+    assert serial.events == process.events
+    stages = [e for e in serial.events if e[0] in (
+        "round_start", "assignment", "machine_start", "machine_end",
+        "round_end")]
+    assert [e[0] for e in stages[:2]] == ["round_start"] + (
+        ["machine_start"] if shape == "per-machine" else ["assignment"])
+    assert serial.events[-1][0] == "round_end"
+    started = [e[1] for e in stages if e[0] == "machine_start"]
+    assert started == [e[1] for e in stages if e[0] == "machine_end"]
+    assert started == (["fused"] if shape == "fused" else sorted(set(started)))
+    assert serial.worker_ids == {None}
+    sharded = n_machines > 1 and shape in ("per-item", "per-block")
+    assert (process.worker_ids != {None}) == sharded
+
+
+def _short_block(ctx, block):
+    return block[:-1]
+
+
+def _odd_machines_silent(ctx, block):
+    return None if ctx.machine_id % 2 else block
+
+
+def _fused_double_rows(gctx):
+    return np.repeat(gctx.items, 2)
+
+
+def _hungry_item(ctx, v):
+    for i in range(N_ITEMS):
+        ctx.read(("v", i))
+    return v
+
+
+def _hungry_block(ctx, block):
+    ctx.read_array("v", np.arange(N_ITEMS))
+    return block
+
+
+def _hungry_fused(gctx):
+    for _ in range(8):
+        gctx.read_array("v", gctx.items, owner=gctx.machines)
+    return gctx.items
+
+
+@pytest.mark.parametrize("observed", [False, True])
+@pytest.mark.parametrize("shape, program, error, strict", [
+    ("per-block", _short_block, RoundProtocolError, False),
+    ("per-block", _odd_machines_silent, RoundProtocolError, False),
+    ("fused", _fused_double_rows, RoundProtocolError, False),
+    ("per-item", _hungry_item, BudgetExceededError, True),
+    ("per-block", _hungry_block, BudgetExceededError, True),
+    ("fused", _hungry_fused, BudgetExceededError, True),
+], ids=["block-row-count", "all-or-none", "fused-row-count",
+        "strict-per-item", "strict-per-block", "strict-fused"])
+def test_round_errors_identical_across_backends(
+        shape, program, error, strict, observed):
+    """A model violation raises the same exception, with the same
+    message, wherever the machines ran — and the runtime aborts back to
+    its state before the round."""
+    raised = {}
+    for backend in ("serial", "process"):
+        runtime, recorder = _contract_runtime(
+            backend, 8, observed, strict=strict,
+            **({"space": 32, "budget_multiplier": 1.0} if strict else {}))
+        runtime.bootstrap([("k", 1)])
+        before = (runtime.store, runtime._round_counter,
+                  runtime._store_counter, len(runtime.report.rounds))
+        with pytest.raises(error) as info:
+            _run_shape(runtime, shape, program)
+        raised[backend] = (type(info.value), str(info.value), info.value.args)
+        assert before == (runtime.store, runtime._round_counter,
+                          runtime._store_counter, len(runtime.report.rounds))
+        if recorder is not None:
+            assert recorder.events[-1][0] == "restore"
+        # The runtime is usable again: same round, this time well-behaved.
+        assert _plain(_run_shape(runtime, shape).results)[:2] == [0, 6]
+    assert raised["serial"] == raised["process"]
+
+
+def test_fused_shard_divergence_rejected():
+    """A fused program whose control flow depends on its slice of the
+    items cannot be merged; the process backend says so (serially there
+    are no shards to diverge)."""
+
+    def lopsided(gctx):
+        return gctx.items if gctx.items.min() == 0 else None
+
+    runtime, _ = _contract_runtime("serial", 8, False)
+    assert _plain(_run_shape(runtime, "fused", lopsided).results) == \
+        list(range(N_ITEMS))
+    runtime, _ = _contract_runtime("process", 8, False)
+    with pytest.raises(RoundProtocolError, match="diverged across shards"):
+        _run_shape(runtime, "fused", lopsided)
+    assert runtime.parallel_fallbacks == 0
+
+
+@pytest.mark.parametrize("shape", ["per-item", "per-block", "fused"])
+def test_fallback_on_unshippable_worker(shape):
+    """A program that cannot cross the pipe runs serially, bit-identical,
+    and the degradation is counted exactly once."""
+    import threading
+
+    lock = threading.Lock()  # captured by the closures: unpicklable
+    programs = {
+        "per-item": lambda ctx, v: lock and _item_program(ctx, v),
+        "per-block": lambda ctx, block: lock and _block_program(ctx, block),
+        "fused": lambda gctx: lock and _fused_program(gctx),
+    }
+    serial, _ = _contract_runtime("serial", 8, False)
+    want = _run_shape(serial, shape, programs[shape])
+    process, _ = _contract_runtime("process", 8, False)
+    got = _run_shape(process, shape, programs[shape])
+    assert process.parallel_fallbacks == 1
+    assert serial.parallel_fallbacks == 0
+    assert _plain(got.results) == _plain(want.results)
+    assert _row(got.stats) == _row(want.stats)
+
+
+def test_fallback_on_unshippable_result(small_config):
+    """A worker output that cannot be pickled falls back to serial."""
+    runtime = AMPCRuntime(small_config, backend="process", n_workers=2)
+    runtime.bootstrap(("x", i) for i in range(16))
+
+    def worker(ctx, item):
+        return lambda: item  # unpicklable result
+
+    results = runtime.round(list(range(16)), worker).results
+    assert runtime.parallel_fallbacks == 1
+    assert [r() for r in results] == list(range(16))
 
 
 # -- conformance-harness integration ---------------------------------------

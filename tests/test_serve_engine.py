@@ -111,6 +111,42 @@ class TestResidentReuse:
         assert engine.serve_report.n_rounds == 6
 
 
+    def test_aborted_tick_leaves_nothing_behind_for_the_next(self):
+        """A tick whose worker raises rolls back like one that succeeds:
+        the next tick's ledger row equals a fresh engine's first."""
+        from repro.core import AMPCConfig, AMPCRuntime
+
+        ids = np.arange(1000)
+
+        def build():
+            runtime = AMPCRuntime(AMPCConfig.for_input(1000, seed=3))
+            return runtime, runtime.publish_state(
+                arrays=[("comp", ids, ids % 7)])
+
+        def tick(runtime, resident, fail_at=None):
+            def worker(ctx, v):
+                label = int(ctx.read(("comp", v % 3)))
+                if v == fail_at:
+                    raise RuntimeError("worker failed mid-tick")
+                return label
+
+            return runtime.query_round(
+                list(range(10)), worker, resident=resident)
+
+        fresh_runtime, fresh_resident = build()
+        fresh_result, fresh_rows = tick(fresh_runtime, fresh_resident)
+
+        runtime, resident = build()
+        with pytest.raises(RuntimeError, match="mid-tick"):
+            tick(runtime, resident, fail_at=5)
+        assert resident.store.n_reads == 0
+        assert runtime._store_counter == resident.store_counter
+        result, rows = tick(runtime, resident)
+        assert result.results == fresh_result.results
+        assert [ledger_key(r) for r in rows] == \
+               [ledger_key(r) for r in fresh_rows]
+
+
 class TestLedgers:
     def test_per_request_ledgers_reconcile(self):
         graph = make_graph(seed=2)
