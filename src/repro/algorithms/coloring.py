@@ -167,9 +167,8 @@ def _iteration(
     items = [(int(v), int(pi[v])) for v in unknown.tolist()]
     result = runtime.round(items, worker, setup=setup(), tag=tag,
                            item_key=lambda t: t[0])
-    for key, value in result.store.items():
-        if isinstance(key, tuple) and key[0] == "newcolor":
-            colors[key[1]] = value
+    ids, vals = result.store.read_namespace("newcolor")
+    colors[ids] = vals
 
 
 def _color_query(ctx, root: int, cap: int, settled: dict[int, int]) -> int:
@@ -364,9 +363,8 @@ def _edge_iteration(
     ]
     result = runtime.round(items, worker, setup=setup(), tag=tag,
                            item_key=lambda t: t[0])
-    for key, value in result.store.items():
-        if isinstance(key, tuple) and key[0] == "newecolor":
-            colors[key[1]] = value
+    ids, vals = result.store.read_namespace("newecolor")
+    colors[ids] = vals
 
 
 _SENTINEL = 1 << 60

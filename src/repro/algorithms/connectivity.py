@@ -84,10 +84,11 @@ def connectivity(
         runtime: run on an existing runtime (shares its ledger) — e.g. a
             :class:`repro.core.chaos.ChaosRuntime` armed with a fault
             plan; the result must be identical to a fault-free run.
-        vectorized: run the IncreaseDegrees round on the batch execution
-            engine and the leader choice in pure numpy. Identical labels
-            and cost ledger (enforced by tests); silently falls back to
-            the scalar path when the runtime is not ``batch_capable``
+        vectorized: run the IncreaseDegrees round's per-block machine
+            program on the batch execution engine. Identical labels and
+            cost ledger (enforced by tests); everything outside the
+            machine program is shared. Silently falls back to the
+            per-vertex program when the runtime is not ``batch_capable``
             (chaos / fault injection / MPC).
     """
     n = graph.n
@@ -168,8 +169,7 @@ def connectivity(
         # neighbor. One adaptive round: every vertex walks its leader
         # chain with adaptive reads (resolve_pointers charges it), and the
         # relabel/dedup of the edge set is one more primitive round.
-        choose = _choose_leaders_vec if use_batch else _choose_leaders
-        leader = choose(augmented, is_leader, int(round(d)))
+        leader = _choose_leaders(augmented, is_leader, int(round(d)))
         root = resolve_pointers(leader, runtime, tag=f"resolve:{phases}")
         contracted, new_of, _rep = contract_graph(augmented, root, runtime=None)
         runtime.charge(f"contract:{phases}", rounds=1,
@@ -310,23 +310,16 @@ def _increase_degrees(
             np.arange(graph.n, dtype=np.int64), batch_worker,
             setup_arrays=encode_graph_arrays(graph), tag=tag,
         )
-        vs, xs = result.store.read_namespace("fedge")
-        if vs.size == 0:
-            return graph
-        found = np.column_stack((vs, xs.astype(np.int64)))
     else:
         result = runtime.round(
             list(range(graph.n)), worker, setup=encode_graph(graph), tag=tag
         )
-        new_edges: list[tuple[int, int]] = []
-        for key, value in result.store.items():
-            if isinstance(key, tuple) and key[0] == "fedge":
-                new_edges.append((int(key[1]), int(value)))
-        if not new_edges:
-            return graph
-        found = np.array(new_edges, np.int64)
+    vs, xs = result.store.read_namespace("fedge")
+    if vs.size == 0:
+        return graph
     # Found edges are deduplicated into the edge set as part of the same
     # round's writes (the BFS round already charged them); no extra round.
+    found = np.column_stack((vs, xs.astype(np.int64)))
     combined = np.concatenate([graph.edges(), found])
     return Graph.from_edges(graph.n, combined)
 
@@ -336,36 +329,12 @@ def _choose_leaders(
 ) -> np.ndarray:
     """Per-vertex contraction target (Algorithm 7 step 2c).
 
-    Leaders stay; a non-leader contracts to a leader in its neighborhood
-    if one exists, else (its component is a small clique after
-    IncreaseDegrees) to its minimum neighbor; an isolated failure keeps
-    the vertex in place — it simply waits for the next phase.
-    """
-    n = graph.n
-    leader = np.arange(n, dtype=np.int64)
-    for v in range(n):
-        if is_leader[v]:
-            continue
-        nbrs = graph.neighbors(v)
-        if nbrs.size == 0:
-            continue
-        nbr_leaders = nbrs[is_leader[nbrs]]
-        if nbr_leaders.size:
-            leader[v] = int(nbr_leaders[0])
-        elif nbrs.size < d:
-            candidate = int(min(int(nbrs[0]), v))
-            leader[v] = candidate
-    return leader
-
-
-def _choose_leaders_vec(
-    graph: Graph, is_leader: np.ndarray, d: int
-) -> np.ndarray:
-    """Numpy :func:`_choose_leaders` — identical output, no Python loop.
-
-    Purely machine-local work in the model (the scalar version charges
-    nothing), so this only removes simulator overhead. "First" neighbor
-    semantics follow CSR order, exactly like the scalar scan.
+    Leaders stay; a non-leader contracts to the first leader in its
+    neighborhood (CSR order) if one exists, else (its component is a
+    small clique after IncreaseDegrees) to the minimum of itself and its
+    first neighbor; an isolated failure keeps the vertex in place — it
+    simply waits for the next phase. Purely machine-local work in the
+    model, so nothing is charged.
     """
     n = graph.n
     leader = np.arange(n, dtype=np.int64)
@@ -375,7 +344,7 @@ def _choose_leaders_vec(
     degs = np.diff(indptr)
     src = np.repeat(np.arange(n, dtype=np.int64), degs)
     # First leader neighbor per vertex = min CSR position whose target is
-    # a leader (matches nbr_leaders[0] in the scalar scan).
+    # a leader.
     pos = np.arange(indices.size, dtype=np.int64)
     lmask = is_leader[indices]
     first_leader_pos = np.full(n, indices.size, dtype=np.int64)
@@ -417,21 +386,10 @@ def _local_components(graph: Graph) -> np.ndarray:
 
 def _canonical_labels(mapping: np.ndarray) -> np.ndarray:
     """Rewrite contracted-id labels as the min original id per component."""
-    order = np.argsort(mapping, kind="stable")
-    sorted_ids = mapping[order]
-    firsts = np.ones(mapping.size, dtype=bool)
-    firsts[1:] = sorted_ids[1:] != sorted_ids[:-1]
-    # For each distinct contracted id, the smallest original vertex with it
-    # (argsort is stable, original ids ascending within equal labels).
-    reps = order[firsts]
-    lookup: dict[int, int] = {
-        int(sorted_ids[i]): int(reps[j])
-        for j, i in enumerate(np.flatnonzero(firsts).tolist())
-    }
-    return np.fromiter(
-        (lookup[int(c)] for c in mapping.tolist()), dtype=np.int64,
-        count=mapping.size,
-    )
+    # return_index is each distinct contracted id's first occurrence: the
+    # smallest original vertex carrying it.
+    contracted, first = np.unique(mapping, return_index=True)
+    return first[np.searchsorted(contracted, mapping)].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

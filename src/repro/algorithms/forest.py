@@ -27,7 +27,7 @@ from repro.graph.io import orient_cycles
 from repro.primitives.contraction import resolve_pointers
 from repro.primitives.euler import build_euler_tour
 
-from .shrink import fill_back, shrink
+from .shrink import fill_back, filled_ints, shrink
 
 
 @dataclass
@@ -99,20 +99,17 @@ def cycle_connectivity_pointers(
     result = runtime.round(alive.tolist(), walk, setup=setup(),
                            tag=f"{tag}-walk")
     pointer = np.arange(n, dtype=np.int64)
-    for v, nxt in zip(alive.tolist(), result.results):
-        pointer[v] = nxt
+    pointer[alive] = result.results
 
     # Rank strictly decreases along pointers, so they form a forest rooted
     # at cycle minima; one adaptive resolution round yields survivor labels.
     root = resolve_pointers(pointer, runtime, tag=f"{tag}-resolve")
-    survivor_labels = {int(v): float(root[v]) for v in alive.tolist()}
-    all_labels = fill_back(runtime, outcome.history, survivor_labels,
-                           additive=False, tag=f"{tag}-fill")
-    labels = np.full(n, -1, dtype=np.int64)
-    for v, lab in all_labels.items():
-        labels[v] = int(round(lab))
-    if np.any(labels < 0):
-        raise RuntimeError("cycle connectivity left unlabeled elements")
+    survivor_labels = np.full(n, np.nan)
+    survivor_labels[alive] = root[alive]
+    labels = filled_ints(fill_back(
+        runtime, outcome.history, survivor_labels, additive=False,
+        tag=f"{tag}-fill",
+    ))
     return labels, outcome.n_rounds
 
 

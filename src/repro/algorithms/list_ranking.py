@@ -22,7 +22,7 @@ from repro.core.cost import RunReport
 from repro.core.runtime import AMPCRuntime
 from repro.graph.generators import list_head
 
-from .shrink import TAIL, fill_back, shrink
+from .shrink import TAIL, ShrinkOutcome, fill_back, filled_ints, shrink
 
 
 @dataclass
@@ -99,25 +99,17 @@ def list_ranking(
     # Local solve: rank the O(n^eps) survivors by walking the contracted
     # list on one machine (Algorithm 11, step 3).
     runtime.charge("local-solve", rounds=1, reads=2 * outcome.alive.size)
-    survivor_ranks = _rank_contracted(
-        outcome.alive, outcome.succ, outcome.length, head
-    )
+    survivor_ranks, _heads = _rank_contracted(outcome, [int(head)], n)
 
     # Fill-back: one round per shrink level (Algorithm 11, step 4).
-    all_ranks = fill_back(
+    ranks = filled_ints(fill_back(
         runtime,
         outcome.history,
         survivor_ranks,
         additive=True,
         tag="listrank-fill",
         vectorized=vectorized,
-    )
-    ranks = np.full(n, -1, dtype=np.int64)
-    for v, r in all_ranks.items():
-        ranks[v] = int(round(r))
-    if np.any(ranks < 0):
-        missing = int(np.flatnonzero(ranks < 0)[0])
-        raise RuntimeError(f"element {missing} received no rank")
+    ))
     return ListRankingResult(
         ranks=ranks,
         head=int(head),
@@ -186,41 +178,17 @@ def multi_list_ranking(
         forced=heads, tag="mlistrank-shrink", vectorized=vectorized,
     )
     runtime.charge("local-solve", rounds=1, reads=2 * outcome.alive.size)
-    survivor_ranks: dict[int, float] = {}
-    survivor_heads: dict[int, float] = {}
-    index_of = {int(v): i for i, v in enumerate(outcome.alive.tolist())}
-    remaining = set(index_of)
-    for head in heads.tolist():
-        if head not in index_of:
-            raise RuntimeError("a forced head was absorbed")
-        cur, rank = int(head), 0.0
-        while cur != TAIL:
-            survivor_ranks[cur] = rank
-            survivor_heads[cur] = float(head)
-            remaining.discard(cur)
-            i = index_of[cur]
-            rank += float(outcome.length[i])
-            cur = int(outcome.succ[i])
-    if remaining:
-        raise ValueError(
-            f"{len(remaining)} survivors unreachable from any head; "
-            f"input was not a disjoint union of head-anchored lists"
-        )
-    all_ranks = fill_back(runtime, outcome.history, survivor_ranks,
-                          additive=True, tag="mlistrank-fill",
-                          vectorized=vectorized)
-    all_heads = fill_back(runtime, outcome.history, survivor_heads,
-                          additive=False, tag="mlisthead-fill",
-                          vectorized=vectorized)
-    ranks = np.full(n, -1, dtype=np.int64)
-    head_of = np.full(n, -1, dtype=np.int64)
-    for v, r in all_ranks.items():
-        ranks[v] = int(round(r))
-    for v, h in all_heads.items():
-        head_of[v] = int(round(h))
-    if np.any(ranks < 0):
-        missing = int(np.flatnonzero(ranks < 0)[0])
-        raise RuntimeError(f"element {missing} received no rank")
+    survivor_ranks, survivor_heads = _rank_contracted(
+        outcome, heads.tolist(), n
+    )
+    ranks = filled_ints(fill_back(
+        runtime, outcome.history, survivor_ranks, additive=True,
+        tag="mlistrank-fill", vectorized=vectorized,
+    ))
+    head_of = filled_ints(fill_back(
+        runtime, outcome.history, survivor_heads, additive=False,
+        tag="mlisthead-fill", vectorized=vectorized,
+    ))
     return MultiListRankingResult(
         ranks=ranks, head_of=head_of,
         shrink_rounds=outcome.n_rounds, report=runtime.report,
@@ -228,30 +196,39 @@ def multi_list_ranking(
 
 
 def _rank_contracted(
-    alive: np.ndarray, succ: np.ndarray, length: np.ndarray, head: int
-) -> dict[int, float]:
-    """Sequential ranking of the contracted list (the one-machine step)."""
-    index_of = {int(v): i for i, v in enumerate(alive.tolist())}
-    if head not in index_of:
-        raise RuntimeError("list head was absorbed; it must be forced alive")
-    ranks: dict[int, float] = {}
-    cur = int(head)
-    rank = 0.0
-    visited = 0
-    while cur != TAIL:
-        ranks[cur] = rank
-        i = index_of[cur]
-        rank += float(length[i])
-        cur = int(succ[i])
-        visited += 1
-        if visited > alive.size:
-            raise ValueError("contracted structure contains a cycle")
-    if visited != alive.size:
+    outcome: ShrinkOutcome, heads: list[int], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential ranking of the contracted lists (the one-machine step).
+
+    Walks every head's contracted list; returns ``(ranks, head_of)`` as
+    :func:`fill_back` seeds: dense float arrays over the ``n`` element
+    ids, NaN for everything but the survivors.
+    """
+    index_of = {int(v): i for i, v in enumerate(outcome.alive.tolist())}
+    ranks = np.full(n, np.nan)
+    head_of = np.full(n, np.nan)
+    for head in heads:
+        if head not in index_of:
+            raise RuntimeError("list head was absorbed; it must be forced alive")
+        cur, rank = head, 0.0
+        while cur != TAIL:
+            if not np.isnan(ranks[cur]):
+                raise ValueError(
+                    f"element {cur} is reached twice: the contracted "
+                    f"structure contains a cycle or lists share elements"
+                )
+            ranks[cur] = rank
+            head_of[cur] = head
+            i = index_of[cur]
+            rank += float(outcome.length[i])
+            cur = int(outcome.succ[i])
+    unreached = int(np.isnan(ranks[outcome.alive]).sum())
+    if unreached:
         raise ValueError(
-            f"contracted list visits {visited} of {alive.size} survivors; "
-            f"input was not a single list"
+            f"{unreached} of {outcome.alive.size} survivors unreachable from "
+            f"any head; input was not a disjoint union of head-anchored lists"
         )
-    return ranks
+    return ranks, head_of
 
 
 def sequential_list_ranks(succ: np.ndarray, head: int | None = None) -> np.ndarray:

@@ -170,9 +170,8 @@ def _iteration(
     ]
     result = runtime.round(items, worker, setup=setup(), tag=tag,
                            item_key=lambda t: t[0])
-    for key, value in result.store.items():
-        if isinstance(key, tuple) and key[0] == "settled":
-            status[key[1]] = _IN if value else _OUT
+    ids, vals = result.store.read_namespace("settled")
+    status[ids] = np.where(vals != 0, _IN, _OUT)
 
 
 def _query(ctx, root, pi_root, root_u, root_v, cap, settled, edges, pi):

@@ -180,85 +180,47 @@ def _iteration(
 ) -> int:
     """One Line-4 iteration: truncated queries for every unknown vertex.
 
-    Both paths publish the alive-subgraph adjacency under the same flat
-    keys — ``("deg", v) -> (deg, base)`` where ``base`` is v's row start
-    in the alive CSR, and ``("nb", base + i) -> (u, pi_u)`` — so key
-    placement (and hence ``max_server_load``) matches exactly between the
-    scalar and vectorized runs.
+    Both machine programs address the alive-subgraph adjacency by the
+    same flat keys — ``("deg", v) -> (deg, base)`` where ``base`` is v's
+    row start in the alive CSR, and ``("nb", base + i) -> (u, pi_u)`` —
+    so key placement (and hence ``max_server_load``) matches exactly
+    between them. Everything after the round is shared.
     """
     deg = np.diff(indptr)
     base = indptr[:-1]
     nb_pi = pi[indices]
 
-    if use_batch:
-        total = _iteration_batch(
-            runtime, alive, indptr, indices, pi, status, cap,
-            deg=deg, base=base, nb_pi=nb_pi, tag=tag,
-        )
-    else:
-        def setup():
-            # Remaining adjacency, π-sorted, with neighbor priorities
-            # inlined so the walker needs one read per scanned neighbor.
-            for v, dg, b in zip(alive.tolist(), deg.tolist(), base.tolist()):
-                yield ("deg", v), (dg, b)
-            for pos, (u, pu) in enumerate(
-                zip(indices.tolist(), nb_pi.tolist())
-            ):
-                yield ("nb", pos), (u, pu)
+    def setup():
+        # Remaining adjacency, π-sorted, with neighbor priorities
+        # inlined so the walker needs one read per scanned neighbor.
+        for v, dg, b in zip(alive.tolist(), deg.tolist(), base.tolist()):
+            yield ("deg", v), (dg, b)
+        for pos, (u, pu) in enumerate(
+            zip(indices.tolist(), nb_pi.tolist())
+        ):
+            yield ("nb", pos), (u, pu)
 
-        def worker(ctx, v):
-            settled = ctx.scratch.setdefault("settled", {})
-            calls = _Counter()
-            result = _truncated_query(ctx, v, int(pi[v]), cap, settled, calls)
-            # Publish every status this machine newly determined; the
-            # driver merges them and prunes the graph for the next
-            # iteration.
-            fresh = ctx.scratch.setdefault("published", set())
-            for u, val in settled.items():
-                if u not in fresh:
-                    fresh.add(u)
-                    ctx.write(("settled", u), int(val))
-            return (calls.value, result)
+    def worker(ctx, v):
+        settled = ctx.scratch.setdefault("settled", {})
+        calls = _Counter()
+        result = _truncated_query(ctx, v, int(pi[v]), cap, settled, calls)
+        # Publish every status this machine newly determined; the
+        # driver merges them and prunes the graph for the next
+        # iteration.
+        fresh = ctx.scratch.setdefault("published", set())
+        for u, val in settled.items():
+            if u not in fresh:
+                fresh.add(u)
+                ctx.write(("settled", u), int(val))
+        return (calls.value, result)
 
-        result = runtime.round(alive.tolist(), worker, setup=setup(), tag=tag)
-        for key, value in result.store.items():
-            if isinstance(key, tuple) and key[0] == "settled":
-                status[key[1]] = _IN if value else _OUT
-        total = sum(c for c, _ in result.results)
-
-    # A vertex adjacent to an in-MIS vertex is out even if no query touched
-    # it (Algorithm 4 step 4a's neighbor removal): prune via the CSR.
-    src = np.repeat(np.arange(alive.size, dtype=np.int64), deg)
-    touched = indices[(status[alive] == _IN)[src]]
-    touched = touched[status[touched] == _UNKNOWN]
-    status[touched] = _OUT
-    return total
-
-
-def _iteration_batch(
-    runtime: AMPCRuntime,
-    alive: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    pi: np.ndarray,
-    status: np.ndarray,
-    cap: int,
-    *,
-    deg: np.ndarray,
-    base: np.ndarray,
-    nb_pi: np.ndarray,
-    tag: str,
-) -> int:
-    """Batch-engine twin of the scalar iteration round.
-
-    Each machine replays its block's truncated queries against local
-    numpy views of the alive CSR, tracking exactly the distinct keys the
-    scalar path's read cache would have charged, then settles accounts
-    with one ``charge_read_array`` per namespace and one ``write_array``
-    for the published statuses (in scalar publication order).
-    """
-    n = status.size
-    row_of = np.full(n, -1, dtype=np.int64)
+    # The per-block program replays its block's truncated queries against
+    # local numpy views of the alive CSR, tracking exactly the distinct
+    # keys ``worker``'s read cache would have charged, then settles
+    # accounts with one ``charge_read_array`` per namespace and one
+    # ``write_array`` for the published statuses (in ``worker``'s
+    # publication order).
+    row_of = np.full(status.size, -1, dtype=np.int64)
     row_of[alive] = np.arange(alive.size, dtype=np.int64)
 
     def batch_worker(ctx, block):
@@ -356,21 +318,32 @@ def _iteration_batch(
             )
         return (out_calls, out_res)
 
-    setup_arrays = [
-        ("deg", alive, np.stack([deg, base], axis=1)),
-        (
-            "nb",
-            np.arange(indices.size, dtype=np.int64),
-            np.stack([indices, nb_pi], axis=1),
-        ),
-    ]
-    result = runtime.round_batch(
-        alive, batch_worker, setup_arrays=setup_arrays, tag=tag
-    )
+    if use_batch:
+        setup_arrays = [
+            ("deg", alive, np.stack([deg, base], axis=1)),
+            (
+                "nb",
+                np.arange(indices.size, dtype=np.int64),
+                np.stack([indices, nb_pi], axis=1),
+            ),
+        ]
+        result = runtime.round_batch(
+            alive, batch_worker, setup_arrays=setup_arrays, tag=tag
+        )
+        total = int(result.results[0].sum())
+    else:
+        result = runtime.round(alive.tolist(), worker, setup=setup(), tag=tag)
+        total = sum(c for c, _ in result.results)
     ids, vals = result.store.read_namespace("settled")
     status[ids] = np.where(vals != 0, _IN, _OUT).astype(np.int8)
-    calls_col, _res_col = result.results
-    return int(calls_col.sum())
+
+    # A vertex adjacent to an in-MIS vertex is out even if no query touched
+    # it (Algorithm 4 step 4a's neighbor removal): prune via the CSR.
+    src = np.repeat(np.arange(alive.size, dtype=np.int64), deg)
+    touched = indices[(status[alive] == _IN)[src]]
+    touched = touched[status[touched] == _UNKNOWN]
+    status[touched] = _OUT
+    return total
 
 
 class _Counter:

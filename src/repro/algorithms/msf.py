@@ -16,11 +16,13 @@ original-edge-id mapping (the paper's map M), so the output is a set of
 graph is published columnarly (``setup_arrays``), machines replay their
 blocks' heap-Prim walks against local CSR views (charging the same
 distinct-key reads the scalar read cache would), MSF edges and F_v
-members are published with one ``write_array`` per namespace, and leader
-election is a bincount/minimum.at pass over the published member columns.
-Both paths use the flat key scheme of
-:func:`repro.graph.io.encode_weighted_graph_flat`, so results *and*
-per-round cost ledgers (including server placement) are bit-identical.
+members are published with one ``write_array`` per namespace. Only that
+machine program and its round call differ from the per-vertex path: the
+harvest, leader election (a minimum.at pass over the published member
+rows) and contraction are shared, and both programs use the flat key
+scheme of :func:`repro.graph.io.encode_weighted_graph_flat`, so results
+*and* per-round cost ledgers (including server placement) are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def minimum_spanning_forest(
     current = graph
     # orig_eid[j]: input-graph edge id behind current edge j (the map M).
     orig_eid = np.arange(graph.m, dtype=np.int64)
-    committed: set[int] = set()
+    # Input-graph edge ids committed so far, one array per phase.
+    committed: list[np.ndarray] = []
     rng = config.rng(salt=0x35F)
 
     d = max(2.0, math.sqrt(config.total_space / max(current.n, 1)),
@@ -143,34 +146,24 @@ def minimum_spanning_forest(
         if current.n + current.m <= config.space:
             runtime.charge("local-solve", rounds=1,
                            reads=current.n + 2 * current.m)
-            for j in _local_msf(current):
-                committed.add(int(orig_eid[j]))
+            committed.append(orig_eid[_local_msf(current)])
             break
 
         # Step 3a: MSFIncreaseDegree — one adaptive local-Prim round.
-        if use_batch:
-            msf_ids, fv_src, fv_dst, exhausted = _msf_increase_degree_batch(
-                current, int(round(d)), runtime, tag=f"prim:{phases}"
-            )
-            # Step 3b: commit the discovered MSF edges through the map M.
-            for j in np.unique(msf_ids).tolist():
-                committed.add(int(orig_eid[j]))
-        else:
-            forests, msf_now = _msf_increase_degree(
-                current, int(round(d)), runtime, tag=f"prim:{phases}"
-            )
-            for j in msf_now:
-                committed.add(int(orig_eid[j]))
+        msf_ids, fv_src, fv_dst, exhausted = _msf_increase_degree(
+            current, int(round(d)), runtime, tag=f"prim:{phases}",
+            vectorized=use_batch,
+        )
+        # Step 3b: commit the discovered MSF edges through the map M.
+        # Every vertex that found an edge reports it, hence the unique.
+        committed.append(orig_eid[np.unique(msf_ids)])
 
         # Steps 3c/3d: leader sampling and contraction along F_v.
         p = leader_probability(current.n, d)
         is_leader = rng.random(current.n) < p
-        if use_batch:
-            leader = _choose_leaders_vec(
-                current.n, fv_src, fv_dst, exhausted, is_leader
-            )
-        else:
-            leader = _choose_leaders(current.n, forests, is_leader)
+        leader = _choose_leaders(
+            current.n, fv_src, fv_dst, exhausted, is_leader
+        )
         root = resolve_pointers(leader, runtime, tag=f"resolve:{phases}")
         contracted, _new_of, _rep, kept = contract_weighted(
             current, root, runtime=None
@@ -183,7 +176,7 @@ def minimum_spanning_forest(
         # Step 3e: budget growth.
         d = min(d**1.4, d_cap)
 
-    edge_ids = np.array(sorted(committed), dtype=np.int64)
+    edge_ids = np.unique(np.concatenate(committed))
     return MSFResult(
         edge_ids=edge_ids,
         total_weight=graph.total_weight(edge_ids),
@@ -195,14 +188,37 @@ def minimum_spanning_forest(
 
 
 def _msf_increase_degree(
-    graph: WeightedGraph, d: int, runtime: AMPCRuntime, *, tag: str
-) -> tuple[dict[int, tuple[list[int], bool]], list[int]]:
+    graph: WeightedGraph, d: int, runtime: AMPCRuntime, *, tag: str,
+    vectorized: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Algorithm 8: local Prim from every vertex, one adaptive round.
 
-    Returns (forests, msf_edge_ids) where forests[v] = (members of F_v
-    excluding v, exhausted_flag) and msf_edge_ids are current-graph edge
-    ids committed by the cut rule.
+    Returns ``(msf_ids, fv_src, fv_dst, exhausted)``: the current-graph
+    edge ids committed by the cut rule (one row per vertex that found the
+    edge, so with duplicates), the F_v member rows ``fv_src[k] ->
+    fv_dst[k]`` (v itself excluded; restricted to one source they are in
+    the order Prim added them), and per vertex whether F_v is its whole
+    component.
     """
+    if vectorized:
+        result = runtime.round_batch(
+            np.arange(graph.n, dtype=np.int64), _prim_block_worker(graph, d),
+            setup_arrays=encode_weighted_graph_arrays(graph), tag=tag,
+        )
+        _sizes, exhausted = result.results
+    else:
+        result = runtime.round(
+            list(range(graph.n)), _prim_worker(d),
+            setup=encode_weighted_graph_flat(graph), tag=tag,
+        )
+        exhausted = np.array([flag for _size, flag in result.results], bool)
+    msf_ids, _ones = result.store.read_namespace("msf")
+    fv_src, fv_dst = result.store.read_namespace("fv")
+    return msf_ids, fv_src, fv_dst, exhausted
+
+
+def _prim_worker(d: int):
+    """The per-vertex machine program of :func:`_msf_increase_degree`."""
     read_cap = 4 * d * d
 
     def worker(ctx, v: int):
@@ -235,39 +251,17 @@ def _msf_increase_degree(
         exhausted = not heap and reads < read_cap
         return (len(in_tree), bool(exhausted))
 
-    result = runtime.round(
-        list(range(graph.n)), worker,
-        setup=encode_weighted_graph_flat(graph), tag=tag,
-    )
-    forests: dict[int, tuple[list[int], bool]] = {
-        v: ([], bool(out[1])) for v, out in zip(range(graph.n), result.results)
-    }
-    msf_now: list[int] = []
-    for key, value in result.store.items():
-        if not isinstance(key, tuple):
-            continue
-        if key[0] == "msf":
-            msf_now.append(int(key[1]))
-        elif key[0] == "fv":
-            forests[int(key[1])][0].append(int(value))
-    return forests, msf_now
+    return worker
 
 
-def _msf_increase_degree_batch(
-    graph: WeightedGraph, d: int, runtime: AMPCRuntime, *, tag: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batch-engine twin of :func:`_msf_increase_degree`.
+def _prim_block_worker(graph: WeightedGraph, d: int):
+    """The per-block machine program of :func:`_msf_increase_degree`.
 
     Machines replay their blocks' heap-Prim walks against local CSR
-    views, tracking exactly the distinct keys the scalar read cache
-    would have charged, then settle accounts with one
+    views, tracking exactly the distinct keys the per-vertex program's
+    read cache would have charged, then settle accounts with one
     ``charge_read_array`` per namespace and one ``write_array`` per
     output namespace (rows in scalar publication order).
-
-    Returns ``(msf_ids, fv_src, fv_dst, exhausted)``: committed
-    current-graph edge ids (with cross-machine duplicates, like the
-    scalar store's buckets), the F_v member columns in global write
-    order, and the per-vertex exhausted flags.
     """
     read_cap = 4 * d * d
     indptr, indices = graph.indptr, graph.indices
@@ -414,29 +408,23 @@ def _msf_increase_degree_batch(
             )
         return (sizes, exh)
 
-    result = runtime.round_batch(
-        np.arange(graph.n, dtype=np.int64), batch_worker,
-        setup_arrays=encode_weighted_graph_arrays(graph), tag=tag,
-    )
-    _sizes, exhausted = result.results
-    msf_ids, _ones = result.store.read_namespace("msf")
-    fv_src, fv_dst = result.store.read_namespace("fv")
-    return msf_ids, fv_src, fv_dst, exhausted
+    return batch_worker
 
 
-def _choose_leaders_vec(
+def _choose_leaders(
     n: int,
     fv_src: np.ndarray,
     fv_dst: np.ndarray,
     exhausted: np.ndarray,
     is_leader: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`_choose_leaders` over the published F_v columns.
+    """Contraction targets (Algorithm 9 step 3d): the first leader inside
+    F_v if any, else — when F_v is v's whole component — the minimum of v
+    and its members.
 
-    ``fv_src[k] -> fv_dst[k]`` rows arrive in global write order, which
-    restricted to one source vertex is the scalar member order — so
-    "first leader member" is the minimum row position among a vertex's
-    leader members.
+    ``fv_src[k] -> fv_dst[k]`` rows restricted to one source vertex are
+    in Prim's member order, so "first leader member" is the minimum row
+    position among a vertex's leader members.
     """
     leader = np.arange(n, dtype=np.int64)
     if fv_src.size == 0:
@@ -454,28 +442,6 @@ def _choose_leaders_vec(
     leader[by_leader] = fv_dst[first_pos[by_leader]]
     by_min = eligible & (first_pos == npos) & exhausted
     leader[by_min] = np.minimum(min_member[by_min], leader[by_min])
-    return leader
-
-
-def _choose_leaders(
-    n: int,
-    forests: dict[int, tuple[list[int], bool]],
-    is_leader: np.ndarray,
-) -> np.ndarray:
-    """Contraction targets (Algorithm 9 step 3d): a leader inside F_v if
-    any, else — when F_v is v's whole component — its minimum member."""
-    leader = np.arange(n, dtype=np.int64)
-    for v in range(n):
-        if is_leader[v]:
-            continue
-        members, exhausted = forests[v]
-        if not members:
-            continue
-        leader_members = [u for u in members if is_leader[u]]
-        if leader_members:
-            leader[v] = leader_members[0]
-        elif exhausted:
-            leader[v] = min(min(members), v)
     return leader
 
 
@@ -529,5 +495,5 @@ def spanning_forest(
             max(graph.n + graph.m, 1), epsilon=epsilon, seed=seed
         )
     weighted = with_distinct_integer_weights(graph, rng=config.rng(salt=0x5F))
-    result = minimum_spanning_forest(weighted, config=config)
+    result = minimum_spanning_forest(weighted, config=config, vectorized=True)
     return weighted.edge_list()[result.edge_ids], result

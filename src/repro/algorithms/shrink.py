@@ -140,6 +140,7 @@ def shrink(
     history: list[AbsorbRound] = []
     rounds = 0
     rng = runtime.config.rng(salt=0x5581 + len(runtime.report.rounds))
+    use_batch = vectorized and runtime.batch_capable
 
     def reducible_count(ids: np.ndarray) -> int:
         # Elements that could still be absorbed: not a self-loop (a fully
@@ -161,22 +162,16 @@ def shrink(
             sampled_mask[int(rng.integers(0, alive.size))] = True
         samples = alive[sampled_mask]
 
-        round_fn = (
-            _shrink_round_batch
-            if vectorized and runtime.batch_capable
-            else _shrink_round
-        )
-        outcome = round_fn(
+        alive, cur_succ, cur_len, record = _shrink_round(
             runtime,
             alive=alive,
             samples=samples,
             succ=cur_succ,
             length=cur_len,
             tag=f"{tag}:{rounds}",
+            use_batch=use_batch,
         )
-        new_alive, cur_succ, cur_len, record = outcome
         history.append(record)
-        alive = new_alive
 
     if reducible_count(alive) > target_size:
         raise RuntimeError(
@@ -201,8 +196,22 @@ def _shrink_round(
     succ: np.ndarray,
     length: np.ndarray,
     tag: str,
+    use_batch: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, AbsorbRound]:
-    """One adaptive Shrink round on the runtime; returns the contraction."""
+    """One adaptive Shrink round on the runtime; returns the contraction.
+
+    Two machine programs, one contraction. ``walk`` is the per-sample
+    program. ``walk_all`` is its fused lockstep twin and issues, for every
+    walk, exactly the same read/write sequence: read succ and len of the
+    start, then per step read smp of the frontier and, on a miss, write
+    the absorb record and read len and succ of the frontier. Walk segments
+    between samples are disjoint (successor structures have in-degree
+    ≤ 1), so ``walk``'s per-machine read cache never hits during walks and
+    the uncached batch reads charge identically. Lockstep batching
+    advances all walks together but preserves each walk's own operation
+    sequence, which is all the ledger (and any real concurrent
+    deployment) can see.
+    """
 
     def setup():
         for v in alive.tolist():
@@ -220,67 +229,6 @@ def _shrink_round(
             cum += ctx.read(("len", cur))
             cur = ctx.read(("succ", cur))
         return (int(v), int(cur), float(cum))
-
-    result = runtime.round(
-        samples.tolist(), walk, setup=setup(), tag=tag
-    )
-
-    absorbed_ids: list[int] = []
-    absorbers: list[int] = []
-    offsets: list[float] = []
-    for key, value in result.store.items():
-        if isinstance(key, tuple) and key[0] == "absorb":
-            absorbed_ids.append(int(key[1]))
-            absorbers.append(int(value[0]))
-            offsets.append(float(value[1]))
-    record = AbsorbRound(
-        absorbed=np.array(absorbed_ids, dtype=np.int64),
-        absorber=np.array(absorbers, dtype=np.int64),
-        offset=np.array(offsets, dtype=np.float64),
-    )
-
-    new_succ = succ.copy()
-    new_len = length.copy()
-    for v, nxt, cum in result.results:
-        new_succ[v] = nxt
-        new_len[v] = cum
-
-    # Survivors: everything not absorbed — the samples, plus elements of
-    # structures no walk touched (unsampled cycles keep their pointers).
-    alive_mask = np.zeros(succ.size, dtype=bool)
-    alive_mask[alive] = True
-    alive_mask[record.absorbed] = False
-    new_alive = np.flatnonzero(alive_mask).astype(np.int64)
-    return new_alive, new_succ, new_len, record
-
-
-def _shrink_round_batch(
-    runtime: AMPCRuntime,
-    *,
-    alive: np.ndarray,
-    samples: np.ndarray,
-    succ: np.ndarray,
-    length: np.ndarray,
-    tag: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, AbsorbRound]:
-    """One Shrink round on the vectorized engine (fused lockstep walks).
-
-    Ledger-exact twin of :func:`_shrink_round`: every walk issues exactly
-    the read/write sequence of the scalar ``walk`` worker — read succ and
-    len of the start, then per step read smp of the frontier and, on a
-    miss, write the absorb record and read len and succ of the frontier.
-    Walk segments between samples are disjoint (successor structures have
-    in-degree ≤ 1), so the scalar path's per-machine read cache never hits
-    during walks and the uncached batch reads charge identically. Lockstep
-    batching advances all walks together but preserves each walk's own
-    operation sequence, which is all the ledger (and any real concurrent
-    deployment) can see.
-    """
-    setup_arrays = [
-        ("succ", alive, succ[alive]),
-        ("len", alive, length[alive]),
-        ("smp", samples, np.ones(samples.size, dtype=np.int64)),
-    ]
 
     def walk_all(g):
         items = g.items
@@ -316,31 +264,37 @@ def _shrink_round_batch(
             active = walkers[(nxt != TAIL) & (nxt != items[walkers])]
         return cur, cum
 
-    result = runtime.round_batch(
-        samples, walk_all, setup_arrays=setup_arrays, fused=True, tag=tag
-    )
+    if use_batch:
+        setup_arrays = [
+            ("succ", alive, succ[alive]),
+            ("len", alive, length[alive]),
+            ("smp", samples, np.ones(samples.size, dtype=np.int64)),
+        ]
+        result = runtime.round_batch(
+            samples, walk_all, setup_arrays=setup_arrays, fused=True, tag=tag
+        )
+        nxt, cum = result.results
+    else:
+        result = runtime.round(
+            samples.tolist(), walk, setup=setup(), tag=tag
+        )
+        _starts, nxt, cum = zip(*result.results)
 
     new_succ = succ.copy()
     new_len = length.copy()
-    if result.results is not None:
-        nxt_arr, cum_arr = result.results
-        new_succ[samples] = nxt_arr
-        new_len[samples] = cum_arr
+    new_succ[samples] = nxt
+    new_len[samples] = cum
 
     ids, vals = result.store.read_namespace("absorb")
-    if ids.size:
-        record = AbsorbRound(
-            absorbed=ids.astype(np.int64, copy=True),
-            absorber=vals[:, 0].astype(np.int64),
-            offset=vals[:, 1].astype(np.float64),
-        )
-    else:
-        record = AbsorbRound(
-            absorbed=np.zeros(0, dtype=np.int64),
-            absorber=np.zeros(0, dtype=np.int64),
-            offset=np.zeros(0, dtype=np.float64),
-        )
+    vals = vals.reshape(-1, 2)  # an empty harvest comes back 1-D
+    record = AbsorbRound(
+        absorbed=ids.astype(np.int64, copy=True),
+        absorber=vals[:, 0].astype(np.int64),
+        offset=vals[:, 1].astype(np.float64),
+    )
 
+    # Survivors: everything not absorbed — the samples, plus elements of
+    # structures no walk touched (unsampled cycles keep their pointers).
     alive_mask = np.zeros(succ.size, dtype=bool)
     alive_mask[alive] = True
     alive_mask[record.absorbed] = False
@@ -351,12 +305,12 @@ def _shrink_round_batch(
 def fill_back(
     runtime: AMPCRuntime,
     history: list[AbsorbRound],
-    values: dict[int, float],
+    values: np.ndarray,
     *,
     additive: bool,
     tag: str = "fill-back",
     vectorized: bool = False,
-) -> dict[int, float]:
+) -> np.ndarray:
     """Propagate per-element values from survivors to absorbed elements.
 
     Runs one adaptive round per shrink level, newest level first — the
@@ -368,26 +322,29 @@ def fill_back(
     Args:
         runtime: runtime to execute rounds on.
         history: the ShrinkOutcome history.
-        values: value per surviving element (absorbers' values must be
-            derivable level by level; survivors of the final round seed it).
+        values: dense float array over the element ids, NaN where an
+            element has no value yet. Absorbers' values must be derivable
+            level by level; survivors of the final round seed it.
         additive: add the stored offset (rank semantics) or copy (labels).
         tag: ledger label prefix.
-        vectorized: run each level on the batch engine; identical values
-            and ledger (per-machine reads are ``block size + distinct
-            absorbers on the machine`` either way — the scalar path's read
-            cache deduplicates absorber reads, the batch path deduplicates
-            them explicitly). Falls back to the scalar path on runtimes
-            that are not ``batch_capable``.
+        vectorized: run each level's per-block machine program on the
+            batch engine; identical values and ledger (per-machine reads
+            are ``block size + distinct absorbers on the machine`` either
+            way — the per-element program's read cache deduplicates
+            absorber reads, the per-block program deduplicates them
+            explicitly). Falls back to the per-element program on
+            runtimes that are not ``batch_capable``.
 
     Returns:
-        dict mapping every element ever absorbed (plus the seeds) to its
-        value.
+        A copy of ``values`` with the value of every element ever absorbed
+        filled in.
+
+    Raises:
+        KeyError: a level's absorber has no value yet (its id is the
+            argument) — the history and the seeds do not belong together.
     """
-    if vectorized and runtime.batch_capable:
-        return _fill_back_batch(
-            runtime, history, values, additive=additive, tag=tag
-        )
-    out = dict(values)
+    out = np.array(values, dtype=np.float64)
+    use_batch = vectorized and runtime.batch_capable
     for level in range(len(history) - 1, -1, -1):
         record = history[level]
         if record.absorbed.size == 0:
@@ -395,6 +352,9 @@ def fill_back(
             continue
 
         needed = np.unique(record.absorber)
+        unknown = needed[np.isnan(out[needed])]
+        if unknown.size:
+            raise KeyError(int(unknown[0]))
 
         def setup():
             for element in needed.tolist():
@@ -415,78 +375,44 @@ def fill_back(
                 )
             return float(base + offset) if additive else float(base)
 
-        result = runtime.round(
-            record.absorbed.tolist(), worker, setup=setup(),
-            tag=f"{tag}:{level}",
-        )
-        for u, value in zip(record.absorbed.tolist(), result.results):
-            out[int(u)] = value
-    return out
-
-
-def _fill_back_batch(
-    runtime: AMPCRuntime,
-    history: list[AbsorbRound],
-    values: dict[int, float],
-    *,
-    additive: bool,
-    tag: str,
-) -> dict[int, float]:
-    """Vectorized :func:`fill_back` (per-machine block workers)."""
-    out = dict(values)
-    top = -1
-    for record in history:
-        if record.absorbed.size:
-            top = max(top, int(record.absorbed.max()), int(record.absorber.max()))
-    for element in out:
-        top = max(top, int(element))
-    # Dense value table over the id universe: absorbed/absorber ids are
-    # element ids, so the table is O(n) — the coordinator already holds
-    # O(n) state (succ arrays, history) in both paths.
-    val_arr = np.zeros(top + 1, dtype=np.float64)
-    have = np.zeros(top + 1, dtype=bool)
-    for element, value in out.items():
-        val_arr[element] = value
-        have[element] = True
-
-    for level in range(len(history) - 1, -1, -1):
-        record = history[level]
-        if record.absorbed.size == 0:
-            runtime.charge(f"{tag}:{level}", rounds=1)
-            continue
-        needed = np.unique(record.absorber)
-        known = have[needed]
-        if not known.all():
-            # The scalar path hits out[element] at setup time; keep the
-            # same error type for the same corrupted-history condition.
-            raise KeyError(int(needed[~known][0]))
-        setup_arrays = [
-            ("val", needed, val_arr[needed]),
-            (
-                "abs",
-                record.absorbed,
-                np.column_stack(
-                    (record.absorber.astype(np.float64), record.offset)
-                ),
-            ),
-        ]
-
-        def worker(ctx, block):
+        def block_worker(ctx, block):
             data = ctx.read_array("abs", block, fill=0.0)
             absorbers = data[:, 0].astype(np.int64)
             # One charged read per distinct absorber on this machine —
-            # exactly what the scalar path's read cache charges.
+            # exactly what the per-element program's read cache charges.
             uniq = np.unique(absorbers)
             base = ctx.read_array("val", uniq, fill=0.0)
             base = base[np.searchsorted(uniq, absorbers)]
             return base + data[:, 1] if additive else base
 
-        result = runtime.round_batch(
-            record.absorbed, worker, setup_arrays=setup_arrays,
-            tag=f"{tag}:{level}",
-        )
-        new_vals = np.asarray(result.results, dtype=np.float64)
-        val_arr[record.absorbed] = new_vals
-        have[record.absorbed] = True
-        out.update(zip(record.absorbed.tolist(), new_vals.tolist()))
+        if use_batch:
+            setup_arrays = [
+                ("val", needed, out[needed]),
+                (
+                    "abs",
+                    record.absorbed,
+                    np.column_stack(
+                        (record.absorber.astype(np.float64), record.offset)
+                    ),
+                ),
+            ]
+            result = runtime.round_batch(
+                record.absorbed, block_worker, setup_arrays=setup_arrays,
+                tag=f"{tag}:{level}",
+            )
+        else:
+            result = runtime.round(
+                record.absorbed.tolist(), worker, setup=setup(),
+                tag=f"{tag}:{level}",
+            )
+        out[record.absorbed] = result.results
     return out
+
+
+def filled_ints(values: np.ndarray) -> np.ndarray:
+    """A finished :func:`fill_back` array of whole numbers (ranks, element
+    labels) as int64; raises if any element was left without a value."""
+    missing = np.flatnonzero(np.isnan(values))
+    if missing.size:
+        raise RuntimeError(f"element {int(missing[0])} received no value")
+    return np.rint(values).astype(np.int64)

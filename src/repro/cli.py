@@ -1226,11 +1226,11 @@ def _run_dispatch(args, graph) -> int:
 
     kwargs = dict(epsilon=args.epsilon, seed=args.seed)
     if args.command == "connectivity":
-        res = repro.connectivity(graph, **kwargs)
+        res = repro.connectivity(graph, vectorized=True, **kwargs)
         print(f"components: {res.n_components} "
               f"(phases: {res.phases}, rounds: {res.report.n_rounds})")
     elif args.command == "mis":
-        res = repro.maximal_independent_set(graph, **kwargs)
+        res = repro.maximal_independent_set(graph, vectorized=True, **kwargs)
         print(f"|MIS| = {res.vertices.size} "
               f"(iterations: {res.iterations}, rounds: {res.report.n_rounds})")
     elif args.command == "matching":
@@ -1242,7 +1242,7 @@ def _run_dispatch(args, graph) -> int:
         print(f"colors used: {res.n_colors} "
               f"(iterations: {res.iterations}, rounds: {res.report.n_rounds})")
     elif args.command == "msf":
-        res = repro.minimum_spanning_forest(graph, **kwargs)
+        res = repro.minimum_spanning_forest(graph, vectorized=True, **kwargs)
         print(f"MSF: {res.edge_ids.size} edges, "
               f"total weight {res.total_weight:.6g} "
               f"(phases: {res.phases}, rounds: {res.report.n_rounds})")

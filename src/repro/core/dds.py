@@ -785,30 +785,47 @@ class DistributedDataStore:
             self.observer.on_store_read_batch(self, parts[0], first_array)
 
     def read_namespace(self, namespace: str) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinator-side bulk collection of one columnar namespace.
+        """Coordinator-side bulk collection of one namespace: ``(ids, values)``.
 
-        Returns (ids, values) in write order, duplicates included —
-        the batch analogue of scanning :meth:`items` for a namespace.
-        Uncharged, like :meth:`items`: callers that model machine-side
-        collection must charge reads through the runtime. Only rows
-        written via :meth:`write_array` appear.
+        The one harvest of a round's output, whichever program shape
+        wrote it. Row order per representation:
+
+        * written with :meth:`write_array` — write order, duplicates
+          included; ``values`` keeps the column's dtype and width (views
+          of the store's arrays: do not mutate);
+        * written with scalar ``write((namespace, id), value)`` — the
+          order :meth:`items` yields those keys: keys by first write, each
+          key's duplicates expanded in write order; ``values`` is
+          ``np.asarray`` of the stored values, so k-tuples become a
+          ``(rows, k)`` array. Keys of any other shape are not part of
+          the namespace and are skipped.
+
+        A namespace written both ways keeps the mixing rule of
+        :meth:`write_array` — unspecified (today: the columnar rows only).
+        An absent namespace yields two empty arrays. Uncharged, like
+        :meth:`items`: callers that model machine-side collection must
+        charge reads through the runtime.
         """
         column = self._columns.get(namespace)
-        if column is None:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        ids, values = column.write_order()
-        return ids, values
-
-    def _column_for(self, key: Hashable) -> _Column | None:
-        """The column holding ``key`` if it is a batch-style (str, int) key."""
-        if (
-            type(key) is tuple
-            and len(key) == 2
-            and isinstance(key[0], str)
-            and isinstance(key[1], (int, np.integer))
-        ):
-            return self._columns.get(key[0])
-        return None
+        if column is not None:
+            return column.write_order()
+        ids: list[int] = []
+        values: list[Any] = []
+        for key, value in self._data.items():
+            if not (
+                type(key) is tuple
+                and len(key) == 2
+                and key[0] == namespace
+                and isinstance(key[1], (int, np.integer))
+            ):
+                continue
+            if isinstance(value, _Bucket):
+                ids.extend([key[1]] * len(value.values))
+                values.extend(value.values)
+            else:
+                ids.append(key[1])
+                values.append(value)
+        return np.asarray(ids, dtype=np.int64), np.asarray(values)
 
     def _column_key(self, key: Hashable) -> tuple[_Column, int, int | None] | None:
         """Resolve a scalar key against the columnar twin.

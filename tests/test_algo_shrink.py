@@ -128,12 +128,13 @@ class TestFillBack:
         succ, _ = orient_cycles(g)
         rt = fresh_runtime(100)
         out = shrink(succ, rt, delta=0.5, target_size=12)
-        seeds = {int(v): float(v % 7) for v in out.alive.tolist()}
+        seeds = np.full(100, np.nan)
+        seeds[out.alive] = out.alive % 7
         values = fill_back(rt, out.history, seeds, additive=False)
         absorbed = set()
         for r in out.history:
             absorbed.update(r.absorbed.tolist())
-        assert absorbed.issubset(values.keys())
+        assert absorbed.issubset(np.flatnonzero(~np.isnan(values)).tolist())
 
     def test_additive_fill_back_recovers_list_ranks(self):
         # End-to-end rank check through the public list_ranking API is in
@@ -142,7 +143,7 @@ class TestFillBack:
         rt = AMPCRuntime(AMPCConfig(space=64, n_machines=2, seed=1))
         out = shrink(succ, rt, delta=0.9, target_size=1,
                      forced=np.array([0]))
-        seeds = {int(v): 0.0 for v in out.alive.tolist()}
+        seeds = np.full(4, np.nan)
         # Seed survivors with their true rank (walk the contracted list).
         index = {int(v): i for i, v in enumerate(out.alive.tolist())}
         cur, rank = 0, 0.0
@@ -165,4 +166,4 @@ class TestFillBack:
         if not out.history or out.history[-1].absorbed.size == 0:
             pytest.skip("no absorption happened at this size/seed")
         with pytest.raises((RuntimeError, KeyError)):
-            fill_back(rt, out.history, {}, additive=False)
+            fill_back(rt, out.history, np.full(60, np.nan), additive=False)

@@ -479,6 +479,85 @@ class TestAlgorithmParity:
         assert a.phases == b.phases
         assert _ledger(a.report) == _ledger(b.report)
 
+    def test_msf_leader_choice_with_several_leader_members(self):
+        """F_v rows reach the one leader choice in two harvest orders
+        (grouped by vertex from per-vertex writes, machine by machine from
+        block writes); "first leader member" must not depend on which."""
+        from repro.algorithms.msf import (
+            _choose_leaders,
+            _msf_increase_degree,
+            minimum_spanning_forest,
+        )
+
+        g = generators.with_random_weights(
+            generators.erdos_renyi_gnm(200, 800, rng=2), rng=3
+        )
+        config = AMPCConfig.for_input(g.n + g.m, seed=4)
+        assert config.n_machines > 1
+        is_leader = np.random.default_rng(0).random(g.n) < 0.5
+        runs = {}
+        for vectorized in (False, True):
+            rt = AMPCRuntime(config)
+            msf_ids, src, dst, exhausted = _msf_increase_degree(
+                g, 6, rt, tag="prim", vectorized=vectorized
+            )
+            leader = _choose_leaders(g.n, src, dst, exhausted, is_leader)
+            runs[vectorized] = (np.unique(msf_ids), leader, _ledger(rt.report))
+        # Reference: the per-vertex rule over members in Prim order.
+        want = np.arange(g.n)
+        several = 0
+        for v in np.flatnonzero(~is_leader).tolist():
+            members = dst[src == v].tolist()
+            leaders = [u for u in members if is_leader[u]]
+            several += len(leaders) >= 2
+            if leaders:
+                want[v] = leaders[0]
+            elif members and exhausted[v]:
+                want[v] = min(min(members), v)
+        assert several > 0
+        (ids_a, leader_a, ledger_a), (ids_b, leader_b, ledger_b) = (
+            runs[False], runs[True]
+        )
+        assert np.array_equal(ids_a, ids_b)
+        assert np.array_equal(leader_a, want)
+        assert np.array_equal(leader_b, want)
+        assert ledger_a == ledger_b
+        a = minimum_spanning_forest(g, config=config)
+        b = minimum_spanning_forest(g, config=config, vectorized=True)
+        assert np.array_equal(a.edge_ids, b.edge_ids)
+        assert (a.phases, a.budgets) == (b.phases, b.budgets)
+        assert _ledger(a.report) == _ledger(b.report)
+
+    def test_connectivity_isolated_vertex_and_small_clique(self):
+        """The branches of the leader rule a vertex reaches without a
+        leader neighbor: a small clique contracts to min(first neighbor,
+        self), an isolated vertex stays put."""
+        from repro.algorithms.connectivity import _choose_leaders
+        from repro.graph.graph import Graph
+
+        big = generators.erdos_renyi_gnm(120, 480, rng=5)
+        edges = np.concatenate([big.edges(), [[120, 121], [121, 122],
+                                              [120, 122]]])
+        g = Graph.from_edges(124, edges)  # 123 is isolated
+        is_leader = np.random.default_rng(1).random(g.n) < 0.3
+        is_leader[120:] = False
+        leader = _choose_leaders(g, is_leader, 8)
+        want = np.arange(g.n)
+        for v in np.flatnonzero(~is_leader).tolist():
+            nbrs = g.neighbors(v)
+            if nbrs.size and is_leader[nbrs].any():
+                want[v] = nbrs[is_leader[nbrs]][0]
+            elif 0 < nbrs.size < 8:
+                want[v] = min(int(nbrs[0]), v)
+        assert np.array_equal(leader, want)
+        assert leader[120:].tolist() == [120, 120, 120, 123]
+        a = connectivity(g, seed=3)
+        b = connectivity(g, seed=3, vectorized=True)
+        assert np.array_equal(a.labels, b.labels)
+        assert a.labels[120:].tolist() == [120, 120, 120, 123]
+        assert (a.phases, a.budgets) == (b.phases, b.budgets)
+        assert _ledger(a.report) == _ledger(b.report)
+
     def test_shrink_and_fill_back(self):
         succ = generators.linked_list(500, rng=9)
         config = AMPCConfig.for_input(500, seed=3)
@@ -487,8 +566,8 @@ class TestAlgorithmParity:
             rt = AMPCRuntime(config)
             outcome = shrink(succ, rt, delta=0.5, target_size=30,
                              vectorized=vectorized)
-            values = {int(v): float(i)
-                      for i, v in enumerate(outcome.alive.tolist())}
+            values = np.full(500, np.nan)
+            values[outcome.alive] = np.arange(outcome.alive.size)
             out = fill_back(rt, outcome.history, values, additive=True,
                             vectorized=vectorized)
             return outcome, out, rt.report
@@ -507,7 +586,7 @@ class TestAlgorithmParity:
             assert np.array_equal(rec_a.absorber[order_a],
                                   rec_b.absorber[order_b])
             assert np.allclose(rec_a.offset[order_a], rec_b.offset[order_b])
-        assert fa == fb
+        assert np.array_equal(fa, fb, equal_nan=True)
         assert _ledger(ra) == _ledger(rb)
 
     def test_vectorized_falls_back_on_chaos_runtime(self):

@@ -176,6 +176,25 @@ class TestLedgers:
         assert engine.build_report.n_rounds == build_rounds
         assert engine.serve_report.n_rounds == 1
 
+    def test_explicit_config_sizes_the_spanning_forest_build_too(self):
+        import dataclasses
+
+        from repro.core import AMPCConfig
+
+        graph = generators.erdos_renyi_gnm(300, 600, rng=0)
+        config = dataclasses.replace(
+            AMPCConfig.for_input(graph.n + graph.m, seed=1), n_machines=60
+        )
+        engine = ServingEngine(graph, config=config)
+
+        def machines(prefix):
+            return max(row.n_machines_active
+                       for row in engine.build_report.rounds
+                       if row.tag.startswith(prefix))
+
+        assert machines("increase-deg:") == 60
+        assert machines("prim:") == 60
+
 
 class TestBackends:
     def test_process_backend_bit_identical(self):

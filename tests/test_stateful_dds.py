@@ -5,8 +5,9 @@ multiplicity probes must always agree with a reference model that
 implements the §2 semantics directly.
 """
 
+import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -96,3 +97,52 @@ TestDDSStateful = DDSMachine.TestCase
 TestDDSStateful.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
+
+
+# -- read_namespace: the one harvest, over either representation ------------
+
+# Keys around namespace "a": its own (duplicates likely), plus what must be
+# skipped — scalars, other namespaces, slotted and non-integer-id shapes.
+HARVEST_KEYS = st.one_of(
+    st.tuples(st.just("a"), st.integers(0, 5)),
+    vst.dds_keys(),
+    st.tuples(st.just("a"), st.integers(0, 5), st.integers(0, 3)),
+    st.tuples(st.just("a"), st.sampled_from(["x", "y"])),
+)
+PAIR_VALUES = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(HARVEST_KEYS, PAIR_VALUES), max_size=40))
+def test_read_namespace_of_scalar_writes_is_the_items_sequence(writes):
+    store = DistributedDataStore(0, n_servers=4, seed=7)
+    for key, value in writes:
+        store.write(key, value)
+    want = [
+        (key[1], list(value)) for key, value in store.items()
+        if type(key) is tuple and len(key) == 2 and key[0] == "a"
+        and type(key[1]) is int
+    ]
+    ids, values = store.read_namespace("a")
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [id_ for id_, _ in want]
+    assert values.reshape(-1, 2).tolist() == [value for _, value in want]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(vst.id_batches(max_size=12), max_size=6))
+def test_read_namespace_of_array_writes_is_write_order(batches):
+    store = DistributedDataStore(0, n_servers=4, seed=7)
+    want: dict = {}
+    for namespace, ids, values in batches:
+        values = values.astype(np.float64)
+        store.write_array(namespace, ids, values)
+        rows = want.setdefault(namespace, ([], []))
+        rows[0].extend(ids.tolist())
+        rows[1].extend(values.tolist())
+    for namespace, (want_ids, want_values) in want.items():
+        ids, values = store.read_namespace(namespace)
+        assert ids.tolist() == want_ids
+        assert values.tolist() == want_values
+    ids, values = store.read_namespace("never-written")
+    assert ids.size == 0 and values.size == 0
