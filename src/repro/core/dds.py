@@ -77,20 +77,42 @@ def _owned_chunk(array: np.ndarray) -> np.ndarray:
     return np.array(array, copy=True)
 
 
+# A column is indexed by a position table when its key span is at most this
+# many times its row count. At 4 the int32 table (span + 1 entries) takes no
+# more bytes than the int64 sorted-keys + order pair of the other form, so
+# index bytes stay O(rows) whichever form the data selects.
+_TABLE_SPAN_FACTOR = 4
+
+
 class _Column:
     """Columnar storage for one namespace of (id -> value) pairs.
 
-    Append-only chunks of parallel int64-id / value arrays; a sorted index
-    is built lazily on first lookup (i.e. after the store seals). Duplicate
-    ids keep every row — bucket semantics — and a plain lookup returns the
-    first-written row, matching the scalar store's duplicate-key rule.
+    Append-only chunks of parallel int64-id / value arrays; an index over
+    the keys is built lazily on first lookup (i.e. after the store seals).
+    Duplicate ids keep every row — bucket semantics — and a plain lookup
+    returns the first-written row, matching the scalar store's
+    duplicate-key rule.
 
     A column is either *plain* (keys ``(namespace, id)``) or *slotted*
     (keys ``(namespace, id, slot)``, e.g. adjacency slot addressing
     ``("adj", u, i)``); the first append decides which, and the two key
     shapes never share a column. Slotted lookups index a composite
-    ``id * stride + slot`` key, where ``stride`` is computed from the
-    column's own slot range at index-build time.
+    ``id * stride + (slot - slot_lo)`` key, where ``slot_lo`` and
+    ``stride`` come from the column's own slot range at index-build time.
+
+    The index answers "where does key k sit in stable key order" in one
+    of two forms, chosen from the data when it is built:
+
+    * *position table* — when ``max_key - min_key + 1`` is within
+      :data:`_TABLE_SPAN_FACTOR` times the row count: ``table[k - lo]``
+      counts the stored keys below ``k``, so a probe is two adjacent
+      gathers whatever the column's size;
+    * *sorted keys* — otherwise (ids are arbitrary int64, so an O(span)
+      table cannot be the only form): one binary search per probe.
+
+    In both, ``_order`` maps a sorted position to its row and is None when
+    the keys were written in non-decreasing order (position *is* row).
+    :meth:`_locate` is the only code that knows which form is live.
     """
 
     __slots__ = (
@@ -104,10 +126,15 @@ class _Column:
         "_ids",
         "_slots",
         "_values",
+        "_built",
         "_order",
-        "_sorted_ids",
+        "_table",
+        "_sorted_keys",
+        "_lo",
+        "_hi",
         "_n_distinct",
         "_stride",
+        "_slot_lo",
     )
 
     def __init__(self, width: int, dtype: np.dtype, slotted: bool = False) -> None:
@@ -121,10 +148,16 @@ class _Column:
         self._ids: np.ndarray | None = None
         self._slots: np.ndarray | None = None
         self._values: np.ndarray | None = None
+        self._built = False
         self._order: np.ndarray | None = None
-        self._sorted_ids: np.ndarray | None = None
+        self._table: np.ndarray | None = None
+        self._sorted_keys: np.ndarray | None = None
+        # Smallest / largest stored key (composite, for slotted columns).
+        self._lo = 0
+        self._hi = -1
         self._n_distinct = 0
         self._stride = 1
+        self._slot_lo = 0
 
     def append(
         self,
@@ -150,7 +183,8 @@ class _Column:
         self._value_chunks.append(_owned_chunk(values))
         self.rows += ids.size
         self._ids = self._slots = self._values = None
-        self._order = self._sorted_ids = None
+        self._built = False
+        self._order = self._table = self._sorted_keys = None
 
     def _materialized(self) -> tuple[np.ndarray, np.ndarray]:
         if self._ids is None:
@@ -167,30 +201,111 @@ class _Column:
         return self._ids, self._values
 
     def _composite(self, ids: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        if self._slot_lo:
+            slots = slots - self._slot_lo
         return ids * self._stride + slots
 
     def _indexed(self) -> None:
-        if self._order is None:
-            ids, _ = self._materialized()
-            if self.slotted:
-                assert self._slots is not None
-                # Stride is derived from the data so the composite key is a
-                # bijection over the rows seen so far; every append resets
-                # the index, so stride stays consistent with the contents.
-                self._stride = (
-                    int(self._slots.max()) + 1 if self.rows else 1
+        if self._built:
+            return
+        keys, _ = self._materialized()
+        rows = self.rows
+        if rows == 0:
+            # Nothing to index; every reader short-circuits on rows == 0.
+            self._built = True
+            return
+        if self.slotted:
+            assert self._slots is not None
+            # Slot range and stride are derived from the data, so the
+            # composite key is a bijection over the rows seen so far;
+            # every append resets the index, keeping them in step with
+            # the contents. Checked in Python ints: int64 would wrap
+            # silently and make distinct (id, slot) keys collide.
+            slot_lo = int(self._slots.min())
+            stride = int(self._slots.max()) - slot_lo + 1
+            id_lo, id_hi = int(keys.min()), int(keys.max())
+            if id_lo * stride < -(2**63) or (id_hi + 1) * stride > 2**63:
+                raise ValueError(
+                    f"slotted namespace cannot be indexed: ids in "
+                    f"[{id_lo}, {id_hi}] with {stride} slots per id do not "
+                    f"fit one int64 key"
                 )
-                ids = self._composite(ids, self._slots)
-            # Stable sort: among duplicate ids, sorted order preserves write
-            # order, so the first sorted occurrence is the first write.
-            self._order = np.argsort(ids, kind="stable")
-            self._sorted_ids = ids[self._order]
-            if self.rows:
-                self._n_distinct = (
-                    int(np.count_nonzero(np.diff(self._sorted_ids))) + 1
-                )
-            else:
-                self._n_distinct = 0
+            self._slot_lo, self._stride = slot_lo, stride
+            keys = self._composite(keys, self._slots)
+        lo, hi = int(keys.min()), int(keys.max())
+        span = hi - lo + 1
+        # Written in non-decreasing key order (every setup_arrays /
+        # encode_* column): the identity is the stable sort.
+        ordered = rows == 1 or bool((keys[1:] >= keys[:-1]).all())
+        order = table = None
+        if span <= _TABLE_SPAN_FACTOR * rows:
+            # Counting, not sorting: O(rows + span). The int64 histogram
+            # is a temporary, gone before any argsort below allocates.
+            offsets = keys - lo if lo else keys
+            table = np.zeros(
+                span + 1, dtype=np.int32 if rows < 2**31 else np.int64
+            )
+            np.cumsum(
+                np.bincount(offsets, minlength=span),
+                dtype=table.dtype, out=table[1:],
+            )
+            n_distinct = int(np.count_nonzero(table[1:] > table[:-1]))
+            if not ordered and n_distinct == rows:
+                # No duplicates: a key's table entry is its one sorted
+                # position, so the order is a scatter, not a sort.
+                order = np.empty(rows, dtype=np.intp)
+                order[table[offsets]] = np.arange(rows)
+        if not ordered and order is None:
+            # Stable sort: among duplicate keys, sorted order preserves
+            # write order, so the first sorted occurrence is the first
+            # write.
+            order = np.argsort(keys, kind="stable")
+        if table is None:
+            sorted_keys = keys if order is None else keys[order]
+            n_distinct = int(np.count_nonzero(np.diff(sorted_keys))) + 1
+            self._sorted_keys = sorted_keys
+        self._order, self._table = order, table
+        self._lo, self._hi, self._n_distinct = lo, hi, n_distinct
+        self._built = True
+
+    def _locate(self, keys: Any) -> tuple[Any, Any]:
+        """Resolve index keys: ``(first, found)``.
+
+        ``found`` says whether the key is stored and ``first`` is the
+        position of its first-written row in stable key order. ``keys`` is
+        an int64 array (``first`` is then meaningful only where ``found``)
+        or one Python int of any size (``first`` is then exactly the number
+        of smaller stored keys, hit or miss, so ``_locate(k + 1)[0]`` ends
+        k's run of duplicates). Requires a built index over >= 1 row.
+        """
+        lo, hi = self._lo, self._hi
+        table = self._table
+        if not isinstance(keys, np.ndarray):
+            if keys < lo:
+                return 0, False
+            if keys > hi:
+                return self.rows, False
+            if table is None:
+                sorted_keys = self._sorted_keys
+                first = int(sorted_keys.searchsorted(keys))
+                return first, bool(sorted_keys[first] == keys)
+            first = table.item(keys - lo)
+            return first, table.item(keys - lo + 1) > first
+        if table is None:
+            sorted_keys = self._sorted_keys
+            first = sorted_keys.searchsorted(keys)
+            found = sorted_keys[np.minimum(first, self.rows - 1)] == keys
+            return first, found
+        inside = None
+        if keys.min() < lo or keys.max() > hi:
+            inside = (keys >= lo) & (keys <= hi)
+            keys = np.where(inside, keys, lo)
+        rel = keys - lo if lo else keys
+        first = table[rel]
+        found = table[1:][rel] > first
+        if inside is not None:
+            found &= inside
+        return first, found
 
     @property
     def n_distinct(self) -> int:
@@ -206,60 +321,77 @@ class _Column:
         """First-written value per id, ``fill`` where absent; plus hit mask."""
         k = ids.size
         shape = k if self.width == 1 else (k, self.width)
-        if self.rows == 0 or (slots is not None) != self.slotted:
+        if k == 0 or self.rows == 0 or (slots is not None) != self.slotted:
             # Key-shape mismatch: those keys were never written into this
             # column, so every probe misses (same as querying absent ids).
             return np.full(shape, fill, dtype=self.dtype), np.zeros(k, bool)
         self._indexed()
+        valid = None
         if slots is not None:
-            if np.any(slots < 0) or np.any(slots >= self._stride):
-                # Slots beyond the written range cannot collide with any
-                # composite key; clip after recording the misses.
-                valid = (slots >= 0) & (slots < self._stride)
-                probe = self._composite(ids, np.where(valid, slots, 0))
-            else:
-                valid = None
-                probe = self._composite(ids, slots)
-        else:
-            valid = None
-            probe = ids
-        pos = np.searchsorted(self._sorted_ids, probe)
-        safe = np.minimum(pos, self.rows - 1)
-        found = self._sorted_ids[safe] == probe
+            # Probes outside the written id / slot ranges cannot be stored,
+            # and their composite could wrap int64 onto a key that is:
+            # neutralize them before multiplying, record them as misses.
+            stride = self._stride
+            id_lo, id_hi = self._lo // stride, self._hi // stride
+            slot_lo = self._slot_lo
+            slot_hi = slot_lo + stride - 1
+            if (
+                slots.min() < slot_lo or slots.max() > slot_hi
+                or ids.min() < id_lo or ids.max() > id_hi
+            ):
+                valid = (
+                    (slots >= slot_lo) & (slots <= slot_hi)
+                    & (ids >= id_lo) & (ids <= id_hi)
+                )
+                ids = np.where(valid, ids, id_lo)
+                slots = np.where(valid, slots, slot_lo)
+            ids = self._composite(ids, slots)
+        first, found = self._locate(ids)
         if valid is not None:
             found &= valid
+        order = self._order
+        values = self._values
+        assert values is not None
+        if found.all():
+            return values[first if order is None else order[first]], found
         out = np.full(shape, fill, dtype=self.dtype)
-        _, values = self._materialized()
-        out[found] = values[self._order[safe[found]]]
+        hits = first[found]
+        out[found] = values[hits if order is None else order[hits]]
         return out, found
 
-    def _span(self, id_: int, slot: int | None = None) -> tuple[int, int]:
+    def _scalar_key(self, id_: int, slot: int | None) -> int | None:
+        """Index key of one scalar probe; None if it cannot be stored here."""
+        if self.rows == 0 or (slot is not None) != self.slotted:
+            return None
         self._indexed()
-        if self.slotted:
-            assert slot is not None
-            if not 0 <= slot < self._stride:
-                return 0, 0
-            id_ = id_ * self._stride + slot
-        lo = int(np.searchsorted(self._sorted_ids, id_, side="left"))
-        hi = int(np.searchsorted(self._sorted_ids, id_, side="right"))
-        return lo, hi
+        if slot is None:
+            return id_
+        slot -= self._slot_lo
+        if not 0 <= slot < self._stride:
+            return None
+        return id_ * self._stride + slot
 
     def count(self, id_: int, slot: int | None = None) -> int:
-        if self.rows == 0 or (slot is not None) != self.slotted:
+        key = self._scalar_key(id_, slot)
+        if key is None:
             return 0
-        lo, hi = self._span(id_, slot)
-        return hi - lo
+        first, found = self._locate(key)
+        return self._locate(key + 1)[0] - first if found else 0
 
     def value_at(self, id_: int, index: int, slot: int | None = None) -> Any:
         """The ``index``-th (1-based, write-order) value of ``id_``, or None."""
-        if self.rows == 0 or (slot is not None) != self.slotted:
+        key = self._scalar_key(id_, slot)
+        if key is None:
             return None
-        lo, hi = self._span(id_, slot)
-        if index > hi - lo:
+        first, found = self._locate(key)
+        if not found or (
+            index > 1 and index > self._locate(key + 1)[0] - first
+        ):
             return None
-        _, values = self._materialized()
-        row = int(self._order[lo + index - 1])
-        return self._scalar(values, row)
+        position = first + index - 1
+        row = position if self._order is None else int(self._order[position])
+        assert self._values is not None
+        return self._scalar(self._values, row)
 
     def _scalar(self, values: np.ndarray, row: int) -> Any:
         if self.width == 1:
@@ -271,30 +403,34 @@ class _Column:
         return self._materialized()
 
     def share_parts(self) -> dict[str, Any]:
-        """Materialize + index, then expose the arrays for cross-process
-        sharing as a dict with keys ``width``, ``dtype``, ``ids``,
-        ``values``, ``order``, ``sorted_ids``, ``n_distinct``, and — for
-        slotted columns — ``slots`` and ``stride``. Building the sorted
-        index *before* sharing means every worker reads one parent-built
-        index instead of re-sorting per process. The arrays are internal
-        views — treat as read-only.
+        """Materialize + index, then expose the column for cross-process
+        sharing: the keyword arguments of :meth:`from_shared_parts`, arrays
+        as internal views (treat as read-only) and None for what this
+        column does not have — ``slots`` on a plain column, ``order`` when
+        the keys were written in order, ``table`` / ``sorted_keys`` for
+        the index form not in use (``sorted_keys`` also when it is just
+        ``ids``). Building the index *before* sharing means every worker
+        reads one parent-built index instead of re-indexing per process.
         """
         ids, values = self._materialized()
         self._indexed()
-        assert self._order is not None and self._sorted_ids is not None
-        parts: dict[str, Any] = {
+        return {
             "width": self.width,
             "dtype": self.dtype,
             "ids": ids,
             "values": values,
+            "slots": self._slots,
             "order": self._order,
-            "sorted_ids": self._sorted_ids,
+            "table": self._table,
+            "sorted_keys": (
+                None if self._sorted_keys is ids else self._sorted_keys
+            ),
+            "lo": self._lo,
+            "hi": self._hi,
             "n_distinct": self._n_distinct,
+            "stride": self._stride,
+            "slot_lo": self._slot_lo,
         }
-        if self.slotted:
-            parts["slots"] = self._slots
-            parts["stride"] = self._stride
-        return parts
 
     @classmethod
     def from_shared_parts(
@@ -303,25 +439,34 @@ class _Column:
         dtype: np.dtype,
         ids: np.ndarray,
         values: np.ndarray,
-        order: np.ndarray,
-        sorted_ids: np.ndarray,
+        slots: np.ndarray | None,
+        order: np.ndarray | None,
+        table: np.ndarray | None,
+        sorted_keys: np.ndarray | None,
+        lo: int,
+        hi: int,
         n_distinct: int,
-        slots: np.ndarray | None = None,
-        stride: int = 1,
+        stride: int,
+        slot_lo: int,
     ) -> "_Column":
         """Rebuild a read-only column over externally-held (e.g. shared-
         memory) arrays without copying. The result is for lookups only;
         appending to it is unsupported (shadow stores are sealed).
         """
-        column = cls(width, dtype, slotted=slots is not None)
+        column = cls(width, np.dtype(dtype), slotted=slots is not None)
         column.rows = int(ids.size)
         column._ids = ids
         column._slots = slots
         column._values = values
         column._order = order
-        column._sorted_ids = sorted_ids
+        column._table = table
+        column._sorted_keys = (
+            ids if table is None and sorted_keys is None else sorted_keys
+        )
+        column._lo, column._hi = int(lo), int(hi)
         column._n_distinct = int(n_distinct)
-        column._stride = int(stride)
+        column._stride, column._slot_lo = int(stride), int(slot_lo)
+        column._built = True
         return column
 
     def iter_pairs(self) -> Iterator[tuple[int, Any]]:

@@ -21,6 +21,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
+_GOLDEN_U64, _MULT1_U64, _MULT2_U64 = map(np.uint64, (_GOLDEN, _MULT1, _MULT2))
+_SHIFT30, _SHIFT27, _SHIFT31 = map(np.uint64, (30, 27, 31))
 
 # Memoized string-component mixes: algorithms hash the same handful of
 # namespace strings ("succ", "deg", "adj", ...) on every single read, and
@@ -45,6 +47,23 @@ def splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
+    """One splitmix64 round over the uint64 array ``x``, in place.
+
+    ``scratch`` is a same-shape uint64 buffer for the shifted copy, so a
+    round allocates nothing (uint64 array arithmetic wraps silently).
+    """
+    x += _GOLDEN_U64
+    np.right_shift(x, _SHIFT30, out=scratch)
+    x ^= scratch
+    x *= _MULT1_U64
+    np.right_shift(x, _SHIFT27, out=scratch)
+    x ^= scratch
+    x *= _MULT2_U64
+    np.right_shift(x, _SHIFT31, out=scratch)
+    x ^= scratch
+
+
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`splitmix64` over an integer array.
 
@@ -54,11 +73,7 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
     values, matching the scalar path's ``& _MASK64``.
     """
     x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += np.uint64(_GOLDEN)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MULT1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MULT2)
-        x ^= x >> np.uint64(31)
+    _splitmix64_inplace(x, np.empty_like(x))
     return x
 
 
@@ -198,17 +213,10 @@ def partition_items(
     vectorized with numpy uint64 arithmetic for large batches.
     """
     x = items.astype(np.uint64, copy=True)
-    s = np.uint64(splitmix64(splitmix64(seed ^ 0xA5A5A5A5)))
-    with np.errstate(over="ignore"):
-        # splitmix64 of item, then mix with the seeded state -- mirrors
-        # machine_of(int_item) exactly so scalar and vector paths agree.
-        x = (x + np.uint64(_GOLDEN))
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x = x ^ (x >> np.uint64(31))
-        x = x ^ s
-        x = (x + np.uint64(_GOLDEN))
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x = x ^ (x >> np.uint64(31))
+    scratch = np.empty_like(x)
+    # splitmix64 of item, then mix with the seeded state -- mirrors
+    # machine_of(int_item) exactly so scalar and vector paths agree.
+    _splitmix64_inplace(x, scratch)
+    x ^= np.uint64(splitmix64(splitmix64(seed ^ 0xA5A5A5A5)))
+    _splitmix64_inplace(x, scratch)
     return (x % np.uint64(n_machines)).astype(np.int64)

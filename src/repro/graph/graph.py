@@ -62,8 +62,7 @@ class Graph:
         both = both[order] if both.size else both.reshape(0, 2)
         indptr = np.zeros(n + 1, dtype=np.int64)
         if both.size:
-            np.add.at(indptr, both[:, 0] + 1, 1)
-        np.cumsum(indptr, out=indptr)
+            np.cumsum(np.bincount(both[:, 0], minlength=n), out=indptr[1:])
         indices = both[:, 1].copy() if both.size else np.zeros(0, dtype=np.int64)
         return cls(n, indptr, indices)
 
@@ -236,11 +235,30 @@ def canonical_edges(arr: np.ndarray) -> np.ndarray:
     """Normalize an edge array: u < v per row, deduplicated, lex-sorted."""
     if arr.size == 0:
         return arr.reshape(0, 2).astype(np.int64)
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    pairs = np.column_stack([lo, hi])
-    pairs = np.unique(pairs, axis=0)
-    return pairs.astype(np.int64)
+    return unique_pairs(
+        np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+    )
+
+
+def unique_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Distinct ``(first[i], second[i])`` pairs, lex-sorted, as (k, 2) int64.
+
+    Equal to ``np.unique(np.column_stack([first, second]), axis=0)``, which
+    sorts 16-byte void rows; whenever the value ranges allow it this sorts
+    the scalar key ``first * base + second`` instead (several times
+    faster) and splits it back. The range check is done in Python ints:
+    the row-wise path stays as the fallback for pairs whose key would not
+    fit in int64. Needs at least one pair.
+    """
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    first_lo, second_lo = int(first.min()), int(second.min())
+    base = int(second.max()) - second_lo + 1
+    if (int(first.max()) - first_lo + 1) * base > 2**63:
+        return np.unique(np.column_stack([first, second]), axis=0)
+    keys = np.unique((first - first_lo) * base + (second - second_lo))
+    high, low = np.divmod(keys, base)
+    return np.column_stack([high + first_lo, low + second_lo])
 
 
 def edge_set_difference(edges: np.ndarray, drop: np.ndarray) -> np.ndarray:

@@ -226,8 +226,11 @@ class AttachedSegments:
 def export_store(store: DistributedDataStore, arena: ShmArena) -> dict:
     """Picklable descriptor of a sealed read store, column arrays in shm.
 
-    Column indexes (stable sort order, sorted ids) are built here, once,
-    in the parent — workers share the one index instead of re-sorting per
+    Column indexes are built here, once, in the parent, and only the
+    arrays a column actually holds go into segments
+    (:meth:`_Column.share_parts`: position table *or* sorted keys, row
+    order only when the keys were written out of order) — workers resolve
+    reads through the parent's index form instead of re-indexing per
     process. Raises :class:`StoreExportError` for store subclasses
     (replicated / chaos stores have per-key failover state that must stay
     serial).
@@ -237,22 +240,16 @@ def export_store(store: DistributedDataStore, arena: ShmArena) -> dict:
             f"cannot export {type(store).__name__} to the process backend; "
             f"only plain DistributedDataStore rounds shard"
         )
-    columns = {}
-    for namespace, column in store._columns.items():
-        parts = column.share_parts()
-        desc = {
-            "width": parts["width"],
-            "dtype": np.dtype(parts["dtype"]).str,
-            "ids": arena.share_array(parts["ids"]),
-            "values": arena.share_array(parts["values"]),
-            "order": arena.share_array(parts["order"]),
-            "sorted_ids": arena.share_array(parts["sorted_ids"]),
-            "n_distinct": parts["n_distinct"],
+    columns = {
+        namespace: {
+            name: (
+                arena.share_array(part)
+                if isinstance(part, np.ndarray) else part
+            )
+            for name, part in column.share_parts().items()
         }
-        if "slots" in parts:
-            desc["slots"] = arena.share_array(parts["slots"])
-            desc["stride"] = parts["stride"]
-        columns[namespace] = desc
+        for namespace, column in store._columns.items()
+    }
     blob = (
         pickle.dumps(store._data, protocol=pickle.HIGHEST_PROTOCOL)
         if store._data
@@ -281,21 +278,13 @@ def attach_store(
     """
     handles = AttachedSegments()
     try:
-        columns = {}
-        for namespace, desc in export["columns"].items():
-            columns[namespace] = _Column.from_shared_parts(
-                desc["width"],
-                np.dtype(desc["dtype"]),
-                handles.array(desc["ids"]),
-                handles.array(desc["values"]),
-                handles.array(desc["order"]),
-                handles.array(desc["sorted_ids"]),
-                desc["n_distinct"],
-                slots=(
-                    handles.array(desc["slots"]) if "slots" in desc else None
-                ),
-                stride=desc.get("stride", 1),
-            )
+        columns = {
+            namespace: _Column.from_shared_parts(**{
+                name: handles.array(part) if isinstance(part, dict) else part
+                for name, part in parts.items()
+            })
+            for namespace, parts in export["columns"].items()
+        }
         raw = handles.blob(export["data"])
         data = pickle.loads(raw) if len(raw) else {}
         store = DistributedDataStore.attach_shadow(

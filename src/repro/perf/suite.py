@@ -39,6 +39,7 @@ SUITES: dict[str, list[_SuiteEntry]] = {
         ("mis", {"n": 200, "vectorized": True}, {"n": 80}),
         ("msf", {"n": 300, "vectorized": True}, {"n": 100}),
         ("replay_merge", {"n": 400}, {"n": 160}),
+        ("dds_lookup", {"n": 20000}, {"n": 2000}),
     ],
     # Serving-latency guard: a resident engine replays the standard
     # traffic patterns (repro.serve); the timed thunk is the query loop
@@ -76,6 +77,7 @@ SUITES: dict[str, list[_SuiteEntry]] = {
         ("msf", {"n": 1500, "vectorized": False}, {"n": 160}),
         ("msf", {"n": 1500, "vectorized": True}, {"n": 160}),
         ("replay_merge", {"n": 4000}, {"n": 240}),
+        ("dds_lookup", {"n": 1000000}, {"n": 20000}),
     ],
 }
 
@@ -189,6 +191,42 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
                 return repro.connectivity(graph, seed=1)
 
         return run_process
+    if bench == "dds_lookup":
+        # The DDS per-probe lookup constant, for both column index forms:
+        # n shuffled ids as written are dense (position table), the same
+        # ids scaled by 1009 are wide-span (sorted keys + binary search).
+        # Timed: a fixed batch of read_array blocks plus a scalar get
+        # loop on each column. Contention tracking is off so placement
+        # hashing (its own layer) stays out of the sample.
+        import numpy as np
+
+        from repro.core.dds import DistributedDataStore
+
+        rng = np.random.default_rng(0)
+        ids = rng.permutation(n)
+        store = DistributedDataStore(0, n_servers=8, track_contention=False)
+        store.write_array("dense", ids, ids + 1)
+        store.write_array("wide", ids * 1009, ids + 1)
+        store.seal()
+        blocks = [rng.integers(-8, n + 8, size=min(n, 4096))
+                  for _ in range(32)]
+        work = [
+            (namespace, [block * scale for block in blocks],
+             [(namespace, i * scale) for i in blocks[0][:1000].tolist()])
+            for namespace, scale in (("dense", 1), ("wide", 1009))
+        ]
+
+        def run_lookups():
+            total = 0
+            for namespace, probe_blocks, keys in work:
+                for block in probe_blocks:
+                    total += int(store.read_array(namespace, block).sum())
+                for key in keys:
+                    total += store.get(key) or 0
+            return total
+
+        run_lookups()  # index build belongs to setup, not to the samples
+        return run_lookups
     raise ValueError(f"unknown bench {bench!r}")
 
 

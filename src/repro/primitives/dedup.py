@@ -11,6 +11,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.graph.graph import unique_pairs
+
 from .sorting import SORT_ROUNDS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,6 +42,10 @@ def charged_unique_rows(
         runtime.charge(tag, rounds=SORT_ROUNDS, reads=rows.shape[0], writes=rows.shape[0])
     if rows.size == 0:
         return rows
+    if rows.shape[1] == 2 and np.issubdtype(rows.dtype, np.signedinteger):
+        return unique_pairs(rows[:, 0], rows[:, 1]).astype(
+            rows.dtype, copy=False
+        )
     return np.unique(rows, axis=0)
 
 

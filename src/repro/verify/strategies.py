@@ -22,6 +22,7 @@ from repro.graph import generators
 from repro.graph.graph import Graph, WeightedGraph
 
 __all__ = [
+    "column_ids",
     "dds_keys",
     "dds_values",
     "float_arrays",
@@ -258,6 +259,26 @@ def id_arrays(
     values = draw(st.lists(st.integers(lo, hi), min_size=min_size,
                            max_size=max_size))
     return np.asarray(values, dtype=np.int64)
+
+
+@st.composite
+def column_ids(
+    draw, min_size: int = 0, max_size: int = 24, bound: int = 1 << 63
+) -> np.ndarray:
+    """An int64 id column that reaches both DDS index forms.
+
+    Either clustered within +-8 of an arbitrary centre — with a handful of
+    rows the key span is a small multiple of the row count, so the column
+    gets a position table — or spread over all of ``[-bound, bound)``
+    (wide span: sorted keys). Negatives, duplicates and, at the default
+    ``bound``, the int64 extremes are all in range.
+    """
+    if draw(st.booleans()):
+        centre = draw(st.integers(-bound + 8, bound - 9))
+        lo, hi = centre - 8, centre + 8
+    else:
+        lo, hi = -bound, bound - 1
+    return draw(id_arrays(min_size, max_size, lo=lo, hi=hi))
 
 
 @st.composite

@@ -157,3 +157,55 @@ class TestContentionAccounting:
         for _ in range(50):
             store.get("hot")
         assert store.max_server_load() == 50
+
+
+class TestSlottedCompositeKey:
+    """``(namespace, id, slot)`` keys are indexed as one int64 composite;
+    it must never wrap onto another key (it did: int64 ``id * stride``)."""
+
+    def test_ids_too_large_for_one_key_raise_on_both_paths(self):
+        store = make_store()
+        store.write_array(
+            "adj", np.array([2**61, 0, 5]), np.array([10, 20, 30]),
+            slots=np.array([3, 3, 7]),
+        )
+        store.seal()
+        with pytest.raises(ValueError, match="do not fit one int64 key"):
+            store.read_array("adj", np.array([2**61, 0]), slots=np.array([3, 3]))
+        for key in (("adj", 0, 3), ("adj", 2**61, 3)):
+            with pytest.raises(ValueError, match="do not fit one int64 key"):
+                store.get(key)
+            with pytest.raises(ValueError, match="do not fit one int64 key"):
+                store.multiplicity(key)
+
+    def test_probe_ids_outside_the_column_do_not_wrap_onto_stored_keys(self):
+        store = make_store()
+        store.write_array(
+            "adj", np.array([0, 5]), np.array([20, 30]), slots=np.array([0, 7])
+        )
+        store.seal()
+        # stride is 8, so 2**61 * 8 wraps to 0 in int64: key (0, 0).
+        out, found = store.read_array(
+            "adj", np.array([2**61, 0, -(2**61)]), slots=np.array([0, 0, 0]),
+            fill=-1, return_found=True,
+        )
+        assert out.tolist() == [-1, 20, -1]
+        assert found.tolist() == [False, True, False]
+        assert store.get(("adj", 2**61, 0)) is None
+        assert store.get(("adj", 0, 0)) == 20
+        assert ("adj", 2**61, 0) not in store
+
+    def test_negative_written_slots_are_their_own_keys(self):
+        store = make_store()
+        # With slots in [-1, 1] a stride of max + 1 = 2 made (1, -1)
+        # collide with (0, 1).
+        store.write_array(
+            "adj", np.array([1, 0]), np.array([10, 20]), slots=np.array([-1, 1])
+        )
+        store.seal()
+        assert store.get(("adj", 1, -1)) == 10
+        assert store.get(("adj", 0, 1)) == 20
+        assert store.read_array(
+            "adj", np.array([1, 0, 0]), slots=np.array([-1, 1, -1]), fill=-7
+        ).tolist() == [10, 20, -7]
+        assert len(store) == 2

@@ -11,6 +11,7 @@ from repro.graph.graph import (
     canonical_edges,
     edge_set_difference,
     total_order_key,
+    unique_pairs,
 )
 from repro.graph.validation import check_csr
 
@@ -146,6 +147,25 @@ class TestEdgeHelpers:
         arr = np.array([[3, 1], [1, 3], [0, 2]])
         out = canonical_edges(arr)
         assert out.tolist() == [[0, 2], [1, 3]]
+
+    @pytest.mark.parametrize("top", [50, 2**20, 2**40, 2**62])
+    def test_canonical_edges_equals_rowwise_unique(self, top):
+        # 2**40 and 2**62 squared do not fit int64: the row-wise fallback.
+        rng = np.random.default_rng(top % 1000)
+        arr = rng.integers(0, 12, size=(300, 2))
+        arr[rng.random(300) < 0.3] += top - 12
+        arr = np.concatenate([arr, arr[:80, ::-1], arr[:40]])
+        lo, hi = arr.min(axis=1), arr.max(axis=1)
+        want = np.unique(np.column_stack([lo, hi]), axis=0)
+        out = canonical_edges(arr)
+        assert out.dtype == np.int64 and np.array_equal(out, want)
+
+    def test_unique_pairs_shifts_negative_values(self):
+        first = np.array([-5, 3, -5, -(2**40), 3])
+        second = np.array([2, -7, 2, 0, -8])
+        assert unique_pairs(first, second).tolist() == [
+            [-(2**40), 0], [-5, 2], [3, -8], [3, -7],
+        ]
 
     def test_edge_set_difference(self):
         edges = np.array([[0, 1], [1, 2], [2, 3]])

@@ -523,6 +523,67 @@ def test_str_mix_cache_lru_keeps_hot_keys():
 
 # -- satellite: Hypothesis cross-backend property tests --------------------
 
+def test_shadow_store_reads_through_the_shipped_index():
+    """export_store -> attach_store for one column of each index shape:
+    the shadow answers and charges like the parent, and only the arrays
+    a column holds cross the process boundary."""
+    from repro.core.dds import DistributedDataStore
+    from repro.parallel.shm import ShmArena, attach_store, export_store
+
+    def build():
+        store = DistributedDataStore(3, n_servers=4, seed=9)
+        # dense, written out of order, with duplicates: table + row order
+        store.write_array("table", np.array([7, 3, 5, 3, 9, 4]),
+                          np.array([70, 30, 50, 31, 90, 40]))
+        # dense, written in order: table, identity order
+        store.write_array("identity", np.arange(10, 20), np.arange(10.0) / 4)
+        # wide span, slotted, written in order: sorted composite keys
+        store.write_array("wide", np.array([-(2**40), 12, 2**50]),
+                          np.array([[1, 2], [3, 4], [5, 6]]),
+                          slots=np.array([2, 0, 1]))
+        store.seal()
+        return store
+
+    def traffic(store):
+        got = [
+            store.read_array("table", np.array([3, 4, 6, 9, 100]), fill=-1,
+                             return_found=True),
+            store.read_array("identity", np.array([19, 10, 9]), fill=-1.0),
+            store.read_array("wide", np.array([12, 2**50, 12]),
+                             slots=np.array([0, 1, 1]), fill=0),
+        ]
+        scalars = [
+            store.get(("table", 3)), store.get_indexed(("table", 3), 2),
+            store.get(("identity", 12)), store.get(("wide", 2**50, 1)),
+            store.get(("wide", 5, 0)), store.multiplicity(("table", 3)),
+            ("identity", 20) in store, len(store),
+        ]
+        return got, scalars
+
+    parent, twin = build(), build()
+    with ShmArena() as arena:
+        export = export_store(parent, arena)
+        shipped = {
+            namespace: {name for name in ("order", "table", "sorted_keys")
+                        if parts[name] is not None}
+            for namespace, parts in export["columns"].items()
+        }
+        assert shipped == {"table": {"order", "table"},
+                           "identity": {"table"}, "wide": {"sorted_keys"}}
+        shadow, handles = attach_store(export)
+        try:
+            got, scalars = traffic(shadow)
+            want, want_scalars = traffic(twin)
+            for a, b in zip(got, want):
+                np.testing.assert_equal(a, b)
+            assert scalars == want_scalars
+            assert shadow.n_reads == twin.n_reads
+            assert np.array_equal(shadow.server_read_loads,
+                                  twin.server_read_loads)
+        finally:
+            handles.close()
+
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 

@@ -21,6 +21,7 @@ from repro.core import (
     StoreNotSealedError,
     StoreSealedError,
 )
+from repro.core import dds as dds_module
 from repro.verify import strategies as vst
 
 # A narrowed draw of the shared DDS strategies: sampling from a small key
@@ -146,3 +147,111 @@ def test_read_namespace_of_array_writes_is_write_order(batches):
         assert values.tolist() == want_values
     ids, values = store.read_namespace("never-written")
     assert ids.size == 0 and values.size == 0
+
+
+# -- the column index: both forms against a dict-of-lists model -------------
+
+
+@st.composite
+def column_cases(draw, bound=1 << 63):
+    """One namespace's worth of ``write_array`` chunks plus probe keys.
+
+    Returns ``(chunks, probe_ids, probe_slots)``; chunks are ``(ids, slots,
+    values)`` with ``slots`` None throughout for a plain column. Slotted
+    ids stay below 2**40 so the composite key always fits (overflow has
+    its own test in test_core_dds.py); written slots include negatives
+    and repeats. Probes: every written key, its id neighbours, strangers
+    and — slotted — slots outside the written range up to the int64 ends.
+    """
+    slotted = draw(st.booleans())
+    if slotted:
+        bound = min(bound, 1 << 40)
+    chunks = []
+    for _ in range(draw(st.integers(1, 4))):
+        ids = draw(vst.column_ids(bound=bound))
+        slots = (
+            draw(vst.id_arrays(ids.size, ids.size, lo=-3, hi=6))
+            if slotted else None
+        )
+        values = draw(vst.id_arrays(ids.size, ids.size, lo=-99, hi=99))
+        chunks.append((ids, slots, values))
+    written = np.concatenate([ids for ids, _, _ in chunks])
+    strangers = draw(vst.column_ids(max_size=8))
+    probe_ids = np.concatenate([
+        written, written[written > -(2**63)] - 1,
+        written[written < 2**63 - 1] + 1, strangers,
+    ])
+    if not slotted:
+        return chunks, probe_ids, None
+    n_other = probe_ids.size - written.size
+    other = draw(st.lists(
+        st.integers(-5, 9) | st.sampled_from([-(2**63), 2**63 - 1]),
+        min_size=n_other, max_size=n_other,
+    ))
+    probe_slots = np.concatenate(
+        [slots for _, slots, _ in chunks] + [np.asarray(other, np.int64)]
+    )
+    return chunks, probe_ids, probe_slots
+
+
+def _check_against_model(chunks, probe_ids, probe_slots):
+    """Fill a store from the chunks and compare every read API with a
+    dict-of-lists model; returns the store and its ``read_array`` answer."""
+    store = DistributedDataStore(0, n_servers=4, seed=7)
+    model: dict = {}
+    for ids, slots, values in chunks:
+        store.write_array("c", ids, values, slots=slots)
+        keys = ids.tolist() if slots is None else zip(ids.tolist(), slots.tolist())
+        for key, value in zip(keys, values.tolist()):
+            model.setdefault(key, []).append(value)
+    store.seal()
+    out, found = store.read_array(
+        "c", probe_ids, slots=probe_slots, fill=-777, return_found=True
+    )
+    assert np.array_equal(
+        out, store.read_array("c", probe_ids, slots=probe_slots, fill=-777)
+    )
+    keys = (
+        probe_ids.tolist() if probe_slots is None
+        else list(zip(probe_ids.tolist(), probe_slots.tolist()))
+    )
+    for key, value, hit in zip(keys, out.tolist(), found.tolist()):
+        want = model.get(key, [])
+        full = ("c", key) if probe_slots is None else ("c", *key)
+        assert hit == bool(want)
+        assert value == (want[0] if want else -777)
+        assert store.get(full) == (want[0] if want else None)
+        assert store.multiplicity(full) == len(want)
+        assert (full in store) == bool(want)
+        for index in range(1, len(want) + 2):
+            expected = want[index - 1] if index <= len(want) else None
+            assert store.get_indexed(full, index) == expected
+    assert len(store) == len(model)
+    return store, out, found
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_cases())
+def test_column_index_matches_dict_of_lists(case):
+    _check_against_model(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_cases(bound=1 << 10))
+def test_both_index_forms_give_identical_answers(case):
+    """The same data indexed as a position table and as sorted keys."""
+    answers = []
+    factor_was = dds_module._TABLE_SPAN_FACTOR
+    try:
+        # Ids within +-2**10: a huge factor always picks the table, 0 never.
+        for factor in (1 << 20, 0):
+            dds_module._TABLE_SPAN_FACTOR = factor
+            store, out, found = _check_against_model(*case)
+            column = store._columns["c"]
+            if column.rows:
+                assert (column._table is not None) == (factor > 0)
+            answers.append((out, found))
+    finally:
+        dds_module._TABLE_SPAN_FACTOR = factor_was
+    assert np.array_equal(answers[0][0], answers[1][0])
+    assert np.array_equal(answers[0][1], answers[1][1])
