@@ -22,11 +22,9 @@ _HEADERS: dict[str, list[str]] = {}
 def quick_mode() -> bool:
     """The one fast-mode switch for everything benchmark-shaped.
 
-    ``REPRO_BENCH_QUICK=1`` (set by ``repro bench --quick`` and ``repro
-    perf regen --quick``) means: smallest parametrizations here, quick
-    sizes in the regeneration ``main()``s of bench modules that have
-    one, and tiny cell sizes in the ``repro.perf`` suite collector —
-    one switch, honored uniformly.
+    ``REPRO_BENCH_QUICK=1`` (set by ``repro bench --quick``) means:
+    smallest parametrizations here and tiny cell sizes in the
+    ``repro.perf`` suite collector — one switch, honored uniformly.
     """
     return bool(os.environ.get("REPRO_BENCH_QUICK"))
 

@@ -21,11 +21,9 @@ Usage::
     python -m repro perf check [--suite smoke] [--json -]
     python -m repro perf baseline --suite smoke [--profile ID]
     python -m repro perf report --suite smoke
-    python -m repro perf regen [--quick] [--only observe]
     python -m repro serve graph.txt --query mis_member:17
     python -m repro serve --size 500 --workload bursty-hotspot
-    python -m repro loadgen --size 400 --backends serial,process \
-        --json benchmarks/BENCH_serve.json
+    python -m repro loadgen --size 400 [--json rows.json]
     python -m repro generate er 1000 3000 out.txt [--seed 0]
 
 Algorithm runs, traces, and verify sweeps accept ``--backend
@@ -174,11 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "then exit")
     verify.add_argument("--quiet", action="store_true",
                         help="suppress the per-cell progress lines")
-    verify.add_argument("--observe-baseline", metavar="PATH",
-                        default="benchmarks/BENCH_observe.json",
-                        help="observability overhead baseline consulted by "
-                             "the --smoke traced case (missing file skips "
-                             "the overhead gate, not the schema checks)")
 
     trace = sub.add_parser(
         "trace",
@@ -218,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="metrics snapshot output (default "
                             "metrics.json; '-' to skip the file and print "
                             "to stdout)")
-    trace.add_argument("--profile", action="store_true",
-                       help="attribute wall time to simulator phases "
-                            "with cProfile (adds real overhead)")
     trace.add_argument("--no-summary", action="store_true",
                        help="suppress the rendered timeline and metric "
                             "summary")
@@ -228,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf = sub.add_parser(
         "perf",
         help="perf-regression harness: collect timestamped profiles, pin "
-             "baselines, detect statistical degradations (exit 1), "
-             "regenerate the checked-in BENCH_*.json files",
+             "baselines, detect statistical degradations (exit 1)",
     )
     perf_sub = perf.add_subparsers(dest="perf_cmd", required=True)
 
@@ -291,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", metavar="PATH", default=None,
                          help="write the JSON check report here "
                               "('-' for stdout)")
-    p_check.add_argument("--observe-baseline", metavar="PATH",
-                         default=None,
-                         help="also run the observability overhead gate "
-                              "against this BENCH_observe.json baseline")
 
     p_baseline = perf_sub.add_parser(
         "baseline", help="pin, show, or list named baselines"
@@ -318,23 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--limit", type=int, default=8,
                           help="show at most the newest N profiles "
                                "(default 8)")
-
-    p_regen = perf_sub.add_parser(
-        "regen",
-        help="regenerate the checked-in benchmarks/BENCH_*.json files "
-             "from their bench modules (one entry point for perf "
-             "history)",
-    )
-    p_regen.add_argument("--only", action="append", default=None,
-                         choices=["observe", "parallel", "simulator",
-                                  "resilience", "serve", "ingest"],
-                         help="regenerate only this target (repeatable)")
-    p_regen.add_argument("--quick", action="store_true",
-                         help="smoke-test the regeneration pipeline with "
-                              "tiny sizes, writing into .perf/regen/ "
-                              "instead of overwriting benchmarks/")
-    p_regen.add_argument("--bench-dir", default="benchmarks", metavar="DIR",
-                         help="benchmark directory (default: benchmarks)")
 
     bench = sub.add_parser(
         "bench",
@@ -364,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "m = 2n)")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--epsilon", type=float, default=0.5)
-    add_backend(serve)
     serve.add_argument("--query", action="append", default=None,
                        metavar="KIND:KEY[,KEY2]",
                        help="answer one request and print its ledger; "
@@ -379,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen = sub.add_parser(
         "loadgen",
         help="drive synthetic traffic at a resident serving engine; "
-             "report sustained QPS + p50/p95/p99 per workload x backend "
-             "(the BENCH_serve.json generator)",
+             "report sustained QPS + p50/p95/p99 per workload",
     )
     loadgen.add_argument("graph", nargs="?", default=None,
                          help="edge-list file; omit to generate an ER "
@@ -394,17 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "all standard patterns)")
     loadgen.add_argument("--requests", type=int, default=None,
                          help="override n_requests per workload")
-    loadgen.add_argument("--backends", default="serial", metavar="A,B",
-                         help="comma-separated backends to compare "
-                              "(default serial; e.g. serial,process)")
-    loadgen.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="process-backend worker count")
     loadgen.add_argument("--max-queue", type=int, default=256,
                          help="admission-control queue bound (default 256)")
     loadgen.add_argument("--batch-window", type=int, default=32,
                          help="requests per scheduling tick (default 32)")
     loadgen.add_argument("--json", metavar="PATH", default=None,
-                         help="write the BENCH_serve.json payload here "
+                         help="write the result rows as JSON here "
                               "('-' for stdout)")
 
     stats_p = sub.add_parser("stats", help="describe a graph file")
@@ -588,13 +549,12 @@ def _bench(args) -> int:
 
 
 def _perf(args) -> int:
-    """``repro perf collect|check|baseline|report|regen`` dispatch."""
+    """``repro perf collect|check|baseline|report`` dispatch."""
     handlers = {
         "collect": _perf_collect,
         "check": _perf_check,
         "baseline": _perf_baseline,
         "report": _perf_report,
-        "regen": _perf_regen,
     }
     return handlers[args.perf_cmd](args)
 
@@ -642,7 +602,6 @@ def _perf_check(args) -> int:
         check_to_json,
         collect,
         compare_profiles,
-        observe_overhead_gate,
         render_check,
     )
 
@@ -689,20 +648,6 @@ def _perf_check(args) -> int:
 
     print(render_check(result), file=human)
 
-    gate_ok = True
-    if args.observe_baseline is not None:
-        gate = observe_overhead_gate(args.observe_baseline)
-        gate_ok = gate["ok"]
-        if gate["skipped"]:
-            print(f"observe overhead gate: skipped (no baseline at "
-                  f"{args.observe_baseline})", file=human)
-        else:
-            print(f"observe overhead gate: armed {gate['armed_pct']:+.1f}% "
-                  f"vs gate {gate['allowed_pct']:.1f}% "
-                  f"[{'ok' if gate_ok else 'FAIL'}]", file=human)
-            for problem in gate["problems"]:
-                print(f"  {problem}", file=human)
-
     if args.json == "-":
         print(check_to_json(result))
     elif args.json:
@@ -710,7 +655,7 @@ def _perf_check(args) -> int:
             fh.write(check_to_json(result) + "\n")
         print(f"wrote JSON check report -> {args.json}", file=human)
 
-    return 0 if (result.ok and gate_ok) else 1
+    return 0 if result.ok else 1
 
 
 def _perf_baseline(args) -> int:
@@ -754,76 +699,6 @@ def _perf_report(args) -> int:
     profiles = [store.load(profile_id) for profile_id in ids]
     print(render_history(profiles,
                          baseline_id=pin.profile if pin else None))
-    return 0
-
-
-def _perf_regen(args) -> int:
-    """Regenerate the checked-in BENCH_*.json files in one entry point.
-
-    Full mode overwrites the files under ``benchmarks/``; ``--quick``
-    smoke-tests each regeneration pipeline at tiny sizes into
-    ``.perf/regen/`` so nothing checked-in is clobbered with
-    quick-sized data.
-    """
-    import os
-    import subprocess
-
-    import repro
-
-    bench_dir = args.bench_dir
-    if not os.path.isdir(bench_dir):
-        print(f"benchmark directory not found: {bench_dir}",
-              file=sys.stderr)
-        return 2
-    out_dir = bench_dir if not args.quick else os.path.join(
-        ".perf", "regen")
-    os.makedirs(out_dir, exist_ok=True)
-
-    env = dict(os.environ)
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__)))
-    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-    if args.quick:
-        env["REPRO_BENCH_QUICK"] = "1"
-
-    def script(name: str) -> str:
-        return os.path.join(bench_dir, name)
-
-    targets = {
-        "observe": [sys.executable, script("bench_observe_overhead.py"),
-                    os.path.join(out_dir, "BENCH_observe.json")],
-        "parallel": [sys.executable, script("bench_parallel.py"),
-                     "--out", os.path.join(out_dir, "BENCH_parallel.json")]
-                    + (["--quick"] if args.quick else []),
-        "simulator": [sys.executable, script("bench_simulator_overhead.py"),
-                      os.path.join(out_dir, "BENCH_simulator.json")],
-        "resilience": [sys.executable, script("bench_resilience.py")],
-        "serve": [sys.executable, script("bench_serve.py"),
-                  "--out", os.path.join(out_dir, "BENCH_serve.json")]
-                 + (["--quick"] if args.quick else []),
-        "ingest": [sys.executable, script("bench_ingest.py"),
-                   "--out", os.path.join(out_dir, "BENCH_ingest.json")]
-                  + (["--quick"] if args.quick else []),
-    }
-    wanted = args.only or list(targets)
-    if args.quick and "resilience" in wanted and args.only is None:
-        # bench_resilience writes next to its own file and has no quick
-        # knob; skip it in quick mode unless explicitly requested.
-        wanted = [t for t in wanted if t != "resilience"]
-        print("regen: skipping resilience in --quick mode (no quick "
-              "sizes; run without --quick or with --only resilience)")
-
-    failed = []
-    for target in wanted:
-        print(f"regen: {target} -> {' '.join(targets[target][1:])}")
-        proc = subprocess.run(targets[target], env=env)
-        if proc.returncode != 0:
-            failed.append(target)
-            print(f"regen: {target} FAILED (exit {proc.returncode})",
-                  file=sys.stderr)
-    if failed:
-        return 1
-    print(f"regen: {len(wanted)} target(s) ok -> {out_dir}/")
     return 0
 
 
@@ -885,7 +760,7 @@ def _verify(args) -> int:
     if args.smoke:
         from repro.verify.runner import SMOKE_CELLS
 
-        markers = {True: "ok ", False: "FAIL", None: "skip"}
+        markers = {True: "ok ", False: "FAIL"}
         for _name, skip, run in SMOKE_CELLS:
             if skip(args):
                 continue
@@ -894,7 +769,7 @@ def _verify(args) -> int:
                       file=human)
                 for problem in outcome["problems"]:
                     print(f"    {problem}", file=human)
-                ok = ok and outcome["ok"] is not False
+                ok = ok and outcome["ok"]
     return 0 if ok else 1
 
 
@@ -927,11 +802,10 @@ def _serve(args) -> int:
     from repro.serve import ServingEngine, run_loadgen, workload_config
 
     graph, source = _serve_graph(args)
-    engine = ServingEngine(graph, epsilon=args.epsilon, seed=args.seed,
-                           backend=args.backend, n_workers=args.workers)
+    engine = ServingEngine(graph, epsilon=args.epsilon, seed=args.seed)
     s = engine.summary()
     print(f"resident engine over {source}: n={s['n']} m={s['m']} "
-          f"components={s['n_components']} backend={s['backend']} "
+          f"components={s['n_components']} "
           f"(built in {s['build_rounds']} rounds)")
     if args.query:
         for spec in args.query:
@@ -955,7 +829,7 @@ def _serve(args) -> int:
 
 
 def _loadgen(args) -> int:
-    """``repro loadgen`` — the workload x backend benchmark grid."""
+    """``repro loadgen`` — replay the named workloads, one row each."""
     import json as _json
 
     from repro.serve import (
@@ -965,24 +839,21 @@ def _loadgen(args) -> int:
     graph, source = _serve_graph(args)
     names = (args.workloads.split(",") if args.workloads
              else sorted(STANDARD_WORKLOADS))
-    backends = args.backends.split(",")
     admission = AdmissionControl(max_queue=args.max_queue,
                                  batch_window=args.batch_window)
     payload = loadgen_matrix(
-        graph, workloads=names, backends=backends,
-        n_requests=args.requests, seed=args.seed, n_workers=args.workers,
+        graph, workloads=names, n_requests=args.requests, seed=args.seed,
         admission=admission,
     )
     payload["source"] = source
-    print(f"loadgen over {source}: {len(names)} workloads x "
-          f"{len(backends)} backends")
-    header = (f"  {'workload':18s} {'backend':8s} {'served':>7s} "
+    print(f"loadgen over {source}: {len(names)} workloads")
+    header = (f"  {'workload':18s} {'served':>7s} "
               f"{'shed':>5s} {'qps':>9s} {'p50ms':>8s} {'p99ms':>8s} ok")
     print(header)
     all_ok = True
     for row in payload["rows"]:
         all_ok &= row["reconciled"]
-        print(f"  {row['workload']:18s} {row['backend']:8s} "
+        print(f"  {row['workload']:18s} "
               f"{row['completed']:7d} {row['rejected']:5d} "
               f"{row['qps']:9.0f} {row['p50_ms']:8.3f} "
               f"{row['p99_ms']:8.3f} "
@@ -1063,8 +934,7 @@ def _trace(args) -> int:
     from repro.parallel import use_backend
 
     with use_backend(args.backend, args.workers):
-        with TracingSession(detail=args.detail, metrics=True,
-                            profile=args.profile) as session:
+        with TracingSession(detail=args.detail, metrics=True) as session:
             result = run(workload, args.seed)
     report = case.report_of(result)
 
@@ -1104,9 +974,6 @@ def _trace(args) -> int:
             print(f"read mix: {scalar_r} scalar, {batch_r} batched")
         print()
         print(render_timeline(report))
-        if session.breakdown is not None:
-            print()
-            print(session.breakdown.format_table())
 
     if problems:
         print()

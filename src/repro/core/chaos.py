@@ -27,9 +27,8 @@ module makes every one of those failure modes executable and measurable:
 
 Everything is deterministic in ``FaultPlan.seed`` and independent of the
 algorithm's own randomness, so a faulty run must produce *bit-identical*
-results to a fault-free run — the property the chaos tests and
-``benchmarks/bench_resilience.py`` assert while measuring what the
-recovery cost.
+results to a fault-free run — the property the chaos tests assert while
+the recovery ledger records what the recovery cost.
 """
 
 from __future__ import annotations

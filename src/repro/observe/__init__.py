@@ -1,6 +1,6 @@
 """``repro.observe`` — structured observability for AMPC executions.
 
-Three composable tools, all built on the runtime hook interface of
+Two composable tools, both built on the runtime hook interface of
 :mod:`repro.core.hooks`:
 
 * **Tracing** (:mod:`~repro.observe.tracer`): span-based execution
@@ -12,21 +12,17 @@ Three composable tools, all built on the runtime hook interface of
   base-2 histograms (per-server contention, round latency,
   batch-vs-scalar op split) with one-call snapshot; totals are
   bit-identical to the :class:`~repro.core.cost.RunReport` ledger.
-* **Profiling** (:mod:`~repro.observe.profiler`): opt-in cProfile
-  wrapping with wall time attributed to simulator phases
-  (hash/partition, DDS serve, algorithm logic, ...).
 
 :class:`TracingSession` bundles them behind one context manager and is
 what the ``repro trace`` CLI uses::
 
     from repro.observe import TracingSession
 
-    with TracingSession(detail="machine", profile=True) as session:
+    with TracingSession(detail="machine") as session:
         result = repro.connectivity(graph, seed=0)
 
     export.write_chrome_trace(session.events, "trace.json")
     print(session.metrics.registry.to_json())
-    print(session.profiler.breakdown().format_table())
 
 The layer composes with every execution path: the scalar engine, the
 vectorized batch engine (batch ops surface as single events with
@@ -64,7 +60,6 @@ from .metrics import (
     MetricsObserver,
     MetricsRegistry,
 )
-from .profiler import PhaseBreakdown, RunProfiler, phase_of, time_run
 from .tracer import Event, OpTracer, Tracer
 
 __all__ = [
@@ -76,10 +71,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsObserver",
-    "RunProfiler",
-    "PhaseBreakdown",
-    "phase_of",
-    "time_run",
     "TracingSession",
     "make_tracer",
     "export",
@@ -108,7 +99,7 @@ def make_tracer(detail: str = "machine") -> Tracer:
 
 
 class TracingSession:
-    """Arm tracing / metrics / profiling for every runtime in a block.
+    """Arm tracing / metrics for every runtime in a block.
 
     Observers are installed globally (like
     :class:`repro.verify.invariants.InvariantSuite`): every runtime
@@ -119,9 +110,6 @@ class TracingSession:
         detail: trace granularity — ``"round"``, ``"machine"``
             (default), or ``"op"`` (per-operation events; large traces).
         metrics: collect the standard model-cost metrics.
-        profile: wrap the block in :class:`RunProfiler` (cProfile;
-            meaningful overhead — never combine with overhead
-            measurements).
         observers: extra :class:`~repro.core.hooks.RuntimeObserver`
             instances to mount into the same run — e.g.
             ``InvariantSuite().observers`` to conformance-check the
@@ -129,9 +117,8 @@ class TracingSession:
         consumers: objects with ``on_event(event)`` streamed every
             completed trace event.
 
-    After the block: :attr:`events` (finalized trace),
-    :attr:`snapshot` (metrics dict), :attr:`breakdown`
-    (:class:`PhaseBreakdown` or None).
+    After the block: :attr:`events` (finalized trace) and
+    :attr:`snapshot` (metrics dict).
     """
 
     def __init__(
@@ -139,7 +126,6 @@ class TracingSession:
         *,
         detail: str = "machine",
         metrics: bool = True,
-        profile: bool = False,
         observers: Iterable[Any] = (),
         consumers: Iterable[Any] = (),
     ) -> None:
@@ -147,11 +133,9 @@ class TracingSession:
         for consumer in consumers:
             self.tracer.add_consumer(consumer)
         self.metrics = MetricsObserver() if metrics else None
-        self.profiler = RunProfiler() if profile else None
         self.extra_observers = list(observers)
         self.events: list[Event] = []
         self.snapshot: dict[str, Any] = {}
-        self.breakdown: PhaseBreakdown | None = None
         self._installed: list[Any] = []
 
     def __enter__(self) -> "TracingSession":
@@ -162,14 +146,9 @@ class TracingSession:
         for obs in to_install:
             install_observer(obs)
         self._installed = to_install
-        if self.profiler is not None:
-            self.profiler.start()
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        if self.profiler is not None:
-            self.profiler.stop()
-            self.breakdown = self.profiler.breakdown()
         for obs in self._installed:
             uninstall_observer(obs)
         self._installed = []

@@ -2,9 +2,8 @@
 
 One question, answered reproducibly: what does arming the default
 tracer + metrics cost, and what does the *existence* of the hook points
-cost when nothing is armed? The contract (enforced by
-``benchmarks/bench_observe_overhead.py`` and the traced smoke case of
-``repro verify --smoke``):
+cost when nothing is armed? The contract (enforced by the traced smoke
+case of ``repro verify --smoke``):
 
 * **disabled** — no observers installed — must be ~0%: every hook site
   is a single ``is None`` / gate-flag predicate.
@@ -123,17 +122,4 @@ def overhead_trial(
         "armed_overhead_pct": armed_pct,
         "events": len(session.events),
         "ledger_identical": ledger_ok,
-    }
-
-
-def run_overhead_suite(
-    *, n: int = 3000, repeats: int = 3, seed: int = 0
-) -> dict[str, Any]:
-    """The checked-in benchmark: scalar and vectorized, default detail."""
-    return {
-        "budget_pct": ARMED_BUDGET_PCT,
-        "trials": [
-            overhead_trial(n=n, seed=seed, vectorized=False, repeats=repeats),
-            overhead_trial(n=n, seed=seed, vectorized=True, repeats=repeats),
-        ],
     }

@@ -50,9 +50,9 @@ the bulk columnar path — runs of scalar writes collapse into one
 ``DistributedDataStore._apply_journal_writes`` call per run (single seal
 check, one placement hash sweep per namespace) and batch writes go
 straight through ``write_array``. Trace-replaying runs keep the per-op
-loop so hook dispatch order stays byte-for-byte serial. The measured
-constant is recorded in ``benchmarks/BENCH_parallel.json`` under
-``replay_merge``.
+loop so hook dispatch order stays byte-for-byte serial. The
+``replay_merge`` cell of ``repro perf collect --suite smoke`` measures
+the constant.
 """
 
 from __future__ import annotations

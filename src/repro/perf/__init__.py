@@ -8,9 +8,8 @@ with named baselines, and :func:`compare_profiles` classifies every
 (bench, params) cell as improvement / no-change / degradation with
 three noise-aware detectors (bootstrap median-shift CI, Mann–Whitney U,
 best-of-k exceedance). The ``repro perf`` CLI wires it into CI:
-``collect`` → ``baseline`` → ``check`` (exit 1 on degradation), with
-the observability overhead gate and BENCH_*.json regeneration folded
-into the same entry point. See ``docs/perf.md``.
+``collect`` → ``baseline`` → ``check`` (exit 1 on degradation). See
+``docs/perf.md``.
 """
 
 from .detect import (

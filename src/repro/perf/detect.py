@@ -42,8 +42,8 @@ IMPROVEMENT = "improvement"
 NO_CHANGE = "no-change"
 
 #: Host-fingerprint keys that must match for a comparison to be
-#: meaningful. ``host_cores`` is the BENCH_parallel.json lesson: scaling
-#: numbers from a 1-core host say nothing about a 4-core host.
+#: meaningful: scaling numbers from a 1-core host say nothing about a
+#: 4-core host.
 STRICT_HOST_KEYS = ("host_cores", "machine", "python")
 
 #: Methodology keys every collected profile must record (satellite of

@@ -1,8 +1,7 @@
 """Declarative bench-suite registry and the profile collector.
 
-A **suite** is a named list of :class:`BenchSpec` cells — the same
-workloads the ``benchmarks/bench_*.py`` sweeps measure, wrapped behind
-one uniform ``collect()`` API. Each spec builds its workload once
+A **suite** is a named list of :class:`BenchSpec` cells behind one
+uniform ``collect()`` API. Each spec builds its workload once
 (generation cost never contaminates the samples), runs ``warmup``
 throwaway iterations, then records ``repeats`` wall-clock samples.
 
@@ -19,7 +18,6 @@ every cell to its quick size, so CI smoke runs finish in seconds.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
@@ -59,8 +57,8 @@ SUITES: dict[str, list[_SuiteEntry]] = {
     # Ingestion throughput guard (repro.graph.files/csr, ROADMAP item 4):
     # the timed thunks are the vectorized edge-list parse, the
     # external-memory CSR build, and the streaming RMAT generator — a
-    # regression here is an ingestion-path regression (benchmarks/
-    # bench_ingest.py holds the absolute edges/sec + peak-RSS numbers).
+    # regression here is an ingestion-path regression (`bench/run.py
+    # --workload ingest-text` measures absolute wall time + peak RSS).
     "ingest": [
         ("ingest_parse", {"n": 4000}, {"n": 256}),
         ("ingest_csr", {"n": 4000}, {"n": 256}),
@@ -343,60 +341,39 @@ def collect(
 
 
 # ---------------------------------------------------------------------------
-# the observability overhead gate (folded in from `repro verify --smoke`)
+# the observability overhead gate of `repro verify --smoke`
 # ---------------------------------------------------------------------------
 
 
-def observe_overhead_gate(
-    baseline_path: str,
-    *,
-    n: int = 1500,
-    repeats: int = 3,
-    attempts: int = 3,
-) -> dict[str, Any]:
-    """Armed-observability overhead vs. the checked-in baseline.
+def observe_overhead_gate() -> dict[str, Any]:
+    """Armed-observability overhead vs. the ``ARMED_BUDGET_PCT`` budget.
 
-    The retry-tolerant gate previously inlined in ``repro verify
-    --smoke``: overhead is measured up to ``attempts`` times and passes
-    if ANY attempt lands under ``max(baseline, 0) + ARMED_BUDGET_PCT``
-    — a real regression fails every attempt, CI-host noise does not
-    survive a retry. Returns ``{"skipped": True}`` when no baseline
-    file exists (the gate, not the schema checks, is what needs it).
+    The retry-tolerant gate of ``repro verify --smoke``: overhead is
+    measured up to three times and passes if ANY attempt lands under the
+    budget — a real regression fails every attempt, CI-host noise does
+    not survive a retry. Shared CI hosts show double-digit-percent noise
+    on sub-second runs; the gate is for catastrophic regressions (a
+    consumer re-enabling per-op dispatch costs >20%), not for tuning.
     """
     from repro.observe.overhead import ARMED_BUDGET_PCT, overhead_trial
 
-    if not os.path.exists(baseline_path):
-        return {"skipped": True, "ok": True, "baseline_path": baseline_path,
-                "problems": []}
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    base_pct = max(t["armed_overhead_pct"] for t in baseline["trials"])
-    # Baseline plus one full budget width of slack — shared CI hosts
-    # show double-digit-percent noise on sub-second runs; the gate is
-    # for catastrophic regressions (a consumer re-enabling per-op
-    # dispatch costs >20%), not for tuning.
-    allowed = max(base_pct, 0.0) + ARMED_BUDGET_PCT
-    trial: dict[str, Any] | None = None
-    for _ in range(max(1, attempts)):
-        trial = overhead_trial(n=n, repeats=repeats)
+    allowed = ARMED_BUDGET_PCT
+    attempts = 3
+    for _ in range(attempts):
+        trial = overhead_trial(n=1500, repeats=3)
         if (trial["armed_overhead_pct"] <= allowed
                 and trial["ledger_identical"]):
             break
-    assert trial is not None
     problems = []
     if not trial["ledger_identical"]:
         problems.append("traced run's ledger differs from unobserved")
     if trial["armed_overhead_pct"] > allowed:
         problems.append(
             f"armed overhead {trial['armed_overhead_pct']:.1f}% exceeds "
-            f"gate {allowed:.1f}% (baseline {base_pct:.1f}% + "
-            f"{ARMED_BUDGET_PCT}% slack) in {attempts}/{attempts} attempts"
+            f"gate {allowed:.1f}% in {attempts}/{attempts} attempts"
         )
     return {
-        "skipped": False,
         "ok": not problems,
-        "baseline_path": baseline_path,
-        "baseline_pct": base_pct,
         "allowed_pct": allowed,
         "armed_pct": trial["armed_overhead_pct"],
         "problems": problems,

@@ -19,7 +19,7 @@ ROADMAP item 1's "sustained QPS and p50/p99 latency" — in four layers:
   × uniform/Zipfian/hotspot popularity × mixed op ratios, deterministic
   under a seed.
 * **Loadgen** (:mod:`~repro.serve.loadgen`): the traffic driver behind
-  ``repro loadgen`` and the checked-in ``benchmarks/BENCH_serve.json``.
+  ``repro loadgen`` and the ``serve-*`` workloads of ``bench/run.py``.
 
 Quick start (also what the ``repro serve`` CLI does)::
 

@@ -108,9 +108,6 @@ class ServingEngine:
         seed: reproducibility seed — fixes π, machine placement, and
             therefore every answer and every ledger entry.
         config: explicit deployment.
-        backend: ``repro.parallel`` backend for query rounds
-            ("serial" / "process"; default: ambient backend).
-        n_workers: worker processes for the process backend.
         query_cap: §5 per-request call capacity. Default ``n + 1`` =
             uncapped (exact membership); lower values trade exactness
             for bounded per-request cost and may answer ``None``.
@@ -125,8 +122,6 @@ class ServingEngine:
         epsilon: float = 0.5,
         seed: int = 0,
         config: AMPCConfig | None = None,
-        backend: str | None = None,
-        n_workers: int | None = None,
         query_cap: int | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -158,7 +153,11 @@ class ServingEngine:
         )
 
         # -- seal phase: publish the columns, pin the resident checkpoint --
-        self.runtime = AMPCRuntime(config, backend=backend, n_workers=n_workers)
+        # Pinned serial: a tick is one batch window of requests, and
+        # sharding that over worker processes lost to in-process on every
+        # measured workload (ROADMAP item 3) — an ambient
+        # use_backend("process") must not re-enable it.
+        self.runtime = AMPCRuntime(config, backend="serial")
         vs = np.arange(n, dtype=np.int64)
         deg = np.diff(indptr).astype(np.int64)
         base = indptr[:-1].astype(np.int64) if n else np.zeros(0, np.int64)
@@ -338,7 +337,6 @@ class ServingEngine:
             "n": self.graph.n,
             "m": self.graph.m,
             "n_components": int(self.n_components),
-            "backend": self.runtime.backend,
             "query_cap": self.query_cap,
             "build_rounds": self.build_report.n_rounds,
             "ticks": self._tick,

@@ -21,9 +21,9 @@ Reported per run (:class:`LoadgenResult.summary`):
 * **reconciled** — whether the per-request ledgers, the tick rows, and
   the observe counters agree (:meth:`ServingEngine.reconcile`).
 
-:func:`loadgen_matrix` runs workload × backend grids and produces the
-schema checked in as ``benchmarks/BENCH_serve.json`` (see
-``docs/serving.md`` for how to read it).
+:func:`loadgen_matrix` replays several workloads against one engine and
+returns one summary row each (see ``docs/serving.md`` for how to read
+them).
 """
 
 from __future__ import annotations
@@ -132,31 +132,22 @@ def loadgen_matrix(
     graph,
     *,
     workloads: Sequence[str | WorkloadConfig],
-    backends: Sequence[str] = ("serial",),
     n_requests: int | None = None,
     seed: int = 0,
-    n_workers: int | None = None,
     admission: AdmissionControl | None = None,
 ) -> dict[str, Any]:
-    """Run a workload × backend grid; the BENCH_serve.json payload.
+    """Replay each workload against one fresh engine; one row each.
 
-    A fresh engine is built per backend (resident state identical by
-    seed — the answers must match across backends bit-for-bit; only the
-    timing columns differ), then each workload replays against it. Rows
-    carry :meth:`LoadgenResult.summary` plus the backend and engine
-    identity.
+    Rows carry :meth:`LoadgenResult.summary` plus the engine identity
+    (``n``, ``m``, ``seed``).
     """
     rows: list[dict[str, Any]] = []
-    for backend in backends:
-        engine = ServingEngine(
-            graph, seed=seed, backend=backend, n_workers=n_workers
-        )
-        for spec in workloads:
-            cfg = workload_config(spec) if isinstance(spec, str) else spec
-            if n_requests is not None:
-                cfg = replace(cfg, n_requests=n_requests)
-            result = run_loadgen(engine, cfg, admission=admission)
-            row = {"backend": backend, "n": graph.n, "m": graph.m,
-                   "seed": seed, **result.summary()}
-            rows.append(row)
+    engine = ServingEngine(graph, seed=seed)
+    for spec in workloads:
+        cfg = workload_config(spec) if isinstance(spec, str) else spec
+        if n_requests is not None:
+            cfg = replace(cfg, n_requests=n_requests)
+        result = run_loadgen(engine, cfg, admission=admission)
+        rows.append({"n": graph.n, "m": graph.m, "seed": seed,
+                     **result.summary()})
     return {"rows": rows}

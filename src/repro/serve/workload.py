@@ -23,8 +23,8 @@ virtual clock, see :mod:`repro.serve.loadgen`). Determinism: one
 (config, n_keys) pair always yields the same stream, which is what the
 seed-matrix determinism tests pin down.
 
-:data:`STANDARD_WORKLOADS` names the three patterns the checked-in
-``benchmarks/BENCH_serve.json`` reports.
+:data:`STANDARD_WORKLOADS` names the three patterns ``repro loadgen``
+and the ``serve-smoke`` perf suite replay.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ class ServeEvent:
     request: ServeRequest
 
 
-#: The named patterns reported in BENCH_serve.json: steady uniform
-#: traffic, steady skewed traffic, and bursty traffic hammering a
-#: hotspot (the admission-control stressor).
+#: The named patterns ``repro loadgen`` replays by default: steady
+#: uniform traffic, steady skewed traffic, and bursty traffic hammering
+#: a hotspot (the admission-control stressor).
 STANDARD_WORKLOADS = {
     "poisson-uniform": WorkloadConfig(
         name="poisson-uniform", arrivals="poisson", popularity="uniform"

@@ -478,9 +478,8 @@ def _run_cell(
 # the extra cells of ``repro verify --smoke``
 # ---------------------------------------------------------------------------
 #
-# A smoke cell reports one outcome per line it prints: ``ok`` (True, False,
-# or None for a skipped check), ``summary`` (the line's text) and
-# ``problems`` (detail lines printed under it).
+# A smoke cell reports one outcome per line it prints: ``ok``, ``summary``
+# (the line's text) and ``problems`` (detail lines printed under it).
 
 
 def _outcome(label: str, problems: list[str], text: str, **extra: Any) -> dict:
@@ -732,9 +731,8 @@ def _cell_outcome(
 def _traced_smoke(args: Any) -> list[dict]:
     """One connectivity cell inside a :class:`TracingSession`: the exported
     trace must match the schema and the cost ledger. Then the armed-
-    overhead budget is guarded against the checked-in baseline via
-    :func:`repro.perf.observe_overhead_gate` (the same retry-tolerant
-    gate ``repro perf check --observe-baseline`` runs)."""
+    overhead budget is guarded by the retry-tolerant
+    :func:`repro.perf.observe_overhead_gate`."""
     from repro.observe import (
         TracingSession,
         reconcile_metrics,
@@ -761,22 +759,15 @@ def _traced_smoke(args: Any) -> list[dict]:
                    f"{len(session.events)} events, schema+ledger reconciled",
         "problems": [],
     }
-    gate = observe_overhead_gate(args.observe_baseline)
-    if gate["skipped"]:
-        gated = {
-            "ok": None,
-            "summary": f"observe overhead gate: no baseline at "
-                       f"{args.observe_baseline}",
-        }
-    else:
-        problems += gate["problems"]
-        gated = {
-            "ok": gate["ok"],
-            "summary": f"observe overhead: armed {gate['armed_pct']:+.1f}% "
-                       f"vs gate {gate['allowed_pct']:.1f}%",
-        }
-    # Both lines' problems are listed together, under the second.
-    gated["problems"] = [f"traced smoke problem: {p}" for p in problems]
+    gate = observe_overhead_gate()
+    problems += gate["problems"]
+    gated = {
+        "ok": gate["ok"],
+        "summary": f"observe overhead: armed {gate['armed_pct']:+.1f}% "
+                   f"vs gate {gate['allowed_pct']:.1f}%",
+        # Both lines' problems are listed together, under the second.
+        "problems": [f"traced smoke problem: {p}" for p in problems],
+    }
     return [traced, gated]
 
 
@@ -804,8 +795,9 @@ def _process_smoke(args: Any) -> list[dict]:
     # Workers are really SIGKILLed, hung, and delayed mid-round; the
     # supervisor must recover every shard and the answer must still be
     # bit-identical to the fault-free serial twin. The tight deadline
-    # turns dropped replies into fast respawns.
-    with use_recovery(RecoveryPolicy(task_deadline_s=10.0)):
+    # turns dropped replies into fast respawns (n = 48 tasks take
+    # milliseconds; every injected hang waits the deadline out).
+    with use_recovery(RecoveryPolicy(task_deadline_s=1.0)):
         record = _run_cell(
             CASES["connectivity"], "er", SMOKE_SIZE, 0,
             balance_slack=4.0, chaos=False,

@@ -602,7 +602,7 @@ class TestAlgorithmParity:
 
 
 # ---------------------------------------------------------------------------
-# sweep + benchmark integration
+# sweep integration
 # ---------------------------------------------------------------------------
 
 
@@ -636,21 +636,24 @@ class TestVectorizedSweep:
 
 
 def test_benchmark_sweep_smoke():
-    import importlib.util
-    import pathlib
+    """Batched DDS writes beat the scalar loop even at small sizes; that
+    both leave the same store is ``TestBatchStore``'s job."""
+    import time
 
-    bench_path = (pathlib.Path(__file__).resolve().parents[1]
-                  / "benchmarks" / "bench_simulator_overhead.py")
-    spec = importlib.util.spec_from_file_location("bench_sim", bench_path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    payload = module.run_sweep(dds_ops=2_000, list_n=3_000, mis_n=600,
-                               msf_n=400, repeats=1)
-    results = payload["results"]
-    assert set(results) == {"dds_write", "dds_read", "list_ranking",
-                            "mis", "msf"}
-    for entry in results.values():
-        assert entry["scalar_s"] > 0 and entry["batched_s"] > 0
-        assert np.isfinite(entry["speedup"])
-    # Batched DDS writes beat the scalar loop even at small sizes.
-    assert results["dds_write"]["speedup"] > 1.0
+    ids = np.arange(2_000, dtype=np.int64)
+
+    def scalar():
+        store = DistributedDataStore(0, n_servers=64, seed=1)
+        for i in ids.tolist():
+            store.write(("k", i), i)
+
+    def batched():
+        store = DistributedDataStore(0, n_servers=64, seed=1)
+        store.write_array("k", ids, ids)
+
+    def timed(fn) -> float:
+        began = time.perf_counter()
+        fn()
+        return time.perf_counter() - began
+
+    assert timed(batched) < timed(scalar)

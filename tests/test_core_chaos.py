@@ -379,3 +379,30 @@ def test_chaos_smoke():
     chaotic = list_ranking(succ, runtime=ChaosRuntime(cfg, plan=plan))
     assert np.array_equal(chaotic.ranks, clean.ranks)
     assert chaotic.report.recovery_summary()["recovery_reads"] > 0
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("algorithm", ["connectivity", "list_ranking", "mis"])
+def test_composed_plan_bit_identical(algorithm):
+    """Crashes, outages and read timeouts composed (20% / 10% / 2%,
+    replication 2): every algorithm's answer equals its fault-free run."""
+    from repro.algorithms.connectivity import connectivity
+    from repro.algorithms.list_ranking import list_ranking
+    from repro.algorithms.mis import maximal_independent_set
+    from repro.graph import generators
+
+    graph = generators.erdos_renyi_gnm(200, 500, rng=7)
+    solve, workload, answer = {
+        "connectivity": (connectivity, graph, "labels"),
+        "list_ranking": (list_ranking, generators.linked_list(512, rng=7),
+                         "ranks"),
+        "mis": (maximal_independent_set, graph, "in_mis"),
+    }[algorithm]
+    cfg = AMPCConfig.for_input(700, seed=5, replication_factor=2)
+    plan = (FaultPlan.machine_crashes(0.2)
+            | FaultPlan.server_outages(0.1)
+            | FaultPlan.read_timeouts(0.02)).with_seed(23)
+    clean = solve(workload, config=cfg)
+    chaotic = solve(workload, runtime=ChaosRuntime(cfg, plan=plan))
+    assert np.array_equal(getattr(chaotic, answer), getattr(clean, answer))
+    assert chaotic.report.recovery_summary()["recovery_reads"] > 0

@@ -142,15 +142,6 @@ class TestLifecycle:
         assert suite.violations == []
         assert reconcile_with_report(session.events, result.report) == []
 
-    def test_profiler_attributes_phases(self):
-        _, session = _traced_connectivity(profile=True)
-        assert session.breakdown is not None
-        assert session.breakdown.total_s > 0
-        phases = dict(session.breakdown.phases)
-        assert sum(phases.values()) == pytest.approx(
-            session.breakdown.total_s
-        )
-
 
 class TestChaosComposition:
     def test_aborted_rounds_are_excluded_from_totals(self):

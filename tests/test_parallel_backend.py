@@ -41,10 +41,10 @@ def _ledger(report):
     return _summary_without_walltime(report)
 
 
-def _run_both(fn):
-    """Run ``fn()`` serially and under the process backend (2 workers)."""
+def _run_both(fn, workers=2):
+    """Run ``fn()`` serially and under the process backend."""
     serial = fn()
-    with use_backend("process", 2):
+    with use_backend("process", workers):
         process = fn()
     return serial, process
 
@@ -54,9 +54,18 @@ def _run_both(fn):
 
 def test_connectivity_bit_identical():
     g = generators.erdos_renyi_gnm(300, 450, rng=5)
-    serial, process = _run_both(lambda: repro.connectivity(g, seed=3))
-    assert np.array_equal(serial.labels, process.labels)
-    assert _ledger(serial.report) == _ledger(process.report)
+    # Per-item program on 2 workers, block program on more workers than
+    # the host may have cores.
+    for vectorized, workers in ((False, 2), (True, 4)):
+        serial, process = _run_both(
+            lambda: repro.connectivity(g, seed=3, vectorized=vectorized),
+            workers,
+        )
+        assert np.array_equal(serial.labels, process.labels)
+        assert _ledger(serial.report) == _ledger(process.report)
+        # No faults armed: the supervisor had nothing to recover.
+        assert process.report.task_retries == 0
+        assert process.report.worker_respawns == 0
 
 
 @pytest.mark.parametrize("vectorized", [False, True])

@@ -154,11 +154,6 @@ def test_collect_list_and_unknown_suite(capsys):
     assert main(["perf", "collect", "--suite", "nope"]) == 2
 
 
-def test_regen_missing_bench_dir_exits_two(tmp_path):
-    assert main(["perf", "regen", "--bench-dir",
-                 str(tmp_path / "missing")]) == 2
-
-
 def test_collect_then_check_acceptance_flow(tmp_path, monkeypatch, capsys):
     """`repro perf collect --suite smoke && repro perf check` passes
     against the freshly (auto-)pinned baseline — the ISSUE acceptance
@@ -169,15 +164,16 @@ def test_collect_then_check_acceptance_flow(tmp_path, monkeypatch, capsys):
                  "--repeats", "3"]) == 0
     out = capsys.readouterr().out
     assert "pinned baseline 'smoke'" in out
+    store = ProfileStore(root)
+    first_id, = store.ids("smoke")
     assert main(["perf", "check", "--store", root, "--suite", "smoke"]) == 0
     assert "0 degradations" in capsys.readouterr().out
     # a second collect must not steal the pin
     assert main(["perf", "collect", "--store", root, "--suite", "smoke",
                  "--repeats", "3"]) == 0
-    assert "pinned baseline" not in capsys.readouterr().out.replace(
-        "pinned baseline 'smoke'", "") or True
-    store = ProfileStore(root)
+    assert "pinned baseline" not in capsys.readouterr().out
     assert len(store.ids("smoke")) == 2
+    assert store.get_baseline("smoke").profile == first_id
 
 
 def test_verify_perf_smoke_cell(monkeypatch):

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.mis import sequential_lfmis
 from repro.graph import generators
 from repro.serve import (
+    STANDARD_WORKLOADS,
     AdmissionControl,
     RequestScheduler,
     ServeRequest,
@@ -166,15 +168,20 @@ class TestDeterminism:
 class TestLoadgen:
     def test_summary_schema_and_reconciliation(self):
         engine = make_engine()
-        result = run_loadgen(engine, workload_config("bursty-hotspot",
-                                                     n_requests=50, seed=2))
-        row = result.summary()
-        for field in ("workload", "qps", "p50_ms", "p95_ms", "p99_ms",
-                      "accepted", "rejected", "completed", "reconciled"):
-            assert field in row
-        assert row["completed"] == 50
-        assert row["reconciled"] is True
-        assert row["qps"] > 0
+        in_mis = sequential_lfmis(engine.graph, engine.pi)
+        for name in sorted(STANDARD_WORKLOADS):
+            result = run_loadgen(engine, workload_config(
+                name, n_requests=50, seed=2))
+            row = result.summary()
+            for field in ("workload", "qps", "p50_ms", "p95_ms", "p99_ms",
+                          "accepted", "rejected", "completed", "reconciled"):
+                assert field in row
+            assert row["completed"] == 50
+            assert row["reconciled"] is True, result.reconcile_problems
+            assert row["qps"] > 0
+            for resp in result.responses:
+                if resp.request.kind == "mis_member":
+                    assert resp.value == bool(in_mis[resp.request.key])
 
     def test_overload_sheds_and_still_reconciles(self):
         engine = make_engine()

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Count code-only lines of the Python files under a directory.
+"""Count code-only lines of the Python files under one or more directories.
 
 A line counts when it carries at least one token that is not a comment and
 it is not part of a docstring, so blank lines, comment lines and docstrings
 are excluded while a statement spread over five lines counts five times.
-Prints the total, then one line per immediate sub-directory (files directly
-under the directory are listed as ``.``).
+Prints, per directory, the total, then one line per immediate sub-directory
+(files directly under the directory are listed as ``.``).
 
-    python3 tools/code_lines.py src/repro
+    python3 tools/code_lines.py src/repro [benchmarks tests ...]
 """
 
 from __future__ import annotations
@@ -44,21 +44,24 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) < 2:
         print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
         return 2
-    root = Path(argv[1])
-    if not root.is_dir():
-        print(f"not a directory: {root}", file=sys.stderr)
-        return 2
-    per_package: dict[str, int] = {}
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
-        package = relative.parts[0] if len(relative.parts) > 1 else "."
-        per_package[package] = per_package.get(package, 0) + code_lines(path)
-    print(f"{sum(per_package.values()):>7}  {root}")
-    for package, count in sorted(per_package.items()):
-        print(f"{count:>7}  {package}")
+    roots = [Path(arg) for arg in argv[1:]]
+    for root in roots:
+        if not root.is_dir():
+            print(f"not a directory: {root}", file=sys.stderr)
+            return 2
+    for root in roots:
+        per_package: dict[str, int] = {}
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root)
+            package = relative.parts[0] if len(relative.parts) > 1 else "."
+            per_package[package] = (per_package.get(package, 0)
+                                    + code_lines(path))
+        print(f"{sum(per_package.values()):>7}  {root}")
+        for package, count in sorted(per_package.items()):
+            print(f"{count:>7}  {package}")
     return 0
 
 
