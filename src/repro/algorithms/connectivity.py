@@ -26,7 +26,7 @@ from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
 from repro.core.runtime import AMPCRuntime
 from repro.graph.graph import Graph
-from repro.graph.io import encode_graph, encode_graph_arrays
+from repro.graph.io import encode_graph_arrays
 from repro.primitives.contraction import contract_graph, resolve_pointers
 from repro.primitives.sampling import leader_probability
 from repro.primitives.sorting import SORT_ROUNDS
@@ -84,12 +84,9 @@ def connectivity(
         runtime: run on an existing runtime (shares its ledger) — e.g. a
             :class:`repro.core.chaos.ChaosRuntime` armed with a fault
             plan; the result must be identical to a fault-free run.
-        vectorized: run the IncreaseDegrees round's per-block machine
-            program on the batch execution engine. Identical labels and
-            cost ledger (enforced by tests); everything outside the
-            machine program is shared. Silently falls back to the
-            per-vertex program when the runtime is not ``batch_capable``
-            (chaos / fault injection / MPC).
+        vectorized: accepted and ignored. There is one machine program
+            per round (the per-block one) on every runtime; the keyword
+            remains so existing callers keep working.
     """
     n = graph.n
     if config is None:
@@ -114,7 +111,6 @@ def connectivity(
     mapping = np.arange(n, dtype=np.int64)
     current = graph
     rng = config.rng(salt=0xC0)
-    use_batch = vectorized and runtime.batch_capable
 
     # Sparse case m = o(n log^2 n): shrink vertices by ~log^2 n first
     # (Lemma 6.2 substitute; see module docstring).
@@ -157,7 +153,6 @@ def connectivity(
         # Step 2a: IncreaseDegrees(G, d) — one adaptive BFS round.
         augmented = _increase_degrees(
             current, int(round(d)), runtime, tag=f"increase-deg:{phases}",
-            vectorized=use_batch,
         )
 
         # Step 2b: leader sampling with probability Θ(log n / d) — local
@@ -201,54 +196,46 @@ def _initial_budget(config: AMPCConfig, graph: Graph) -> float:
 
 
 def _increase_degrees(
-    graph: Graph, d: int, runtime: AMPCRuntime, *, tag: str,
-    vectorized: bool = False,
+    graph: Graph, d: int, runtime: AMPCRuntime, *, tag: str
 ) -> Graph:
     """Algorithm 6: BFS from every vertex until d vertices are seen.
 
     One adaptive round; every vertex issues at most O(d²) reads (the
     paper's query budget: d is the square root of per-vertex space).
     Returns the graph augmented with the (v, x) edges found.
+    """
+    # Array-native setup, written in bounded chunks: mmap-backed graphs
+    # (MmapGraph) enter the store without materializing.
+    result = runtime.round_batch(
+        np.arange(graph.n, dtype=np.int64), _bfs_block_worker(graph, d),
+        setup_arrays=encode_graph_arrays(graph), tag=tag,
+    )
+    vs, xs = result.store.read_namespace("fedge")
+    if vs.size == 0:
+        return graph
+    # Found edges are deduplicated into the edge set as part of the same
+    # round's writes (the BFS round already charged them); no extra round.
+    found = np.column_stack((vs, xs.astype(np.int64)))
+    combined = np.concatenate([graph.edges(), found])
+    return Graph.from_edges(graph.n, combined)
 
-    With ``vectorized=True`` the same BFS runs through
-    :meth:`AMPCRuntime.round_batch`: each machine replays the walk over
-    a local CSR copy with the *exact* scalar control flow (the attempt
-    counter ``reads`` increments regardless of the read cache, so the
-    walk is cache-independent), deduplicates the keys it touched (the
-    scalar path's per-machine read cache makes repeat reads free), then
-    charges them in one :meth:`~repro.core.machine.MachineContext.charge_read_array`
-    call per namespace. The ledger is identical to the scalar round.
+
+def _bfs_block_worker(graph: Graph, d: int):
+    """The machine program of :func:`_increase_degrees`, one call per
+    machine: the per-vertex BFS of Algorithm 6 (spec:
+    ``repro.verify.specs.bfs``) replayed over a local CSR copy.
+
+    The walk's attempt counter ``reads`` increments whether or not a key
+    was touched before, so the control flow is that of a machine reading
+    every key through its cache; the keys are charged once each, on
+    first touch (model assumption 4), in one
+    :meth:`~repro.core.machine.MachineContext.charge_read_array` call
+    per namespace.
     """
     read_cap = 4 * d * d
-
-    def worker(ctx, v: int):
-        visited = {v}
-        queue = [v]
-        head = 0
-        reads = 0
-        while head < len(queue) and len(visited) < d and reads < read_cap:
-            u = queue[head]
-            head += 1
-            deg_u = ctx.read(("deg", u))
-            reads += 1
-            for i in range(deg_u):
-                if len(visited) >= d or reads >= read_cap:
-                    break
-                x = ctx.read(("adj", u, i))
-                reads += 1
-                if x not in visited:
-                    visited.add(x)
-                    queue.append(x)
-        visited.discard(v)
-        for x in visited:
-            ctx.write(("fedge", v), int(x))
-        return len(visited)
-
     indptr, indices = graph.indptr, graph.indices
 
     def batch_worker(ctx, block: np.ndarray) -> np.ndarray:
-        # One call per machine. seen_* mirror the scalar per-machine read
-        # cache: only first touches of ("deg", u) / ("adj", u, i) charge.
         seen_deg: set[int] = set()
         seen_adj: set[tuple[int, int]] = set()
         deg_keys: list[int] = []
@@ -302,26 +289,7 @@ def _increase_degrees(
             )
         return counts
 
-    if vectorized:
-        # Array-native setup: same keys, values, and placement as the
-        # scalar pair stream, but written in bounded chunks — mmap-backed
-        # graphs (MmapGraph) enter the store without materializing.
-        result = runtime.round_batch(
-            np.arange(graph.n, dtype=np.int64), batch_worker,
-            setup_arrays=encode_graph_arrays(graph), tag=tag,
-        )
-    else:
-        result = runtime.round(
-            list(range(graph.n)), worker, setup=encode_graph(graph), tag=tag
-        )
-    vs, xs = result.store.read_namespace("fedge")
-    if vs.size == 0:
-        return graph
-    # Found edges are deduplicated into the edge set as part of the same
-    # round's writes (the BFS round already charged them); no extra round.
-    found = np.column_stack((vs, xs.astype(np.int64)))
-    combined = np.concatenate([graph.edges(), found])
-    return Graph.from_edges(graph.n, combined)
+    return batch_worker
 
 
 def _choose_leaders(

@@ -64,9 +64,8 @@ def list_ranking(
         config: explicit deployment.
         runtime: run on an existing runtime (shares its ledger) — used by
             the tree algorithms that invoke list ranking as a subroutine.
-        vectorized: execute shrink and fill-back on the batch engine:
-            identical ranks and cost ledger, much lower simulator wall
-            time (see docs/model.md "Performance").
+        vectorized: accepted and ignored (one machine program per
+            round on every runtime; kept for existing callers).
     """
     n = int(succ.size)
     if config is None:
@@ -93,7 +92,6 @@ def list_ranking(
         target_size=target,
         forced=np.array([head], dtype=np.int64),
         tag="listrank-shrink",
-        vectorized=vectorized,
     )
 
     # Local solve: rank the O(n^eps) survivors by walking the contracted
@@ -108,7 +106,6 @@ def list_ranking(
         survivor_ranks,
         additive=True,
         tag="listrank-fill",
-        vectorized=vectorized,
     ))
     return ListRankingResult(
         ranks=ranks,
@@ -158,6 +155,7 @@ def multi_list_ranking(
         heads: the head element of every list.
         runtime: existing runtime to share (else a fresh one is derived).
         epsilon / seed: deployment parameters when runtime is None.
+        vectorized: accepted and ignored, as in :func:`list_ranking`.
     """
     n = int(succ.size)
     if runtime is None:
@@ -175,7 +173,7 @@ def multi_list_ranking(
     target = max(4, int(math.ceil(2.0 * n**config.epsilon)), heads.size)
     outcome = shrink(
         succ, runtime, delta=config.epsilon, target_size=target,
-        forced=heads, tag="mlistrank-shrink", vectorized=vectorized,
+        forced=heads, tag="mlistrank-shrink",
     )
     runtime.charge("local-solve", rounds=1, reads=2 * outcome.alive.size)
     survivor_ranks, survivor_heads = _rank_contracted(
@@ -183,11 +181,11 @@ def multi_list_ranking(
     )
     ranks = filled_ints(fill_back(
         runtime, outcome.history, survivor_ranks, additive=True,
-        tag="mlistrank-fill", vectorized=vectorized,
+        tag="mlistrank-fill",
     ))
     head_of = filled_ints(fill_back(
         runtime, outcome.history, survivor_heads, additive=False,
-        tag="mlisthead-fill", vectorized=vectorized,
+        tag="mlisthead-fill",
     ))
     return MultiListRankingResult(
         ranks=ranks, head_of=head_of,

@@ -12,15 +12,17 @@ Because f(v, π) is a deterministic function of G and π, the output is
 *exactly* LFMIS(G, π) — tests verify equality with the sequential greedy,
 not merely maximality.
 
-``vectorized=True`` runs each iteration on the batch engine
+Each iteration is one per-block round
 (:meth:`repro.core.runtime.AMPCRuntime.round_batch`): the alive-subgraph
-CSR is published columnarly (``setup_arrays``), each machine replays its
-block's truncated queries against local numpy arrays (charging the same
-distinct-key reads the scalar read cache would), and newly settled
-statuses are published with one ``write_array`` per machine. Both paths
-address the store with the same flat keys — ``("deg", v) -> (deg, base)``
-and ``("nb", flat_pos) -> (u, pi_u)`` — so results *and* per-round cost
-ledgers (including server placement) are bit-identical; tests enforce it.
+CSR is published columnarly (``setup_arrays``) under the flat keys
+``("deg", v) -> (deg, base)`` and ``("nb", flat_pos) -> (u, pi_u)``, each
+machine replays its block's truncated queries against local numpy arrays
+(charging each distinct key once, as a machine's read cache would), and
+newly settled statuses are published with one ``write_array`` per
+machine. :func:`_truncated_query` is the same query process over
+``ctx.read`` — the serving engine's ``mis_member`` program, and the spec
+(``repro.verify.specs.truncated_query``) the block program is checked
+against.
 """
 
 from __future__ import annotations
@@ -97,10 +99,8 @@ def maximal_independent_set(
         runtime: run on an existing runtime (shares its ledger) — e.g. a
             :class:`repro.core.chaos.ChaosRuntime` armed with a fault
             plan; the result must be identical to a fault-free run.
-        vectorized: run iterations on the batch engine — bit-identical
-            results and cost ledgers, minus the per-op interpreter tax.
-            Falls back to the scalar path when the runtime is not
-            ``batch_capable`` (chaos/MPC contexts).
+        vectorized: accepted and ignored (one machine program per
+            round on every runtime; kept for existing callers).
     """
     n = graph.n
     if config is None:
@@ -134,7 +134,6 @@ def maximal_independent_set(
     settled_at = np.zeros(n, dtype=np.int64)
     total_calls = 0
     iterations = 0
-    use_batch = vectorized and runtime.batch_capable
 
     while True:
         alive = np.flatnonzero(status == _UNKNOWN).astype(np.int64)
@@ -149,7 +148,7 @@ def maximal_independent_set(
         indptr, indices = _filter_alive(sorted_csr, status)
         calls = _iteration(
             runtime, alive, indptr, indices, pi, status, query_cap,
-            tag=f"mis:{iterations}", use_batch=use_batch,
+            tag=f"mis:{iterations}",
         )
         total_calls += calls
         settled_at[(status != _UNKNOWN) & (settled_at == 0)] = iterations
@@ -176,51 +175,58 @@ def _iteration(
     cap: int,
     *,
     tag: str,
-    use_batch: bool = False,
 ) -> int:
     """One Line-4 iteration: truncated queries for every unknown vertex.
 
-    Both machine programs address the alive-subgraph adjacency by the
-    same flat keys — ``("deg", v) -> (deg, base)`` where ``base`` is v's
-    row start in the alive CSR, and ``("nb", base + i) -> (u, pi_u)`` —
-    so key placement (and hence ``max_server_load``) matches exactly
-    between them. Everything after the round is shared.
+    The alive-subgraph adjacency, π-sorted, is addressed by flat keys —
+    ``("deg", v) -> (deg, base)`` where ``base`` is v's row start in the
+    alive CSR, and ``("nb", base + i) -> (u, pi_u)`` with the neighbor's
+    priority inlined so the walk needs one read per scanned neighbor.
+    """
+    setup_arrays = [
+        ("deg", alive, np.stack([np.diff(indptr), indptr[:-1]], axis=1)),
+        (
+            "nb",
+            np.arange(indices.size, dtype=np.int64),
+            np.stack([indices, pi[indices]], axis=1),
+        ),
+    ]
+    result = runtime.round_batch(
+        alive, _query_block_worker(alive, indptr, indices, pi, cap),
+        setup_arrays=setup_arrays, tag=tag,
+    )
+    ids, vals = result.store.read_namespace("settled")
+    status[ids] = np.where(vals != 0, _IN, _OUT).astype(np.int8)
+
+    # A vertex adjacent to an in-MIS vertex is out even if no query touched
+    # it (Algorithm 4 step 4a's neighbor removal): prune via the CSR.
+    src = np.repeat(np.arange(alive.size, dtype=np.int64), np.diff(indptr))
+    touched = indices[(status[alive] == _IN)[src]]
+    touched = touched[status[touched] == _UNKNOWN]
+    status[touched] = _OUT
+    return int(result.results[0].sum())
+
+
+def _query_block_worker(
+    alive: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    pi: np.ndarray,
+    cap: int,
+):
+    """The machine program of :func:`_iteration`, one call per machine.
+
+    Replays its block's truncated queries against local numpy views of
+    the alive CSR, tracking exactly the distinct keys a machine running
+    :func:`_truncated_query` per vertex would have charged through its
+    read cache, then settles accounts with one ``charge_read_array`` per
+    namespace and one ``write_array`` for the statuses it determined, in
+    the order it determined them.
     """
     deg = np.diff(indptr)
     base = indptr[:-1]
     nb_pi = pi[indices]
-
-    def setup():
-        # Remaining adjacency, π-sorted, with neighbor priorities
-        # inlined so the walker needs one read per scanned neighbor.
-        for v, dg, b in zip(alive.tolist(), deg.tolist(), base.tolist()):
-            yield ("deg", v), (dg, b)
-        for pos, (u, pu) in enumerate(
-            zip(indices.tolist(), nb_pi.tolist())
-        ):
-            yield ("nb", pos), (u, pu)
-
-    def worker(ctx, v):
-        settled = ctx.scratch.setdefault("settled", {})
-        calls = _Counter()
-        result = _truncated_query(ctx, v, int(pi[v]), cap, settled, calls)
-        # Publish every status this machine newly determined; the
-        # driver merges them and prunes the graph for the next
-        # iteration.
-        fresh = ctx.scratch.setdefault("published", set())
-        for u, val in settled.items():
-            if u not in fresh:
-                fresh.add(u)
-                ctx.write(("settled", u), int(val))
-        return (calls.value, result)
-
-    # The per-block program replays its block's truncated queries against
-    # local numpy views of the alive CSR, tracking exactly the distinct
-    # keys ``worker``'s read cache would have charged, then settles
-    # accounts with one ``charge_read_array`` per namespace and one
-    # ``write_array`` for the published statuses (in ``worker``'s
-    # publication order).
-    row_of = np.full(status.size, -1, dtype=np.int64)
+    row_of = np.full(pi.size, -1, dtype=np.int64)
     row_of[alive] = np.arange(alive.size, dtype=np.int64)
 
     def batch_worker(ctx, block):
@@ -235,10 +241,8 @@ def _iteration(
         out_res = np.empty(block.size, dtype=np.int64)
 
         def settle(v: int, val: bool) -> None:
-            # Every settled entry is eventually published by the scalar
-            # worker's per-item sweep over the (insertion-ordered)
-            # settled dict, so appending here reproduces the scalar
-            # machine's exact write sequence.
+            # The machine-local status table is shared across the block's
+            # vertices; every entry is published once.
             settled[v] = val
             pub_ids.append(v)
             pub_vals.append(int(val))
@@ -318,32 +322,7 @@ def _iteration(
             )
         return (out_calls, out_res)
 
-    if use_batch:
-        setup_arrays = [
-            ("deg", alive, np.stack([deg, base], axis=1)),
-            (
-                "nb",
-                np.arange(indices.size, dtype=np.int64),
-                np.stack([indices, nb_pi], axis=1),
-            ),
-        ]
-        result = runtime.round_batch(
-            alive, batch_worker, setup_arrays=setup_arrays, tag=tag
-        )
-        total = int(result.results[0].sum())
-    else:
-        result = runtime.round(alive.tolist(), worker, setup=setup(), tag=tag)
-        total = sum(c for c, _ in result.results)
-    ids, vals = result.store.read_namespace("settled")
-    status[ids] = np.where(vals != 0, _IN, _OUT).astype(np.int8)
-
-    # A vertex adjacent to an in-MIS vertex is out even if no query touched
-    # it (Algorithm 4 step 4a's neighbor removal): prune via the CSR.
-    src = np.repeat(np.arange(alive.size, dtype=np.int64), deg)
-    touched = indices[(status[alive] == _IN)[src]]
-    touched = touched[status[touched] == _UNKNOWN]
-    status[touched] = _OUT
-    return total
+    return batch_worker
 
 
 class _Counter:

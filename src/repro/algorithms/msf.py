@@ -12,17 +12,15 @@ Edge identity is preserved through contractions with an explicit
 original-edge-id mapping (the paper's map M), so the output is a set of
 *input* edge ids whose weight sum tests verify against the sequential MSF.
 
-``vectorized=True`` runs each Prim round on the batch engine: the phase
-graph is published columnarly (``setup_arrays``), machines replay their
-blocks' heap-Prim walks against local CSR views (charging the same
-distinct-key reads the scalar read cache would), MSF edges and F_v
-members are published with one ``write_array`` per namespace. Only that
-machine program and its round call differ from the per-vertex path: the
-harvest, leader election (a minimum.at pass over the published member
-rows) and contraction are shared, and both programs use the flat key
-scheme of :func:`repro.graph.io.encode_weighted_graph_flat`, so results
-*and* per-round cost ledgers (including server placement) are
-bit-identical.
+Each Prim round is one per-block round: the phase graph is published
+columnarly (``setup_arrays``, the flat key scheme of
+:func:`repro.graph.io.encode_weighted_graph_arrays`), machines replay
+their blocks' heap-Prim walks against local CSR views (charging each
+distinct key once, as a machine's read cache would), and MSF edges and
+F_v members are published with one ``write_array`` per namespace.
+Leader election is a minimum.at pass over the published member rows.
+The per-vertex transcription of Algorithm 8 the block program is checked
+against is ``repro.verify.specs.prim``.
 """
 
 from __future__ import annotations
@@ -37,10 +35,7 @@ from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
 from repro.core.runtime import AMPCRuntime
 from repro.graph.graph import WeightedGraph
-from repro.graph.io import (
-    encode_weighted_graph_arrays,
-    encode_weighted_graph_flat,
-)
+from repro.graph.io import encode_weighted_graph_arrays
 from repro.primitives.contraction import contract_weighted, resolve_pointers
 from repro.primitives.sampling import leader_probability
 
@@ -90,10 +85,8 @@ def minimum_spanning_forest(
         config: explicit deployment.
         max_phases: safety cap on contraction phases.
         runtime: run on an existing runtime (shares its ledger).
-        vectorized: run Prim rounds on the batch engine — bit-identical
-            results and cost ledgers, minus the per-op interpreter tax.
-            Falls back to the scalar path when the runtime is not
-            ``batch_capable``.
+        vectorized: accepted and ignored (one machine program per
+            round on every runtime; kept for existing callers).
     """
     n = graph.n
     if config is None:
@@ -132,7 +125,6 @@ def minimum_spanning_forest(
     )
     phases = 0
     budgets: list[float] = []
-    use_batch = vectorized and runtime.batch_capable
 
     while current.m > 0:
         phases += 1
@@ -152,7 +144,6 @@ def minimum_spanning_forest(
         # Step 3a: MSFIncreaseDegree — one adaptive local-Prim round.
         msf_ids, fv_src, fv_dst, exhausted = _msf_increase_degree(
             current, int(round(d)), runtime, tag=f"prim:{phases}",
-            vectorized=use_batch,
         )
         # Step 3b: commit the discovered MSF edges through the map M.
         # Every vertex that found an edge reports it, hence the unique.
@@ -188,8 +179,7 @@ def minimum_spanning_forest(
 
 
 def _msf_increase_degree(
-    graph: WeightedGraph, d: int, runtime: AMPCRuntime, *, tag: str,
-    vectorized: bool = False,
+    graph: WeightedGraph, d: int, runtime: AMPCRuntime, *, tag: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Algorithm 8: local Prim from every vertex, one adaptive round.
 
@@ -200,68 +190,26 @@ def _msf_increase_degree(
     the order Prim added them), and per vertex whether F_v is its whole
     component.
     """
-    if vectorized:
-        result = runtime.round_batch(
-            np.arange(graph.n, dtype=np.int64), _prim_block_worker(graph, d),
-            setup_arrays=encode_weighted_graph_arrays(graph), tag=tag,
-        )
-        _sizes, exhausted = result.results
-    else:
-        result = runtime.round(
-            list(range(graph.n)), _prim_worker(d),
-            setup=encode_weighted_graph_flat(graph), tag=tag,
-        )
-        exhausted = np.array([flag for _size, flag in result.results], bool)
+    result = runtime.round_batch(
+        np.arange(graph.n, dtype=np.int64), _prim_block_worker(graph, d),
+        setup_arrays=encode_weighted_graph_arrays(graph), tag=tag,
+    )
+    _sizes, exhausted = result.results
     msf_ids, _ones = result.store.read_namespace("msf")
     fv_src, fv_dst = result.store.read_namespace("fv")
     return msf_ids, fv_src, fv_dst, exhausted
 
 
-def _prim_worker(d: int):
-    """The per-vertex machine program of :func:`_msf_increase_degree`."""
-    read_cap = 4 * d * d
-
-    def worker(ctx, v: int):
-        in_tree = {v}
-        heap: list[tuple[float, int, int]] = []
-        reads = 0
-
-        def push_edges(u: int) -> None:
-            nonlocal reads
-            deg_u, b = ctx.read(("deg", u))
-            reads += 1
-            for i in range(deg_u):
-                if reads >= read_cap:
-                    return
-                nbr, w, eid = ctx.read(("adjw", b + i))
-                reads += 1
-                if nbr not in in_tree:
-                    heapq.heappush(heap, (w, eid, nbr))
-
-        push_edges(v)
-        while heap and len(in_tree) < d and reads < read_cap:
-            _w, eid, b = heapq.heappop(heap)
-            if b in in_tree:
-                continue
-            in_tree.add(b)
-            ctx.write(("msf", eid), 1)
-            ctx.write(("fv", v), int(b))
-            push_edges(b)
-        # Empty heap with budget left: F_v is v's whole component.
-        exhausted = not heap and reads < read_cap
-        return (len(in_tree), bool(exhausted))
-
-    return worker
-
-
 def _prim_block_worker(graph: WeightedGraph, d: int):
-    """The per-block machine program of :func:`_msf_increase_degree`.
+    """The machine program of :func:`_msf_increase_degree`, one call per
+    machine.
 
     Machines replay their blocks' heap-Prim walks against local CSR
-    views, tracking exactly the distinct keys the per-vertex program's
-    read cache would have charged, then settle accounts with one
-    ``charge_read_array`` per namespace and one ``write_array`` per
-    output namespace (rows in scalar publication order).
+    views, tracking exactly the distinct keys a machine running the
+    per-vertex program through its read cache would have charged, then
+    settle accounts with one ``charge_read_array`` per namespace and one
+    ``write_array`` per output namespace (rows in the order Prim
+    committed them).
     """
     read_cap = 4 * d * d
     indptr, indices = graph.indptr, graph.indices
@@ -270,8 +218,8 @@ def _prim_block_worker(graph: WeightedGraph, d: int):
     base = indptr[:-1]
     # Pre-sort every CSR row by (weight, edge id) once per phase: the
     # cursor-merge below then needs one heap entry per *row* instead of
-    # one per visited slot, while popping edges in exactly the scalar
-    # heap's (w, eid) order. sorted_pos[indptr[u]:indptr[u+1]] lists row
+    # one per visited slot, while popping edges in exactly the (w, eid)
+    # order of Algorithm 8's edge heap (the spec's). sorted_pos[indptr[u]:indptr[u+1]] lists row
     # u's slot positions cheapest-first.
     rows = np.repeat(np.arange(graph.n, dtype=np.int64), deg)
     sorted_pos = np.lexsort((eids, weights, rows))
@@ -287,14 +235,14 @@ def _prim_block_worker(graph: WeightedGraph, d: int):
         # Charged keys are reconstructed vectorially at machine end from
         # the expansion log (exp_rows / visited ranges): np.unique's
         # return_index gives each key's first touch, so the charged key
-        # order is the scalar read cache's charge order without any
+        # order is a caching machine's charge order without any
         # per-slot bookkeeping in the walk itself.
         exp_rows: list[int] = []
         vis_b: list[int] = []
         vis_e: list[int] = []
         tree_mask = np.zeros(graph.n, dtype=bool)
         # elig[pos]: was slot pos's endpoint outside F_v when its row was
-        # expanded — i.e. would the scalar worker have heap-pushed it.
+        # expanded — i.e. would the spec's edge heap have received it.
         # Rows expand at most once per item, so per-expansion overwrites
         # cannot leak across items.
         elig = bytearray(indices.size)
@@ -311,9 +259,9 @@ def _prim_block_worker(graph: WeightedGraph, d: int):
             tree_mask[v] = True
             tree_size = 1
             # Cursor heap: (w, eid, nbr, row, cursor, pos) — compared on
-            # (w, eid) like the scalar heap (eids are unique). ``live``
-            # tracks the scalar heap's size: entries the scalar path
-            # would have pushed and not yet popped.
+            # (w, eid) like the spec's edge heap (eids are unique).
+            # ``live`` tracks that heap's size: entries it would have
+            # been pushed and not yet popped.
             heap: list = []
             live = 0
             reads = 0
@@ -347,7 +295,7 @@ def _prim_block_worker(graph: WeightedGraph, d: int):
                     ec = int(es.sum())
                 # A row that hits the read cap ends the walk before any
                 # of its edges can be popped: charge/count it (the
-                # scalar path pushed those edges) but skip its cursor.
+                # spec pushed those edges) but skip its cursor.
                 if reads >= read_cap:
                     return
                 live += ec
@@ -495,5 +443,5 @@ def spanning_forest(
             max(graph.n + graph.m, 1), epsilon=epsilon, seed=seed
         )
     weighted = with_distinct_integer_weights(graph, rng=config.rng(salt=0x5F))
-    result = minimum_spanning_forest(weighted, config=config, vectorized=True)
+    result = minimum_spanning_forest(weighted, config=config)
     return weighted.edge_list()[result.edge_ids], result

@@ -85,7 +85,6 @@ def shrink(
     forced: np.ndarray | None = None,
     max_rounds: int | None = None,
     tag: str = "shrink",
-    vectorized: bool = False,
 ) -> ShrinkOutcome:
     """Run Shrink(G, δ, t) until at most ``target_size`` elements survive.
 
@@ -104,12 +103,6 @@ def shrink(
             above the paper's O(1/δ) bound, so a failure to shrink is
             reported as an error rather than a hang.
         tag: ledger label prefix.
-        vectorized: run rounds on the batch execution engine
-            (:meth:`~repro.core.runtime.AMPCRuntime.round_batch`). Results
-            and the cost ledger are identical to the scalar path (enforced
-            by tests); only simulator wall time changes. Silently falls
-            back to the scalar path on runtimes that are not
-            ``batch_capable`` (chaos / fault injection).
 
     Returns:
         ShrinkOutcome; ``runtime.report`` accumulates the per-round costs.
@@ -140,7 +133,6 @@ def shrink(
     history: list[AbsorbRound] = []
     rounds = 0
     rng = runtime.config.rng(salt=0x5581 + len(runtime.report.rounds))
-    use_batch = vectorized and runtime.batch_capable
 
     def reducible_count(ids: np.ndarray) -> int:
         # Elements that could still be absorbed: not a self-loop (a fully
@@ -169,7 +161,6 @@ def shrink(
             succ=cur_succ,
             length=cur_len,
             tag=f"{tag}:{rounds}",
-            use_batch=use_batch,
         )
         history.append(record)
 
@@ -188,6 +179,55 @@ def shrink(
     )
 
 
+def _walk_all(g):
+    """The fused machine program of a Shrink round (Algorithm 1 step 2;
+    per-sample spec: ``repro.verify.specs.walk``).
+
+    Advances every sample's walk in lockstep. Each walk issues the reads
+    and writes of the sequential traversal, in its order: read succ and
+    len of the start, then per step read smp of the frontier and, on a
+    miss, write the absorb record and read len and succ of the frontier.
+    Walk segments between samples are disjoint (successor structures have
+    in-degree ≤ 1), so a machine's read cache would never hit during
+    walks and the uncached batch reads charge what it would. Lockstep
+    reorders only which walk moves first, never any walk's own operation
+    sequence, which is all the ledger (and any real concurrent
+    deployment) can see.
+    """
+    items = g.items
+    owners = g.machines
+    cur = g.read_array("succ", items, owner=owners, fill=TAIL).astype(
+        np.int64
+    )
+    cum = g.read_array("len", items, owner=owners, fill=0.0).astype(
+        np.float64
+    )
+    active = np.flatnonzero((cur != TAIL) & (cur != items))
+    while active.size:
+        frontier = cur[active]
+        smp = g.read_array("smp", frontier, owner=owners[active], fill=0)
+        walkers = active[smp == 0]
+        if walkers.size == 0:
+            break
+        targets = cur[walkers]
+        own = owners[walkers]
+        g.write_array(
+            "absorb",
+            targets,
+            np.column_stack(
+                (items[walkers].astype(np.float64), cum[walkers])
+            ),
+            owner=own,
+        )
+        cum[walkers] += g.read_array("len", targets, owner=own, fill=0.0)
+        nxt = g.read_array("succ", targets, owner=own, fill=TAIL).astype(
+            np.int64
+        )
+        cur[walkers] = nxt
+        active = walkers[(nxt != TAIL) & (nxt != items[walkers])]
+    return cur, cum
+
+
 def _shrink_round(
     runtime: AMPCRuntime,
     *,
@@ -196,89 +236,17 @@ def _shrink_round(
     succ: np.ndarray,
     length: np.ndarray,
     tag: str,
-    use_batch: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, AbsorbRound]:
-    """One adaptive Shrink round on the runtime; returns the contraction.
-
-    Two machine programs, one contraction. ``walk`` is the per-sample
-    program. ``walk_all`` is its fused lockstep twin and issues, for every
-    walk, exactly the same read/write sequence: read succ and len of the
-    start, then per step read smp of the frontier and, on a miss, write
-    the absorb record and read len and succ of the frontier. Walk segments
-    between samples are disjoint (successor structures have in-degree
-    ≤ 1), so ``walk``'s per-machine read cache never hits during walks and
-    the uncached batch reads charge identically. Lockstep batching
-    advances all walks together but preserves each walk's own operation
-    sequence, which is all the ledger (and any real concurrent
-    deployment) can see.
-    """
-
-    def setup():
-        for v in alive.tolist():
-            yield ("succ", v), int(succ[v])
-            yield ("len", v), float(length[v])
-        for v in samples.tolist():
-            yield ("smp", v), 1
-
-    def walk(ctx, v: int):
-        # Adaptive traversal: each next key depends on the previous read.
-        cur = ctx.read(("succ", v))
-        cum = ctx.read(("len", v))
-        while cur != TAIL and cur != v and ctx.read(("smp", cur)) is None:
-            ctx.write(("absorb", cur), (int(v), float(cum)))
-            cum += ctx.read(("len", cur))
-            cur = ctx.read(("succ", cur))
-        return (int(v), int(cur), float(cum))
-
-    def walk_all(g):
-        items = g.items
-        owners = g.machines
-        cur = g.read_array("succ", items, owner=owners, fill=TAIL).astype(
-            np.int64
-        )
-        cum = g.read_array("len", items, owner=owners, fill=0.0).astype(
-            np.float64
-        )
-        active = np.flatnonzero((cur != TAIL) & (cur != items))
-        while active.size:
-            frontier = cur[active]
-            smp = g.read_array("smp", frontier, owner=owners[active], fill=0)
-            walkers = active[smp == 0]
-            if walkers.size == 0:
-                break
-            targets = cur[walkers]
-            own = owners[walkers]
-            g.write_array(
-                "absorb",
-                targets,
-                np.column_stack(
-                    (items[walkers].astype(np.float64), cum[walkers])
-                ),
-                owner=own,
-            )
-            cum[walkers] += g.read_array("len", targets, owner=own, fill=0.0)
-            nxt = g.read_array("succ", targets, owner=own, fill=TAIL).astype(
-                np.int64
-            )
-            cur[walkers] = nxt
-            active = walkers[(nxt != TAIL) & (nxt != items[walkers])]
-        return cur, cum
-
-    if use_batch:
-        setup_arrays = [
-            ("succ", alive, succ[alive]),
-            ("len", alive, length[alive]),
-            ("smp", samples, np.ones(samples.size, dtype=np.int64)),
-        ]
-        result = runtime.round_batch(
-            samples, walk_all, setup_arrays=setup_arrays, fused=True, tag=tag
-        )
-        nxt, cum = result.results
-    else:
-        result = runtime.round(
-            samples.tolist(), walk, setup=setup(), tag=tag
-        )
-        _starts, nxt, cum = zip(*result.results)
+    """One adaptive Shrink round on the runtime; returns the contraction."""
+    setup_arrays = [
+        ("succ", alive, succ[alive]),
+        ("len", alive, length[alive]),
+        ("smp", samples, np.ones(samples.size, dtype=np.int64)),
+    ]
+    result = runtime.round_batch(
+        samples, _walk_all, setup_arrays=setup_arrays, fused=True, tag=tag
+    )
+    nxt, cum = result.results
 
     new_succ = succ.copy()
     new_len = length.copy()
@@ -309,7 +277,6 @@ def fill_back(
     *,
     additive: bool,
     tag: str = "fill-back",
-    vectorized: bool = False,
 ) -> np.ndarray:
     """Propagate per-element values from survivors to absorbed elements.
 
@@ -327,13 +294,6 @@ def fill_back(
             level by level; survivors of the final round seed it.
         additive: add the stored offset (rank semantics) or copy (labels).
         tag: ledger label prefix.
-        vectorized: run each level's per-block machine program on the
-            batch engine; identical values and ledger (per-machine reads
-            are ``block size + distinct absorbers on the machine`` either
-            way — the per-element program's read cache deduplicates
-            absorber reads, the per-block program deduplicates them
-            explicitly). Falls back to the per-element program on
-            runtimes that are not ``batch_capable``.
 
     Returns:
         A copy of ``values`` with the value of every element ever absorbed
@@ -344,7 +304,7 @@ def fill_back(
             argument) — the history and the seeds do not belong together.
     """
     out = np.array(values, dtype=np.float64)
-    use_batch = vectorized and runtime.batch_capable
+    program = _fill_block_worker(additive)
     for level in range(len(history) - 1, -1, -1):
         record = history[level]
         if record.absorbed.size == 0:
@@ -356,57 +316,39 @@ def fill_back(
         if unknown.size:
             raise KeyError(int(unknown[0]))
 
-        def setup():
-            for element in needed.tolist():
-                yield ("val", int(element)), float(out[element])
-            for i in range(record.absorbed.size):
-                yield ("abs", int(record.absorbed[i])), (
-                    int(record.absorber[i]),
-                    float(record.offset[i]),
-                )
-
-        def worker(ctx, u: int):
-            absorber, offset = ctx.read(("abs", u))
-            base = ctx.read(("val", absorber))
-            if base is None:
-                raise RuntimeError(
-                    f"fill-back level {level}: absorber {absorber} of {u} "
-                    f"has no value yet"
-                )
-            return float(base + offset) if additive else float(base)
-
-        def block_worker(ctx, block):
-            data = ctx.read_array("abs", block, fill=0.0)
-            absorbers = data[:, 0].astype(np.int64)
-            # One charged read per distinct absorber on this machine —
-            # exactly what the per-element program's read cache charges.
-            uniq = np.unique(absorbers)
-            base = ctx.read_array("val", uniq, fill=0.0)
-            base = base[np.searchsorted(uniq, absorbers)]
-            return base + data[:, 1] if additive else base
-
-        if use_batch:
-            setup_arrays = [
-                ("val", needed, out[needed]),
-                (
-                    "abs",
-                    record.absorbed,
-                    np.column_stack(
-                        (record.absorber.astype(np.float64), record.offset)
-                    ),
+        setup_arrays = [
+            ("val", needed, out[needed]),
+            (
+                "abs",
+                record.absorbed,
+                np.column_stack(
+                    (record.absorber.astype(np.float64), record.offset)
                 ),
-            ]
-            result = runtime.round_batch(
-                record.absorbed, block_worker, setup_arrays=setup_arrays,
-                tag=f"{tag}:{level}",
-            )
-        else:
-            result = runtime.round(
-                record.absorbed.tolist(), worker, setup=setup(),
-                tag=f"{tag}:{level}",
-            )
+            ),
+        ]
+        result = runtime.round_batch(
+            record.absorbed, program, setup_arrays=setup_arrays,
+            tag=f"{tag}:{level}",
+        )
         out[record.absorbed] = result.results
     return out
+
+
+def _fill_block_worker(additive: bool):
+    """The machine program of one :func:`fill_back` level, one call per
+    machine (per-element spec: ``repro.verify.specs.fill``)."""
+
+    def block_worker(ctx, block):
+        data = ctx.read_array("abs", block, fill=0.0)
+        absorbers = data[:, 0].astype(np.int64)
+        # One charged read per distinct absorber on this machine — what
+        # a machine reading them one by one through its cache charges.
+        uniq = np.unique(absorbers)
+        base = ctx.read_array("val", uniq, fill=0.0)
+        base = base[np.searchsorted(uniq, absorbers)]
+        return base + data[:, 1] if additive else base
+
+    return block_worker
 
 
 def filled_ints(values: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ Usage::
     python -m repro chaos connectivity graph.txt --crash 0.2 --outage 0.1
     python -m repro chaos connectivity graph.txt --backend process \
         --kill-worker 0.1 --hang-worker 0.05 --delay-reply 0.1
-    python -m repro verify --smoke [--chaos] [--vectorized] [--json report.json]
+    python -m repro verify --smoke [--chaos] [--json report.json]
     python -m repro verify --smoke --backend process --workers 4
     python -m repro verify --backend process --process-faults
     python -m repro trace connectivity [graph.txt] [--detail machine]
@@ -150,10 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--chaos", action="store_true",
                         help="also replay chaos-capable algorithms under "
                              "the default fault plan")
-    verify.add_argument("--vectorized", action="store_true",
-                        help="run algorithms with a batch-engine variant "
-                             "on the vectorized execution path (same "
-                             "oracles, invariants, and ledger contract)")
     verify.add_argument("--process-faults", action="store_true",
                         help="arm the default real-process fault plan "
                              "(kill/hang/delay workers) for every cell; "
@@ -192,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--size", type=int, default=200,
                        help="synthetic instance size n (default 200)")
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--vectorized", action="store_true",
-                       help="trace the batch execution engine instead of "
-                            "the scalar path")
     add_backend(trace)
     trace.add_argument("--detail", choices=["round", "machine", "op"],
                        default="machine",
@@ -732,7 +725,6 @@ def _verify(args) -> int:
         size=args.size,
         smoke=args.smoke,
         chaos=args.chaos,
-        vectorized=args.vectorized,
         backend=args.backend,
         workers=args.workers,
         process_faults=args.process_faults,
@@ -918,24 +910,14 @@ def _trace(args) -> int:
         n, m = workload.size
         source = f"{family} n={n} m={m}"
 
-    run = case.run
-    if args.vectorized:
-        if case.run_vectorized is None:
-            print(f"{case.name} has no vectorized variant",
-                  file=sys.stderr)
-            return 2
-        run = case.run_vectorized
-
-    path = "vectorized" if args.vectorized else "scalar"
     print(f"tracing {case.name} on {source} "
-          f"({path} path, detail={args.detail}, "
-          f"backend={args.backend})")
+          f"(detail={args.detail}, backend={args.backend})")
 
     from repro.parallel import use_backend
 
     with use_backend(args.backend, args.workers):
         with TracingSession(detail=args.detail, metrics=True) as session:
-            result = run(workload, args.seed)
+            result = case.run(workload, args.seed)
     report = case.report_of(result)
 
     # Schema + ledger reconciliation: a trace that disagrees with the
@@ -1093,11 +1075,11 @@ def _run_dispatch(args, graph) -> int:
 
     kwargs = dict(epsilon=args.epsilon, seed=args.seed)
     if args.command == "connectivity":
-        res = repro.connectivity(graph, vectorized=True, **kwargs)
+        res = repro.connectivity(graph, **kwargs)
         print(f"components: {res.n_components} "
               f"(phases: {res.phases}, rounds: {res.report.n_rounds})")
     elif args.command == "mis":
-        res = repro.maximal_independent_set(graph, vectorized=True, **kwargs)
+        res = repro.maximal_independent_set(graph, **kwargs)
         print(f"|MIS| = {res.vertices.size} "
               f"(iterations: {res.iterations}, rounds: {res.report.n_rounds})")
     elif args.command == "matching":
@@ -1109,7 +1091,7 @@ def _run_dispatch(args, graph) -> int:
         print(f"colors used: {res.n_colors} "
               f"(iterations: {res.iterations}, rounds: {res.report.n_rounds})")
     elif args.command == "msf":
-        res = repro.minimum_spanning_forest(graph, vectorized=True, **kwargs)
+        res = repro.minimum_spanning_forest(graph, **kwargs)
         print(f"MSF: {res.edge_ids.size} edges, "
               f"total weight {res.total_weight:.6g} "
               f"(phases: {res.phases}, rounds: {res.report.n_rounds})")

@@ -48,7 +48,7 @@ from .machine import (
     TransactionalContextMixin,
 )
 from .partition import splitmix64
-from .runtime import AMPCRuntime, RoundResult
+from .runtime import _FUSED, _PER_BLOCK, AMPCRuntime, RoundResult
 
 __all__ = [
     "FaultPlan",
@@ -316,10 +316,10 @@ class FaultPlan:
 
     Attributes:
         seed: master seed of every fault stream.
-        machine_crash_probability: chance a machine's execution of one
-            work item crashes mid-read (replacement re-runs it from
-            scratch; replacements can crash again, bounded by
-            ``max_machine_retries``).
+        machine_crash_probability: chance an active machine crashes
+            mid-read while running its share of a round (a replacement
+            re-runs the machine's items from scratch; replacements can
+            crash again, bounded by ``max_machine_retries``).
         server_outage_probability: chance, per DDS serving machine and
             per round execution, that the server is down for that whole
             execution. Reads fail over to backup replicas; a key with
@@ -329,7 +329,7 @@ class FaultPlan:
         straggler_probability: chance a machine finishes the round late
             by ``straggler_delay_s`` (simulated time; results unchanged).
         straggler_delay_s: delay a straggler adds.
-        max_machine_retries: replacement machines per work item.
+        max_machine_retries: replacement machines per machine and round.
         retry: the client-side :class:`RetryPolicy`.
         process: optional :class:`ProcessFaultPlan` of *real* OS-level
             faults, honored by the worker pool when the runtime executes
@@ -537,6 +537,7 @@ class ChaosSession:
         "down",
         "active",
         "rng",
+        "crash_rng",
         "simulated_s",
         "attempt_reads",
         *_RECOVERY_COUNTERS,
@@ -547,6 +548,7 @@ class ChaosSession:
         self.down: frozenset[int] = frozenset()
         self.active = False
         self.rng = plan.rng(_SALT_TIMEOUT)
+        self.crash_rng: np.random.Generator | None = None
         self.simulated_s = 0.0
         self.attempt_reads = 0
         for name in _RECOVERY_COUNTERS:
@@ -555,12 +557,17 @@ class ChaosSession:
     # -- runtime-side lifecycle -------------------------------------------
 
     def begin_attempt(
-        self, downed: frozenset[int], rng: np.random.Generator
+        self,
+        downed: frozenset[int],
+        rng: np.random.Generator,
+        crash_rng: np.random.Generator | None = None,
     ) -> None:
-        """Start one round execution: arm the outage set and reset the
-        per-execution clocks."""
+        """Start one round execution: arm the outage set, the timeout and
+        machine-crash dice (``crash_rng`` None: no machine can crash) and
+        reset the per-execution clocks."""
         self.down = downed
         self.rng = rng
+        self.crash_rng = crash_rng
         self.active = True
         self.simulated_s = 0.0
         self.attempt_reads = 0
@@ -647,8 +654,9 @@ class ChaosMixin:
 
     * builds :class:`ReplicatedDataStore` round stores (k =
       ``config.replication_factor``) wired to one :class:`ChaosSession`;
-    * wraps machine programs in the crash/replacement loop (fresh budget
-      per replacement, waste to the ledger);
+    * runs each machine's program — per-item, per-block or fused — in
+      the crash/replacement loop (fresh budget per replacement, waste to
+      the ledger);
     * checkpoints before every round and replays the round from the
       checkpoint when it aborts (server losses beyond the replication
       factor, retry deadline exhaustion) — replays run on the repaired
@@ -713,13 +721,11 @@ class ChaosMixin:
 
     # -- the round loop ----------------------------------------------------
 
-    def round(
-        self,
-        work: Sequence[Any] | None = None,
-        worker: Callable[..., Any] | None = None,
-        **kwargs,
+    def _run_round(
+        self, shape: str, work: Sequence[Any], worker: Any, **kwargs: Any
     ) -> RoundResult:
-        """One AMPC round under the fault plan, recovered transparently.
+        """One AMPC round — any program shape — under the fault plan,
+        recovered transparently.
 
         The first execution runs under the round's drawn outage set;
         reads whose primary is down fail over to backups. If the outage
@@ -732,14 +738,23 @@ class ChaosMixin:
         the logical round number, and the attempt number), so a
         surviving execution returns results bit-identical to a
         fault-free run.
+
+        The unit of a crash is a machine: one die per active machine per
+        execution (:meth:`_run_machine`). A fused program has no machine
+        to crash, so under a crash plan it runs as a per-block program,
+        one machine's items at a time.
         """
         plan = self.plan
         session = self.session
         logical_round = self._round_counter
-        # Replaying a round must see the same setup pairs; a generator
-        # would be exhausted by the first (aborted) execution.
-        if kwargs.get("setup") is not None:
-            kwargs["setup"] = list(kwargs["setup"])
+        # A replay must stage the same readable store; a one-shot
+        # iterable would be exhausted by the first (aborted) execution.
+        for staged in ("setup", "setup_arrays"):
+            if kwargs.get(staged) is not None:
+                kwargs[staged] = list(kwargs[staged])
+        crashing = plan.machine_crash_probability > 0.0
+        if crashing and shape == _FUSED:
+            shape, worker = _PER_BLOCK, _one_machine_at_a_time(worker)
         # Announce the replay point. An execution that raises has already
         # been aborted back to it by the round pipeline.
         self.checkpoint()
@@ -762,28 +777,14 @@ class ChaosMixin:
             session.begin_attempt(
                 downed=downed,
                 rng=plan.rng(_SALT_TIMEOUT, logical_round, attempt),
+                crash_rng=(
+                    plan.rng(_SALT_CRASH, logical_round, attempt)
+                    if crashing else None
+                ),
             )
-            crash_rng = plan.rng(_SALT_CRASH, logical_round, attempt)
-            kw = dict(kwargs)
-            wrapped_worker = worker
-            # Zero-crash plans skip the crash wrapper entirely: nothing
-            # can fire, the wrapper's dice are consumed nowhere else,
-            # and plain (non-transactional) contexts — the kind pool
-            # workers build when such a round shards — have no crash_at
-            # slot for it to poke. Buffered writes still flush via the
-            # runtime's round-end commit.
-            if plan.machine_crash_probability > 0.0:
-                if worker is not None:
-                    wrapped_worker = self._with_crash_recovery(
-                        worker, crash_rng
-                    )
-                if kw.get("per_machine") is not None:
-                    kw["per_machine"] = self._with_crash_recovery(
-                        kw["per_machine"], crash_rng
-                    )
             started = time.perf_counter()
             try:
-                result = super().round(work, wrapped_worker, **kw)
+                result = super()._run_round(shape, work, worker, **kwargs)
             except (ServerUnavailableError, RoundAbortedError) as exc:
                 last_error = exc
                 session.note_round_abort(time.perf_counter() - started)
@@ -793,46 +794,42 @@ class ChaosMixin:
             return result
 
         raise RoundAbortedError(
-            f"round {logical_round} ({kwargs.get('tag', 'round')!r}) failed "
+            f"round {logical_round} ({kwargs['tag']!r}) failed "
             f"all {max_attempts} executions under the fault plan"
         ) from last_error
 
     # -- internals ---------------------------------------------------------
 
-    def _with_crash_recovery(
-        self, fn: Callable[..., Any], crash_rng: np.random.Generator
-    ) -> Callable[..., Any]:
-        """Wrap a machine program — ``fn(ctx, item)`` or ``fn(ctx)`` — in
-        the crash/replacement loop."""
-        plan = self.plan
+    def _run_machine(
+        self, run: Callable[..., Any], ctx: Any, worker: Any, items: Any
+    ) -> Any:
+        """One machine's program in the crash/replacement loop: a crashed
+        attempt is rolled back whole (fresh budget, waste to the ledger,
+        its reads taken back out of the store's load) and a replacement
+        machine replays the machine's items. A machine that finishes
+        cleanly publishes its buffered writes."""
         session = self.session
-        p_crash = plan.machine_crash_probability
-        max_retries = plan.max_machine_retries
-
-        def attempt_loop(ctx, *item) -> Any:
-            for attempt in range(max_retries + 1):
-                if attempt < max_retries and crash_rng.random() < p_crash:
-                    ctx.crash_at = ctx.reads_used + int(
-                        crash_rng.integers(0, 8)
-                    )
-                else:
-                    ctx.crash_at = None
-                reads_mark = ctx.reads_used
-                writes_mark = len(ctx.buffered_writes)
-                try:
-                    out = fn(ctx, *item)
-                    ctx.crash_at = None
-                    ctx.commit()
-                    return out
-                except MachineCrash:
-                    wasted_reads, _ = ctx.rollback(writes_mark, reads_mark)
-                    session.on_machine_crash(wasted_reads)
-            raise RoundAbortedError(
-                f"machine {ctx.machine_id} lost {max_retries} replacements "
-                f"in a row"
-            )
-
-        return attempt_loop
+        crash_rng = session.crash_rng
+        # No dice without a crash plan; and the last replacement never
+        # crashes, so the bounded simulation terminates.
+        replacements = 0 if crash_rng is None else self.plan.max_machine_retries
+        read_store = ctx._prev
+        while True:
+            if replacements and (
+                crash_rng.random() < self.plan.machine_crash_probability
+            ):
+                ctx.crash_at = int(crash_rng.integers(0, 8))
+                served = read_store.read_load()
+            try:
+                out = run(ctx, worker, items)
+            except MachineCrash:
+                replacements -= 1
+                session.on_machine_crash(ctx.rollback())
+                read_store.restore_read_load(served)
+                continue
+            ctx.crash_at = None
+            ctx.commit()
+            return out
 
     def _draw_stragglers(self, stats, logical_round: int) -> None:
         p = self.plan.straggler_probability
@@ -843,6 +840,38 @@ class ChaosMixin:
         if hit:
             self.session.stragglers += hit
             self.session.recovery_wall_s += hit * self.plan.straggler_delay_s
+
+
+class _MachineLockstep:
+    """The :class:`~repro.core.runtime.BatchRoundContext` surface over one
+    machine's context: what a fused program sees when it advances a
+    single machine's items."""
+
+    __slots__ = ("items", "machines", "_ctx")
+
+    def __init__(self, ctx: Any, items: np.ndarray) -> None:
+        self.items = items
+        self.machines = np.full(items.size, ctx.machine_id, dtype=np.int64)
+        self._ctx = ctx
+
+    def read_array(
+        self, namespace: str, ids: np.ndarray, *, owner: np.ndarray,
+        **kwargs: Any,
+    ) -> Any:
+        return self._ctx.read_array(namespace, ids, **kwargs)
+
+    def write_array(
+        self, namespace: str, ids: np.ndarray, values: np.ndarray, *,
+        owner: np.ndarray,
+    ) -> None:
+        self._ctx.write_array(namespace, ids, values)
+
+
+def _one_machine_at_a_time(fused_worker: Callable[..., Any]) -> Callable[..., Any]:
+    """A fused program as a per-block program. Every machine issues the
+    same operations as in lockstep, so results and the ledger are
+    unchanged; only the interleaving of different machines' writes is."""
+    return lambda ctx, block: fused_worker(_MachineLockstep(ctx, block))
 
 
 class ChaosRuntime(ChaosMixin, AMPCRuntime):

@@ -1118,6 +1118,18 @@ class DistributedDataStore:
         self.n_reads = 0
         self._server_reads[:] = 0
 
+    def read_load(self) -> tuple[int, np.ndarray]:
+        """Snapshot of the read-side accounting, for
+        :meth:`restore_read_load`."""
+        return self.n_reads, self._server_reads.copy()
+
+    def restore_read_load(self, snapshot: tuple[int, np.ndarray]) -> None:
+        """Rewind the read-side accounting to a :meth:`read_load`
+        snapshot: the reads served since then were a crashed machine's,
+        which the ledger books as recovery waste, not as contention."""
+        self.n_reads = snapshot[0]
+        self._server_reads[:] = snapshot[1]
+
 
 class ReplicatedDataStore(DistributedDataStore):
     """A round store whose pairs live on k DDS servers (§2.1, executable).
@@ -1210,8 +1222,8 @@ class ReplicatedDataStore(DistributedDataStore):
         slots: np.ndarray | None = None,
     ) -> None:
         # Replication placement is per-key (distinct-replica search), so
-        # the batch degrades to the scalar loop; replicated stores exist
-        # for the chaos path, which the vectorized engine opts out of.
+        # the batch degrades to the scalar loop — the price block
+        # programs pay for running under a fault plan.
         parts = [namespace, ids] if slots is None else [namespace, ids, slots]
         for key in _batch_keys(parts):
             self._place_write(key)

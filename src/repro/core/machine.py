@@ -223,15 +223,6 @@ class MachineContext:
         for key, value in pairs:
             self.write(key, value)
 
-    def commit(self) -> None:
-        """Flush any buffered output into the next store.
-
-        A no-op for the base context, which writes through immediately;
-        transactional contexts (fault injection) override it. The runtime
-        calls it for every context before sealing the round's store, so
-        buffered writes are never silently dropped.
-        """
-
     # -- budget accounting --------------------------------------------------
 
     def _charge_read(self, count: int) -> None:
@@ -261,9 +252,11 @@ class TransactionalContextMixin:
     Fault-injecting runtimes combine this mixin with a concrete context
     class (``class C(TransactionalContextMixin, MachineContext)``) and
     declare ``__slots__ = TRANSACTIONAL_SLOTS`` on the combined class.
-    Writes are buffered until :meth:`commit` — a crashed attempt must
-    leave no trace in D_i (the framework discards a failed task's output,
-    as in MapReduce) — and reads raise :class:`MachineCrash` once the
+    Writes — scalar pairs and array batches alike — are buffered until
+    :meth:`commit`, which the fault-injecting runtime calls when the
+    machine finishes cleanly: a crashed attempt must leave no trace in
+    D_i (the framework discards a failed task's output, as in
+    MapReduce). A charged read raises :class:`MachineCrash` once the
     preselected crash point is reached.
     """
 
@@ -272,20 +265,15 @@ class TransactionalContextMixin:
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.crash_at: int | None = None
-        self.buffered_writes: list[tuple[Hashable, Any]] = []
+        # In write order: (key, value) pairs and (namespace, ids, values)
+        # batches.
+        self.buffered_writes: list[tuple] = []
 
-    def _crash_point(self) -> None:
-        """Every read entry point passes here first (cached or not)."""
+    def _charge_read(self, count: int) -> None:
+        # Every remote read, scalar or batched, is charged here first.
         if self.crash_at is not None and self.reads_used >= self.crash_at:
             raise MachineCrash(self.machine_id, self.reads_used)
-
-    def read(self, key: Hashable) -> Any:
-        self._crash_point()
-        return super().read(key)
-
-    def read_indexed(self, key: Hashable, index: int) -> Any:
-        self._crash_point()
-        return super().read_indexed(key, index)
+        super()._charge_read(count)
 
     def write(self, key: Hashable, value: Any) -> None:
         self._charge_write(1)
@@ -293,50 +281,43 @@ class TransactionalContextMixin:
             self.observer.on_machine_write(self, key)
         self.buffered_writes.append((key, value))
 
-    def read_array(self, namespace: str, ids: np.ndarray, **kwargs: Any) -> Any:
-        self._crash_point()
-        return super().read_array(namespace, ids, **kwargs)
-
-    def charge_read_array(self, namespace: str, *columns: np.ndarray) -> None:
-        self._crash_point()
-        super().charge_read_array(namespace, *columns)
-
     def write_array(
         self, namespace: str, ids: np.ndarray, values: np.ndarray
     ) -> None:
-        # Rollback granularity is per buffered pair; a columnar write would
-        # need its own undo bookkeeping. The vectorized engine checks
-        # runtime.batch_capable and stays on the scalar path under fault
-        # injection, so this is a guard, not a code path.
-        raise NotImplementedError(
-            "batch writes are not supported on transactional (fault-injected) "
-            "contexts; run with vectorized=False under fault injection"
-        )
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size == 0:
+            return
+        self._charge_write(ids.size)
+        if self.batch_observer is not None:
+            self.batch_observer.on_machine_write_batch(self, namespace, ids)
+        self.buffered_writes.append((namespace, ids, values))
 
     def commit(self) -> None:
-        for key, value in self.buffered_writes:
-            self._next.write(key, value)
+        for entry in self.buffered_writes:
+            if len(entry) == 2:
+                self._next.write(*entry)
+            else:
+                self._next.write_array(*entry)
         self.buffered_writes.clear()
 
-    def rollback(self, writes_mark: int, reads_mark: int) -> tuple[int, int]:
-        """Discard the crashed attempt's effects; return the waste.
+    def rollback(self) -> int:
+        """Discard a crashed attempt; return the reads it wasted.
 
-        Drops buffered writes past ``writes_mark``, resets the read/write
-        budgets to the attempt's start (a replacement machine begins with
-        a fresh budget — the paper's "perform the computation from
-        scratch"), and clears the read cache and scratch space like a
-        fresh machine. Returns ``(wasted_reads, wasted_writes)`` so the
-        runtime can charge the waste to the recovery ledger.
+        The replacement machine starts from scratch (the paper's "perform
+        the computation from scratch"): nothing the attempt buffered
+        reaches D_i, the read/write budgets — buffered rows and result
+        publications alike — are fresh, and the read cache and scratch
+        space are empty. A context runs one machine's program for one
+        round, so "the attempt's start" is the context's initial state.
         """
-        wasted_writes = len(self.buffered_writes) - writes_mark
-        del self.buffered_writes[writes_mark:]
-        wasted_reads = self.reads_used - reads_mark
-        self.reads_used = reads_mark
-        self.writes_used -= wasted_writes
+        wasted_reads = self.reads_used
+        self.buffered_writes.clear()
+        self.reads_used = 0
+        self.writes_used = 0
         self.crash_at = None
         self._cache.clear()
         self.scratch.clear()
-        return wasted_reads, wasted_writes
+        return wasted_reads
 
 
 # Slots a concrete transactional context class must declare (the mixin

@@ -425,12 +425,12 @@ class AMPCRuntime:
     def parallel_capable(self) -> bool:
         """Whether the process backend preserves this runtime's semantics.
 
-        Mirrors :attr:`batch_capable`: true only for runtimes whose
-        machines run the plain MachineContext against plain stores.
-        Chaos runtimes additionally pin this to False at class level —
-        their crash RNG advances in machine execution order, which
-        sharding would have to reproduce op-for-op to keep fault plans
-        firing at identical operations; they run serially instead.
+        True only for runtimes whose machines run the plain
+        MachineContext against plain stores. Chaos runtimes with
+        simulated faults additionally opt out — their crash RNG advances
+        in machine execution order, which sharding would have to
+        reproduce op-for-op to keep fault plans firing at identical
+        operations; they run serially instead.
         """
         return self.machine_context_cls is MachineContext
 
@@ -444,19 +444,6 @@ class AMPCRuntime:
         if ambient is not None:
             return max(1, int(ambient))
         return _parallel.autodetect_workers()
-
-    @property
-    def batch_capable(self) -> bool:
-        """Whether :meth:`round_batch` preserves this runtime's semantics.
-
-        True only when machines run the plain
-        :class:`~repro.core.machine.MachineContext`. Fault-injecting /
-        chaos runtimes (crash points, buffered transactional writes) and
-        MPC runtimes substitute their own context classes and opt out;
-        algorithms offering ``vectorized=True`` check this flag and fall
-        back to the scalar path, so chaos replays stay bit-faithful.
-        """
-        return self.machine_context_cls is MachineContext
 
     def round_batch(
         self,
@@ -566,11 +553,7 @@ class AMPCRuntime:
                 )
             results, contexts = outcome
 
-            # Finish. Transactional contexts (fault-injecting runtimes)
-            # buffer writes until a clean finish; commit is a no-op for
-            # the base context.
-            for ctx in contexts:
-                ctx.commit()
+            # Finish.
             next_store.seal()
             self._store = next_store
             self._round_counter += 1
@@ -730,13 +713,25 @@ class AMPCRuntime:
             contexts.append(ctx)
             if fan is not None:
                 fan.on_machine_start(ctx)
-            out = run(ctx, worker, take_items(work, idx))
+            out = self._run_machine(run, ctx, worker, take_items(work, idx))
             if fan is not None:
                 # After the publication charge, so the machine span's
                 # write count includes it for every program shape.
                 fan.on_machine_end(ctx)
             collector.add(idx, out)
         return collector.results(), contexts
+
+    def _run_machine(
+        self,
+        run: Callable[..., Any],
+        ctx: MachineContext,
+        worker: Callable[..., Any],
+        items: Sequence[Any],
+    ) -> Any:
+        """One machine's program over its items (``run`` is
+        :func:`run_items` or :func:`run_block`). The unit a chaos runtime
+        crashes and replays."""
+        return run(ctx, worker, items)
 
     def charge(
         self,
@@ -1028,9 +1023,6 @@ class _MachineLedger:
     write_violation: bool
     _prev: DistributedDataStore
     _next: DistributedDataStore
-
-    def commit(self) -> None:
-        """Batch writes go straight to the store; nothing to flush."""
 
 
 @dataclass(slots=True, eq=False)

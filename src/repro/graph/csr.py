@@ -135,6 +135,10 @@ def build_csr(
         raise ValueError(f"vertex count must be >= 0, got {n}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # The meta file is what blesses a directory as a cache (is_cache): a
+    # previous build's must not outlive the arrays it describes, so it
+    # goes before the first byte of this build is written.
+    (out / _META).unlink(missing_ok=True)
     step = max(1, int(chunk_edges))
     spool_path = out / _SPOOL
     rough_path = out / _ROUGH
@@ -247,7 +251,11 @@ def build_csr(
         "m": write_pos // 2,
         "directed_rows": write_pos,
     }
-    (out / _META).write_text(json.dumps(meta))
+    # Published last and atomically: the directory is a cache from the
+    # moment the finished meta appears, never with a partial one.
+    pending = out / (_META + ".tmp")
+    pending.write_text(json.dumps(meta))
+    os.replace(pending, out / _META)
     return MmapGraph.load(out)
 
 

@@ -6,7 +6,7 @@ key conventions shared between drivers and machine programs:
 * ``("deg", v) -> deg(v)`` and ``("adj", v, i) -> i-th neighbor`` for plain
   graphs (i is 0-based; neighbors in sorted order),
 * ``("adjw", v, i) -> (neighbor, weight, edge_id)`` for weighted graphs,
-* the *flat* weighted scheme used by the vectorized MSF path —
+* the *flat* weighted scheme MSF reads —
   ``("deg", v) -> (deg(v), base_v)`` with ``base_v`` the row start in the
   CSR, and ``("adjw", base_v + i) -> (neighbor, weight, edge_id)`` —
   whose integer-only key columns make it expressible both as scalar pairs
@@ -105,12 +105,11 @@ def encode_weighted_graph(graph: WeightedGraph, prefix: str = "adjw") -> Pairs:
 def encode_weighted_graph_flat(
     graph: WeightedGraph, prefix: str = "adjw"
 ) -> Pairs:
-    """Flat-key weighted adjacency for the scalar path.
+    """Flat-key weighted adjacency as scalar pairs.
 
     ``("deg", v) -> (deg, base)`` and ``(prefix, base + i) ->
     (nbr, weight, edge_id)``: the key set (hence server placement) matches
-    :func:`encode_weighted_graph_arrays` exactly, so scalar and vectorized
-    MSF runs share one contention histogram.
+    :func:`encode_weighted_graph_arrays` exactly.
     """
     indptr, indices = graph.indptr, graph.indices
     weights, eids = graph.weights, graph.edge_ids

@@ -65,7 +65,6 @@ def overhead_trial(
     *,
     n: int = 3000,
     seed: int = 0,
-    vectorized: bool = False,
     detail: str = "machine",
     repeats: int = 3,
 ) -> dict[str, Any]:
@@ -85,13 +84,11 @@ def overhead_trial(
     graph = generators.erdos_renyi_gnm(n, 2 * n, seed)
 
     def run_plain() -> Any:
-        return repro.connectivity(graph, seed=seed, vectorized=vectorized)
+        return repro.connectivity(graph, seed=seed)
 
     def run_armed() -> Any:
         with TracingSession(detail=detail, metrics=True) as session:
-            result = repro.connectivity(
-                graph, seed=seed, vectorized=vectorized
-            )
+            result = repro.connectivity(graph, seed=seed)
         return result, session
 
     times, outs = _paired_sweeps([run_plain, run_plain, run_armed], repeats)
@@ -112,7 +109,6 @@ def overhead_trial(
         "workload": f"connectivity er n={n} m={2 * n}",
         "n": n,
         "seed": seed,
-        "vectorized": vectorized,
         "detail": detail,
         "repeats": repeats,
         "base_s": base_s,

@@ -135,7 +135,7 @@ class ServingEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
         # -- build phase: batch algorithms, merged into one build ledger --
-        conn = connectivity(graph, config=config, vectorized=True)
+        conn = connectivity(graph, config=config)
         forest_edges, msf_result = spanning_forest(graph, config=config)
         forest = Graph.from_edges(n, forest_edges)
         rooted = root_forest(

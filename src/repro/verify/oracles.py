@@ -87,10 +87,6 @@ class AlgorithmCase:
             against the MPC baseline.
         chaos_run: optional ``(workload, seed, plan)`` → result computed
             under the fault plan (must match the fault-free digest).
-        run_vectorized: optional ``(workload, seed)`` → result computed on
-            the batch execution engine (``vectorized=True``). Must produce
-            the same digest AND cost-ledger summary as :attr:`run`; the
-            sweep's ``vectorized`` mode swaps it in for :attr:`run`.
     """
 
     name: str
@@ -102,7 +98,6 @@ class AlgorithmCase:
     report_of: Callable[[Any], RunReport | None]
     cross_model: Callable[[Workload, Any, int], list[str]] | None = None
     chaos_run: Callable[[Workload, int, FaultPlan], Any] | None = None
-    run_vectorized: Callable[[Workload, int], Any] | None = None
 
 
 CASES: dict[str, AlgorithmCase] = {}
@@ -261,9 +256,6 @@ register(AlgorithmCase(
         w.payload,
         runtime=_chaos_runtime(w.payload.n + w.payload.m, seed, plan),
     ),
-    run_vectorized=lambda w, seed: algorithms.connectivity(
-        w.payload, seed=seed, vectorized=True
-    ),
 ))
 
 
@@ -282,9 +274,6 @@ register(AlgorithmCase(
     families=("er", "power-law", "grid", "forest"),
     run=lambda w, seed: algorithms.maximal_independent_set(
         w.payload, seed=seed
-    ),
-    run_vectorized=lambda w, seed: algorithms.maximal_independent_set(
-        w.payload, seed=seed, vectorized=True
     ),
     oracle=_mis_oracle,
     digest=lambda res: _arr_digest(res.in_mis, res.pi),
@@ -389,9 +378,6 @@ register(AlgorithmCase(
     families=("er", "power-law", "grid", "tree"),
     run=lambda w, seed: algorithms.minimum_spanning_forest(
         w.payload, seed=seed
-    ),
-    run_vectorized=lambda w, seed: algorithms.minimum_spanning_forest(
-        w.payload, seed=seed, vectorized=True
     ),
     oracle=_msf_oracle,
     digest=lambda res: _arr_digest(res.edge_ids),
@@ -526,9 +512,6 @@ register(AlgorithmCase(
     digest=lambda res: _arr_digest(res.ranks),
     report_of=lambda res: res.report,
     cross_model=_list_ranking_cross,
-    run_vectorized=lambda w, seed: algorithms.list_ranking(
-        w.payload, seed=seed, vectorized=True
-    ),
 ))
 
 

@@ -241,7 +241,6 @@ class CellRecord:
     rounds: int | None = None
     error: str | None = None
     duration_s: float = 0.0
-    vectorized: bool = False
     backend: str = "serial"
     process_faults: bool = False
 
@@ -285,7 +284,6 @@ class CellRecord:
             "rounds": self.rounds,
             "error": self.error,
             "duration_s": round(self.duration_s, 4),
-            "vectorized": self.vectorized,
             "backend": self.backend,
             "process_faults": self.process_faults,
         }
@@ -393,18 +391,14 @@ def _run_cell(
     *,
     balance_slack: float,
     chaos: bool,
-    vectorized: bool = False,
     backend: str = "serial",
     workers: int | None = None,
     process_faults: ProcessFaultPlan | None = None,
 ) -> CellRecord:
     workload = make_workload(case, family, n, seed)
     wn, wm = workload.size
-    use_vectorized = vectorized and case.run_vectorized is not None
-    run = case.run_vectorized if use_vectorized else case.run
     record = CellRecord(algorithm=case.name, family=family, seed=seed,
-                        n=wn, m=wm, vectorized=use_vectorized,
-                        backend=backend,
+                        n=wn, m=wm, backend=backend,
                         process_faults=process_faults is not None)
     # Real-process faults are armed ambiently for the primary run and
     # the determinism rerun; the serial twin below runs outside the
@@ -420,7 +414,7 @@ def _run_cell(
     try:
         with faulted(), use_backend(backend, workers):
             with InvariantSuite(balance_slack=balance_slack) as suite:
-                result = run(workload, seed)
+                result = case.run(workload, seed)
         record.invariant_violations = [
             {"invariant": v.invariant, "message": v.message, "tag": v.tag}
             for v in suite.violations
@@ -437,7 +431,7 @@ def _run_cell(
         # including the cost ledger (wall time excluded).
         rerun_workload = make_workload(case, family, n, seed)
         with faulted(), use_backend(backend, workers):
-            rerun = run(rerun_workload, seed)
+            rerun = case.run(rerun_workload, seed)
         record.deterministic = (
             case.digest(result) == case.digest(rerun)
             and _summary_without_walltime(report)
@@ -450,7 +444,7 @@ def _run_cell(
         if backend != "serial":
             twin_workload = make_workload(case, family, n, seed)
             with use_backend("serial", None):
-                twin = run(twin_workload, seed)
+                twin = case.run(twin_workload, seed)
             record.backend_identical = (
                 case.digest(result) == case.digest(twin)
                 and _summary_without_walltime(report)
@@ -640,9 +634,8 @@ def ingest_smoke_cell() -> dict:
     * **CSR parity**: the mmap ``indptr``/``indices`` must be
       bit-identical to ``Graph.from_edges`` on the same edges;
     * **result + ledger parity**: connectivity and MIS run from the
-      mmap-backed graph (scalar and vectorized/array-native setup) must
-      produce bit-identical labels/membership AND bit-identical
-      per-round cost ledgers vs the in-memory baseline.
+      mmap-backed graph must produce bit-identical labels/membership AND
+      bit-identical per-round cost ledgers vs the in-memory baseline.
 
     Returns a smoke-cell outcome plus ``n``, ``m`` and ``checks``.
     """
@@ -653,13 +646,8 @@ def ingest_smoke_cell() -> dict:
     from repro.algorithms.mis import maximal_independent_set
     from repro.graph import csr, files, generators
 
-    def _rows(report) -> list[tuple]:
-        return [
-            (s.tag, s.kind, s.rounds, s.total_reads, s.total_writes,
-             s.max_machine_reads, s.max_machine_writes,
-             s.n_machines_active, s.budget_violations, s.max_server_load)
-            for s in report.rounds
-        ]
+    def _rows(report) -> list[dict]:
+        return report.to_dict()["rounds"]
 
     problems: list[str] = []
     checks = 0
@@ -682,31 +670,23 @@ def ingest_smoke_cell() -> dict:
         ):
             problems.append("mmap CSR arrays differ from Graph.from_edges")
         checks += 1
-        for vectorized in (False, True):
-            mode = "vectorized" if vectorized else "scalar"
-            want = connectivity(base, seed=0, vectorized=vectorized)
-            got = connectivity(mapped, seed=0, vectorized=vectorized)
-            if (
-                not np.array_equal(got.labels, want.labels)
-                or got.n_components != want.n_components
-            ):
-                problems.append(f"{mode} connectivity labels differ on "
-                                f"the mmap graph")
-            if _rows(got.report) != _rows(want.report):
-                problems.append(f"{mode} connectivity ledger differs on "
-                                f"the mmap graph")
-            checks += 2
-            want_mis = maximal_independent_set(base, seed=0,
-                                               vectorized=vectorized)
-            got_mis = maximal_independent_set(mapped, seed=0,
-                                              vectorized=vectorized)
-            if not np.array_equal(got_mis.in_mis, want_mis.in_mis):
-                problems.append(f"{mode} MIS membership differs on the "
-                                f"mmap graph")
-            if _rows(got_mis.report) != _rows(want_mis.report):
-                problems.append(f"{mode} MIS ledger differs on the "
-                                f"mmap graph")
-            checks += 2
+        want = connectivity(base, seed=0)
+        got = connectivity(mapped, seed=0)
+        if (
+            not np.array_equal(got.labels, want.labels)
+            or got.n_components != want.n_components
+        ):
+            problems.append("connectivity labels differ on the mmap graph")
+        if _rows(got.report) != _rows(want.report):
+            problems.append("connectivity ledger differs on the mmap graph")
+        checks += 2
+        want_mis = maximal_independent_set(base, seed=0)
+        got_mis = maximal_independent_set(mapped, seed=0)
+        if not np.array_equal(got_mis.in_mis, want_mis.in_mis):
+            problems.append("MIS membership differs on the mmap graph")
+        if _rows(got_mis.report) != _rows(want_mis.report):
+            problems.append("MIS ledger differs on the mmap graph")
+        checks += 2
 
     return _outcome(
         "ingest smoke", problems,
@@ -715,16 +695,11 @@ def ingest_smoke_cell() -> dict:
     )
 
 
-def _cell_outcome(
-    record: CellRecord, ok: bool, label: str, text: str, error_label: str = ""
-) -> dict:
-    error_label = error_label or label
+def _cell_outcome(record: CellRecord, ok: bool, label: str, text: str) -> dict:
     return {
         "ok": ok,
         "summary": f"{label}: {text}",
-        "problems": (
-            [f"{error_label} error: {record.error}"] if record.error else []
-        ),
+        "problems": [f"{label} error: {record.error}"] if record.error else [],
     }
 
 
@@ -813,16 +788,29 @@ def _process_smoke(args: Any) -> list[dict]:
     return outcomes
 
 
-def _vectorized_smoke(args: Any) -> list[dict]:
-    """One MIS cell on the batch engine (``vectorized=True``): the
-    differential oracle against ``sequential_lfmis`` plus the usual
-    invariant observers must pass on the vectorized path."""
-    record = _run_cell(CASES["mis"], "er", SMOKE_SIZE, 0,
-                       balance_slack=4.0, chaos=False, vectorized=True)
-    return [_cell_outcome(
-        record, record.ok and record.vectorized, "vectorized",
-        f"mis er n={record.n} batch-engine path", "vectorized smoke",
-    )]
+def spec_parity_cell() -> dict:
+    """The ``spec-parity`` cell of ``repro verify --smoke``: each of the
+    five adaptive rounds, once through its production program and once
+    through its per-item spec (:mod:`repro.verify.specs`) on the same
+    staged input, must agree on results, next store and ledger row."""
+    from repro.core.config import AMPCConfig
+
+    from . import specs
+
+    graph = generators.erdos_renyi_gnm(SMOKE_SIZE, 2 * SMOKE_SIZE, rng=0)
+    config = AMPCConfig.for_input(graph.n + graph.m, seed=0)
+    problems = (
+        specs.graph_round_problems(graph, 4, 8, 0, config)
+        + specs.weighted_round_problems(
+            generators.with_random_weights(graph, 1), 4, config)
+        + specs.list_round_problems(
+            generators.linked_list(SMOKE_SIZE, rng=0), True, config)
+    )
+    return _outcome(
+        "spec-parity", problems,
+        "increase-degrees, mis, prim, shrink, fill-back: production "
+        "program == per-item spec (results, next store, ledger row)",
+    )
 
 
 def _never(args: Any) -> bool:
@@ -831,11 +819,11 @@ def _never(args: Any) -> bool:
 
 #: The cells ``repro verify --smoke`` runs after the sweep, in order:
 #: ``(name, skip(args), run(args))``. A cell whose path the sweep itself
-#: already took (``--backend process``, ``--vectorized``) is skipped.
+#: already took (``--backend process``) is skipped.
 SMOKE_CELLS: list[tuple[str, Callable[[Any], bool], Callable[[Any], list[dict]]]] = [
     ("traced", _never, _traced_smoke),
     ("process", lambda args: args.backend != "serial", _process_smoke),
-    ("vectorized", lambda args: args.vectorized, _vectorized_smoke),
+    ("spec-parity", _never, lambda args: [spec_parity_cell()]),
     ("perf", _never, lambda args: [perf_smoke_cell()]),
     ("serve", _never, lambda args: [serve_smoke_cell()]),
     ("ingest", _never, lambda args: [ingest_smoke_cell()]),
@@ -850,7 +838,6 @@ def verify_sweep(
     size: int | None = None,
     smoke: bool = False,
     chaos: bool = False,
-    vectorized: bool = False,
     backend: str = "serial",
     workers: int | None = None,
     process_faults: bool = False,
@@ -868,11 +855,6 @@ def verify_sweep(
         smoke: CI mode — small instances, two seeds.
         chaos: additionally replay chaos-capable cases under the default
             fault plan and require bit-identical answers.
-        vectorized: run cases that register a ``run_vectorized`` variant
-            on the batch execution engine instead of the scalar
-            simulator; oracles, invariants, and the seed-determinism
-            matrix apply unchanged (the batch path must satisfy the same
-            contract). Cases without a vectorized variant run scalar.
         backend: execution backend for every cell (``"serial"`` or
             ``"process"``). With ``"process"``, each cell additionally
             runs a serial twin and requires bit-identical results and
@@ -921,7 +903,7 @@ def verify_sweep(
                 record = _run_cell(
                     case, family, n, seed,
                     balance_slack=balance_slack, chaos=chaos,
-                    vectorized=vectorized, backend=backend,
+                    backend=backend,
                     workers=workers,
                     process_faults=(
                         default_process_fault_plan(seed + 1)
@@ -939,7 +921,6 @@ def verify_sweep(
         "size": n,
         "smoke": smoke,
         "chaos": chaos,
-        "vectorized": vectorized,
         "backend": backend,
         "workers": workers,
         "process_faults": process_faults,

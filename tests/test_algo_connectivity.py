@@ -64,12 +64,10 @@ class TestComplexityShape:
         assert grew[0], budgets
 
     def test_phases_flat_while_n_grows(self):
-        # Only phases are counted; the batch path takes the same ones
-        # (ledger parity: test_batch_engine.py) in a fifth of the time.
         phases = []
         for n in (500, 2000, 8000):
             g = generators.erdos_renyi_gnm(n, 3 * n, rng=n)
-            phases.append(connectivity(g, seed=2, vectorized=True).phases)
+            phases.append(connectivity(g, seed=2).phases)
         assert max(phases) - min(phases) <= 1, phases
 
     def test_rounds_do_not_depend_on_diameter(self):

@@ -1,14 +1,18 @@
-"""The vectorized batch execution engine vs the scalar simulator.
+"""The batch execution engine vs the scalar simulator.
 
 The batch path (``splitmix64_array`` placement, columnar DDS arrays,
-``round_batch``, the ``vectorized=True`` algorithm variants) is a pure
-simulator optimization: the model contract — results, rounds, read/write
-charges, per-server contention — must be *bit-identical* to the scalar
-path. Every test here asserts that equivalence directly, most of them
-down to the full per-round cost ledger.
+``round_batch``) is a pure simulator optimization: the model contract —
+results, rounds, read/write charges, per-server contention — must be
+*bit-identical* to what scalar operations would produce. The engine
+tests assert that equivalence directly; the algorithm tests hold each
+production (block) program to its per-item spec
+(:mod:`repro.verify.specs`) round by round, and check that the
+``vectorized=`` keyword of the entry points selects nothing.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -41,8 +45,8 @@ from repro.core.partition import (
     splitmix64_array,
 )
 from repro.graph import generators
+from repro.verify import specs
 from repro.verify import strategies as vst
-from repro.verify.runner import verify_sweep
 
 
 def _ledger(report):
@@ -53,6 +57,45 @@ def _ledger(report):
          s.budget_violations, s.max_server_load)
         for s in report.rounds
     ]
+
+
+@contextlib.contextmanager
+def _round_calls():
+    """Count ``AMPCRuntime.round`` / ``round_batch`` calls made inside."""
+    calls = {"round": 0, "round_batch": 0}
+    originals = {name: getattr(AMPCRuntime, name) for name in calls}
+
+    def counting(name):
+        def method(self, *args, **kwargs):
+            calls[name] += 1
+            return originals[name](self, *args, **kwargs)
+        return method
+
+    for name in calls:
+        setattr(AMPCRuntime, name, counting(name))
+    try:
+        yield calls
+    finally:
+        for name, original in originals.items():
+            setattr(AMPCRuntime, name, original)
+
+
+def _keyword_selects_nothing(run):
+    """``run()``, ``run(vectorized=False)`` and ``run(vectorized=True)``
+    execute the same machine programs — block programs only, the same
+    number of rounds — with identical ledgers. Returns the first and the
+    last result for the caller to compare."""
+    outcomes = []
+    for kwargs in ({}, {"vectorized": False}, {"vectorized": True}):
+        with _round_calls() as calls:
+            result = run(**kwargs)
+        assert calls["round"] == 0 and calls["round_batch"] > 0
+        outcomes.append((result, _ledger(result.report), calls))
+    (first, ledger, calls), *others = outcomes
+    for _result, other_ledger, other_calls in others:
+        assert other_ledger == ledger
+        assert other_calls == calls
+    return first, outcomes[-1][0]
 
 
 def _store_state(store: DistributedDataStore):
@@ -245,7 +288,6 @@ class TestBatchContext:
         from repro.core.runtime import MPCRuntime
 
         rt = MPCRuntime(AMPCConfig(space=64, n_machines=4, seed=2))
-        assert not rt.batch_capable
 
         def worker(ctx, v):
             ctx.read_array("v", np.array([0], dtype=np.int64))
@@ -253,12 +295,32 @@ class TestBatchContext:
         with pytest.raises(AdaptivityError):
             rt.round([0], worker, setup=[(("v", 0), 1)], tag="t")
 
-    def test_chaos_runtime_is_not_batch_capable(self):
+    def test_chaos_runtime_runs_block_programs_and_crashes(self):
+        """A block program's array writes are buffered and its machine
+        crashes and replays as a unit: same results, same next store."""
         from repro.core.chaos import FaultPlan, arm
 
+        ids = np.arange(64, dtype=np.int64)
+
+        def worker(ctx, block):
+            vals = ctx.read_array("v", block)
+            ctx.read_array("v", block[:1])
+            ctx.write_array("out", block, vals * 2)
+            return vals
+
+        def run(rt):
+            result = rt.round_batch(
+                ids, worker,
+                setup_arrays=[("v", ids, ids.astype(np.float64))], tag="t",
+            )
+            return (result.results.tolist(),
+                    [a.tolist() for a in result.store.read_namespace("out")],
+                    _ledger(rt.report))
+
         config = AMPCConfig.for_input(64, seed=1, replication_factor=2)
-        rt = arm(AMPCRuntime)(config, plan=FaultPlan.machine_crashes(0.2))
-        assert not rt.batch_capable
+        rt = arm(AMPCRuntime)(config, plan=FaultPlan.machine_crashes(0.4))
+        assert run(rt) == run(AMPCRuntime(config))
+        assert rt.report.crashes > 0
 
     def test_round_batch_rejects_non_integer_work(self):
         rt = AMPCRuntime(AMPCConfig(space=64, n_machines=4, seed=2))
@@ -386,12 +448,12 @@ class TestAlgorithmParity:
     @pytest.mark.parametrize("n,seed", [(60, 0), (400, 3), (1500, 11)])
     def test_list_ranking(self, n, seed):
         succ = generators.linked_list(n, rng=seed)
-        a = list_ranking(succ, seed=seed)
-        b = list_ranking(succ, seed=seed, vectorized=True)
+        a, b = _keyword_selects_nothing(
+            lambda **kw: list_ranking(succ, seed=seed, **kw)
+        )
         assert np.array_equal(a.ranks, b.ranks)
         assert np.array_equal(a.ranks, sequential_list_ranks(succ))
         assert a.shrink_rounds == b.shrink_rounds
-        assert _ledger(a.report) == _ledger(b.report)
 
     def test_multi_list_ranking(self):
         rng = np.random.default_rng(7)
@@ -406,11 +468,12 @@ class TestAlgorithmParity:
                 succ[chunk[i]] = chunk[i + 1]
             base += size
         heads = np.array(heads, dtype=np.int64)
-        a = multi_list_ranking(succ, heads, seed=5)
-        b = multi_list_ranking(succ, heads, seed=5, vectorized=True)
+        a, b = _keyword_selects_nothing(
+            lambda **kw: multi_list_ranking(succ, heads, seed=5, **kw)
+        )
         assert np.array_equal(a.ranks, b.ranks)
         assert np.array_equal(a.head_of, b.head_of)
-        assert _ledger(a.report) == _ledger(b.report)
+        assert sorted(np.unique(a.head_of).tolist()) == sorted(heads.tolist())
 
     @pytest.mark.parametrize("make,seed", [
         (lambda: generators.erdos_renyi_gnm(150, 450, rng=0), 0),
@@ -419,12 +482,12 @@ class TestAlgorithmParity:
     ])
     def test_connectivity(self, make, seed):
         g = make()
-        a = connectivity(g, seed=seed)
-        b = connectivity(g, seed=seed, vectorized=True)
+        a, b = _keyword_selects_nothing(
+            lambda **kw: connectivity(g, seed=seed, **kw)
+        )
         assert np.array_equal(a.labels, b.labels)
         assert a.phases == b.phases
         assert a.n_components == b.n_components
-        assert _ledger(a.report) == _ledger(b.report)
 
     @pytest.mark.parametrize("n,m,seed", [
         (60, 180, 0), (250, 1000, 3), (900, 3600, 5),
@@ -436,14 +499,14 @@ class TestAlgorithmParity:
         )
 
         g = generators.erdos_renyi_gnm(n, m, rng=seed)
-        a = maximal_independent_set(g, seed=seed)
-        b = maximal_independent_set(g, seed=seed, vectorized=True)
+        a, b = _keyword_selects_nothing(
+            lambda **kw: maximal_independent_set(g, seed=seed, **kw)
+        )
         assert np.array_equal(a.in_mis, b.in_mis)
         assert np.array_equal(a.settled_at, b.settled_at)
         assert a.iterations == b.iterations
         assert a.total_query_calls == b.total_query_calls
         assert np.array_equal(b.in_mis, sequential_lfmis(g, b.pi))
-        assert _ledger(a.report) == _ledger(b.report)
 
     @pytest.mark.parametrize("n,m,seed", [
         (80, 200, 1), (300, 1500, 4), (1000, 4000, 7),
@@ -457,37 +520,88 @@ class TestAlgorithmParity:
         g = generators.with_random_weights(
             generators.erdos_renyi_gnm(n, m, rng=seed), rng=seed + 1
         )
-        a = minimum_spanning_forest(g, seed=seed)
-        b = minimum_spanning_forest(g, seed=seed, vectorized=True)
+        a, b = _keyword_selects_nothing(
+            lambda **kw: minimum_spanning_forest(g, seed=seed, **kw)
+        )
         assert np.array_equal(a.edge_ids, b.edge_ids)
         assert a.total_weight == b.total_weight
         assert a.phases == b.phases
         assert a.budgets == b.budgets
         assert np.array_equal(b.edge_ids, sequential_msf_ids(g))
-        assert _ledger(a.report) == _ledger(b.report)
+
+    # -- spec parity, round by round ---------------------------------------
+    #
+    # Each adaptive round runs once through its per-item spec
+    # (``runtime.round``) and once through its production program
+    # (``round_batch``) on the same staged input; results, next-store
+    # rows and the ledger row (max_server_load included) must agree.
 
     @settings(max_examples=15, deadline=None)
     @given(vst.weighted_graphs_with_seed(min_n=2, max_n=40,
-                                         families=("er", "grid", "tree")))
-    def test_msf_batch_vs_scalar_property(self, case):
-        from repro.algorithms.msf import minimum_spanning_forest
-
+                                         families=("er", "grid", "tree")),
+           st.integers(2, 7))
+    def test_msf_batch_vs_scalar_property(self, case, d):
         g, seed = case
-        a = minimum_spanning_forest(g, seed=seed)
-        b = minimum_spanning_forest(g, seed=seed, vectorized=True)
-        assert np.array_equal(a.edge_ids, b.edge_ids)
-        assert a.phases == b.phases
-        assert _ledger(a.report) == _ledger(b.report)
+        config = AMPCConfig.for_input(g.n + g.m, seed=seed)
+        assert specs.weighted_round_problems(g, d, config) == []
+
+    @settings(max_examples=15, deadline=None)
+    @given(vst.graphs(min_n=1, max_n=40), vst.seeds(max_seed=50),
+           st.integers(2, 7), st.integers(1, 12))
+    def test_graph_rounds_match_their_specs(self, g, seed, d, cap):
+        config = AMPCConfig.for_input(g.n + g.m, seed=seed)
+        assert specs.graph_round_problems(g, d, cap, seed, config) == []
+
+    @settings(max_examples=15, deadline=None)
+    @given(vst.linked_lists(min_n=1, max_n=80), vst.seeds(max_seed=50),
+           st.booleans(), st.sampled_from([1, 4]))
+    def test_list_rounds_match_their_specs(self, succ, seed, additive,
+                                           n_machines):
+        config = AMPCConfig(space=64, n_machines=n_machines, seed=seed)
+        assert specs.list_round_problems(succ, additive, config) == []
+
+    def test_spec_parity_notices_a_different_program(self):
+        """The check has teeth: every round is compared, and a spec with
+        another budget, or another rule, disagrees."""
+        from repro.algorithms.connectivity import _increase_degrees
+
+        g = generators.erdos_renyi_gnm(60, 180, rng=1)
+        config = AMPCConfig.for_input(g.n + g.m, seed=1)
+        for d, agrees in ((4, True), (5, False)):
+            rt = specs.SpecCheckedRuntime(config, lambda tag: specs.bfs(d))
+            _increase_degrees(g, 4, rt, tag="bfs")
+            assert rt.checked == 1
+            assert (rt.problems == []) == agrees
+        # Ranking a list: shrink rounds and fill-back levels, all checked;
+        # filling without offsets is not what list ranking asked for.
+        succ = generators.linked_list(300, rng=2)
+        for additive, agrees in ((True, True), (False, False)):
+            rt = specs.SpecCheckedRuntime(
+                AMPCConfig.for_input(300, seed=2),
+                lambda tag: specs.walk if "shrink" in tag
+                else specs.fill(additive),
+            )
+            ranked = list_ranking(succ, runtime=rt)
+            assert rt.checked == 2 * ranked.shrink_rounds > 0
+            assert (rt.problems == []) == agrees
+
+    def test_spec_parity_smoke_cell(self):
+        from repro.verify.runner import SMOKE_CELLS, spec_parity_cell
+
+        assert "spec-parity" in [name for name, _skip, _run in SMOKE_CELLS]
+        outcome = spec_parity_cell()
+        assert outcome["ok"], outcome["problems"]
 
     def test_msf_leader_choice_with_several_leader_members(self):
         """F_v rows reach the one leader choice in two harvest orders
-        (grouped by vertex from per-vertex writes, machine by machine from
-        block writes); "first leader member" must not depend on which."""
+        (grouped by vertex from the spec's per-vertex writes, machine by
+        machine from block writes); "first leader member" must not depend
+        on which."""
         from repro.algorithms.msf import (
             _choose_leaders,
             _msf_increase_degree,
-            minimum_spanning_forest,
         )
+        from repro.graph.io import encode_weighted_graph_arrays
 
         g = generators.with_random_weights(
             generators.erdos_renyi_gnm(200, 800, rng=2), rng=3
@@ -495,14 +609,26 @@ class TestAlgorithmParity:
         config = AMPCConfig.for_input(g.n + g.m, seed=4)
         assert config.n_machines > 1
         is_leader = np.random.default_rng(0).random(g.n) < 0.5
-        runs = {}
-        for vectorized in (False, True):
-            rt = AMPCRuntime(config)
-            msf_ids, src, dst, exhausted = _msf_increase_degree(
-                g, 6, rt, tag="prim", vectorized=vectorized
-            )
-            leader = _choose_leaders(g.n, src, dst, exhausted, is_leader)
-            runs[vectorized] = (np.unique(msf_ids), leader, _ledger(rt.report))
+
+        msf_ids, src, dst, exhausted = _msf_increase_degree(
+            g, 6, AMPCRuntime(config), tag="prim"
+        )
+        leader = _choose_leaders(g.n, src, dst, exhausted, is_leader)
+
+        spec_rt = AMPCRuntime(config)
+        spec_rt.publish_state(arrays=encode_weighted_graph_arrays(g))
+        result = spec_rt.round(list(range(g.n)), specs.prim(6), tag="prim")
+        spec_ids, _ones = result.store.read_namespace("msf")
+        spec_src, spec_dst = result.store.read_namespace("fv")
+        spec_exhausted = np.array([flag for _size, flag in result.results])
+        assert not np.array_equal(spec_src, src)  # the orders do differ
+        assert np.array_equal(np.unique(spec_ids), np.unique(msf_ids))
+        assert np.array_equal(
+            _choose_leaders(g.n, spec_src, spec_dst, spec_exhausted,
+                            is_leader),
+            leader,
+        )
+
         # Reference: the per-vertex rule over members in Prim order.
         want = np.arange(g.n)
         several = 0
@@ -515,18 +641,7 @@ class TestAlgorithmParity:
             elif members and exhausted[v]:
                 want[v] = min(min(members), v)
         assert several > 0
-        (ids_a, leader_a, ledger_a), (ids_b, leader_b, ledger_b) = (
-            runs[False], runs[True]
-        )
-        assert np.array_equal(ids_a, ids_b)
-        assert np.array_equal(leader_a, want)
-        assert np.array_equal(leader_b, want)
-        assert ledger_a == ledger_b
-        a = minimum_spanning_forest(g, config=config)
-        b = minimum_spanning_forest(g, config=config, vectorized=True)
-        assert np.array_equal(a.edge_ids, b.edge_ids)
-        assert (a.phases, a.budgets) == (b.phases, b.budgets)
-        assert _ledger(a.report) == _ledger(b.report)
+        assert np.array_equal(leader, want)
 
     def test_connectivity_isolated_vertex_and_small_clique(self):
         """The branches of the leader rule a vertex reaches without a
@@ -551,88 +666,50 @@ class TestAlgorithmParity:
                 want[v] = min(int(nbrs[0]), v)
         assert np.array_equal(leader, want)
         assert leader[120:].tolist() == [120, 120, 120, 123]
-        a = connectivity(g, seed=3)
-        b = connectivity(g, seed=3, vectorized=True)
+        a, b = _keyword_selects_nothing(
+            lambda **kw: connectivity(g, seed=3, **kw)
+        )
         assert np.array_equal(a.labels, b.labels)
         assert a.labels[120:].tolist() == [120, 120, 120, 123]
         assert (a.phases, a.budgets) == (b.phases, b.budgets)
-        assert _ledger(a.report) == _ledger(b.report)
 
     def test_shrink_and_fill_back(self):
+        """Shrink to a remainder, rank it by hand, fill back: every
+        element gets its sequential rank, on fused and block rounds
+        only."""
         succ = generators.linked_list(500, rng=9)
-        config = AMPCConfig.for_input(500, seed=3)
-
-        def run(vectorized):
-            rt = AMPCRuntime(config)
-            outcome = shrink(succ, rt, delta=0.5, target_size=30,
-                             vectorized=vectorized)
+        want = sequential_list_ranks(succ)
+        rt = AMPCRuntime(AMPCConfig.for_input(500, seed=3))
+        with _round_calls() as calls:
+            outcome = shrink(
+                succ, rt, delta=0.5, target_size=30,
+                forced=np.array([generators.list_head(succ)]),
+            )
             values = np.full(500, np.nan)
-            values[outcome.alive] = np.arange(outcome.alive.size)
-            out = fill_back(rt, outcome.history, values, additive=True,
-                            vectorized=vectorized)
-            return outcome, out, rt.report
+            values[outcome.alive] = want[outcome.alive]
+            out = fill_back(rt, outcome.history, values, additive=True)
+        assert calls == {"round": 0,
+                         "round_batch": 2 * len(outcome.history)}
+        assert np.array_equal(out, want)
+        absorbed = np.concatenate([r.absorbed for r in outcome.history])
+        assert np.array_equal(
+            np.sort(np.concatenate([absorbed, outcome.alive])),
+            np.arange(500),
+        )
 
-        oa, fa, ra = run(False)
-        ob, fb, rb = run(True)
-        assert np.array_equal(oa.alive, ob.alive)
-        assert np.array_equal(oa.succ, ob.succ)
-        assert np.array_equal(oa.length, ob.length)
-        assert len(oa.history) == len(ob.history)
-        for rec_a, rec_b in zip(oa.history, ob.history):
-            order_a = np.argsort(rec_a.absorbed)
-            order_b = np.argsort(rec_b.absorbed)
-            assert np.array_equal(rec_a.absorbed[order_a],
-                                  rec_b.absorbed[order_b])
-            assert np.array_equal(rec_a.absorber[order_a],
-                                  rec_b.absorber[order_b])
-            assert np.allclose(rec_a.offset[order_a], rec_b.offset[order_b])
-        assert np.array_equal(fa, fb, equal_nan=True)
-        assert _ledger(ra) == _ledger(rb)
-
-    def test_vectorized_falls_back_on_chaos_runtime(self):
+    def test_chaos_runs_the_block_program_and_still_crashes(self):
         from repro.core.chaos import FaultPlan, arm
 
         g = generators.erdos_renyi_gnm(60, 120, rng=1)
         config = AMPCConfig.for_input(g.n + g.m, seed=2,
                                       replication_factor=2)
         rt = arm(AMPCRuntime)(config, plan=FaultPlan.machine_crashes(0.15))
-        res = connectivity(g, runtime=rt, vectorized=True)
+        with _round_calls() as calls:
+            res = connectivity(g, runtime=rt, vectorized=True)
+        assert calls["round"] == 0 and calls["round_batch"] > 0
+        assert rt.report.crashes > 0
         ref = connectivity(g, config=AMPCConfig.for_input(g.n + g.m, seed=2))
         assert np.array_equal(res.labels, ref.labels)
-
-
-# ---------------------------------------------------------------------------
-# sweep integration
-# ---------------------------------------------------------------------------
-
-
-class TestVectorizedSweep:
-    def test_verify_smoke_vectorized(self):
-        report = verify_sweep(
-            algorithms=["list-ranking", "connectivity"],
-            families=["list-uniform", "er"],
-            seeds=[0], smoke=True, vectorized=True,
-        )
-        assert report.ok, report.format_failures()
-        assert report.settings["vectorized"] is True
-        assert all(r.vectorized for r in report.records)
-
-    def test_verify_smoke_vectorized_flag_without_variant(self):
-        report = verify_sweep(
-            algorithms=["matching"], families=["er"], seeds=[0],
-            smoke=True, vectorized=True,
-        )
-        assert report.ok, report.format_failures()
-        # No run_vectorized registered: cells run (and record) scalar.
-        assert all(not r.vectorized for r in report.records)
-
-    def test_verify_smoke_vectorized_mis_msf(self):
-        report = verify_sweep(
-            algorithms=["mis", "msf"], families=["er"], seeds=[0],
-            smoke=True, vectorized=True,
-        )
-        assert report.ok, report.format_failures()
-        assert all(r.vectorized for r in report.records)
 
 
 def test_benchmark_sweep_smoke():

@@ -111,6 +111,42 @@ class TestBuildCSR:
             ]
             assert csr.is_cache(tmp)
 
+    def test_interrupted_rebuild_leaves_no_blessed_cache(self, monkeypatch):
+        """A rebuild over a valid cache that dies mid-pass must not leave
+        the previous build's meta.json vouching for half-new arrays."""
+        old = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
+        rng = np.random.default_rng(3)
+        new = rng.integers(0, 50, size=(400, 2), dtype=np.int64)
+        new = new[new[:, 0] != new[:, 1]]
+        with tempfile.TemporaryDirectory() as tmp:
+            csr.build_csr(old, 4, tmp)
+            assert csr.is_cache(tmp)
+
+            real_scatter, calls = csr._scatter, []
+
+            def dying_scatter(*args):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise KeyboardInterrupt("killed in pass 2")
+                real_scatter(*args)
+
+            monkeypatch.setattr(csr, "_scatter", dying_scatter)
+            with pytest.raises(KeyboardInterrupt):
+                csr.build_csr(new, 50, tmp, chunk_edges=64)
+            monkeypatch.setattr(csr, "_scatter", real_scatter)
+            assert not csr.is_cache(tmp)
+
+            got = csr.build_csr(new, 50, tmp, chunk_edges=64)
+            want = Graph.from_edges(50, new)
+            assert csr.is_cache(tmp)
+            reloaded = csr.MmapGraph.load(tmp)
+            assert reloaded.n == got.n == 50
+            assert np.array_equal(np.asarray(reloaded.indptr), want.indptr)
+            assert np.array_equal(np.asarray(reloaded.indices), want.indices)
+            assert sorted(os.listdir(tmp)) == [
+                "indices.npy", "indptr.npy", "meta.json"
+            ]
+
     def test_self_loop_rejected_by_default(self):
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(ValueError, match="self-loops"):
@@ -247,14 +283,28 @@ class TestArrayNativeSetup:
         assert _ledger(scalar_rt.report) == _ledger(arrays_rt.report)
 
     def test_vectorized_connectivity_ledger_identity(self):
-        # The vectorized path seeds the DDS via encode_graph_arrays, the
-        # scalar path via encode_graph: identical labels and ledgers is
-        # the array-native setup contract end-to-end.
+        # The production round seeds the DDS via encode_graph_arrays; its
+        # per-item spec staged from the scalar encode_graph pair stream
+        # must find the same edges at the same ledger row: the
+        # array-native setup contract end to end.
+        from repro.algorithms.connectivity import _increase_degrees
+        from repro.verify.specs import bfs
+
         graph = generators.erdos_renyi_gnm(90, 180, rng=6)
-        scalar = repro.connectivity(graph, seed=2, vectorized=False)
-        vector = repro.connectivity(graph, seed=2, vectorized=True)
-        assert np.array_equal(scalar.labels, vector.labels)
-        assert _ledger(scalar.report) == _ledger(vector.report)
+        config = AMPCConfig.for_input(graph.n + graph.m, seed=2)
+        rt = AMPCRuntime(config)
+        augmented = _increase_degrees(graph, 5, rt, tag="bfs")
+        spec_rt = AMPCRuntime(config)
+        result = spec_rt.round(list(range(graph.n)), bfs(5),
+                               setup=encode_graph(graph), tag="bfs")
+        vs, xs = result.store.read_namespace("fedge")
+        want = Graph.from_edges(
+            graph.n, np.concatenate([graph.edges(), np.column_stack((vs, xs))])
+        )
+        assert augmented.m > graph.m
+        assert np.array_equal(augmented.indptr, want.indptr)
+        assert np.array_equal(augmented.indices, want.indices)
+        assert _ledger(rt.report) == _ledger(spec_rt.report)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +320,14 @@ class TestMmapGraphEndToEnd:
         graph = generators.erdos_renyi_gnm(80, 160, rng=8)
         with tempfile.TemporaryDirectory() as tmp:
             mapped = self._mapped(graph, tmp)
-            for vectorized in (False, True):
-                want = repro.connectivity(graph, seed=1,
-                                          vectorized=vectorized)
-                got = repro.connectivity(mapped, seed=1,
-                                         vectorized=vectorized)
-                assert np.array_equal(want.labels, got.labels)
-                assert _ledger(want.report) == _ledger(got.report)
-                want_mis = repro.maximal_independent_set(
-                    graph, seed=1, vectorized=vectorized)
-                got_mis = repro.maximal_independent_set(
-                    mapped, seed=1, vectorized=vectorized)
-                assert np.array_equal(want_mis.in_mis, got_mis.in_mis)
-                assert _ledger(want_mis.report) == _ledger(got_mis.report)
+            want = repro.connectivity(graph, seed=1)
+            got = repro.connectivity(mapped, seed=1)
+            assert np.array_equal(want.labels, got.labels)
+            assert _ledger(want.report) == _ledger(got.report)
+            want_mis = repro.maximal_independent_set(graph, seed=1)
+            got_mis = repro.maximal_independent_set(mapped, seed=1)
+            assert np.array_equal(want_mis.in_mis, got_mis.in_mis)
+            assert _ledger(want_mis.report) == _ledger(got_mis.report)
 
     def test_process_backend_bit_identical(self):
         # Zero-copy handoff: the worker re-maps the CSR files read-only

@@ -109,13 +109,10 @@ class TestHeadlineShapes:
         # Against the Θ(log n) hooking baseline the separation at
         # simulatable scale is the *slope*: AMPC rounds stay near-flat
         # over a 64x range of n while hooking adds ~1 round per doubling.
-        # Only rounds are counted, so the batch path runs it: its ledger
-        # is identical to the per-item program's (test_batch_engine.py).
         ampc_r, mpc_r = [], []
         for n in (512, 32768):
             g = generators.cycle(n)
-            ampc_r.append(repro.connectivity(
-                g, seed=1, vectorized=True).report.n_rounds)
+            ampc_r.append(repro.connectivity(g, seed=1).report.n_rounds)
             mpc_r.append(hooking_connectivity(g, seed=1).report.n_rounds)
         ampc_growth = ampc_r[1] - ampc_r[0]
         mpc_growth = mpc_r[1] - mpc_r[0]

@@ -3,15 +3,15 @@
 Runs list ranking (pointer structures), connectivity (general graphs),
 and MIS (local algorithms) inside a :class:`TracingSession`; the
 exported JSONL and Chrome ``trace_event`` documents must validate
-against the documented schema and agree with the RunReport ledger on
-both execution paths. The ``repro trace`` CLI is exercised the same
-way.
+against the documented schema and agree with the RunReport ledger.
+The ``repro trace`` CLI is exercised the same way.
 """
 
 import json
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.observe import (
     SCHEMA_VERSION,
@@ -29,8 +29,13 @@ from repro.observe import (
 from repro.verify.oracles import CASES
 from repro.verify.runner import make_workload
 
-# (case, family, vectorized) — one algorithm per input family, and the
-# batch engine wherever the case registers a vectorized variant.
+# (case, family, vectorized) — one algorithm per input family; the "vec"
+# cells call the entry point the way bench/workloads.py does, with the
+# (no-op) ``vectorized=True`` keyword.
+_ENTRY_POINTS = {
+    "list-ranking": repro.list_ranking,
+    "connectivity": repro.connectivity,
+}
 CELLS = [
     ("list-ranking", "list-uniform", False),
     ("list-ranking", "list-uniform", True),
@@ -43,8 +48,10 @@ CELLS = [
 def _traced_cell(name, family, vectorized, n=120, seed=0, **session_kw):
     case = CASES[name]
     workload = make_workload(case, family, n, seed)
-    run = case.run_vectorized if vectorized else case.run
-    assert run is not None
+    run = case.run
+    if vectorized:
+        def run(w, seed):
+            return _ENTRY_POINTS[name](w.payload, seed=seed, vectorized=True)
     with TracingSession(**session_kw) as session:
         result = run(workload, seed)
     return case.report_of(result), session
@@ -105,14 +112,6 @@ class TestTraceCli:
         assert validate_records(read_jsonl(jsonl)) == []
         snapshot = json.loads(metrics.read_text())
         assert "model.reads" in snapshot["counters"]
-
-    def test_trace_command_vectorized(self, tmp_path):
-        rc = main([
-            "trace", "connectivity", "--size", "120", "--vectorized",
-            "--chrome", str(tmp_path / "t.json"),
-            "--metrics", "-", "--no-summary",
-        ])
-        assert rc == 0
 
     def test_unknown_algorithm_exits_2(self, tmp_path, capsys):
         rc = main(["trace", "not-an-algorithm",

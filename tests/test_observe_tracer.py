@@ -109,9 +109,16 @@ class TestDetailLevels:
             Tracer(detail="nope")
 
     def test_op_detail_emits_per_operation_events(self):
+        # Connectivity runs a block program (array ops); matching runs
+        # per-item programs (scalar ops).
         _, session = _traced_connectivity(n=60, m=90, detail="op")
         ops = [e for e in session.events if e.cat == "op"]
-        assert {e.name for e in ops} >= {"read", "write"}
+        assert {e.name for e in ops} >= {"read_batch", "write_batch"}
+        graph = generators.erdos_renyi_gnm(60, 90, 0)
+        with TracingSession(detail="op") as scalar_session:
+            repro.maximal_matching(graph, seed=0)
+        scalar_ops = [e for e in scalar_session.events if e.cat == "op"]
+        assert {e.name for e in scalar_ops} >= {"read", "write"}
         # op events still reconcile at the round level
         assert [e for e in session.events if e.cat == "round"]
 

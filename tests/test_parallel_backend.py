@@ -54,12 +54,10 @@ def _run_both(fn, workers=2):
 
 def test_connectivity_bit_identical():
     g = generators.erdos_renyi_gnm(300, 450, rng=5)
-    # Per-item program on 2 workers, block program on more workers than
-    # the host may have cores.
-    for vectorized, workers in ((False, 2), (True, 4)):
+    # On 2 workers, and on more workers than the host may have cores.
+    for workers in (2, 4):
         serial, process = _run_both(
-            lambda: repro.connectivity(g, seed=3, vectorized=vectorized),
-            workers,
+            lambda: repro.connectivity(g, seed=3), workers
         )
         assert np.array_equal(serial.labels, process.labels)
         assert _ledger(serial.report) == _ledger(process.report)
@@ -70,6 +68,8 @@ def test_connectivity_bit_identical():
 
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_list_ranking_bit_identical(vectorized):
+    # The keyword selects nothing; on either value the fused Shrink and
+    # the fill-back block program shard.
     succ = generators.linked_list(250, rng=7)
     serial, process = _run_both(
         lambda: repro.list_ranking(succ, seed=2, vectorized=vectorized)
@@ -365,6 +365,118 @@ def test_round_contract_matrix(shape, n_machines):
     assert serial.worker_ids == {None}
     sharded = n_machines > 1 and shape in ("per-item", "per-block")
     assert (process.worker_ids != {None}) == sharded
+
+
+# -- the same contract under simulated faults: shape x plan x P -------------
+
+
+def _item_program2(ctx, v):
+    x = ctx.read(("v", v))
+    y = ctx.read(("v", (v + 1) % N_ITEMS))
+    ctx.write(("o", v), x + y)
+    return x * 2
+
+
+def _block_program2(ctx, block):
+    x = ctx.read_array("v", block)
+    y = ctx.read_array("v", (block + 1) % N_ITEMS)
+    ctx.write_array("o", block, x + y)
+    return x * 2
+
+
+def _fused_program2(gctx):
+    x = gctx.read_array("v", gctx.items, owner=gctx.machines)
+    y = gctx.read_array("v", (gctx.items + 1) % N_ITEMS, owner=gctx.machines)
+    gctx.write_array("o", gctx.items, x + y, owner=gctx.machines)
+    return x * 2
+
+
+_CHAOS_PROGRAMS = {"per-item": _item_program2, "per-block": _block_program2,
+                   "fused": _fused_program2}
+_CHAOS_PLANS = {
+    "crashes": FaultPlan.machine_crashes(0.5),
+    # Replication 1 (below): any downed server is beyond replication.
+    "outages": FaultPlan.server_outages(0.5),
+    "timeouts+stragglers": (FaultPlan.read_timeouts(0.2)
+                            | FaultPlan.stragglers(0.5)),
+    "composed": (FaultPlan.machine_crashes(0.5) | FaultPlan.server_outages(0.5)
+                 | FaultPlan.read_timeouts(0.2) | FaultPlan.stragglers(0.5)),
+}
+_RECOVERY = ("crashes", "server_outages", "stragglers", "retry_reads",
+             "failover_reads", "wasted_reads", "checkpoint_restores")
+
+
+class _MachineTally(RuntimeObserver):
+    """Per-machine ``(id, reads_used, writes_used)`` at each round's end."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def on_round_end(self, runtime, stats, contexts, read_store, next_store):
+        self.rounds.append(sorted(
+            (c.machine_id, c.reads_used, c.writes_used) for c in contexts
+        ))
+
+
+def _three_rounds(runtime, shape):
+    """Three rounds of ``shape`` staged from one-shot generators; returns
+    ``(results, ledger rows, next-store items)`` per round."""
+    tally = _MachineTally()
+    runtime.attach_observer(tally)
+    ids = np.arange(N_ITEMS, dtype=np.int64)
+    out = []
+    for _ in range(3):
+        if shape == "per-item":
+            result = runtime.round(
+                list(range(N_ITEMS)), _CHAOS_PROGRAMS[shape],
+                setup=((("v", i), 3 * i) for i in range(N_ITEMS)), tag="t",
+            )
+        else:
+            result = runtime.round_batch(
+                ids, _CHAOS_PROGRAMS[shape],
+                setup_arrays=(entry for entry in [("v", ids, 3 * ids)]),
+                fused=shape == "fused", tag="t",
+            )
+        out.append((_plain(result.results), _row(result.stats),
+                    sorted(result.store.items())))
+    return out, tally.rounds
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("n_machines", [1, 4])
+@pytest.mark.parametrize("plan_name", list(_CHAOS_PLANS))
+@pytest.mark.parametrize("shape", list(_CHAOS_PROGRAMS))
+def test_round_contract_matrix_under_chaos(shape, plan_name, n_machines):
+    """Under every fault plan, every program shape returns the fault-free
+    results, next store and non-recovery ledger row; a machine crashes
+    and replays as a unit whatever its program's shape."""
+    config = AMPCConfig(epsilon=0.5, space=256, n_machines=n_machines, seed=7)
+    want, want_machines = _three_rounds(AMPCRuntime(config), shape)
+    assert want[0][0] == [6 * i for i in range(N_ITEMS)]
+
+    plan = _CHAOS_PLANS[plan_name].with_seed(5)
+    runs = []
+    for _ in range(2):
+        runtime = ChaosRuntime(config, plan=plan)
+        got, machines = _three_rounds(runtime, shape)
+        assert got == want
+        # Rolled-back attempts leave no trace in the budgets: a machine
+        # ends with its committed rows plus its publications.
+        assert machines == want_machines
+        assert all(sum(w for _, _, w in r) == 2 * N_ITEMS for r in machines)
+        runs.append({f: getattr(runtime.report, f) for f in _RECOVERY})
+    # One seeded plan, one fault schedule.
+    assert runs[0] == runs[1]
+    recovery = runs[0]
+    if plan_name in ("crashes", "composed"):
+        assert recovery["crashes"] > 0 and recovery["wasted_reads"] > 0
+    if plan_name in ("outages", "composed"):
+        # The staged generators were consumed once and replayed.
+        assert recovery["checkpoint_restores"] > 0
+    if plan_name in ("timeouts+stragglers", "composed"):
+        assert recovery["retry_reads"] > 0 and recovery["stragglers"] > 0
+    if plan_name == "timeouts+stragglers":
+        assert recovery["crashes"] == 0
 
 
 def _short_block(ctx, block):
