@@ -11,27 +11,37 @@ into an on-disk CSR cache (``indptr.npy`` / ``indices.npy`` /
 read-only ``np.memmap`` views — every existing algorithm runs off-disk
 graphs unmodified.
 
-The builder is a chunked two-pass counting sort (semi-external: RAM is
+The builder is a chunked, block-bucketed sort (semi-external: RAM is
 O(n + chunk), never O(m)):
 
 1. **Count** — stream the edge chunks once, validating endpoints and
    self-loops, and accumulate per-vertex degree counts (both directions,
    duplicates included) with ``np.bincount``. One-shot iterators are
    spooled to a raw edge file during this pass so pass 2 can re-read
-   them.
-2. **Scatter** — stream again, writing each direction's neighbor into
-   its row's slice of a rough on-disk ``indices`` array via per-chunk
-   stable sort + per-row write cursors.
-3. **Compact** — walk the rough array in vertex blocks (each block's
-   rows fit the chunk budget), sort each block's rows, drop duplicate
-   (row, neighbor) entries in place, and stream the compacted columns
-   into the final ``indices.npy``.
+   them. The counts cut the vertices into *blocks* of consecutive rows
+   whose entries fit the chunk budget (a single row may exceed it),
+   found with one ``searchsorted`` on the degree prefix sums per block.
+2. **Bucket** — stream again, one direction of a chunk at a time, and
+   turn every entry into the block-local scalar key
+   ``(row − first row of its block) · n + neighbor``. A stable
+   ``argsort`` of the small-integer block ids (a radix sort) groups the
+   keys by block, and each group is appended to its block's region of a
+   rough on-disk key file.
+3. **Sort** — per block: read its region, ``sort`` it, drop adjacent
+   equal keys (duplicate edges in either orientation), count each row
+   with a ``searchsorted`` over the sorted keys and keep ``key % n`` as
+   the neighbor, appending it to ``indices.npy``. A block has at most
+   ⌊(2⁶³−1)/n⌋ rows so its keys fit int64.
 
 The result is bit-identical to ``Graph.from_edges`` on the same edge
 list: per-row neighbors sorted ascending, duplicates (in either
 orientation) collapsed, self-loops rejected (or dropped with
 ``drop_self_loops=True``, for generator families like RMAT that emit
 them).
+
+``meta.json`` is what makes a directory a cache: a build unlinks the old
+one first and publishes the new one last, and :func:`is_cache` /
+:meth:`MmapGraph.load` check the array headers against it.
 
 Mmap lifetime rule: the arrays of an :class:`MmapGraph` are views into
 the cache directory's files — the directory must outlive the graph and
@@ -43,20 +53,25 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
+from .files import npy_header, rewrite_npy_header
 from .graph import Graph
 
 FORMAT_VERSION = 1
 DEFAULT_CHUNK_EDGES = 1 << 20
+#: Largest block-local key. A block of r rows over n vertices uses keys
+#: up to r·n − 1, so a block holds at most ``_KEY_MAX // n`` rows.
+_KEY_MAX = int(np.iinfo(np.int64).max)
 
 _META = "meta.json"
 _INDPTR = "indptr.npy"
 _INDICES = "indices.npy"
-_ROUGH = "indices.rough.npy"
+_ROUGH = "keys.rough.bin"
 _SPOOL = "edges.spool.bin"
+_ITEM = np.dtype(np.int64).itemsize
 
 
 def edge_chunks(
@@ -87,26 +102,51 @@ def _clean_chunk(
     return chunk
 
 
-def _scatter(
-    rough: np.ndarray,
+def _block_starts(offsets: np.ndarray, budget: int) -> np.ndarray:
+    """First row of every block, then ``n``.
+
+    Blocks are greedy runs of consecutive rows whose entries fit
+    ``budget`` (a row over budget is a block of its own) and that span
+    at most ``_KEY_MAX // n`` rows, so block-local keys fit int64.
+    """
+    n = offsets.size - 1
+    max_rows = max(1, _KEY_MAX // max(n, 1))
+    starts = [0]
+    v = 0
+    while v < n:
+        fit = int(np.searchsorted(offsets, offsets[v] + budget, "right")) - 1
+        v = min(max(fit, v + 1), v + max_rows, n)
+        starts.append(v)
+    return np.array(starts, dtype=np.int64)
+
+
+def _bucket(
+    rough: BinaryIO,
     cursor: np.ndarray,
+    block_of: np.ndarray,
+    row_key: np.ndarray,
     src: np.ndarray,
     dst: np.ndarray,
 ) -> None:
-    """Write each dst into the next free slot of src's row slice."""
+    """Append each ``src -> dst`` entry's block-local key to its block's
+    region of the rough key file; ``cursor`` holds each region's next
+    free slot."""
     if src.size == 0:
         return
-    order = np.argsort(src, kind="stable")
-    s, d = src[order], dst[order]
-    new_run = np.empty(s.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(s[1:], s[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    run_id = np.cumsum(new_run) - 1
-    within = np.arange(s.size, dtype=np.int64) - starts[run_id]
-    rough[cursor[s] + within] = d
-    lengths = np.diff(np.append(starts, s.size))
-    cursor[s[starts]] += lengths
+    keys = row_key[src]
+    keys += dst
+    blocks = block_of[src]
+    # block_of's dtype is the smallest that holds every block id, so
+    # this stable argsort is a radix sort.
+    keys = keys[np.argsort(blocks, kind="stable")]
+    per_block = np.bincount(blocks, minlength=cursor.size)
+    lo = 0
+    for b in np.flatnonzero(per_block).tolist():
+        hi = lo + int(per_block[b])
+        rough.seek(_ITEM * int(cursor[b]))
+        rough.write(keys[lo:hi])
+        lo = hi
+    cursor += per_block
 
 
 def build_csr(
@@ -126,7 +166,8 @@ def build_csr(
         n: number of vertices; endpoints must lie in ``[0, n)``.
         out_dir: cache directory (created if needed); receives
             ``indptr.npy``, ``indices.npy`` and ``meta.json``.
-        chunk_edges: bound on rows processed (and resident) at once.
+        chunk_edges: bound on rows processed (and resident) at once; a
+            vertex whose degree exceeds it is sorted as a block alone.
         drop_self_loops: silently drop ``u == u`` rows instead of
             raising, for generators (e.g. RMAT) that emit them.
     """
@@ -144,13 +185,13 @@ def build_csr(
     rough_path = out / _ROUGH
     spooled = False
 
-    # Pass 1: count degrees (duplicates included, both directions),
-    # spooling iterator input so pass 2 can re-stream it.
-    counts = np.zeros(n, dtype=np.int64)
+    # Pass 1: count degrees (duplicates included, both directions) into
+    # offsets[1:], spooling iterator input so pass 2 can re-stream it.
+    offsets = np.zeros(n + 1, dtype=np.int64)
 
     def _count(chunk: np.ndarray) -> None:
-        counts[:] += np.bincount(chunk[:, 0], minlength=n)
-        counts[:] += np.bincount(chunk[:, 1], minlength=n)
+        offsets[1:] += np.bincount(chunk[:, 0], minlength=n)
+        offsets[1:] += np.bincount(chunk[:, 1], minlength=n)
 
     try:
         if isinstance(edges, np.ndarray):
@@ -171,79 +212,61 @@ def build_csr(
             if isinstance(edges, np.ndarray):
                 for chunk in edge_chunks(edges, step):
                     yield _clean_chunk(chunk, n, drop_self_loops)
-            elif os.path.getsize(spool_path):
-                spool = np.memmap(spool_path, dtype=np.int64, mode="r")
-                yield from edge_chunks(spool.reshape(-1, 2), step)
+            else:
+                with open(spool_path, "rb") as spool:
+                    while data := spool.read(2 * _ITEM * step):
+                        yield np.frombuffer(data, np.int64).reshape(-1, 2)
 
-        total = int(counts.sum())
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        np.cumsum(offsets, out=offsets)
+        total = int(offsets[-1])
+        starts = _block_starts(offsets, step)
+        sizes = np.diff(starts)
+        block_id = np.min_scalar_type(max(sizes.size - 1, 0))
+        block_of = np.repeat(np.arange(sizes.size, dtype=block_id), sizes)
+        # Row r of the block starting at s keys its entries from (r - s) * n.
+        row_key = np.arange(n, dtype=np.int64)
+        row_key -= np.repeat(starts[:-1], sizes)
+        row_key *= n
 
-        if total:
-            # Pass 2: scatter both directions into each row's slice.
-            rough = np.lib.format.open_memmap(
-                rough_path, mode="w+", dtype=np.int64, shape=(total,)
-            )
-            cursor = offsets[:-1].copy()
+        with open(rough_path, "w+b") as rough:
+            # Pass 2: bucket both directions' keys by block.
+            cursor = offsets[starts[:-1]]
             for chunk in _chunks():
-                _scatter(rough, cursor, chunk[:, 0], chunk[:, 1])
-                _scatter(rough, cursor, chunk[:, 1], chunk[:, 0])
+                _bucket(rough, cursor, block_of, row_key,
+                        chunk[:, 0], chunk[:, 1])
+                _bucket(rough, cursor, block_of, row_key,
+                        chunk[:, 1], chunk[:, 0])
+            del block_of, row_key, cursor
 
-            # Pass 3: per-block sort + dedup, compacting in place (the
-            # write position never passes the block's read position).
-            budget = max(step, int(counts.max()))
-            final_counts = np.zeros(n, dtype=np.int64)
+            # Pass 3: per block, sort + dedup the keys and split them
+            # into row counts (indptr) and neighbors (indices).
+            indptr = np.zeros(n + 1, dtype=np.int64)
             write_pos = 0
-            v = 0
-            while v < n:
-                w = v + 1
-                while w < n and offsets[w + 1] - offsets[v] <= budget:
-                    w += 1
-                seg = np.asarray(rough[offsets[v] : offsets[w]])
-                rows = np.repeat(
-                    np.arange(v, w, dtype=np.int64), counts[v:w]
-                )
-                order = np.lexsort((seg, rows))
-                rows, seg = rows[order], seg[order]
-                if seg.size:
-                    keep = np.empty(seg.size, dtype=bool)
-                    keep[0] = True
-                    keep[1:] = (rows[1:] != rows[:-1]) | (
-                        seg[1:] != seg[:-1]
+            with open(out / _INDICES, "wb") as dest:
+                placeholder = npy_header((total,))
+                dest.write(placeholder)
+                for v, w in zip(starts[:-1].tolist(), starts[1:].tolist()):
+                    keys = np.empty(int(offsets[w] - offsets[v]), np.int64)
+                    rough.seek(_ITEM * int(offsets[v]))
+                    rough.readinto(keys)
+                    keys.sort()
+                    fresh = keys[1:] != keys[:-1]
+                    if not fresh.all():
+                        keys = keys[np.concatenate(([True], fresh))]
+                    # Row r's keys end where keys reach (r - v + 1) * n.
+                    row_ends = np.arange(1, w - v + 1, dtype=np.int64)
+                    row_ends *= n
+                    indptr[v + 1 : w + 1] = write_pos + np.searchsorted(
+                        keys, row_ends
                     )
-                    rows, seg = rows[keep], seg[keep]
-                final_counts[v:w] = np.bincount(rows - v, minlength=w - v)
-                rough[write_pos : write_pos + seg.size] = seg
-                write_pos += seg.size
-                v = w
-
-            indptr = np.lib.format.open_memmap(
-                out / _INDPTR, mode="w+", dtype=np.int64, shape=(n + 1,)
-            )
-            indptr[0] = 0
-            np.cumsum(final_counts, out=indptr[1:])
-            indices = np.lib.format.open_memmap(
-                out / _INDICES,
-                mode="w+",
-                dtype=np.int64,
-                shape=(write_pos,),
-            )
-            for lo in range(0, write_pos, step):
-                hi = min(write_pos, lo + step)
-                indices[lo:hi] = rough[lo:hi]
-            indices.flush()
-            indptr.flush()
-            del indices, indptr, rough
-        else:
-            np.save(out / _INDPTR, np.zeros(n + 1, dtype=np.int64))
-            np.save(out / _INDICES, np.zeros(0, dtype=np.int64))
-            write_pos = 0
+                    keys %= n
+                    dest.write(keys)
+                    write_pos += keys.size
+                rewrite_npy_header(dest, placeholder, (write_pos,))
+        np.save(out / _INDPTR, indptr)
     finally:
         for temp in (rough_path, spool_path) if spooled else (rough_path,):
-            try:
-                os.unlink(temp)
-            except FileNotFoundError:
-                pass
+            temp.unlink(missing_ok=True)
 
     meta = {
         "version": FORMAT_VERSION,
@@ -257,6 +280,52 @@ def build_csr(
     pending.write_text(json.dumps(meta))
     os.replace(pending, out / _META)
     return MmapGraph.load(out)
+
+
+def _npy_shape(path: Path) -> tuple[tuple[int, ...], int]:
+    """``(shape, data offset)`` of an int64 ``.npy`` file, from its
+    header; ValueError for any other dtype or layout, or a file whose
+    size does not match its header."""
+    with open(path, "rb") as f:
+        version = np.lib.format.read_magic(f)
+        if version != (1, 0):
+            raise ValueError(f"{path}: unexpected .npy version {version}")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+        offset = f.tell()
+        size = os.fstat(f.fileno()).st_size
+    if dtype != np.dtype(np.int64) or fortran:
+        raise ValueError(f"{path}: not a C-order int64 array")
+    if size != offset + _ITEM * int(np.prod(shape)):
+        raise ValueError(f"{path}: {size} bytes do not hold shape {shape}")
+    return shape, offset
+
+
+def _checked_meta(path: Path) -> dict:
+    """The cache's meta, after checking the array headers against it:
+    ``indptr`` has shape (n + 1,) and ends at ``directed_rows``, and
+    ``indices`` has shape (directed_rows,). Reads headers and one
+    ``indptr`` entry only; raises ValueError on any mismatch."""
+    meta = json.loads((path / _META).read_text())
+    if meta.get("version") != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported CSR cache version {meta.get('version')!r} "
+            f"in {path}"
+        )
+    n, rows = int(meta["n"]), int(meta["directed_rows"])
+    shape, offset = _npy_shape(path / _INDPTR)
+    if shape != (n + 1,):
+        raise ValueError(f"{path / _INDPTR}: shape {shape}, meta says "
+                         f"({n + 1},)")
+    last = np.fromfile(path / _INDPTR, dtype=np.int64, count=1,
+                       offset=offset + _ITEM * n)
+    if int(last[0]) != rows:
+        raise ValueError(f"{path / _INDPTR}: ends at {int(last[0])}, meta "
+                         f"says {rows} directed rows")
+    shape, _ = _npy_shape(path / _INDICES)
+    if shape != (rows,):
+        raise ValueError(f"{path / _INDICES}: shape {shape}, meta says "
+                         f"({rows},)")
+    return meta
 
 
 class MmapGraph(Graph):
@@ -274,12 +343,7 @@ class MmapGraph(Graph):
     @classmethod
     def load(cls, directory: str | os.PathLike) -> "MmapGraph":
         path = Path(directory)
-        meta = json.loads((path / _META).read_text())
-        if meta.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported CSR cache version {meta.get('version')!r} "
-                f"in {path}"
-            )
+        meta = _checked_meta(path)
         indptr = np.load(path / _INDPTR, mmap_mode="r")
         if meta["directed_rows"]:
             indices = np.load(path / _INDICES, mmap_mode="r")
@@ -294,8 +358,10 @@ class MmapGraph(Graph):
 
 
 def is_cache(directory: str | os.PathLike) -> bool:
-    """Whether ``directory`` holds a complete CSR cache."""
-    path = Path(directory)
-    return all(
-        (path / name).is_file() for name in (_META, _INDPTR, _INDICES)
-    )
+    """Whether ``directory`` holds a complete CSR cache whose arrays
+    match its ``meta.json``."""
+    try:
+        _checked_meta(Path(directory))
+    except (OSError, ValueError, KeyError, TypeError):
+        return False
+    return True

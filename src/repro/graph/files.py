@@ -28,7 +28,9 @@ Two reading speeds share one contract:
 :func:`build_edge_cache` adds a write-once binary cache next to the
 text file (``<name>.edges.npy`` + ``<name>.edges.json`` fingerprint),
 so repeated ingestion runs memory-map parsed edges instead of
-re-parsing text.
+re-parsing text. Both files are written under temporary names and
+renamed into place, the fingerprint last, so an interrupted build never
+leaves a fingerprint vouching for a missing or half-written array.
 """
 
 from __future__ import annotations
@@ -318,65 +320,89 @@ def cache_valid(path: str | Path) -> bool:
     )
 
 
+def npy_header(shape: tuple[int, ...]) -> bytes:
+    """The ``.npy`` header of a C-order int64 array of ``shape``.
+
+    numpy pads the header so that its length does not depend on the
+    leading dimension, which lets a writer stream rows after a
+    placeholder header and overwrite it in place once the row count is
+    known (:func:`rewrite_npy_header`).
+    """
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.int64)),
+        "fortran_order": False,
+        "shape": tuple(int(s) for s in shape),
+    })
+    return buf.getvalue()
+
+
+def rewrite_npy_header(handle, placeholder: bytes,
+                       shape: tuple[int, ...]) -> None:
+    """Overwrite the ``placeholder`` header at the start of ``handle``."""
+    header = npy_header(shape)
+    if len(header) != len(placeholder):
+        raise RuntimeError(".npy header length changed with its shape")
+    handle.seek(0)
+    handle.write(header)
+
+
 def build_edge_cache(
     path: str | Path, *, block_bytes: int = FAST_BLOCK_BYTES
 ) -> tuple[Path, int]:
     """Parse a text edge list once into ``<name>.edges.npy``.
 
     Write-once: if a cache with a matching source fingerprint exists it
-    is reused untouched. The fast path streams chunks through a raw
-    spool (RAM stays O(block)); fallback files are parsed per-line in
-    memory. Returns ``(npy_path, n)``.
+    is reused untouched. The fast path streams chunks straight into the
+    array file behind a placeholder header (RAM stays O(block));
+    fallback files are parsed per-line in memory. Returns
+    ``(npy_path, n)``.
     """
     source = Path(path)
     npy_path, meta_path = edge_cache_paths(source)
     if cache_valid(source):
         return npy_path, int(json.loads(meta_path.read_text())["n"])
 
-    spool_path = npy_path.with_suffix(".spool")
+    # The fingerprint is what blesses the pair (cache_valid): a stale one
+    # goes before anything is written, and each file appears under its
+    # own name only once complete — the array first, the fingerprint last.
+    meta_path.unlink(missing_ok=True)
+    pending_npy = npy_path.with_name(npy_path.name + ".part")
+    pending_meta = meta_path.with_name(meta_path.name + ".part")
     rows = 0
     max_id = -1
     try:
-        try:
-            declared_n, chunks = scan_edge_list(
-                source, block_bytes=block_bytes
-            )
-            with open(spool_path, "wb") as spool:
+        with open(pending_npy, "wb") as out:
+            placeholder = npy_header((0, 2))
+            out.write(placeholder)
+            try:
+                declared_n, chunks = scan_edge_list(
+                    source, block_bytes=block_bytes
+                )
                 for chunk in chunks:
-                    spool.write(np.ascontiguousarray(chunk).tobytes())
+                    out.write(np.ascontiguousarray(chunk))
                     rows += chunk.shape[0]
                     max_id = max(max_id, int(chunk.max()))
-            n = resolve_node_count(declared_n, max_id)
-            out = np.lib.format.open_memmap(
-                npy_path, mode="w+", dtype=np.int64, shape=(rows, 2)
-            )
-            if rows:
-                spool = np.memmap(
-                    spool_path, dtype=np.int64, mode="r"
-                ).reshape(-1, 2)
-                step = max(1, block_bytes // 16)
-                for lo in range(0, rows, step):
-                    hi = min(rows, lo + step)
-                    out[lo:hi] = spool[lo:hi]
-                del spool
-            out.flush()
-            del out
-        except FastParseUnsupported:
-            edges, _weights, n = _parse(source, want_weights=False)
-            rows = edges.shape[0]
-            np.save(npy_path, edges)
+                n = resolve_node_count(declared_n, max_id)
+            except FastParseUnsupported:
+                edges, _weights, n = _parse(source, want_weights=False)
+                rows = edges.shape[0]
+                out.truncate(len(placeholder))
+                out.seek(len(placeholder))
+                out.write(np.ascontiguousarray(edges))
+            rewrite_npy_header(out, placeholder, (rows, 2))
+        os.replace(pending_npy, npy_path)
+        meta = {
+            "version": CACHE_VERSION,
+            "n": int(n),
+            "rows": int(rows),
+            **_cache_fingerprint(source),
+        }
+        pending_meta.write_text(json.dumps(meta))
+        os.replace(pending_meta, meta_path)
     finally:
-        try:
-            os.unlink(spool_path)
-        except FileNotFoundError:
-            pass
-    meta = {
-        "version": CACHE_VERSION,
-        "n": int(n),
-        "rows": int(rows),
-        **_cache_fingerprint(source),
-    }
-    meta_path.write_text(json.dumps(meta))
+        pending_npy.unlink(missing_ok=True)
+        pending_meta.unlink(missing_ok=True)
     return npy_path, int(n)
 
 

@@ -57,9 +57,15 @@ SUITES: dict[str, list[_SuiteEntry]] = {
     # external-memory CSR build, and the streaming RMAT generator — a
     # regression here is an ingestion-path regression (`bench/run.py
     # --workload ingest-text` measures absolute wall time + peak RSS).
+    # `ingest_csr` fits one vertex block; `ingest_csr_rmat` is skewed
+    # with a small chunk budget, so its build buckets keys into many
+    # blocks and has hub rows over the budget.
     "ingest": [
         ("ingest_parse", {"n": 4000}, {"n": 256}),
         ("ingest_csr", {"n": 4000}, {"n": 256}),
+        ("ingest_csr_rmat",
+         {"scale": 12, "edge_factor": 8, "chunk_edges": 1024},
+         {"scale": 7, "edge_factor": 4, "chunk_edges": 64}),
         ("ingest_rmat", {"scale": 13, "edge_factor": 8},
          {"scale": 7, "edge_factor": 4}),
     ],
@@ -149,6 +155,21 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
         out = os.path.join(tmp.name, "csr")
         return lambda tmp=tmp: csr.build_csr(edges, graph.n, out,
                                              chunk_edges=1 << 14)
+    if bench == "ingest_csr_rmat":
+        import tempfile
+
+        import numpy as np
+
+        from repro.graph import csr
+
+        scale = int(params["scale"])
+        edges = np.concatenate(list(generators.rmat_edge_chunks(
+            scale, int(params["edge_factor"]), rng=1)))
+        tmp = tempfile.TemporaryDirectory(prefix="repro-bench-ingest-")
+        out = os.path.join(tmp.name, "csr")
+        return lambda tmp=tmp: csr.build_csr(
+            edges, 1 << scale, out, chunk_edges=int(params["chunk_edges"]),
+            drop_self_loops=True)
     if bench == "ingest_rmat":
         from repro.graph import generators as gen
 

@@ -10,8 +10,11 @@ per-round cost ledger.
 
 from __future__ import annotations
 
+import itertools
 import os
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,34 @@ def _store_state(store):
         len(store),
         sorted(store.items()),
     )
+
+
+def _killed_at(k: int, run) -> bool:
+    """Call ``run()``, raising KeyboardInterrupt at its k-th Python-level
+    function call — one kill point per k, as a signal could land there.
+    Returns whether the kill happened (False: ``run`` made fewer calls
+    and completed). Whatever exception the kill turns into on its way
+    out (C code may replace it) counts as the kill."""
+    calls = 0
+
+    def tracer(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+            if calls == k:
+                raise KeyboardInterrupt(f"killed at call {k}")
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    except BaseException:
+        if calls < k:
+            raise
+        return True
+    finally:
+        sys.settrace(previous)
+    return False
 
 
 def edge_arrays(max_n: int = 40, max_m: int = 120, self_loops: bool = False):
@@ -122,18 +153,18 @@ class TestBuildCSR:
             csr.build_csr(old, 4, tmp)
             assert csr.is_cache(tmp)
 
-            real_scatter, calls = csr._scatter, []
+            real_bucket, calls = csr._bucket, []
 
-            def dying_scatter(*args):
+            def dying_bucket(*args):
                 calls.append(1)
                 if len(calls) == 3:
                     raise KeyboardInterrupt("killed in pass 2")
-                real_scatter(*args)
+                real_bucket(*args)
 
-            monkeypatch.setattr(csr, "_scatter", dying_scatter)
+            monkeypatch.setattr(csr, "_bucket", dying_bucket)
             with pytest.raises(KeyboardInterrupt):
                 csr.build_csr(new, 50, tmp, chunk_edges=64)
-            monkeypatch.setattr(csr, "_scatter", real_scatter)
+            monkeypatch.setattr(csr, "_bucket", real_bucket)
             assert not csr.is_cache(tmp)
 
             got = csr.build_csr(new, 50, tmp, chunk_edges=64)
@@ -146,6 +177,117 @@ class TestBuildCSR:
             assert sorted(os.listdir(tmp)) == [
                 "indices.npy", "indptr.npy", "meta.json"
             ]
+
+    def test_every_kill_point_leaves_no_blessed_cache(self):
+        """Killed at any Python-level call of a rebuild, the directory is
+        either not a cache or a complete one of the old or new edges."""
+        old = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
+        rng = np.random.default_rng(8)
+        new = rng.integers(0, 24, size=(90, 2), dtype=np.int64)
+        new = new[new[:, 0] != new[:, 1]]
+        complete = [Graph.from_edges(4, old), Graph.from_edges(24, new)]
+        with tempfile.TemporaryDirectory() as tmp:
+            for k in itertools.count(1):
+                csr.build_csr(old, 4, tmp)
+                killed = _killed_at(k, lambda: csr.build_csr(
+                    csr.edge_chunks(new, 32), 24, tmp, chunk_edges=32))
+                if csr.is_cache(tmp):
+                    got = csr.MmapGraph.load(tmp)
+                    assert any(
+                        np.array_equal(np.asarray(got.indptr), g.indptr)
+                        and np.array_equal(np.asarray(got.indices),
+                                           g.indices)
+                        for g in complete
+                    )
+                if not killed:
+                    break
+            assert k > 100
+            assert csr.is_cache(tmp)
+
+    @pytest.mark.parametrize("source", ["array", "generator"])
+    def test_peak_allocation_is_linear_in_n_plus_chunk(self, source):
+        n, chunk = 2000, 4096
+        rng = np.random.default_rng(11)
+        edges = rng.integers(0, n, size=(120_000, 2), dtype=np.int64)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        stream = edges if source == "array" else csr.edge_chunks(edges,
+                                                                 chunk)
+        with tempfile.TemporaryDirectory() as tmp:
+            tracemalloc.start()
+            try:
+                got = csr.build_csr(stream, n, tmp, chunk_edges=chunk)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            want = Graph.from_edges(n, edges)
+            assert np.array_equal(np.asarray(got.indices), want.indices)
+        assert peak * 4 <= edges.nbytes
+        assert peak <= 8 * 8 * (n + chunk)
+
+    def test_hub_row_over_budget_is_a_block_of_its_own(self):
+        n, hub, chunk = 300, 150, 64
+        rng = np.random.default_rng(5)
+        rest = rng.integers(0, n, size=(600, 2), dtype=np.int64)
+        rest = rest[(rest[:, 0] != rest[:, 1]) & (rest != hub).all(axis=1)]
+        spokes = np.column_stack((np.full(n - 1, hub),
+                                  np.delete(np.arange(n), hub)))
+        # Every spoke twice, once per orientation: degree 2(n-1) > chunk.
+        edges = np.concatenate([rest[:300], spokes, spokes[::-1, ::-1],
+                                rest[300:]])
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edges.ravel(), minlength=n), out=offsets[1:])
+        starts = csr._block_starts(offsets, chunk)
+        assert hub in starts and hub + 1 in starts
+        assert np.all(np.diff(offsets[starts])[starts[:-1] != hub] <= chunk)
+        want = Graph.from_edges(n, edges)
+        for stream in (edges, csr.edge_chunks(edges, chunk)):
+            with tempfile.TemporaryDirectory() as tmp:
+                got = csr.build_csr(stream, n, tmp, chunk_edges=chunk)
+                assert np.array_equal(np.asarray(got.indptr), want.indptr)
+                assert np.array_equal(np.asarray(got.indices),
+                                      want.indices)
+
+    def test_key_cap_limits_rows_per_block(self, monkeypatch):
+        # Keys are (row - first row) * n + neighbor: with the int64 cap
+        # patched down to 3n, a block may span at most 3 rows.
+        n = 60
+        rng = np.random.default_rng(6)
+        edges = rng.integers(0, n, size=(400, 2), dtype=np.int64)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        monkeypatch.setattr(csr, "_KEY_MAX", 3 * n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edges.ravel(), minlength=n), out=offsets[1:])
+        starts = csr._block_starts(offsets, csr.DEFAULT_CHUNK_EDGES)
+        assert np.diff(starts).max() == 3
+        want = Graph.from_edges(n, edges)
+        with tempfile.TemporaryDirectory() as tmp:
+            got = csr.build_csr(edges, n, tmp)
+            assert np.array_equal(np.asarray(got.indptr), want.indptr)
+            assert np.array_equal(np.asarray(got.indices), want.indices)
+
+    @pytest.mark.parametrize("damage", [
+        "truncated indices", "foreign indices", "float indices",
+        "indptr end", "short indptr",
+    ])
+    def test_arrays_not_matching_meta_are_rejected(self, damage):
+        edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]], dtype=np.int64)
+        with tempfile.TemporaryDirectory() as tmp:
+            csr.build_csr(edges, 4, tmp)
+            indptr = Path(tmp) / "indptr.npy"
+            indices = Path(tmp) / "indices.npy"
+            if damage == "truncated indices":
+                os.truncate(indices, indices.stat().st_size - 8)
+            elif damage == "foreign indices":
+                np.save(indices, np.arange(5, dtype=np.int64))
+            elif damage == "float indices":
+                np.save(indices, np.load(indices).astype(np.float64))
+            elif damage == "indptr end":
+                np.save(indptr, np.array([0, 2, 4, 6, 7], dtype=np.int64))
+            else:
+                np.save(indptr, np.array([0, 2, 4, 8], dtype=np.int64))
+            assert not csr.is_cache(tmp)
+            with pytest.raises(ValueError):
+                csr.MmapGraph.load(tmp)
 
     def test_self_loop_rejected_by_default(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -218,6 +360,47 @@ class TestEdgeCache:
             edges, n = files.load_edge_cache(text)
             assert n == other.n
             assert Graph.from_edges(n, edges) == other
+
+    def test_killed_rebuild_never_blesses_a_stale_fingerprint(self):
+        """A valid cache loses its array; the rebuild is killed at each of
+        its Python-level calls in turn. The stale fingerprint must never
+        vouch for a missing or half-written array."""
+        graph = generators.erdos_renyi_gnm(40, 120, rng=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            text = Path(tmp) / "g.txt"
+            files.write_edge_list(graph, text)
+            npy_path, _ = files.edge_cache_paths(text)
+            for k in itertools.count(1):
+                files.build_edge_cache(text)
+                npy_path.unlink()
+                killed = _killed_at(k, lambda: files.build_edge_cache(
+                    text, block_bytes=256))
+                if files.cache_valid(text):
+                    edges, n = files.load_edge_cache(text)
+                    assert edges.shape == (graph.m, 2)
+                    assert Graph.from_edges(n, edges) == graph
+                if not killed:
+                    break
+            assert k > 100
+            assert files.cache_valid(text)
+            assert sorted(p.name for p in Path(tmp).iterdir()) == [
+                "g.txt", "g.txt.edges.json", "g.txt.edges.npy"
+            ]
+
+    def test_fallback_mid_stream_replaces_the_fast_rows(self):
+        # The fast path streams a few blocks, then meets a weight column
+        # and the per-line parser rewrites the array from scratch.
+        graph = generators.erdos_renyi_gnm(30, 80, rng=4)
+        lines = [f"{u} {v}" for u, v in graph.edges().tolist()]
+        lines[-1] += " 2.5"
+        with tempfile.TemporaryDirectory() as tmp:
+            text = Path(tmp) / "g.txt"
+            text.write_text("\n".join(lines) + "\n")
+            files.build_edge_cache(text, block_bytes=64)
+            edges, n = files.load_edge_cache(text)
+            assert edges.shape == (graph.m, 2)
+            assert n == graph.n
+            assert np.array_equal(edges, graph.edges())
 
     def test_fast_and_slow_paths_raise_identical_errors(self):
         cases = [
