@@ -112,11 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--hang-worker", type=float, default=0.0,
                        metavar="P",
                        help="real-process fault: worker computes but "
-                            "never replies (supervisor deadline fires)")
+                            "never replies (after the armed-plan 1 s deadline "
+                            "the parent re-runs its shard)")
     chaos.add_argument("--delay-reply", type=float, default=0.0,
                        metavar="P",
                        help="real-process fault: delay a worker's reply "
-                            "(straggler; may trigger hedging)")
+                            "(straggler; costs wall time only)")
     chaos.add_argument("--fork-fail", type=float, default=0.0,
                        metavar="P",
                        help="real-process fault: respawn fork attempts "

@@ -130,16 +130,18 @@ class ProcessFaultPlan:
     the AMPC model inside one interpreter), these faults hit the actual
     OS processes of the ``backend="process"`` pool: a worker SIGKILLs
     itself mid-task, computes but never replies (the parent sees a
-    hang), delays its reply, or the respawn fork fails. The pool's
-    supervisor (:mod:`repro.parallel.pool`) must recover from every one
-    of them with results and ledgers bit-identical to serial.
+    hang), delays its reply, or the respawn fork fails. Each shard is
+    dispatched once; the pool (:mod:`repro.parallel.pool`) re-runs a
+    lost worker's shard in the parent, with results and ledgers
+    bit-identical to serial.
 
-    All draws are deterministic in ``(seed, round, task, attempt)`` —
-    the parent decides, the directive rides along with the dispatch — so
-    a fault schedule replays exactly. With ``first_attempt_only`` (the
-    default) a fault fires only on a task's first dispatch, which
-    guarantees every retry converges; set it to ``False`` to exercise
-    retry exhaustion and the serial-fallback path.
+    With a plan armed the pool declares a worker lost when it has not
+    replied after :data:`~repro.parallel.pool.FAULT_DEADLINE_S` (1 s)
+    rather than the plain 60 s, so every injected hang costs one second.
+
+    All draws are deterministic in ``(seed, round, task)`` — the parent
+    decides, the directive rides along with the dispatch — so a fault
+    schedule replays exactly.
 
     Arm a plan either ambiently, for runs that construct their runtimes
     internally::
@@ -156,7 +158,6 @@ class ProcessFaultPlan:
     delay_probability: float = 0.0
     delay_s: float = 0.02
     fork_failure_probability: float = 0.0
-    first_attempt_only: bool = True
 
     def __post_init__(self) -> None:
         for name in (
@@ -187,7 +188,7 @@ class ProcessFaultPlan:
     def delays(
         cls, probability: float, delay_s: float = 0.02, *, seed: int = 0
     ) -> "ProcessFaultPlan":
-        """Plan that delays replies (stragglers; hedging territory)."""
+        """Plan that delays replies (stragglers: wall time, nothing else)."""
         return cls(seed=seed, delay_probability=probability, delay_s=delay_s)
 
     @classmethod
@@ -222,9 +223,6 @@ class ProcessFaultPlan:
             fork_failure_probability=_combine(
                 self.fork_failure_probability, other.fork_failure_probability
             ),
-            first_attempt_only=(
-                self.first_attempt_only and other.first_attempt_only
-            ),
         )
 
     def __or__(self, other: "ProcessFaultPlan") -> "ProcessFaultPlan":
@@ -247,15 +245,11 @@ class ProcessFaultPlan:
     def rng(self, *salts: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, *salts)))
 
-    def directive_for(
-        self, round_index: int, task_index: int, attempt: int
-    ) -> tuple | None:
-        """The fault directive (or None) for one dispatch of one shard."""
+    def directive_for(self, round_index: int, task_index: int) -> tuple | None:
+        """The fault directive (or None) for the dispatch of one shard."""
         if self.is_null:
             return None
-        if attempt > 0 and self.first_attempt_only:
-            return None
-        rng = self.rng(_SALT_PROC, round_index, task_index, attempt)
+        rng = self.rng(_SALT_PROC, round_index, task_index)
         if rng.random() < self.kill_probability:
             return ("kill",)
         if rng.random() < self.hang_probability:
@@ -290,8 +284,8 @@ class BoundProcessFaults:
         self.plan = plan
         self.round_index = round_index
 
-    def directive_for(self, task_index: int, attempt: int) -> tuple | None:
-        return self.plan.directive_for(self.round_index, task_index, attempt)
+    def directive_for(self, task_index: int) -> tuple | None:
+        return self.plan.directive_for(self.round_index, task_index)
 
     def fork_fails(
         self, worker_idx: int, respawn_seq: int, spawn_attempt: int
@@ -686,8 +680,9 @@ class ChaosMixin:
         per-key failover state, both of which must replay serially for
         fault plans to fire at identical operations. Plans injecting
         only *process-level* faults (worker kills/hangs/delayed replies,
-        fork failures) have nothing to simulate in-process — the pool's
-        supervisor recovers them — so those runs shard normally.
+        fork failures) have nothing to simulate in-process — the pool
+        re-runs a lost worker's shard in the parent — so those runs shard
+        normally.
         """
         return self.plan.simulated_is_null
 

@@ -37,7 +37,9 @@ class RoundStats:
         max_server_load: largest number of reads answered by one DDS server
             (Lemma 2.1's quantity).
         wall_time_s: host-side wall time (diagnostic only; not a model cost).
-        crashes: machine crashes injected and recovered during the round.
+        crashes: machine crashes injected and recovered during the round,
+            including every machine of a process-backend shard whose
+            pool worker was lost.
         server_outages: DDS serving machines down during the round
             (summed over re-execution attempts).
         stragglers: machines hit by an injected straggler delay.
@@ -49,20 +51,17 @@ class RoundStats:
         checkpoint_restores: whole-round aborts recovered by restoring the
             last checkpoint and replaying the round.
         recovery_wall_s: recovery time — simulated (retry backoff,
-            straggler delays, round-replay penalties) plus real pool
-            recovery walltime (respawn forks, retry backoffs); like
+            straggler delays, round-replay penalties) plus, for each lost
+            pool worker, the real time from its shard's dispatch to the
+            end of the shard's re-run in the parent; like
             ``wall_time_s`` it is a diagnostic, not a model cost.
-        task_retries: process-backend shard re-executions after a worker
-            crash, hang, or deadline expiry.
-        worker_respawns: pool worker processes killed-and-replaced.
-        hedges_won: speculative straggler re-dispatches whose copy beat
-            the original (the original's reply was discarded).
-        hedges_lost: hedged shards where the original still won.
+        worker_respawns: pool workers lost (dead, or silent past the
+            deadline) and replaced.
 
-    The ``task_retries`` .. ``hedges_lost`` block (and every recovery
-    field) is deliberately excluded from :meth:`RunReport.summary` and
-    hence from all cross-backend digests: recovery is timing-dependent
-    metadata, while results and model costs stay bit-identical.
+    Every recovery field (``crashes`` .. ``worker_respawns``) is
+    deliberately excluded from :meth:`RunReport.summary` and hence from
+    all cross-backend digests: recovery is timing-dependent metadata,
+    while results and model costs stay bit-identical.
     """
 
     index: int
@@ -87,10 +86,7 @@ class RoundStats:
     wasted_reads: int = 0
     checkpoint_restores: int = 0
     recovery_wall_s: float = 0.0
-    task_retries: int = 0
     worker_respawns: int = 0
-    hedges_won: int = 0
-    hedges_lost: int = 0
 
     @property
     def communication(self) -> int:
@@ -191,19 +187,14 @@ class RunReport:
 
     @property
     def task_retries(self) -> int:
-        return sum(r.task_retries for r in self.rounds)
+        """Machine blocks re-executed: equal to :attr:`crashes`, since
+        every crashed machine — simulated, or on a lost pool worker — is
+        replaced by one re-run of its block."""
+        return self.crashes
 
     @property
     def worker_respawns(self) -> int:
         return sum(r.worker_respawns for r in self.rounds)
-
-    @property
-    def hedges_won(self) -> int:
-        return sum(r.hedges_won for r in self.rounds)
-
-    @property
-    def hedges_lost(self) -> int:
-        return sum(r.hedges_lost for r in self.rounds)
 
     def recovery_summary(self) -> dict[str, float]:
         """Flat dict itemizing the fault-recovery overhead of the run.
@@ -222,10 +213,7 @@ class RunReport:
             "failover_reads": self.failover_reads,
             "wasted_reads": self.wasted_reads,
             "checkpoint_restores": self.checkpoint_restores,
-            "task_retries": self.task_retries,
             "worker_respawns": self.worker_respawns,
-            "hedges_won": self.hedges_won,
-            "hedges_lost": self.hedges_lost,
             "recovery_reads": recovery_reads,
             "overhead_reads_pct": round(100.0 * recovery_reads / useful, 3),
             "recovery_wall_s": round(self.recovery_wall_s, 6),
@@ -271,8 +259,7 @@ class RunReport:
                 "max_server_load": r.max_server_load,
             }
             if r.recovery_reads or r.crashes or r.checkpoint_restores \
-                    or r.server_outages or r.stragglers or r.task_retries \
-                    or r.worker_respawns or r.hedges_won or r.hedges_lost:
+                    or r.server_outages or r.stragglers or r.worker_respawns:
                 record["recovery"] = {
                     "crashes": r.crashes,
                     "server_outages": r.server_outages,
@@ -281,10 +268,7 @@ class RunReport:
                     "failover_reads": r.failover_reads,
                     "wasted_reads": r.wasted_reads,
                     "checkpoint_restores": r.checkpoint_restores,
-                    "task_retries": r.task_retries,
                     "worker_respawns": r.worker_respawns,
-                    "hedges_won": r.hedges_won,
-                    "hedges_lost": r.hedges_lost,
                     "recovery_wall_s": round(r.recovery_wall_s, 6),
                 }
             rounds.append(record)
@@ -333,12 +317,9 @@ class RunReport:
                 f"restores={rec['checkpoint_restores']} "
                 f"overhead={rec['overhead_reads_pct']:.1f}%"
             )
-        if rec["task_retries"] or rec["worker_respawns"] \
-                or rec["hedges_won"] or rec["hedges_lost"]:
+        if rec["worker_respawns"]:
             lines.append(
-                f"pool recovery: retries={rec['task_retries']} "
-                f"respawns={rec['worker_respawns']} "
-                f"hedges won/lost={rec['hedges_won']}/{rec['hedges_lost']} "
+                f"pool recovery: respawns={rec['worker_respawns']} "
                 f"recovery_wall_s={rec['recovery_wall_s']:.4f}"
             )
         return "\n".join(lines)

@@ -87,7 +87,8 @@ class MachineContext:
         self.observer: Any = None
         self.batch_observer: Any = None
         # Which OS worker executed this machine's program on the process
-        # backend (repro.parallel); None on the serial path. Diagnostic
+        # backend (repro.parallel; -1 when the parent re-ran the shard of
+        # a lost worker); None on the serial path. Diagnostic
         # only — never feeds placement, budgets, or any ledger quantity,
         # so serial and parallel runs stay bit-identical.
         self.worker_id: int | None = None

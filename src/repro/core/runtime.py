@@ -122,7 +122,6 @@ class AMPCRuntime:
         *,
         backend: str | None = None,
         n_workers: int | None = None,
-        recovery: Any | None = None,
     ) -> None:
         self.config = config
         self.report = RunReport()
@@ -154,19 +153,12 @@ class AMPCRuntime:
         # because their worker/payload could not be shipped to pool
         # workers. Diagnostic only — fallback rounds are bit-identical.
         self.parallel_fallbacks = 0
-        # How the pool recovers worker failures (a RecoveryPolicy from
-        # repro.parallel.pool; None = the pool's default), the ambient
-        # process-fault plan under test (None = no injection), and the
-        # rounds where recovery gave up and execution degraded to the
-        # serial path (a subset of parallel_fallbacks).
-        self.recovery_policy = (
-            recovery if recovery is not None else _parallel.default_recovery()
-        )
+        # The ambient process-fault plan under test (None = no injection),
+        # and this round's shards whose pool worker was lost, as
+        # (machines, recovery wall seconds), folded into the round's
+        # RoundStats by _record.
         self.process_fault_plan = _parallel.default_process_faults()
-        self.recovery_fallbacks = 0
-        # PoolRecovery tallies from this round's dispatches (including
-        # failed ones), folded into the round's RoundStats by _record.
-        self._pending_recovery: list[Any] = []
+        self._lost_shards: list[tuple[int, float]] = []
         # Invariant observers (repro.verify): globally-installed observers
         # are picked up at construction; more can be attached per instance.
         self.observers: list[Any] = list(_GLOBAL_OBSERVERS)
@@ -576,13 +568,13 @@ class AMPCRuntime:
         put on the checkpointed store — the load histogram is absolute
         state, and the next round's contention row must read as if the
         store were freshly sealed (tick-vs-fresh bit-identity for
-        :meth:`query_round`, replay-vs-clean for chaos) — and drop pool
-        recovery tallies queued for a ledger row that will never exist.
+        :meth:`query_round`, replay-vs-clean for chaos) — and drop
+        lost-shard tallies queued for a ledger row that will never exist.
         """
         self.restore(checkpoint)
         if checkpoint.store is not None:
             checkpoint.store.reset_read_load()
-        self._pending_recovery.clear()
+        self._lost_shards.clear()
 
     def _context(
         self,
@@ -653,10 +645,7 @@ class AMPCRuntime:
             self.parallel_fallbacks += 1
             return None
         import repro.parallel.backend as _pbackend
-        from repro.parallel.pool import (
-            CallableShipError,
-            WorkerPoolRecoveryError,
-        )
+        from repro.parallel.pool import CallableShipError
 
         if shape == _FUSED:
             run = _pbackend.run_fused_round
@@ -669,12 +658,6 @@ class AMPCRuntime:
         except CallableShipError:
             # Unshippable worker, work items or outputs.
             self.parallel_fallbacks += 1
-        except WorkerPoolRecoveryError:
-            # Supervised recovery gave up (retries exhausted, respawn
-            # impossible). The failed attempt's recovery tally was
-            # already queued for this round's ledger by the dispatcher.
-            self.parallel_fallbacks += 1
-            self.recovery_fallbacks += 1
         return None
 
     def _run_machines(
@@ -849,27 +832,18 @@ class AMPCRuntime:
             max_server_load=read_store.max_server_load(),
             wall_time_s=wall,
         )
-        if self._pending_recovery:
-            # Pool-supervision recovery (respawns, retries, hedges) from
-            # this round's dispatches — including a failed attempt that
-            # degraded to serial. Folded in *before* report.add so
-            # on_round_end observers (metrics, tracer) see it; none of
-            # these fields enter summary()/digests, so bit-identity with
-            # the serial path is preserved by construction.
-            for rec in self._pending_recovery:
-                stats.task_retries += rec.task_retries
-                stats.worker_respawns += rec.worker_respawns
-                stats.hedges_won += rec.hedges_won
-                stats.hedges_lost += rec.hedges_lost
-                stats.recovery_wall_s += rec.recovery_wall_s
-            self._pending_recovery.clear()
+        # A lost pool worker is §2.1's crash of every machine in its
+        # shard, replaced by the parent's re-run. Folded in *before*
+        # report.add so on_round_end observers (metrics, tracer) see it;
+        # none of these fields enter summary()/digests, so bit-identity
+        # with the serial path is preserved by construction.
+        for machines, wall_s in self._lost_shards:
+            stats.crashes += machines
+            stats.worker_respawns += 1
+            stats.recovery_wall_s += wall_s
+        self._lost_shards.clear()
         self.report.add(stats)
         return stats
-
-    def _note_recovery(self, recovery: Any) -> None:
-        """Queue a pool ``PoolRecovery`` tally for this round's stats."""
-        if recovery is not None and recovery.any:
-            self._pending_recovery.append(recovery)
 
 
 class BatchRoundContext:

@@ -82,17 +82,6 @@ def write_jsonl(events: Iterable[Event], path: str,
         fh.write(to_jsonl(events, meta))
 
 
-def write_records(records: Iterable[dict[str, Any]], path: str) -> None:
-    """Write pre-built schema records (not Events) as JSONL.
-
-    Used by :mod:`repro.perf` for profiles; the inverse of
-    :func:`read_jsonl`.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
 def read_jsonl(path: str) -> list[dict[str, Any]]:
     """Parse a JSONL trace file back into records."""
     with open(path, "r", encoding="utf-8") as fh:

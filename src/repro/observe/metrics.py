@@ -273,7 +273,7 @@ class MetricsObserver(RuntimeObserver):
         to ``RunReport.total_reads`` / ``total_writes`` of the watched
         runtimes; ``model.rounds`` / ``model.adaptive_rounds``;
         ``model.budget_violations``; ``recovery.*`` (crashes, retry /
-        failover / wasted reads, checkpoint restores);
+        failover / wasted reads, checkpoint restores, worker respawns);
         ``ops.batch_read_ops`` / ``ops.batch_read_elems`` (and write
         counterparts) counted live, one event per array operation;
         ``ops.scalar_reads`` / ``ops.scalar_writes`` — derived
@@ -283,8 +283,8 @@ class MetricsObserver(RuntimeObserver):
 
     Histograms: ``round.wall_s`` (latency), ``round.reads`` /
     ``round.writes`` (per-round communication), ``recovery.latency_s``
-    (per-round wall time the pool spent respawning / backing off — only
-    rounds with nonzero recovery work are observed), ``server.contention``
+    (per-round ``recovery_wall_s`` — only rounds with nonzero recovery
+    work are observed), ``server.contention``
     (per-server read loads of every round store, Lemma 2.1's quantity —
     recorded live at round end, requires ``config.track_contention``).
     """
@@ -362,8 +362,7 @@ class MetricsObserver(RuntimeObserver):
                 for field in ("crashes", "server_outages", "stragglers",
                               "retry_reads", "failover_reads",
                               "wasted_reads", "checkpoint_restores",
-                              "task_retries", "worker_respawns",
-                              "hedges_won", "hedges_lost"):
+                              "worker_respawns"):
                     value = getattr(stats, field, 0)
                     if value:
                         reg.counter(f"recovery.{field}").inc(value)

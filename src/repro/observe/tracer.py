@@ -120,10 +120,7 @@ def _stats_attrs(stats: Any) -> dict[str, Any]:
         "failover_reads",
         "wasted_reads",
         "checkpoint_restores",
-        "task_retries",
         "worker_respawns",
-        "hedges_won",
-        "hedges_lost",
     ):
         value = getattr(stats, field, 0)
         if value:

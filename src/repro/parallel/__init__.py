@@ -35,10 +35,11 @@ runtimes and chaos runtimes with *simulated* faults opt out
 (``parallel_capable`` is False) and run serially, so fault plans keep
 firing at identical operations; chaos plans injecting only real
 *process-level* faults (:class:`~repro.core.chaos.ProcessFaultPlan`)
-shard normally — the pool's supervisor (:mod:`repro.parallel.pool`)
-recovers crashed, hung, and straggling workers by respawn + shard
-re-execution, and merges exactly one winning reply per shard, keeping
-the bit-identity contract under every injected fault.
+shard normally. The pool (:mod:`repro.parallel.pool`) treats a crashed
+or hung worker as the crash of every machine in its shard — the paper's
+§2.1 failure — and re-runs that shard in the parent, which replies
+exactly as the worker would have, keeping the bit-identity contract
+under every injected fault.
 
 Merge cost
 ----------
@@ -64,11 +65,9 @@ from typing import Any, Iterator
 __all__ = [
     "use_backend",
     "use_process_faults",
-    "use_recovery",
     "default_backend",
     "default_workers",
     "default_process_faults",
-    "default_recovery",
     "autodetect_workers",
     "BACKENDS",
 ]
@@ -79,13 +78,11 @@ BACKENDS = ("serial", "process")
 # explicit backend= argument is given. Kept here (stdlib-only module) so
 # repro.core.runtime can read it without an import cycle; the heavy
 # submodules (pool, shm, backend) import core and load lazily below.
-# The process-fault plan and recovery policy are held as opaque objects
-# for the same reason (their classes live in repro.core.chaos and
-# repro.parallel.pool respectively).
+# The process-fault plan is held as an opaque object for the same reason
+# (its class lives in repro.core.chaos).
 _DEFAULT_BACKEND = "serial"
 _DEFAULT_WORKERS: int | None = None
 _DEFAULT_PROCESS_FAULTS: Any = None
-_DEFAULT_RECOVERY: Any = None
 
 
 def default_backend() -> str:
@@ -101,12 +98,6 @@ def default_workers() -> int | None:
 def default_process_faults() -> Any:
     """Ambient :class:`~repro.core.chaos.ProcessFaultPlan` (or None)."""
     return _DEFAULT_PROCESS_FAULTS
-
-
-def default_recovery() -> Any:
-    """Ambient :class:`~repro.parallel.pool.RecoveryPolicy` (or None =
-    the pool's built-in default)."""
-    return _DEFAULT_RECOVERY
 
 
 def autodetect_workers() -> int:
@@ -160,20 +151,6 @@ def use_process_faults(plan: Any) -> Iterator[None]:
         _DEFAULT_PROCESS_FAULTS = prev
 
 
-@contextlib.contextmanager
-def use_recovery(policy: Any) -> Iterator[None]:
-    """Ambiently select the pool :class:`~repro.parallel.pool.RecoveryPolicy`
-    for runtimes constructed inside the ``with`` block (and not given an
-    explicit ``recovery=`` argument)."""
-    global _DEFAULT_RECOVERY
-    prev = _DEFAULT_RECOVERY
-    _DEFAULT_RECOVERY = policy
-    try:
-        yield
-    finally:
-        _DEFAULT_RECOVERY = prev
-
-
 # Heavy submodule symbols, loaded on first touch to keep this package
 # importable from repro.core.runtime without a cycle.
 _LAZY = {
@@ -182,9 +159,6 @@ _LAZY = {
     "shutdown_pool": "pool",
     "CallableShipError": "pool",
     "WorkerCrashError": "pool",
-    "WorkerPoolRecoveryError": "pool",
-    "RecoveryPolicy": "pool",
-    "PoolRecovery": "pool",
     "encode_callable": "pool",
     "decode_callable": "pool",
     "ShmArena": "shm",

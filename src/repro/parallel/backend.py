@@ -64,13 +64,7 @@ from repro.core.machine import (
 )
 from repro.core.runtime import BatchRoundContext, check_fused_rows
 
-from .pool import (
-    CallableShipError,
-    WorkerPoolRecoveryError,
-    decode_callable,
-    encode_callable,
-    get_pool,
-)
+from .pool import CallableShipError, decode_callable, encode_callable, get_pool
 from .shm import ShmArena, attach_store, export_store
 
 __all__ = [
@@ -382,36 +376,37 @@ def _dispatch_shards(
     task_name: str,
     build_payload: Callable[[dict, tuple[int, int]], dict],
     bounds: list[tuple[int, int]],
+    machines_in: Callable[[tuple[int, int]], int],
 ) -> tuple[list[dict], list[int]]:
     """Export the store, ship one payload per shard, collect results.
 
-    Returns ``(shard_results, worker_of)`` where
-    ``worker_of[i]`` is the worker whose reply won shard ``i`` (under
-    retries or hedging that need not be ``i % n_workers``). The shm
-    arena lives exactly as long as the workers need it — unlinked on
-    every exit path, including worker exceptions and supervisor
-    recovery failures. Dispatch runs supervised: the pool honors the
-    runtime's ``recovery_policy`` and, when a ``process_fault_plan`` is
-    armed, injects that plan's real process faults; the recovery tally
-    (even of a failed attempt) is queued on the runtime for this
-    round's ledger.
+    Returns ``(shard_results, worker_of)`` where ``worker_of[i]`` is the
+    worker that ran shard ``i``, or :data:`~repro.parallel.pool.PARENT`
+    when the parent re-ran it. The shm arena lives exactly as long as
+    the shards need it — unlinked on every exit path, including worker
+    exceptions. When a ``process_fault_plan`` that injects anything is
+    armed, the pool injects that plan's real process faults under its
+    short deadline. Every shard whose worker was lost is queued for this
+    round's ledger as ``machines_in(span)`` crashed machines and its
+    recovery wall time — also when the pool raises, so a round that
+    falls back to the serial loop still accounts for its lost workers.
     """
-    pool = get_pool(runtime.resolved_workers(), runtime.recovery_policy)
+    pool = get_pool(runtime.resolved_workers())
     plan = runtime.process_fault_plan
     faults = (
-        plan.bind(runtime._round_counter)
-        if plan is not None and not plan.is_null
-        else None
+        None if plan is None or plan.is_null
+        else plan.bind(runtime._round_counter)
     )
+    lost: dict[int, float] = {}
     try:
         with ShmArena() as arena:
             export = export_store(read_store, arena)
             blobs = [_dumps(build_payload(export, span)) for span in bounds]
-            outcome = pool.run_tasks(task_name, blobs, faults=faults)
-    except WorkerPoolRecoveryError as exc:
-        runtime._note_recovery(exc.recovery)
-        raise
-    runtime._note_recovery(outcome.recovery)
+            outcome = pool.run_tasks(task_name, blobs, faults=faults,
+                                     lost=lost)
+    finally:
+        for index, wall_s in lost.items():
+            runtime._lost_shards.append((machines_in(bounds[index]), wall_s))
     return outcome.results, outcome.worker_of
 
 
@@ -452,7 +447,8 @@ def _run_machine_shards(
         }
 
     shard_results, worker_of = _dispatch_shards(
-        runtime, read_store, "machine_shard", build_payload, bounds
+        runtime, read_store, "machine_shard", build_payload, bounds,
+        lambda span: span[1] - span[0],
     )
     collector = OutputCollector(len(work), per_item)
     contexts = []
@@ -539,7 +535,8 @@ def run_fused_round(
         }
 
     shard_results, _ = _dispatch_shards(
-        runtime, read_store, "fused_shard", build_payload, bounds
+        runtime, read_store, "fused_shard", build_payload, bounds,
+        lambda span: int(np.unique(assignment[span[0]:span[1]]).size),
     )
     for res in shard_results:
         _merge_store_reads(read_store, res)

@@ -1,4 +1,4 @@
-"""Supervised, fault-tolerant fork-based worker pool.
+"""Supervised fork-based worker pool.
 
 One pipe per worker, one in-flight task per worker, tasks dispatched by
 name from a registry in :mod:`repro.parallel.backend` (so only payloads
@@ -14,39 +14,33 @@ runtime to fall back to the serial path for that round.
 Supervision
 -----------
 
-:meth:`WorkerPool.run_tasks` is a poll-based supervisor loop, not a
-blocking wave dispatch. Each dispatch carries a monotone *ticket*;
-replies echo it, so a late reply from an abandoned dispatch can never be
-credited to a newer task. The supervisor waits on every in-flight
-worker's pipe *and* process sentinel at once, so it observes three
-distinct failures:
-
-* **crash** — the sentinel fires (or the pipe EOFs) before a reply: the
-  worker is respawned and the shard re-queued;
-* **hang / dropped reply** — no reply within the
-  :class:`RecoveryPolicy` task deadline: the worker is killed (it may be
-  wedged), respawned, and the shard re-queued after an exponential
-  backoff with deterministic jitter;
-* **slow straggler** — optionally, the slowest in-flight shard is
-  speculatively re-dispatched to an idle worker (*hedging*) and the
-  first reply wins.
-
-Re-executing a shard is provably safe: workers mutate no parent state —
-they read a sealed store snapshot and return a journal — so the parent
-merges exactly one (the winning) reply per shard and discards the rest,
-keeping results and cost ledgers bit-identical to the serial path.
-When a shard exhausts its retries (or a worker cannot be respawned) the
-supervisor raises :class:`WorkerPoolRecoveryError`; the runtime catches
-it and degrades gracefully to the serial path for that round.
+:meth:`WorkerPool.run_tasks` dispatches each shard once, in shard order,
+and waits on every in-flight worker's pipe *and* process sentinel at
+once. A worker whose sentinel fires, whose pipe EOFs, or that has not
+replied by the per-task deadline is *lost*: every machine of its shard
+crashed. Recovery is the paper's §2.1 rule — "a failing machine can be
+simply replaced with a different machine that would perform the
+computation from scratch" — with the parent process as the replacement
+machine. The pool kills and respawns the worker (it may be wedged, not
+dead), then runs the lost shard's task in the parent:
+``TASKS[name](pickle.loads(blob))``. Tasks are pure functions of their
+payload — they read the exported sealed store and return a journal — so
+the parent's reply is the one the worker would have sent, and the merge
+keeps results and cost ledgers bit-identical to the serial path. If
+every fork of a respawn fails, the pool is marked broken, the round's
+remaining shards run in the parent as well, and :func:`get_pool`
+rebuilds the pool for the next round.
 
 Fault injection: ``run_tasks(..., faults=...)`` accepts a duck-typed
-plan (see :class:`repro.core.chaos.ProcessFaultPlan`) providing
-``directive_for(task_index, attempt)`` — returning ``None``,
-``("kill",)``, ``("drop",)`` or ``("delay", seconds)`` — and
+plan (see :class:`repro.core.chaos.BoundProcessFaults`) providing
+``directive_for(task_index)`` — returning ``None``, ``("kill",)``,
+``("drop",)`` or ``("delay", seconds)`` — and
 ``fork_fails(worker_idx, respawn_seq, spawn_attempt)``. Directives ride
 along with the dispatch and are honored *in the worker* (a real SIGKILL,
 a real dropped reply), so recovery is exercised against genuine process
-death, not a simulation of it.
+death, not a simulation of it. With a plan armed the per-task deadline
+is :data:`FAULT_DEADLINE_S` instead of :data:`DEFAULT_DEADLINE_S`, so an
+injected hang costs one second.
 """
 
 from __future__ import annotations
@@ -66,21 +60,31 @@ import traceback
 import types
 from typing import Any, Callable
 
-from repro.core.partition import splitmix64
-
 __all__ = [
     "CallableShipError",
     "WorkerCrashError",
-    "WorkerPoolRecoveryError",
-    "RecoveryPolicy",
-    "PoolRecovery",
     "PoolRunResult",
+    "PARENT",
     "encode_callable",
     "decode_callable",
     "WorkerPool",
     "get_pool",
     "shutdown_pool",
 ]
+
+#: Forks attempted per respawn before the pool is declared broken.
+MAX_SPAWN_ATTEMPTS = 3
+
+#: Per-task deadline of a plain run.
+DEFAULT_DEADLINE_S = 60.0
+
+#: Per-task deadline while a fault plan is armed. Plans drive small
+#: fault-injection runs; a healthy shard slower than this is treated as
+#: hung and re-run in the parent — still correct, only slower.
+FAULT_DEADLINE_S = 1.0
+
+#: ``PoolRunResult.worker_of`` entry of a shard the parent ran itself.
+PARENT = -1
 
 
 class CallableShipError(RuntimeError):
@@ -89,143 +93,21 @@ class CallableShipError(RuntimeError):
 
 
 class WorkerCrashError(RuntimeError):
-    """A pool worker process died before returning its task result."""
-
-
-class WorkerPoolRecoveryError(WorkerCrashError):
-    """Supervised recovery gave up: a shard exhausted its retries, the
-    round deadline expired, or a worker could not be respawned. Carries
-    the :class:`PoolRecovery` tally in ``recovery`` so the runtime can
-    still account the failed attempt's retries/respawns after it falls
-    back to the serial path."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message)
-        self.recovery: PoolRecovery | None = None
-
-
-@dataclasses.dataclass(frozen=True)
-class RecoveryPolicy:
-    """How :meth:`WorkerPool.run_tasks` recovers from worker failures.
-
-    ``max_task_retries``
-        Re-executions allowed per shard after its first failed attempt
-        (crash, hang, or deadline expiry — application-level exceptions
-        are deterministic and never retried). Exhaustion raises
-        :class:`WorkerPoolRecoveryError` and the runtime degrades to the
-        serial path.
-    ``task_deadline_s``
-        Per-dispatch wall-clock ceiling. A worker that has not replied
-        by then is declared hung, killed, and respawned; its shard is
-        re-queued. This is what guarantees a hung worker never blocks a
-        round past its deadline.
-    ``base_backoff_s`` / ``backoff_multiplier`` / ``max_backoff_s`` /
-    ``jitter``
-        Exponential backoff before the *k*-th retry of a shard:
-        ``base * multiplier**(k-1)`` capped at ``max_backoff_s``, scaled
-        by a deterministic jitter factor in ``[1-jitter, 1+jitter]``
-        derived from :func:`splitmix64` (stable across runs — recovery
-        timing never perturbs results, and tests stay reproducible).
-    ``round_deadline_s``
-        Wall-clock ceiling for the whole ``run_tasks`` call
-        (``None`` = unbounded).
-    ``hedge`` / ``hedge_after_s`` / ``hedge_ratio``
-        Straggler hedging: when enabled and a worker sits idle, the
-        slowest in-flight shard is speculatively re-dispatched once its
-        elapsed time exceeds ``max(hedge_after_s, hedge_ratio * median
-        completed-task duration)``; the first reply wins and the loser
-        is discarded (never merged).
-    ``max_spawn_attempts``
-        Forks attempted per respawn before declaring the pool broken.
-    """
-
-    max_task_retries: int = 2
-    task_deadline_s: float = 60.0
-    base_backoff_s: float = 0.02
-    backoff_multiplier: float = 2.0
-    max_backoff_s: float = 0.5
-    jitter: float = 0.25
-    round_deadline_s: float | None = 300.0
-    hedge: bool = False
-    hedge_after_s: float = 1.0
-    hedge_ratio: float = 4.0
-    max_spawn_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_task_retries < 0:
-            raise ValueError("max_task_retries must be >= 0")
-        if self.task_deadline_s <= 0:
-            raise ValueError("task_deadline_s must be > 0")
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff times must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.round_deadline_s is not None and self.round_deadline_s <= 0:
-            raise ValueError("round_deadline_s must be > 0 (or None)")
-        if self.hedge_after_s < 0 or self.hedge_ratio < 1.0:
-            raise ValueError("hedge_after_s >= 0 and hedge_ratio >= 1 required")
-        if self.max_spawn_attempts < 1:
-            raise ValueError("max_spawn_attempts must be >= 1")
-
-    def backoff(self, attempt: int, salt: int = 0) -> float:
-        """Backoff before retry number ``attempt`` (1-based), jittered
-        deterministically by ``salt`` (shard index, dispatch count)."""
-        if attempt <= 0:
-            return 0.0
-        base = self.base_backoff_s * self.backoff_multiplier ** (attempt - 1)
-        base = min(base, self.max_backoff_s)
-        if self.jitter == 0.0 or base == 0.0:
-            return base
-        unit = splitmix64((salt << 8) ^ attempt) / float(2**64)
-        return base * (1.0 - self.jitter + 2.0 * self.jitter * unit)
-
-
-DEFAULT_RECOVERY = RecoveryPolicy()
-
-
-@dataclasses.dataclass
-class PoolRecovery:
-    """Tally of recovery actions taken during one ``run_tasks`` call."""
-
-    task_retries: int = 0
-    worker_respawns: int = 0
-    fork_failures: int = 0
-    hedges_launched: int = 0
-    hedges_won: int = 0
-    hedges_lost: int = 0
-    recovery_wall_s: float = 0.0
-
-    @property
-    def any(self) -> bool:
-        return (
-            self.task_retries + self.worker_respawns + self.fork_failures
-            + self.hedges_launched + self.hedges_won + self.hedges_lost
-        ) > 0 or self.recovery_wall_s > 0.0
-
-    def merge_from(self, other: "PoolRecovery") -> None:
-        self.task_retries += other.task_retries
-        self.worker_respawns += other.worker_respawns
-        self.fork_failures += other.fork_failures
-        self.hedges_launched += other.hedges_launched
-        self.hedges_won += other.hedges_won
-        self.hedges_lost += other.hedges_lost
-        self.recovery_wall_s += other.recovery_wall_s
+    """A pool worker's task failed with an exception the parent cannot
+    rebuild."""
 
 
 @dataclasses.dataclass
 class PoolRunResult:
-    """Outcome of a supervised ``run_tasks`` call.
+    """Outcome of one ``run_tasks`` call.
 
-    ``worker_of[i]`` is the worker whose reply *won* shard ``i`` — under
-    retries/hedging that need not be ``i % n_workers``, and it is what
-    replay uses to tag tracer spans with the executing worker.
+    ``worker_of[i]`` is the worker that ran shard ``i``, or
+    :data:`PARENT` when the parent ran it; replay tags tracer spans with
+    it.
     """
 
     results: list[Any]
     worker_of: list[int]
-    recovery: PoolRecovery
 
 
 def encode_callable(fn: Callable[..., Any]) -> tuple[str, Any]:
@@ -311,6 +193,14 @@ def _rebuild_exception(info: tuple) -> BaseException:
     return exc
 
 
+def _run_task(task_name: str, payload_blob: bytes) -> Any:
+    """One shard's task — the same call in a pool worker and in the
+    parent."""
+    from . import backend as _backend
+
+    return _backend.TASKS[task_name](pickle.loads(payload_blob))
+
+
 def _worker_main(conn: Any) -> None:
     from .shm import disable_worker_shm_tracking
 
@@ -322,16 +212,13 @@ def _worker_main(conn: Any) -> None:
             break
         if message is None:
             break
-        ticket, task_name, payload_blob, directive = message
+        task_name, payload_blob, directive = message
         if directive is not None and directive[0] == "kill":
             # Injected fault: die exactly like a genuinely SIGKILLed
             # worker — no cleanup, no reply, sentinel fires in the parent.
             os.kill(os.getpid(), signal.SIGKILL)
         try:
-            from . import backend as _backend
-
-            task = _backend.TASKS[task_name]
-            out: tuple = ("ok", task(pickle.loads(payload_blob)))
+            out: tuple = ("ok", _run_task(task_name, payload_blob))
         except Exception as exc:
             out = _ship_exception(exc)
         if directive is not None:
@@ -343,7 +230,7 @@ def _worker_main(conn: Any) -> None:
             if kind == "delay":
                 time.sleep(directive[1])
         try:
-            conn.send((ticket, out))
+            conn.send(out)
         except Exception as exc:
             # An unpicklable task *result* must not break the pipe
             # protocol; ship it as a CallableShipError so the parent
@@ -351,13 +238,10 @@ def _worker_main(conn: Any) -> None:
             # state, so re-running the round serially is safe).
             try:
                 conn.send(
-                    (
-                        ticket,
-                        _ship_exception(
-                            CallableShipError(
-                                f"task result could not be shipped back: {exc}"
-                            )
-                        ),
+                    _ship_exception(
+                        CallableShipError(
+                            f"task result could not be shipped back: {exc}"
+                        )
                     )
                 )
             except Exception:
@@ -368,38 +252,21 @@ def _worker_main(conn: Any) -> None:
         pass
 
 
-class _Inflight:
-    """One dispatched-but-unanswered task on one worker."""
-
-    __slots__ = ("ticket", "index", "started", "is_hedge")
-
-    def __init__(self, ticket: int, index: int, started: float,
-                 is_hedge: bool) -> None:
-        self.ticket = ticket
-        self.index = index
-        self.started = started
-        self.is_hedge = is_hedge
-
-
 class WorkerPool:
     """Fixed set of forked workers, one duplex pipe each, supervised.
 
     Fork (not spawn): workers inherit the loaded module graph, so a task
     only ships its payload. The pool is persistent — created once, reused
     by every parallel round — which is what makes per-round dispatch
-    cheap enough to shard small rounds. ``policy`` governs recovery; it
-    is a plain attribute and may be swapped between rounds.
+    cheap enough to shard small rounds.
     """
 
-    def __init__(self, n_workers: int,
-                 policy: RecoveryPolicy | None = None) -> None:
+    def __init__(self, n_workers: int) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self._ctx = multiprocessing.get_context("fork")
         self.n_workers = n_workers
-        self.policy = policy if policy is not None else DEFAULT_RECOVERY
         self.broken = False
-        self._ticket = 0
         self._respawn_seq = [0] * n_workers
         self._conns: list[Any] = []
         self._procs: list[Any] = []
@@ -417,18 +284,16 @@ class WorkerPool:
         child_conn.close()
         return parent_conn, proc
 
-    def _respawn(self, worker_idx: int,
-                 recovery: PoolRecovery | None = None,
-                 faults: Any = None) -> None:
-        """Kill (if needed) and replace one worker process.
+    def _replace(self, worker_idx: int, faults: Any = None) -> None:
+        """Kill one worker (it may be wedged, not dead) and fork its
+        replacement; when every fork attempt fails, mark the pool broken.
 
-        Any shared-memory segments the dead worker had attached are
-        reclaimed by the kernel on process death; the parent-side arena
-        still owns (and will unlink) the segments, so a mid-round
-        respawn leaks nothing — the fresh worker simply re-attaches by
-        name when its re-dispatched shard arrives.
+        Shared-memory segments the dead worker had attached are reclaimed
+        by the kernel on process death; the parent-side arena still owns
+        (and will unlink) them, so a mid-round respawn leaks nothing.
+        Closing the old pipe also discards anything the worker had sent,
+        so no stale reply can reach a later dispatch.
         """
-        began = time.monotonic()
         proc = self._procs[worker_idx]
         if proc.is_alive():
             proc.kill()
@@ -439,278 +304,150 @@ class WorkerPool:
             pass
         seq = self._respawn_seq[worker_idx]
         self._respawn_seq[worker_idx] += 1
-        last_exc: BaseException | None = None
-        for spawn_attempt in range(self.policy.max_spawn_attempts):
+        for spawn_attempt in range(MAX_SPAWN_ATTEMPTS):
             if faults is not None and faults.fork_fails(
                 worker_idx, seq, spawn_attempt
             ):
-                if recovery is not None:
-                    recovery.fork_failures += 1
-                last_exc = OSError("injected fork failure")
                 continue
             try:
-                conn, proc = self._spawn()
-            except OSError as exc:
-                last_exc = exc
+                self._conns[worker_idx], self._procs[worker_idx] = (
+                    self._spawn()
+                )
+            except OSError:
                 continue
-            self._conns[worker_idx] = conn
-            self._procs[worker_idx] = proc
-            if recovery is not None:
-                recovery.worker_respawns += 1
-                recovery.recovery_wall_s += time.monotonic() - began
             return
         self.broken = True
-        error = WorkerPoolRecoveryError(
-            f"could not respawn pool worker {worker_idx} after "
-            f"{self.policy.max_spawn_attempts} attempts"
-        )
-        error.__cause__ = last_exc
-        raise error
 
     def run_tasks(self, task_name: str, payload_blobs: list[bytes],
-                  faults: Any = None) -> PoolRunResult:
+                  faults: Any = None,
+                  lost: dict[int, float] | None = None) -> PoolRunResult:
         """Run pre-pickled payloads across the workers, supervised.
 
-        Results come back in shard order. Crashed/hung workers are
-        respawned and their shard re-executed per :attr:`policy`; if any
-        task raised an application-level exception, the exception of the
-        *lowest shard index* is re-raised (shards are ordered by
-        ascending machine range, so this matches the serial path's
-        first-machine-wins error ordering) and no shard with a higher
-        index is newly dispatched — the remaining in-flight work is
-        drained or discarded. Raises :class:`WorkerPoolRecoveryError`
-        when recovery itself gives up.
+        Results come back in shard order. A lost worker's shard is re-run
+        in the parent (see the module docstring). If any task raised an
+        application-level exception — in a worker or in a re-run in the
+        parent — the exception of the *lowest shard index* is re-raised
+        (shards are ordered by ascending machine range, so this matches
+        the serial path's first-machine-wins error ordering) and no shard
+        with a higher index is newly dispatched.
+
+        ``lost``, when given, receives one entry per shard whose worker
+        was lost: the wall time from its dispatch to the end of its
+        re-run in the parent. It is filled as the call runs, so it is
+        complete even when the call raises.
         """
         n = len(payload_blobs)
-        policy = self.policy
-        recovery = PoolRecovery()
+        deadline = DEFAULT_DEADLINE_S if faults is None else FAULT_DEADLINE_S
         results: list[Any] = [None] * n
-        worker_of = [-1] * n
-        done = [False] * n
-        pending = [True] * n
-        hedged = [False] * n
-        failures = [0] * n
-        dispatches = [0] * n
-        ready_at = [0.0] * n
-        errors: list[tuple[int, tuple]] = []
-        min_err = n
-        inflight: dict[int, _Inflight] = {}
-        durations: list[float] = []
-        start = time.monotonic()
+        worker_of = [PARENT] * n
+        if lost is None:
+            lost = {}
+        errors: dict[int, BaseException] = {}
+        # worker -> (shard index, dispatch time)
+        inflight: dict[int, tuple[int, float]] = {}
+        next_shard = 0
 
-        def dispatch(worker_idx: int, index: int, is_hedge: bool) -> None:
-            directive = None
-            if faults is not None:
-                directive = faults.directive_for(index, dispatches[index])
-            self._ticket += 1
-            message = (self._ticket, task_name, payload_blobs[index],
-                       directive)
+        def in_parent(index: int) -> None:
             try:
-                self._conns[worker_idx].send(message)
-            except (OSError, BrokenPipeError):
-                # The worker died while idle: replace it and re-send.
-                self._respawn(worker_idx, recovery, faults)
-                try:
-                    self._conns[worker_idx].send(message)
-                except (OSError, BrokenPipeError) as exc:
-                    self.broken = True
-                    error = WorkerPoolRecoveryError(
-                        f"freshly respawned worker {worker_idx} rejected "
-                        f"its dispatch"
-                    )
-                    error.__cause__ = exc
-                    raise error from exc
-            dispatches[index] += 1
-            inflight[worker_idx] = _Inflight(
-                self._ticket, index, time.monotonic(), is_hedge
-            )
-            if is_hedge:
-                hedged[index] = True
-                recovery.hedges_launched += 1
-            else:
-                pending[index] = False
+                results[index] = _run_task(task_name, payload_blobs[index])
+            except Exception as exc:
+                errors[index] = exc
 
-        def finish(worker_idx: int, inf: _Inflight, out: tuple,
-                   now: float) -> None:
-            nonlocal min_err
-            index = inf.index
-            if done[index]:
-                return  # a hedge twin lost the race: discard, merge nothing
-            done[index] = True
-            pending[index] = False
+        def lose(worker_idx: int) -> None:
+            index, dispatched = inflight.pop(worker_idx)
+            self._replace(worker_idx, faults)
+            in_parent(index)
+            lost[index] = time.monotonic() - dispatched
+
+        def dispatch(worker_idx: int, index: int) -> None:
+            directive = None if faults is None else faults.directive_for(index)
+            inflight[worker_idx] = (index, time.monotonic())
+            try:
+                self._conns[worker_idx].send(
+                    (task_name, payload_blobs[index], directive)
+                )
+            except OSError:
+                lose(worker_idx)  # the worker died while idle
+
+        def collect(worker_idx: int, overdue: bool = False) -> None:
+            """Take the worker's reply if one is waiting; otherwise lose
+            the worker when it is dead or ``overdue``."""
+            conn = self._conns[worker_idx]
+            try:
+                out = conn.recv() if conn.poll() else None
+            except (OSError, EOFError):
+                lose(worker_idx)  # died mid-task
+                return
+            if out is None:
+                if overdue or not self._procs[worker_idx].is_alive():
+                    lose(worker_idx)
+                return
+            index, _ = inflight.pop(worker_idx)
             if out[0] == "ok":
                 results[index] = out[1]
                 worker_of[index] = worker_idx
-                durations.append(now - inf.started)
-                if hedged[index]:
-                    if inf.is_hedge:
-                        recovery.hedges_won += 1
-                    else:
-                        recovery.hedges_lost += 1
             else:
-                errors.append((index, out))
-                min_err = min(min_err, index)
-
-        def recover(worker_idx: int, reason: str, now: float) -> None:
-            """Worker died or its task deadlined: respawn + re-queue."""
-            inf = inflight.pop(worker_idx, None)
-            self._respawn(worker_idx, recovery, faults)
-            if inf is None:
-                return
-            index = inf.index
-            if done[index]:
-                return  # stale hedge twin: the shard already completed
-            if any(other.index == index for other in inflight.values()):
-                return  # a live twin is still racing; let it finish
-            failures[index] += 1
-            if failures[index] > policy.max_task_retries:
-                raise WorkerPoolRecoveryError(
-                    f"shard {index} ({reason}) failed {failures[index]} "
-                    f"times; retries exhausted"
-                )
-            recovery.task_retries += 1
-            delay = policy.backoff(
-                failures[index], salt=(index << 16) ^ dispatches[index]
-            )
-            ready_at[index] = now + delay
-            recovery.recovery_wall_s += delay
-            pending[index] = True
-
-        def hedge_candidate(now: float) -> int | None:
-            threshold = policy.hedge_after_s
-            if durations:
-                median = sorted(durations)[len(durations) // 2]
-                threshold = max(threshold, policy.hedge_ratio * median)
-            best, best_elapsed = None, threshold
-            for inf in inflight.values():
-                index = inf.index
-                if done[index] or hedged[index] or inf.is_hedge:
-                    continue
-                elapsed = now - inf.started
-                if elapsed > best_elapsed:
-                    best, best_elapsed = index, elapsed
-            return best
+                errors[index] = _rebuild_exception(out)
 
         try:
             while True:
-                now = time.monotonic()
-                if all(done[i] for i in range(min(min_err, n))):
+                if self.broken:
+                    while next_shard < min(errors, default=n):
+                        in_parent(next_shard)
+                        next_shard += 1
+                else:
+                    for worker_idx in range(self.n_workers):
+                        if (worker_idx not in inflight
+                                and next_shard < min(errors, default=n)):
+                            dispatch(worker_idx, next_shard)
+                            next_shard += 1
+                stop = min(errors, default=n)
+                if next_shard >= stop and all(
+                    index >= stop for index, _ in inflight.values()
+                ):
                     break
-                if (policy.round_deadline_s is not None
-                        and now - start > policy.round_deadline_s):
-                    raise WorkerPoolRecoveryError(
-                        f"round exceeded its "
-                        f"{policy.round_deadline_s:.3f}s deadline"
-                    )
-
-                # Hung (or reply-dropped) workers: per-task deadline.
-                for worker_idx in list(inflight):
-                    if now - inflight[worker_idx].started > policy.task_deadline_s:
-                        recover(worker_idx, "deadline expired", now)
-
-                # Fill idle workers: lowest shard index first; never
-                # dispatch at/above the lowest known error index.
-                for worker_idx in range(self.n_workers):
-                    if worker_idx in inflight:
-                        continue
-                    candidate = None
-                    for index in range(min(min_err, n)):
-                        if (pending[index] and not done[index]
-                                and ready_at[index] <= now):
-                            candidate = index
-                            break
-                    if candidate is not None:
-                        dispatch(worker_idx, candidate, is_hedge=False)
-                        continue
-                    if policy.hedge and min_err == n:
-                        target = hedge_candidate(now)
-                        if target is not None:
-                            dispatch(worker_idx, target, is_hedge=True)
-
-                waitables: dict[Any, int] = {}
-                for worker_idx, inf in inflight.items():
-                    waitables[self._conns[worker_idx]] = worker_idx
-                    waitables[self._procs[worker_idx].sentinel] = worker_idx
-
-                timeout_candidates = [
-                    inf.started + policy.task_deadline_s - now
-                    for inf in inflight.values()
-                ]
-                for index in range(min(min_err, n)):
-                    if (pending[index] and not done[index]
-                            and ready_at[index] > now):
-                        timeout_candidates.append(ready_at[index] - now)
-                if policy.round_deadline_s is not None:
-                    timeout_candidates.append(
-                        start + policy.round_deadline_s - now
-                    )
-                if policy.hedge and inflight:
-                    timeout_candidates.append(0.05)
-                timeout = max(0.0, min(timeout_candidates, default=0.05))
-
-                if not waitables:
-                    # Everything runnable is backing off; sleep it out.
-                    time.sleep(min(timeout, 0.05) or 0.001)
+                if not inflight:
                     continue
 
-                ready = _mpc.wait(list(waitables), timeout=min(timeout, 60.0))
+                waitables: dict[Any, int] = {}
+                for worker_idx in inflight:
+                    waitables[self._conns[worker_idx]] = worker_idx
+                    waitables[self._procs[worker_idx].sentinel] = worker_idx
+                first_due = min(t for _, t in inflight.values()) + deadline
+                ready = _mpc.wait(
+                    list(waitables),
+                    timeout=max(0.0, first_due - time.monotonic()),
+                )
+                for worker_idx in sorted({waitables[obj] for obj in ready}):
+                    collect(worker_idx)
+
+                # Hung (or reply-dropped) workers: the per-task deadline.
+                # A reply that came in while the parent was re-running a
+                # lost shard is still taken — collect polls first.
                 now = time.monotonic()
-                seen: list[int] = []
-                for obj in ready:
-                    worker_idx = waitables[obj]
-                    if worker_idx not in seen:
-                        seen.append(worker_idx)
-                for worker_idx in seen:
-                    if worker_idx not in inflight:
-                        continue
-                    conn = self._conns[worker_idx]
-                    try:
-                        has_reply = conn.poll()
-                    except (OSError, EOFError):
-                        has_reply = False
-                    if has_reply:
-                        try:
-                            ticket, out = conn.recv()
-                        except (EOFError, OSError):
-                            recover(worker_idx, "died mid-task", now)
-                            continue
-                        inf = inflight.get(worker_idx)
-                        if inf is None or ticket != inf.ticket:
-                            continue  # stale reply from an abandoned dispatch
-                        del inflight[worker_idx]
-                        finish(worker_idx, inf, out, now)
-                    elif not self._procs[worker_idx].is_alive():
-                        recover(worker_idx, "crashed", now)
-        except WorkerPoolRecoveryError as exc:
-            self._settle_inflight(inflight, recovery, grace=0.0)
-            exc.recovery = recovery
-            raise
-
-        self._settle_inflight(inflight, recovery, grace=0.02)
+                for worker_idx in [w for w, (_, t) in inflight.items()
+                                   if now - t > deadline]:
+                    collect(worker_idx, overdue=True)
+        finally:
+            self._settle(inflight)
         if errors:
-            errors.sort(key=lambda pair: pair[0])
-            raise _rebuild_exception(errors[0][1])
-        return PoolRunResult(results, worker_of, recovery)
+            raise errors[min(errors)]
+        return PoolRunResult(results, worker_of)
 
-    def _settle_inflight(self, inflight: dict[int, _Inflight],
-                         recovery: PoolRecovery, grace: float) -> None:
-        """Leave no worker mid-task: drain late replies (briefly) or
-        kill+respawn, so the next round starts protocol-clean."""
-        deadline = time.monotonic() + grace
-        for worker_idx in list(inflight):
-            del inflight[worker_idx]
+    def _settle(self, inflight: dict[int, tuple[int, float]]) -> None:
+        """Leave no worker mid-task: drain a late reply (briefly) or
+        replace the worker, so the next round starts protocol-clean."""
+        grace_end = time.monotonic() + 0.02
+        for worker_idx in inflight:
             conn = self._conns[worker_idx]
-            remaining = max(0.0, deadline - time.monotonic())
             try:
-                if conn.poll(remaining):
-                    conn.recv()  # late reply for abandoned work: discard
+                if conn.poll(max(0.0, grace_end - time.monotonic())):
+                    conn.recv()  # reply for abandoned work: discard
                     continue
             except (OSError, EOFError):
                 pass
-            try:
-                self._respawn(worker_idx, recovery, None)
-            except WorkerPoolRecoveryError:
-                pass  # pool marked broken; get_pool() rebuilds it next use
+            self._replace(worker_idx)
+        inflight.clear()
 
     def close(self, timeout: float = 2.0) -> None:
         """Shut the workers down, escalating until none survives:
@@ -745,14 +482,12 @@ class WorkerPool:
 _POOL: WorkerPool | None = None
 
 
-def get_pool(n_workers: int,
-             policy: RecoveryPolicy | None = None) -> WorkerPool:
+def get_pool(n_workers: int) -> WorkerPool:
     """The shared persistent pool, (re)built on size change or breakage.
 
     ``_POOL`` is nulled *before* the stale pool is closed, so a close
     that raises can never leave the module pointing at a half-closed
-    pool. A non-None ``policy`` is installed on the (possibly reused)
-    pool without rebuilding it.
+    pool.
     """
     global _POOL
     if _POOL is not None and (_POOL.broken or _POOL.n_workers != n_workers):
@@ -762,9 +497,7 @@ def get_pool(n_workers: int,
         except Exception:
             pass
     if _POOL is None:
-        _POOL = WorkerPool(n_workers, policy=policy)
-    elif policy is not None:
-        _POOL.policy = policy
+        _POOL = WorkerPool(n_workers)
     return _POOL
 
 

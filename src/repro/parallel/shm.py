@@ -40,7 +40,7 @@ def scrub_arenas() -> None:
     arena still open is a leak in the making. A mid-round worker respawn
     does *not* go through here — the dying worker's attach-side handles
     are reclaimed by the kernel and the parent's arena keeps the
-    segments alive for the respawned worker to re-attach by name.
+    segments alive for the parent's re-run of the lost shard.
     """
     for arena in list(_ACTIVE_ARENAS):
         arena.close()

@@ -23,6 +23,7 @@ against it and ``repro perf baseline`` moves the pin.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -161,6 +162,20 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S.%fZ")
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write ``text`` to a temp file and rename it over ``path``, so an
+    interrupt at any point leaves the old file or the new one, never a
+    truncated one that every later ``perf check`` would choke on."""
+    pending = path + ".tmp"
+    try:
+        with open(pending, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(pending, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(pending)
+
+
 @dataclass
 class ProfileStore:
     """Filesystem-backed profile store (see module docstring)."""
@@ -189,7 +204,7 @@ class ProfileStore:
         while os.path.exists(self._path(profile_id)):
             profile_id = f"{base_id}.{n}"
             n += 1
-        export.write_records(profile.to_records(), self._path(profile_id))
+        _replace_file(self._path(profile_id), profile.to_jsonl())
         profile.profile_id = profile_id
         return profile_id
 
@@ -257,10 +272,9 @@ class ProfileStore:
         pins[name] = BaselinePin(name=name, profile=profile_id,
                                  pinned_utc=_utc_now(), note=note)
         os.makedirs(self.root, exist_ok=True)
-        with open(self.baselines_path, "w", encoding="utf-8") as fh:
-            json.dump({n: p.to_dict() for n, p in pins.items()}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
+        _replace_file(self.baselines_path, json.dumps(
+            {n: p.to_dict() for n, p in pins.items()},
+            indent=2, sort_keys=True) + "\n")
         return pins[name]
 
     def get_baseline(self, name: str) -> BaselinePin | None:

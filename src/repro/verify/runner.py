@@ -372,9 +372,9 @@ def default_process_fault_plan(seed: int = 1) -> ProcessFaultPlan:
     """The sweep's standard real-process fault plan.
 
     10% of shard dispatches are SIGKILLed mid-task, 10% have their reply
-    dropped (the worker hangs from the supervisor's point of view), and
-    10% are delayed — each drawn independently, first attempt only, so
-    the pool's retry path always converges.
+    dropped (the worker hangs from the pool's point of view), and 10%
+    are delayed — each drawn independently. A lost worker's shard is
+    re-run in the parent after at most the armed-plan 1 s deadline.
     """
     return (
         ProcessFaultPlan.kills(0.1, seed=seed)
@@ -752,8 +752,6 @@ def _process_smoke(args: Any) -> list[dict]:
     serial twins (the ``backend_identical`` oracle), then one worker-
     crash-recovery cell with the default real-process fault plan armed
     (SIGKILL/hang/delay at 10% each)."""
-    from repro.parallel import RecoveryPolicy, use_recovery
-
     outcomes = []
     for name, family in (("connectivity", "er"),
                          ("list-ranking", "list-uniform"),
@@ -768,17 +766,15 @@ def _process_smoke(args: Any) -> list[dict]:
             f"{record.backend_identical}",
         ))
     # Workers are really SIGKILLed, hung, and delayed mid-round; the
-    # supervisor must recover every shard and the answer must still be
-    # bit-identical to the fault-free serial twin. The tight deadline
-    # turns dropped replies into fast respawns (n = 48 tasks take
-    # milliseconds; every injected hang waits the deadline out).
-    with use_recovery(RecoveryPolicy(task_deadline_s=1.0)):
-        record = _run_cell(
-            CASES["connectivity"], "er", SMOKE_SIZE, 0,
-            balance_slack=4.0, chaos=False,
-            backend="process", workers=2,
-            process_faults=default_process_fault_plan(3),
-        )
+    # parent must re-run every lost shard and the answer must still be
+    # bit-identical to the fault-free serial twin. Every injected hang
+    # waits out the armed-plan 1 s deadline (n = 48 tasks take milliseconds).
+    record = _run_cell(
+        CASES["connectivity"], "er", SMOKE_SIZE, 0,
+        balance_slack=4.0, chaos=False,
+        backend="process", workers=2,
+        process_faults=default_process_fault_plan(3),
+    )
     outcomes.append(_cell_outcome(
         record, record.ok and record.backend_identical is True,
         "worker-crash recovery",

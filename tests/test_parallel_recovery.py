@@ -1,18 +1,21 @@
-"""Fault-tolerant supervision of the process backend (repro.parallel.pool).
+"""Worker loss on the process backend (repro.parallel.pool).
 
 Real-process chaos: workers are genuinely SIGKILLed, SIGSTOPped, have
-their replies dropped or delayed, and their respawn forks made to fail —
-and every test still demands the backend's central contract: results and
-per-round cost ledgers bit-identical to the serial path, with the
-recovery work visible only in the (digest-excluded) recovery accounting.
+their replies dropped or delayed, and their respawn forks made to fail.
+A lost worker is the paper's §2.1 crash of every machine in its shard:
+the pool respawns it and the parent re-runs the shard. Every test still
+demands the backend's central contract — results and per-round cost
+ledgers bit-identical to the serial path, with the recovery work visible
+only in the (digest-excluded) recovery accounting.
 
 The module is ``faultproc``-marked: tests/conftest.py arms a hard
-per-test timeout (a supervisor that fails to deadline a hung worker must
-fail the test, not wedge the suite) and the /dev/shm leak check.
+per-test timeout (a pool that fails to deadline a hung worker must fail
+the test, not wedge the suite) and the /dev/shm leak check.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import signal
 import time
@@ -21,18 +24,18 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core import AMPCConfig, AMPCRuntime
 from repro.core.chaos import ChaosRuntime, FaultPlan, ProcessFaultPlan
-from repro.graph import generators
+from repro.graph import files, generators
 from repro.parallel import (
-    RecoveryPolicy,
     WorkerPool,
     shutdown_pool,
     use_backend,
     use_process_faults,
-    use_recovery,
 )
 from repro.parallel import backend as _backend
+from repro.parallel import pool as pool_mod
 from repro.verify.runner import _summary_without_walltime
 
 pytestmark = pytest.mark.faultproc
@@ -42,8 +45,8 @@ pytestmark = pytest.mark.faultproc
 def fresh_pool():
     """Tear the shared pool down after every test.
 
-    Recovery tests install tight deadlines and fault plans on the shared
-    pool; a stale policy must not bleed into the next test (or module).
+    Fault tests kill, respawn and break the shared pool's workers; a
+    broken pool must not bleed into the next test (or module).
     """
     yield
     shutdown_pool()
@@ -73,31 +76,55 @@ def _blob(v, s=0.0, boom=False) -> bytes:
     return pickle.dumps({"v": v, "s": s, "boom": boom})
 
 
+def _read_plus_one(ctx, item):
+    return ctx.read(("x", item)) + 1
+
+
 class _ScriptedFaults:
-    """Duck-typed ``faults`` for WorkerPool.run_tasks: exact control of
-    which (task, attempt) gets which directive and which respawn forks
-    fail — no probability in sight."""
+    """Duck-typed ``faults`` for WorkerPool.run_tasks — and, through
+    :meth:`bind`, a runtime's ``process_fault_plan``: exact control of
+    which shard gets which directive and how many respawn forks fail —
+    no probability in sight."""
+
+    is_null = False
 
     def __init__(self, directives=None, failing_forks=0):
         self.directives = directives or {}
         self.failing_forks = failing_forks
 
-    def directive_for(self, index: int, attempt: int):
-        return self.directives.get((index, attempt))
+    def bind(self, round_index: int) -> "_ScriptedFaults":
+        return self
+
+    def directive_for(self, index: int):
+        return self.directives.get(index)
 
     def fork_fails(self, worker_idx: int, respawn_seq: int,
                    spawn_attempt: int) -> bool:
-        if self.failing_forks > 0 and spawn_attempt == 0:
+        if self.failing_forks > 0:
             self.failing_forks -= 1
             return True
         return False
+
+
+@pytest.fixture
+def short_deadline(monkeypatch):
+    """Shorten the armed-plan deadline so hang tests stay fast."""
+    monkeypatch.setattr(pool_mod, "FAULT_DEADLINE_S", 0.5)
+    return 0.5
+
+
+def _bootstrapped(config, **kwargs) -> AMPCRuntime:
+    runtime = AMPCRuntime(config, **kwargs)
+    runtime.bootstrap((("x", i), i) for i in range(16))
+    return runtime
 
 
 # -- end-to-end parity under injected process faults ------------------------
 
 
 def test_kill_fault_mid_round_parity():
-    """SIGKILLed workers mid-task: respawn + re-execute, bit-identical."""
+    """SIGKILLed workers mid-task: the parent re-runs their shards,
+    bit-identical; every machine of a lost shard counts as a crash."""
     g = generators.erdos_renyi_gnm(300, 450, rng=5)
     serial = repro.connectivity(g, seed=3)
     plan = ProcessFaultPlan.kills(0.3, seed=2)
@@ -106,20 +133,19 @@ def test_kill_fault_mid_round_parity():
     assert np.array_equal(serial.labels, faulted.labels)
     assert _ledger(serial.report) == _ledger(faulted.report)
     assert faulted.report.worker_respawns > 0
-    assert faulted.report.task_retries > 0
+    assert faulted.report.crashes >= faulted.report.worker_respawns
+    assert faulted.report.task_retries == faulted.report.crashes
     # Recovery is visible in the accounting but excluded from digests:
     # the ledger comparison above already proved summaries agree.
     assert serial.report.worker_respawns == 0
 
 
-def test_hang_deadline_triggers_respawn():
-    """Dropped replies: the per-task deadline fires, never a wedge."""
+def test_hang_deadline_triggers_respawn(short_deadline):
+    """Dropped replies: the armed-plan deadline fires, never a wedge."""
     succ = generators.linked_list(400, 3)
     serial = repro.list_ranking(succ, seed=1)
     plan = ProcessFaultPlan.hangs(0.15, seed=4)
-    policy = RecoveryPolicy(task_deadline_s=0.5)
-    with use_process_faults(plan), use_recovery(policy), \
-            use_backend("process", 2):
+    with use_process_faults(plan), use_backend("process", 2):
         faulted = repro.list_ranking(succ, seed=1)
     assert np.array_equal(serial.ranks, faulted.ranks)
     assert _ledger(serial.report) == _ledger(faulted.report)
@@ -137,60 +163,152 @@ def test_delay_fault_parity():
     assert _ledger(serial.report) == _ledger(faulted.report)
 
 
+def test_lost_fused_shard_matches_serial(monkeypatch):
+    """List ranking's Shrink rounds are fused programs sharded by item
+    range. With every worker killed, each fused shard is re-run in the
+    parent, and the ranks and the ledger still equal serial."""
+    succ = generators.linked_list(300, 3)
+    serial = repro.list_ranking(succ, seed=1)
+    parent_runs = []
+    fused = _backend.TASKS["fused_shard"]
+
+    def counted(payload):
+        parent_runs.append(os.getpid())
+        return fused(payload)
+
+    monkeypatch.setitem(_backend.TASKS, "fused_shard", counted)
+    with use_process_faults(ProcessFaultPlan.kills(1.0, seed=0)), \
+            use_backend("process", 2):
+        faulted = repro.list_ranking(succ, seed=1)
+    assert np.array_equal(serial.ranks, faulted.ranks)
+    assert _ledger(serial.report) == _ledger(faulted.report)
+    assert os.getpid() in parent_runs
+    assert faulted.report.crashes >= faulted.report.worker_respawns > 0
+
+
+def test_lost_shard_recovery_wall_covers_the_deadline(small_config,
+                                                      short_deadline):
+    """A dropped reply is only noticed at the deadline, so the round's
+    recovery_wall_s — dispatch to the end of the parent's re-run — is at
+    least the deadline."""
+    runtime = _bootstrapped(small_config, backend="process", n_workers=2)
+    runtime.process_fault_plan = _ScriptedFaults({0: ("drop",)})
+    results = runtime.round(list(range(16)), _read_plus_one).results
+    assert results == [i + 1 for i in range(16)]
+    stats = runtime.report.rounds[-1]
+    assert stats.worker_respawns == 1
+    assert stats.crashes > 0
+    assert stats.recovery_wall_s >= short_deadline
+
+
+def _read_as_closure(ctx, item):
+    value = ctx.read(("x", item))
+    return lambda: value + 1  # unpicklable: a worker cannot ship it back
+
+
+def test_lost_shard_counted_when_round_falls_back_to_serial(small_config):
+    """Shard 0's worker is killed and re-run in the parent while shard 1's
+    reply cannot be shipped, so the round falls back to the serial loop.
+    The lost worker still reaches the round's ledger."""
+    runtime = _bootstrapped(small_config, backend="process", n_workers=2)
+    runtime.process_fault_plan = _ScriptedFaults({0: ("kill",)})
+    results = runtime.round(list(range(16)), _read_as_closure).results
+    assert [f() for f in results] == [i + 1 for i in range(16)]
+    assert runtime.parallel_fallbacks == 1
+    stats = runtime.report.rounds[-1]
+    assert stats.worker_respawns == 1
+    assert stats.crashes > 0
+
+
+def test_null_plan_keeps_the_plain_deadline(small_config, monkeypatch):
+    """A plan that injects nothing is not passed to the pool, so it does
+    not shorten the deadline of a healthy run."""
+    seen = []
+    real = WorkerPool.run_tasks
+
+    def spy(self, task_name, blobs, faults=None, lost=None):
+        seen.append(faults)
+        return real(self, task_name, blobs, faults=faults, lost=lost)
+
+    monkeypatch.setattr(WorkerPool, "run_tasks", spy)
+    runtime = _bootstrapped(small_config, backend="process", n_workers=2)
+    runtime.process_fault_plan = ProcessFaultPlan()
+    results = runtime.round(list(range(16)), _read_plus_one).results
+    assert results == [i + 1 for i in range(16)]
+    assert seen == [None]
+
+
+def test_chaos_cli_hang_worker_waits_the_plan_deadline(tmp_path, capsys):
+    """``repro chaos --hang-worker`` waits the armed-plan deadline (1 s)
+    per hang, not the plain 60 s, and still answers bit-identically."""
+    path = tmp_path / "g.txt"
+    files.write_edge_list(generators.erdos_renyi_gnm(300, 450, rng=5), path)
+    began = time.monotonic()
+    rc = main(["chaos", "connectivity", str(path), "--backend", "process",
+               "--workers", "2", "--crash", "0", "--outage", "0",
+               "--timeout", "0", "--straggler", "0", "--hang-worker", "0.5",
+               "--fault-seed", "1", "--no-ledger"])
+    elapsed = time.monotonic() - began
+    assert rc == 0
+    assert "bit-identical to fault-free run: True" in capsys.readouterr().out
+    assert elapsed < 15.0
+
+
 # -- supervisor behaviour, direct pool --------------------------------------
 
 
-def test_sigstop_hung_worker_deadlined_and_respawned():
+def test_sigstop_hung_worker_deadlined_and_respawned(short_deadline):
     """A genuinely stopped (not dead) worker: is_alive() stays True and
     no sentinel fires — only the deadline can save the round."""
-    pool = WorkerPool(2, policy=RecoveryPolicy(task_deadline_s=0.5))
+    pool = WorkerPool(2)
     try:
-        import os
-
         victim = pool._procs[0]
         os.kill(victim.pid, signal.SIGSTOP)
+        lost = {}
         outcome = pool.run_tasks("_test_sleepy",
-                                 [_blob(i) for i in range(4)])
+                                 [_blob(i) for i in range(4)],
+                                 faults=_ScriptedFaults(), lost=lost)
         assert outcome.results == [0, 1, 2, 3]
-        assert outcome.recovery.worker_respawns >= 1
-        assert outcome.recovery.task_retries >= 1
+        # Shard 0 went to the stopped worker; the parent re-ran it.
+        assert list(lost) == [0]
+        assert outcome.worker_of[0] == pool_mod.PARENT
         assert not victim.is_alive()  # respawn SIGKILLs the stopped twin
     finally:
         pool.close()
 
 
-def test_injected_fork_failure_is_retried():
-    """A failed respawn fork is retried (and counted), not fatal."""
-    pool = WorkerPool(2, policy=RecoveryPolicy(task_deadline_s=5.0))
+def test_overdue_worker_reply_is_taken_not_lost(monkeypatch):
+    """Worker 0 is killed and the parent's re-run of its shard outlasts
+    the deadline. Worker 1 replied meanwhile; its reply is used, not
+    thrown away with a second respawn."""
+    monkeypatch.setattr(pool_mod, "FAULT_DEADLINE_S", 0.3)
+    pool = WorkerPool(2)
     try:
-        faults = _ScriptedFaults(directives={(0, 0): ("kill",)},
-                                 failing_forks=1)
+        lost = {}
         outcome = pool.run_tasks("_test_sleepy",
-                                 [_blob(i) for i in range(4)],
-                                 faults=faults)
-        assert outcome.results == [0, 1, 2, 3]
-        assert outcome.recovery.fork_failures == 1
-        assert outcome.recovery.worker_respawns >= 1
+                                 [_blob(0, s=0.8), _blob(1, s=0.05)],
+                                 faults=_ScriptedFaults({0: ("kill",)}),
+                                 lost=lost)
+        assert outcome.results == [0, 1]
+        assert list(lost) == [0]
+        assert outcome.worker_of == [pool_mod.PARENT, 1]
     finally:
         pool.close()
 
 
-def test_hedge_duplicates_straggler_and_first_reply_wins():
-    """With hedging on, an idle worker races the straggling shard; the
-    winner is merged once, the loser's late reply is discarded."""
-    policy = RecoveryPolicy(hedge=True, hedge_after_s=0.2,
-                            hedge_ratio=2.0, task_deadline_s=30.0)
-    pool = WorkerPool(2, policy=policy)
+def test_injected_fork_failure_is_retried():
+    """A failed respawn fork is retried, not fatal."""
+    pool = WorkerPool(2)
     try:
-        # Shard 1's first dispatch is delayed well past the hedge
-        # threshold; the hedge twin (attempt 1) runs undelayed.
-        faults = _ScriptedFaults(directives={(1, 0): ("delay", 2.0)})
+        faults = _ScriptedFaults(directives={0: ("kill",)}, failing_forks=1)
+        lost = {}
         outcome = pool.run_tasks("_test_sleepy",
-                                 [_blob(0), _blob(1)],
-                                 faults=faults)
-        assert outcome.results == [0, 1]
-        assert outcome.recovery.hedges_launched >= 1
-        assert outcome.recovery.hedges_won >= 1
+                                 [_blob(i) for i in range(4)],
+                                 faults=faults, lost=lost)
+        assert outcome.results == [0, 1, 2, 3]
+        assert list(lost) == [0]
+        assert faults.failing_forks == 0
+        assert not pool.broken
     finally:
         pool.close()
 
@@ -216,8 +334,6 @@ def test_error_stops_new_dispatch():
 def test_close_escalates_to_kill_for_wedged_worker():
     """close() must not leave a stopped worker behind: cooperative stop
     and SIGTERM are both undeliverable, SIGKILL is not."""
-    import os
-
     pool = WorkerPool(2)
     victim = pool._procs[0]
     os.kill(victim.pid, signal.SIGSTOP)
@@ -229,8 +345,6 @@ def test_close_escalates_to_kill_for_wedged_worker():
 def test_get_pool_survives_raising_close(monkeypatch):
     """get_pool nulls the module slot before closing the stale pool, so
     a close() that raises cannot wedge every future parallel round."""
-    from repro.parallel import pool as pool_mod
-
     first = pool_mod.get_pool(2)
     real_close = first.close
 
@@ -250,32 +364,42 @@ def test_get_pool_survives_raising_close(monkeypatch):
         shutdown_pool()
 
 
-# -- retry exhaustion and graceful degradation ------------------------------
+# -- every shard lost, and a pool that cannot respawn -----------------------
 
 
-def test_retry_exhaustion_falls_back_to_serial(small_config):
-    """Every dispatch hangs (first_attempt_only=False): retries exhaust,
-    the round degrades to the serial path, and the answer is still
-    correct — with the attempted recovery on the ledger."""
-    runtime = AMPCRuntime(small_config, backend="process", n_workers=2)
-    runtime.process_fault_plan = ProcessFaultPlan(
-        seed=9, hang_probability=1.0, first_attempt_only=False
-    )
-    runtime.recovery_policy = RecoveryPolicy(
-        task_deadline_s=0.3, max_task_retries=1
-    )
-    runtime.bootstrap((("x", i), i) for i in range(16))
-
-    def worker(ctx, item):
-        return ctx.read(("x", item)) + 1
-
-    results = runtime.round(list(range(16)), worker).results
+def test_every_dispatch_hung_reruns_every_shard_in_parent(small_config,
+                                                          short_deadline):
+    """Every dispatch hangs: every shard is re-run in the parent, the
+    round never falls back to the serial loop, and the answer is still
+    correct — with every machine of the round on the ledger as a crash."""
+    runtime = _bootstrapped(small_config, backend="process", n_workers=2)
+    runtime.process_fault_plan = ProcessFaultPlan.hangs(1.0, seed=9)
+    results = runtime.round(list(range(16)), _read_plus_one).results
     assert results == [i + 1 for i in range(16)]
-    assert runtime.parallel_fallbacks == 1
-    assert runtime.recovery_fallbacks == 1
+    assert runtime.parallel_fallbacks == 0
     stats = runtime.report.rounds[-1]
-    assert stats.task_retries > 0
+    assert stats.crashes == stats.n_machines_active > 0
     assert stats.worker_respawns > 0
+
+
+def test_failed_respawn_breaks_pool_and_round_still_matches(small_config):
+    """A respawn whose every fork fails: the pool is marked broken, the
+    lost shard still runs in the parent, the round is bit-identical, and
+    the next get_pool builds a fresh pool."""
+    serial = _bootstrapped(small_config)
+    runtime = _bootstrapped(small_config, backend="process", n_workers=2)
+    runtime.process_fault_plan = _ScriptedFaults(
+        {0: ("kill",)}, failing_forks=pool_mod.MAX_SPAWN_ATTEMPTS
+    )
+    expected = serial.round(list(range(16)), _read_plus_one).results
+    assert runtime.round(list(range(16)), _read_plus_one).results == expected
+    assert _ledger(runtime.report) == _ledger(serial.report)
+    broken = pool_mod._POOL
+    assert broken.broken
+    fresh = pool_mod.get_pool(2)
+    assert fresh is not broken and not fresh.broken
+    assert fresh.run_tasks("_test_sleepy",
+                           [_blob(i) for i in range(3)]).results == [0, 1, 2]
 
 
 # -- chaos-plan integration --------------------------------------------------
@@ -300,7 +424,7 @@ def test_process_only_chaos_plan_keeps_parallel_capable():
     assert not sim.parallel_capable
 
 
-def test_single_fault_digest_property():
+def test_single_fault_digest_property(short_deadline):
     """Property sweep: one fault kind at a time, several seeds — the
     process run's labels and ledger always match serial exactly."""
     from hypothesis import HealthCheck, given, settings
@@ -322,9 +446,7 @@ def test_single_fault_digest_property():
         else:
             plan = ProcessFaultPlan.delays(0.4, delay_s=0.01,
                                            seed=fault_seed)
-        policy = RecoveryPolicy(task_deadline_s=0.5)
-        with use_process_faults(plan), use_recovery(policy), \
-                use_backend("process", 2):
+        with use_process_faults(plan), use_backend("process", 2):
             faulted = repro.list_ranking(succ, seed=0)
         assert np.array_equal(serial.ranks, faulted.ranks)
         assert _ledger(faulted.report) == serial_ledger

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,34 @@ def test_baseline_pinning(tmp_path):
     store.set_baseline("alt", profile_id)
     assert store.get_baseline("smoke").profile == other
     assert store.get_baseline("alt").profile == profile_id
+
+
+def test_interrupted_save_and_repin_leave_a_loadable_pin(tmp_path):
+    """Profiles and ``baselines.json`` are replaced, never rewritten in
+    place: killed at any Python-level call of saving a new profile and
+    re-pinning the baseline to it, the store still loads its latest
+    profile and a pin that is the old profile or the new one."""
+    from test_ingest import _killed_at
+
+    old_samples = make_profile().samples()
+    new_cells = {"mis[n=80]": [0.5, 0.6, 0.7]}
+    for k in itertools.count(1):
+        store = ProfileStore(str(tmp_path / f"kill-{k}"))
+        store.set_baseline("smoke", store.save(
+            make_profile(created="20260101T000000.000000Z")))
+
+        def save_and_repin():
+            store.set_baseline("smoke", store.save(make_profile(
+                new_cells, created="20270101T000000.000000Z")))
+
+        killed = _killed_at(k, save_and_repin)
+        pinned = store.baseline_profile("smoke").samples()
+        assert pinned in (old_samples, new_cells)
+        store.load(store.latest("smoke"))
+        if not killed:
+            break
+    assert k > 20
+    assert pinned == new_cells
 
 
 def test_collector_records_methodology_and_host(monkeypatch):
