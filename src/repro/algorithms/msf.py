@@ -12,20 +12,22 @@ Edge identity is preserved through contractions with an explicit
 original-edge-id mapping (the paper's map M), so the output is a set of
 *input* edge ids whose weight sum tests verify against the sequential MSF.
 
-Each Prim round is one per-block round: the phase graph is published
+Each Prim round is one fused round: the phase graph is published
 columnarly (``setup_arrays``, the flat key scheme of
-:func:`repro.graph.io.encode_weighted_graph_arrays`), machines replay
-their blocks' heap-Prim walks against local CSR views (charging each
-distinct key once, as a machine's read cache would), and MSF edges and
-F_v members are published with one ``write_array`` per namespace.
-Leader election is a minimum.at pass over the published member rows.
-The per-vertex transcription of Algorithm 8 the block program is checked
-against is ``repro.verify.specs.prim``.
+:func:`repro.graph.io.encode_weighted_graph_arrays`), and one program
+call grows every vertex's F_v in lockstep against CSR rows presorted by
+(weight, edge id) — each numpy step advances every walk by one edge (a
+segmented minimum over per-member row cursors). Reads are replayed
+locally and charged at the end with ``charge_replayed_reads``, which
+bills each machine for each distinct key once, as its read cache would;
+MSF edges and F_v members are published with one ``write_array`` per
+namespace. Leader election is a minimum.at pass over the published
+member rows. The per-vertex transcription of Algorithm 8 the fused
+program is checked against is ``repro.verify.specs.prim``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -183,16 +185,22 @@ def _msf_increase_degree(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Algorithm 8: local Prim from every vertex, one adaptive round.
 
+    The round runs the fused program :func:`_prim_all`, which grows
+    every vertex's F_v in lockstep, one edge per numpy step.
+
     Returns ``(msf_ids, fv_src, fv_dst, exhausted)``: the current-graph
     edge ids committed by the cut rule (one row per vertex that found the
     edge, so with duplicates), the F_v member rows ``fv_src[k] ->
     fv_dst[k]`` (v itself excluded; restricted to one source they are in
-    the order Prim added them), and per vertex whether F_v is its whole
-    component.
+    the order Prim added them), and per vertex whether Prim's edge heap
+    ran empty with read budget left — which implies that F_v is v's whole
+    component (the converse fails: the heap can still hold edges into
+    F_v when F_v reaches d vertices).
     """
     result = runtime.round_batch(
-        np.arange(graph.n, dtype=np.int64), _prim_block_worker(graph, d),
-        setup_arrays=encode_weighted_graph_arrays(graph), tag=tag,
+        np.arange(graph.n, dtype=np.int64), _prim_all(graph, d),
+        setup_arrays=encode_weighted_graph_arrays(graph), fused=True,
+        tag=tag,
     )
     _sizes, exhausted = result.results
     msf_ids, _ones = result.store.read_namespace("msf")
@@ -200,163 +208,228 @@ def _msf_increase_degree(
     return msf_ids, fv_src, fv_dst, exhausted
 
 
-def _prim_block_worker(graph: WeightedGraph, d: int):
-    """The machine program of :func:`_msf_increase_degree`, one call per
-    machine.
+#: Sources grown together: bounds the lockstep state to about
+#: ``_CHUNK * d`` entries per table whatever the round's size.
+_CHUNK = 1024
 
-    Machines replay their blocks' heap-Prim walks against local CSR
-    views, tracking exactly the distinct keys a machine running the
-    per-vertex program through its read cache would have charged, then
-    settle accounts with one ``charge_read_array`` per namespace and one
-    ``write_array`` per output namespace (rows in the order Prim
-    committed them).
+
+def _prim_all(graph: WeightedGraph, d: int):
+    """The fused machine program of :func:`_msf_increase_degree`
+    (per-vertex spec: ``repro.verify.specs.prim``).
+
+    Every CSR row is presorted once by Algorithm 8's heap order, (weight,
+    edge id), into ``nbr`` / ``key`` / ``eid`` tables (``key`` is the dense
+    rank of (weight, edge id)). Then :func:`_grow` advances the F_v of
+    up to :data:`_CHUNK` sources at a time by one edge per step, replaying
+    reads against those tables. At the end the machines settle accounts
+    with one replayed-read charge per namespace — each machine pays for
+    each distinct ``deg`` row and ``adjw`` slot it visited once, as its
+    read cache would — and one ``write_array`` per output namespace, rows
+    in the order Prim committed them. The op sequence does not depend on
+    the data, so process-backend shards stay aligned.
     """
+    n = graph.n
+    itype = np.int32 if max(n, graph.indices.size) < 2**31 - 1 else np.int64
+    indptr = graph.indptr.astype(np.int64)
+    by_key = np.lexsort((graph.edge_ids, graph.weights))
+    w, e = graph.weights[by_key], graph.edge_ids[by_key]
+    fresh = np.ones(by_key.size, dtype=bool)
+    fresh[1:] = (w[1:] != w[:-1]) | (e[1:] != e[:-1])
+    rank = np.empty(by_key.size, dtype=itype)
+    rank[by_key] = np.cumsum(fresh) - 1
+    rows = np.repeat(np.arange(n, dtype=itype), np.diff(indptr))
+    order = by_key[np.argsort(rows[by_key], kind="stable")]
+    nbr = graph.indices[order].astype(itype)
+    key = rank[order]
+    eid = graph.edge_ids[order].astype(np.int64)
     read_cap = 4 * d * d
-    indptr, indices = graph.indptr, graph.indices
-    weights, eids = graph.weights, graph.edge_ids
-    deg = np.diff(indptr)
-    base = indptr[:-1]
-    # Pre-sort every CSR row by (weight, edge id) once per phase: the
-    # cursor-merge below then needs one heap entry per *row* instead of
-    # one per visited slot, while popping edges in exactly the (w, eid)
-    # order of Algorithm 8's edge heap (the spec's). sorted_pos[indptr[u]:indptr[u+1]] lists row
-    # u's slot positions cheapest-first.
-    rows = np.repeat(np.arange(graph.n, dtype=np.int64), deg)
-    sorted_pos = np.lexsort((eids, weights, rows))
 
-    deg_l = deg.tolist()
-    base_l = base.tolist()
-    indices_l = indices.tolist()
-    weights_l = weights.tolist()
-    eids_l = eids.tolist()
-    sorted_l = sorted_pos.tolist()
-
-    def batch_worker(ctx, block):
-        # Charged keys are reconstructed vectorially at machine end from
-        # the expansion log (exp_rows / visited ranges): np.unique's
-        # return_index gives each key's first touch, so the charged key
-        # order is a caching machine's charge order without any
-        # per-slot bookkeeping in the walk itself.
-        exp_rows: list[int] = []
-        vis_b: list[int] = []
-        vis_e: list[int] = []
-        tree_mask = np.zeros(graph.n, dtype=bool)
-        # elig[pos]: was slot pos's endpoint outside F_v when its row was
-        # expanded — i.e. would the spec's edge heap have received it.
-        # Rows expand at most once per item, so per-expansion overwrites
-        # cannot leak across items.
-        elig = bytearray(indices.size)
-        elig_np = np.frombuffer(elig, dtype=np.uint8)
-        msf_out: list[int] = []
-        fv_src_out: list[int] = []
-        fv_dst_out: list[int] = []
-        sizes = np.empty(block.size, dtype=np.int64)
-        exh = np.empty(block.size, dtype=bool)
-
-        for j, v in enumerate(block.tolist()):
-            touched = [v]
-            tree_set = {v}
-            tree_mask[v] = True
-            tree_size = 1
-            # Cursor heap: (w, eid, nbr, row, cursor, pos) — compared on
-            # (w, eid) like the spec's edge heap (eids are unique).
-            # ``live`` tracks that heap's size: entries it would have
-            # been pushed and not yet popped.
-            heap: list = []
-            live = 0
-            reads = 0
-
-            def expand(u: int) -> None:
-                nonlocal reads, live
-                exp_rows.append(u)
-                du = deg_l[u]
-                reads += 1
-                if reads >= read_cap:
-                    return
-                visited = du if du <= read_cap - reads else read_cap - reads
-                if not visited:
-                    return
-                b = base_l[u]
-                end = b + visited
-                vis_b.append(b)
-                vis_e.append(end)
-                reads += visited
-                if visited <= 48:
-                    ec = 0
-                    pos = b
-                    for x in indices_l[b:end]:
-                        e = x not in tree_set
-                        elig[pos] = e
-                        ec += e
-                        pos += 1
-                else:
-                    es = ~tree_mask[indices[b:end]]
-                    elig_np[b:end] = es
-                    ec = int(es.sum())
-                # A row that hits the read cap ends the walk before any
-                # of its edges can be popped: charge/count it (the
-                # spec pushed those edges) but skip its cursor.
-                if reads >= read_cap:
-                    return
-                live += ec
-                p = sorted_l[b]
-                heapq.heappush(
-                    heap, (weights_l[p], eids_l[p], indices_l[p], u, 0, p)
-                )
-
-            expand(v)
-            while live > 0 and tree_size < d and reads < read_cap:
-                _w, eid, nbr, u, k, pos = heapq.heappop(heap)
-                k += 1
-                if k < deg_l[u]:
-                    p = sorted_l[base_l[u] + k]
-                    heapq.heappush(
-                        heap,
-                        (weights_l[p], eids_l[p], indices_l[p], u, k, p),
-                    )
-                if elig[pos]:
-                    live -= 1
-                if nbr in tree_set:
-                    continue
-                tree_set.add(nbr)
-                tree_mask[nbr] = True
-                touched.append(nbr)
-                tree_size += 1
-                msf_out.append(eid)
-                fv_src_out.append(v)
-                fv_dst_out.append(nbr)
-                expand(nbr)
-            exh[j] = bool(live == 0 and reads < read_cap)
-            sizes[j] = tree_size
-            for t in touched:
-                tree_mask[t] = False
-
-        rows_arr = np.asarray(exp_rows, dtype=np.int64)
-        _, first = np.unique(rows_arr, return_index=True)
-        ctx.charge_read_array("deg", rows_arr[np.sort(first)])
-        if vis_b:
-            starts = np.asarray(vis_b, dtype=np.int64)
-            lengths = np.asarray(vis_e, dtype=np.int64) - starts
-            ends_cum = np.cumsum(lengths)
-            stream = (np.repeat(starts - (ends_cum - lengths), lengths)
-                      + np.arange(int(ends_cum[-1]), dtype=np.int64))
-            _, first = np.unique(stream, return_index=True)
-            adj_arr = stream[np.sort(first)]
-        else:
-            adj_arr = np.empty(0, dtype=np.int64)
-        ctx.charge_read_array("adjw", adj_arr)
-        if msf_out:
-            ids = np.asarray(msf_out, dtype=np.int64)
-            ctx.write_array("msf", ids, np.ones(ids.size, dtype=np.int64))
-        if fv_src_out:
-            ctx.write_array(
-                "fv",
-                np.asarray(fv_src_out, dtype=np.int64),
-                np.asarray(fv_dst_out, dtype=np.int64),
+    def prim_all(gctx):
+        items, machines = gctx.items, gctx.machines
+        sizes = np.empty(items.size, dtype=np.int64)
+        exhausted = np.empty(items.size, dtype=bool)
+        members, visited, taken = [], [], []
+        for lo in range(0, items.size, _CHUNK):
+            hi = min(lo + _CHUNK, items.size)
+            tree, vis, edge, sizes[lo:hi], exhausted[lo:hi] = _grow(
+                items[lo:hi], d, read_cap, indptr, nbr, key
             )
-        return (sizes, exh)
+            # Row-major: each source's members in the order Prim added
+            # them, the source first.
+            member = np.arange(d) < sizes[lo:hi, None]
+            members.append(tree[member])
+            visited.append(vis[member])
+            taken.append(edge[member])
+        tree = np.concatenate(members)
+        vis = np.concatenate(visited)
+        taken = np.concatenate(taken)
+        del members, visited
+        own = np.repeat(machines, sizes)
+        gctx.charge_replayed_reads(
+            "deg", tree, np.ones(tree.size, dtype=np.int8), owner=own
+        )
+        gctx.charge_replayed_reads("adjw", indptr[tree], vis, owner=own)
+        del vis
+        added = np.ones(tree.size, dtype=bool)
+        added[np.cumsum(sizes) - sizes] = False
+        own = own[added]
+        # Read-only outputs: the store keeps them instead of a copy.
+        ids = _frozen(eid[taken[added]])
+        del taken
+        gctx.write_array("msf", ids, _frozen(np.ones(ids.size, np.int64)),
+                         owner=own)
+        del ids
+        fv_dst = _frozen(tree[added].astype(np.int64))
+        del tree, added
+        gctx.write_array("fv", _frozen(np.repeat(items, sizes - 1)), fv_dst,
+                         owner=own)
+        return sizes, exhausted
 
-    return batch_worker
+    return prim_all
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _grow(
+    src: np.ndarray, d: int, read_cap: int, indptr: np.ndarray,
+    nbr: np.ndarray, key: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Algorithm 8 from every vertex of ``src`` at once (rows of the
+    sorted CSR tables of :func:`_prim_all`).
+
+    Row ``s`` of the state is source ``s``'s walk, column ``i`` its
+    ``i``-th F_v member (column 0 the source). Each member's row has a
+    cursor into its sorted slots whose head is the lightest slot not yet
+    known to lead back into F_v — so Prim's next edge is the minimum head
+    key over the source's columns (one ``argmin`` per step for every
+    source). Adding member x only stales heads that point at x, and only
+    those, plus x's own fresh row, are re-settled.
+
+    Returns ``(tree, vis, taken, size, exhausted)``: members (``-1`` past
+    ``size``), each member row's charged prefix length, the sorted slot of
+    the edge that added each member, F_v sizes and the spec's exhausted
+    flag (heap empty and reads below the cap).
+    """
+    n_src = src.size
+    itype = nbr.dtype
+    inf = np.iinfo(key.dtype).max
+    tree = np.full((n_src, d), -1, dtype=itype)
+    tree[:, 0] = src
+    vis = np.zeros((n_src, d), dtype=itype)
+    taken = np.zeros((n_src, d), dtype=itype)
+    head_key = np.full((n_src, d), inf, dtype=key.dtype)
+    head_nbr = np.full((n_src, d), -1, dtype=itype)
+    # Cursors by flat id s * d + i (1-D gathers are the cheap ones).
+    cur = np.zeros(n_src * d, dtype=np.int64)
+    stop = np.zeros(n_src * d, dtype=np.int64)
+    head_key_f, head_nbr_f = head_key.reshape(-1), head_nbr.reshape(-1)
+    size = np.ones(n_src, dtype=np.int64)
+    reads = np.zeros(n_src, dtype=np.int64)
+
+    def expand(s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # Charge member u's deg key, then its slots up to the read cap; a
+        # row cut by the cap ends the walk before any of its edges is
+        # popped. Returns the flat cursor ids of the rows left open.
+        col = size[s] - 1
+        begin, end = indptr[u], indptr[u + 1]
+        r = reads[s] + 1
+        v = np.minimum(end - begin, np.maximum(read_cap - r, 0))
+        reads[s] = r + v
+        vis[s, col] = v
+        live = reads[s] < read_cap
+        f = (s * d + col)[live]
+        cur[f] = begin[live]
+        stop[f] = end[live]
+        return f
+
+    def settle(f: np.ndarray) -> None:
+        # Advance each cursor past slots whose neighbour is in F_v.
+        while f.size:
+            p = cur[f]
+            more = p < stop[f]
+            if not more.all():
+                head_key_f[f[~more]] = inf
+                f, p = f[more], p[more]
+            y = nbr[p]
+            inside = (tree[f // d] == y[:, None]).any(axis=1)
+            out = f[~inside]
+            head_key_f[out] = key[p[~inside]]
+            head_nbr_f[out] = y[~inside]
+            f = f[inside]
+            cur[f] += 1
+
+    settle(expand(np.arange(n_src), src))
+    active = np.flatnonzero((reads < read_cap) & (size < d))
+    while active.size:
+        heads = head_key[active]
+        j = heads.argmin(axis=1)
+        f = active * d + j
+        found = head_key_f[f] != inf
+        if not found.all():
+            active, f = active[found], f[found]
+        x = head_nbr_f[f]
+        col = size[active]
+        tree[active, col] = x
+        taken[active, col] = cur[f]
+        size[active] += 1
+        # Heads pointing at x are stale now, x's own row is new.
+        s_st, c_st = np.nonzero(head_nbr[active] == x[:, None])
+        fresh = expand(active, x)
+        settle(np.concatenate((active[s_st] * d + c_st, fresh)))
+        active = active[(reads[active] < read_cap) & (size[active] < d)]
+
+    capped = reads >= read_cap
+    outgoing = (head_key != inf).any(axis=1) & ~capped
+    exhausted = ~capped & ~outgoing
+    full = np.flatnonzero(exhausted & (size >= d))
+    if full.size:
+        exhausted[full] = ~_unpopped(
+            tree[full], taken[full], read_cap, indptr, nbr, key
+        )
+    return tree, vis, taken, size, exhausted
+
+
+def _unpopped(
+    tree: np.ndarray, taken: np.ndarray, read_cap: int, indptr: np.ndarray,
+    nbr: np.ndarray, key: np.ndarray,
+) -> np.ndarray:
+    """Whether each closed, full F_v (every member row read whole, every
+    neighbour a member) leaves an edge in the spec's heap.
+
+    Member i's row was pushed when i joined; a slot was pushed iff its
+    neighbour joined later, and a pushed slot was popped iff some edge
+    taken after i is at least as heavy (the heap pops lighter keys
+    first). So an unpopped heap entry is a slot of member i to a later
+    member, heavier than every edge taken after i.
+    """
+    n_src, d = tree.shape
+    # later_max[:, i]: the heaviest key taken after member i (-1: none).
+    taken_key = key[taken].astype(np.int64)
+    taken_key[:, 0] = -1
+    later_max = np.full((n_src, d), -1, dtype=np.int64)
+    later_max[:, :-1] = np.maximum.accumulate(
+        taken_key[:, :0:-1], axis=1
+    )[:, ::-1]
+    out = np.zeros(n_src, dtype=bool)
+    # A source read fewer than read_cap slots: groups of sources bound
+    # the expansion below to about 2**16 slots.
+    group = max(1, (1 << 16) // read_cap)
+    for lo in range(0, n_src, group):
+        s, i = np.nonzero(tree[lo:lo + group] >= 0)
+        s += lo
+        u = tree[s, i]
+        lengths = indptr[u + 1] - indptr[u]
+        member = np.repeat(np.arange(s.size), lengths)
+        stops = np.cumsum(lengths)
+        pos = np.repeat(indptr[u] - (stops - lengths), lengths)
+        pos += np.arange(pos.size)
+        s, i = s[member], i[member]
+        later = (tree[s] == nbr[pos][:, None]).argmax(axis=1) > i
+        out[s[later & (key[pos] > later_max[s, i])]] = True
+    return out
 
 
 def _choose_leaders(

@@ -40,7 +40,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .config import AMPCConfig
-from .dds import DistributedDataStore, ReplicatedDataStore
+from .dds import KEY_SLICE, DistributedDataStore, ReplicatedDataStore
 from .errors import MachineCrash, RoundAbortedError, ServerUnavailableError
 from .machine import (
     TRANSACTIONAL_SLOTS,
@@ -48,7 +48,14 @@ from .machine import (
     TransactionalContextMixin,
 )
 from .partition import splitmix64
-from .runtime import _FUSED, _PER_BLOCK, AMPCRuntime, RoundResult
+from .runtime import (
+    _FUSED,
+    _PER_BLOCK,
+    AMPCRuntime,
+    RoundResult,
+    distinct_ranges,
+    expand_ranges,
+)
 
 __all__ = [
     "FaultPlan",
@@ -860,6 +867,14 @@ class _MachineLockstep:
         owner: np.ndarray,
     ) -> None:
         self._ctx.write_array(namespace, ids, values)
+
+    def charge_replayed_reads(
+        self, namespace: str, starts: np.ndarray, lengths: np.ndarray, *,
+        owner: np.ndarray,
+    ) -> None:
+        _, starts, lengths = distinct_ranges(owner, starts, lengths)
+        for ids in expand_ranges(starts, lengths, KEY_SLICE):
+            self._ctx.charge_read_array(namespace, ids)
 
 
 def _one_machine_at_a_time(fused_worker: Callable[..., Any]) -> Callable[..., Any]:

@@ -343,20 +343,15 @@ class Timer:
 
 def merge_shard_counters(
     counters: Iterable[tuple[np.ndarray, np.ndarray]],
-    read_budget: int,
-    write_budget: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Reduce per-shard fused-round budget arrays into round totals.
 
     ``counters`` holds one ``(reads_used, writes_used)`` per-machine
     array pair per shard (process backend). Integer sums are
     order-independent, so the reduction is deterministic regardless of
-    worker placement or completion order. Over-budget flags are
-    recomputed from the summed totals — valid because budget usage is
-    monotone within a round, so a serial run's latched flag equals
-    ``final_total > budget`` exactly.
+    worker placement or completion order.
 
-    Returns ``(reads_used, writes_used, read_over, write_over)``.
+    Returns ``(reads_used, writes_used)``.
     """
     reads: np.ndarray | None = None
     writes: np.ndarray | None = None
@@ -369,7 +364,7 @@ def merge_shard_counters(
             writes += shard_writes
     if reads is None or writes is None:
         raise ValueError("merge_shard_counters needs at least one shard")
-    return reads, writes, reads > read_budget, writes > write_budget
+    return reads, writes
 
 
 def merge_reports(reports: Iterable[RunReport]) -> RunReport:

@@ -83,6 +83,10 @@ def _owned_chunk(array: np.ndarray) -> np.ndarray:
 # index bytes stay O(rows) whichever form the data selects.
 _TABLE_SPAN_FACTOR = 4
 
+#: Keys per hash sweep when a whole-round batch is placed or charged:
+#: bounds the sweep's temporaries whatever the batch size.
+KEY_SLICE = 1 << 16
+
 
 class _Column:
     """Columnar storage for one namespace of (id -> value) pairs.
@@ -678,10 +682,18 @@ class DistributedDataStore:
         ids: np.ndarray,
         slots: np.ndarray | None = None,
     ) -> None:
-        """Batch :meth:`_place_write`: one hash sweep, bincount histogram."""
-        parts = [namespace, ids] if slots is None else [namespace, ids, slots]
-        servers = server_of_array(parts, self.n_servers, self.seed)
-        self._server_items += np.bincount(servers, minlength=self.n_servers)
+        """Batch :meth:`_place_write`: hash sweeps of at most
+        :data:`KEY_SLICE` keys (bounded temporaries), bincount
+        histogram."""
+        for lo in range(0, ids.size, KEY_SLICE):
+            part = slice(lo, lo + KEY_SLICE)
+            parts = [namespace, ids[part]]
+            if slots is not None:
+                parts.append(slots[part])
+            servers = server_of_array(parts, self.n_servers, self.seed)
+            self._server_items += np.bincount(
+                servers, minlength=self.n_servers
+            )
 
     def _serve_read_array(self, parts: Sequence[Any]) -> None:
         """Batch :meth:`_serve_read` over column-decomposed keys."""

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import AMPCConfig
 from .cost import RoundStats, RunReport
-from .dds import DistributedDataStore
+from .dds import KEY_SLICE, DistributedDataStore
 from .errors import BudgetExceededError, RoundProtocolError
 from .hooks import ObserverFan
 from .machine import (
@@ -70,6 +70,82 @@ def check_fused_rows(out: Any, n_items: int) -> None:
                 f"fused round_batch worker returned {len(col)} "
                 f"rows for {n_items} work items"
             )
+
+
+def distinct_ranges(
+    owner: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-owner union of the id ranges ``[starts[i], starts[i] +
+    lengths[i])`` (nonnegative ids): ``(owner, starts, lengths)`` of
+    disjoint nonempty int64 ranges, sorted by owner, then start."""
+    owner, starts, lengths = (
+        np.asarray(col) for col in (owner, starts, lengths)
+    )
+    if owner.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    # One sort key per range: owner-major, and wide enough that ranges of
+    # different owners can never touch. Built in place: the inputs can
+    # hold a whole round's ranges.
+    width = int(lengths.max()) + 1
+    span = int(starts.max()) + width
+    lo = owner.astype(np.int64)
+    lo *= span
+    lo += starts
+    if (int(owner.max()) + 1) * span * width <= np.iinfo(np.int64).max:
+        # The length rides in the key's low digits: one in-place sort.
+        lo *= width
+        lo += lengths
+        lo.sort()
+        reach = lo % width
+        lo //= width
+    else:
+        order = np.argsort(lo)
+        lo = lo[order]
+        reach = lengths[order].astype(np.int64)
+        del order
+    reach += lo
+    np.maximum.accumulate(reach, out=reach)
+    head = np.ones(lo.size, dtype=bool)
+    np.greater(lo[1:], reach[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    del head
+    # reach only grows, so each merged range ends at its group's maximum.
+    hi = np.maximum.reduceat(reach, first)
+    del reach
+    lo = lo[first]
+    hi -= lo
+    # Empty input ranges only survive as empty merged ones.
+    nonempty = hi > 0
+    if not nonempty.all():
+        lo, hi = lo[nonempty], hi[nonempty]
+    owner = lo // span
+    lo -= owner * span
+    return owner, lo, hi
+
+
+def expand_ranges(
+    starts: np.ndarray, lengths: np.ndarray, size: int
+) -> Iterator[np.ndarray]:
+    """The ids of the concatenated ranges ``[starts[i], starts[i] +
+    lengths[i])``, in slices of at most ``size`` ids (bounded memory
+    whatever the ranges' total)."""
+    stops = np.cumsum(lengths)
+    # flat position p of range r holds id p + shift[r].
+    shift = starts - (stops - lengths)
+    total = int(stops[-1]) if stops.size else 0
+    for begin in range(0, total, size):
+        end = min(begin + size, total)
+        # The ranges r0:r1 meet this slice; clip the two at its ends.
+        r0 = int(np.searchsorted(stops, begin, side="right"))
+        r1 = int(np.searchsorted(stops, end - 1, side="right")) + 1
+        counts = np.minimum(stops[r0:r1], end) - np.maximum(
+            stops[r0:r1] - lengths[r0:r1], begin
+        )
+        flat = np.arange(begin, end, dtype=np.int64)
+        flat += np.repeat(shift[r0:r1], counts)
+        yield flat
+
 
 # ---------------------------------------------------------------------------
 # observer plumbing (repro.verify invariants, repro.observe tracing/metrics)
@@ -939,6 +1015,42 @@ class BatchRoundContext:
             self.observer.on_machine_write_batch(self, namespace, ids)
         self._next.write_array(namespace, ids, values)
 
+    def charge_replayed_reads(
+        self,
+        namespace: str,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        *,
+        owner: np.ndarray,
+    ) -> None:
+        """Charge adaptive reads whose values the program replays locally:
+        keys ``(namespace, starts[i] + j)`` for ``j < lengths[i]``, issued
+        by machine ``owner[i]``.
+
+        The batch analogue of
+        :meth:`~repro.core.machine.MachineContext.charge_read_array`, with
+        one difference: each machine pays for each *distinct* key once, as
+        its read cache would, however many of its items replayed it — so
+        the ranges are merged per machine (:func:`distinct_ranges`) before
+        anything is charged. The merged keys are then reported and served
+        in slices of :data:`KEY_SLICE`. Budgets, per-server loads and
+        the charged key set are what a machine reading each key once
+        through :meth:`~repro.core.machine.MachineContext.read` would
+        produce.
+        """
+        owner, starts, lengths = distinct_ranges(owner, starts, lengths)
+        if owner.size == 0:
+            return
+        self._charge(
+            self.reads_used, self._read_over, owner,
+            self.config.read_budget, "read", weights=lengths,
+        )
+        del owner
+        for ids in expand_ranges(starts, lengths, KEY_SLICE):
+            if self.observer is not None:
+                self.observer.on_machine_read_batch(self, namespace, ids)
+            self._prev.serve_reads_array([namespace, ids])
+
     def charge_publications(self) -> None:
         """Charge one result-publication write per work item (the batch
         analogue of the scalar path's +1 write per non-None return)."""
@@ -954,11 +1066,17 @@ class BatchRoundContext:
         owner: np.ndarray,
         budget: float,
         kind: str,
+        weights: np.ndarray | None = None,
     ) -> None:
         owner = np.asarray(owner, dtype=np.int64)
         if owner.size == 0:
             return
-        used += np.bincount(owner, minlength=used.size)
+        if weights is None:
+            used += np.bincount(owner, minlength=used.size)
+        else:
+            used += np.bincount(
+                owner, weights=weights, minlength=used.size
+            ).astype(np.int64)
         fresh = used > budget
         if fresh.any():
             over |= fresh

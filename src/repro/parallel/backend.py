@@ -111,6 +111,31 @@ class _JournalStore:
         self.ops.append(("wa", namespace, ids, values))
 
 
+class _JournalBatchContext(BatchRoundContext):
+    """Worker-side fused context: replayed-read charges go to the op
+    journal uncharged. A machine's items may straddle shards, and a
+    machine pays for each distinct key once over *all* its items, so
+    only the parent — merging every shard's ranges — can de-duplicate
+    and charge them (:func:`_replay_fused_ops`)."""
+
+    __slots__ = ("ops",)
+
+    def __init__(self, *args: Any, ops: list) -> None:
+        super().__init__(*args)
+        self.ops = ops
+
+    def charge_replayed_reads(
+        self, namespace: str, starts: np.ndarray, lengths: np.ndarray, *,
+        owner: np.ndarray,
+    ) -> None:
+        self.ops.append((
+            "rr", namespace,
+            np.array(starts, dtype=np.int64),
+            np.array(lengths, dtype=np.int64),
+            np.array(owner, dtype=np.int64),
+        ))
+
+
 # ---------------------------------------------------------------------------
 # worker-side tasks (run in pool processes; see pool.TASKS dispatch)
 # ---------------------------------------------------------------------------
@@ -170,13 +195,14 @@ def _task_fused_shard(payload: dict) -> dict:
         work = payload["work"]
         ops: list = []
         journal = _JournalStore(store.max_words, ops)
-        gctx = BatchRoundContext(
+        gctx = _JournalBatchContext(
             payload["config"],
             store,
             journal,
             work,
             payload["assignment"],
             OpRecorder(ops) if payload["record_reads"] else None,
+            ops=ops,
         )
         out = worker(gctx) if work.size else None
         if out is None:
@@ -540,10 +566,8 @@ def run_fused_round(
     )
     for res in shard_results:
         _merge_store_reads(read_store, res)
-    reads, writes, read_over, write_over = merge_shard_counters(
-        [(res["reads_used"], res["writes_used"]) for res in shard_results],
-        runtime.config.read_budget,
-        runtime.config.write_budget,
+    reads, writes = merge_shard_counters(
+        [(res["reads_used"], res["writes_used"]) for res in shard_results]
     )
 
     gctx = runtime._fused_context(read_store, next_store, work, assignment)
@@ -570,10 +594,13 @@ def run_fused_round(
         results = tuple(cols) if first[0] else cols[0]
         check_fused_rows(results, n_items)
 
-    gctx.reads_used[:] = reads
-    gctx.writes_used[:] = writes
-    gctx._read_over[:] = read_over
-    gctx._write_over[:] = write_over
+    # The replay charged the replayed reads; add the shards' own charges.
+    # Budget use is monotone within a round, so a serial run's latched
+    # over-budget flag is exactly ``final total > budget``.
+    gctx.reads_used += reads
+    gctx.writes_used += writes
+    gctx._read_over[:] = gctx.reads_used > runtime.config.read_budget
+    gctx._write_over[:] = gctx.writes_used > runtime.config.write_budget
     if fan is not None:
         fan.on_machine_end(gctx)
     return results, gctx.ledgers()
@@ -588,7 +615,10 @@ def _replay_fused_ops(
 ) -> None:
     """Merge positionally-aligned shard op streams into serial-granularity
     events: one hook dispatch / one store write per original batch op,
-    with each op's arrays re-concatenated in shard (= item) order."""
+    with each op's arrays re-concatenated in shard (= item) order. A
+    replayed-read charge (``"rr"``) is re-concatenated likewise and then
+    charged through the parent's context, which de-duplicates it per
+    machine across every shard exactly as the serial run does."""
     batch_hooks = fan is not None and fan.any_machine_batch_hooks
     store_hooks = fan is not None and fan.any_store_hooks
     depth = max((len(ops) for ops in shard_ops), default=0)
@@ -603,7 +633,13 @@ def _replay_fused_ops(
                     "round with backend='serial'"
                 )
         ids = np.concatenate([op[2] for op in live])
-        if kind == "wa":
+        if kind == "rr":
+            gctx.charge_replayed_reads(
+                namespace, ids,
+                np.concatenate([op[3] for op in live]),
+                owner=np.concatenate([op[4] for op in live]),
+            )
+        elif kind == "wa":
             if batch_hooks:
                 fan.on_machine_write_batch(gctx, namespace, ids)
             next_store.write_array(

@@ -1,13 +1,14 @@
 """Per-item specs of the machine programs, and the check against them.
 
 The production definition of each adaptive round is a per-block (for
-Shrink: fused) program in :mod:`repro.algorithms`. The programs here are
-direct per-item transcriptions of the paper's pseudocode — one vertex,
-one sample, one element at a time, every key fetched with ``ctx.read``
-through the machine's read cache. Nothing in production selects them;
-they say what the block programs must compute and charge, and a
-:class:`SpecCheckedRuntime` holds a block program to it round by round:
-same results, same next-store contents, same ledger row.
+Shrink and Prim: fused) program in :mod:`repro.algorithms`. The
+programs here are direct per-item transcriptions of the paper's
+pseudocode — one vertex, one sample, one element at a time, every key
+fetched with ``ctx.read`` through the machine's read cache. Nothing in
+production selects them; they say what the production programs must
+compute and charge, and a :class:`SpecCheckedRuntime` holds a
+production program to it round by round: same results, same next-store
+contents, same ledger row.
 
 ============================  =========================================
 spec                          production program
@@ -15,7 +16,7 @@ spec                          production program
 :func:`bfs` (Algorithm 6)     ``connectivity._bfs_block_worker``
 :func:`truncated_query`       ``mis._query_block_worker``
 (Algorithms 4–5)
-:func:`prim` (Algorithm 8)    ``msf._prim_block_worker``
+:func:`prim` (Algorithm 8)    ``msf._prim_all`` (fused)
 :func:`walk` (Algorithm 1)    ``shrink._walk_all`` (fused)
 :func:`fill` (Algorithm 11,   ``shrink._fill_block_worker``
 step 4)

@@ -76,6 +76,31 @@ class TestCorrectness:
         assert a.phases == b.phases
 
 
+class TestFootprint:
+    @pytest.mark.parametrize("d,bound_mb", [(13, 12.47), (35, 17.5)])
+    def test_prim_round_peak_allocation(self, d, bound_mb):
+        """One local-Prim round on msf-er's graph allocates no more at its
+        peak than the per-vertex heap walk it replaced did (the bounds are
+        that walk's measured peaks)."""
+        import tracemalloc
+
+        from repro.algorithms.msf import _msf_increase_degree
+        from repro.core import AMPCConfig, AMPCRuntime
+
+        g = generators.with_random_weights(
+            generators.erdos_renyi_gnm(7000, 21000, rng=1), rng=1
+        )
+        config = AMPCConfig.for_input(g.n + g.m, epsilon=0.5, seed=2)
+        runtime = AMPCRuntime(config)
+        tracemalloc.start()
+        try:
+            _msf_increase_degree(g, d, runtime, tag="prim")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2**20
+
+
 class TestComplexityShape:
     def test_phases_flat_while_n_grows(self):
         phases = []

@@ -592,11 +592,39 @@ class TestAlgorithmParity:
         outcome = spec_parity_cell()
         assert outcome["ok"], outcome["problems"]
 
+    @pytest.mark.parametrize("edges,weights,d,exhausted,leader", [
+        # Path a-b, d = 2: F_a is the whole component and the heap ran
+        # empty (b's only edge leads back into F_a); vertex 2 is
+        # isolated, so its heap never held anything.
+        ([(0, 1)], [1.0], 2, [True] * 3, [0, 0, 2]),
+        # Triangle, d = 3: F_v is the whole component, but the edge to
+        # the last member that was not taken is still in the heap.
+        ([(0, 1), (1, 2), (0, 2)], [1.0, 2.0, 3.0], 3, [False] * 3,
+         [0, 1, 2]),
+    ])
+    def test_msf_exhausted_is_heap_empty_not_whole_component(
+        self, edges, weights, d, exhausted, leader
+    ):
+        from repro.algorithms.msf import _choose_leaders, _msf_increase_degree
+        from repro.graph.graph import WeightedGraph
+
+        g = WeightedGraph.from_weighted_edges(3, edges, weights)
+        config = AMPCConfig(epsilon=0.5, space=64, n_machines=2, seed=1)
+        assert specs.weighted_round_problems(g, d, config) == []
+        _ids, src, dst, got = _msf_increase_degree(
+            g, d, AMPCRuntime(config), tag="prim"
+        )
+        assert got.tolist() == exhausted
+        # Without a leader, only an exhausted F_v contracts (onto its
+        # minimum vertex).
+        no_leader = np.zeros(3, dtype=bool)
+        assert _choose_leaders(3, src, dst, got, no_leader).tolist() == leader
+
     def test_msf_leader_choice_with_several_leader_members(self):
         """F_v rows reach the one leader choice in two harvest orders
-        (grouped by vertex from the spec's per-vertex writes, machine by
-        machine from block writes); "first leader member" must not depend
-        on which."""
+        (grouped by vertex from the spec's per-vertex writes, in work
+        order from the fused program's writes); "first leader member"
+        must not depend on which."""
         from repro.algorithms.msf import (
             _choose_leaders,
             _msf_increase_degree,

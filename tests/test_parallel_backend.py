@@ -87,6 +87,28 @@ def test_mis_bit_identical():
     assert _ledger(serial.report) == _ledger(process.report)
 
 
+def test_msf_bit_identical():
+    # Prim's fused program: a machine's items straddle the item-range
+    # shards, and its replayed reads are charged once per machine only
+    # after the parent merged every shard's ranges.
+    g = generators.with_random_weights(
+        generators.erdos_renyi_gnm(2000, 6000, rng=3), rng=3
+    )
+    config = AMPCConfig.for_input(g.n + g.m, seed=4)
+    runtimes = []
+
+    def run():
+        runtimes.append(AMPCRuntime(config))
+        return repro.minimum_spanning_forest(g, runtime=runtimes[-1])
+
+    serial, process = _run_both(run)
+    assert np.array_equal(serial.edge_ids, process.edge_ids)
+    assert _ledger(serial.report) == _ledger(process.report)
+    # The program shipped: no round fell back to the serial loop.
+    assert [rt.backend for rt in runtimes] == ["serial", "process"]
+    assert runtimes[1].parallel_fallbacks == 0
+
+
 def test_trace_spans_tagged_with_worker():
     from repro.observe import TracingSession
 
@@ -208,8 +230,17 @@ def _block_program(ctx, block):
     return x * 2
 
 
+def _replay_reads(gctx):
+    # Overlapping ranges of few keys: a machine's items share most of
+    # them, and each machine pays for each distinct key once.
+    gctx.charge_replayed_reads(
+        "v", gctx.items % 5, gctx.items % 3 + 1, owner=gctx.machines
+    )
+
+
 def _fused_program(gctx):
     x = gctx.read_array("v", gctx.items, owner=gctx.machines)
+    _replay_reads(gctx)
     gctx.write_array("o", gctx.items, x + 1, owner=gctx.machines)
     return x * 2
 
@@ -386,6 +417,7 @@ def _block_program2(ctx, block):
 
 def _fused_program2(gctx):
     x = gctx.read_array("v", gctx.items, owner=gctx.machines)
+    _replay_reads(gctx)
     y = gctx.read_array("v", (gctx.items + 1) % N_ITEMS, owner=gctx.machines)
     gctx.write_array("o", gctx.items, x + y, owner=gctx.machines)
     return x * 2
