@@ -13,6 +13,17 @@ O(log log n) rounds; the paper cites an unpublished manuscript [11] for
 this step (Lemma 6.2), so we substitute min-id hooking + pointer-jumping
 contraction rounds with the same interface and round budget (documented in
 DESIGN.md §2).
+
+Each BFS round is one fused round: the phase graph is published
+columnarly (``setup_arrays``, the slotted ``("adj", u, i)`` keys of
+:func:`repro.graph.io.encode_graph_arrays`), and one program call grows
+every vertex's ball in lockstep — each numpy step reads one window of
+every search's current row. Reads are replayed locally and charged at
+the end with the slotted form of ``charge_replayed_reads``, which bills
+each machine for each distinct key once, as its read cache would; the
+found edges are published with one ``write_array``. The per-vertex
+transcription of Algorithm 6 the fused program is checked against is
+``repro.verify.specs.bfs``.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import numpy as np
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
 from repro.core.runtime import AMPCRuntime
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, sort_unique, unique_sorted
 from repro.graph.io import encode_graph_arrays
 from repro.primitives.contraction import contract_graph, resolve_pointers
 from repro.primitives.sampling import leader_probability
@@ -170,7 +181,9 @@ def connectivity(
         runtime.charge(f"contract:{phases}", rounds=1,
                        reads=2 * augmented.m, writes=2 * contracted.m)
         mapping = new_of[root[mapping]]
+        # The phase's graphs go before the next phase builds its own.
         current = contracted
+        del augmented, contracted
 
         # Step 2d: budget growth d -> d^1.4 capped at n^{eps/3}.
         d = min(d**1.4, d_cap)
@@ -178,7 +191,7 @@ def connectivity(
     labels = _canonical_labels(mapping)
     return ConnectivityResult(
         labels=labels,
-        n_components=int(np.unique(labels).size),
+        n_components=int(sort_unique(labels).size),
         phases=phases,
         budgets=budgets,
         report=runtime.report,
@@ -200,96 +213,196 @@ def _increase_degrees(
 ) -> Graph:
     """Algorithm 6: BFS from every vertex until d vertices are seen.
 
-    One adaptive round; every vertex issues at most O(d²) reads (the
-    paper's query budget: d is the square root of per-vertex space).
-    Returns the graph augmented with the (v, x) edges found.
+    One adaptive round, run by the fused program :func:`_bfs_all`, which
+    grows every vertex's ball in lockstep; every vertex makes at most
+    4d² reads (the paper's query budget: d is the square root of
+    per-vertex space). Returns the graph augmented with the (v, x)
+    edges found, built straight from arrays: the current CSR's arcs and
+    both directions of every found pair, as scalar keys ``row·n +
+    column``, sorted and deduplicated once — the CSR
+    :meth:`Graph.from_edges` would build from the combined edge list.
     """
     # Array-native setup, written in bounded chunks: mmap-backed graphs
     # (MmapGraph) enter the store without materializing.
     result = runtime.round_batch(
-        np.arange(graph.n, dtype=np.int64), _bfs_block_worker(graph, d),
-        setup_arrays=encode_graph_arrays(graph), tag=tag,
+        np.arange(graph.n, dtype=np.int64), _bfs_all(graph, d),
+        setup_arrays=encode_graph_arrays(graph), fused=True, tag=tag,
     )
     vs, xs = result.store.read_namespace("fedge")
     if vs.size == 0:
         return graph
     # Found edges are deduplicated into the edge set as part of the same
     # round's writes (the BFS round already charged them); no extra round.
-    found = np.column_stack((vs, xs.astype(np.int64)))
-    combined = np.concatenate([graph.edges(), found])
-    return Graph.from_edges(graph.n, combined)
+    n, arcs, found = graph.n, graph.indices.size, vs.size
+    indptr = np.asarray(graph.indptr)
+    keys = np.empty(arcs + 2 * found, dtype=np.int64)
+    keys[:arcs] = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+    keys[:arcs] += graph.indices
+    for row, column, part in ((vs, xs, keys[arcs:arcs + found]),
+                              (xs, vs, keys[arcs + found:])):
+        np.multiply(row, n, out=part, dtype=np.int64)
+        part += column
+    keys.sort()
+    return Graph.from_arc_keys(n, unique_sorted(keys))
 
 
-def _bfs_block_worker(graph: Graph, d: int):
-    """The machine program of :func:`_increase_degrees`, one call per
-    machine: the per-vertex BFS of Algorithm 6 (spec:
-    ``repro.verify.specs.bfs``) replayed over a local CSR copy.
+#: Sources searched together: bounds the lockstep state to a few
+#: ``_CHUNK * d`` tables whatever the round's size.
+_CHUNK = 1024
 
-    The walk's attempt counter ``reads`` increments whether or not a key
-    was touched before, so the control flow is that of a machine reading
-    every key through its cache; the keys are charged once each, on
-    first touch (model assumption 4), in one
-    :meth:`~repro.core.machine.MachineContext.charge_read_array` call
-    per namespace.
+#: Most (slot, ball column) pairs one membership compare materializes; a
+#: step's window slots are tested in pieces of this size, so late phases'
+#: wide balls do not make the compare ``_CHUNK * d²`` cells.
+_CELLS = 1 << 21
+
+
+def _bfs_all(graph: Graph, d: int):
+    """The fused machine program of :func:`_increase_degrees`
+    (per-vertex spec: ``repro.verify.specs.bfs``).
+
+    :func:`_search` runs the BFS of up to :data:`_CHUNK` sources at a
+    time against the CSR, replaying reads locally. At the end the
+    machines settle accounts with one replayed-read charge per
+    namespace — each machine pays for each distinct ``deg`` row and
+    ``adj`` slot it visited once, as its read cache would — and one
+    ``write_array`` of the found ``(v, x)`` edges, x ascending per v
+    (the spec's store order). The op sequence does not depend on the
+    data, so process-backend shards stay aligned.
     """
-    read_cap = 4 * d * d
-    indptr, indices = graph.indptr, graph.indices
+    indptr = np.asarray(graph.indptr, dtype=np.int64)
+    indices = graph.indices
+    # Compact ball tables: the membership test streams them every step.
+    itype = np.int32 if graph.n < 2**31 else np.int64
 
-    def batch_worker(ctx, block: np.ndarray) -> np.ndarray:
-        seen_deg: set[int] = set()
-        seen_adj: set[tuple[int, int]] = set()
-        deg_keys: list[int] = []
-        adj_u: list[int] = []
-        adj_i: list[int] = []
-        fedge_v: list[int] = []
-        fedge_x: list[int] = []
-        counts = np.empty(block.size, dtype=np.int64)
-        for j, v in enumerate(block.tolist()):
-            visited = {v}
-            queue = [v]
-            head = 0
-            reads = 0
-            while head < len(queue) and len(visited) < d and reads < read_cap:
-                u = queue[head]
-                head += 1
-                if u not in seen_deg:
-                    seen_deg.add(u)
-                    deg_keys.append(u)
-                base = int(indptr[u])
-                deg_u = int(indptr[u + 1]) - base
-                reads += 1
-                for i in range(deg_u):
-                    if len(visited) >= d or reads >= read_cap:
-                        break
-                    if (u, i) not in seen_adj:
-                        seen_adj.add((u, i))
-                        adj_u.append(u)
-                        adj_i.append(i)
-                    x = int(indices[base + i])
-                    reads += 1
-                    if x not in visited:
-                        visited.add(x)
-                        queue.append(x)
-            visited.discard(v)
-            counts[j] = len(visited)
-            for x in sorted(visited):
-                fedge_v.append(v)
-                fedge_x.append(x)
-        if deg_keys:
-            ctx.charge_read_array("deg", np.asarray(deg_keys, np.int64))
-        if adj_u:
-            ctx.charge_read_array(
-                "adj", np.asarray(adj_u, np.int64), np.asarray(adj_i, np.int64)
+    def bfs_all(gctx):
+        items, machines = gctx.items, gctx.machines
+        # A source with an empty row reads its degree and stops (if it
+        # starts at all: d > 1); only the others are searched.
+        alone = (indptr[items + 1] == indptr[items]) & (d > 1)
+        live = np.flatnonzero(~alone)
+        sizes = np.ones(items.size, dtype=np.int64)
+        heads = np.ones(items.size, dtype=np.int64)
+        empty = np.empty(0, dtype=itype)
+        rows, lengths, found = [empty], [empty], [empty]
+        for lo in range(0, live.size, _CHUNK):
+            part = live[lo:lo + _CHUNK]
+            ball, prefix, sizes[part], heads[part] = _search(
+                items[part].astype(itype), d, indptr, indices
             )
-        if fedge_v:
-            ctx.write_array(
-                "fedge",
-                np.asarray(fedge_v, np.int64),
-                np.asarray(fedge_x, np.int64),
-            )
-        return counts
+            # Row-major: each source's dequeued members in queue order.
+            dequeued = np.arange(d) < heads[part, None]
+            rows.append(ball[dequeued])
+            lengths.append(prefix[dequeued])
+            # The ball past its source, ascending: sorted in place as
+            # unsigned, the -1 padding goes last.
+            ball = ball[:, 1:]
+            ball.view(f"u{ball.itemsize}").sort(axis=1)
+            found.append(ball[np.arange(d - 1) < sizes[part, None] - 1])
+        rows = np.concatenate(rows)
+        lengths = np.concatenate(lengths)
+        own = np.repeat(machines[live], heads[live])
+        gctx.charge_replayed_reads(
+            "deg", np.concatenate((items[alone], rows)),
+            np.ones(items.size - live.size + rows.size, dtype=np.int8),
+            owner=np.concatenate((machines[alone], own)),
+        )
+        gctx.charge_replayed_reads(
+            "adj", np.zeros(rows.size, dtype=np.int8), lengths, owner=own,
+            rows=rows,
+        )
+        del rows, lengths, own
+        sizes -= 1
+        ids = np.repeat(items, sizes)
+        found = np.concatenate(found)
+        # Read-only outputs: the store keeps them instead of a copy.
+        ids.flags.writeable = found.flags.writeable = False
+        gctx.write_array(
+            "fedge", ids, found, owner=np.repeat(machines, sizes)
+        )
+        return sizes
 
-    return batch_worker
+    return bfs_all
+
+
+def _search(
+    src: np.ndarray, d: int, indptr: np.ndarray, indices: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Algorithm 6 from every vertex of ``src`` at once (the ball
+    tables take ``src``'s dtype).
+
+    Row ``s`` of the state is source ``s``'s ball in discovery order —
+    which in BFS is also its queue, so ``ball[s, k]`` is the k-th vertex
+    it dequeues. Each step every active source reads one window of its
+    current row: at most ``d - size`` slots, so the whole window is read
+    before the ball can fill, and at most what is left of the row. A
+    slot's neighbour joins the ball unless it is in already (a row holds
+    distinct neighbours, so a window cannot meet a vertex twice); the
+    test compares the slot with the ball's filled columns, O(d) work per
+    slot. A row ends with its slots or a full ball; the source then
+    dequeues its next member (one ``deg`` read) or stops.
+
+    The spec's 4d² read cap cannot bind here, so it is not tracked: a
+    search dequeues at most d − 1 rows, reads at most d − 1 fresh slots
+    in all, and at most d − 1 in-ball slots per row — fewer than d²
+    reads.
+
+    Returns ``(ball, prefix, size, heads)``: members (``-1`` past
+    ``size``), each member row's read prefix length, ball sizes and the
+    number of rows each source dequeued.
+    """
+    n_src = src.size
+    ball = np.full((n_src, d), -1, dtype=src.dtype)
+    ball[:, 0] = src
+    prefix = np.zeros((n_src, d), dtype=src.dtype)
+    size = np.ones(n_src, dtype=np.int64)
+    heads = np.zeros(n_src, dtype=np.int64)
+    cur = np.zeros(n_src, dtype=np.int64)
+    end = np.zeros(n_src, dtype=np.int64)
+    active = np.empty(0, dtype=np.int64)
+    ready = np.arange(n_src)
+    while True:
+        # Sources between rows dequeue their next member (one deg read)
+        # while the search goes on.
+        ready = ready[(heads[ready] < size[ready]) & (size[ready] < d)]
+        u = ball[ready, heads[ready]]
+        heads[ready] += 1
+        cur[ready] = indptr[u]
+        end[ready] = indptr[u + 1]
+        active = np.concatenate((active, ready))
+        if not active.size:
+            return ball, prefix, size, heads
+        w = np.minimum(d - size[active], end[active] - cur[active])
+        total = int(w.sum())
+        if total:
+            stops = np.cumsum(w)
+            owner = np.repeat(np.arange(active.size), w)
+            pos = np.repeat(cur[active] - (stops - w), w)
+            pos += np.arange(total)
+            y = indices[pos].astype(ball.dtype)
+            s = active[owner]
+            # Only the filled columns can hold y: a source's first, widest
+            # window is checked against one column.
+            width = int(size[active].max())
+            seen = np.empty(total, dtype=bool)
+            piece = max(1, _CELLS // width)
+            for lo in range(0, total, piece):
+                hi = lo + piece
+                np.any(ball[s[lo:hi], :width] == y[lo:hi, None], axis=1,
+                       out=seen[lo:hi])
+            fresh = ~seen
+            owner, s, y = owner[fresh], s[fresh], y[fresh]
+            # The j-th fresh neighbour of a source's window lands at
+            # size + j.
+            gained = np.bincount(owner, minlength=active.size)
+            slot = np.arange(owner.size) - (np.cumsum(gained) - gained)[owner]
+            ball[s, size[s] + slot] = y
+            size[active] += gained
+            prefix[active, heads[active] - 1] += w
+            cur[active] += w
+        # A row ends with its slots or a full ball.
+        open_ = (cur[active] < end[active]) & (size[active] < d)
+        ready = active[~open_]
+        active = active[open_]
 
 
 def _choose_leaders(

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
 from repro.core.runtime import AMPCRuntime
-from repro.graph.graph import WeightedGraph
+from repro.graph.graph import WeightedGraph, sort_unique
 from repro.graph.io import encode_weighted_graph_arrays
 from repro.primitives.contraction import contract_weighted, resolve_pointers
 from repro.primitives.sampling import leader_probability
@@ -149,7 +149,7 @@ def minimum_spanning_forest(
         )
         # Step 3b: commit the discovered MSF edges through the map M.
         # Every vertex that found an edge reports it, hence the unique.
-        committed.append(orig_eid[np.unique(msf_ids)])
+        committed.append(orig_eid[sort_unique(msf_ids)])
 
         # Steps 3c/3d: leader sampling and contraction along F_v.
         p = leader_probability(current.n, d)
@@ -169,7 +169,7 @@ def minimum_spanning_forest(
         # Step 3e: budget growth.
         d = min(d**1.4, d_cap)
 
-    edge_ids = np.unique(np.concatenate(committed))
+    edge_ids = sort_unique(np.concatenate(committed))
     return MSFResult(
         edge_ids=edge_ids,
         total_weight=graph.total_weight(edge_ids),

@@ -870,11 +870,13 @@ class _MachineLockstep:
 
     def charge_replayed_reads(
         self, namespace: str, starts: np.ndarray, lengths: np.ndarray, *,
-        owner: np.ndarray,
+        owner: np.ndarray, rows: np.ndarray | None = None,
     ) -> None:
-        _, starts, lengths = distinct_ranges(owner, starts, lengths)
-        for ids in expand_ranges(starts, lengths, KEY_SLICE):
-            self._ctx.charge_read_array(namespace, ids)
+        _, starts, lengths, rows = distinct_ranges(
+            owner, starts, lengths, rows
+        )
+        for key in expand_ranges(starts, lengths, KEY_SLICE, rows):
+            self._ctx.charge_read_array(namespace, *key)
 
 
 def _one_machine_at_a_time(fused_worker: Callable[..., Any]) -> Callable[..., Any]:

@@ -73,17 +73,33 @@ def check_fused_rows(out: Any, n_items: int) -> None:
 
 
 def distinct_ranges(
-    owner: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    owner: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Per-owner union of the id ranges ``[starts[i], starts[i] +
-    lengths[i])`` (nonnegative ids): ``(owner, starts, lengths)`` of
-    disjoint nonempty int64 ranges, sorted by owner, then start."""
+    lengths[i])`` (nonnegative ids): ``(owner, starts, lengths, rows)``
+    of disjoint nonempty int64 ranges, sorted by owner, then start, and
+    ``rows`` None.
+
+    With ``rows``, range i holds the slots of row ``rows[i]`` (keys
+    ``(row, slot)``): ranges are united per (owner, row), sorted by
+    owner, row, then start, and each keeps its row."""
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        stride = int(rows.max()) + 1 if rows.size else 1
+        pair = np.asarray(owner, dtype=np.int64) * stride
+        pair += rows
+        pair, starts, lengths, _ = distinct_ranges(pair, starts, lengths)
+        owner, rows = np.divmod(pair, stride)
+        return owner, starts, lengths, rows
     owner, starts, lengths = (
         np.asarray(col) for col in (owner, starts, lengths)
     )
     if owner.size == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
+        return empty, empty, empty, None
     # One sort key per range: owner-major, and wide enough that ranges of
     # different owners can never touch. Built in place: the inputs can
     # hold a whole round's ranges.
@@ -121,15 +137,20 @@ def distinct_ranges(
         lo, hi = lo[nonempty], hi[nonempty]
     owner = lo // span
     lo -= owner * span
-    return owner, lo, hi
+    return owner, lo, hi, None
 
 
 def expand_ranges(
-    starts: np.ndarray, lengths: np.ndarray, size: int
-) -> Iterator[np.ndarray]:
-    """The ids of the concatenated ranges ``[starts[i], starts[i] +
-    lengths[i])``, in slices of at most ``size`` ids (bounded memory
-    whatever the ranges' total)."""
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    size: int,
+    rows: np.ndarray | None = None,
+) -> Iterator[list[np.ndarray]]:
+    """The keys of the concatenated ranges ``[starts[i], starts[i] +
+    lengths[i])``, in slices of at most ``size`` keys (bounded memory
+    whatever the ranges' total). Each slice is its keys' columns after
+    the namespace: ``[ids]``, or ``[rows, slots]`` for slot ranges of
+    ``rows``."""
     stops = np.cumsum(lengths)
     # flat position p of range r holds id p + shift[r].
     shift = starts - (stops - lengths)
@@ -144,7 +165,9 @@ def expand_ranges(
         )
         flat = np.arange(begin, end, dtype=np.int64)
         flat += np.repeat(shift[r0:r1], counts)
-        yield flat
+        yield [flat] if rows is None else [
+            np.repeat(rows[r0:r1], counts), flat
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -938,6 +961,8 @@ class BatchRoundContext:
         items: the round's work items (1-D int64, in work order).
         machines: ``machines[i]`` is the machine that owns ``items[i]``.
         reads_used / writes_used: per-machine budget consumption arrays.
+        worker_ids: on the process backend, the pool worker that ran each
+            item-range shard (``None`` when the round ran in-process).
     """
 
     __slots__ = (
@@ -951,6 +976,7 @@ class BatchRoundContext:
         "writes_used",
         "_read_over",
         "_write_over",
+        "worker_ids",
     )
 
     def __init__(
@@ -973,6 +999,7 @@ class BatchRoundContext:
         self.writes_used = np.zeros(p, dtype=np.int64)
         self._read_over = np.zeros(p, dtype=bool)
         self._write_over = np.zeros(p, dtype=bool)
+        self.worker_ids: list[int] | None = None
 
     def read_array(
         self,
@@ -1022,10 +1049,14 @@ class BatchRoundContext:
         lengths: np.ndarray,
         *,
         owner: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> None:
         """Charge adaptive reads whose values the program replays locally:
         keys ``(namespace, starts[i] + j)`` for ``j < lengths[i]``, issued
-        by machine ``owner[i]``.
+        by machine ``owner[i]``. With ``rows`` the keys are slotted,
+        ``(namespace, rows[i], starts[i] + j)`` — the adjacency addressing
+        of :func:`repro.graph.io.encode_graph_arrays` — and ranges merge
+        per (machine, row).
 
         The batch analogue of
         :meth:`~repro.core.machine.MachineContext.charge_read_array`, with
@@ -1038,7 +1069,9 @@ class BatchRoundContext:
         through :meth:`~repro.core.machine.MachineContext.read` would
         produce.
         """
-        owner, starts, lengths = distinct_ranges(owner, starts, lengths)
+        owner, starts, lengths, rows = distinct_ranges(
+            owner, starts, lengths, rows
+        )
         if owner.size == 0:
             return
         self._charge(
@@ -1046,10 +1079,10 @@ class BatchRoundContext:
             self.config.read_budget, "read", weights=lengths,
         )
         del owner
-        for ids in expand_ranges(starts, lengths, KEY_SLICE):
+        for key in expand_ranges(starts, lengths, KEY_SLICE, rows):
             if self.observer is not None:
-                self.observer.on_machine_read_batch(self, namespace, ids)
-            self._prev.serve_reads_array([namespace, ids])
+                self.observer.on_machine_read_batch(self, namespace, key[0])
+            self._prev.serve_reads_array([namespace, *key])
 
     def charge_publications(self) -> None:
         """Charge one result-publication write per work item (the batch

@@ -57,14 +57,23 @@ class Graph:
     @classmethod
     def _from_canonical(cls, n: int, arr: np.ndarray) -> "Graph":
         """Build from deduplicated u<v edges (internal)."""
-        both = np.concatenate([arr, arr[:, ::-1]], axis=0) if arr.size else arr
-        order = np.lexsort((both[:, 1], both[:, 0])) if both.size else np.array([], dtype=np.int64)
-        both = both[order] if both.size else both.reshape(0, 2)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if both.size:
-            np.cumsum(np.bincount(both[:, 0], minlength=n), out=indptr[1:])
-        indices = both[:, 1].copy() if both.size else np.zeros(0, dtype=np.int64)
-        return cls(n, indptr, indices)
+        m = arr.shape[0]
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(arr[:, 0], n, out=keys[:m])
+        keys[:m] += arr[:, 1]
+        np.multiply(arr[:, 1], n, out=keys[m:])
+        keys[m:] += arr[:, 0]
+        keys.sort()
+        return cls.from_arc_keys(n, keys)
+
+    @classmethod
+    def from_arc_keys(cls, n: int, keys: np.ndarray) -> "Graph":
+        """Build from the sorted, distinct arc keys ``row·n + column`` of
+        both directions of every edge (``n²`` must fit in int64). Takes
+        ``keys`` over: it becomes the ``indices`` array."""
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        np.remainder(keys, n, out=keys)
+        return cls(n, indptr, keys)
 
     @classmethod
     def from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
@@ -256,9 +265,31 @@ def unique_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     base = int(second.max()) - second_lo + 1
     if (int(first.max()) - first_lo + 1) * base > 2**63:
         return np.unique(np.column_stack([first, second]), axis=0)
-    keys = np.unique((first - first_lo) * base + (second - second_lo))
+    keys = sort_unique((first - first_lo) * base + (second - second_lo))
     high, low = np.divmod(keys, base)
     return np.column_stack([high + first_lo, low + second_lo])
+
+
+def sort_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for integer arrays: a sorted flat copy with
+    each element kept only where it differs from its predecessor.
+
+    Plain ``np.unique`` of integers takes a hash-table path in recent
+    numpy that is many times slower than this sort on large inputs.
+    """
+    return unique_sorted(np.sort(np.asarray(values), axis=None))
+
+
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct elements of a sorted 1-D array: each one that differs
+    from its predecessor (the adjacent-compare half of
+    :func:`sort_unique`, for callers that sorted in place)."""
+    if values.size <= 1:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def edge_set_difference(edges: np.ndarray, drop: np.ndarray) -> np.ndarray:

@@ -126,13 +126,14 @@ class _JournalBatchContext(BatchRoundContext):
 
     def charge_replayed_reads(
         self, namespace: str, starts: np.ndarray, lengths: np.ndarray, *,
-        owner: np.ndarray,
+        owner: np.ndarray, rows: np.ndarray | None = None,
     ) -> None:
         self.ops.append((
             "rr", namespace,
             np.array(starts, dtype=np.int64),
             np.array(lengths, dtype=np.int64),
             np.array(owner, dtype=np.int64),
+            None if rows is None else np.array(rows, dtype=np.int64),
         ))
 
 
@@ -560,7 +561,7 @@ def run_fused_round(
             "assignment": assignment[s:e],
         }
 
-    shard_results, _ = _dispatch_shards(
+    shard_results, worker_of = _dispatch_shards(
         runtime, read_store, "fused_shard", build_payload, bounds,
         lambda span: int(np.unique(assignment[span[0]:span[1]]).size),
     )
@@ -571,6 +572,7 @@ def run_fused_round(
     )
 
     gctx = runtime._fused_context(read_store, next_store, work, assignment)
+    gctx.worker_ids = list(worker_of)
     if fan is not None:
         fan.on_machine_start(gctx)
     _replay_fused_ops(
@@ -638,6 +640,8 @@ def _replay_fused_ops(
                 namespace, ids,
                 np.concatenate([op[3] for op in live]),
                 owner=np.concatenate([op[4] for op in live]),
+                rows=None if live[0][5] is None
+                else np.concatenate([op[5] for op in live]),
             )
         elif kind == "wa":
             if batch_hooks:

@@ -104,18 +104,25 @@ def contract_graph(
     Returns (contracted graph, new_of, rep). Charged as one dedup pass
     (relabeling is embarrassingly parallel; dedup dominates).
     """
-    from repro.graph.graph import Graph
+    from repro.graph.graph import Graph, unique_sorted
 
     new_of, rep = compact_labels(root)
-    edges = graph.edges()
     if runtime is not None:
-        runtime.charge(tag, rounds=SORT_ROUNDS, reads=2 * edges.shape[0],
-                       writes=edges.shape[0])
-    if edges.size == 0:
-        return Graph.from_edges(rep.size, edges), new_of, rep
-    mapped = new_of[edges]
-    keep = mapped[:, 0] != mapped[:, 1]
-    return Graph.from_edges(rep.size, mapped[keep]), new_of, rep
+        runtime.charge(tag, rounds=SORT_ROUNDS, reads=2 * graph.m,
+                       writes=graph.m)
+    # Every arc relabelled to its roots as the key row·n' + column; both
+    # directions are already there, so the distinct non-loop keys are
+    # the contracted CSR.
+    n = rep.size
+    keys = np.repeat(new_of, np.diff(graph.indptr))
+    heads = new_of[graph.indices]
+    keep = keys != heads
+    keys *= n
+    keys += heads
+    del heads
+    keys = keys[keep]
+    keys.sort()
+    return Graph.from_arc_keys(n, unique_sorted(keys)), new_of, rep
 
 
 def contract_weighted(

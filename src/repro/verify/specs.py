@@ -1,7 +1,7 @@
 """Per-item specs of the machine programs, and the check against them.
 
 The production definition of each adaptive round is a per-block (for
-Shrink and Prim: fused) program in :mod:`repro.algorithms`. The
+BFS, Shrink and Prim: fused) program in :mod:`repro.algorithms`. The
 programs here are direct per-item transcriptions of the paper's
 pseudocode — one vertex, one sample, one element at a time, every key
 fetched with ``ctx.read`` through the machine's read cache. Nothing in
@@ -13,7 +13,7 @@ contents, same ledger row.
 ============================  =========================================
 spec                          production program
 ============================  =========================================
-:func:`bfs` (Algorithm 6)     ``connectivity._bfs_block_worker``
+:func:`bfs` (Algorithm 6)     ``connectivity._bfs_all`` (fused)
 :func:`truncated_query`       ``mis._query_block_worker``
 (Algorithms 4–5)
 :func:`prim` (Algorithm 8)    ``msf._prim_all`` (fused)

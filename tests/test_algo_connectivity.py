@@ -53,6 +53,41 @@ class TestCorrectness:
         assert a.phases == b.phases
 
 
+class TestFootprint:
+    @pytest.mark.parametrize(
+        "scale,d,bound_mb", [(14, 14, 27.76), (14, 40, 66.67), (11, 230, 50.43)]
+    )
+    def test_increase_degrees_round_peak_allocation(self, scale, d, bound_mb):
+        """One IncreaseDegrees round on cc-rmat's graph (RMAT 2^14 x 8,
+        self-loops dropped) at its phase-1 and phase-2 budgets, and on
+        RMAT 2^11 x 8 at a late-phase budget (d = 230, the 10^7-edge
+        cell's), allocates no more at its peak than the per-vertex BFS
+        and the ``Graph.from_edges`` rebuild it replaced did (the bounds
+        are their measured peaks). At d = 230 the membership compare
+        must be done in pieces: one compare over a whole step's windows
+        peaks near 113 MB there."""
+        import tracemalloc
+
+        from repro.algorithms.connectivity import _increase_degrees
+        from repro.core import AMPCConfig, AMPCRuntime
+        from repro.graph.graph import Graph
+
+        edges = np.concatenate(
+            list(generators.rmat_edge_chunks(scale, 8, rng=1))
+        )
+        g = Graph.from_edges(1 << scale, edges[edges[:, 0] != edges[:, 1]])
+        del edges
+        config = AMPCConfig.for_input(g.n + g.m, epsilon=0.5, seed=2)
+        runtime = AMPCRuntime(config)
+        tracemalloc.start()
+        try:
+            _increase_degrees(g, d, runtime, tag="increase-deg")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2**20
+
+
 class TestComplexityShape:
     def test_budget_grows_doubly_exponentially_then_caps(self):
         g = generators.erdos_renyi_gnm(4000, 12000, rng=1)

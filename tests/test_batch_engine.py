@@ -183,6 +183,46 @@ class TestBatchStore:
         assert _store_state(scalar) == _store_state(batched)
 
     @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5),
+                              st.integers(0, 6), st.integers(0, 4)),
+                    max_size=30),
+           st.booleans())
+    def test_replayed_reads_charge_each_distinct_key_once(self, ranges,
+                                                         slotted):
+        """``charge_replayed_reads`` bills machine m for each distinct key
+        of its ranges once — flat ``("adj", start + j)`` keys, or slotted
+        ``("adj", row, start + j)`` ones — on the key's server."""
+        from repro.core.runtime import BatchRoundContext
+
+        owner, rows, starts, lengths = (
+            np.array([r[i] for r in ranges], dtype=np.int64).reshape(-1)
+            for i in range(4)
+        )
+        config = AMPCConfig(epsilon=0.5, space=64, n_machines=4, seed=3)
+        store = DistributedDataStore(0, n_servers=8, seed=3)
+        store.seal()
+        gctx = BatchRoundContext(
+            config, store, DistributedDataStore(1, n_servers=8, seed=3),
+            np.zeros(0, np.int64), np.zeros(0, np.int64), None,
+        )
+        gctx.charge_replayed_reads(
+            "adj", starts, lengths, owner=owner,
+            rows=rows if slotted else None,
+        )
+        keys = {
+            (m, ("adj", r, j) if slotted else ("adj", j))
+            for m, r, b, k in ranges for j in range(b, b + k)
+        }
+        reads = np.zeros(4, dtype=np.int64)
+        loads = np.zeros(8, dtype=np.int64)
+        for m, key in keys:
+            reads[m] += 1
+            loads[server_of(key, 8, 3)] += 1
+        assert gctx.reads_used.tolist() == reads.tolist()
+        assert store.server_read_loads.tolist() == loads.tolist()
+        assert store.n_reads == len(keys)
+
+    @settings(max_examples=40, deadline=None)
     @given(vst.weighted_batches(min_size=0, max_size=128),
            vst.seeds(max_seed=50))
     def test_weighted_batch_matches_scalar_store(self, batch, seed):
@@ -551,6 +591,48 @@ class TestAlgorithmParity:
     def test_graph_rounds_match_their_specs(self, g, seed, d, cap):
         config = AMPCConfig.for_input(g.n + g.m, seed=seed)
         assert specs.graph_round_problems(g, d, cap, seed, config) == []
+
+    def test_bfs_through_a_hub_row_longer_than_the_read_cap(self):
+        """A star whose hub has more neighbours than 4d² at d = 2: the
+        hub's row is read one window at a time and cut where the ball
+        fills. The cap itself never binds a BFS — a search dequeues at
+        most d - 1 rows and reads at most d - 1 fresh and d - 2 in-ball
+        slots per row, fewer than d² keys — so the spec and the fused
+        program must agree on where each row stops without it."""
+        star = generators.star(40)
+        assert star.degree(0) > 4 * 2 * 2
+        for seed in (1, 2):
+            config = AMPCConfig.for_input(star.n + star.m, seed=seed)
+            assert specs.graph_round_problems(star, 2, 4, seed, config) == []
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 14])
+    def test_bfs_on_a_hub_heavy_rmat_graph(self, d):
+        """Hub rows far longer than any window beside many short ones."""
+        g = generators.rmat_graph(10, 8, rng=1)
+        assert g.degrees.max() > 300
+        config = AMPCConfig.for_input(g.n + g.m, seed=2)
+        assert specs.graph_round_problems(g, d, 4, 2, config) == []
+
+    @pytest.mark.parametrize("d", [1, 3, 6, 9])
+    def test_bfs_in_cliques_smaller_than_the_ball(self, d):
+        """Balls close at their clique before reaching d vertices (at
+        d = 6 the 5-cliques close with one slot to spare); at d = 1 no
+        search starts, not even at the isolated vertex."""
+        g = generators.disjoint_union(
+            [generators.complete(k) for k in (1, 2, 3, 5, 5, 8)]
+        )
+        config = AMPCConfig.for_input(g.n + g.m, seed=3)
+        assert specs.graph_round_problems(g, d, 4, 3, config) == []
+
+    def test_bfs_on_an_mmap_graph(self, tmp_path):
+        from repro.graph import csr
+
+        g = generators.rmat_graph(8, 8, rng=4)
+        mapped = csr.build_csr(g.edges(), g.n, tmp_path, chunk_edges=97)
+        assert isinstance(mapped, csr.MmapGraph)
+        config = AMPCConfig.for_input(g.n + g.m, seed=4)
+        for d in (3, 8):
+            assert specs.graph_round_problems(mapped, d, 4, 4, config) == []
 
     @settings(max_examples=15, deadline=None)
     @given(vst.linked_lists(min_n=1, max_n=80), vst.seeds(max_seed=50),

@@ -10,6 +10,7 @@ from repro.graph.graph import (
     WeightedGraph,
     canonical_edges,
     edge_set_difference,
+    sort_unique,
     total_order_key,
     unique_pairs,
 )
@@ -166,6 +167,41 @@ class TestEdgeHelpers:
         assert unique_pairs(first, second).tolist() == [
             [-(2**40), 0], [-5, 2], [3, -8], [3, -7],
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([np.int64, np.int32, np.uint64]).flatmap(
+            lambda dtype: st.tuples(
+                st.just(dtype),
+                st.lists(
+                    st.integers(
+                        int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+                    ),
+                    max_size=40,
+                ),
+                st.integers(0, 3),
+            )
+        )
+    )
+    def test_sort_unique_equals_np_unique(self, case):
+        dtype, values, copies = case
+        # Repeats make every value a run of duplicates.
+        values = np.array(values * (copies + 1), dtype=dtype)
+        want = np.unique(values)
+        out = sort_unique(values)
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(0, np.int64), np.array([7]), np.array([-3, -3, -9, 0, -9]),
+        np.array([5, 5, 5, 5], np.int32), np.array([2**64 - 1, 0, 2**63],
+                                                   np.uint64),
+        np.full(6, -(2**63), np.int64),
+    ], ids=["empty", "single", "negative", "int32-duplicates", "uint64",
+            "all-duplicate"])
+    def test_sort_unique_edge_cases(self, values):
+        want = np.unique(values)
+        out = sort_unique(values)
+        assert out.dtype == want.dtype and np.array_equal(out, want)
 
     def test_edge_set_difference(self):
         edges = np.array([[0, 1], [1, 2], [2, 3]])

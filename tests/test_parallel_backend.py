@@ -66,6 +66,21 @@ def test_connectivity_bit_identical():
         assert process.report.worker_respawns == 0
 
 
+def test_connectivity_fused_bfs_ships_to_the_pool():
+    """The fused BFS round shards like any fused program: no round
+    falls back to the serial loop, and results and ledgers hold."""
+    g = generators.erdos_renyi_gnm(2000, 6000, rng=3)
+    config = AMPCConfig.for_input(g.n + g.m, seed=4)
+    serial = repro.connectivity(g, runtime=AMPCRuntime(config))
+    with use_backend("process", 2):
+        runtime = AMPCRuntime(config)
+        process = repro.connectivity(g, runtime=runtime)
+    assert runtime.backend == "process"
+    assert runtime.parallel_fallbacks == 0
+    assert np.array_equal(serial.labels, process.labels)
+    assert _ledger(serial.report) == _ledger(process.report)
+
+
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_list_ranking_bit_identical(vectorized):
     # The keyword selects nothing; on either value the fused Shrink and
@@ -112,10 +127,12 @@ def test_msf_bit_identical():
 def test_trace_spans_tagged_with_worker():
     from repro.observe import TracingSession
 
+    # MIS: its query round is a per-block program, so every machine has
+    # a span of its own (a fused round has one span for all machines).
     g = generators.erdos_renyi_gnm(200, 300, rng=1)
     with use_backend("process", 2):
         with TracingSession(detail="machine") as session:
-            repro.connectivity(g, seed=0)
+            repro.maximal_independent_set(g, seed=0)
     workers = {e.attrs["worker"] for e in session.events
                if e.attrs and "worker" in e.attrs}
     assert workers, "no machine span carried a worker tag"
@@ -126,12 +143,48 @@ def test_trace_spans_tagged_with_worker():
 def test_shards_spread_across_workers():
     from repro.observe import TracingSession
 
+    # MIS: a per-block round, one span per machine (as above).
+    g = generators.erdos_renyi_gnm(400, 800, rng=2)
+    with use_backend("process", 2):
+        with TracingSession(detail="machine") as session:
+            repro.maximal_independent_set(g, seed=0)
+    workers = {e.attrs["worker"] for e in session.events
+               if e.attrs and "worker" in e.attrs}
+    assert len(workers) >= 2
+
+
+def _fused_spans(session):
+    return [e for e in session.events if e.name == "machines (fused)"]
+
+
+def test_fused_round_span_tagged_with_its_workers():
+    """Connectivity's BFS round is fused: one span for all machines, no
+    per-machine ``worker`` tag, and a ``workers`` list naming the pool
+    workers that ran its item-range shards."""
+    from repro.observe import TracingSession
+
+    g = generators.erdos_renyi_gnm(200, 300, rng=1)
+    with use_backend("process", 2):
+        with TracingSession(detail="machine") as session:
+            repro.connectivity(g, seed=0)
+    fused = _fused_spans(session)
+    assert fused, "connectivity ran no fused round"
+    for span in fused:
+        assert "worker" not in span.attrs
+        assert span.attrs["workers"]
+        assert all(0 <= w < 2 for w in span.attrs["workers"])
+
+
+@multicore
+def test_fused_shards_spread_across_workers():
+    from repro.observe import TracingSession
+
     g = generators.erdos_renyi_gnm(400, 800, rng=2)
     with use_backend("process", 2):
         with TracingSession(detail="machine") as session:
             repro.connectivity(g, seed=0)
-    workers = {e.attrs["worker"] for e in session.events
-               if e.attrs and "worker" in e.attrs}
+    workers = {w for span in _fused_spans(session)
+               for w in span.attrs["workers"]}
     assert len(workers) >= 2
 
 
@@ -212,6 +265,32 @@ def test_chaos_runtime_stays_serial_and_identical():
     assert _ledger(base.report) == _ledger(under.report)
 
 
+def test_machine_crashes_keep_the_fault_free_connectivity_run():
+    """Under a crash plan the fused BFS runs one machine at a time, and a
+    crashed machine's replacement replays its items: labels and every
+    ledger field but the recovery ones match a fault-free run."""
+    g = generators.erdos_renyi_gnm(150, 220, rng=9)
+    config = AMPCConfig.for_input(g.n + g.m, seed=4, replication_factor=2)
+
+    from repro.algorithms.connectivity import connectivity
+
+    def rows(report):
+        out = report.to_dict()["rounds"]
+        for row in out:
+            row.pop("recovery", None)
+        return out
+
+    clean = connectivity(g, runtime=AMPCRuntime(config))
+    chaos_runtime = ChaosRuntime(
+        config, plan=FaultPlan.machine_crashes(0.3, seed=1)
+    )
+    crashed = connectivity(g, runtime=chaos_runtime)
+    assert chaos_runtime.report.recovery_summary()["crashes"] > 0
+    assert np.array_equal(clean.labels, crashed.labels)
+    assert rows(clean.report) == rows(crashed.report)
+    assert _ledger(clean.report) == _ledger(crashed.report)
+
+
 # -- the round contract: one matrix over shape x backend x P x observer -----
 
 N_ITEMS = 48
@@ -235,6 +314,11 @@ def _replay_reads(gctx):
     # them, and each machine pays for each distinct key once.
     gctx.charge_replayed_reads(
         "v", gctx.items % 5, gctx.items % 3 + 1, owner=gctx.machines
+    )
+    # Slotted keys ("a", row, slot): ranges merge per (machine, row).
+    gctx.charge_replayed_reads(
+        "a", gctx.items % 2, gctx.items % 4, owner=gctx.machines,
+        rows=gctx.items % 3,
     )
 
 
