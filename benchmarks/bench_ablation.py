@@ -9,13 +9,16 @@
   risk stalls; the default must sit on the stable side.
 """
 
-import numpy as np
+import importlib
+
 import pytest
 
-from repro.core import AMPCConfig
 from repro.algorithms.connectivity import connectivity
+from repro.algorithms.phases import GROWTH, budget_schedule
 from repro.algorithms.two_cycle import two_cycle
+from repro.core import AMPCConfig
 from repro.graph import generators, validation
+from repro.primitives.sampling import leader_probability
 
 EPSILONS = [0.3, 0.5, 0.7]
 
@@ -50,16 +53,12 @@ def test_epsilon_monotonicity(benchmark):
 
 @pytest.mark.parametrize("exponent", [1.1, 1.4, 2.0])
 def test_budget_growth_exponent(benchmark, record, exponent):
-    """Ablate d -> d^exponent in the connectivity budget schedule by
-    replaying the schedule arithmetic: phases needed until the budget
-    reaches the cap, plus the contraction phases after."""
-    import math
-
+    """Ablate d -> d^exponent in the connectivity budget schedule: phases
+    needed until the budget reaches the cap, from the schedule's own
+    start and cap."""
     n = 32768
     config = AMPCConfig.for_input(4 * n, seed=1)
-    d = max(2.0, math.sqrt(config.total_space / n), math.log2(n))
-    d_cap = max(n ** (config.epsilon / 3.0),
-                math.sqrt(config.read_budget / 4.0), d)
+    d, d_cap, _limit = budget_schedule(config, n, n)
     growth_phases = 0
     while d < d_cap and growth_phases < 64:
         d = min(d**exponent, d_cap)
@@ -71,35 +70,33 @@ def test_budget_growth_exponent(benchmark, record, exponent):
         [exponent, growth_phases, f"{d_cap:.0f}"],
         growth_phases=growth_phases,
     )
-    if exponent >= 1.4:
+    if exponent >= GROWTH:
         assert growth_phases <= 4
 
 
-@pytest.mark.parametrize("leader_c", [1.0, 2.0, 4.0])
-def test_leader_constant(benchmark, record, leader_c):
+LEADER_CONSTANTS = [1.0, 2.0, 4.0]
+
+
+def _set_leader_constant(monkeypatch, leader_c):
+    """Set the Θ(log n / d) constant to ``leader_c`` in the phase driver,
+    the module that draws the coins. It is looked up in ``sys.modules``:
+    ``repro.algorithms`` re-exports a *function* named ``connectivity``,
+    so attribute-style imports of the algorithm modules can bind the
+    wrong object."""
+    driver = importlib.import_module("repro.algorithms.phases")
+    monkeypatch.setattr(driver, "leader_probability",
+                        lambda n, d: leader_probability(n, d, leader_c))
+
+
+@pytest.mark.parametrize("leader_c", LEADER_CONSTANTS)
+def test_leader_constant(benchmark, record, monkeypatch, leader_c):
     """The Θ(log n / d) constant: contraction stays correct across it;
     larger c = more leaders = slower contraction (more phases)."""
-    import repro.primitives.sampling as sampling
-
     g = generators.erdos_renyi_gnm(4096, 12288, rng=4)
-    original = sampling.leader_probability
-
-    def patched(n, d, c=leader_c):
-        return original(n, d, c)
-
-    sampling.leader_probability = patched
-    try:
-        import repro.algorithms.connectivity as conn_mod
-
-        conn_mod.leader_probability = patched
-        result = benchmark.pedantic(
-            lambda: connectivity(g, seed=1), rounds=1, iterations=1
-        )
-    finally:
-        sampling.leader_probability = original
-        import repro.algorithms.connectivity as conn_mod
-
-        conn_mod.leader_probability = original
+    _set_leader_constant(monkeypatch, leader_c)
+    result = benchmark.pedantic(
+        lambda: connectivity(g, seed=1), rounds=1, iterations=1
+    )
     assert validation.same_partition(
         result.labels, validation.components_reference(g)
     )
@@ -109,3 +106,16 @@ def test_leader_constant(benchmark, record, leader_c):
         [leader_c, result.phases, result.report.n_rounds],
         phases=result.phases,
     )
+
+
+def test_leader_constant_monotonicity(benchmark, monkeypatch):
+    """More leaders contract less per phase: phases never fall as c
+    grows, and c = 4 needs more of them than c = 1."""
+    g = generators.erdos_renyi_gnm(4096, 12288, rng=4)
+    phases = []
+    for leader_c in LEADER_CONSTANTS:
+        _set_leader_constant(monkeypatch, leader_c)
+        phases.append(connectivity(g, seed=1).phases)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    assert phases == sorted(phases), phases
+    assert phases[-1] > phases[0], phases

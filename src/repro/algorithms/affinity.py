@@ -103,9 +103,7 @@ def affinity_clustering(
         # Chain collapse: one adaptive round (the AMPC advantage; plain
         # MPC pays Θ(log chain) jumping rounds here).
         root = resolve_pointers(leader, runtime, tag=f"collapse:{level}")
-        contracted, new_of, _rep, _kept = contract_weighted(
-            current, root, runtime=None
-        )
+        contracted, new_of, _rep, _kept = contract_weighted(current, root)
         runtime.charge(f"contract:{level}", rounds=1,
                        reads=2 * current.m, writes=2 * contracted.m)
         mapping = new_of[root[mapping]]

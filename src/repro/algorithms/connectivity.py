@@ -24,6 +24,12 @@ each machine for each distinct key once, as its read cache would; the
 found edges are published with one ``write_array``. The per-vertex
 transcription of Algorithm 6 the fused program is checked against is
 ``repro.verify.specs.bfs``.
+
+The phase loop itself — budget schedule, leader coins, pointer
+resolution, contraction charge and the one-machine endgame — is
+:func:`repro.algorithms.phases.run_phases`, shared with MSF. This module
+supplies the BFS round, its leader rule and the vertex map M a
+contraction keeps.
 """
 
 from __future__ import annotations
@@ -39,8 +45,8 @@ from repro.core.runtime import AMPCRuntime
 from repro.graph.graph import Graph, sort_unique, unique_sorted
 from repro.graph.io import encode_graph_arrays
 from repro.primitives.contraction import contract_graph, resolve_pointers
-from repro.primitives.sampling import leader_probability
-from repro.primitives.sorting import SORT_ROUNDS
+
+from .phases import run_phases, union_find
 
 
 @dataclass
@@ -73,7 +79,6 @@ def connectivity(
     epsilon: float = 0.5,
     seed: int = 0,
     config: AMPCConfig | None = None,
-    max_phases: int | None = None,
     use_sparse_reduction: bool = False,
     runtime: AMPCRuntime | None = None,
     vectorized: bool = False,
@@ -85,7 +90,6 @@ def connectivity(
         epsilon: space exponent ε.
         seed: reproducibility seed.
         config: explicit deployment.
-        max_phases: safety cap on contraction phases.
         use_sparse_reduction: apply the Lemma 6.2 vertex reduction when
             m = o(n log² n). Off by default: at simulatable scales the
             reduction target n/log² n is below one machine's space, so it
@@ -96,7 +100,7 @@ def connectivity(
             :class:`repro.core.chaos.ChaosRuntime` armed with a fault
             plan; the result must be identical to a fault-free run.
         vectorized: accepted and ignored. There is one machine program
-            per round (the per-block one) on every runtime; the keyword
+            per round (the fused one) on every runtime; the keyword
             remains so existing callers keep working.
     """
     n = graph.n
@@ -114,98 +118,50 @@ def connectivity(
             labels=np.zeros(0, np.int64), n_components=0, phases=0,
             report=runtime.report, config=config,
         )
-    if max_phases is None:
-        max_phases = 4 * int(math.ceil(math.log2(math.log2(max(n, 4)) + 1) + 1)) \
-            + 4 * int(math.ceil(1.0 / config.epsilon)) + 8
+
+    def grow(current: Graph, d: int, phase: int):
+        # Step 2a: IncreaseDegrees(G, d); step 2c's rule on the result.
+        augmented = _increase_degrees(current, d, runtime,
+                                      tag=f"increase-deg:{phase}")
+        return augmented, lambda is_leader: _choose_leaders(
+            augmented, is_leader, d)
 
     # M: original vertex -> current contracted vertex (Algorithm 7 step 1).
-    mapping = np.arange(n, dtype=np.int64)
-    current = graph
+    vertex_map = _VertexMap(n)
     rng = config.rng(salt=0xC0)
-
     # Sparse case m = o(n log^2 n): shrink vertices by ~log^2 n first
     # (Lemma 6.2 substitute; see module docstring).
-    log2n = math.log2(max(n, 4))
-    if use_sparse_reduction and current.m < current.n * log2n**2:
-        current, mapping = _sparse_reduce(current, mapping, runtime, rng)
-
-    d = _initial_budget(config, current)
-    # The paper caps d at n^{eps/3}. At simulated scales that is often
-    # below even the initial budget, which would freeze d and degrade the
-    # phase count from log log n to log n; the binding constraint that
-    # actually matters is that a vertex's O(d²) BFS reads fit the O(S)
-    # per-machine budget, so cap there instead (and never below start).
-    d_cap = max(
-        float(n) ** (config.epsilon / 3.0),
-        math.sqrt(config.read_budget / 4.0),
-        d,
+    sparse = use_sparse_reduction and graph.m < n * math.log2(max(n, 4))**2
+    budgets = run_phases(
+        "connectivity",
+        _sparse_reduce(graph, vertex_map, runtime, rng) if sparse else graph,
+        n, config, runtime, rng, grow=grow, keep=vertex_map,
     )
-    phases = 0
-    budgets: list[float] = []
-
-    while current.m > 0:
-        phases += 1
-        if phases > max_phases:
-            raise RuntimeError(
-                f"connectivity did not converge in {max_phases} phases "
-                f"(n'={current.n}, m'={current.m}, d={d})"
-            )
-        budgets.append(d)
-
-        # Small remainder fits on one machine: finish locally (one round).
-        if current.n + current.m <= config.space:
-            runtime.charge("local-solve", rounds=1,
-                           reads=current.n + 2 * current.m)
-            roots = _local_components(current)
-            mapping = roots[mapping]
-            current = Graph.from_edges(current.n, np.zeros((0, 2), np.int64))
-            break
-
-        # Step 2a: IncreaseDegrees(G, d) — one adaptive BFS round.
-        augmented = _increase_degrees(
-            current, int(round(d)), runtime, tag=f"increase-deg:{phases}",
-        )
-
-        # Step 2b: leader sampling with probability Θ(log n / d) — local
-        # coin flips, folded into the contraction round below.
-        p = leader_probability(current.n, d)
-        is_leader = rng.random(current.n) < p
-
-        # Step 2c: contract to a leader neighbor, else to the min
-        # neighbor. One adaptive round: every vertex walks its leader
-        # chain with adaptive reads (resolve_pointers charges it), and the
-        # relabel/dedup of the edge set is one more primitive round.
-        leader = _choose_leaders(augmented, is_leader, int(round(d)))
-        root = resolve_pointers(leader, runtime, tag=f"resolve:{phases}")
-        contracted, new_of, _rep = contract_graph(augmented, root, runtime=None)
-        runtime.charge(f"contract:{phases}", rounds=1,
-                       reads=2 * augmented.m, writes=2 * contracted.m)
-        mapping = new_of[root[mapping]]
-        # The phase's graphs go before the next phase builds its own.
-        current = contracted
-        del augmented, contracted
-
-        # Step 2d: budget growth d -> d^1.4 capped at n^{eps/3}.
-        d = min(d**1.4, d_cap)
-
-    labels = _canonical_labels(mapping)
+    labels = _canonical_labels(vertex_map.mapping)
     return ConnectivityResult(
         labels=labels,
         n_components=int(sort_unique(labels).size),
-        phases=phases,
+        phases=len(budgets),
         budgets=budgets,
         report=runtime.report,
         config=config,
     )
 
 
-def _initial_budget(config: AMPCConfig, graph: Graph) -> float:
-    """d = sqrt(T / n) (Algorithm 7 step 1), floored at 2 and at log n so
-    leader sampling contracts from the first phase (the paper guarantees
-    d = Ω(log n) via the m = Ω(n log² n) assumption)."""
-    t = float(config.total_space)
-    n = max(graph.n, 1)
-    return max(2.0, math.sqrt(t / n), math.log2(max(n, 4)))
+class _VertexMap:
+    """What a connectivity contraction keeps: Algorithm 7's map M from
+    each input vertex to its current vertex."""
+
+    def __init__(self, n: int) -> None:
+        self.mapping = np.arange(n, dtype=np.int64)
+
+    def contract(self, graph: Graph, root: np.ndarray) -> Graph:
+        contracted, new_of, _rep = contract_graph(graph, root)
+        self.mapping = new_of[root[self.mapping]]
+        return contracted
+
+    def solve(self, graph: Graph) -> None:
+        self.mapping = union_find(graph.n, graph.edges())[0][self.mapping]
 
 
 def _increase_degrees(
@@ -443,28 +399,6 @@ def _choose_leaders(
     return leader
 
 
-def _local_components(graph: Graph) -> np.ndarray:
-    """Union-find labeling used for the fits-on-one-machine endgame."""
-    parent = np.arange(graph.n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = int(parent[root])
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    for u, v in graph.edges():
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    out = np.empty(graph.n, dtype=np.int64)
-    for v in range(graph.n):
-        out[v] = find(v)
-    return out
-
-
 def _canonical_labels(mapping: np.ndarray) -> np.ndarray:
     """Rewrite contracted-id labels as the min original id per component."""
     # return_index is each distinct contracted id's first occurrence: the
@@ -479,12 +413,13 @@ def _canonical_labels(mapping: np.ndarray) -> np.ndarray:
 
 def _sparse_reduce(
     graph: Graph,
-    mapping: np.ndarray,
+    vertex_map: _VertexMap,
     runtime: AMPCRuntime,
     rng: np.random.Generator,
-) -> tuple[Graph, np.ndarray]:
+) -> Graph:
     """Shrink the number of non-isolated vertices by Ω(log² n) in
-    O(log log n) charged rounds (stand-in for the paper's [11]).
+    O(log log n) charged rounds (stand-in for the paper's [11]); returns
+    the reduced graph, ``vertex_map`` following each contraction.
 
     Each iteration draws fresh random priorities σ and hooks every
     non-isolated vertex to the minimum-σ member of its closed
@@ -504,7 +439,7 @@ def _sparse_reduce(
     log2n = math.log2(n0)
     target_nonisolated = max(4, int(n0 / log2n**2))
     max_iters = 4 * int(math.ceil(math.log2(log2n + 1))) + 4
-    current, current_map = graph, mapping
+    current = graph
     communication = 0
     for _ in range(max_iters):
         non_isolated = int(np.count_nonzero(current.degrees))
@@ -522,14 +457,11 @@ def _sparse_reduce(
         better = nbr_min_sigma < sigma
         leader[better] = inv_sigma[nbr_min_sigma[better]]
         communication += current.n + 4 * current.m
-        root = resolve_pointers(leader, runtime=None)
-        contracted, new_of, _rep = contract_graph(current, root, runtime=None)
-        current_map = new_of[root[current_map]]
-        current = contracted
+        current = vertex_map.contract(current, resolve_pointers(leader))
     runtime.charge(
         "sparse-reduce",
         rounds=int(math.ceil(math.log2(math.log2(n0) + 1))) + 2,
         reads=communication,
         writes=communication,
     )
-    return current, current_map
+    return current

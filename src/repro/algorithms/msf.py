@@ -24,11 +24,16 @@ MSF edges and F_v members are published with one ``write_array`` per
 namespace. Leader election is a minimum.at pass over the published
 member rows. The per-vertex transcription of Algorithm 8 the fused
 program is checked against is ``repro.verify.specs.prim``.
+
+The phase loop itself — budget schedule, leader coins, pointer
+resolution, contraction charge and the one-machine endgame — is
+:func:`repro.algorithms.phases.run_phases`, shared with connectivity.
+This module supplies the Prim round, its leader rule and the edge map M
+a contraction keeps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +43,9 @@ from repro.core.cost import RunReport
 from repro.core.runtime import AMPCRuntime
 from repro.graph.graph import WeightedGraph, sort_unique
 from repro.graph.io import encode_weighted_graph_arrays
-from repro.primitives.contraction import contract_weighted, resolve_pointers
-from repro.primitives.sampling import leader_probability
+from repro.primitives.contraction import contract_weighted
+
+from .phases import run_phases, union_find
 
 
 @dataclass
@@ -70,7 +76,6 @@ def minimum_spanning_forest(
     epsilon: float = 0.5,
     seed: int = 0,
     config: AMPCConfig | None = None,
-    max_phases: int | None = None,
     runtime: AMPCRuntime | None = None,
     vectorized: bool = False,
 ) -> MSFResult:
@@ -85,7 +90,6 @@ def minimum_spanning_forest(
         epsilon: space exponent ε.
         seed: reproducibility seed.
         config: explicit deployment.
-        max_phases: safety cap on contraction phases.
         runtime: run on an existing runtime (shares its ledger).
         vectorized: accepted and ignored (one machine program per
             round on every runtime; kept for existing callers).
@@ -107,77 +111,54 @@ def minimum_spanning_forest(
             edge_ids=np.zeros(0, np.int64), total_weight=0.0, phases=0,
             report=runtime.report, config=config,
         )
-    if max_phases is None:
-        max_phases = 4 * int(math.ceil(math.log2(math.log2(max(n, 4)) + 1) + 1)) \
-            + 4 * int(math.ceil(1.0 / config.epsilon)) + 8
 
-    current = graph
-    # orig_eid[j]: input-graph edge id behind current edge j (the map M).
-    orig_eid = np.arange(graph.m, dtype=np.int64)
-    # Input-graph edge ids committed so far, one array per phase.
-    committed: list[np.ndarray] = []
-    rng = config.rng(salt=0x35F)
+    forest = _Forest(graph.m)
 
-    d = max(2.0, math.sqrt(config.total_space / max(current.n, 1)),
-            math.log2(max(n, 4)))
-    d_cap = max(
-        float(n) ** (config.epsilon / 3.0),
-        math.sqrt(config.read_budget / 4.0),
-        d,
-    )
-    phases = 0
-    budgets: list[float] = []
-
-    while current.m > 0:
-        phases += 1
-        if phases > max_phases:
-            raise RuntimeError(
-                f"MSF did not converge in {max_phases} phases "
-                f"(n'={current.n}, m'={current.m}, d={d})"
-            )
-        budgets.append(d)
-
-        if current.n + current.m <= config.space:
-            runtime.charge("local-solve", rounds=1,
-                           reads=current.n + 2 * current.m)
-            committed.append(orig_eid[_local_msf(current)])
-            break
-
+    def grow(current: WeightedGraph, d: int, phase: int):
         # Step 3a: MSFIncreaseDegree — one adaptive local-Prim round.
-        msf_ids, fv_src, fv_dst, exhausted = _msf_increase_degree(
-            current, int(round(d)), runtime, tag=f"prim:{phases}",
-        )
+        msf_ids, *fv = _msf_increase_degree(current, d, runtime,
+                                            tag=f"prim:{phase}")
         # Step 3b: commit the discovered MSF edges through the map M.
         # Every vertex that found an edge reports it, hence the unique.
-        committed.append(orig_eid[sort_unique(msf_ids)])
+        forest.commit(sort_unique(msf_ids))
+        # Step 3d: each vertex contracts to a leader inside its F_v.
+        return current, lambda is_leader: _choose_leaders(
+            current.n, *fv, is_leader)
 
-        # Steps 3c/3d: leader sampling and contraction along F_v.
-        p = leader_probability(current.n, d)
-        is_leader = rng.random(current.n) < p
-        leader = _choose_leaders(
-            current.n, fv_src, fv_dst, exhausted, is_leader
-        )
-        root = resolve_pointers(leader, runtime, tag=f"resolve:{phases}")
-        contracted, _new_of, _rep, kept = contract_weighted(
-            current, root, runtime=None
-        )
-        runtime.charge(f"contract:{phases}", rounds=1,
-                       reads=2 * current.m, writes=2 * contracted.m)
-        orig_eid = orig_eid[kept]
-        current = contracted
-
-        # Step 3e: budget growth.
-        d = min(d**1.4, d_cap)
-
-    edge_ids = sort_unique(np.concatenate(committed))
+    budgets = run_phases("MSF", graph, n, config, runtime,
+                         config.rng(salt=0x35F), grow=grow, keep=forest)
+    edge_ids = sort_unique(np.concatenate(forest.committed))
     return MSFResult(
         edge_ids=edge_ids,
         total_weight=graph.total_weight(edge_ids),
-        phases=phases,
+        phases=len(budgets),
         budgets=budgets,
         report=runtime.report,
         config=config,
     )
+
+
+class _Forest:
+    """What an MSF contraction keeps: Algorithm 9's map M from each
+    current edge to its input edge id, and the input edges committed so
+    far (one array per phase)."""
+
+    def __init__(self, m: int) -> None:
+        self.orig_eid = np.arange(m, dtype=np.int64)
+        self.committed: list[np.ndarray] = []
+
+    def commit(self, ids: np.ndarray) -> None:
+        self.committed.append(self.orig_eid[ids])
+
+    def contract(
+        self, graph: WeightedGraph, root: np.ndarray
+    ) -> WeightedGraph:
+        contracted, _new_of, _rep, kept = contract_weighted(graph, root)
+        self.orig_eid = self.orig_eid[kept]
+        return contracted
+
+    def solve(self, graph: WeightedGraph) -> None:
+        self.commit(_local_msf(graph))
 
 
 def _msf_increase_degree(
@@ -468,27 +449,8 @@ def _choose_leaders(
 
 def _local_msf(graph: WeightedGraph) -> np.ndarray:
     """Kruskal on one machine for the endgame; returns current edge ids."""
-    edges = graph.edge_list()
-    weights = graph.edge_weights()
-    order = np.argsort(weights, kind="stable")
-    parent = np.arange(graph.n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = int(parent[root])
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    chosen: list[int] = []
-    for j in order.tolist():
-        u, v = int(edges[j, 0]), int(edges[j, 1])
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-            chosen.append(j)
-    return np.array(chosen, dtype=np.int64)
+    order = np.argsort(graph.edge_weights(), kind="stable")
+    return order[union_find(graph.n, graph.edge_list()[order])[1]]
 
 
 def sequential_msf_ids(graph: WeightedGraph) -> np.ndarray:

@@ -2,12 +2,14 @@
 comparator: O(log D · log log_{m/n} n) rounds.
 
 This is the same phase structure as :mod:`repro.algorithms.connectivity`
-(degree increase to budget d, leader contraction, d → d^1.4), with the
-one difference the whole paper is about: **without adaptive reads**,
-increasing degrees to d takes O(log D') rounds of *graph squaring* —
-each round every under-budget vertex learns its neighbors' neighbors
-(one message exchange), doubling its reach — instead of AMPC's single
-adaptive-BFS round. Comparing this baseline's ledger with the AMPC
+(degree increase to budget d, leader contraction, d → d^1.4 — the budget
+schedule of :mod:`repro.algorithms.phases` and the AMPC side's leader
+rule, ``connectivity._choose_leaders``), with the one difference the
+whole paper is about: **without adaptive reads**, increasing degrees to
+d takes O(log D') rounds of *graph squaring* — each round every
+under-budget vertex learns its neighbors' neighbors (one message
+exchange), doubling its reach — instead of AMPC's single adaptive-BFS
+round. Comparing this baseline's ledger with the AMPC
 algorithm's isolates exactly the adaptivity advantage.
 
 Squaring is capped per vertex at d new neighbors per round (the space
@@ -21,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.algorithms import phases
+from repro.algorithms.connectivity import _choose_leaders
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
 from repro.core.runtime import MPCRuntime
@@ -61,7 +65,6 @@ def andoni_mpc_connectivity(
     epsilon: float = 0.5,
     seed: int = 0,
     config: AMPCConfig | None = None,
-    max_phases: int | None = None,
 ) -> AndoniMPCResult:
     """Connectivity via MPC graph exponentiation (Andoni et al. [2])."""
     n = graph.n
@@ -73,65 +76,51 @@ def andoni_mpc_connectivity(
             labels=np.zeros(0, np.int64), n_components=0, phases=0,
             report=runtime.report, config=config,
         )
-    if max_phases is None:
-        max_phases = 4 * int(math.ceil(math.log2(math.log2(max(n, 4)) + 1) + 1)) \
-            + 4 * int(math.ceil(1.0 / config.epsilon)) + 8
 
     mapping = np.arange(n, dtype=np.int64)
     current = graph
     rng = config.rng(salt=0xA2D)
-    d = max(2.0, math.sqrt(config.total_space / max(n, 1)),
-            math.log2(max(n, 4)))
-    d_cap = max(
-        float(n) ** (config.epsilon / 3.0),
-        math.sqrt(config.read_budget / 4.0),
-        d,
-    )
-    phases = 0
+    d, d_cap, limit = phases.budget_schedule(config, n, n)
+    phase = 0
     squarings_per_phase: list[int] = []
 
     while current.m > 0:
-        phases += 1
-        if phases > max_phases:
+        phase += 1
+        if phase > limit:
             raise RuntimeError(
-                f"Andoni MPC did not converge in {max_phases} phases"
-            )
+                f"Andoni MPC did not converge in {limit} phases")
         if current.n + current.m <= config.space:
             runtime.charge("local-solve", rounds=1,
                            reads=current.n + 2 * current.m, kind="mpc")
-            from repro.graph.validation import components_reference
-
-            roots = components_reference(current)
-            mapping = roots[mapping]
+            mapping = phases.union_find(current.n, current.edges())[0][mapping]
             break
 
         augmented, squarings = _square_until_degree(
-            current, int(round(d)), runtime, tag=f"square:{phases}"
+            current, int(round(d)), runtime, tag=f"square:{phase}"
         )
         squarings_per_phase.append(squarings)
 
         p = leader_probability(current.n, d)
         is_leader = rng.random(current.n) < p
         leader = _choose_leaders(augmented, is_leader, int(round(d)))
-        root = resolve_pointers(leader, runtime=None)
+        root = resolve_pointers(leader)
         max_chain = _max_chain_length(leader, root)
         jump_rounds = max(1, int(math.ceil(math.log2(max(max_chain, 2)))))
-        runtime.charge(f"jump:{phases}", rounds=jump_rounds,
+        runtime.charge(f"jump:{phase}", rounds=jump_rounds,
                        reads=jump_rounds * current.n,
                        writes=jump_rounds * current.n, kind="mpc")
-        contracted, new_of, _rep = contract_graph(augmented, root, runtime=None)
-        runtime.charge(f"contract:{phases}", rounds=1,
+        contracted, new_of, _rep = contract_graph(augmented, root)
+        runtime.charge(f"contract:{phase}", rounds=1,
                        reads=2 * augmented.m, writes=2 * contracted.m,
                        kind="mpc")
         mapping = new_of[root[mapping]]
         current = contracted
-        d = min(d**1.4, d_cap)
+        d = min(d**phases.GROWTH, d_cap)
 
-    labels = mapping
     return AndoniMPCResult(
-        labels=labels,
-        n_components=int(np.unique(labels).size),
-        phases=phases,
+        labels=mapping,
+        n_components=int(np.unique(mapping).size),
+        phases=phase,
         squarings_per_phase=squarings_per_phase,
         report=runtime.report,
         config=config,
@@ -187,21 +176,3 @@ def _square_until_degree(
         )
         current = Graph.from_edges(current.n, combined)
     return current, squarings
-
-
-def _choose_leaders(graph: Graph, is_leader: np.ndarray, d: int) -> np.ndarray:
-    """Same contraction rule as the AMPC side (Algorithm 7 step 2c)."""
-    n = graph.n
-    leader = np.arange(n, dtype=np.int64)
-    for v in range(n):
-        if is_leader[v]:
-            continue
-        nbrs = graph.neighbors(v)
-        if nbrs.size == 0:
-            continue
-        nbr_leaders = nbrs[is_leader[nbrs]]
-        if nbr_leaders.size:
-            leader[v] = int(nbr_leaders[0])
-        elif nbrs.size < d:
-            leader[v] = int(min(int(nbrs[0]), v))
-    return leader

@@ -92,9 +92,7 @@ def boruvka_msf(
         runtime.charge(f"jump:{iterations}", rounds=jump_rounds,
                        reads=jump_rounds * nc, writes=jump_rounds * nc,
                        kind="mpc")
-        contracted, _new_of, _rep, kept = contract_weighted(
-            current, root, runtime=None
-        )
+        contracted, _new_of, _rep, kept = contract_weighted(current, root)
         runtime.charge(f"contract:{iterations}", rounds=1,
                        reads=2 * current.m, writes=2 * contracted.m,
                        kind="mpc")

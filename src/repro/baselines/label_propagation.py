@@ -124,7 +124,7 @@ def hooking_connectivity(
         runtime.charge(f"jump:{iterations}", rounds=jump_rounds,
                        reads=jump_rounds * nc, writes=jump_rounds * nc,
                        kind="mpc")
-        contracted, new_of, _rep = contract_graph(current, root, runtime=None)
+        contracted, new_of, _rep = contract_graph(current, root)
         runtime.charge(f"contract:{iterations}", rounds=1,
                        reads=2 * current.m, writes=2 * contracted.m,
                        kind="mpc")

@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.cost import RoundStats
 
 from .dedup import group_min
-from .sorting import SORT_ROUNDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import AMPCRuntime
@@ -93,23 +92,16 @@ def compact_labels(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def contract_graph(
-    graph: "Graph",
-    root: np.ndarray,
-    runtime: "AMPCRuntime | None" = None,
-    *,
-    tag: str = "contract",
+    graph: "Graph", root: np.ndarray
 ) -> tuple["Graph", np.ndarray, np.ndarray]:
     """Contract every vertex to its root; drop self-loops, dedup edges.
 
-    Returns (contracted graph, new_of, rep). Charged as one dedup pass
-    (relabeling is embarrassingly parallel; dedup dominates).
+    Returns (contracted graph, new_of, rep). Uncharged: each caller
+    charges the contraction round its model prices.
     """
     from repro.graph.graph import Graph, unique_sorted
 
     new_of, rep = compact_labels(root)
-    if runtime is not None:
-        runtime.charge(tag, rounds=SORT_ROUNDS, reads=2 * graph.m,
-                       writes=graph.m)
     # Every arc relabelled to its roots as the key row·n' + column; both
     # directions are already there, so the distinct non-loop keys are
     # the contracted CSR.
@@ -126,13 +118,10 @@ def contract_graph(
 
 
 def contract_weighted(
-    graph: "WeightedGraph",
-    root: np.ndarray,
-    runtime: "AMPCRuntime | None" = None,
-    *,
-    tag: str = "contract-w",
+    graph: "WeightedGraph", root: np.ndarray
 ) -> tuple["WeightedGraph", np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted contraction keeping the lightest parallel edge.
+    """Weighted contraction keeping the lightest parallel edge (uncharged,
+    as :func:`contract_graph`).
 
     Only the lightest edge between two super-vertices can belong to the MSF
     (cycle rule), so parallel edges collapse to their minimum. Each kept
@@ -159,7 +148,7 @@ def contract_weighted(
     keep = lo != hi
     lo, hi, w, ids = lo[keep], hi[keep], weights[keep], eids[keep]
     pair_key = lo * np.int64(n_new) + hi
-    ukeys, uw, uids = group_min(pair_key, w, ids, runtime, tag=tag)
+    ukeys, uw, uids = group_min(pair_key, w, ids)
     ulo = (ukeys // n_new).astype(np.int64)
     uhi = (ukeys % n_new).astype(np.int64)
     new_edges = np.column_stack([ulo, uhi])

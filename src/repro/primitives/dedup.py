@@ -53,18 +53,14 @@ def group_min(
     keys: np.ndarray,
     values: np.ndarray,
     payload: np.ndarray | None = None,
-    runtime: "AMPCRuntime | None" = None,
-    *,
-    tag: str = "group-min",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Per-key minimum of ``values`` (with the winning row's ``payload``).
 
     Returns (unique_keys, min_values, payload_at_min). Used to keep the
     lightest parallel edge when contracting weighted graphs (only the
-    lightest edge between two super-vertices can be in the MSF).
+    lightest edge between two super-vertices can be in the MSF);
+    uncharged, as the contraction that calls it.
     """
-    if runtime is not None:
-        runtime.charge(tag, rounds=SORT_ROUNDS, reads=keys.size, writes=keys.size)
     if keys.size == 0:
         return keys, values, payload
     order = np.lexsort((values, keys))
