@@ -29,9 +29,11 @@ Differences from the pseudocode, none affecting the guarantees:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
+from repro.core.dds import KEY_SLICE
 from repro.core.runtime import AMPCRuntime
 from repro.primitives.sampling import shrink_probability
 
@@ -304,51 +306,106 @@ def fill_back(
             argument) — the history and the seeds do not belong together.
     """
     out = np.array(values, dtype=np.float64)
-    program = _fill_block_worker(additive)
+    config = runtime.config
+    # Whole machines per group, about KEY_SLICE items' worth at S items
+    # a machine. Fixed by the deployment, so every process-backend shard
+    # runs the same groups.
+    per_group = max(1, KEY_SLICE // config.space)
+    n_groups = -(-config.n_machines // per_group)
     for level in range(len(history) - 1, -1, -1):
         record = history[level]
         if record.absorbed.size == 0:
             runtime.charge(f"{tag}:{level}", rounds=1)
             continue
 
-        needed = np.unique(record.absorber)
-        unknown = needed[np.isnan(out[needed])]
+        is_needed = np.zeros(out.size, dtype=bool)
+        is_needed[record.absorber] = True
+        needed = np.flatnonzero(is_needed)
+        del is_needed
+        base = out[needed]
+        unknown = needed[np.isnan(base)]
         if unknown.size:
             raise KeyError(int(unknown[0]))
-
+        pairs = np.column_stack(
+            (record.absorber.astype(np.float64), record.offset)
+        )
+        # Read-only: the store keeps them instead of a copy.
+        for array in (needed, base, pairs):
+            array.flags.writeable = False
         setup_arrays = [
-            ("val", needed, out[needed]),
-            (
-                "abs",
-                record.absorbed,
-                np.column_stack(
-                    (record.absorber.astype(np.float64), record.offset)
-                ),
-            ),
+            ("val", needed, base), ("abs", record.absorbed, pairs)
         ]
         result = runtime.round_batch(
-            record.absorbed, program, setup_arrays=setup_arrays,
-            tag=f"{tag}:{level}",
+            record.absorbed,
+            _fill_all(additive, needed, base, per_group, n_groups),
+            setup_arrays=setup_arrays, fused=True, tag=f"{tag}:{level}",
         )
         out[record.absorbed] = result.results
     return out
 
 
-def _fill_block_worker(additive: bool):
-    """The machine program of one :func:`fill_back` level, one call per
-    machine (per-element spec: ``repro.verify.specs.fill``)."""
+def _fill_all(
+    additive: bool,
+    needed: np.ndarray,
+    base: np.ndarray,
+    per_group: int,
+    n_groups: int,
+):
+    """The fused machine program of one :func:`fill_back` level
+    (per-element spec: ``repro.verify.specs.fill``).
 
-    def block_worker(ctx, block):
-        data = ctx.read_array("abs", block, fill=0.0)
-        absorbers = data[:, 0].astype(np.int64)
-        # One charged read per distinct absorber on this machine — what
-        # a machine reading them one by one through its cache charges.
-        uniq = np.unique(absorbers)
-        base = ctx.read_array("val", uniq, fill=0.0)
-        base = base[np.searchsorted(uniq, absorbers)]
-        return base + data[:, 1] if additive else base
+    Every absorbed element reads its ``abs`` record (absorber, offset);
+    the machines then settle the ``val`` reads with one replayed-read
+    charge — each machine pays once for each distinct absorber, as its
+    read cache would — and replay the values from ``(needed, base)``,
+    the round's staged ``val`` column. Elements go through in groups of
+    ``per_group`` whole machines, ``n_groups`` groups in all, which
+    bounds the batch temporaries; a machine never spans two groups, so
+    the per-group charge de-duplicates exactly. The group count comes
+    from the deployment, not the items, so the op sequence is the same
+    in every process-backend shard.
+    """
 
-    return block_worker
+    def fill_all(gctx):
+        items, machines = gctx.items, gctx.machines
+        out = None
+        for idx in _machine_groups(machines, per_group, n_groups):
+            own = machines[idx]
+            data = gctx.read_array("abs", items[idx], owner=own, fill=0.0)
+            if out is None:
+                # After the first lookup, which builds the abs index.
+                out = np.empty(items.size, dtype=np.float64)
+            absorbers = data[:, 0].astype(np.int64)
+            gctx.charge_replayed_reads(
+                "val", absorbers, np.ones(absorbers.size, dtype=np.int8),
+                owner=own,
+            )
+            value = base[np.searchsorted(needed, absorbers)]
+            if additive:
+                value += data[:, 1]
+            out[idx] = value
+        return out
+
+    return fill_all
+
+
+def _machine_groups(
+    machines: np.ndarray, per_group: int, n_groups: int
+) -> Iterator[np.ndarray]:
+    """Indices of the items of machines ``[k * per_group, (k + 1) *
+    per_group)`` for each k < ``n_groups``, in item order within a group
+    (possibly empty)."""
+    narrow = per_group * n_groups <= 1 << 16
+    group = machines.astype(np.uint16 if narrow else np.int64)
+    group //= per_group
+    # Few distinct keys: a stable sort of them is a radix sort.
+    order = np.argsort(group, kind="stable")
+    stops = np.cumsum(np.bincount(group, minlength=n_groups))
+    del group
+    start = 0
+    for stop in stops.tolist():
+        yield order[start:stop]
+        start = stop
 
 
 def filled_ints(values: np.ndarray) -> np.ndarray:

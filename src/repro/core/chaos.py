@@ -847,7 +847,9 @@ class ChaosMixin:
 class _MachineLockstep:
     """The :class:`~repro.core.runtime.BatchRoundContext` surface over one
     machine's context: what a fused program sees when it advances a
-    single machine's items."""
+    single machine's items. That surface is all a fused program may use
+    — ``items``, ``machines``, ``read_array``, ``write_array`` and
+    ``charge_replayed_reads`` (no ``config``, no budget arrays)."""
 
     __slots__ = ("items", "machines", "_ctx")
 

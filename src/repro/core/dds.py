@@ -356,11 +356,15 @@ class _Column:
         order = self._order
         values = self._values
         assert values is not None
+        # take(axis=0): fancy-indexing the rows of a 2-D array is several
+        # times slower.
         if found.all():
-            return values[first if order is None else order[first]], found
+            rows = first if order is None else order[first]
+            return values.take(rows, axis=0), found
         out = np.full(shape, fill, dtype=self.dtype)
         hits = first[found]
-        out[found] = values[hits if order is None else order[hits]]
+        rows = hits if order is None else order[hits]
+        out[found] = values.take(rows, axis=0)
         return out, found
 
     def _scalar_key(self, id_: int, slot: int | None) -> int | None:
@@ -696,9 +700,19 @@ class DistributedDataStore:
             )
 
     def _serve_read_array(self, parts: Sequence[Any]) -> None:
-        """Batch :meth:`_serve_read` over column-decomposed keys."""
-        servers = server_of_array(parts, self.n_servers, self.seed)
-        self._server_reads += np.bincount(servers, minlength=self.n_servers)
+        """Batch :meth:`_serve_read` over column-decomposed keys: hash
+        sweeps of at most :data:`KEY_SLICE` keys, as
+        :meth:`_place_write_array` places them."""
+        length = next(p.size for p in parts if isinstance(p, np.ndarray))
+        for lo in range(0, length, KEY_SLICE):
+            part = slice(lo, lo + KEY_SLICE)
+            servers = server_of_array(
+                [p[part] if isinstance(p, np.ndarray) else p for p in parts],
+                self.n_servers, self.seed,
+            )
+            self._server_reads += np.bincount(
+                servers, minlength=self.n_servers
+            )
 
     # -- write side (open during round i) ---------------------------------
 

@@ -566,7 +566,13 @@ class AMPCRuntime:
                 write. With ``fused=True``, called once as ``worker(gctx)``
                 with a :class:`BatchRoundContext` advancing all machines in
                 lockstep; must return None or (a tuple of) arrays with one
-                row per work item.
+                row per work item. A fused program may use only
+                ``gctx.items``, ``gctx.machines``, ``read_array``,
+                ``write_array`` and ``charge_replayed_reads``: the process
+                backend runs it on item-range shards and a chaos runtime
+                one machine at a time, through contexts with only that
+                surface. Its op sequence must not depend on its items, so
+                that the shards' journals line up.
             setup: scalar key-value pairs readable this round (as in
                 :meth:`round`).
             setup_arrays: columnar setup — an iterable (a list or a
@@ -1129,7 +1135,7 @@ class BatchRoundContext:
                 self._prev,
                 self._next,
             )
-            for mid in np.unique(self.machines)
+            for mid in np.flatnonzero(np.bincount(self.machines))
         ]
 
 

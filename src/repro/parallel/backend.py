@@ -116,7 +116,12 @@ class _JournalBatchContext(BatchRoundContext):
     journal uncharged. A machine's items may straddle shards, and a
     machine pays for each distinct key once over *all* its items, so
     only the parent — merging every shard's ranges — can de-duplicate
-    and charge them (:func:`_replay_fused_ops`)."""
+    and charge them (:func:`_replay_fused_ops`).
+
+    The parent holds every shard's journal at once, so the ranges are
+    journaled narrow: owners as uint16 when the machine ids fit, starts
+    as int32 when they fit, lengths at the caller's dtype. The merge
+    re-widens them (:func:`~repro.core.runtime.distinct_ranges`)."""
 
     __slots__ = ("ops",)
 
@@ -128,11 +133,16 @@ class _JournalBatchContext(BatchRoundContext):
         self, namespace: str, starts: np.ndarray, lengths: np.ndarray, *,
         owner: np.ndarray, rows: np.ndarray | None = None,
     ) -> None:
+        starts = np.asarray(starts)
+        narrow = starts.size == 0 or int(starts.max()) < 2**31
         self.ops.append((
             "rr", namespace,
-            np.array(starts, dtype=np.int64),
-            np.array(lengths, dtype=np.int64),
-            np.array(owner, dtype=np.int64),
+            starts.astype(np.int32 if narrow else np.int64),
+            np.array(lengths),
+            np.asarray(owner).astype(
+                np.uint16 if self.config.n_machines <= 1 << 16
+                else np.int64
+            ),
             None if rows is None else np.array(rows, dtype=np.int64),
         ))
 
@@ -563,7 +573,9 @@ def run_fused_round(
 
     shard_results, worker_of = _dispatch_shards(
         runtime, read_store, "fused_shard", build_payload, bounds,
-        lambda span: int(np.unique(assignment[span[0]:span[1]]).size),
+        lambda span: int(np.count_nonzero(
+            np.bincount(assignment[span[0]:span[1]])
+        )),
     )
     for res in shard_results:
         _merge_store_reads(read_store, res)

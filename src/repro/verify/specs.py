@@ -1,7 +1,7 @@
 """Per-item specs of the machine programs, and the check against them.
 
-The production definition of each adaptive round is a per-block (for
-BFS, Shrink and Prim: fused) program in :mod:`repro.algorithms`. The
+The production definition of each adaptive round is a fused (for the
+MIS query: per-block) program in :mod:`repro.algorithms`. The
 programs here are direct per-item transcriptions of the paper's
 pseudocode — one vertex, one sample, one element at a time, every key
 fetched with ``ctx.read`` through the machine's read cache. Nothing in
@@ -18,7 +18,7 @@ spec                          production program
 (Algorithms 4–5)
 :func:`prim` (Algorithm 8)    ``msf._prim_all`` (fused)
 :func:`walk` (Algorithm 1)    ``shrink._walk_all`` (fused)
-:func:`fill` (Algorithm 11,   ``shrink._fill_block_worker``
+:func:`fill` (Algorithm 11,   ``shrink._fill_all`` (fused)
 step 4)
 ============================  =========================================
 """

@@ -167,3 +167,31 @@ class TestFillBack:
             pytest.skip("no absorption happened at this size/seed")
         with pytest.raises((RuntimeError, KeyError)):
             fill_back(rt, out.history, np.full(60, np.nan), additive=False)
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("additive", [True, False])
+    def test_fill_back_level_peak_allocation(self, additive):
+        """One fill-back level over 2^18 list elements (about 250 k of
+        them absorbed) allocates no more at its peak than the per-machine
+        block program it replaced did (the bound is that program's
+        measured peak, 21.65 MB either way)."""
+        import tracemalloc
+
+        n = 1 << 18
+        succ = generators.linked_list(n, rng=1)
+        runtime = AMPCRuntime(AMPCConfig.for_input(n, seed=2))
+        level = shrink(
+            succ, runtime, delta=0.5, target_size=n // 4,
+            forced=np.array([generators.list_head(succ)]),
+        ).history[0]
+        assert level.absorbed.size > 200_000
+        values = np.zeros(n)
+        values[level.absorbed] = np.nan
+        tracemalloc.start()
+        try:
+            fill_back(runtime, [level], values, additive=additive)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21.65 * 2**20

@@ -642,6 +642,19 @@ class TestAlgorithmParity:
         config = AMPCConfig(space=64, n_machines=n_machines, seed=seed)
         assert specs.list_round_problems(succ, additive, config) == []
 
+    @pytest.mark.parametrize("additive", [True, False])
+    def test_fill_back_across_machine_groups(self, additive):
+        """A deployment whose fill-back runs in several machine groups
+        (fill-back de-duplicates each machine's absorber reads within its
+        group): every level still charges what the per-item spec's read
+        cache does."""
+        from repro.core.dds import KEY_SLICE
+
+        config = AMPCConfig(space=8192, n_machines=32, seed=3)
+        assert config.n_machines // (KEY_SLICE // config.space) >= 4
+        succ = generators.linked_list(3000, rng=5)
+        assert specs.list_round_problems(succ, additive, config) == []
+
     def test_spec_parity_notices_a_different_program(self):
         """The check has teeth: every round is compared, and a spec with
         another budget, or another rule, disagrees."""

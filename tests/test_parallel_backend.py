@@ -84,13 +84,57 @@ def test_connectivity_fused_bfs_ships_to_the_pool():
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_list_ranking_bit_identical(vectorized):
     # The keyword selects nothing; on either value the fused Shrink and
-    # the fill-back block program shard.
+    # fill-back programs shard.
     succ = generators.linked_list(250, rng=7)
     serial, process = _run_both(
         lambda: repro.list_ranking(succ, seed=2, vectorized=vectorized)
     )
     assert np.array_equal(serial.ranks, process.ranks)
     assert _ledger(serial.report) == _ledger(process.report)
+
+
+class _Placement(RuntimeObserver):
+    def __init__(self):
+        self.assignments = []
+
+    def on_assignment(self, runtime, assignment, n_items):
+        self.assignments.append(assignment.copy())
+
+
+@pytest.mark.parametrize("additive", [True, False])
+def test_fill_back_across_machine_groups_bit_identical(additive):
+    """Fill-back in several machine groups on two shards: each machine's
+    items straddle both item-range shards, so its absorber reads are
+    de-duplicated only in the parent's merge of the group's journaled
+    ranges — and must charge what the serial run charges."""
+    from repro.algorithms.shrink import fill_back, shrink
+
+    config = AMPCConfig(space=8192, n_machines=32, seed=3)
+    succ = generators.linked_list(3000, rng=5)
+    runs = []
+
+    def run():
+        runtime = AMPCRuntime(config)
+        placement = _Placement()
+        runtime.attach_observer(placement)
+        outcome = shrink(succ, runtime, delta=0.5, target_size=750,
+                         forced=np.array([generators.list_head(succ)]))
+        values = np.full(succ.size, np.nan)
+        values[outcome.alive] = outcome.alive
+        filled = fill_back(runtime, outcome.history, values,
+                           additive=additive)
+        runs.append((runtime, placement.assignments[-1]))
+        return filled, runtime.report
+
+    (serial, serial_report), (process, process_report) = _run_both(run)
+    assert np.array_equal(serial, process)
+    assert _ledger(serial_report) == _ledger(process_report)
+    runtime, level_0 = runs[1]
+    assert runtime.backend == "process" and runtime.parallel_fallbacks == 0
+    # Both halves of level 0's items (the two shards) hold every machine.
+    half = level_0.size // 2
+    for part in (level_0[:half], level_0[half:]):
+        assert np.unique(part).size == config.n_machines
 
 
 def test_mis_bit_identical():
