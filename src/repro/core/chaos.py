@@ -706,7 +706,6 @@ class ChaosMixin:
             n_servers=self.config.n_machines,
             seed=self.config.seed,
             max_words=self.config.max_words,
-            track_contention=self.config.track_contention,
             replication=self.config.replication_factor,
             injector=self.session,
         )

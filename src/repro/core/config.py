@@ -43,8 +43,6 @@ class AMPCConfig:
         max_words: constant-size bound on each key and each value.
         seed: master RNG seed; all randomness (sampling, permutations, key
             placement) derives from it, making runs reproducible.
-        track_contention: record per-DDS-server load histograms (Lemma 2.1
-            experiments). Costs one array increment per read.
         replication_factor: number of DDS servers holding each key-value
             pair. 1 (the default) is the paper's base model; k > 1 enables
             failover reads when serving machines fail (§2.1's practicality
@@ -58,7 +56,6 @@ class AMPCConfig:
     strict: bool = False
     max_words: int = 8
     seed: int = 0
-    track_contention: bool = True
     replication_factor: int = 1
 
     def __post_init__(self) -> None:
@@ -103,7 +100,6 @@ class AMPCConfig:
         seed: int = 0,
         strict: bool = False,
         budget_multiplier: float = DEFAULT_BUDGET_MULTIPLIER,
-        track_contention: bool = True,
         min_space: int = 16,
         max_machines: int = 4096,
         replication_factor: int = 1,
@@ -121,7 +117,6 @@ class AMPCConfig:
             seed: master RNG seed.
             strict: raise on budget violations.
             budget_multiplier: hidden constant of the O(S) budgets.
-            track_contention: record DDS server loads.
             min_space: floor on S so tiny test inputs stay runnable.
             max_machines: cap on P to bound simulator bookkeeping overhead.
             replication_factor: DDS replicas per key-value pair.
@@ -138,7 +133,6 @@ class AMPCConfig:
             budget_multiplier=budget_multiplier,
             strict=strict,
             seed=seed,
-            track_contention=track_contention,
             replication_factor=replication_factor,
         )
 

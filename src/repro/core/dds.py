@@ -17,13 +17,9 @@ is attributed to the server owning the key (random placement via
 :mod:`repro.core.partition`), giving the per-server load data behind the
 Lemma 2.1 contention analysis.
 
-Observation wiring: when an installed observer overrides a per-op *store*
-hook (``on_store_read`` / ``on_store_write`` / batch variants /
-``on_store_seal``), the owning runtime sets :attr:`DistributedDataStore.
-observer` to its :class:`~repro.core.hooks.ObserverFan`; otherwise the
-attribute stays ``None`` and every hook site below is a single ``is
-None`` predicate — the "zero overhead disabled" half of the
-:mod:`repro.observe` contract.
+The store is a passive service: nothing observes it directly. Every
+operation a machine issues fires that machine's hooks
+(:mod:`repro.core.hooks`).
 """
 
 from __future__ import annotations
@@ -574,7 +570,6 @@ class DistributedDataStore:
         n_servers: number of serving machines the keyspace is spread over.
         seed: placement seed (keys are placed independently per deployment).
         max_words: constant-size bound for each key and each value.
-        track_contention: maintain a per-server read-load histogram.
     """
 
     __slots__ = (
@@ -582,15 +577,12 @@ class DistributedDataStore:
         "n_servers",
         "seed",
         "max_words",
-        "track_contention",
-        "observer",
         "_data",
         "_columns",
         "_sealed",
         "_server_reads",
         "_server_items",
         "_server_map",
-        "_route_reads",
         "n_writes",
         "n_reads",
     )
@@ -601,13 +593,11 @@ class DistributedDataStore:
         n_servers: int,
         seed: int = 0,
         max_words: int = 8,
-        track_contention: bool = True,
     ) -> None:
         self.round_index = round_index
         self.n_servers = n_servers
         self.seed = seed
         self.max_words = max_words
-        self.track_contention = track_contention
         self._data: dict[Hashable, Any] = {}
         # Columnar twin of _data for the vectorized path: namespace ->
         # arrays of (id, value) rows, keyed exactly like the tuple keys
@@ -619,14 +609,6 @@ class DistributedDataStore:
         self._sealed = False
         self._server_reads = np.zeros(n_servers, dtype=np.int64)
         self._server_items = np.zeros(n_servers, dtype=np.int64)
-        # Whether reads must be routed through _serve_read. The base store
-        # only routes for contention accounting; ReplicatedDataStore always
-        # routes, because failover semantics apply regardless.
-        self._route_reads = track_contention
-        # Verification hook (see repro.verify.invariants): when set, the
-        # observer is notified of every write, read, and the seal event.
-        # None (the default) costs one predicate per operation.
-        self.observer: Any = None
         self.n_writes = 0
         self.n_reads = 0
 
@@ -638,7 +620,6 @@ class DistributedDataStore:
         n_servers: int,
         seed: int,
         max_words: int,
-        track_contention: bool,
         data: dict,
         columns: dict[str, _Column],
     ) -> "DistributedDataStore":
@@ -656,7 +637,6 @@ class DistributedDataStore:
             n_servers=n_servers,
             seed=seed,
             max_words=max_words,
-            track_contention=track_contention,
         )
         store._data = data
         store._columns = columns
@@ -720,6 +700,18 @@ class DistributedDataStore:
     def sealed(self) -> bool:
         return self._sealed
 
+    def _sealed_error(self) -> StoreSealedError:
+        return StoreSealedError(
+            f"store D_{self.round_index} is sealed; writes belong to the "
+            f"next round's store"
+        )
+
+    def _unsealed_error(self) -> StoreNotSealedError:
+        return StoreNotSealedError(
+            f"store D_{self.round_index} is still being written; it must "
+            f"be sealed before reads"
+        )
+
     def write(self, key: Hashable, value: Any) -> None:
         """Append one key-value pair.
 
@@ -728,10 +720,7 @@ class DistributedDataStore:
         ``x`` returns the first value written.
         """
         if self._sealed:
-            raise StoreSealedError(
-                f"store D_{self.round_index} is sealed; writes belong to the "
-                f"next round's store"
-            )
+            raise self._sealed_error()
         check_write(key, value, self.max_words)
         existing = self._data.get(key)
         if existing is None:
@@ -741,65 +730,81 @@ class DistributedDataStore:
         else:
             self._data[key] = _Bucket([existing, value])
         self.n_writes += 1
-        if self.track_contention:
-            self._place_write(key)
-        if self.observer is not None:
-            self.observer.on_store_write(self, key)
+        self._place_write(key)
 
     def write_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> int:
-        """Bulk :meth:`write`; returns the number of pairs written."""
-        count = 0
-        for key, value in pairs:
-            self.write(key, value)
-            count += 1
-        return count
+        """Bulk :meth:`write`; returns the number of pairs written.
 
-    def _apply_journal_writes(self, entries: list) -> None:
-        """Bulk-apply journaled scalar writes from a process-backend shard.
+        Same contents, ``n_writes`` and placement histogram as one
+        :meth:`write` per pair in order — a pair that fails validation
+        raises with every earlier pair written — at one seal check and
+        one placement hash sweep per key namespace.
+        """
+        return self._write_pairs(pairs, self.max_words)
 
-        Semantically identical to calling :meth:`write` on every
-        ``(key, value)`` entry in order — same duplicate-bucket layout,
-        same ``n_writes``, same per-server placement histogram — but with
-        one seal check for the whole run, no per-value size re-validation
-        (the worker-side journal store already validated every op against
-        the same ``max_words``), and placement grouped into one vectorized
-        hash sweep per ``(str, int)`` key namespace. Observer dispatch is
-        intentionally absent: the backend only takes this path when no
-        store observer is armed.
+    def _write_pairs(
+        self, pairs: Iterable[tuple[Hashable, Any]], max_words: int | None
+    ) -> int:
+        """The one bulk scalar-write path: :meth:`write_many`, and the
+        process backend's journal merge with ``max_words=None`` (its
+        pairs were validated when the worker journaled them).
+
+        Pairs are streamed. A ``(str, int)`` or ``(str, int, int)`` key
+        keeps only its ints, to be placed with its namespace by
+        :meth:`_place_ints`; any other key is placed as it is written.
         """
         if self._sealed:
-            raise StoreSealedError(
-                f"store D_{self.round_index} is sealed; writes belong to the "
-                f"next round's store"
-            )
+            raise self._sealed_error()
         data = self._data
-        for key, value in entries:
-            existing = data.get(key)
-            if existing is None:
-                data[key] = value
-            elif isinstance(existing, _Bucket):
-                existing.values.append(value)
-            else:
-                data[key] = _Bucket([existing, value])
-        self.n_writes += len(entries)
-        if not self.track_contention:
+        plain: dict[str, list[int]] = {}
+        slotted: dict[str, list[int]] = {}
+        count = 0
+        try:
+            for key, value in pairs:
+                if max_words is not None:
+                    check_write(key, value, max_words)
+                existing = data.get(key)
+                if existing is None:
+                    data[key] = value
+                elif isinstance(existing, _Bucket):
+                    existing.values.append(value)
+                else:
+                    data[key] = _Bucket([existing, value])
+                count += 1
+                # Exact types only: numpy ids, bools and other shapes take
+                # the per-key path, the reference placement.
+                arity = len(key) if type(key) is tuple else 0
+                if arity == 2 and type(key[0]) is str and type(key[1]) is int:
+                    plain.setdefault(key[0], []).append(key[1])
+                elif (
+                    arity == 3 and type(key[0]) is str
+                    and type(key[1]) is int and type(key[2]) is int
+                ):
+                    slotted.setdefault(key[0], []).extend(key[1:])
+                else:
+                    self._place_write(key)
+        finally:
+            self.n_writes += count
+            for namespace, flat in plain.items():
+                self._place_ints(namespace, 1, flat)
+            for namespace, flat in slotted.items():
+                self._place_ints(namespace, 2, flat)
+        return count
+
+    def _place_ints(self, namespace: str, width: int, flat: list[int]) -> None:
+        """Place ``(namespace, *flat[i:i + width])`` keys: one
+        :meth:`_place_write_array` sweep, or per key when an int does not
+        fit int64 (Python ints are unbounded, columns are not)."""
+        try:
+            columns = np.asarray(flat, dtype=np.int64)
+        except OverflowError:
+            for i in range(0, len(flat), width):
+                self._place_write((namespace, *flat[i:i + width]))
             return
-        by_ns: dict[str, list[int]] = {}
-        for key, _ in entries:
-            # Only exact (str, int) pairs share write_array's columnar
-            # hash; anything else (np ints, deeper tuples, scalars) keeps
-            # the per-key path so its histogram stays bit-identical.
-            if (
-                type(key) is tuple
-                and len(key) == 2
-                and type(key[0]) is str
-                and type(key[1]) is int
-            ):
-                by_ns.setdefault(key[0], []).append(key[1])
-            else:
-                self._place_write(key)
-        for namespace, ids in by_ns.items():
-            self._place_write_array(namespace, np.asarray(ids, dtype=np.int64))
+        columns = columns.reshape(-1, width)
+        self._place_write_array(
+            namespace, columns[:, 0], columns[:, 1] if width == 2 else None
+        )
 
     def write_array(
         self,
@@ -827,10 +832,7 @@ class DistributedDataStore:
         key shapes cannot share a column.
         """
         if self._sealed:
-            raise StoreSealedError(
-                f"store D_{self.round_index} is sealed; writes belong to the "
-                f"next round's store"
-            )
+            raise self._sealed_error()
         ids, values, slots = check_write_array(
             namespace, ids, values, slots, self.max_words
         )
@@ -843,16 +845,11 @@ class DistributedDataStore:
             )
         column.append(ids, values, slots)
         self.n_writes += ids.size
-        if self.track_contention:
-            self._place_write_array(namespace, ids, slots)
-        if self.observer is not None:
-            self.observer.on_store_write_batch(self, namespace, ids)
+        self._place_write_array(namespace, ids, slots)
 
     def seal(self) -> None:
         """Freeze the store; from now on it is read-only (round boundary)."""
         self._sealed = True
-        if self.observer is not None:
-            self.observer.on_store_seal(self)
 
     # -- read side (open during round i+1) --------------------------------
 
@@ -863,15 +860,9 @@ class DistributedDataStore:
         ``(key, 1)``; use :meth:`get_indexed` for the others.
         """
         if not self._sealed:
-            raise StoreNotSealedError(
-                f"store D_{self.round_index} is still being written; it must "
-                f"be sealed before reads"
-            )
+            raise self._unsealed_error()
         self.n_reads += 1
-        if self._route_reads:
-            self._serve_read(key)
-        if self.observer is not None:
-            self.observer.on_store_read(self, key)
+        self._serve_read(key)
         found = self._data.get(key)
         if isinstance(found, _Bucket):
             return found.values[0]
@@ -903,21 +894,14 @@ class DistributedDataStore:
         slotted :meth:`write_array` namespace.
         """
         if not self._sealed:
-            raise StoreNotSealedError(
-                f"store D_{self.round_index} is still being written; it must "
-                f"be sealed before reads"
-            )
+            raise self._unsealed_error()
         ids = np.asarray(ids, dtype=np.int64)
         if slots is not None:
             slots = np.asarray(slots, dtype=np.int64)
         self.n_reads += ids.size
-        if self._route_reads:
-            parts = (
-                [namespace, ids] if slots is None else [namespace, ids, slots]
-            )
-            self._serve_read_array(parts)
-        if self.observer is not None:
-            self.observer.on_store_read_batch(self, namespace, ids)
+        self._serve_read_array(
+            [namespace, ids] if slots is None else [namespace, ids, slots]
+        )
         column = self._columns.get(namespace)
         if column is None:
             out = np.full(ids.size, fill)
@@ -938,22 +922,14 @@ class DistributedDataStore:
         used by workers that recompute values locally (replayed reads) but
         must still pay and attribute the model's read cost.
         """
-        length = 0
-        for part in parts:
-            if isinstance(part, np.ndarray):
-                length = part.size
-                break
         if not self._sealed:
-            raise StoreNotSealedError(
-                f"store D_{self.round_index} is still being written; it must "
-                f"be sealed before reads"
-            )
+            raise self._unsealed_error()
+        length = next(
+            (p.size for p in parts if isinstance(p, np.ndarray)), 0
+        )
         self.n_reads += length
-        if length and self._route_reads:
+        if length:
             self._serve_read_array(parts)
-        if length and self.observer is not None:
-            first_array = next(p for p in parts if isinstance(p, np.ndarray))
-            self.observer.on_store_read_batch(self, parts[0], first_array)
 
     def read_namespace(self, namespace: str) -> tuple[np.ndarray, np.ndarray]:
         """Coordinator-side bulk collection of one namespace: ``(ids, values)``.
@@ -1032,14 +1008,9 @@ class DistributedDataStore:
         if index < 1:
             raise ValueError(f"duplicate-key indices are 1-based, got {index}")
         if not self._sealed:
-            raise StoreNotSealedError(
-                f"store D_{self.round_index} is still being written"
-            )
+            raise self._unsealed_error()
         self.n_reads += 1
-        if self._route_reads:
-            self._serve_read(key)
-        if self.observer is not None:
-            self.observer.on_store_read(self, key)
+        self._serve_read(key)
         found = self._data.get(key)
         if found is None:
             if self._columns:
@@ -1189,14 +1160,11 @@ class ReplicatedDataStore(DistributedDataStore):
         n_servers: int,
         seed: int = 0,
         max_words: int = 8,
-        track_contention: bool = True,
         *,
         replication: int = 2,
         injector: Any = None,
     ) -> None:
-        super().__init__(
-            round_index, n_servers, seed, max_words, track_contention
-        )
+        super().__init__(round_index, n_servers, seed, max_words)
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.replication = min(replication, n_servers)
@@ -1204,8 +1172,6 @@ class ReplicatedDataStore(DistributedDataStore):
         self._down: set[int] = set()
         self._injector = injector
         self.failover_reads = 0
-        # Failover must run on every read, even with contention tracking off.
-        self._route_reads = True
 
     # -- outage control ----------------------------------------------------
 
@@ -1281,8 +1247,7 @@ class ReplicatedDataStore(DistributedDataStore):
             self.failover_reads += probes
             if injector is not None:
                 injector.on_failover(probes)
-        if self.track_contention:
-            self._server_reads[serving] += 1
+        self._server_reads[serving] += 1
         if injector is not None:
             injector.on_read(serving)
 

@@ -3,17 +3,19 @@
 Everything that watches an execution — the conformance observers of
 :mod:`repro.verify.invariants`, the tracer and metrics collectors of
 :mod:`repro.observe` — plugs into the simulator through one interface:
-:class:`RuntimeObserver`. The runtime (:mod:`repro.core.runtime`), the
-machine contexts (:mod:`repro.core.machine`) and the round stores
-(:mod:`repro.core.dds`) call the hooks at every model-relevant event;
-an observer overrides the hooks it cares about and ignores the rest.
+:class:`RuntimeObserver`. The runtime (:mod:`repro.core.runtime`) and the
+machine contexts (:mod:`repro.core.machine`) call the hooks at every
+model-relevant event; an observer overrides the hooks it cares about
+and ignores the rest. The round stores (:mod:`repro.core.dds`) are
+passive, as the paper's DDS is: every operation a machine issues on a
+store fires a machine hook, the one per-operation view of it.
 
 Two properties keep observation honest and cheap:
 
 * **Zero overhead when disarmed.** With no observers installed, every
   hook site is a single ``is None`` predicate; no fan object exists.
 * **Pay only for what you override.** :class:`ObserverFan` (one per
-  observed runtime, shared by its stores and contexts) precomputes, per
+  observed runtime, shared by its machine contexts) precomputes, per
   hook, the sublist of observers that actually override that hook.
   A tracer that never looks at scalar per-op events costs nothing on the
   scalar read path even while armed — the fan's sublist for
@@ -38,13 +40,7 @@ hook                         fired by
 ``on_charge``                analytically-charged MPC primitive
 ``on_checkpoint``            driver snapshot taken (chaos replay support)
 ``on_restore``               runtime rolled back to a checkpoint (round abort)
-``on_store_write/read/...``  the DDS store itself (server-side view)
-``on_store_seal``            round boundary: D_i frozen
 ===========================  ====================================================
-
-Machine-level and store-level hooks fire for the *same* operation (a
-machine read is served by a store); consumers should aggregate from one
-side or the other, not both.
 """
 
 from __future__ import annotations
@@ -117,24 +113,9 @@ class RuntimeObserver:
         self, ctx: Any, namespace: str, ids: np.ndarray
     ) -> None: ...
 
-    # store-level events ---------------------------------------------------
-    def on_store_write(self, store: Any, key: Hashable) -> None: ...
 
-    def on_store_read(self, store: Any, key: Hashable) -> None: ...
-
-    def on_store_write_batch(
-        self, store: Any, namespace: str, ids: np.ndarray
-    ) -> None: ...
-
-    def on_store_read_batch(
-        self, store: Any, namespace: str, ids: np.ndarray
-    ) -> None: ...
-
-    def on_store_seal(self, store: Any) -> None: ...
-
-
-# Hooks routed through the fan (store- and machine-level: the per-operation
-# hot path). Runtime-level hooks are dispatched directly by the runtime —
+# Hooks routed through the fan (machine-level: the per-operation hot
+# path). Runtime-level hooks are dispatched directly by the runtime —
 # they fire once per round, so filtering would buy nothing.
 FAN_HOOKS = (
     "on_machine_start",
@@ -143,23 +124,6 @@ FAN_HOOKS = (
     "on_machine_write",
     "on_machine_read_batch",
     "on_machine_write_batch",
-    "on_store_write",
-    "on_store_read",
-    "on_store_write_batch",
-    "on_store_read_batch",
-    "on_store_seal",
-)
-
-
-#: Per-operation store hooks: when no observer overrides any of these,
-#: the runtime leaves ``store.observer`` unset and the DDS hot path pays
-#: literally nothing for observation.
-STORE_HOOKS = (
-    "on_store_write",
-    "on_store_read",
-    "on_store_write_batch",
-    "on_store_read_batch",
-    "on_store_seal",
 )
 
 #: Scalar per-operation machine hooks (dispatched through
@@ -189,20 +153,19 @@ def overrides_hook(observer: Any, name: str) -> bool:
 
 
 class ObserverFan:
-    """Dispatches store/machine-level events to a runtime's observers.
+    """Dispatches machine-level events to a runtime's observers.
 
-    One fan per observed runtime is shared by all its stores and machine
-    contexts. For each hook the fan keeps the sublist of observers that
-    override it, computed once at construction (and on :meth:`rebuild`
-    after ``attach_observer``): an event whose sublist is empty costs one
-    method call and an empty loop, and observers never pay for hooks they
-    did not override.
+    One fan per observed runtime is shared by all its machine contexts.
+    For each hook the fan keeps the sublist of observers that override
+    it, computed once at construction (and on :meth:`rebuild` after
+    ``attach_observer``): an event whose sublist is empty costs one
+    method call and an empty loop, and observers never pay for hooks
+    they did not override.
     """
 
     __slots__ = (
         (
             "observers",
-            "any_store_hooks",
             "any_machine_scalar_hooks",
             "any_machine_batch_hooks",
         )
@@ -222,12 +185,9 @@ class ObserverFan:
                 [obs for obs in self.observers if overrides_hook(obs, name)],
             )
         # Gate flags for the per-operation hot paths: a runtime only wires
-        # the fan into stores / machine contexts when some observer would
-        # actually receive those events, so round/machine-level consumers
-        # (tracer, metrics) add zero per-op cost even while armed.
-        self.any_store_hooks = any(
-            getattr(self, "_" + name) for name in STORE_HOOKS
-        )
+        # the fan into machine contexts when some observer would actually
+        # receive those events, so round/machine-level consumers (tracer,
+        # metrics) add zero per-op cost even while armed.
         self.any_machine_scalar_hooks = any(
             getattr(self, "_" + name) for name in MACHINE_SCALAR_HOOKS
         )
@@ -264,32 +224,6 @@ class ObserverFan:
     ) -> None:
         for obs in self._on_machine_write_batch:
             obs.on_machine_write_batch(ctx, namespace, ids)
-
-    # -- store-level -------------------------------------------------------
-
-    def on_store_write(self, store: Any, key: Hashable) -> None:
-        for obs in self._on_store_write:
-            obs.on_store_write(store, key)
-
-    def on_store_read(self, store: Any, key: Hashable) -> None:
-        for obs in self._on_store_read:
-            obs.on_store_read(store, key)
-
-    def on_store_write_batch(
-        self, store: Any, namespace: str, ids: np.ndarray
-    ) -> None:
-        for obs in self._on_store_write_batch:
-            obs.on_store_write_batch(store, namespace, ids)
-
-    def on_store_read_batch(
-        self, store: Any, namespace: str, ids: np.ndarray
-    ) -> None:
-        for obs in self._on_store_read_batch:
-            obs.on_store_read_batch(store, namespace, ids)
-
-    def on_store_seal(self, store: Any) -> None:
-        for obs in self._on_store_seal:
-            obs.on_store_seal(store)
 
 
 class OpRecorder:

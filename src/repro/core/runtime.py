@@ -290,8 +290,6 @@ class AMPCRuntime:
     def _new_store(self) -> DistributedDataStore:
         store = self._build_store(self._store_counter)
         self._store_counter += 1
-        if self._fan is not None and self._fan.any_store_hooks:
-            store.observer = self._fan
         return store
 
     def _build_store(self, round_index: int) -> DistributedDataStore:
@@ -302,7 +300,6 @@ class AMPCRuntime:
             n_servers=self.config.n_machines,
             seed=self.config.seed,
             max_words=self.config.max_words,
-            track_contention=self.config.track_contention,
         )
 
     def checkpoint(self) -> "RoundCheckpoint":

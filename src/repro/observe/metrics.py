@@ -286,7 +286,7 @@ class MetricsObserver(RuntimeObserver):
     (per-round ``recovery_wall_s`` — only rounds with nonzero recovery
     work are observed), ``server.contention``
     (per-server read loads of every round store, Lemma 2.1's quantity —
-    recorded live at round end, requires ``config.track_contention``).
+    recorded live at round end).
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:

@@ -45,15 +45,16 @@ Merge cost
 ----------
 
 The parent-side journal replay is the serial fraction of every sharded
-round. When no observer hooks are armed (the common case), the journal
-contains only writes and :mod:`repro.parallel.backend` applies them via
-the bulk columnar path — runs of scalar writes collapse into one
-``DistributedDataStore._apply_journal_writes`` call per run (single seal
-check, one placement hash sweep per namespace) and batch writes go
-straight through ``write_array``. Trace-replaying runs keep the per-op
-loop so hook dispatch order stays byte-for-byte serial. The
-``replay_merge`` cell of ``repro perf collect --suite smoke`` measures
-the constant.
+round. :mod:`repro.parallel.backend` replays each machine's journal in
+one loop: a worker journals consecutive scalar writes as one run, which
+the parent applies with the store's one bulk scalar-write path (the one
+``write_many`` uses: one seal check, one placement hash sweep per key
+namespace, no re-validation), and batch writes go straight through
+``write_array``. Armed machine hooks fire in op order as the loop
+passes. The ``replay_items`` cell of ``repro perf collect --suite
+smoke`` (process-backend matching: per-item rounds, scalar writes)
+measures this constant; ``replay_merge`` (process-backend connectivity,
+all fused rounds) measures the fused merge.
 """
 
 from __future__ import annotations

@@ -23,10 +23,10 @@ How a parallel round runs
 4. The parent merges in ascending machine order — which is exactly the
    serial execution order — replaying each machine's journal: observer
    hooks fire through the real :class:`~repro.core.hooks.ObserverFan`,
-   writes apply through the *real* next store (firing its store hooks and
-   advancing its counters naturally), shadow-store read counters merge
-   back as integer deltas, and outputs are scattered by the serial
-   loop's :class:`~repro.core.machine.OutputCollector`. The pipeline then
+   writes apply through the *real* next store (advancing its counters
+   naturally), shadow-store read counters merge back as integer deltas,
+   and outputs are scattered by the serial loop's
+   :class:`~repro.core.machine.OutputCollector`. The pipeline then
    finishes the round exactly as it would a serial one.
 
 Because machine placement, per-machine op order, merge order, and every
@@ -81,9 +81,10 @@ class _JournalStore:
     Validates writes exactly like :class:`DistributedDataStore` (so
     model violations raise in the worker, at the op that caused them,
     with the serial path's messages) and appends them to the machine's
-    op journal instead of storing. The parent applies the journal to the
-    real next store during the merge. Arrays are copied at journal time
-    — the real store copies on append, and workers may reuse buffers.
+    op journal instead of storing. Consecutive scalar writes share one
+    ``("w", pairs)`` run, which the parent applies with one bulk write
+    during the merge. Arrays are copied at journal time — the real store
+    copies on append, and workers may reuse buffers.
     """
 
     __slots__ = ("max_words", "ops")
@@ -96,7 +97,11 @@ class _JournalStore:
 
     def write(self, key: Hashable, value: Any) -> None:
         check_write(key, value, self.max_words)
-        self.ops.append(("w", key, value))
+        ops = self.ops
+        if ops and ops[-1][0] == "w":
+            ops[-1][1].append((key, value))
+        else:
+            ops.append(("w", [(key, value)]))
 
     def write_array(
         self, namespace: str, ids: np.ndarray, values: np.ndarray
@@ -157,7 +162,7 @@ def _store_reads(store: DistributedDataStore) -> dict:
     :func:`_merge_store_reads`."""
     return {
         "n_reads": store.n_reads,
-        "server_reads": store._server_reads if store._route_reads else None,
+        "server_reads": store._server_reads,
     }
 
 
@@ -257,9 +262,7 @@ def _record_reads(runtime: Any) -> bool:
     """Whether workers must journal read events for observer replay."""
     fan = runtime._fan
     return fan is not None and (
-        fan.any_machine_scalar_hooks
-        or fan.any_machine_batch_hooks
-        or fan.any_store_hooks
+        fan.any_machine_scalar_hooks or fan.any_machine_batch_hooks
     )
 
 
@@ -318,54 +321,29 @@ def _even_ranges(n_items: int, n_shards: int) -> list[tuple[int, int]]:
 def _merge_store_reads(read_store: DistributedDataStore, res: dict) -> None:
     """Fold a shard's shadow-store read deltas into the real read store."""
     read_store.n_reads += res["n_reads"]
-    server_reads = res["server_reads"]
-    if server_reads is not None and read_store._route_reads:
-        read_store._server_reads += server_reads
+    read_store._server_reads += res["server_reads"]
 
 
 def _replay_ops(
     fan: Any,
     ctx: Any,
-    read_store: DistributedDataStore,
     next_store: DistributedDataStore,
     ops: list,
 ) -> None:
-    """Fire a machine's journaled ops through the real fan and stores,
-    in the exact order the machine issued them."""
+    """Fire a machine's journaled ops through the real fan and next store,
+    in the order the machine issued them. A run of scalar writes fires
+    its hooks, then applies through the store's one bulk path — hooks see
+    only the context, so the order within a run is not observable; the
+    run's pairs were validated when the worker journaled them."""
     scalar_hooks = fan is not None and fan.any_machine_scalar_hooks
     batch_hooks = fan is not None and fan.any_machine_batch_hooks
-    store_hooks = fan is not None and fan.any_store_hooks
-    if (
-        not (scalar_hooks or batch_hooks or store_hooks)
-        and next_store.observer is None
-    ):
-        # Bulk columnar replay. With no hooks armed the journal is
-        # write-only (reads are journaled only when ``_record_reads``),
-        # so runs of scalar writes collapse into one bulk apply — one
-        # seal check, one dict sweep, one placement hash sweep per
-        # namespace — instead of a full ``write()`` call per op.
-        # Trace-replaying runs keep the per-op loop below: hook dispatch
-        # order is part of the bit-identity contract.
-        run: list = []
-        for op in ops:
-            kind = op[0]
-            if kind == "w":
-                run.append((op[1], op[2]))
-            elif kind == "wa":
-                if run:
-                    next_store._apply_journal_writes(run)
-                    run = []
-                next_store.write_array(op[1], op[2], op[3])
-            # "r"/"rb": nothing to replay without hooks.
-        if run:
-            next_store._apply_journal_writes(run)
-        return
     for op in ops:
         kind = op[0]
         if kind == "w":
             if scalar_hooks:
-                fan.on_machine_write(ctx, op[1])
-            next_store.write(op[1], op[2])
+                for key, _ in op[1]:
+                    fan.on_machine_write(ctx, key)
+            next_store._write_pairs(op[1], None)
         elif kind == "wa":
             if batch_hooks:
                 fan.on_machine_write_batch(ctx, op[1], op[2])
@@ -373,13 +351,8 @@ def _replay_ops(
         elif kind == "r":
             if scalar_hooks:
                 fan.on_machine_read(ctx, op[1])
-            if store_hooks:
-                fan.on_store_read(read_store, op[1])
-        else:  # "rb"
-            if batch_hooks:
-                fan.on_machine_read_batch(ctx, op[1], op[2])
-            if store_hooks:
-                fan.on_store_read_batch(read_store, op[1], op[2])
+        elif batch_hooks:  # "rb"
+            fan.on_machine_read_batch(ctx, op[1], op[2])
 
 
 def _replay_machine(
@@ -397,7 +370,7 @@ def _replay_machine(
     ctx.worker_id = worker_idx
     if fan is not None:
         fan.on_machine_start(ctx)
-    _replay_ops(fan, ctx, read_store, next_store, mrec["ops"])
+    _replay_ops(fan, ctx, next_store, mrec["ops"])
     ctx.reads_used = mrec["reads"]
     ctx.writes_used = mrec["writes"]
     ctx.read_violation = mrec["rv"]
@@ -588,7 +561,7 @@ def run_fused_round(
     if fan is not None:
         fan.on_machine_start(gctx)
     _replay_fused_ops(
-        fan, gctx, read_store, next_store, [res["ops"] for res in shard_results]
+        fan, gctx, next_store, [res["ops"] for res in shard_results]
     )
 
     outs = [res["outs"] for res in shard_results]
@@ -623,7 +596,6 @@ def run_fused_round(
 def _replay_fused_ops(
     fan: Any,
     gctx: Any,
-    read_store: DistributedDataStore,
     next_store: DistributedDataStore,
     shard_ops: list[list],
 ) -> None:
@@ -634,11 +606,14 @@ def _replay_fused_ops(
     charged through the parent's context, which de-duplicates it per
     machine across every shard exactly as the serial run does."""
     batch_hooks = fan is not None and fan.any_machine_batch_hooks
-    store_hooks = fan is not None and fan.any_store_hooks
     depth = max((len(ops) for ops in shard_ops), default=0)
     for position in range(depth):
         live = [ops[position] for ops in shard_ops if len(ops) > position]
         kind, namespace = live[0][0], live[0][1]
+        if kind in ("w", "r"):
+            raise RoundProtocolError(
+                f"unexpected scalar op {kind!r} in a fused round journal"
+            )
         for op in live[1:]:
             if op[0] != kind or op[1] != namespace:
                 raise RoundProtocolError(
@@ -661,12 +636,5 @@ def _replay_fused_ops(
             next_store.write_array(
                 namespace, ids, np.concatenate([op[3] for op in live])
             )
-        elif kind == "rb":
-            if batch_hooks:
-                fan.on_machine_read_batch(gctx, namespace, ids)
-            if store_hooks:
-                fan.on_store_read_batch(read_store, namespace, ids)
-        else:
-            raise RoundProtocolError(
-                f"unexpected scalar op {kind!r} in a fused round journal"
-            )
+        elif batch_hooks:  # "rb"
+            fan.on_machine_read_batch(gctx, namespace, ids)

@@ -260,7 +260,6 @@ def export_store(store: DistributedDataStore, arena: ShmArena) -> dict:
         "n_servers": store.n_servers,
         "seed": store.seed,
         "max_words": store.max_words,
-        "track_contention": store.track_contention,
         "data": arena.share_bytes(blob),
         "columns": columns,
     }
@@ -292,7 +291,6 @@ def attach_store(
             n_servers=export["n_servers"],
             seed=export["seed"],
             max_words=export["max_words"],
-            track_contention=export["track_contention"],
             data=data,
             columns=columns,
         )

@@ -35,6 +35,7 @@ SUITES: dict[str, list[_SuiteEntry]] = {
         ("mis", {"n": 200}, {"n": 80}),
         ("msf", {"n": 300}, {"n": 100}),
         ("replay_merge", {"n": 400}, {"n": 160}),
+        ("replay_items", {"n": 400}, {"n": 160}),
         ("dds_lookup", {"n": 20000}, {"n": 2000}),
     ],
     # Serving-latency guard: a resident engine replays the standard
@@ -76,6 +77,7 @@ SUITES: dict[str, list[_SuiteEntry]] = {
         ("mis", {"n": 2000}, {"n": 200}),
         ("msf", {"n": 1500}, {"n": 160}),
         ("replay_merge", {"n": 4000}, {"n": 240}),
+        ("replay_items", {"n": 4000}, {"n": 240}),
         ("dds_lookup", {"n": 1000000}, {"n": 20000}),
     ],
 }
@@ -184,51 +186,57 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
             return total
 
         return run_rmat
-    if bench == "replay_merge":
-        # Process-backend connectivity: the parent-side journal replay
-        # merge dominates on few-core hosts, so this cell tracks the
-        # merge constant `repro perf check` gates (ROADMAP item 3c).
+    if bench in ("replay_merge", "replay_items"):
+        # Process-backend solves, two workers: the parent-side merge is
+        # the serial fraction of every sharded round. Connectivity's
+        # rounds are all fused, so `replay_merge` gates the fused merge
+        # (positional concatenation, replayed-read charging);
+        # matching's are per-item with scalar journal writes, so
+        # `replay_items` gates the per-machine journal replay.
         import repro.parallel as parallel
 
         graph = generators.erdos_renyi_gnm(n, 2 * n, 0)
+        solve = (repro.connectivity if bench == "replay_merge"
+                 else repro.maximal_matching)
 
         def run_process():
             with parallel.use_backend("process", n_workers=2):
-                return repro.connectivity(graph, seed=1)
+                return solve(graph, seed=1)
 
         return run_process
     if bench == "dds_lookup":
         # The DDS per-probe lookup constant, for both column index forms:
         # n shuffled ids as written are dense (position table), the same
         # ids scaled by 1009 are wide-span (sorted keys + binary search).
-        # Timed: a fixed batch of read_array blocks plus a scalar get
-        # loop on each column. Contention tracking is off so placement
-        # hashing (its own layer) stays out of the sample.
+        # Timed: a fixed batch of block lookups plus a scalar lookup loop
+        # on each column. The columns are probed directly, so read
+        # routing (placement hashing, its own layer) stays out of the
+        # sample.
         import numpy as np
 
         from repro.core.dds import DistributedDataStore
 
         rng = np.random.default_rng(0)
         ids = rng.permutation(n)
-        store = DistributedDataStore(0, n_servers=8, track_contention=False)
+        store = DistributedDataStore(0, n_servers=8)
         store.write_array("dense", ids, ids + 1)
         store.write_array("wide", ids * 1009, ids + 1)
         store.seal()
         blocks = [rng.integers(-8, n + 8, size=min(n, 4096))
                   for _ in range(32)]
         work = [
-            (namespace, [block * scale for block in blocks],
-             [(namespace, i * scale) for i in blocks[0][:1000].tolist()])
+            (store._columns[namespace], [block * scale for block in blocks],
+             [i * scale for i in blocks[0][:1000].tolist()])
             for namespace, scale in (("dense", 1), ("wide", 1009))
         ]
 
         def run_lookups():
             total = 0
-            for namespace, probe_blocks, keys in work:
+            for column, probe_blocks, probe_ids in work:
                 for block in probe_blocks:
-                    total += int(store.read_array(namespace, block).sum())
-                for key in keys:
-                    total += store.get(key) or 0
+                    total += int(column.lookup(block, 0)[0].sum())
+                for id_ in probe_ids:
+                    total += column.value_at(id_, 1) or 0
             return total
 
         run_lookups()  # index build belongs to setup, not to the samples

@@ -279,7 +279,7 @@ class PartitionBalanceObserver(RecordingObserver):
             )
 
     def on_round_end(self, runtime, stats, contexts, read_store, next_store):
-        if not read_store.track_contention or read_store.n_servers <= 1:
+        if read_store.n_servers <= 1:
             return
         if isinstance(read_store, ReplicatedDataStore) and (
             read_store.failover_reads or read_store.down_servers

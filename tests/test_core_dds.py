@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     DistributedDataStore,
+    ReplicatedDataStore,
     StoreNotSealedError,
     StoreSealedError,
     ValueSizeError,
@@ -143,13 +144,6 @@ class TestContentionAccounting:
             store.write(("k", i), i)
         assert store.server_item_loads.sum() == 40
 
-    def test_tracking_disabled_skips_histograms(self):
-        store = make_store(track_contention=False)
-        store.write("a", 1)
-        store.seal()
-        store.get("a")
-        assert store.server_read_loads.sum() == 0
-
     def test_repeated_key_reads_hit_same_server(self):
         store = make_store(n_servers=8)
         store.write("hot", 1)
@@ -157,6 +151,44 @@ class TestContentionAccounting:
         for _ in range(50):
             store.get("hot")
         assert store.max_server_load() == 50
+
+
+class TestWriteMany:
+    """``write_many`` is one ``write`` per pair, in order, however it
+    places the keys."""
+
+    PAIRS = [
+        (("k", 3), 1), (("k", -2), 2), (("k", 2**63), 3), (("k", 3), 4),
+        (("k", np.int64(5)), 5), (("a", 1, 2), 6), (("a", 2**64, 0), 7),
+        ("plain", 8), (("k", True), 9), ((1, 2), 10), (("a", 1, 2), 11),
+        ((), 12), (("k",), 13), (("a", 1, 2, 3), 14), (("k", 3), 15),
+    ]
+
+    @pytest.mark.parametrize("replication", [None, 2])
+    def test_same_store_as_one_write_per_pair(self, replication):
+        kw = {} if replication is None else {"replication": replication}
+        cls = DistributedDataStore if replication is None else ReplicatedDataStore
+        one, bulk = (cls(0, n_servers=4, seed=1, **kw) for _ in range(2))
+        for key, value in self.PAIRS:
+            one.write(key, value)
+        assert bulk.write_many(iter(self.PAIRS)) == len(self.PAIRS)
+        assert list(bulk.items()) == list(one.items())
+        assert bulk.n_writes == one.n_writes == len(self.PAIRS)
+        assert (bulk.server_item_loads.tolist()
+                == one.server_item_loads.tolist())
+
+    def test_invalid_pair_raises_after_the_earlier_pairs(self):
+        pairs = [(("k", 1), 1), (("k", 2), (1, 2, 3)), (("k", 3), 3)]
+        one, bulk = make_store(max_words=2), make_store(max_words=2)
+        with pytest.raises(ValueSizeError):
+            for key, value in pairs:
+                one.write(key, value)
+        with pytest.raises(ValueSizeError):
+            bulk.write_many(pairs)
+        assert list(bulk.items()) == list(one.items()) == [(("k", 1), 1)]
+        assert bulk.n_writes == one.n_writes == 1
+        assert (bulk.server_item_loads.tolist()
+                == one.server_item_loads.tolist())
 
 
 class TestSlottedCompositeKey:

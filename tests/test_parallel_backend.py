@@ -344,13 +344,26 @@ SHAPES = ("per-item", "per-block", "fused", "per-machine")
 def _item_program(ctx, v):
     x = ctx.read(("v", v))
     ctx.write(("o", v), x + 1)
+    if v == 0:
+        _interleaved_writes(ctx, v, x)
     return x * 2
 
 
 def _block_program(ctx, block):
     x = ctx.read_array("v", block)
     ctx.write_array("o", block, x + 1)
+    _interleaved_writes(ctx, int(block[0]), int(x[0]))
     return x * 2
+
+
+def _interleaved_writes(ctx, v, x):
+    # Scalar writes on both sides of a batch write, two of them to a key
+    # every such call writes: the merge must keep every pair's order.
+    ctx.write(("dup", -1), v)
+    ctx.write_array("b", np.array([v, v + 1]), np.array([x, x]))
+    ctx.write(("s", v, 0), x)
+    ctx.write(("s", v), x + 2)
+    ctx.write(("dup", -1), -v)
 
 
 def _replay_reads(gctx):
@@ -448,23 +461,6 @@ class _Recorder(RuntimeObserver):
         self.events.append(("machine_write_batch", self._machine(ctx),
                             namespace, ids.tolist()))
 
-    def on_store_read(self, store, key):
-        self.events.append(("store_read", store.round_index, key))
-
-    def on_store_write(self, store, key):
-        self.events.append(("store_write", store.round_index, key))
-
-    def on_store_read_batch(self, store, namespace, ids):
-        self.events.append(("store_read_batch", store.round_index,
-                            namespace, ids.tolist()))
-
-    def on_store_write_batch(self, store, namespace, ids):
-        self.events.append(("store_write_batch", store.round_index,
-                            namespace, ids.tolist()))
-
-    def on_store_seal(self, store):
-        self.events.append(("store_seal", store.round_index))
-
     def on_round_end(self, runtime, stats, contexts, read_store, next_store):
         self.events.append(("round_end", _row(stats),
                             [c.machine_id for c in contexts]))
@@ -500,17 +496,19 @@ def test_round_contract_matrix(shape, n_machines):
             outcomes[backend, observed] = (
                 _plain(result.results),
                 _row(result.stats),
-                sorted(result.store.items()),
+                list(result.store.items()),
+                result.store.get_indexed(("dup", -1), 2),
                 recorder,
             )
-    results, row, written, _ = outcomes["serial", False]
+    results, row, written, second, _ = outcomes["serial", False]
     if shape == "per-machine":
         assert results == [6 * m for m in range(n_machines) if m % 2]
     else:
         assert results == [6 * i for i in range(N_ITEMS)]
+    assert (second is not None) == (shape in ("per-item", "per-block"))
     for got in outcomes.values():
-        assert got[:3] == (results, row, written)
-    serial, process = outcomes["serial", True][3], outcomes["process", True][3]
+        assert got[:4] == (results, row, written, second)
+    serial, process = outcomes["serial", True][4], outcomes["process", True][4]
     assert serial.events == process.events
     stages = [e for e in serial.events if e[0] in (
         "round_start", "assignment", "machine_start", "machine_end",
@@ -524,6 +522,39 @@ def test_round_contract_matrix(shape, n_machines):
     assert serial.worker_ids == {None}
     sharded = n_machines > 1 and shape in ("per-item", "per-block")
     assert (process.worker_ids != {None}) == sharded
+
+
+BIG = 2**63  # one past int64: Python keys may hold it, id columns cannot
+
+
+def _big_id_program(ctx, v):
+    x = ctx.read(("big", BIG + v))
+    ctx.write(("big", BIG + v), x)
+    ctx.write(("big", v), -x)
+    ctx.write(("big", 2**70 + v, v), x)
+    return x
+
+
+def test_ids_beyond_int64_merge_like_serial():
+    """Scalar keys with ids beyond int64 — written by machines and
+    staged as setup pairs — give the same next store, ledger row and
+    placement on both backends (the process merge raised
+    ``OverflowError`` placing them as one int64 column)."""
+    outcomes = {}
+    for backend in ("serial", "process"):
+        runtime, recorder = _contract_runtime(backend, 8, False)
+        result = runtime.round(
+            list(range(N_ITEMS)), _big_id_program,
+            setup=[(("big", BIG + i), i) for i in range(N_ITEMS)], tag="t",
+        )
+        assert runtime.parallel_fallbacks == 0
+        outcomes[backend] = (
+            _plain(result.results), _row(result.stats),
+            list(result.store.items()),
+            result.store.server_item_loads.tolist(),
+        )
+    assert outcomes["serial"][0] == list(range(N_ITEMS))
+    assert outcomes["serial"] == outcomes["process"]
 
 
 # -- the same contract under simulated faults: shape x plan x P -------------

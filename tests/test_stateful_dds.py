@@ -1,8 +1,8 @@
 """Hypothesis stateful test: the DDS against a Python-dict model.
 
-Random interleavings of writes, seals, plain reads, indexed reads and
-multiplicity probes must always agree with a reference model that
-implements the §2 semantics directly.
+Random interleavings of writes, bulk writes, seals, plain reads, indexed
+reads and multiplicity probes must always agree with a reference model
+that implements the §2 semantics directly.
 """
 
 import numpy as np
@@ -31,12 +31,27 @@ KEYS = st.one_of(
     vst.dds_keys(),
 )
 VALUES = vst.dds_values()
+# What write_many places in bulk, and what it must still place per key:
+# ids inside and beyond int64, slotted keys, numpy ids, plain strings.
+IDS = st.one_of(
+    st.integers(-3, 5),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, -(2**63), -(2**63) - 1]),
+)
+BULK_KEYS = st.one_of(
+    KEYS,
+    st.tuples(st.sampled_from(["k", "m"]), IDS),
+    st.tuples(st.sampled_from(["k", "s"]), IDS, st.integers(-2, 2)),
+    st.integers(0, 5).map(lambda i: ("k", np.int64(i))),
+    st.sampled_from(["a", "b", "k"]),
+)
 
 
 class DDSMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.store = DistributedDataStore(0, n_servers=4, seed=7)
+        # Written one pair at a time: the placement write_many must match.
+        self.reference = DistributedDataStore(0, n_servers=4, seed=7)
         self.model: dict = {}
         self.sealed = False
         self.n_writes = 0
@@ -48,15 +63,28 @@ class DDSMachine(RuleBasedStateMachine):
                 self.store.write(key, value)
         else:
             self.store.write(key, value)
+            self.reference.write(key, value)
             self.model.setdefault(key, []).append(value)
             self.n_writes += 1
+
+    @rule(pairs=st.lists(st.tuples(BULK_KEYS, VALUES), max_size=12))
+    def write_many(self, pairs):
+        if self.sealed:
+            with pytest.raises(StoreSealedError):
+                self.store.write_many(pairs)
+            return
+        assert self.store.write_many(iter(pairs)) == len(pairs)
+        for key, value in pairs:
+            self.reference.write(key, value)
+            self.model.setdefault(key, []).append(value)
+        self.n_writes += len(pairs)
 
     @rule()
     def seal(self):
         self.store.seal()
         self.sealed = True
 
-    @rule(key=KEYS)
+    @rule(key=BULK_KEYS)
     def read(self, key):
         if not self.sealed:
             with pytest.raises(StoreNotSealedError):
@@ -65,7 +93,7 @@ class DDSMachine(RuleBasedStateMachine):
         expected = self.model.get(key, [None])[0] if key in self.model else None
         assert self.store.get(key) == expected
 
-    @rule(key=KEYS, index=st.integers(1, 8))
+    @rule(key=BULK_KEYS, index=st.integers(1, 8))
     def read_indexed(self, key, index):
         if not self.sealed:
             return
@@ -73,13 +101,18 @@ class DDSMachine(RuleBasedStateMachine):
         expected = values[index - 1] if index <= len(values) else None
         assert self.store.get_indexed(key, index) == expected
 
-    @rule(key=KEYS)
+    @rule(key=BULK_KEYS)
     def multiplicity(self, key):
         assert self.store.multiplicity(key) == len(self.model.get(key, []))
 
     @invariant()
     def pair_count_matches(self):
         assert self.store.n_pairs == self.n_writes
+
+    @invariant()
+    def placement_matches_one_write_per_pair(self):
+        assert (self.store.server_item_loads.tolist()
+                == self.reference.server_item_loads.tolist())
 
     @invariant()
     def distinct_key_count_matches(self):
