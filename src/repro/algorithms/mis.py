@@ -16,13 +16,14 @@ Each iteration is one per-block round
 (:meth:`repro.core.runtime.AMPCRuntime.round_batch`): the alive-subgraph
 CSR is published columnarly (``setup_arrays``) under the flat keys
 ``("deg", v) -> (deg, base)`` and ``("nb", flat_pos) -> (u, pi_u)``, each
-machine replays its block's truncated queries against local numpy arrays
-(charging each distinct key once, as a machine's read cache would), and
+machine replays its block's truncated queries against local copies of
+the rows (charging each distinct key once, as a machine's read cache would), and
 newly settled statuses are published with one ``write_array`` per
-machine. :func:`_truncated_query` is the same query process over
-``ctx.read`` — the serving engine's ``mis_member`` program, and the spec
-(``repro.verify.specs.truncated_query``) the block program is checked
-against.
+machine. The query process itself is
+:func:`repro.algorithms.greedy.truncated_query` with the MIS rule, the
+one implementation matching, the colorings and the serving engine's
+``mis_member`` program run too; ``repro.verify.specs.truncated_query``
+is the per-item spec the block program is checked against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from repro.graph.graph import Graph
 from repro.primitives.sampling import random_priorities
 from repro.primitives.sorting import SORT_ROUNDS
 
-_UNKNOWN, _IN, _OUT = -1, 1, 0
+from .greedy import (IN, OUT, UNKNOWN, Calls, CsrReplay, MisRule,
+                     query_capacity, settle, truncated_query)
 
 
 @dataclass
@@ -110,6 +112,7 @@ def maximal_independent_set(
             else AMPCConfig.for_input(max(n + graph.m, 1), epsilon=epsilon,
                                       seed=seed)
         )
+    query_cap = query_capacity(query_cap, n, config.epsilon)
     if runtime is None:
         runtime = AMPCRuntime(config)
     if n == 0:
@@ -118,8 +121,6 @@ def maximal_independent_set(
             total_query_calls=0, report=runtime.report, config=config,
             settled_at=np.zeros(0, np.int64),
         )
-    if query_cap is None:
-        query_cap = max(8, int(math.ceil(float(n) ** config.epsilon)))
     if max_iterations is None:
         max_iterations = 8 * int(math.ceil(1.0 / config.epsilon)) + 8
 
@@ -130,30 +131,21 @@ def maximal_independent_set(
     runtime.charge("sort-adjacency", rounds=SORT_ROUNDS,
                    reads=2 * graph.m, writes=2 * graph.m)
 
-    status = np.full(n, _UNKNOWN, dtype=np.int8)
+    status = np.full(n, UNKNOWN, dtype=np.int8)
     settled_at = np.zeros(n, dtype=np.int64)
     total_calls = 0
-    iterations = 0
 
-    while True:
-        alive = np.flatnonzero(status == _UNKNOWN).astype(np.int64)
-        if alive.size == 0:
-            break
-        iterations += 1
-        if iterations > max_iterations:
-            raise RuntimeError(
-                f"MIS did not settle within {max_iterations} iterations "
-                f"({alive.size} vertices remain); query_cap={query_cap}"
-            )
+    def step(alive: np.ndarray, iteration: int) -> None:
+        nonlocal total_calls
         indptr, indices = _filter_alive(sorted_csr, status)
-        calls = _iteration(
+        total_calls += _iteration(
             runtime, alive, indptr, indices, pi, status, query_cap,
-            tag=f"mis:{iterations}",
+            tag=f"mis:{iteration}",
         )
-        total_calls += calls
-        settled_at[(status != _UNKNOWN) & (settled_at == 0)] = iterations
+        settled_at[(status != UNKNOWN) & (settled_at == 0)] = iteration
 
-    in_mis = status == _IN
+    iterations = settle("MIS", status, step, query_cap, max_iterations)
+    in_mis = status == IN
     return MISResult(
         in_mis=in_mis,
         pi=pi,
@@ -196,14 +188,14 @@ def _iteration(
         setup_arrays=setup_arrays, tag=tag,
     )
     ids, vals = result.store.read_namespace("settled")
-    status[ids] = np.where(vals != 0, _IN, _OUT).astype(np.int8)
+    status[ids] = np.where(vals != 0, IN, OUT).astype(np.int8)
 
     # A vertex adjacent to an in-MIS vertex is out even if no query touched
     # it (Algorithm 4 step 4a's neighbor removal): prune via the CSR.
     src = np.repeat(np.arange(alive.size, dtype=np.int64), np.diff(indptr))
-    touched = indices[(status[alive] == _IN)[src]]
-    touched = touched[status[touched] == _UNKNOWN]
-    status[touched] = _OUT
+    touched = indices[(status[alive] == IN)[src]]
+    touched = touched[status[touched] == UNKNOWN]
+    status[touched] = OUT
     return int(result.results[0].sum())
 
 
@@ -216,193 +208,44 @@ def _query_block_worker(
 ):
     """The machine program of :func:`_iteration`, one call per machine.
 
-    Replays its block's truncated queries against local numpy views of
-    the alive CSR, tracking exactly the distinct keys a machine running
-    :func:`_truncated_query` per vertex would have charged through its
-    read cache, then settles accounts with one ``charge_read_array`` per
-    namespace and one ``write_array`` for the statuses it determined, in
-    the order it determined them.
+    Runs its block's truncated queries over a :class:`CsrReplay` of the
+    alive CSR, on one status table shared by the block, then settles
+    accounts with one ``charge_read_array`` per namespace (the distinct
+    keys the queries touched, as the machine's read cache would have
+    charged them) and one ``write_array`` of the statuses it determined,
+    in the order it determined them.
     """
-    deg = np.diff(indptr)
-    base = indptr[:-1]
-    nb_pi = pi[indices]
     row_of = np.full(pi.size, -1, dtype=np.int64)
     row_of[alive] = np.arange(alive.size, dtype=np.int64)
+    rows = (
+        np.diff(indptr).tolist(), indptr[:-1].tolist(), row_of.tolist(),
+        indices.tolist(), pi[indices].tolist(), pi.tolist(),
+    )
 
     def batch_worker(ctx, block):
-        settled: dict[int, bool] = {}
-        seen_deg: set[int] = set()
-        seen_nb: set[int] = set()
-        deg_keys: list[int] = []
-        nb_keys: list[int] = []
-        pub_ids: list[int] = []
-        pub_vals: list[int] = []
+        stream = CsrReplay(*rows)
+        settled: dict[int, int] = {}
         out_calls = np.empty(block.size, dtype=np.int64)
         out_res = np.empty(block.size, dtype=np.int64)
-
-        def settle(v: int, val: bool) -> None:
-            # The machine-local status table is shared across the block's
-            # vertices; every entry is published once.
-            settled[v] = val
-            pub_ids.append(v)
-            pub_vals.append(int(val))
-
-        def walk(root: int, pi_root: int, calls: _Counter) -> int:
-            # _truncated_query against local arrays; reads become
-            # seen-set bookkeeping with identical call/budget counting.
-            if root in settled:
-                return _IN if settled[root] else _OUT
-            stack: list[list[int]] = [[root, pi_root, 0, -1, -1]]
-            budget = cap
-            ret: bool | None = None
-            while stack:
-                frame = stack[-1]
-                v, pi_v, i, dg, b = frame
-                if dg == -1:
-                    budget -= 1
-                    calls.value += 1
-                    if budget < 0:
-                        return _UNKNOWN
-                    r = int(row_of[v])
-                    if r not in seen_deg:
-                        seen_deg.add(r)
-                        deg_keys.append(v)
-                    frame[3] = dg = int(deg[r])
-                    frame[4] = b = int(base[r])
-                    ret = None
-                if ret is not None:
-                    if ret is True:
-                        settle(v, False)
-                        stack.pop()
-                        ret = False
-                        continue
-                    ret = None
-                advanced = False
-                while i < dg:
-                    pos = b + i
-                    if pos not in seen_nb:
-                        seen_nb.add(pos)
-                        nb_keys.append(pos)
-                    u = int(indices[pos])
-                    pi_u = int(nb_pi[pos])
-                    if pi_u > pi_v:
-                        break
-                    frame[2] = i = i + 1
-                    known = settled.get(u)
-                    if known is True:
-                        settle(v, False)
-                        stack.pop()
-                        ret = False
-                        advanced = True
-                        break
-                    if known is False:
-                        continue
-                    stack.append([u, pi_u, 0, -1, -1])
-                    advanced = True
-                    break
-                if advanced:
-                    continue
-                settle(v, True)
-                stack.pop()
-                ret = True
-            return _IN if settled[root] else _OUT
-
         for j, v in enumerate(block.tolist()):
-            calls = _Counter()
-            out_res[j] = walk(v, int(pi[v]), calls)
+            calls = Calls()
+            out_res[j] = truncated_query(v, cap, settled, stream, MisRule,
+                                         calls)
             out_calls[j] = calls.value
-
-        ctx.charge_read_array("deg", np.asarray(deg_keys, dtype=np.int64))
-        ctx.charge_read_array("nb", np.asarray(nb_keys, dtype=np.int64))
-        if pub_ids:
+        for ns, keys in (("deg", stream.deg_keys), ("nb", stream.nb_keys)):
+            ctx.charge_read_array(
+                ns, np.fromiter(keys, dtype=np.int64, count=len(keys))
+            )
+        if settled:
             ctx.write_array(
                 "settled",
-                np.asarray(pub_ids, dtype=np.int64),
-                np.asarray(pub_vals, dtype=np.int64),
+                np.fromiter(settled, dtype=np.int64, count=len(settled)),
+                np.fromiter(settled.values(), dtype=np.int64,
+                            count=len(settled)),
             )
         return (out_calls, out_res)
 
     return batch_worker
-
-
-class _Counter:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-
-def _truncated_query(
-    ctx,
-    root: int,
-    pi_root: int,
-    cap: int,
-    settled: dict[int, bool],
-    calls: _Counter,
-) -> int:
-    """Iterative TruncatedQuery (Algorithm 5). Returns _IN/_OUT/_UNKNOWN.
-
-    ``settled`` is the machine-local status table shared across the
-    vertices this machine processes in the round; completed (untruncated)
-    sub-queries land there because f(·, π) values are exact.
-    """
-    if root in settled:
-        return _IN if settled[root] else _OUT
-
-    # Explicit stack to avoid Python recursion limits: frames are
-    # [vertex, pi_v, next_neighbor_index, degree, row_base];
-    # degree = -1 until the ("deg", v) -> (degree, base) pair is read.
-    stack: list[list[int]] = [[root, pi_root, 0, -1, -1]]
-    budget = cap
-    ret: bool | None = None  # child return value being propagated
-
-    while stack:
-        frame = stack[-1]
-        v, pi_v, i, deg, b = frame
-        if deg == -1:
-            budget -= 1
-            calls.value += 1
-            if budget < 0:
-                return _UNKNOWN  # capacity exhausted (step 1 / 4d)
-            deg, b = ctx.read(("deg", v))
-            frame[3] = deg
-            frame[4] = b
-            ret = None
-        if ret is not None:
-            # Returning from the recursive call on neighbor i-1 (step 4b).
-            if ret is True:
-                settled[v] = False  # an earlier-π neighbor is in (4c)
-                stack.pop()
-                ret = False
-                continue
-            ret = None
-        advanced = False
-        while i < deg:
-            entry = ctx.read(("nb", b + i))
-            u, pi_u = entry
-            if pi_u > pi_v:
-                break  # π-sorted: no earlier neighbors remain (4a)
-            frame[2] = i = i + 1
-            known = settled.get(u)
-            if known is True:
-                settled[v] = False
-                stack.pop()
-                ret = False
-                advanced = True
-                break
-            if known is False:
-                continue  # u is out; it cannot block v
-            stack.append([u, pi_u, 0, -1, -1])
-            advanced = True
-            break
-        if advanced:
-            continue
-        # All earlier-π neighbors are out: v joins the MIS (step 4a / 3).
-        settled[v] = True
-        stack.pop()
-        ret = True
-
-    return _IN if settled[root] else _OUT
 
 
 def _pi_sorted_csr(graph: Graph, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,7 +263,7 @@ def _filter_alive(
     """Remaining-subgraph CSR: rows of unknown vertices, unknown neighbors,
     reindexed so row i corresponds to the i-th unknown vertex."""
     indptr, indices = csr
-    alive_mask = status == _UNKNOWN
+    alive_mask = status == UNKNOWN
     alive = np.flatnonzero(alive_mask)
     n = status.size
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))

@@ -27,8 +27,10 @@ tick rows and the :mod:`repro.observe` counters (see
 :meth:`ServingEngine.reconcile`).
 
 MIS membership is answered by the *uncapped* §5 query process
-(Theorem 2): with capacity ≥ n + 1 the truncated query never truncates,
-so the answer equals the greedy LFMIS over π exactly.
+(Theorem 2), :func:`repro.algorithms.greedy.truncated_query` over
+``ctx.read`` of the sealed rows: with capacity ≥ n + 1 the truncated
+query never truncates, so the answer equals the greedy LFMIS over π
+exactly.
 
 Scheduling/admission lives in :mod:`repro.serve.scheduler`; synthetic
 traffic in :mod:`repro.serve.workload`; the benchmark driver in
@@ -43,12 +45,9 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.algorithms.connectivity import connectivity
-from repro.algorithms.mis import (
-    _IN,
-    _Counter,
-    _pi_sorted_csr,
-    _truncated_query,
-)
+from repro.algorithms.greedy import (IN, UNKNOWN, Calls, CsrStream, MisRule,
+                                     query_capacity, truncated_query)
+from repro.algorithms.mis import _pi_sorted_csr
 from repro.algorithms.msf import spanning_forest
 from repro.algorithms.tree_ops import root_forest
 from repro.core.config import AMPCConfig
@@ -110,7 +109,8 @@ class ServingEngine:
         config: explicit deployment.
         query_cap: §5 per-request call capacity. Default ``n + 1`` =
             uncapped (exact membership); lower values trade exactness
-            for bounded per-request cost and may answer ``None``.
+            for bounded per-request cost and may answer ``None``; below
+            1 raises ValueError.
         metrics: a :class:`~repro.observe.metrics.MetricsRegistry` to
             instrument (default: a fresh enabled registry).
     """
@@ -131,6 +131,9 @@ class ServingEngine:
             config = AMPCConfig.for_input(
                 max(n + graph.m, 1), epsilon=epsilon, seed=seed
             )
+        self.query_cap = query_capacity(
+            n + 1 if query_cap is None else query_cap, n, config.epsilon
+        )
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
@@ -171,7 +174,6 @@ class ServingEngine:
         self.resident = self.runtime.publish_state(arrays=arrays,
                                                    tag="serve:seal")
         self.serve_report = RunReport()
-        self.query_cap = int(query_cap) if query_cap is not None else n + 1
         self._tick = 0
         self._responses_total = 0
         self._reads_total = 0
@@ -219,11 +221,12 @@ class ServingEngine:
             kind = req.kind
             if kind == "mis_member":
                 settled = ctx.scratch.setdefault("settled", {})
-                counter = _Counter()
-                status = _truncated_query(
-                    ctx, req.key, int(pi[req.key]), cap, settled, counter
+                counter = Calls()
+                status = truncated_query(
+                    req.key, cap, settled, CsrStream(ctx.read, pi), MisRule,
+                    counter,
                 )
-                value = None if status not in (0, 1) else status == _IN
+                value = None if status == UNKNOWN else status == IN
                 calls = counter.value
             elif kind == "component_of":
                 value = int(ctx.read(("comp", req.key)))

@@ -15,7 +15,7 @@ spec                          production program
 ============================  =========================================
 :func:`bfs` (Algorithm 6)     ``connectivity._bfs_all`` (fused)
 :func:`truncated_query`       ``mis._query_block_worker``
-(Algorithms 4–5)
+(Algorithms 4–5)              (``greedy.truncated_query``)
 :func:`prim` (Algorithm 8)    ``msf._prim_all`` (fused)
 :func:`walk` (Algorithm 1)    ``shrink._walk_all`` (fused)
 :func:`fill` (Algorithm 11,   ``shrink._fill_all`` (fused)
@@ -32,12 +32,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.algorithms.connectivity import _increase_degrees
-from repro.algorithms.mis import (
-    _Counter,
-    _iteration,
-    _pi_sorted_csr,
-    _truncated_query,
-)
+from repro.algorithms.greedy import Calls
+from repro.algorithms.mis import _iteration, _pi_sorted_csr
 from repro.algorithms.msf import _msf_increase_degree
 from repro.algorithms.shrink import TAIL, fill_back, shrink
 from repro.core.config import AMPCConfig
@@ -81,6 +77,83 @@ def bfs(d: int) -> Callable[..., Any]:
     return worker
 
 
+def _truncated_query(
+    ctx,
+    root: int,
+    pi_root: int,
+    cap: int,
+    settled: dict[int, bool],
+    calls: Calls,
+) -> int:
+    """Iterative TruncatedQuery (Algorithm 5) for LFMIS, over ``ctx.read``
+    of the flat keys ``("deg", v) -> (deg, base)`` and ``("nb", pos) ->
+    (u, pi_u)``. Returns 1 (in), 0 (out) or -1 (truncated).
+
+    ``settled`` is the machine-local status table shared across the
+    vertices this machine processes in the round; completed (untruncated)
+    sub-queries land there because f(·, π) values are exact. Written
+    independently of :func:`repro.algorithms.greedy.truncated_query`,
+    which the production program runs.
+    """
+    if root in settled:
+        return 1 if settled[root] else 0
+
+    # Explicit stack to avoid Python recursion limits: frames are
+    # [vertex, pi_v, next_neighbor_index, degree, row_base];
+    # degree = -1 until the ("deg", v) -> (degree, base) pair is read.
+    stack: list[list[int]] = [[root, pi_root, 0, -1, -1]]
+    budget = cap
+    ret: bool | None = None  # child return value being propagated
+
+    while stack:
+        frame = stack[-1]
+        v, pi_v, i, deg, b = frame
+        if deg == -1:
+            budget -= 1
+            calls.value += 1
+            if budget < 0:
+                return -1  # capacity exhausted (step 1 / 4d)
+            deg, b = ctx.read(("deg", v))
+            frame[3] = deg
+            frame[4] = b
+            ret = None
+        if ret is not None:
+            # Returning from the recursive call on neighbor i-1 (step 4b).
+            if ret is True:
+                settled[v] = False  # an earlier-π neighbor is in (4c)
+                stack.pop()
+                ret = False
+                continue
+            ret = None
+        advanced = False
+        while i < deg:
+            entry = ctx.read(("nb", b + i))
+            u, pi_u = entry
+            if pi_u > pi_v:
+                break  # π-sorted: no earlier neighbors remain (4a)
+            frame[2] = i = i + 1
+            known = settled.get(u)
+            if known is True:
+                settled[v] = False
+                stack.pop()
+                ret = False
+                advanced = True
+                break
+            if known is False:
+                continue  # u is out; it cannot block v
+            stack.append([u, pi_u, 0, -1, -1])
+            advanced = True
+            break
+        if advanced:
+            continue
+        # All earlier-π neighbors are out: v joins the MIS (step 4a / 3).
+        settled[v] = True
+        stack.pop()
+        ret = True
+
+    return 1 if settled[root] else 0
+
+
 def truncated_query(pi: np.ndarray, cap: int) -> Callable[..., Any]:
     """Algorithms 4–5: one truncated query per vertex, sharing the
     machine's status table; publishes every status the machine newly
@@ -88,7 +161,7 @@ def truncated_query(pi: np.ndarray, cap: int) -> Callable[..., Any]:
 
     def worker(ctx, v: int):
         settled = ctx.scratch.setdefault("settled", {})
-        calls = _Counter()
+        calls = Calls()
         result = _truncated_query(ctx, v, int(pi[v]), cap, settled, calls)
         fresh = ctx.scratch.setdefault("published", set())
         for u, val in settled.items():

@@ -146,6 +146,30 @@ def test_mis_bit_identical():
     assert _ledger(serial.report) == _ledger(process.report)
 
 
+@pytest.mark.parametrize("fn,field", [
+    (repro.maximal_matching, "edge_ids"),
+    (repro.greedy_coloring, "colors"),
+    (repro.greedy_edge_coloring, "colors"),
+])
+def test_greedy_query_rounds_ship_and_stay_bit_identical(fn, field):
+    """Matching and both colorings run the shared per-item query
+    program: every machine of every round runs in a pool worker (no
+    serial fallback), and results and ledgers equal the serial run's."""
+    from repro.observe import TracingSession
+
+    g = generators.erdos_renyi_gnm(300, 900, rng=4)
+    serial = fn(g, seed=2, query_cap=4)
+    with use_backend("process", 2):
+        with TracingSession(detail="machine") as session:
+            process = fn(g, seed=2, query_cap=4)
+    assert np.array_equal(getattr(serial, field), getattr(process, field))
+    assert serial.iterations == process.iterations > 1
+    assert _ledger(serial.report) == _ledger(process.report)
+    machines = [e for e in session.events if e.name.startswith("machine ")]
+    assert machines
+    assert all("worker" in (e.attrs or {}) for e in machines)
+
+
 def test_msf_bit_identical():
     # Prim's fused program: a machine's items straddle the item-range
     # shards, and its replayed reads are charged once per machine only

@@ -13,6 +13,7 @@ Prints, per directory, the total, then one line per immediate sub-directory
 from __future__ import annotations
 
 import ast
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -66,4 +67,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        status = main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head -1``): that is not an error.
+        # Point stdout at /dev/null so the exit-time flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)
