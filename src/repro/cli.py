@@ -32,7 +32,9 @@ multi-core process backend (results and cost ledgers are bit-identical
 to serial; see docs/api.md "Execution backends").
 
 Every run prints the result summary followed by the per-round cost
-ledger (``--no-ledger`` to suppress).
+ledger (``--no-ledger`` to suppress). Bad input — a missing file, a
+malformed parameter, an out-of-range rate — exits 2 with one
+``repro <command>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ import sys
 from typing import Sequence
 
 import numpy as np
+
+#: ``repro generate`` families and the parameters each takes.
+GENERATE_PARAMS = {"er": "n m", "ba": "n k", "grid": "rows cols",
+                   "cycle": "n", "two-cycle": "n", "tree": "n"}
+
+
+class UsageError(Exception):
+    """Bad command-line input: :func:`main` prints it as one line and
+    returns 2. Raised by input validation only; an error inside a solve
+    keeps its traceback."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,11 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "touching every page of a huge cache)")
 
     gen = sub.add_parser("generate", help="write a synthetic workload")
-    gen.add_argument("family", choices=["er", "ba", "grid", "cycle",
-                                        "two-cycle", "tree"])
-    gen.add_argument("params", nargs="+",
-                     help="er: n m | ba: n k | grid: rows cols | "
-                          "cycle: n | two-cycle: n | tree: n")
+    gen.add_argument("family", choices=list(GENERATE_PARAMS))
+    gen.add_argument("params", nargs="+", help=" | ".join(
+        f"{family}: {names}" for family, names in GENERATE_PARAMS.items()
+    ))
     gen.add_argument("out", help="output edge-list path")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--weighted", action="store_true",
@@ -408,31 +419,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        return _generate(args)
-    if args.command == "chaos":
-        return _chaos(args)
-    if args.command == "verify":
-        return _verify(args)
-    if args.command == "trace":
-        return _trace(args)
-    if args.command == "bench":
-        return _bench(args)
-    if args.command == "perf":
-        return _perf(args)
-    if args.command == "serve":
-        return _serve(args)
-    if args.command == "loadgen":
-        return _loadgen(args)
-    if args.command == "stats":
-        from repro.graph import files, stats
+    handler = {
+        "generate": _generate, "chaos": _chaos, "verify": _verify,
+        "trace": _trace, "bench": _bench, "perf": _perf, "serve": _serve,
+        "loadgen": _loadgen, "stats": _stats, "ingest": _ingest,
+    }.get(args.command, _run)
+    try:
+        return handler(args)
+    except UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
-        graph = files.read_edge_list(args.graph)
-        print(stats.graph_stats(graph).format())
-        return 0
-    if args.command == "ingest":
-        return _ingest(args)
-    return _run(args)
+
+def _read_graph(path: str, weighted: bool = False):
+    """The edge list at ``path``; a missing or malformed file is bad input."""
+    from repro.graph import files
+
+    read = files.read_weighted_edge_list if weighted else files.read_edge_list
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot read {path}: {reason}") from None
+
+
+def _stats(args) -> int:
+    from repro.graph import stats
+
+    print(stats.graph_stats(_read_graph(args.graph)).format())
+    return 0
 
 
 def _ingest(args) -> int:
@@ -447,18 +462,15 @@ def _ingest(args) -> int:
 
     spec = str(args.source)
     if spec.startswith("rmat:"):
-        fields = spec.split(":")[1:]
-        if not 1 <= len(fields) <= 2:
-            print(f"bad RMAT spec {spec!r}: want rmat:SCALE[:EDGE_FACTOR]",
-                  file=sys.stderr)
-            return 2
         try:
-            scale = int(fields[0])
-            edge_factor = int(fields[1]) if len(fields) == 2 else 16
+            fields = [int(field) for field in spec.split(":")[1:]]
         except ValueError:
-            print(f"bad RMAT spec {spec!r}: want rmat:SCALE[:EDGE_FACTOR]",
-                  file=sys.stderr)
-            return 2
+            fields = []
+        if not 1 <= len(fields) <= 2:
+            raise UsageError(
+                f"bad RMAT spec {spec!r}: want rmat:SCALE[:EDGE_FACTOR]"
+            )
+        scale, edge_factor = (fields + [16])[:2]
         n = 1 << scale
         chunks = generators.rmat_edge_chunks(
             scale, edge_factor, rng=args.seed,
@@ -480,7 +492,14 @@ def _ingest(args) -> int:
 def _generate(args) -> int:
     from repro.graph import files, generators
 
-    p = [int(x) for x in args.params]
+    names = GENERATE_PARAMS[args.family]
+    try:
+        p = [int(x) for x in args.params]
+    except ValueError:
+        p = []
+    if len(p) != len(names.split()):
+        raise UsageError(f"{args.family} takes integer parameters {names}, "
+                         f"got {' '.join(args.params)}")
     if args.family == "er":
         g = generators.erdos_renyi_gnm(p[0], p[1], rng=args.seed)
     elif args.family == "ba":
@@ -514,9 +533,7 @@ def _bench(args) -> int:
     import repro
 
     if not os.path.isdir(args.bench_dir):
-        print(f"benchmark directory not found: {args.bench_dir}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"benchmark directory not found: {args.bench_dir}")
 
     env = dict(os.environ)
     # Make sure the subprocess resolves the same `repro` package.
@@ -562,9 +579,8 @@ def _perf_collect(args) -> int:
             print(f"{suite}: {cells}")
         return 0
     if args.suite not in suite_names():
-        print(f"unknown suite {args.suite!r}; registered: "
-              f"{' '.join(suite_names())}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown suite {args.suite!r}; registered: "
+                         f"{' '.join(suite_names())}")
 
     quick = args.quick or None  # None -> honor REPRO_BENCH_QUICK
     print(f"perf collect: suite={args.suite} repeats={args.repeats} "
@@ -604,11 +620,11 @@ def _perf_check(args) -> int:
     baseline_name = args.baseline or args.suite
     baseline = store.baseline_profile(baseline_name)
     if baseline is None:
-        print(f"no baseline {baseline_name!r} pinned in {args.store} — "
-              f"run `repro perf collect --suite {args.suite}` then "
-              f"`repro perf baseline --suite {args.suite}`",
-              file=sys.stderr)
-        return 2
+        raise UsageError(
+            f"no baseline {baseline_name!r} pinned in {args.store} — "
+            f"run `repro perf collect --suite {args.suite}` then "
+            f"`repro perf baseline --suite {args.suite}`"
+        )
 
     if args.collect:
         candidate = collect(args.suite, repeats=args.repeats,
@@ -619,10 +635,9 @@ def _perf_check(args) -> int:
     else:
         latest = store.latest(args.suite)
         if latest is None:
-            print(f"no stored profiles for suite {args.suite!r} in "
-                  f"{args.store}; run `repro perf collect` or pass "
-                  f"--collect", file=sys.stderr)
-            return 2
+            raise UsageError(f"no stored profiles for suite {args.suite!r} "
+                             f"in {args.store}; run `repro perf collect` "
+                             f"or pass --collect")
         candidate = store.load(latest)
 
     config = DetectorConfig(shift_threshold=args.threshold,
@@ -666,16 +681,13 @@ def _perf_baseline(args) -> int:
         return 0
     profile_id = args.profile or store.latest(args.suite)
     if profile_id is None:
-        print(f"no stored profiles for suite {args.suite!r} in "
-              f"{args.store}; run `repro perf collect` first",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"no stored profiles for suite {args.suite!r} in "
+                         f"{args.store}; run `repro perf collect` first")
     name = args.name or args.suite
     try:
         pin = store.set_baseline(name, profile_id, note=args.note)
     except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     print(f"pinned baseline {name!r} -> {pin.profile}")
     return 0
 
@@ -706,9 +718,8 @@ def _verify(args) -> int:
         return 0
 
     if args.process_faults and args.backend != "process":
-        print("--process-faults injects real worker faults and needs "
-              "--backend process", file=sys.stderr)
-        return 2
+        raise UsageError("--process-faults injects real worker faults and "
+                         "needs --backend process")
 
     # With `--json -` the report owns stdout; human lines go to stderr.
     human = sys.stderr if args.json == "-" else sys.stdout
@@ -768,10 +779,10 @@ def _verify(args) -> int:
 
 def _serve_graph(args):
     """Load the edge-list, or generate the default ER serving instance."""
-    from repro.graph import files, generators
+    from repro.graph import generators
 
     if args.graph is not None:
-        return files.read_edge_list(args.graph), args.graph
+        return _read_graph(args.graph), args.graph
     n = args.size
     return (generators.erdos_renyi_gnm(n, 2 * n, rng=args.seed),
             f"er(n={n}, m={2 * n})")
@@ -782,11 +793,12 @@ def _parse_query(spec: str):
 
     kind, _, keys = spec.partition(":")
     parts = [p for p in keys.split(",") if p]
-    if not parts:
-        raise SystemExit(f"malformed --query {spec!r}; expected "
-                         f"KIND:KEY[,KEY2]")
-    key = int(parts[0])
-    key2 = int(parts[1]) if len(parts) > 1 else -1
+    try:
+        key = int(parts[0])
+        key2 = int(parts[1]) if len(parts) > 1 else -1
+    except (IndexError, ValueError):
+        raise UsageError(f"malformed --query {spec!r}; expected "
+                         f"KIND:KEY[,KEY2]") from None
     return ServeRequest(kind=kind, key=key, key2=key2)
 
 
@@ -795,14 +807,20 @@ def _serve(args) -> int:
     from repro.serve import ServingEngine, run_loadgen, workload_config
 
     graph, source = _serve_graph(args)
+    requests = [_parse_query(spec) for spec in args.query or ()]
     engine = ServingEngine(graph, epsilon=args.epsilon, seed=args.seed)
+    for spec, request in zip(args.query or (), requests):
+        try:
+            engine.validate(request)
+        except ValueError as exc:
+            raise UsageError(f"--query {spec}: {exc}") from None
     s = engine.summary()
     print(f"resident engine over {source}: n={s['n']} m={s['m']} "
           f"components={s['n_components']} "
           f"(built in {s['build_rounds']} rounds)")
     if args.query:
-        for spec in args.query:
-            resp = engine.execute_one(_parse_query(spec))
+        for spec, request in zip(args.query, requests):
+            resp = engine.execute_one(request)
             print(f"  {spec:32s} -> {resp.value!r}  "
                   f"[reads={resp.reads} writes={resp.writes} "
                   f"query_calls={resp.query_calls}]")
@@ -829,9 +847,13 @@ def _loadgen(args) -> int:
         STANDARD_WORKLOADS, AdmissionControl, loadgen_matrix,
     )
 
-    graph, source = _serve_graph(args)
     names = (args.workloads.split(",") if args.workloads
              else sorted(STANDARD_WORKLOADS))
+    unknown = [name for name in names if name not in STANDARD_WORKLOADS]
+    if unknown:
+        raise UsageError(f"unknown workload {', '.join(unknown)}; expected "
+                         f"{', '.join(sorted(STANDARD_WORKLOADS))}")
+    graph, source = _serve_graph(args)
     admission = AdmissionControl(max_queue=args.max_queue,
                                  batch_window=args.batch_window)
     payload = loadgen_matrix(
@@ -880,33 +902,25 @@ def _trace(args) -> int:
     from repro.verify.runner import make_workload
 
     if args.algorithm not in CASES:
-        print(f"unknown algorithm {args.algorithm!r}; registered: "
-              f"{' '.join(CASES)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown algorithm {args.algorithm!r}; "
+                         f"registered: {' '.join(CASES)}")
     case = CASES[args.algorithm]
 
     if args.graph is not None:
         if case.kind not in ("graph", "weighted"):
-            print(f"{case.name} consumes generated {case.kind!r} "
-                  f"instances; drop the graph file and use --family/"
-                  f"--size", file=sys.stderr)
-            return 2
-        from repro.graph import files
-
-        if case.kind == "weighted":
-            payload = files.read_weighted_edge_list(args.graph)
-        else:
-            payload = files.read_edge_list(args.graph)
+            raise UsageError(f"{case.name} consumes generated {case.kind!r} "
+                             f"instances; drop the graph file and use "
+                             f"--family/--size")
+        payload = _read_graph(args.graph, case.kind == "weighted")
         workload = Workload(family="file", kind=case.kind,
                             payload=payload, seed=args.seed)
         source = args.graph
     else:
         family = args.family or case.families[0]
         if family not in case.families:
-            print(f"{case.name} does not accept family {family!r} "
-                  f"(choices: {' '.join(case.families)})",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"{case.name} does not accept family "
+                             f"{family!r} (choices: "
+                             f"{' '.join(case.families)})")
         workload = make_workload(case, family, args.size, args.seed)
         n, m = workload.size
         source = f"{family} n={n} m={m}"
@@ -966,53 +980,54 @@ def _trace(args) -> int:
     return 0
 
 
-def _chaos(args) -> int:
-    import numpy as np
+def chaos_plan(args):
+    """The :class:`~repro.core.chaos.FaultPlan` ``repro chaos`` arms;
+    raises ValueError on an out-of-range rate."""
+    from repro.core.chaos import FaultPlan
 
-    from repro.algorithms.connectivity import connectivity
-    from repro.algorithms.mis import maximal_independent_set
-    from repro.analysis import render_recovery_table
-    from repro.core.chaos import ChaosRuntime, FaultPlan, ProcessFaultPlan
-    from repro.core.config import AMPCConfig
-    from repro.graph import files
-
-    graph = files.read_edge_list(args.graph)
-    print(f"loaded {graph!r} from {args.graph}")
-
-    config = AMPCConfig.for_input(
-        max(graph.n + graph.m, 1),
-        epsilon=args.epsilon,
-        seed=args.seed,
-        replication_factor=args.replication,
-    )
-    process_rates = (args.kill_worker, args.hang_worker,
-                     args.delay_reply, args.fork_fail)
-    process = None
-    if any(process_rates):
-        if args.backend != "process":
-            print("--kill-worker/--hang-worker/--delay-reply/--fork-fail "
-                  "inject real process faults and need --backend process",
-                  file=sys.stderr)
-            return 2
-        process = ProcessFaultPlan(
-            seed=args.fault_seed,
-            kill_probability=args.kill_worker,
-            hang_probability=args.hang_worker,
-            delay_probability=args.delay_reply,
-            fork_failure_probability=args.fork_fail,
-        )
-    plan = FaultPlan(
+    return FaultPlan(
         seed=args.fault_seed,
         machine_crash_probability=args.crash,
         server_outage_probability=args.outage,
         read_timeout_probability=args.timeout,
         straggler_probability=args.straggler,
-        process=process,
+        worker_kill_probability=args.kill_worker,
+        worker_hang_probability=args.hang_worker,
+        reply_delay_probability=args.delay_reply,
+        fork_failure_probability=args.fork_fail,
     )
+
+
+def _chaos(args) -> int:
+    from repro.algorithms.connectivity import connectivity
+    from repro.algorithms.mis import maximal_independent_set
+    from repro.analysis import render_recovery_table
+    from repro.core.chaos import ChaosRuntime
+    from repro.core.config import AMPCConfig
+
+    process_faults = any((args.kill_worker, args.hang_worker,
+                          args.delay_reply, args.fork_fail))
+    if process_faults and args.backend != "process":
+        raise UsageError("--kill-worker/--hang-worker/--delay-reply/"
+                         "--fork-fail inject real process faults and need "
+                         "--backend process")
+    graph = _read_graph(args.graph)
+    print(f"loaded {graph!r} from {args.graph}")
+
+    try:
+        config = AMPCConfig.for_input(
+            max(graph.n + graph.m, 1),
+            epsilon=args.epsilon,
+            seed=args.seed,
+            replication_factor=args.replication,
+        )
+        plan = chaos_plan(args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     print(f"fault plan: crash={args.crash} outage={args.outage} "
           f"timeout={args.timeout} straggler={args.straggler} "
           f"replication={config.replication_factor} seed={args.fault_seed}")
-    if process is not None:
+    if process_faults:
         print(f"process faults: kill={args.kill_worker} "
               f"hang={args.hang_worker} delay={args.delay_reply} "
               f"fork-fail={args.fork_fail} "
@@ -1052,13 +1067,9 @@ def _chaos(args) -> int:
 def _run(args) -> int:
     import contextlib
 
-    from repro.graph import files
     from repro.parallel import use_backend
 
-    if args.command == "msf":
-        graph = files.read_weighted_edge_list(args.graph)
-    else:
-        graph = files.read_edge_list(args.graph)
+    graph = _read_graph(args.graph, args.command == "msf")
     print(f"loaded {graph!r} from {args.graph}")
     if args.backend != "serial":
         print(f"backend: {args.backend} "

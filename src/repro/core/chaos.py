@@ -9,8 +9,9 @@ module makes every one of those failure modes executable and measurable:
 
 * :class:`FaultPlan` — a composable, seed-deterministic description of
   what fails when: machine crashes, DDS server outages, transient read
-  timeouts, and straggler delays, plus the :class:`RetryPolicy` the
-  client side answers them with.
+  timeouts and straggler delays, plus the :class:`RetryPolicy` the
+  client side answers them with — and the real worker kills, hangs,
+  delayed replies and fork failures the process backend's pool injects.
 * :class:`ChaosSession` — the live fault channel connecting a runtime to
   the :class:`~repro.core.dds.ReplicatedDataStore` instances it builds:
   which servers are down right now, the timeout dice, and the recovery
@@ -59,7 +60,6 @@ from .runtime import (
 
 __all__ = [
     "FaultPlan",
-    "ProcessFaultPlan",
     "BoundProcessFaults",
     "RetryPolicy",
     "ChaosSession",
@@ -79,11 +79,6 @@ _SALT_TIMEOUT = 0x7136
 _SALT_STRAGGLER = 0x57A6
 _SALT_PROC = 0x9B0C
 _SALT_FORK = 0xF08C
-
-
-def _combine(p: float, q: float) -> float:
-    """Probability that at least one of two independent faults fires."""
-    return 1.0 - (1.0 - p) * (1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -129,177 +124,14 @@ class RetryPolicy:
         return min(wait, self.max_backoff_s)
 
 
-@dataclass(frozen=True)
-class ProcessFaultPlan:
-    """Real process-level faults the worker pool injects under test.
-
-    Unlike the *simulated* faults of :class:`FaultPlan` (which perturb
-    the AMPC model inside one interpreter), these faults hit the actual
-    OS processes of the ``backend="process"`` pool: a worker SIGKILLs
-    itself mid-task, computes but never replies (the parent sees a
-    hang), delays its reply, or the respawn fork fails. Each shard is
-    dispatched once; the pool (:mod:`repro.parallel.pool`) re-runs a
-    lost worker's shard in the parent, with results and ledgers
-    bit-identical to serial.
-
-    With a plan armed the pool declares a worker lost when it has not
-    replied after :data:`~repro.parallel.pool.FAULT_DEADLINE_S` (1 s)
-    rather than the plain 60 s, so every injected hang costs one second.
-
-    All draws are deterministic in ``(seed, round, task)`` — the parent
-    decides, the directive rides along with the dispatch — so a fault
-    schedule replays exactly.
-
-    Arm a plan either ambiently, for runs that construct their runtimes
-    internally::
-
-        with use_backend("process", 2), use_process_faults(plan):
-            repro.connectivity(graph, seed=0)
-
-    or through a chaos runtime: ``FaultPlan.process_faults(plan)``.
-    """
-
-    seed: int = 0
-    kill_probability: float = 0.0
-    hang_probability: float = 0.0
-    delay_probability: float = 0.0
-    delay_s: float = 0.02
-    fork_failure_probability: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "kill_probability",
-            "hang_probability",
-            "delay_probability",
-            "fork_failure_probability",
-        ):
-            p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def kills(cls, probability: float, *, seed: int = 0) -> "ProcessFaultPlan":
-        """Plan that SIGKILLs workers mid-task."""
-        return cls(seed=seed, kill_probability=probability)
-
-    @classmethod
-    def hangs(cls, probability: float, *, seed: int = 0) -> "ProcessFaultPlan":
-        """Plan that drops replies (the parent observes a hung worker)."""
-        return cls(seed=seed, hang_probability=probability)
-
-    @classmethod
-    def delays(
-        cls, probability: float, delay_s: float = 0.02, *, seed: int = 0
-    ) -> "ProcessFaultPlan":
-        """Plan that delays replies (stragglers: wall time, nothing else)."""
-        return cls(seed=seed, delay_probability=probability, delay_s=delay_s)
-
-    @classmethod
-    def fork_failures(
-        cls, probability: float, *, seed: int = 0
-    ) -> "ProcessFaultPlan":
-        """Plan that fails the first fork of a worker respawn."""
-        return cls(seed=seed, fork_failure_probability=probability)
-
-    # -- composition -------------------------------------------------------
-
-    def compose(self, other: "ProcessFaultPlan") -> "ProcessFaultPlan":
-        """Combine two plans (probabilities OR as independent events)."""
-        seed = (
-            self.seed
-            if other.seed == self.seed
-            else splitmix64(self.seed ^ splitmix64(other.seed)) & 0x7FFFFFFF
-        )
-        return replace(
-            self,
-            seed=seed,
-            kill_probability=_combine(
-                self.kill_probability, other.kill_probability
-            ),
-            hang_probability=_combine(
-                self.hang_probability, other.hang_probability
-            ),
-            delay_probability=_combine(
-                self.delay_probability, other.delay_probability
-            ),
-            delay_s=max(self.delay_s, other.delay_s),
-            fork_failure_probability=_combine(
-                self.fork_failure_probability, other.fork_failure_probability
-            ),
-        )
-
-    def __or__(self, other: "ProcessFaultPlan") -> "ProcessFaultPlan":
-        return self.compose(other)
-
-    def with_seed(self, seed: int) -> "ProcessFaultPlan":
-        return replace(self, seed=seed)
-
-    @property
-    def is_null(self) -> bool:
-        return (
-            self.kill_probability == 0.0
-            and self.hang_probability == 0.0
-            and self.delay_probability == 0.0
-            and self.fork_failure_probability == 0.0
-        )
-
-    # -- draws (parent side; the pool consumes the bound form) -------------
-
-    def rng(self, *salts: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.seed, *salts)))
-
-    def directive_for(self, round_index: int, task_index: int) -> tuple | None:
-        """The fault directive (or None) for the dispatch of one shard."""
-        if self.is_null:
-            return None
-        rng = self.rng(_SALT_PROC, round_index, task_index)
-        if rng.random() < self.kill_probability:
-            return ("kill",)
-        if rng.random() < self.hang_probability:
-            return ("drop",)
-        if rng.random() < self.delay_probability:
-            return ("delay", self.delay_s)
-        return None
-
-    def fork_fails(
-        self, round_index: int, worker_idx: int, respawn_seq: int,
-        spawn_attempt: int,
-    ) -> bool:
-        """Whether one fork attempt of one respawn fails (first attempt
-        only, so a respawn retry always converges)."""
-        if spawn_attempt > 0 or self.fork_failure_probability <= 0.0:
-            return False
-        rng = self.rng(_SALT_FORK, round_index, worker_idx, respawn_seq)
-        return bool(rng.random() < self.fork_failure_probability)
-
-    def bind(self, round_index: int) -> "BoundProcessFaults":
-        """The per-round view the pool's supervisor consumes."""
-        return BoundProcessFaults(self, round_index)
-
-
-class BoundProcessFaults:
-    """A :class:`ProcessFaultPlan` fixed to one logical round — the
-    duck-typed ``faults`` argument of ``WorkerPool.run_tasks``."""
-
-    __slots__ = ("plan", "round_index")
-
-    def __init__(self, plan: ProcessFaultPlan, round_index: int) -> None:
-        self.plan = plan
-        self.round_index = round_index
-
-    def directive_for(self, task_index: int) -> tuple | None:
-        return self.plan.directive_for(self.round_index, task_index)
-
-    def fork_fails(
-        self, worker_idx: int, respawn_seq: int, spawn_attempt: int
-    ) -> bool:
-        return self.plan.fork_fails(
-            self.round_index, worker_idx, respawn_seq, spawn_attempt
-        )
+#: Rates of the faults a chaos runtime simulates inside the model, and
+#: of the real process faults the worker pool injects.
+_SIMULATED = ("machine_crash_probability", "server_outage_probability",
+              "read_timeout_probability", "straggler_probability")
+_PROCESS = ("worker_kill_probability", "worker_hang_probability",
+            "reply_delay_probability", "fork_failure_probability")
+#: The plan's delays and retry cap: non-negative, composed by max.
+_LIMITS = ("straggler_delay_s", "reply_delay_s", "max_machine_retries")
 
 
 @dataclass(frozen=True)
@@ -314,6 +146,23 @@ class FaultPlan:
     Plans compose: ``FaultPlan.machine_crashes(0.2) |
     FaultPlan.server_outages(0.1)`` combines failure modes, OR-ing the
     probabilities of each fault type as independent events.
+
+    Two kinds of fault share the plan. *Simulated* faults perturb the
+    AMPC model inside one interpreter and force serial rounds. *Process*
+    faults hit the real OS workers of the ``backend="process"`` pool
+    (:mod:`repro.parallel.pool`), which re-runs a lost worker's shard in
+    the parent; they are ignored on the serial path, where there is no
+    process to kill. A plan with process faults only keeps plain stores
+    and shards normally, and can also be armed ambiently for runtimes an
+    algorithm builds itself::
+
+        with use_backend("process", 2), use_process_faults(plan):
+            repro.connectivity(graph, seed=0)
+
+    With process faults armed the pool declares a worker lost when it
+    has not replied after :data:`~repro.parallel.pool.FAULT_DEADLINE_S`
+    (1 s) rather than the plain 60 s, so every injected hang costs one
+    second.
 
     Attributes:
         seed: master seed of every fault stream.
@@ -332,10 +181,15 @@ class FaultPlan:
         straggler_delay_s: delay a straggler adds.
         max_machine_retries: replacement machines per machine and round.
         retry: the client-side :class:`RetryPolicy`.
-        process: optional :class:`ProcessFaultPlan` of *real* OS-level
-            faults, honored by the worker pool when the runtime executes
-            on ``backend="process"`` (ignored on the serial path, where
-            there are no processes to kill).
+        worker_kill_probability: chance a pool worker SIGKILLs itself
+            mid-task, per shard dispatch.
+        worker_hang_probability: chance a worker computes but never
+            replies (the parent sees a hang).
+        reply_delay_probability: chance a worker delays its reply by
+            ``reply_delay_s`` (wall time, nothing else).
+        reply_delay_s: delay of a delayed reply.
+        fork_failure_probability: chance the first fork of a worker
+            respawn fails.
     """
 
     seed: int = 0
@@ -346,22 +200,25 @@ class FaultPlan:
     straggler_delay_s: float = 0.005
     max_machine_retries: int = 16
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    process: ProcessFaultPlan | None = None
+    worker_kill_probability: float = 0.0
+    worker_hang_probability: float = 0.0
+    reply_delay_probability: float = 0.0
+    reply_delay_s: float = 0.02
+    fork_failure_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "machine_crash_probability",
-            "server_outage_probability",
-            "read_timeout_probability",
-            "straggler_probability",
-        ):
-            p = getattr(self, name)
-            if not (0.0 <= p < 1.0):
-                raise ValueError(f"{name} must be in [0, 1), got {p}")
-        if self.straggler_delay_s < 0:
-            raise ValueError("straggler_delay_s must be non-negative")
-        if self.max_machine_retries < 0:
-            raise ValueError("max_machine_retries must be >= 0")
+        for name in _SIMULATED + _PROCESS:
+            # A simulated fault that always fired would never let a round
+            # finish; a lost worker's shard is re-run by the parent.
+            p, closed = getattr(self, name), name in _PROCESS
+            if not (0.0 <= p < 1.0 or closed and p == 1.0):
+                raise ValueError(
+                    f"{name} must be in [0, 1{']' if closed else ')'}, "
+                    f"got {p}"
+                )
+        for name in _LIMITS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     # -- constructors ------------------------------------------------------
 
@@ -398,64 +255,63 @@ class FaultPlan:
         )
 
     @classmethod
-    def process_faults(
-        cls, process: ProcessFaultPlan, *, seed: int = 0
-    ) -> "FaultPlan":
-        """Plan with only real process-level faults (pool-injected).
+    def kills(cls, probability: float, *, seed: int = 0) -> "FaultPlan":
+        """Plan that SIGKILLs pool workers mid-task."""
+        return cls(seed=seed, worker_kill_probability=probability)
 
-        Such a plan has nothing to simulate in-process, so a runtime
-        armed with it keeps plain round stores and — uniquely among
-        fault plans — stays :attr:`ChaosMixin.parallel_capable`.
-        """
-        return cls(seed=seed, process=process)
+    @classmethod
+    def hangs(cls, probability: float, *, seed: int = 0) -> "FaultPlan":
+        """Plan that drops replies (the parent observes a hung worker)."""
+        return cls(seed=seed, worker_hang_probability=probability)
+
+    @classmethod
+    def delays(
+        cls, probability: float, delay_s: float = 0.02, *, seed: int = 0
+    ) -> "FaultPlan":
+        """Plan that delays replies (stragglers: wall time, nothing else)."""
+        return cls(
+            seed=seed,
+            reply_delay_probability=probability,
+            reply_delay_s=delay_s,
+        )
+
+    @classmethod
+    def fork_failures(cls, probability: float, *, seed: int = 0) -> "FaultPlan":
+        """Plan that fails the first fork of a worker respawn."""
+        return cls(seed=seed, fork_failure_probability=probability)
 
     # -- composition -------------------------------------------------------
 
     def compose(self, other: "FaultPlan") -> "FaultPlan":
         """Combine two plans: each fault type fires if either plan fires.
 
-        Probabilities OR as independent events; delays and retry caps
-        take the larger value; the retry policy of the *left* plan wins
-        unless it is the default. Seeds mix deterministically, so
-        composing the same plans always replays the same faults.
+        Probabilities OR as independent events (``1 - (1 - p)(1 - q)``);
+        delays and retry caps take the larger value; the retry policy of
+        the *left* plan wins unless it is the default. Seeds mix
+        deterministically, so composing the same plans always replays
+        the same faults.
         """
         seed = (
             self.seed
             if other.seed == self.seed
             else splitmix64(self.seed ^ splitmix64(other.seed)) & 0x7FFFFFFF
         )
-        retry = self.retry if self.retry != RetryPolicy() else other.retry
         return replace(
             self,
             seed=seed,
-            machine_crash_probability=_combine(
-                self.machine_crash_probability, other.machine_crash_probability
-            ),
-            server_outage_probability=_combine(
-                self.server_outage_probability, other.server_outage_probability
-            ),
-            read_timeout_probability=_combine(
-                self.read_timeout_probability, other.read_timeout_probability
-            ),
-            straggler_probability=_combine(
-                self.straggler_probability, other.straggler_probability
-            ),
-            straggler_delay_s=max(self.straggler_delay_s, other.straggler_delay_s),
-            max_machine_retries=max(
-                self.max_machine_retries, other.max_machine_retries
-            ),
-            retry=retry,
-            process=(
-                self.process
-                if other.process is None
-                else other.process
-                if self.process is None
-                else self.process.compose(other.process)
-            ),
+            retry=self.retry if self.retry != RetryPolicy() else other.retry,
+            **{
+                name: 1.0 - (1.0 - getattr(self, name))
+                * (1.0 - getattr(other, name))
+                for name in _SIMULATED + _PROCESS
+            },
+            **{
+                name: max(getattr(self, name), getattr(other, name))
+                for name in _LIMITS
+            },
         )
 
-    def __or__(self, other: "FaultPlan") -> "FaultPlan":
-        return self.compose(other)
+    __or__ = compose
 
     def with_seed(self, seed: int) -> "FaultPlan":
         """Copy of this plan with a different fault seed."""
@@ -464,9 +320,7 @@ class FaultPlan:
     @property
     def is_null(self) -> bool:
         """True if the plan injects nothing (armed runtime == plain run)."""
-        return self.simulated_is_null and (
-            self.process is None or self.process.is_null
-        )
+        return not any(getattr(self, name) for name in _SIMULATED + _PROCESS)
 
     @property
     def simulated_is_null(self) -> bool:
@@ -477,12 +331,7 @@ class FaultPlan:
         this is exactly the condition under which a chaos runtime stays
         :attr:`ChaosMixin.parallel_capable` and keeps plain stores.
         """
-        return (
-            self.machine_crash_probability == 0.0
-            and self.server_outage_probability == 0.0
-            and self.read_timeout_probability == 0.0
-            and self.straggler_probability == 0.0
-        )
+        return not any(getattr(self, name) for name in _SIMULATED)
 
     # -- fault streams -----------------------------------------------------
 
@@ -507,6 +356,55 @@ class FaultPlan:
         rng = self.rng(_SALT_OUTAGE, round_index, attempt)
         mask = rng.random(n_servers) < p
         return frozenset(int(s) for s in np.flatnonzero(mask))
+
+    def directive_for(self, round_index: int, task_index: int) -> tuple | None:
+        """The process-fault directive (or None) for the dispatch of one
+        shard — decided in the parent, so a fault schedule replays
+        exactly."""
+        rng = self.rng(_SALT_PROC, round_index, task_index)
+        if rng.random() < self.worker_kill_probability:
+            return ("kill",)
+        if rng.random() < self.worker_hang_probability:
+            return ("drop",)
+        if rng.random() < self.reply_delay_probability:
+            return ("delay", self.reply_delay_s)
+        return None
+
+    def fork_fails(
+        self, round_index: int, worker_idx: int, respawn_seq: int,
+        spawn_attempt: int,
+    ) -> bool:
+        """Whether one fork attempt of one respawn fails (first attempt
+        only, so a respawn retry always converges)."""
+        if spawn_attempt > 0 or self.fork_failure_probability <= 0.0:
+            return False
+        rng = self.rng(_SALT_FORK, round_index, worker_idx, respawn_seq)
+        return bool(rng.random() < self.fork_failure_probability)
+
+    def bind(self, round_index: int) -> "BoundProcessFaults":
+        """The per-round view the pool's supervisor consumes."""
+        return BoundProcessFaults(self, round_index)
+
+
+class BoundProcessFaults:
+    """A :class:`FaultPlan`'s process faults fixed to one logical round —
+    the duck-typed ``faults`` argument of ``WorkerPool.run_tasks``."""
+
+    __slots__ = ("plan", "round_index")
+
+    def __init__(self, plan: FaultPlan, round_index: int) -> None:
+        self.plan = plan
+        self.round_index = round_index
+
+    def directive_for(self, task_index: int) -> tuple | None:
+        return self.plan.directive_for(self.round_index, task_index)
+
+    def fork_fails(
+        self, worker_idx: int, respawn_seq: int, spawn_attempt: int
+    ) -> bool:
+        return self.plan.fork_fails(
+            self.round_index, worker_idx, respawn_seq, spawn_attempt
+        )
 
 
 #: What recovery cost a session accumulates while a round is in flight;
@@ -575,7 +473,8 @@ class ChaosSession:
         self.server_outages += len(downed)
 
     def end_round(self) -> None:
-        """The round sealed: servers come back up, faults disarm."""
+        """The round execution ended (sealed or aborted): servers come
+        back up, faults disarm."""
         self.down = frozenset()
         self.active = False
         self.attempt_reads = 0
@@ -584,10 +483,8 @@ class ChaosSession:
         """Record a whole-round abort: everything read so far is waste."""
         self.checkpoint_restores += 1
         self.wasted_reads += self.attempt_reads
-        self.attempt_reads = 0
         self.recovery_wall_s += wall_wasted_s
-        self.down = frozenset()
-        self.active = False
+        self.end_round()
 
     def on_machine_crash(self, wasted_reads: int) -> None:
         """Record one machine crash and the reads its attempt burned."""
@@ -672,10 +569,10 @@ class ChaosMixin:
         super().__init__(config, *args, **kwargs)
         self.plan = FaultPlan() if plan is None else plan
         self.session = ChaosSession(self.plan)
-        if self.plan.process is not None:
+        if not self.plan.is_null:
             # Real process-level faults ride the pool's dispatch path;
             # a plan on the runtime overrides the ambient selection.
-            self.process_fault_plan = self.plan.process
+            self.process_fault_plan = self.plan
 
     @property
     def parallel_capable(self) -> bool:
@@ -808,7 +705,7 @@ class ChaosMixin:
         attempt is rolled back whole (fresh budget, waste to the ledger,
         its reads taken back out of the store's load) and a replacement
         machine replays the machine's items. A machine that finishes
-        cleanly publishes its buffered writes."""
+        cleanly commits its journaled writes."""
         session = self.session
         crash_rng = session.crash_rng
         # No dice without a crash plan; and the last replacement never
@@ -912,7 +809,7 @@ class FaultInjectingRuntime(ChaosRuntime):
     ``FaultPlan.machine_crashes``: machine programs crash mid-read with
     ``crash_probability`` per attempt (every attempt but the last of
     ``max_retries`` replacements, so the bounded simulation terminates),
-    the attempt's buffered writes are discarded, and a replacement with
+    the attempt's journaled writes are discarded, and a replacement with
     a fresh O(S) budget re-runs the work against the same sealed store.
 
     Attributes:
@@ -948,7 +845,7 @@ def arm(runtime_cls: type) -> type:
 
     ``arm(MPCRuntime)`` returns a class whose constructor accepts the
     usual arguments plus ``plan=FaultPlan(...)``; its machine contexts
-    gain buffered writes and crash points (synthesized from the base
+    gain journaled writes and crash points (synthesized from the base
     context class), its stores are replicated, and its rounds recover as
     described on :class:`ChaosMixin`. Classes are cached, so repeated
     calls return the same type.

@@ -29,6 +29,7 @@ from typing import Any, Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    RoundProtocolError,
     ServerUnavailableError,
     StoreNotSealedError,
     StoreSealedError,
@@ -583,6 +584,7 @@ class DistributedDataStore:
         "_server_reads",
         "_server_items",
         "_server_map",
+        "_scalar_keys",
         "n_writes",
         "n_reads",
     )
@@ -606,6 +608,9 @@ class DistributedDataStore:
         # key -> owning server, filled at write time so reads don't
         # re-hash (profiling showed per-read hashing dominating).
         self._server_map: dict[Hashable, int] = {}
+        # (namespace, key length) of the scalar pairs a bulk read of the
+        # namespace would skip; found on first need, kept once sealed.
+        self._scalar_keys: set[tuple[str, int]] | None = None
         self._sealed = False
         self._server_reads = np.zeros(n_servers, dtype=np.int64)
         self._server_items = np.zeros(n_servers, dtype=np.int64)
@@ -891,10 +896,17 @@ class DistributedDataStore:
         castable to the namespace's value dtype); pass
         ``return_found=True`` to also get the hit mask. With ``slots``,
         the probed keys are the 3-part ``(namespace, id, slot)`` of a
-        slotted :meth:`write_array` namespace.
+        slotted :meth:`write_array` namespace. Keys of that shape written
+        by scalar :meth:`write` are not in the columns, so their
+        namespace raises :class:`~repro.core.errors.RoundProtocolError`
+        rather than read as missing.
         """
         if not self._sealed:
             raise self._unsealed_error()
+        if self._data:
+            self._refuse_scalar_pairs(
+                namespace, 2 if slots is None else 3, "read_array"
+            )
         ids = np.asarray(ids, dtype=np.int64)
         if slots is not None:
             slots = np.asarray(slots, dtype=np.int64)
@@ -947,14 +959,16 @@ class DistributedDataStore:
           ``(rows, k)`` array. Keys of any other shape are not part of
           the namespace and are skipped.
 
-        A namespace written both ways keeps the mixing rule of
-        :meth:`write_array` — unspecified (today: the columnar rows only).
-        An absent namespace yields two empty arrays. Uncharged, like
-        :meth:`items`: callers that model machine-side collection must
-        charge reads through the runtime.
+        A namespace written both ways raises
+        :class:`~repro.core.errors.RoundProtocolError` rather than drop
+        one representation's rows. An absent namespace yields two empty
+        arrays. Uncharged, like :meth:`items`: callers that model
+        machine-side collection must charge reads through the runtime.
         """
         column = self._columns.get(namespace)
         if column is not None:
+            if self._data:
+                self._refuse_scalar_pairs(namespace, 2, "read_namespace")
             return column.write_order()
         ids: list[int] = []
         values: list[Any] = []
@@ -973,6 +987,35 @@ class DistributedDataStore:
                 ids.append(key[1])
                 values.append(value)
         return np.asarray(ids, dtype=np.int64), np.asarray(values)
+
+    def _refuse_scalar_pairs(
+        self, namespace: str, width: int, reader: str
+    ) -> None:
+        """Raise if scalar writes stored ``width``-part ``(namespace, id
+        [, slot])`` keys, which ``reader`` reading the columns would skip.
+
+        The first call on a sealed store scans the scalar keys once; the
+        answer depends on the stored pairs only, so a shadow store gives
+        the one its parent gives."""
+        keys = self._scalar_keys
+        if keys is None:
+            keys = {
+                (key[0], len(key))
+                for key in self._data
+                if type(key) is tuple
+                and len(key) in (2, 3)
+                and isinstance(key[0], str)
+                and all(isinstance(k, (int, np.integer)) for k in key[1:])
+            }
+            if self._sealed:
+                self._scalar_keys = keys
+        if (namespace, width) in keys:
+            raise RoundProtocolError(
+                f"{reader} of namespace {namespace!r}, which holds pairs "
+                f"written by scalar write(): {reader} reads write_array "
+                f"rows only and would skip them; read those keys with "
+                f"get() or write the namespace one way"
+            )
 
     def _column_key(self, key: Hashable) -> tuple[_Column, int, int | None] | None:
         """Resolve a scalar key against the columnar twin.

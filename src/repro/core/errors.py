@@ -79,7 +79,7 @@ class MachineCrash(AMPCError):
     hardware fault).
 
     Raised from inside a machine program by the fault-injecting runtimes;
-    the framework discards the attempt's buffered writes and reruns the
+    the framework discards the attempt's journaled writes and reruns the
     work from scratch against the immutable round store (§2.1).
     """
 

@@ -12,8 +12,11 @@ query total.
 The module also owns what a round *does* with a machine once its items
 are known — :func:`group_by_machine`, the two block runners
 (:func:`run_items`, :func:`run_block`) and the :class:`OutputCollector` —
-shared verbatim by the serial round loop and the process backend's pool
-task and merge, so the two executions cannot drift apart.
+and the attempt journal (:class:`_JournalStore`, :func:`_replay_ops`)
+that holds a machine's writes until its attempt counts. They are shared
+verbatim by the serial round loop, the chaos layer's crash replay and
+the process backend's pool task and merge, so the executions cannot
+drift apart.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from .config import AMPCConfig
-from .dds import DistributedDataStore
+from .dds import DistributedDataStore, check_write, check_write_array
 from .errors import (
     AdaptivityError,
     BudgetExceededError,
@@ -48,6 +51,7 @@ class MachineContext:
         "config",
         "_prev",
         "_next",
+        "_sink",
         "_cache",
         "scratch",
         "observer",
@@ -71,6 +75,9 @@ class MachineContext:
         self.config = config
         self._prev = prev_store
         self._next = next_store
+        # Where writes go: the next store, or an attempt's journal
+        # (TransactionalContextMixin) until the attempt counts.
+        self._sink = next_store
         self._cache: dict[Hashable, Any] = {}
         # Free-form per-machine, per-round local memory for machine
         # programs (e.g. MIS shares settled statuses across the vertices a
@@ -209,7 +216,7 @@ class MachineContext:
         self._charge_write(ids.size)
         if self.batch_observer is not None:
             self.batch_observer.on_machine_write_batch(self, namespace, ids)
-        self._next.write_array(namespace, ids, values)
+        self._sink.write_array(namespace, ids, values)
 
     # -- writes (into D_i, visible next round) -----------------------------
 
@@ -218,7 +225,7 @@ class MachineContext:
         self._charge_write(1)
         if self.observer is not None:
             self.observer.on_machine_write(self, key)
-        self._next.write(key, value)
+        self._sink.write(key, value)
 
     def write_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
         for key, value in pairs:
@@ -247,18 +254,94 @@ class MachineContext:
                 )
 
 
+class _JournalStore:
+    """A machine attempt's stand-in for the round's next store.
+
+    Validates writes exactly like :class:`DistributedDataStore` (so a
+    model violation raises at the op that caused it, with the store's
+    message) and appends them to an op journal instead of storing.
+    Consecutive scalar writes share one ``("w", pairs)`` run, applied with
+    one bulk write by :func:`_replay_ops`. Arrays are copied at journal
+    time — the real store copies on append, and programs may reuse
+    buffers. Process-backend pool workers write into one, and so does a
+    chaos runtime's machine until its attempt finishes.
+    """
+
+    __slots__ = ("max_words", "ops")
+
+    sealed = False
+
+    def __init__(self, max_words: int, ops: list) -> None:
+        self.max_words = max_words
+        self.ops = ops
+
+    def write(self, key: Hashable, value: Any) -> None:
+        check_write(key, value, self.max_words)
+        ops = self.ops
+        if ops and ops[-1][0] == "w":
+            ops[-1][1].append((key, value))
+        else:
+            ops.append(("w", [(key, value)]))
+
+    def write_array(
+        self, namespace: str, ids: np.ndarray, values: np.ndarray
+    ) -> None:
+        ids, values, _ = check_write_array(
+            namespace,
+            np.array(ids, dtype=np.int64),
+            np.array(values),
+            None,
+            self.max_words,
+        )
+        self.ops.append(("wa", namespace, ids, values))
+
+
+def _replay_ops(
+    fan: Any,
+    ctx: Any,
+    next_store: DistributedDataStore,
+    ops: list,
+) -> None:
+    """Fire a machine's journaled ops through the fan (None: no hooks)
+    and the real next store, in the order the machine issued them. A run
+    of scalar writes fires its hooks, then applies through the store's
+    one bulk path — hooks see only the context, so the order within a
+    run is not observable; the run's pairs were validated when they
+    were journaled."""
+    scalar_hooks = fan is not None and fan.any_machine_scalar_hooks
+    batch_hooks = fan is not None and fan.any_machine_batch_hooks
+    for op in ops:
+        kind = op[0]
+        if kind == "w":
+            if scalar_hooks:
+                for key, _ in op[1]:
+                    fan.on_machine_write(ctx, key)
+            next_store._write_pairs(op[1], None)
+        elif kind == "wa":
+            if batch_hooks:
+                fan.on_machine_write_batch(ctx, op[1], op[2])
+            next_store.write_array(op[1], op[2], op[3])
+        elif kind == "r":
+            if scalar_hooks:
+                fan.on_machine_read(ctx, op[1])
+        elif batch_hooks:  # "rb"
+            fan.on_machine_read_batch(ctx, op[1], op[2])
+
+
 class TransactionalContextMixin:
-    """Buffered-write, crash-capable behavior layered over any context.
+    """Journaled-write, crash-capable behavior layered over any context.
 
     Fault-injecting runtimes combine this mixin with a concrete context
     class (``class C(TransactionalContextMixin, MachineContext)``) and
     declare ``__slots__ = TRANSACTIONAL_SLOTS`` on the combined class.
-    Writes — scalar pairs and array batches alike — are buffered until
-    :meth:`commit`, which the fault-injecting runtime calls when the
-    machine finishes cleanly: a crashed attempt must leave no trace in
-    D_i (the framework discards a failed task's output, as in
-    MapReduce). A charged read raises :class:`MachineCrash` once the
-    preselected crash point is reached.
+    Writes — scalar pairs and array batches alike — go to the attempt's
+    :class:`_JournalStore`, validated and copied at the op as in a pool
+    worker. :meth:`commit`, which the fault-injecting runtime calls when
+    the machine finishes cleanly, applies them through the process
+    backend's merge path; :meth:`rollback` drops them: a crashed attempt
+    must leave no trace in D_i (the framework discards a failed task's
+    output, as in MapReduce). A charged read raises
+    :class:`MachineCrash` once the preselected crash point is reached.
     """
 
     __slots__ = ()
@@ -266,9 +349,7 @@ class TransactionalContextMixin:
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.crash_at: int | None = None
-        # In write order: (key, value) pairs and (namespace, ids, values)
-        # batches.
-        self.buffered_writes: list[tuple] = []
+        self._sink = _JournalStore(self._next.max_words, [])
 
     def _charge_read(self, count: int) -> None:
         # Every remote read, scalar or batched, is charged here first.
@@ -276,43 +357,23 @@ class TransactionalContextMixin:
             raise MachineCrash(self.machine_id, self.reads_used)
         super()._charge_read(count)
 
-    def write(self, key: Hashable, value: Any) -> None:
-        self._charge_write(1)
-        if self.observer is not None:
-            self.observer.on_machine_write(self, key)
-        self.buffered_writes.append((key, value))
-
-    def write_array(
-        self, namespace: str, ids: np.ndarray, values: np.ndarray
-    ) -> None:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return
-        self._charge_write(ids.size)
-        if self.batch_observer is not None:
-            self.batch_observer.on_machine_write_batch(self, namespace, ids)
-        self.buffered_writes.append((namespace, ids, values))
-
     def commit(self) -> None:
-        for entry in self.buffered_writes:
-            if len(entry) == 2:
-                self._next.write(*entry)
-            else:
-                self._next.write_array(*entry)
-        self.buffered_writes.clear()
+        """Publish the finished attempt's writes into D_i, in op order."""
+        _replay_ops(None, self, self._next, self._sink.ops)
+        self._sink.ops.clear()
 
     def rollback(self) -> int:
         """Discard a crashed attempt; return the reads it wasted.
 
         The replacement machine starts from scratch (the paper's "perform
-        the computation from scratch"): nothing the attempt buffered
-        reaches D_i, the read/write budgets — buffered rows and result
+        the computation from scratch"): nothing the attempt journaled
+        reaches D_i, the read/write budgets — journaled rows and result
         publications alike — are fresh, and the read cache and scratch
         space are empty. A context runs one machine's program for one
         round, so "the attempt's start" is the context's initial state.
         """
         wasted_reads = self.reads_used
-        self.buffered_writes.clear()
+        self._sink.ops.clear()
         self.reads_used = 0
         self.writes_used = 0
         self.crash_at = None
@@ -324,12 +385,12 @@ class TransactionalContextMixin:
 # Slots a concrete transactional context class must declare (the mixin
 # itself keeps empty __slots__ so it can combine with any context class
 # without an instance lay-out conflict).
-TRANSACTIONAL_SLOTS = ("crash_at", "buffered_writes")
+TRANSACTIONAL_SLOTS = ("crash_at",)
 
 
 class CrashingContext(TransactionalContextMixin, MachineContext):
     """MachineContext that raises MachineCrash at a preselected read and
-    buffers writes until the machine finishes cleanly."""
+    journals writes until the machine finishes cleanly."""
 
     __slots__ = TRANSACTIONAL_SLOTS
 

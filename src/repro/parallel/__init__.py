@@ -33,24 +33,26 @@ which worker executes it; worker merges happen in ascending machine-id
 order; integer counter reductions are order-independent sums. MPC
 runtimes and chaos runtimes with *simulated* faults opt out
 (``parallel_capable`` is False) and run serially, so fault plans keep
-firing at identical operations; chaos plans injecting only real
-*process-level* faults (:class:`~repro.core.chaos.ProcessFaultPlan`)
-shard normally. The pool (:mod:`repro.parallel.pool`) treats a crashed
-or hung worker as the crash of every machine in its shard — the paper's
-§2.1 failure — and re-runs that shard in the parent, which replies
-exactly as the worker would have, keeping the bit-identity contract
-under every injected fault.
+firing at identical operations; a :class:`~repro.core.chaos.FaultPlan`
+injecting only real *process-level* faults (worker kills, hangs, delayed
+replies, fork failures) shards normally. The pool
+(:mod:`repro.parallel.pool`) treats a crashed or hung worker as the
+crash of every machine in its shard — the paper's §2.1 failure — and
+re-runs that shard in the parent, which replies exactly as the worker
+would have, keeping the bit-identity contract under every injected
+fault.
 
 Merge cost
 ----------
 
 The parent-side journal replay is the serial fraction of every sharded
 round. :mod:`repro.parallel.backend` replays each machine's journal in
-one loop: a worker journals consecutive scalar writes as one run, which
-the parent applies with the store's one bulk scalar-write path (the one
-``write_many`` uses: one seal check, one placement hash sweep per key
-namespace, no re-validation), and batch writes go straight through
-``write_array``. Armed machine hooks fire in op order as the loop
+one loop — the one a chaos runtime's machine commits a finished attempt
+through (:mod:`repro.core.machine`): a worker journals consecutive
+scalar writes as one run, which the parent applies with the store's one
+bulk scalar-write path (the one ``write_many`` uses: one seal check, one
+placement hash sweep per key namespace, no re-validation), and batch
+writes go straight through ``write_array``. Armed machine hooks fire in op order as the loop
 passes. The ``replay_items`` cell of ``repro perf collect --suite
 smoke`` (process-backend matching: per-item rounds, scalar writes)
 measures this constant; ``replay_merge`` (process-backend connectivity,
@@ -97,7 +99,7 @@ def default_workers() -> int | None:
 
 
 def default_process_faults() -> Any:
-    """Ambient :class:`~repro.core.chaos.ProcessFaultPlan` (or None)."""
+    """Ambient process-fault :class:`~repro.core.chaos.FaultPlan` (or None)."""
     return _DEFAULT_PROCESS_FAULTS
 
 
@@ -135,14 +137,22 @@ def use_backend(backend: str, n_workers: int | None = None) -> Iterator[None]:
 
 @contextlib.contextmanager
 def use_process_faults(plan: Any) -> Iterator[None]:
-    """Ambiently arm a :class:`~repro.core.chaos.ProcessFaultPlan` for
-    runtimes constructed inside the ``with`` block.
+    """Ambiently arm a :class:`~repro.core.chaos.FaultPlan` of process
+    faults for runtimes constructed inside the ``with`` block.
 
     Only bites on ``backend="process"`` runs — there is no process to
     kill on the serial path — which is exactly what the cross-backend
     oracle exploits: the serial twin of a fault-injected process run is
     automatically fault-free, and the two must still be bit-identical.
+    Simulated faults need a chaos runtime (``ChaosRuntime(config,
+    plan=plan)``), so a plan with any raises ValueError.
     """
+    if plan is not None and not plan.simulated_is_null:
+        raise ValueError(
+            "use_process_faults arms real process faults only; run "
+            "simulated faults on a chaos runtime (ChaosRuntime(config, "
+            "plan=plan))"
+        )
     global _DEFAULT_PROCESS_FAULTS
     prev = _DEFAULT_PROCESS_FAULTS
     _DEFAULT_PROCESS_FAULTS = plan

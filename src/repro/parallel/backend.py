@@ -14,9 +14,9 @@ How a parallel round runs
 3. Each pool worker runs the *real* machine programs — through the
    serial loop's block runners, :func:`~repro.core.machine.run_items` /
    :func:`~repro.core.machine.run_block` — against a shadow read store
-   (zero-copy views of the parent's arrays) and a :class:`_JournalStore`
-   in place of the next store: writes pass the real store's validators,
-   then are journaled. Charged
+   (zero-copy views of the parent's arrays) and a
+   :class:`~repro.core.machine._JournalStore` in place of the next store:
+   writes pass the real store's validators, then are journaled. Charged
    reads are journaled too (:class:`~repro.core.hooks.OpRecorder`), into
    the same per-machine op list, so the journal preserves the machine's
    true read/write interleaving.
@@ -46,17 +46,19 @@ usage), not incremented per-op during replay.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.cost import merge_shard_counters
-from repro.core.dds import DistributedDataStore, check_write, check_write_array
+from repro.core.dds import DistributedDataStore
 from repro.core.errors import RoundProtocolError
 from repro.core.hooks import OpRecorder
 from repro.core.machine import (
     MachineContext,
     OutputCollector,
+    _JournalStore,
+    _replay_ops,
     group_by_machine,
     run_block,
     run_items,
@@ -73,47 +75,6 @@ __all__ = [
     "run_fused_round",
     "TASKS",
 ]
-
-
-class _JournalStore:
-    """Worker-side stand-in for the round's next store.
-
-    Validates writes exactly like :class:`DistributedDataStore` (so
-    model violations raise in the worker, at the op that caused them,
-    with the serial path's messages) and appends them to the machine's
-    op journal instead of storing. Consecutive scalar writes share one
-    ``("w", pairs)`` run, which the parent applies with one bulk write
-    during the merge. Arrays are copied at journal time — the real store
-    copies on append, and workers may reuse buffers.
-    """
-
-    __slots__ = ("max_words", "ops")
-
-    sealed = False
-
-    def __init__(self, max_words: int, ops: list) -> None:
-        self.max_words = max_words
-        self.ops = ops
-
-    def write(self, key: Hashable, value: Any) -> None:
-        check_write(key, value, self.max_words)
-        ops = self.ops
-        if ops and ops[-1][0] == "w":
-            ops[-1][1].append((key, value))
-        else:
-            ops.append(("w", [(key, value)]))
-
-    def write_array(
-        self, namespace: str, ids: np.ndarray, values: np.ndarray
-    ) -> None:
-        ids, values, _ = check_write_array(
-            namespace,
-            np.array(ids, dtype=np.int64),
-            np.array(values),
-            None,
-            self.max_words,
-        )
-        self.ops.append(("wa", namespace, ids, values))
 
 
 class _JournalBatchContext(BatchRoundContext):
@@ -322,37 +283,6 @@ def _merge_store_reads(read_store: DistributedDataStore, res: dict) -> None:
     """Fold a shard's shadow-store read deltas into the real read store."""
     read_store.n_reads += res["n_reads"]
     read_store._server_reads += res["server_reads"]
-
-
-def _replay_ops(
-    fan: Any,
-    ctx: Any,
-    next_store: DistributedDataStore,
-    ops: list,
-) -> None:
-    """Fire a machine's journaled ops through the real fan and next store,
-    in the order the machine issued them. A run of scalar writes fires
-    its hooks, then applies through the store's one bulk path — hooks see
-    only the context, so the order within a run is not observable; the
-    run's pairs were validated when the worker journaled them."""
-    scalar_hooks = fan is not None and fan.any_machine_scalar_hooks
-    batch_hooks = fan is not None and fan.any_machine_batch_hooks
-    for op in ops:
-        kind = op[0]
-        if kind == "w":
-            if scalar_hooks:
-                for key, _ in op[1]:
-                    fan.on_machine_write(ctx, key)
-            next_store._write_pairs(op[1], None)
-        elif kind == "wa":
-            if batch_hooks:
-                fan.on_machine_write_batch(ctx, op[1], op[2])
-            next_store.write_array(op[1], op[2], op[3])
-        elif kind == "r":
-            if scalar_hooks:
-                fan.on_machine_read(ctx, op[1])
-        elif batch_hooks:  # "rb"
-            fan.on_machine_read_batch(ctx, op[1], op[2])
 
 
 def _replay_machine(

@@ -32,7 +32,9 @@ remaining shards run in the parent as well, and :func:`get_pool`
 rebuilds the pool for the next round.
 
 Fault injection: ``run_tasks(..., faults=...)`` accepts a duck-typed
-plan (see :class:`repro.core.chaos.BoundProcessFaults`) providing
+plan — the process faults of a :class:`repro.core.chaos.FaultPlan`
+bound to one round (:class:`repro.core.chaos.BoundProcessFaults`) —
+providing
 ``directive_for(task_index)`` — returning ``None``, ``("kill",)``,
 ``("drop",)`` or ``("delay", seconds)`` — and
 ``fork_fails(worker_idx, respawn_seq, spawn_attempt)``. Directives ride

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.core.chaos import FaultPlan, ProcessFaultPlan
+from repro.core.chaos import FaultPlan
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.parallel import BACKENDS, use_backend, use_process_faults
@@ -368,7 +368,7 @@ def default_fault_plan(seed: int = 1) -> FaultPlan:
     ).compose(FaultPlan.server_outages(DEFAULT_CHAOS_PLAN["outage"], seed=seed))
 
 
-def default_process_fault_plan(seed: int = 1) -> ProcessFaultPlan:
+def default_process_fault_plan(seed: int = 1) -> FaultPlan:
     """The sweep's standard real-process fault plan.
 
     10% of shard dispatches are SIGKILLed mid-task, 10% have their reply
@@ -377,9 +377,9 @@ def default_process_fault_plan(seed: int = 1) -> ProcessFaultPlan:
     re-run in the parent after at most the armed-plan 1 s deadline.
     """
     return (
-        ProcessFaultPlan.kills(0.1, seed=seed)
-        | ProcessFaultPlan.hangs(0.1, seed=seed)
-        | ProcessFaultPlan.delays(0.1, delay_s=0.02, seed=seed)
+        FaultPlan.kills(0.1, seed=seed)
+        | FaultPlan.hangs(0.1, seed=seed)
+        | FaultPlan.delays(0.1, delay_s=0.02, seed=seed)
     )
 
 
@@ -393,7 +393,7 @@ def _run_cell(
     chaos: bool,
     backend: str = "serial",
     workers: int | None = None,
-    process_faults: ProcessFaultPlan | None = None,
+    process_faults: FaultPlan | None = None,
 ) -> CellRecord:
     workload = make_workload(case, family, n, seed)
     wn, wm = workload.size
@@ -405,14 +405,9 @@ def _run_cell(
     # context, so the cross-backend oracle compares a fault-injected
     # process run against a fault-free serial run — the strongest form
     # of the bit-identity contract.
-    def faulted():
-        if process_faults is not None:
-            return use_process_faults(process_faults)
-        return contextlib.nullcontext()
-
     start = time.perf_counter()
     try:
-        with faulted(), use_backend(backend, workers):
+        with use_process_faults(process_faults), use_backend(backend, workers):
             with InvariantSuite(balance_slack=balance_slack) as suite:
                 result = case.run(workload, seed)
         record.invariant_violations = [
@@ -430,7 +425,7 @@ def _run_cell(
         # Seed-determinism: the same cell twice must agree bit for bit,
         # including the cost ledger (wall time excluded).
         rerun_workload = make_workload(case, family, n, seed)
-        with faulted(), use_backend(backend, workers):
+        with use_process_faults(process_faults), use_backend(backend, workers):
             rerun = case.run(rerun_workload, seed)
         record.deterministic = (
             case.digest(result) == case.digest(rerun)

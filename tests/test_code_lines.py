@@ -48,3 +48,15 @@ def test_a_closed_reader_is_not_an_error(tmp_path):
         os.close(write_end)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_counts_one_file(tmp_path):
+    root = _tree(tmp_path)
+    path = root / "pkg" / "a.py"
+    out = subprocess.run([sys.executable, str(TOOL), str(path), str(root)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[0] == f"      3  {path}"
+    assert out.splitlines()[1] == f"      4  {root}"
+    missing = subprocess.run([sys.executable, str(TOOL), str(root / "x.txt")],
+                             capture_output=True, text=True)
+    assert missing.returncode == 2

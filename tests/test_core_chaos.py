@@ -65,6 +65,23 @@ class TestFaultPlan:
         assert mixed.machine_crash_probability == pytest.approx(0.2)
         assert mixed.server_outage_probability == pytest.approx(0.1)
 
+    def test_one_plan_composes_simulated_and_process_faults(self):
+        plan = (FaultPlan.machine_crashes(0.5, max_retries=3)
+                | FaultPlan.kills(0.5) | FaultPlan.kills(0.5)
+                | FaultPlan.delays(0.1, delay_s=0.5)
+                | FaultPlan.stragglers(0.1, delay_s=0.2))
+        assert plan.machine_crash_probability == pytest.approx(0.5)
+        assert plan.worker_kill_probability == pytest.approx(0.75)
+        assert plan.reply_delay_s == 0.5 and plan.straggler_delay_s == 0.2
+        assert plan.max_machine_retries == 16
+        assert not plan.simulated_is_null and not plan.is_null
+        process_only = FaultPlan.hangs(1.0) | FaultPlan.fork_failures(0.2)
+        assert process_only.simulated_is_null and not process_only.is_null
+        with pytest.raises(ValueError, match="worker_kill_probability"):
+            FaultPlan.kills(1.5)
+        with pytest.raises(ValueError, match="reply_delay_s"):
+            FaultPlan.delays(0.1, delay_s=-1.0)
+
     def test_composition_is_deterministic(self):
         a = FaultPlan.machine_crashes(0.2, seed=3)
         b = FaultPlan.server_outages(0.1, seed=8)
@@ -406,3 +423,78 @@ def test_composed_plan_bit_identical(algorithm):
     chaotic = solve(workload, runtime=ChaosRuntime(cfg, plan=plan))
     assert np.array_equal(getattr(chaotic, answer), getattr(clean, answer))
     assert chaotic.report.recovery_summary()["recovery_reads"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the attempt journal: a faulty run stores what a fault-free run stores
+# ---------------------------------------------------------------------------
+
+_JOURNAL_PLANS = {
+    "null": FaultPlan(),
+    "outages": FaultPlan.server_outages(0.3, seed=1),
+    "crashes": FaultPlan.machine_crashes(0.3, seed=3),
+}
+
+
+def _stored(rt, program, *, fused=False):
+    """The ``"out"`` rows a buffer-reusing program leaves in the store,
+    sorted by id (machines may interleave their writes differently)."""
+    ids = np.arange(40, dtype=np.int64)
+    result = rt.round_batch(
+        ids, program, fused=fused,
+        setup_arrays=[("in", ids, ids * 10)],
+    )
+    got_ids, values = result.store.read_namespace("out")
+    order = np.argsort(got_ids, kind="stable")
+    return got_ids[order].tolist(), values[order].tolist()
+
+
+def _reuse_block(ctx, block):
+    buf = np.empty(block.size, dtype=np.int64)
+    buf[:] = ctx.read_array("in", block)
+    ctx.write_array("out", block, buf)
+    buf[:] = -1
+
+
+def _reuse_fused(gctx):
+    buf = np.empty(gctx.items.size, dtype=np.int64)
+    buf[:] = gctx.read_array("in", gctx.items, owner=gctx.machines)
+    gctx.write_array("out", gctx.items, buf, owner=gctx.machines)
+    buf[:] = -1
+
+
+class TestAttemptJournal:
+    @pytest.mark.parametrize("plan", list(_JOURNAL_PLANS))
+    def test_reused_write_buffer_stores_what_a_fault_free_run_stores(
+            self, plan):
+        clean = _stored(AMPCRuntime(config()), _reuse_block)
+        assert clean[1] == [10 * i for i in range(40)]
+        chaotic = ChaosRuntime(config(), plan=_JOURNAL_PLANS[plan])
+        assert _stored(chaotic, _reuse_block) == clean
+
+    def test_fused_program_under_crashes_copies_its_writes(self):
+        clean = _stored(AMPCRuntime(config()), _reuse_fused, fused=True)
+        assert clean[1] == [10 * i for i in range(40)]
+        chaotic = ChaosRuntime(config(), plan=_JOURNAL_PLANS["crashes"])
+        assert _stored(chaotic, _reuse_fused, fused=True) == clean
+        assert chaotic.report.crashes > 0
+
+    @pytest.mark.parametrize("armed", [False, True])
+    def test_oversized_scalar_write_raises_at_the_op(self, armed):
+        from repro.core.errors import ValueSizeError
+
+        ran = []
+
+        def program(ctx, block):
+            for item in block.tolist():
+                if not ran:
+                    ran.append(item)
+                    ctx.write(("big", item), tuple(range(20)))
+                else:
+                    ran.append(item)
+
+        rt = (ChaosRuntime(config(), plan=FaultPlan()) if armed
+              else AMPCRuntime(config()))
+        with pytest.raises(ValueSizeError):
+            rt.round_batch(np.arange(40, dtype=np.int64), program)
+        assert len(ran) == 1

@@ -241,3 +241,59 @@ class TestSlottedCompositeKey:
             "adj", np.array([1, 0, 0]), slots=np.array([-1, 1, -1]), fill=-7
         ).tolist() == [10, 20, -7]
         assert len(store) == 2
+
+
+class TestBulkReadsSeeScalarPairs:
+    """Bulk reads never skip pairs a scalar write put in their namespace:
+    they raise instead, naming the namespace."""
+
+    @staticmethod
+    def _shadow(store):
+        return DistributedDataStore.attach_shadow(
+            round_index=store.round_index, n_servers=store.n_servers,
+            seed=store.seed, max_words=store.max_words,
+            data=dict(store._data), columns=dict(store._columns),
+        )
+
+    def test_read_array_refuses_a_scalar_written_namespace(self):
+        from repro.core.errors import RoundProtocolError
+
+        store = make_store()
+        store.write(("y", 5), 7)
+        store.seal()
+        assert store.get(("y", 5)) == 7
+        for s in (store, self._shadow(store)):
+            with pytest.raises(RoundProtocolError, match="'y'"):
+                s.read_array("y", np.array([5]), return_found=True)
+
+    def test_read_namespace_refuses_a_namespace_written_both_ways(self):
+        from repro.core.errors import RoundProtocolError
+
+        store = make_store()
+        store.write_array("x", np.array([1, 2]), np.array([10, 20]))
+        store.write(("x", 3), 30)
+        store.seal()
+        assert len(store) == 3
+        assert sorted(store.items()) == [
+            (("x", 1), 10), (("x", 2), 20), (("x", 3), 30),
+        ]
+        for s in (store, self._shadow(store)):
+            with pytest.raises(RoundProtocolError, match="'x'"):
+                s.read_namespace("x")
+            with pytest.raises(RoundProtocolError, match="'x'"):
+                s.read_array("x", np.array([1]))
+
+    def test_namespaces_written_one_way_read_as_before(self):
+        store = make_store()
+        store.write_array("a", np.array([1, 2]), np.array([10, 20]))
+        store.write(("b", 4), 40)
+        store.write(("b", 4), 41)
+        store.write(("c", 1, 2), 9)  # a slotted key is not in namespace "c"
+        store.write(("other", "k"), 1)
+        store.seal()
+        assert store.read_array("a", np.array([2, 3])).tolist() == [20, 0]
+        assert store.read_array("c", np.array([1])).tolist() == [0]
+        ids, values = store.read_namespace("a")
+        assert ids.tolist() == [1, 2] and values.tolist() == [10, 20]
+        ids, values = store.read_namespace("b")
+        assert ids.tolist() == [4, 4] and values.tolist() == [40, 41]

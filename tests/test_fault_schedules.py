@@ -29,9 +29,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cli import build_parser
+from repro.cli import build_parser, chaos_plan
 from repro.core import AMPCConfig
-from repro.core.chaos import ChaosRuntime, FaultPlan, ProcessFaultPlan
+from repro.core.chaos import ChaosRuntime, FaultPlan
 from repro.graph import generators
 from repro.verify.runner import default_fault_plan, default_process_fault_plan
 
@@ -46,55 +46,29 @@ CHAOS_ARGV = [
 
 # -- the plan-building table (the only part that depends on the plan API) --
 
-def _simulated(plan: FaultPlan) -> tuple[FaultPlan, ProcessFaultPlan]:
-    """A plan of simulated faults: no process faults to draw."""
-    return plan, plan.process or ProcessFaultPlan()
+def _one(plan: FaultPlan) -> tuple[FaultPlan, FaultPlan]:
+    """One plan draws every fault, simulated and process alike."""
+    return plan, plan
 
 
-def _process(plan: ProcessFaultPlan) -> tuple[FaultPlan, ProcessFaultPlan]:
-    """A plan of real process faults only."""
-    return FaultPlan.process_faults(plan, seed=plan.seed), plan
-
-
-def _cli_chaos_plan() -> tuple[FaultPlan, ProcessFaultPlan]:
+def _cli_chaos_plan() -> tuple[FaultPlan, FaultPlan]:
     """The plan ``repro chaos`` builds from :data:`CHAOS_ARGV`."""
-    args = build_parser().parse_args(CHAOS_ARGV)
-    process = ProcessFaultPlan(
-        seed=args.fault_seed,
-        kill_probability=args.kill_worker,
-        hang_probability=args.hang_worker,
-        delay_probability=args.delay_reply,
-        fork_failure_probability=args.fork_fail,
-    )
-    plan = FaultPlan(
-        seed=args.fault_seed,
-        machine_crash_probability=args.crash,
-        server_outage_probability=args.outage,
-        read_timeout_probability=args.timeout,
-        straggler_probability=args.straggler,
-        process=process,
-    )
-    return plan, plan.process
+    return _one(chaos_plan(build_parser().parse_args(CHAOS_ARGV)))
 
 
 #: name -> ``(plan that draws outages, plan that draws process faults)``.
 PLANS = {
-    "machine_crashes": lambda: _simulated(
-        FaultPlan.machine_crashes(0.3, seed=3)),
-    "server_outages": lambda: _simulated(
-        FaultPlan.server_outages(0.3, seed=3)),
-    "read_timeouts": lambda: _simulated(FaultPlan.read_timeouts(0.3, seed=3)),
-    "stragglers": lambda: _simulated(FaultPlan.stragglers(0.3, seed=3)),
-    "kills": lambda: _process(ProcessFaultPlan.kills(0.3, seed=3)),
-    "hangs": lambda: _process(ProcessFaultPlan.hangs(0.3, seed=3)),
-    "delays": lambda: _process(
-        ProcessFaultPlan.delays(0.3, delay_s=0.01, seed=3)),
-    "fork_failures": lambda: _process(
-        ProcessFaultPlan.fork_failures(0.3, seed=3)),
-    "default_fault_plan": lambda: _simulated(default_fault_plan(1)),
-    "default_process_fault_plan": lambda: _process(
-        default_process_fault_plan(3)),
-    "combined": lambda: _simulated(
+    "machine_crashes": lambda: _one(FaultPlan.machine_crashes(0.3, seed=3)),
+    "server_outages": lambda: _one(FaultPlan.server_outages(0.3, seed=3)),
+    "read_timeouts": lambda: _one(FaultPlan.read_timeouts(0.3, seed=3)),
+    "stragglers": lambda: _one(FaultPlan.stragglers(0.3, seed=3)),
+    "kills": lambda: _one(FaultPlan.kills(0.3, seed=3)),
+    "hangs": lambda: _one(FaultPlan.hangs(0.3, seed=3)),
+    "delays": lambda: _one(FaultPlan.delays(0.3, delay_s=0.01, seed=3)),
+    "fork_failures": lambda: _one(FaultPlan.fork_failures(0.3, seed=3)),
+    "default_fault_plan": lambda: _one(default_fault_plan(1)),
+    "default_process_fault_plan": lambda: _one(default_process_fault_plan(3)),
+    "combined": lambda: _one(
         (FaultPlan.machine_crashes(0.2)
          | FaultPlan.server_outages(0.1)).with_seed(7)),
     "cli_chaos": _cli_chaos_plan,

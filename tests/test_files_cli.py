@@ -139,3 +139,68 @@ class TestCLI:
     def test_epsilon_flag_propagates(self, tmp_path, capsys):
         path = self.graph_file(tmp_path)
         assert main(["mis", path, "--epsilon", "0.7", "--no-ledger"]) == 0
+
+
+class TestCLIUserErrors:
+    """Bad command-line input exits 2 with one ``repro <command>: …``
+    line on stderr, never a traceback."""
+
+    @staticmethod
+    def graph_file(tmp_path):
+        path = tmp_path / "g.txt"
+        files.write_edge_list(generators.erdos_renyi_gnm(30, 60, rng=1), path)
+        return str(path)
+
+    @staticmethod
+    def assert_usage_error(argv, capsys, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(f"repro {argv[0]}: "), err
+        assert needle in lines[0]
+
+    def test_generate_missing_parameter(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["generate", "er", "10", str(tmp_path / "out.txt")], capsys,
+            "er")
+
+    def test_serve_non_integer_key(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["serve", self.graph_file(tmp_path), "--query", "mis_member:abc"],
+            capsys, "mis_member:abc")
+
+    def test_serve_unknown_kind(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["serve", self.graph_file(tmp_path), "--query", "bogus:1"],
+            capsys, "bogus")
+
+    def test_serve_key_out_of_range(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["serve", self.graph_file(tmp_path), "--query", "mis_member:999"],
+            capsys, "999")
+
+    def test_loadgen_unknown_workload(self, capsys):
+        self.assert_usage_error(
+            ["loadgen", "--size", "30", "--workloads", "nope"], capsys,
+            "nope")
+
+    def test_chaos_rate_out_of_range(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["chaos", "connectivity", self.graph_file(tmp_path),
+             "--crash", "1.0"], capsys, "machine_crash_probability")
+
+    def test_missing_graph_file(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["mis", str(tmp_path / "MISSING.txt")], capsys, "MISSING.txt")
+
+    def test_error_inside_a_solve_keeps_its_traceback(
+            self, tmp_path, monkeypatch):
+        import repro
+
+        def broken(*args, **kwargs):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr(repro, "maximal_independent_set", broken)
+        with pytest.raises(ValueError, match="solver bug"):
+            main(["mis", self.graph_file(tmp_path)])

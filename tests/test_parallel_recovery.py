@@ -26,7 +26,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.core import AMPCConfig, AMPCRuntime
-from repro.core.chaos import ChaosRuntime, FaultPlan, ProcessFaultPlan
+from repro.core.chaos import ChaosRuntime, FaultPlan
 from repro.graph import files, generators
 from repro.parallel import (
     WorkerPool,
@@ -127,7 +127,7 @@ def test_kill_fault_mid_round_parity():
     bit-identical; every machine of a lost shard counts as a crash."""
     g = generators.erdos_renyi_gnm(300, 450, rng=5)
     serial = repro.connectivity(g, seed=3)
-    plan = ProcessFaultPlan.kills(0.3, seed=2)
+    plan = FaultPlan.kills(0.3, seed=2)
     with use_process_faults(plan), use_backend("process", 2):
         faulted = repro.connectivity(g, seed=3)
     assert np.array_equal(serial.labels, faulted.labels)
@@ -144,7 +144,7 @@ def test_hang_deadline_triggers_respawn(short_deadline):
     """Dropped replies: the armed-plan deadline fires, never a wedge."""
     succ = generators.linked_list(400, 3)
     serial = repro.list_ranking(succ, seed=1)
-    plan = ProcessFaultPlan.hangs(0.15, seed=4)
+    plan = FaultPlan.hangs(0.15, seed=4)
     with use_process_faults(plan), use_backend("process", 2):
         faulted = repro.list_ranking(succ, seed=1)
     assert np.array_equal(serial.ranks, faulted.ranks)
@@ -156,7 +156,7 @@ def test_delay_fault_parity():
     """Delayed replies (stragglers) change nothing but wall time."""
     g = generators.barabasi_albert(200, 3, rng=11)
     serial = repro.maximal_independent_set(g, seed=1)
-    plan = ProcessFaultPlan.delays(0.5, delay_s=0.05, seed=6)
+    plan = FaultPlan.delays(0.5, delay_s=0.05, seed=6)
     with use_process_faults(plan), use_backend("process", 2):
         faulted = repro.maximal_independent_set(g, seed=1)
     assert np.array_equal(serial.in_mis, faulted.in_mis)
@@ -177,7 +177,7 @@ def test_lost_fused_shard_matches_serial(monkeypatch):
         return fused(payload)
 
     monkeypatch.setitem(_backend.TASKS, "fused_shard", counted)
-    with use_process_faults(ProcessFaultPlan.kills(1.0, seed=0)), \
+    with use_process_faults(FaultPlan.kills(1.0, seed=0)), \
             use_backend("process", 2):
         faulted = repro.list_ranking(succ, seed=1)
     assert np.array_equal(serial.ranks, faulted.ranks)
@@ -232,7 +232,7 @@ def test_null_plan_keeps_the_plain_deadline(small_config, monkeypatch):
 
     monkeypatch.setattr(WorkerPool, "run_tasks", spy)
     runtime = _bootstrapped(small_config, backend="process", n_workers=2)
-    runtime.process_fault_plan = ProcessFaultPlan()
+    runtime.process_fault_plan = FaultPlan()
     results = runtime.round(list(range(16)), _read_plus_one).results
     assert results == [i + 1 for i in range(16)]
     assert seen == [None]
@@ -373,7 +373,7 @@ def test_every_dispatch_hung_reruns_every_shard_in_parent(small_config,
     round never falls back to the serial loop, and the answer is still
     correct — with every machine of the round on the ledger as a crash."""
     runtime = _bootstrapped(small_config, backend="process", n_workers=2)
-    runtime.process_fault_plan = ProcessFaultPlan.hangs(1.0, seed=9)
+    runtime.process_fault_plan = FaultPlan.hangs(1.0, seed=9)
     results = runtime.round(list(range(16)), _read_plus_one).results
     assert results == [i + 1 for i in range(16)]
     assert runtime.parallel_fallbacks == 0
@@ -412,7 +412,7 @@ def test_process_only_chaos_plan_keeps_parallel_capable():
     clean = repro.connectivity(g, seed=2)
 
     config = AMPCConfig.for_input(g.n + g.m, epsilon=0.5, seed=2)
-    plan = FaultPlan.process_faults(ProcessFaultPlan.kills(0.2, seed=5))
+    plan = FaultPlan.kills(0.2, seed=5)
     rt = ChaosRuntime(config, plan=plan, backend="process", n_workers=2)
     assert rt.parallel_capable
     faulted = repro.connectivity(g, runtime=rt)
@@ -422,6 +422,17 @@ def test_process_only_chaos_plan_keeps_parallel_capable():
     sim = ChaosRuntime(config, plan=FaultPlan.machine_crashes(0.1),
                        backend="process", n_workers=2)
     assert not sim.parallel_capable
+
+
+def test_use_process_faults_rejects_simulated_faults():
+    """Simulated faults need a chaos runtime; the ambient selection
+    arms real process faults only."""
+    with pytest.raises(ValueError, match="simulated faults"):
+        with use_process_faults(FaultPlan.kills(0.1)
+                                | FaultPlan.machine_crashes(0.1)):
+            pass
+    with use_process_faults(FaultPlan.kills(0.1) | FaultPlan.hangs(0.1)):
+        pass
 
 
 def test_single_fault_digest_property(short_deadline):
@@ -440,11 +451,11 @@ def test_single_fault_digest_property(short_deadline):
            fault_seed=st.integers(min_value=0, max_value=2 ** 20))
     def check(kind: str, fault_seed: int) -> None:
         if kind == "kill":
-            plan = ProcessFaultPlan.kills(0.25, seed=fault_seed)
+            plan = FaultPlan.kills(0.25, seed=fault_seed)
         elif kind == "hang":
-            plan = ProcessFaultPlan.hangs(0.2, seed=fault_seed)
+            plan = FaultPlan.hangs(0.2, seed=fault_seed)
         else:
-            plan = ProcessFaultPlan.delays(0.4, delay_s=0.01,
+            plan = FaultPlan.delays(0.4, delay_s=0.01,
                                            seed=fault_seed)
         with use_process_faults(plan), use_backend("process", 2):
             faulted = repro.list_ranking(succ, seed=0)

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Count code-only lines of the Python files under one or more directories.
+"""Count code-only lines of Python files and of the files under directories.
 
 A line counts when it carries at least one token that is not a comment and
 it is not part of a docstring, so blank lines, comment lines and docstrings
 are excluded while a statement spread over five lines counts five times.
 Prints, per directory, the total, then one line per immediate sub-directory
-(files directly under the directory are listed as ``.``).
+(files directly under the directory are listed as ``.``); per ``.py`` file
+argument, that file's count.
 
-    python3 tools/code_lines.py src/repro [benchmarks tests ...]
+    python3 tools/code_lines.py src/repro [src/repro/core/chaos.py ...]
 """
 
 from __future__ import annotations
@@ -50,10 +51,13 @@ def main(argv: list[str]) -> int:
         return 2
     roots = [Path(arg) for arg in argv[1:]]
     for root in roots:
-        if not root.is_dir():
-            print(f"not a directory: {root}", file=sys.stderr)
+        if not (root.is_dir() or root.is_file() and root.suffix == ".py"):
+            print(f"not a directory or .py file: {root}", file=sys.stderr)
             return 2
     for root in roots:
+        if root.is_file():
+            print(f"{code_lines(root):>7}  {root}")
+            continue
         per_package: dict[str, int] = {}
         for path in sorted(root.rglob("*.py")):
             relative = path.relative_to(root)
