@@ -12,6 +12,11 @@ Semantics implemented exactly as specified:
 * the store is *sealed* between rounds: reads before sealing and writes
   after sealing raise, enforcing the model's round discipline.
 
+Every ``(namespace, id)`` and ``(namespace, id, slot)`` key with a str
+namespace and int64 ids lives in one :class:`_Column` per namespace and
+key arity, whichever call wrote it; every other key lives in one
+object-keyed dict. A read resolves its key once, to one of the two.
+
 The store also plays the role of the P serving machines of §2.1: every read
 is attributed to the server owning the key (random placement via
 :mod:`repro.core.partition`), giving the per-server load data behind the
@@ -29,7 +34,6 @@ from typing import Any, Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    RoundProtocolError,
     ServerUnavailableError,
     StoreNotSealedError,
     StoreSealedError,
@@ -74,6 +78,82 @@ def _owned_chunk(array: np.ndarray) -> np.ndarray:
     return np.array(array, copy=True)
 
 
+def int64_keys(namespace: str, array: Any, what: str = "ids") -> np.ndarray:
+    """``array`` as the int64 ids (or slots) of ``namespace``'s keys.
+
+    Raises :class:`TypeError` unless it has an integer dtype: a float id
+    would be truncated onto another key. Size-0 arrays of any dtype pass
+    (``np.asarray([])`` is float64).
+    """
+    array = np.asarray(array)
+    if array.dtype.kind not in "iu" and array.size:
+        raise TypeError(
+            f"{what} of namespace {namespace!r} must have an integer "
+            f"dtype, got {array.dtype}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
+_I64 = 1 << 63
+_OBJECT = np.dtype(object)
+
+
+def _int64(x: Any) -> int | None:
+    """``x`` as an int if it is an integer inside int64 (numpy and bool
+    integers included: they equal their int), else None."""
+    if not isinstance(x, (int, np.integer)):
+        return None
+    x = int(x)
+    return x if -_I64 <= x < _I64 else None
+
+
+def _route(key: Hashable) -> tuple[tuple[str, int], int, int | None] | None:
+    """Where ``key`` lives: ``((namespace, arity), id, slot)`` for a
+    ``(str, int)`` or ``(str, int, int)`` key whose ints fit int64, None
+    for the object dict."""
+    arity = len(key) if type(key) is tuple else 0
+    if arity != 2 and arity != 3:
+        return None
+    id_, slot = key[1], key[2] if arity == 3 else None
+    if type(id_) is not int or not -_I64 <= id_ < _I64:
+        id_ = _int64(id_)
+    if arity == 3 and (type(slot) is not int or not -_I64 <= slot < _I64):
+        slot = _int64(slot)
+        if slot is None:
+            return None
+    if id_ is None or not isinstance(key[0], str):
+        return None
+    return (key[0], arity), id_, slot
+
+
+def _key_parts(namespace: str, ids: Any, slots: Any) -> list:
+    """A column-decomposed key batch: ``[namespace, ids(, slots)]``."""
+    return [namespace, ids] if slots is None else [namespace, ids, slots]
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def _py_values(values: np.ndarray) -> list:
+    """Rows as the Python values a scalar read returns: scalars, or tuples
+    for a multi-word column."""
+    rows = values.tolist()
+    return rows if values.ndim == 1 else [tuple(row) for row in rows]
+
+
+def _to_objects(values: np.ndarray) -> np.ndarray:
+    """:func:`_py_values` as a 1-D object array."""
+    return np.fromiter(_py_values(values), dtype=_OBJECT, count=len(values))
+
+
+def _rank(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each probe's rank among the sorted distinct ``keys``, and whether
+    the probe is one of them."""
+    ranks = np.minimum(keys.searchsorted(probes), keys.size - 1)
+    return ranks, keys[ranks] == probes
+
+
 # A column is indexed by a position table when its key span is at most this
 # many times its row count. At 4 the int32 table (span + 1 entries) takes no
 # more bytes than the int64 sorted-keys + order pair of the other form, so
@@ -86,26 +166,33 @@ KEY_SLICE = 1 << 16
 
 
 class _Column:
-    """Columnar storage for one namespace of (id -> value) pairs.
-
-    Append-only chunks of parallel int64-id / value arrays; an index over
-    the keys is built lazily on first lookup (i.e. after the store seals).
-    Duplicate ids keep every row — bucket semantics — and a plain lookup
-    returns the first-written row, matching the scalar store's
-    duplicate-key rule.
+    """Every pair of one namespace and key arity, in write order.
 
     A column is either *plain* (keys ``(namespace, id)``) or *slotted*
     (keys ``(namespace, id, slot)``, e.g. adjacency slot addressing
-    ``("adj", u, i)``); the first append decides which, and the two key
-    shapes never share a column. Slotted lookups index a composite
-    ``id * stride + (slot - slot_lo)`` key, where ``slot_lo`` and
-    ``stride`` come from the column's own slot range at index-build time.
+    ``("adj", u, i)``). Rows live in append-only chunks of parallel int64
+    id (and slot) and value arrays: :meth:`append` adds a ``write_array``
+    batch, :meth:`put` adds one scalar write to a pending chunk that
+    :meth:`close` turns into arrays. The store closes it at seal and
+    before any batch write, so duplicates index in write order across
+    both calls. Values are kept exactly: a column that any scalar write
+    touched is *object-valued* (one Python value per row, earlier numeric
+    rows converted to what a scalar read of them returns); a column only
+    ``write_array`` wrote stays numeric, ``width`` words per row.
+
+    An index over the keys is built lazily on first lookup (i.e. after
+    the store seals). Duplicate ids keep every row — bucket semantics —
+    and a plain lookup returns the first-written row. Slotted rows index
+    one int64 composite ``(id - id_lo) * stride + (slot - slot_lo)`` over
+    the written id and slot ranges or, when those ranges are too wide for
+    one int64, over the ranks of the distinct written ids and slots.
 
     The index answers "where does key k sit in stable key order" in one
     of two forms, chosen from the data when it is built:
 
     * *position table* — when ``max_key - min_key + 1`` is within
-      :data:`_TABLE_SPAN_FACTOR` times the row count: ``table[k - lo]``
+      :data:`_TABLE_SPAN_FACTOR` times the row count (8 times that for an
+      object-valued column): ``table[k - lo]``
       counts the stored keys below ``k``, so a probe is two adjacent
       gathers whatever the column's size;
     * *sorted keys* — otherwise (ids are arbitrary int64, so an O(span)
@@ -113,7 +200,8 @@ class _Column:
 
     In both, ``_order`` maps a sorted position to its row and is None when
     the keys were written in non-decreasing order (position *is* row).
-    :meth:`_locate` is the only code that knows which form is live.
+    :meth:`_locate` and :meth:`find` are the only code that knows which
+    form is live.
     """
 
     __slots__ = (
@@ -124,41 +212,42 @@ class _Column:
         "_id_chunks",
         "_slot_chunks",
         "_value_chunks",
+        "_pending_keys",
+        "_pending_values",
         "_ids",
         "_slots",
         "_values",
-        "_built",
         "_order",
         "_table",
         "_sorted_keys",
         "_lo",
         "_hi",
         "_n_distinct",
-        "_stride",
-        "_slot_lo",
+        "_slot_range",
+        "_id_keys",
+        "_slot_keys",
+        "_probe",
     )
 
-    def __init__(self, width: int, dtype: np.dtype, slotted: bool = False) -> None:
-        self.width = width
-        self.dtype = dtype
+    def __init__(self, slotted: bool) -> None:
+        # The first append or put decides the value layout.
+        self.width = 1
+        self.dtype: np.dtype | None = None
         self.rows = 0
         self.slotted = slotted
         self._id_chunks: list[np.ndarray] = []
         self._slot_chunks: list[np.ndarray] = []
         self._value_chunks: list[np.ndarray] = []
-        self._ids: np.ndarray | None = None
-        self._slots: np.ndarray | None = None
-        self._values: np.ndarray | None = None
-        self._built = False
-        self._order: np.ndarray | None = None
-        self._table: np.ndarray | None = None
-        self._sorted_keys: np.ndarray | None = None
-        # Smallest / largest stored key (composite, for slotted columns).
-        self._lo = 0
-        self._hi = -1
-        self._n_distinct = 0
-        self._stride = 1
-        self._slot_lo = 0
+        self._pending_keys: list[int] = []
+        self._pending_values: list[Any] = []
+        self._slot_range = (0, -1, 0, 1)  # id_lo, id_hi, slot_lo, stride
+        self._id_keys = self._slot_keys = None
+        self._reset()
+
+    def _reset(self) -> None:
+        self._ids = self._slots = self._values = self._n_distinct = None
+        self._order = self._table = self._sorted_keys = None
+        self._probe = None
 
     def append(
         self,
@@ -166,80 +255,131 @@ class _Column:
         values: np.ndarray,
         slots: np.ndarray | None = None,
     ) -> None:
+        """Add one ``write_array`` batch (copied unless read-only)."""
         width = 1 if values.ndim == 1 else values.shape[1]
-        if width != self.width or values.dtype != self.dtype:
+        if self.dtype is None:
+            self.dtype, self.width = values.dtype, width
+        if self.dtype.hasobject:
+            values = _to_objects(values)
+        elif width != self.width or values.dtype != self.dtype:
             raise ValueError(
                 f"namespace value layout changed: expected width {self.width} "
                 f"dtype {self.dtype}, got width {width} dtype {values.dtype}"
             )
-        if (slots is not None) != self.slotted:
-            raise ValueError(
-                f"namespace key layout changed: expected "
-                f"{'(namespace, id, slot)' if self.slotted else '(namespace, id)'} "
-                f"keys"
-            )
-        self._id_chunks.append(_owned_chunk(ids))
-        if slots is not None:
-            self._slot_chunks.append(_owned_chunk(slots))
-        self._value_chunks.append(_owned_chunk(values))
-        self.rows += ids.size
-        self._ids = self._slots = self._values = None
-        self._built = False
-        self._order = self._table = self._sorted_keys = None
+        else:
+            values = _owned_chunk(values)
+        self._push(
+            _owned_chunk(ids), values,
+            None if slots is None else _owned_chunk(slots),
+        )
 
-    def _materialized(self) -> tuple[np.ndarray, np.ndarray]:
+    def put(self, id_: int, slot: int | None, value: Any) -> None:
+        """Add one scalar write to the pending chunk."""
+        if self.dtype is not _OBJECT:
+            self._value_chunks = [_to_objects(c) for c in self._value_chunks]
+            self.dtype, self.width = _OBJECT, 1
+            self._reset()
+        self._pending_values.append(value)
+        if slot is None:
+            self._pending_keys.append(id_)
+        else:
+            self._pending_keys += (id_, slot)
+
+    def close(self) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """Turn the pending scalar writes into a chunk; returns its ids
+        and slots for placement, or None if none were pending."""
+        pending = self._pending_values
+        if not pending:
+            return None
+        keys = np.array(self._pending_keys, dtype=np.int64)
+        values = np.fromiter(pending, dtype=_OBJECT, count=len(pending))
+        self._pending_keys, self._pending_values = [], []
+        ids, slots = keys.reshape(-1, 2).T.copy() if self.slotted else (keys, None)
+        self._push(ids, values, slots)
+        return ids, slots
+
+    def _push(
+        self, ids: np.ndarray, values: np.ndarray, slots: np.ndarray | None
+    ) -> None:
+        self._id_chunks.append(ids)
+        if slots is not None:
+            self._slot_chunks.append(slots)
+        self._value_chunks.append(values)
+        self.rows += ids.size
+        self._reset()
+
+    def write_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, values) in write order — views, do not mutate."""
         if self._ids is None:
-            if len(self._id_chunks) == 1:
-                self._ids = self._id_chunks[0]
-                self._values = self._value_chunks[0]
-                if self.slotted:
-                    self._slots = self._slot_chunks[0]
-            else:
-                self._ids = np.concatenate(self._id_chunks)
-                self._values = np.concatenate(self._value_chunks)
-                if self.slotted:
-                    self._slots = np.concatenate(self._slot_chunks)
+            self._ids = _joined(self._id_chunks)
+            self._values = _joined(self._value_chunks)
+            if self.slotted:
+                self._slots = _joined(self._slot_chunks)
         return self._ids, self._values
 
-    def _composite(self, ids: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        if self._slot_lo:
-            slots = slots - self._slot_lo
-        return ids * self._stride + slots
+    def _composite(
+        self, ids: np.ndarray, slots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Composite index keys of ``(id, slot)`` pairs, and the mask of
+        those that can be stored here (None: all of them)."""
+        id_lo, id_hi, slot_lo, stride = self._slot_range
+        if self._id_keys is not None:
+            ids, id_hit = _rank(self._id_keys, ids)
+            slots, slot_hit = _rank(self._slot_keys, slots)
+            return ids * stride + slots, id_hit & slot_hit
+        slot_hi = slot_lo + stride - 1
+        valid = None
+        if (
+            slots.min() < slot_lo or slots.max() > slot_hi
+            or ids.min() < id_lo or ids.max() > id_hi
+        ):
+            # Probes outside the written ranges cannot be stored, and
+            # their composite could wrap int64 onto a key that is:
+            # neutralize them before multiplying, record them as misses.
+            valid = (
+                (slots >= slot_lo) & (slots <= slot_hi)
+                & (ids >= id_lo) & (ids <= id_hi)
+            )
+            ids = np.where(valid, ids, id_lo)
+            slots = np.where(valid, slots, slot_lo)
+        return (ids - id_lo) * stride + (slots - slot_lo), valid
+
+    def _slotted_keys(self, ids: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Fix the composite form from the written rows; their keys."""
+        id_lo, id_hi = int(ids.min()), int(ids.max())
+        slot_lo = int(slots.min())
+        stride = int(slots.max()) - slot_lo + 1
+        # Checked in Python ints: int64 would wrap silently and make
+        # distinct (id, slot) keys collide.
+        if (id_hi - id_lo + 1) * stride > _I64:
+            self._id_keys, self._slot_keys = np.unique(ids), np.unique(slots)
+            id_lo, id_hi, slot_lo = 0, self._id_keys.size - 1, 0
+            stride = self._slot_keys.size
+        self._slot_range = (id_lo, id_hi, slot_lo, stride)
+        return self._composite(ids, slots)[0]
 
     def _indexed(self) -> None:
-        if self._built:
+        if self._n_distinct is not None:
             return
-        keys, _ = self._materialized()
+        keys, _ = self.write_order()
         rows = self.rows
         if rows == 0:
-            # Nothing to index; every reader short-circuits on rows == 0.
-            self._built = True
+            # Every probe misses: an empty sorted-keys index.
+            self._lo, self._hi, self._n_distinct = 0, -1, 0
+            self._sorted_keys = keys
             return
         if self.slotted:
-            assert self._slots is not None
-            # Slot range and stride are derived from the data, so the
-            # composite key is a bijection over the rows seen so far;
-            # every append resets the index, keeping them in step with
-            # the contents. Checked in Python ints: int64 would wrap
-            # silently and make distinct (id, slot) keys collide.
-            slot_lo = int(self._slots.min())
-            stride = int(self._slots.max()) - slot_lo + 1
-            id_lo, id_hi = int(keys.min()), int(keys.max())
-            if id_lo * stride < -(2**63) or (id_hi + 1) * stride > 2**63:
-                raise ValueError(
-                    f"slotted namespace cannot be indexed: ids in "
-                    f"[{id_lo}, {id_hi}] with {stride} slots per id do not "
-                    f"fit one int64 key"
-                )
-            self._slot_lo, self._stride = slot_lo, stride
-            keys = self._composite(keys, self._slots)
+            keys = self._slotted_keys(keys, self._slots)
         lo, hi = int(keys.min()), int(keys.max())
         span = hi - lo + 1
         # Written in non-decreasing key order (every setup_arrays /
         # encode_* column): the identity is the stable sort.
         ordered = rows == 1 or bool((keys[1:] >= keys[:-1]).all())
         order = table = None
-        if span <= _TABLE_SPAN_FACTOR * rows:
+        # An object-valued row already costs a pointer and a Python
+        # object (>= 36 bytes), so its table may span 8 times as far.
+        factor = _TABLE_SPAN_FACTOR * (8 if self.dtype.hasobject else 1)
+        if span <= factor * rows:
             # Counting, not sorting: O(rows + span). The int64 histogram
             # is a temporary, gone before any argsort below allocates.
             offsets = keys - lo if lo else keys
@@ -267,36 +407,21 @@ class _Column:
             self._sorted_keys = sorted_keys
         self._order, self._table = order, table
         self._lo, self._hi, self._n_distinct = lo, hi, n_distinct
-        self._built = True
 
-    def _locate(self, keys: Any) -> tuple[Any, Any]:
-        """Resolve index keys: ``(first, found)``.
+    def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve int64 index keys: ``(first, found)``.
 
-        ``found`` says whether the key is stored and ``first`` is the
-        position of its first-written row in stable key order. ``keys`` is
-        an int64 array (``first`` is then meaningful only where ``found``)
-        or one Python int of any size (``first`` is then exactly the number
-        of smaller stored keys, hit or miss, so ``_locate(k + 1)[0]`` ends
-        k's run of duplicates). Requires a built index over >= 1 row.
+        ``found`` says whether the key is stored and ``first`` (meaningful
+        only where ``found``) is the position of its first-written row in
+        stable key order. Requires a built index over >= 1 row.
         """
-        lo, hi = self._lo, self._hi
         table = self._table
-        if not isinstance(keys, np.ndarray):
-            if keys < lo:
-                return 0, False
-            if keys > hi:
-                return self.rows, False
-            if table is None:
-                sorted_keys = self._sorted_keys
-                first = int(sorted_keys.searchsorted(keys))
-                return first, bool(sorted_keys[first] == keys)
-            first = table.item(keys - lo)
-            return first, table.item(keys - lo + 1) > first
         if table is None:
             sorted_keys = self._sorted_keys
             first = sorted_keys.searchsorted(keys)
             found = sorted_keys[np.minimum(first, self.rows - 1)] == keys
             return first, found
+        lo, hi = self._lo, self._hi
         inside = None
         if keys.min() < lo or keys.max() > hi:
             inside = (keys >= lo) & (keys <= hi)
@@ -322,37 +447,16 @@ class _Column:
         """First-written value per id, ``fill`` where absent; plus hit mask."""
         k = ids.size
         shape = k if self.width == 1 else (k, self.width)
-        if k == 0 or self.rows == 0 or (slots is not None) != self.slotted:
-            # Key-shape mismatch: those keys were never written into this
-            # column, so every probe misses (same as querying absent ids).
+        if k == 0 or self.rows == 0:
             return np.full(shape, fill, dtype=self.dtype), np.zeros(k, bool)
         self._indexed()
         valid = None
         if slots is not None:
-            # Probes outside the written id / slot ranges cannot be stored,
-            # and their composite could wrap int64 onto a key that is:
-            # neutralize them before multiplying, record them as misses.
-            stride = self._stride
-            id_lo, id_hi = self._lo // stride, self._hi // stride
-            slot_lo = self._slot_lo
-            slot_hi = slot_lo + stride - 1
-            if (
-                slots.min() < slot_lo or slots.max() > slot_hi
-                or ids.min() < id_lo or ids.max() > id_hi
-            ):
-                valid = (
-                    (slots >= slot_lo) & (slots <= slot_hi)
-                    & (ids >= id_lo) & (ids <= id_hi)
-                )
-                ids = np.where(valid, ids, id_lo)
-                slots = np.where(valid, slots, slot_lo)
-            ids = self._composite(ids, slots)
+            ids, valid = self._composite(ids, slots)
         first, found = self._locate(ids)
         if valid is not None:
             found &= valid
-        order = self._order
-        values = self._values
-        assert values is not None
+        order, values = self._order, self._values
         # take(axis=0): fancy-indexing the rows of a 2-D array is several
         # times slower.
         if found.all():
@@ -364,48 +468,65 @@ class _Column:
         out[found] = values.take(rows, axis=0)
         return out, found
 
-    def _scalar_key(self, id_: int, slot: int | None) -> int | None:
-        """Index key of one scalar probe; None if it cannot be stored here."""
-        if self.rows == 0 or (slot is not None) != self.slotted:
-            return None
-        self._indexed()
+    def find(self, id_: int, slot: int | None, index: int) -> tuple[int, Any]:
+        """One key's scalar probe: ``(count, value)``, how many rows the
+        key has and the ``index``-th one's value (1-based, write order;
+        None past the end) as written."""
+        probe = self._probe
+        if probe is None:
+            # Built once: memoryviews and a list index in a fraction of
+            # numpy's scalar-indexing time.
+            self._indexed()
+            values, order = self._values, self._order
+            objects = self.dtype.hasobject
+            if objects:
+                # The Python values in stable key order: no row lookup.
+                values = (values if order is None else values[order]).tolist()
+                order = None
+            probe = self._probe = (
+                None if self._table is None else memoryview(self._table),
+                None if order is None else memoryview(order),
+                self._lo, self._hi, values, objects,
+            )
+        table, order, lo, hi, values, as_written = probe
         if slot is None:
-            return id_
-        slot -= self._slot_lo
-        if not 0 <= slot < self._stride:
-            return None
-        return id_ * self._stride + slot
-
-    def count(self, id_: int, slot: int | None = None) -> int:
-        key = self._scalar_key(id_, slot)
-        if key is None:
-            return 0
-        first, found = self._locate(key)
-        return self._locate(key + 1)[0] - first if found else 0
-
-    def value_at(self, id_: int, index: int, slot: int | None = None) -> Any:
-        """The ``index``-th (1-based, write-order) value of ``id_``, or None."""
-        key = self._scalar_key(id_, slot)
-        if key is None:
-            return None
-        first, found = self._locate(key)
-        if not found or (
-            index > 1 and index > self._locate(key + 1)[0] - first
-        ):
-            return None
-        position = first + index - 1
-        row = position if self._order is None else int(self._order[position])
-        assert self._values is not None
-        return self._scalar(self._values, row)
-
-    def _scalar(self, values: np.ndarray, row: int) -> Any:
+            key = id_
+        elif self._id_keys is None:
+            id_lo, id_hi, slot_lo, stride = self._slot_range
+            slot -= slot_lo
+            if not (0 <= slot < stride and id_lo <= id_ <= id_hi):
+                return 0, None
+            key = (id_ - id_lo) * stride + slot
+        else:
+            keys, hit = self._composite(np.array([id_]), np.array([slot]))
+            if not hit[0]:
+                return 0, None
+            key = int(keys[0])
+        if table is None:
+            sorted_keys = self._sorted_keys
+            first = int(sorted_keys.searchsorted(key))
+            count = int(sorted_keys.searchsorted(key, "right")) - first
+        elif key < lo or key > hi:
+            return 0, None
+        else:
+            first = table[key - lo]
+            count = table[key - lo + 1] - first
+        if index > count:
+            return count, None
+        row = first + index - 1
+        if order is not None:
+            row = order[row]
+        if as_written:
+            return count, values[row]
         if self.width == 1:
-            return values[row].item()
-        return tuple(values[row].tolist())
+            return count, values.item(row)
+        return count, tuple(values[row].tolist())
 
-    def write_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, values) in write order — views, do not mutate."""
-        return self._materialized()
+    def pairs(self, namespace: str) -> Iterator[tuple[tuple, Any]]:
+        """``(key, value)`` rows in write order, values as read."""
+        ids, values = self.write_order()
+        parts = _key_parts(namespace, ids, self._slots)
+        return zip(_batch_keys(parts), _py_values(values))
 
     def share_parts(self) -> dict[str, Any]:
         """Materialize + index, then expose the column for cross-process
@@ -414,79 +535,39 @@ class _Column:
         column does not have — ``slots`` on a plain column, ``order`` when
         the keys were written in order, ``table`` / ``sorted_keys`` for
         the index form not in use (``sorted_keys`` also when it is just
-        ``ids``). Building the index *before* sharing means every worker
-        reads one parent-built index instead of re-indexing per process.
+        ``ids``), the rank arrays of a slotted column that offsets. Building
+        the index *before* sharing means every worker reads one
+        parent-built index instead of re-indexing per process.
         """
-        ids, values = self._materialized()
         self._indexed()
-        return {
-            "width": self.width,
-            "dtype": self.dtype,
-            "ids": ids,
-            "values": values,
-            "slots": self._slots,
-            "order": self._order,
-            "table": self._table,
-            "sorted_keys": (
-                None if self._sorted_keys is ids else self._sorted_keys
-            ),
-            "lo": self._lo,
-            "hi": self._hi,
-            "n_distinct": self._n_distinct,
-            "stride": self._stride,
-            "slot_lo": self._slot_lo,
-        }
+        parts = {name: getattr(self, "_" + name) for name in _SHARED}
+        if parts["sorted_keys"] is parts["ids"]:
+            parts["sorted_keys"] = None
+        return {"width": self.width, "dtype": self.dtype, **parts}
 
     @classmethod
     def from_shared_parts(
-        cls,
-        width: int,
-        dtype: np.dtype,
-        ids: np.ndarray,
-        values: np.ndarray,
-        slots: np.ndarray | None,
-        order: np.ndarray | None,
-        table: np.ndarray | None,
-        sorted_keys: np.ndarray | None,
-        lo: int,
-        hi: int,
-        n_distinct: int,
-        stride: int,
-        slot_lo: int,
+        cls, width: int, dtype: np.dtype, **parts: Any
     ) -> "_Column":
         """Rebuild a read-only column over externally-held (e.g. shared-
         memory) arrays without copying. The result is for lookups only;
         appending to it is unsupported (shadow stores are sealed).
         """
-        column = cls(width, np.dtype(dtype), slotted=slots is not None)
-        column.rows = int(ids.size)
-        column._ids = ids
-        column._slots = slots
-        column._values = values
-        column._order = order
-        column._table = table
-        column._sorted_keys = (
-            ids if table is None and sorted_keys is None else sorted_keys
-        )
-        column._lo, column._hi = int(lo), int(hi)
-        column._n_distinct = int(n_distinct)
-        column._stride, column._slot_lo = int(stride), int(slot_lo)
-        column._built = True
+        column = cls(parts["slots"] is not None)
+        column.width, column.dtype = width, np.dtype(dtype)
+        column.rows = int(parts["ids"].size)
+        if parts["table"] is None and parts["sorted_keys"] is None:
+            parts["sorted_keys"] = parts["ids"]
+        for name, part in parts.items():
+            setattr(column, "_" + name, part)
         return column
 
-    def iter_pairs(self) -> Iterator[tuple[int, Any]]:
-        ids, values = self._materialized()
-        for row in range(self.rows):
-            yield int(ids[row]), self._scalar(values, row)
 
-    def iter_slotted_pairs(self) -> Iterator[tuple[int, int, Any]]:
-        ids, values = self._materialized()
-        assert self._slots is not None
-        for row in range(self.rows):
-            yield (
-                int(ids[row]), int(self._slots[row]),
-                self._scalar(values, row),
-            )
+# What a column shares across processes, by attribute name less the "_".
+_SHARED = (
+    "ids", "values", "slots", "sorted_keys", "order", "table", "lo", "hi",
+    "n_distinct", "slot_range", "id_keys", "slot_keys",
+)
 
 
 def value_words(value: Any) -> int:
@@ -533,7 +614,7 @@ def check_write_array(
         raise TypeError(
             f"write_array namespaces must be str, got {type(namespace).__name__}"
         )
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = int64_keys(namespace, ids)
     values = np.asarray(values)
     if ids.ndim != 1:
         raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
@@ -543,7 +624,7 @@ def check_write_array(
             f"got shape {values.shape}"
         )
     if slots is not None:
-        slots = np.asarray(slots, dtype=np.int64)
+        slots = int64_keys(namespace, slots, "slots")
         if slots.shape != ids.shape:
             raise ValueError(
                 f"slots must match ids shape {ids.shape}, "
@@ -578,13 +659,13 @@ class DistributedDataStore:
         "n_servers",
         "seed",
         "max_words",
-        "_data",
         "_columns",
+        "_other",
         "_sealed",
         "_server_reads",
+        "_read_counts",
         "_server_items",
         "_server_map",
-        "_scalar_keys",
         "n_writes",
         "n_reads",
     )
@@ -600,19 +681,18 @@ class DistributedDataStore:
         self.n_servers = n_servers
         self.seed = seed
         self.max_words = max_words
-        self._data: dict[Hashable, Any] = {}
-        # Columnar twin of _data for the vectorized path: namespace ->
-        # arrays of (id, value) rows, keyed exactly like the tuple keys
-        # (namespace, id) of the scalar path (same hash, same placement).
-        self._columns: dict[str, _Column] = {}
-        # key -> owning server, filled at write time so reads don't
-        # re-hash (profiling showed per-read hashing dominating).
+        # (namespace, key arity) -> every (str, int64[, int64]) key's rows.
+        self._columns: dict[tuple[str, int], _Column] = {}
+        # Every other key -> its values in write order.
+        self._other: dict[Hashable, list[Any]] = {}
+        # key -> owning server, memoized so repeated reads don't re-hash
+        # (profiling showed per-read hashing dominating).
         self._server_map: dict[Hashable, int] = {}
-        # (namespace, key length) of the scalar pairs a bulk read of the
-        # namespace would skip; found on first need, kept once sealed.
-        self._scalar_keys: set[tuple[str, int]] | None = None
         self._sealed = False
         self._server_reads = np.zeros(n_servers, dtype=np.int64)
+        # _server_reads as a memoryview: one read's increment through it
+        # costs half of numpy's scalar indexing (the per-read hot path).
+        self._read_counts = memoryview(self._server_reads)
         self._server_items = np.zeros(n_servers, dtype=np.int64)
         self.n_writes = 0
         self.n_reads = 0
@@ -625,15 +705,15 @@ class DistributedDataStore:
         n_servers: int,
         seed: int,
         max_words: int,
-        data: dict,
-        columns: dict[str, _Column],
+        other: dict,
+        columns: dict[tuple[str, int], _Column],
     ) -> "DistributedDataStore":
         """Reconstruct a sealed read-only twin of an exported store.
 
         Used by the process backend (:mod:`repro.parallel`): workers
         serve the round's adaptive reads from a shadow wired to the
-        parent's column arrays (shared memory, zero copy) and scalar
-        ``data`` dict. The shadow starts with zeroed read counters, so
+        parent's columns (numeric arrays in shared memory, zero copy) and
+        object-keyed dict. The shadow starts with zeroed read counters, so
         ``n_reads`` / ``_server_reads`` accumulated worker-side are
         exactly the deltas to merge back into the parent's store.
         """
@@ -643,7 +723,7 @@ class DistributedDataStore:
             seed=seed,
             max_words=max_words,
         )
-        store._data = data
+        store._other = other
         store._columns = columns
         store._sealed = True
         return store
@@ -663,41 +743,32 @@ class DistributedDataStore:
 
     def _serve_read(self, key: Hashable) -> None:
         """Attribute one read to the server answering it."""
-        self._server_reads[self._owner_of(key)] += 1
+        self._read_counts[self._owner_of(key)] += 1
 
-    def _place_write_array(
-        self,
-        namespace: str,
-        ids: np.ndarray,
-        slots: np.ndarray | None = None,
-    ) -> None:
-        """Batch :meth:`_place_write`: hash sweeps of at most
-        :data:`KEY_SLICE` keys (bounded temporaries), bincount
+    def _histogram(self, parts: Sequence[Any]) -> np.ndarray:
+        """Keys per server of a column-decomposed key batch: hash sweeps
+        of at most :data:`KEY_SLICE` keys (bounded temporaries), bincount
         histogram."""
-        for lo in range(0, ids.size, KEY_SLICE):
-            part = slice(lo, lo + KEY_SLICE)
-            parts = [namespace, ids[part]]
-            if slots is not None:
-                parts.append(slots[part])
-            servers = server_of_array(parts, self.n_servers, self.seed)
-            self._server_items += np.bincount(
-                servers, minlength=self.n_servers
-            )
-
-    def _serve_read_array(self, parts: Sequence[Any]) -> None:
-        """Batch :meth:`_serve_read` over column-decomposed keys: hash
-        sweeps of at most :data:`KEY_SLICE` keys, as
-        :meth:`_place_write_array` places them."""
         length = next(p.size for p in parts if isinstance(p, np.ndarray))
+        counts = np.zeros(self.n_servers, dtype=np.int64)
         for lo in range(0, length, KEY_SLICE):
             part = slice(lo, lo + KEY_SLICE)
-            servers = server_of_array(
-                [p[part] if isinstance(p, np.ndarray) else p for p in parts],
-                self.n_servers, self.seed,
+            counts += np.bincount(
+                server_of_array(
+                    [p[part] if isinstance(p, np.ndarray) else p for p in parts],
+                    self.n_servers, self.seed,
+                ),
+                minlength=self.n_servers,
             )
-            self._server_reads += np.bincount(
-                servers, minlength=self.n_servers
-            )
+        return counts
+
+    def _place_write_array(self, parts: Sequence[Any]) -> None:
+        """Batch :meth:`_place_write` over column-decomposed keys."""
+        self._server_items += self._histogram(parts)
+
+    def _serve_read_array(self, parts: Sequence[Any]) -> None:
+        """Batch :meth:`_serve_read` over column-decomposed keys."""
+        self._server_reads += self._histogram(parts)
 
     # -- write side (open during round i) ---------------------------------
 
@@ -727,23 +798,15 @@ class DistributedDataStore:
         if self._sealed:
             raise self._sealed_error()
         check_write(key, value, self.max_words)
-        existing = self._data.get(key)
-        if existing is None:
-            self._data[key] = value
-        elif isinstance(existing, _Bucket):
-            existing.values.append(value)
-        else:
-            self._data[key] = _Bucket([existing, value])
+        self._put(key, value)
         self.n_writes += 1
-        self._place_write(key)
 
     def write_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> int:
         """Bulk :meth:`write`; returns the number of pairs written.
 
         Same contents, ``n_writes`` and placement histogram as one
         :meth:`write` per pair in order — a pair that fails validation
-        raises with every earlier pair written — at one seal check and
-        one placement hash sweep per key namespace.
+        raises with every earlier pair written — at one seal check.
         """
         return self._write_pairs(pairs, self.max_words)
 
@@ -752,64 +815,44 @@ class DistributedDataStore:
     ) -> int:
         """The one bulk scalar-write path: :meth:`write_many`, and the
         process backend's journal merge with ``max_words=None`` (its
-        pairs were validated when the worker journaled them).
-
-        Pairs are streamed. A ``(str, int)`` or ``(str, int, int)`` key
-        keeps only its ints, to be placed with its namespace by
-        :meth:`_place_ints`; any other key is placed as it is written.
-        """
+        pairs were validated when the worker journaled them)."""
         if self._sealed:
             raise self._sealed_error()
-        data = self._data
-        plain: dict[str, list[int]] = {}
-        slotted: dict[str, list[int]] = {}
         count = 0
         try:
             for key, value in pairs:
                 if max_words is not None:
                     check_write(key, value, max_words)
-                existing = data.get(key)
-                if existing is None:
-                    data[key] = value
-                elif isinstance(existing, _Bucket):
-                    existing.values.append(value)
-                else:
-                    data[key] = _Bucket([existing, value])
+                self._put(key, value)
                 count += 1
-                # Exact types only: numpy ids, bools and other shapes take
-                # the per-key path, the reference placement.
-                arity = len(key) if type(key) is tuple else 0
-                if arity == 2 and type(key[0]) is str and type(key[1]) is int:
-                    plain.setdefault(key[0], []).append(key[1])
-                elif (
-                    arity == 3 and type(key[0]) is str
-                    and type(key[1]) is int and type(key[2]) is int
-                ):
-                    slotted.setdefault(key[0], []).extend(key[1:])
-                else:
-                    self._place_write(key)
         finally:
             self.n_writes += count
-            for namespace, flat in plain.items():
-                self._place_ints(namespace, 1, flat)
-            for namespace, flat in slotted.items():
-                self._place_ints(namespace, 2, flat)
         return count
 
-    def _place_ints(self, namespace: str, width: int, flat: list[int]) -> None:
-        """Place ``(namespace, *flat[i:i + width])`` keys: one
-        :meth:`_place_write_array` sweep, or per key when an int does not
-        fit int64 (Python ints are unbounded, columns are not)."""
-        try:
-            columns = np.asarray(flat, dtype=np.int64)
-        except OverflowError:
-            for i in range(0, len(flat), width):
-                self._place_write((namespace, *flat[i:i + width]))
+    def _put(self, key: Hashable, value: Any) -> None:
+        """Store one validated pair: in its column's pending chunk, placed
+        when the chunk closes (one hash sweep), or in the object dict,
+        placed now."""
+        where = _route(key)
+        if where is None:
+            self._other.setdefault(key, []).append(value)
+            self._place_write(key)
             return
-        columns = columns.reshape(-1, width)
-        self._place_write_array(
-            namespace, columns[:, 0], columns[:, 1] if width == 2 else None
-        )
+        self._column(where[0]).put(where[1], where[2], value)
+
+    def _column(self, key: tuple[str, int]) -> _Column:
+        """The column of ``(namespace, arity)``, created empty if new."""
+        column = self._columns.get(key)
+        if column is None:
+            column = self._columns[key] = _Column(key[1] == 3)
+        return column
+
+    def _close_pending(self) -> None:
+        """Close every column's pending chunk and place its rows."""
+        for (namespace, _), column in self._columns.items():
+            closed = column.close()
+            if closed is not None:
+                self._place_write_array(_key_parts(namespace, *closed))
 
     def write_array(
         self,
@@ -825,38 +868,64 @@ class DistributedDataStore:
         same duplicate-key bucket semantics, same seal discipline — but the
         whole batch is placed with one vectorized hash sweep and one
         ``np.bincount``. ``values`` is 1-D (one word per value) or 2-D with
-        ``values.shape[1]`` words per value. Mixing scalar ``write`` and
-        ``write_array`` on the *same* (namespace, id) key leaves the
-        duplicate ordering between the two paths unspecified.
+        ``values.shape[1]`` words per value. Duplicates index in write
+        order, across ``write`` and ``write_array`` alike. Ids (and slots)
+        must have an integer dtype.
 
         With ``slots`` (an int64 array parallel to ``ids``), the row keys
         are the 3-part ``(namespace, ids[i], slots[i])`` — the adjacency
         slot addressing ``("adj", u, i)`` of :func:`repro.graph.io.
         encode_graph` — hashed and placed exactly like the scalar
-        3-tuples. A namespace is either always slotted or never: the two
-        key shapes cannot share a column.
+        3-tuples.
         """
         if self._sealed:
             raise self._sealed_error()
         ids, values, slots = check_write_array(
             namespace, ids, values, slots, self.max_words
         )
-        column = self._columns.get(namespace)
-        if column is None:
-            column = self._columns[namespace] = _Column(
-                1 if values.ndim == 1 else values.shape[1],
-                values.dtype,
-                slotted=slots is not None,
-            )
-        column.append(ids, values, slots)
+        self._close_pending()
+        self._column((namespace, 2 if slots is None else 3)).append(
+            ids, values, slots
+        )
         self.n_writes += ids.size
-        self._place_write_array(namespace, ids, slots)
+        self._place_write_array(_key_parts(namespace, ids, slots))
 
     def seal(self) -> None:
         """Freeze the store; from now on it is read-only (round boundary)."""
+        self._close_pending()
         self._sealed = True
 
     # -- read side (open during round i+1) --------------------------------
+
+    def _find(self, key: Hashable, index: int = 1) -> tuple[int, Any]:
+        """Resolve ``key`` once: ``(count, value)``, how many pairs share
+        it and the ``index``-th one's value (None past the end)."""
+        if not self._sealed:
+            self._close_pending()
+        arity = len(key) if type(key) is tuple else 0
+        if arity == 2 or arity == 3:
+            # _route's answer for exact str / int parts, inlined: the hot
+            # read path.
+            id_, slot = key[1], key[2] if arity == 3 else None
+            if (
+                type(key[0]) is str and type(id_) is int
+                and -_I64 <= id_ < _I64 and (
+                    arity == 2 or type(slot) is int and -_I64 <= slot < _I64
+                )
+            ):
+                column = self._columns.get((key[0], arity))
+                return (0, None) if column is None else column.find(
+                    id_, slot, index
+                )
+        where = _route(key)
+        if where is None:
+            values = self._other.get(key, ())
+            count = len(values)
+            return count, values[index - 1] if index <= count else None
+        column = self._columns.get(where[0])
+        if column is None:
+            return 0, None
+        return column.find(where[1], where[2], index)
 
     def get(self, key: Hashable) -> Any:
         """Query one key. Returns the (first) value, or None if absent.
@@ -868,15 +937,7 @@ class DistributedDataStore:
             raise self._unsealed_error()
         self.n_reads += 1
         self._serve_read(key)
-        found = self._data.get(key)
-        if isinstance(found, _Bucket):
-            return found.values[0]
-        if found is None and self._columns:
-            resolved = self._column_key(key)
-            if resolved is not None:
-                column, id_, slot = resolved
-                return column.value_at(id_, 1, slot=slot)
-        return found
+        return self._find(key)[1]
 
     def read_array(
         self,
@@ -895,26 +956,19 @@ class DistributedDataStore:
         vectorized hash sweep. Missing ids yield ``fill`` (which must be
         castable to the namespace's value dtype); pass
         ``return_found=True`` to also get the hit mask. With ``slots``,
-        the probed keys are the 3-part ``(namespace, id, slot)`` of a
-        slotted :meth:`write_array` namespace. Keys of that shape written
-        by scalar :meth:`write` are not in the columns, so their
-        namespace raises :class:`~repro.core.errors.RoundProtocolError`
-        rather than read as missing.
+        the probed keys are the 3-part ``(namespace, id, slot)``. Pairs
+        written by scalar :meth:`write` are read like any other; their
+        namespace is object-valued, so the result is an object array of
+        the values as written.
         """
         if not self._sealed:
             raise self._unsealed_error()
-        if self._data:
-            self._refuse_scalar_pairs(
-                namespace, 2 if slots is None else 3, "read_array"
-            )
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = int64_keys(namespace, ids)
         if slots is not None:
-            slots = np.asarray(slots, dtype=np.int64)
+            slots = int64_keys(namespace, slots, "slots")
         self.n_reads += ids.size
-        self._serve_read_array(
-            [namespace, ids] if slots is None else [namespace, ids, slots]
-        )
-        column = self._columns.get(namespace)
+        self._serve_read_array(_key_parts(namespace, ids, slots))
+        column = self._columns.get((namespace, 2 if slots is None else 3))
         if column is None:
             out = np.full(ids.size, fill)
             found = np.zeros(ids.size, bool)
@@ -946,102 +1000,29 @@ class DistributedDataStore:
     def read_namespace(self, namespace: str) -> tuple[np.ndarray, np.ndarray]:
         """Coordinator-side bulk collection of one namespace: ``(ids, values)``.
 
-        The one harvest of a round's output, whichever program shape
-        wrote it. Row order per representation:
-
-        * written with :meth:`write_array` — write order, duplicates
-          included; ``values`` keeps the column's dtype and width (views
-          of the store's arrays: do not mutate);
-        * written with scalar ``write((namespace, id), value)`` — the
-          order :meth:`items` yields those keys: keys by first write, each
-          key's duplicates expanded in write order; ``values`` is
-          ``np.asarray`` of the stored values, so k-tuples become a
-          ``(rows, k)`` array. Keys of any other shape are not part of
-          the namespace and are skipped.
-
-        A namespace written both ways raises
-        :class:`~repro.core.errors.RoundProtocolError` rather than drop
-        one representation's rows. An absent namespace yields two empty
-        arrays. Uncharged, like :meth:`items`: callers that model
-        machine-side collection must charge reads through the runtime.
+        The one harvest of a round's output, whichever calls wrote it:
+        every ``(namespace, id)`` pair in write order, duplicates
+        included. ``values`` keeps a numeric column's dtype and width
+        (views of the store's arrays: do not mutate); an object-valued
+        column (one a scalar write touched) yields ``np.asarray`` of the
+        values, so k-tuples become a ``(rows, k)`` array, or the object
+        array of them when they form no other array. An absent
+        namespace yields two empty arrays. Uncharged, like :meth:`items`:
+        callers that model machine-side collection must charge reads
+        through the runtime.
         """
-        column = self._columns.get(namespace)
-        if column is not None:
-            if self._data:
-                self._refuse_scalar_pairs(namespace, 2, "read_namespace")
-            return column.write_order()
-        ids: list[int] = []
-        values: list[Any] = []
-        for key, value in self._data.items():
-            if not (
-                type(key) is tuple
-                and len(key) == 2
-                and key[0] == namespace
-                and isinstance(key[1], (int, np.integer))
-            ):
-                continue
-            if isinstance(value, _Bucket):
-                ids.extend([key[1]] * len(value.values))
-                values.extend(value.values)
-            else:
-                ids.append(key[1])
-                values.append(value)
-        return np.asarray(ids, dtype=np.int64), np.asarray(values)
-
-    def _refuse_scalar_pairs(
-        self, namespace: str, width: int, reader: str
-    ) -> None:
-        """Raise if scalar writes stored ``width``-part ``(namespace, id
-        [, slot])`` keys, which ``reader`` reading the columns would skip.
-
-        The first call on a sealed store scans the scalar keys once; the
-        answer depends on the stored pairs only, so a shadow store gives
-        the one its parent gives."""
-        keys = self._scalar_keys
-        if keys is None:
-            keys = {
-                (key[0], len(key))
-                for key in self._data
-                if type(key) is tuple
-                and len(key) in (2, 3)
-                and isinstance(key[0], str)
-                and all(isinstance(k, (int, np.integer)) for k in key[1:])
-            }
-            if self._sealed:
-                self._scalar_keys = keys
-        if (namespace, width) in keys:
-            raise RoundProtocolError(
-                f"{reader} of namespace {namespace!r}, which holds pairs "
-                f"written by scalar write(): {reader} reads write_array "
-                f"rows only and would skip them; read those keys with "
-                f"get() or write the namespace one way"
-            )
-
-    def _column_key(self, key: Hashable) -> tuple[_Column, int, int | None] | None:
-        """Resolve a scalar key against the columnar twin.
-
-        Returns ``(column, id, slot)`` when ``key`` is a batch-style
-        ``(str, int)`` or slotted ``(str, int, int)`` key whose namespace
-        has a column of the *matching* key shape; None otherwise (a plain
-        key can never hit a slotted column and vice versa — they are
-        different keys).
-        """
-        if not (type(key) is tuple and isinstance(key[0], str)):
-            return None
-        if len(key) == 2 and isinstance(key[1], (int, np.integer)):
-            slot: int | None = None
-        elif (
-            len(key) == 3
-            and isinstance(key[1], (int, np.integer))
-            and isinstance(key[2], (int, np.integer))
-        ):
-            slot = int(key[2])
-        else:
-            return None
-        column = self._columns.get(key[0])
-        if column is None or column.slotted != (slot is not None):
-            return None
-        return column, int(key[1]), slot
+        if not self._sealed:
+            self._close_pending()
+        column = self._columns.get((namespace, 2))
+        if column is None:
+            return np.asarray([], dtype=np.int64), np.asarray([])
+        ids, values = column.write_order()
+        if values.dtype.hasobject:
+            try:
+                values = np.asarray(values.tolist())
+            except ValueError:
+                pass  # a mix of scalars and tuples: no array but objects
+        return ids, values
 
     def get_indexed(self, key: Hashable, index: int) -> Any:
         """Query the ``index``-th (1-based) pair with this key, or None.
@@ -1054,17 +1035,7 @@ class DistributedDataStore:
             raise self._unsealed_error()
         self.n_reads += 1
         self._serve_read(key)
-        found = self._data.get(key)
-        if found is None:
-            if self._columns:
-                resolved = self._column_key(key)
-                if resolved is not None:
-                    column, id_, slot = resolved
-                    return column.value_at(id_, index, slot=slot)
-            return None
-        if isinstance(found, _Bucket):
-            return found.values[index - 1] if index <= len(found.values) else None
-        return found if index == 1 else None
+        return self._find(key, index)[1]
 
     def multiplicity(self, key: Hashable) -> int:
         """How many pairs share ``key`` (0 if absent).
@@ -1074,34 +1045,18 @@ class DistributedDataStore:
         :meth:`repro.core.machine.MachineContext.read_bucket` charges the
         probing cost so algorithm accounting stays faithful.
         """
-        found = self._data.get(key)
-        if found is None:
-            if self._columns:
-                resolved = self._column_key(key)
-                if resolved is not None:
-                    column, id_, slot = resolved
-                    return column.count(id_, slot=slot)
-            return 0
-        if isinstance(found, _Bucket):
-            return len(found.values)
-        return 1
+        return self._find(key)[0]
 
     def __contains__(self, key: Hashable) -> bool:
-        if key in self._data:
-            return True
-        if self._columns:
-            resolved = self._column_key(key)
-            if resolved is not None:
-                column, id_, slot = resolved
-                return column.count(id_, slot=slot) > 0
-        return False
+        return self._find(key)[0] > 0
 
     def __len__(self) -> int:
         """Number of distinct keys stored."""
-        total = len(self._data)
-        for column in self._columns.values():
-            total += column.n_distinct
-        return total
+        if not self._sealed:
+            self._close_pending()
+        return len(self._other) + sum(
+            column.n_distinct for column in self._columns.values()
+        )
 
     @property
     def n_pairs(self) -> int:
@@ -1109,24 +1064,19 @@ class DistributedDataStore:
         return self.n_writes
 
     def items(self) -> Iterator[tuple[Hashable, Any]]:
-        """Iterate all (key, value) pairs, expanding duplicate buckets.
+        """Iterate all (key, value) pairs: each column's rows in write
+        order, then the object-keyed pairs, each key's in write order.
 
         Coordinator-side convenience for collecting round outputs; per-pair
         read charging is handled by the runtime helpers that call it.
         """
-        for key, value in self._data.items():
-            if isinstance(value, _Bucket):
-                for v in value.values:
-                    yield key, v
-            else:
+        if not self._sealed:
+            self._close_pending()
+        for (namespace, _), column in self._columns.items():
+            yield from column.pairs(namespace)
+        for key, values in self._other.items():
+            for value in values:
                 yield key, value
-        for namespace, column in self._columns.items():
-            if column.slotted:
-                for id_, slot, value in column.iter_slotted_pairs():
-                    yield (namespace, id_, slot), value
-            else:
-                for id_, value in column.iter_pairs():
-                    yield (namespace, id_), value
 
     # -- contention accounting (Lemma 2.1) --------------------------------
 
@@ -1138,6 +1088,8 @@ class DistributedDataStore:
     @property
     def server_item_loads(self) -> np.ndarray:
         """Key-value pairs stored per DDS server (copy)."""
+        if not self._sealed:
+            self._close_pending()
         return self._server_items.copy()
 
     def max_server_load(self) -> int:
@@ -1250,16 +1202,10 @@ class ReplicatedDataStore(DistributedDataStore):
         for server in self.replicas_of(key):
             self._server_items[server] += 1
 
-    def _place_write_array(
-        self,
-        namespace: str,
-        ids: np.ndarray,
-        slots: np.ndarray | None = None,
-    ) -> None:
+    def _place_write_array(self, parts: Sequence[Any]) -> None:
         # Replication placement is per-key (distinct-replica search), so
         # the batch degrades to the scalar loop — the price block
         # programs pay for running under a fault plan.
-        parts = [namespace, ids] if slots is None else [namespace, ids, slots]
         for key in _batch_keys(parts):
             self._place_write(key)
 
@@ -1290,15 +1236,6 @@ class ReplicatedDataStore(DistributedDataStore):
             self.failover_reads += probes
             if injector is not None:
                 injector.on_failover(probes)
-        self._server_reads[serving] += 1
+        self._read_counts[serving] += 1
         if injector is not None:
             injector.on_read(serving)
-
-
-class _Bucket:
-    """Internal container for duplicate-key values (in write order)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: list[Any]) -> None:
-        self.values = values

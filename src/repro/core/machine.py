@@ -26,7 +26,12 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from .config import AMPCConfig
-from .dds import DistributedDataStore, check_write, check_write_array
+from .dds import (
+    DistributedDataStore,
+    check_write,
+    check_write_array,
+    int64_keys,
+)
 from .errors import (
     AdaptivityError,
     BudgetExceededError,
@@ -173,9 +178,9 @@ class MachineContext:
         :meth:`read`, results are NOT cached: callers are expected to
         deduplicate their own batches (pass each needed key once), which
         is what model assumption 4 grants for free anyway. Missing ids
-        yield ``fill``.
+        yield ``fill``. Ids must have an integer dtype.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = int64_keys(namespace, ids)
         if ids.size:
             self._charge_read(ids.size)
         if self.batch_observer is not None:
@@ -208,9 +213,9 @@ class MachineContext:
 
         Charges ``len(ids)`` writes in one budget check; placement and
         duplicate-key semantics match scalar :meth:`write` of the same
-        tuple keys.
+        tuple keys. Ids must have an integer dtype.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = int64_keys(namespace, ids)
         if ids.size == 0:
             return
         self._charge_write(ids.size)
@@ -287,11 +292,7 @@ class _JournalStore:
         self, namespace: str, ids: np.ndarray, values: np.ndarray
     ) -> None:
         ids, values, _ = check_write_array(
-            namespace,
-            np.array(ids, dtype=np.int64),
-            np.array(values),
-            None,
-            self.max_words,
+            namespace, np.array(ids), np.array(values), None, self.max_words
         )
         self.ops.append(("wa", namespace, ids, values))
 

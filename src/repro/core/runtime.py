@@ -357,12 +357,11 @@ class AMPCRuntime:
             count += store.write_many(pairs)
         if arrays is not None:
             for entry in arrays:
-                ids = np.asarray(entry[1], dtype=np.int64)
                 store.write_array(
-                    entry[0], ids, entry[-1],
+                    entry[0], entry[1], entry[-1],
                     slots=entry[2] if len(entry) == 4 else None,
                 )
-                count += ids.size
+                count += len(entry[1])
         store.seal()
         return store, count
 

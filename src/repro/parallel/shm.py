@@ -8,10 +8,11 @@ completion, worker exceptions, chaos-induced aborts, and
 KeyboardInterrupt. Workers never create or unlink segments, only attach
 and close, so a crashed worker cannot leak ``/dev/shm`` entries.
 
-Only the columnar state travels through shared memory (that is the
-graph-sized data); the scalar ``_data`` dict — used by scalar-key
-algorithms like MIS — is pickled once into a shared blob so the parent
-pays serialization once, not once per worker.
+Only numeric column arrays travel through shared memory (that is the
+graph-sized data); the object-valued parts — the values of columns a
+scalar write touched, and the object-keyed dict of every other key — are
+pickled once into a shared blob so the parent pays serialization once,
+not once per worker.
 """
 
 from __future__ import annotations
@@ -227,11 +228,12 @@ def export_store(store: DistributedDataStore, arena: ShmArena) -> dict:
     """Picklable descriptor of a sealed read store, column arrays in shm.
 
     Column indexes are built here, once, in the parent, and only the
-    arrays a column actually holds go into segments
+    numeric arrays a column actually holds go into segments
     (:meth:`_Column.share_parts`: position table *or* sorted keys, row
     order only when the keys were written out of order) — workers resolve
     reads through the parent's index form instead of re-indexing per
-    process. Raises :class:`StoreExportError` for store subclasses
+    process. Object-valued parts and the object-keyed dict go into one
+    pickled blob. Raises :class:`StoreExportError` for store subclasses
     (replicated / chaos stores have per-key failover state that must stay
     serial).
     """
@@ -240,19 +242,18 @@ def export_store(store: DistributedDataStore, arena: ShmArena) -> dict:
             f"cannot export {type(store).__name__} to the process backend; "
             f"only plain DistributedDataStore rounds shard"
         )
-    columns = {
-        namespace: {
-            name: (
-                arena.share_array(part)
-                if isinstance(part, np.ndarray) else part
-            )
-            for name, part in column.share_parts().items()
-        }
-        for namespace, column in store._columns.items()
-    }
+    columns: dict = {}
+    objects: dict = {}
+    for key, column in store._columns.items():
+        parts = columns[key] = column.share_parts()
+        for name, part in parts.items():
+            if isinstance(part, np.ndarray) and part.dtype.hasobject:
+                objects[key, name], parts[name] = part, None
+            elif isinstance(part, np.ndarray):
+                parts[name] = arena.share_array(part)
     blob = (
-        pickle.dumps(store._data, protocol=pickle.HIGHEST_PROTOCOL)
-        if store._data
+        pickle.dumps((store._other, objects), protocol=pickle.HIGHEST_PROTOCOL)
+        if store._other or objects
         else b""
     )
     return {
@@ -277,21 +278,22 @@ def attach_store(
     """
     handles = AttachedSegments()
     try:
+        raw = handles.blob(export["data"])
+        other, objects = pickle.loads(raw) if len(raw) else ({}, {})
         columns = {
-            namespace: _Column.from_shared_parts(**{
-                name: handles.array(part) if isinstance(part, dict) else part
+            key: _Column.from_shared_parts(**{
+                name: objects.get((key, name)) if part is None
+                else handles.array(part) if isinstance(part, dict) else part
                 for name, part in parts.items()
             })
-            for namespace, parts in export["columns"].items()
+            for key, parts in export["columns"].items()
         }
-        raw = handles.blob(export["data"])
-        data = pickle.loads(raw) if len(raw) else {}
         store = DistributedDataStore.attach_shadow(
             round_index=export["round_index"],
             n_servers=export["n_servers"],
             seed=export["seed"],
             max_words=export["max_words"],
-            data=data,
+            other=other,
             columns=columns,
         )
         return store, handles

@@ -37,6 +37,7 @@ SUITES: dict[str, list[_SuiteEntry]] = {
         ("replay_merge", {"n": 400}, {"n": 160}),
         ("replay_items", {"n": 400}, {"n": 160}),
         ("dds_lookup", {"n": 20000}, {"n": 2000}),
+        ("dds_get", {"n": 20000}, {"n": 2000}),
     ],
     # Serving-latency guard: a resident engine replays the standard
     # traffic patterns (repro.serve); the timed thunk is the query loop
@@ -79,6 +80,7 @@ SUITES: dict[str, list[_SuiteEntry]] = {
         ("replay_merge", {"n": 4000}, {"n": 240}),
         ("replay_items", {"n": 4000}, {"n": 240}),
         ("dds_lookup", {"n": 1000000}, {"n": 20000}),
+        ("dds_get", {"n": 1000000}, {"n": 20000}),
     ],
 }
 
@@ -225,7 +227,7 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
         blocks = [rng.integers(-8, n + 8, size=min(n, 4096))
                   for _ in range(32)]
         work = [
-            (store._columns[namespace], [block * scale for block in blocks],
+            (store._columns[namespace, 2], [block * scale for block in blocks],
              [i * scale for i in blocks[0][:1000].tolist()])
             for namespace, scale in (("dense", 1), ("wide", 1009))
         ]
@@ -236,11 +238,38 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
                 for block in probe_blocks:
                     total += int(column.lookup(block, 0)[0].sum())
                 for id_ in probe_ids:
-                    total += column.value_at(id_, 1) or 0
+                    total += column.find(id_, None, 1)[1] or 0
             return total
 
         run_lookups()  # index build belongs to setup, not to the samples
         return run_lookups
+    if bench == "dds_get":
+        # The one scalar read path, placement included: store.get over
+        # 1,000 keys of a write_array namespace (numeric column) and
+        # 1,000 keys of a write_many namespace (object-valued column) of
+        # one sealed store, hits and misses both.
+        import numpy as np
+
+        from repro.core.dds import DistributedDataStore
+
+        rng = np.random.default_rng(0)
+        ids = rng.permutation(n)
+        store = DistributedDataStore(0, n_servers=8)
+        store.write_array("array", ids, ids + 1)
+        store.write_many((("scalar", i), i + 1) for i in ids.tolist())
+        store.seal()
+        keys = [
+            (namespace, i)
+            for namespace in ("array", "scalar")
+            for i in rng.integers(-8, n + 8, size=1000).tolist()
+        ]
+
+        def run_gets():
+            get = store.get
+            return sum(get(key) or 0 for key in keys)
+
+        run_gets()  # index build belongs to setup, not to the samples
+        return run_gets
     raise ValueError(f"unknown bench {bench!r}")
 
 

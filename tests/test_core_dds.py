@@ -107,6 +107,22 @@ class TestDuplicateKeys:
         store.write("y", 3)
         assert sorted(store.items()) == [("x", 1), ("x", 2), ("y", 3)]
 
+    def test_write_and_write_array_share_one_bucket(self):
+        store = make_store()
+        store.write(("a", 1), 5)
+        store.write_array("a", np.array([1, 2]), np.array([7, 8]))
+        store.write(("a", 1), 9)
+        store.seal()
+        assert store.multiplicity(("a", 1)) == 3
+        assert [store.get_indexed(("a", 1), i) for i in (1, 2, 3, 4)] == [
+            5, 7, 9, None,
+        ]
+        assert store.get(("a", 2)) == 8
+        assert len(store) == 2
+        assert list(store.items()) == [
+            (("a", 1), 5), (("a", 1), 7), (("a", 2), 8), (("a", 1), 9),
+        ]
+
 
 class TestConstantSizeBound:
     def test_oversized_value_rejected(self):
@@ -195,20 +211,26 @@ class TestSlottedCompositeKey:
     """``(namespace, id, slot)`` keys are indexed as one int64 composite;
     it must never wrap onto another key (it did: int64 ``id * stride``)."""
 
-    def test_ids_too_large_for_one_key_raise_on_both_paths(self):
+    def test_ids_too_wide_for_one_offset_key_are_ranked(self):
         store = make_store()
         store.write_array(
             "adj", np.array([2**61, 0, 5]), np.array([10, 20, 30]),
             slots=np.array([3, 3, 7]),
         )
+        store.write(("adj", -(2**63), 3), 40)
+        store.write(("adj", 0, 3), 21)
         store.seal()
-        with pytest.raises(ValueError, match="do not fit one int64 key"):
-            store.read_array("adj", np.array([2**61, 0]), slots=np.array([3, 3]))
-        for key in (("adj", 0, 3), ("adj", 2**61, 3)):
-            with pytest.raises(ValueError, match="do not fit one int64 key"):
-                store.get(key)
-            with pytest.raises(ValueError, match="do not fit one int64 key"):
-                store.multiplicity(key)
+        out, found = store.read_array(
+            "adj", np.array([2**61, 0, 5, 5, 2**61, -(2**63)]),
+            slots=np.array([3, 3, 7, 3, 7, 3]), fill=-1, return_found=True,
+        )
+        assert out.tolist() == [10, 20, 30, -1, -1, 40]
+        assert found.tolist() == [True, True, True, False, False, True]
+        assert store.get(("adj", 2**61, 3)) == 10
+        assert store.get(("adj", 2**61, 7)) is None
+        assert store.multiplicity(("adj", 0, 3)) == 2
+        assert store.get_indexed(("adj", 0, 3), 2) == 21
+        assert len(store) == 4
 
     def test_probe_ids_outside_the_column_do_not_wrap_onto_stored_keys(self):
         store = make_store()
@@ -244,44 +266,43 @@ class TestSlottedCompositeKey:
 
 
 class TestBulkReadsSeeScalarPairs:
-    """Bulk reads never skip pairs a scalar write put in their namespace:
-    they raise instead, naming the namespace."""
+    """Bulk reads see every pair of their namespace, whichever call wrote
+    it, on the store and on its process-backend shadow alike."""
 
     @staticmethod
     def _shadow(store):
         return DistributedDataStore.attach_shadow(
             round_index=store.round_index, n_servers=store.n_servers,
             seed=store.seed, max_words=store.max_words,
-            data=dict(store._data), columns=dict(store._columns),
+            other=dict(store._other), columns=dict(store._columns),
         )
 
-    def test_read_array_refuses_a_scalar_written_namespace(self):
-        from repro.core.errors import RoundProtocolError
-
+    def test_read_array_sees_a_scalar_written_namespace(self):
         store = make_store()
         store.write(("y", 5), 7)
         store.seal()
         assert store.get(("y", 5)) == 7
         for s in (store, self._shadow(store)):
-            with pytest.raises(RoundProtocolError, match="'y'"):
-                s.read_array("y", np.array([5]), return_found=True)
+            out, found = s.read_array("y", np.array([5, 6]), return_found=True)
+            assert out.tolist() == [7, 0] and found.tolist() == [True, False]
 
-    def test_read_namespace_refuses_a_namespace_written_both_ways(self):
-        from repro.core.errors import RoundProtocolError
-
+    def test_read_namespace_sees_a_namespace_written_both_ways(self):
         store = make_store()
         store.write_array("x", np.array([1, 2]), np.array([10, 20]))
         store.write(("x", 3), 30)
+        store.write_array("x", np.array([1]), np.array([11]))
         store.seal()
         assert len(store) == 3
-        assert sorted(store.items()) == [
-            (("x", 1), 10), (("x", 2), 20), (("x", 3), 30),
+        assert list(store.items()) == [
+            (("x", 1), 10), (("x", 2), 20), (("x", 3), 30), (("x", 1), 11),
         ]
         for s in (store, self._shadow(store)):
-            with pytest.raises(RoundProtocolError, match="'x'"):
-                s.read_namespace("x")
-            with pytest.raises(RoundProtocolError, match="'x'"):
-                s.read_array("x", np.array([1]))
+            ids, values = s.read_namespace("x")
+            assert ids.tolist() == [1, 2, 3, 1]
+            assert values.tolist() == [10, 20, 30, 11]
+            assert s.read_array("x", np.array([1, 3, 4]), fill=-1).tolist() == [
+                10, 30, -1,
+            ]
 
     def test_namespaces_written_one_way_read_as_before(self):
         store = make_store()
@@ -295,5 +316,82 @@ class TestBulkReadsSeeScalarPairs:
         assert store.read_array("c", np.array([1])).tolist() == [0]
         ids, values = store.read_namespace("a")
         assert ids.tolist() == [1, 2] and values.tolist() == [10, 20]
+        assert values.dtype == np.int64
         ids, values = store.read_namespace("b")
         assert ids.tolist() == [4, 4] and values.tolist() == [40, 41]
+
+    def test_scalar_values_are_kept_exactly(self):
+        store = make_store()
+        store.write_array("v", np.array([1]), np.array([[1, 2]]))
+        store.write(("v", 2), (3, 4.5))
+        store.write(("v", 3), 2**70)
+        store.seal()
+        assert [store.get(("v", i)) for i in (1, 2, 3)] == [
+            (1, 2), (3, 4.5), 2**70,
+        ]
+        out = store.read_array("v", np.array([3, 1, 9]), fill=None)
+        assert out.dtype == object and out.tolist() == [2**70, (1, 2), None]
+
+
+class TestWhereKeysLive:
+    """A (str, int64[, int64]) key lives in its namespace's column,
+    whichever call wrote it; every other key in the object dict."""
+
+    def test_other_keys_live_in_the_object_dict(self):
+        store = make_store()
+        keys = [("k", 1, "x"), ("k", 2**63), ("k", 1.5), (5, 1), ("k",), "k"]
+        for i, key in enumerate(keys):
+            store.write(key, i)
+        store.write(("k", 1), 99)
+        store.seal()
+        assert [store.get(key) for key in keys] == list(range(len(keys)))
+        assert store.get(("k", 1)) == 99
+        assert set(store._columns) == {("k", 2)}
+        assert len(store) == len(keys) + 1
+        assert store.read_namespace("k")[0].tolist() == [1]
+
+    def test_numpy_and_bool_ids_share_their_int_key(self):
+        store = make_store()
+        store.write(("k", np.int64(3)), "a")
+        store.write(("k", 3), "b")
+        store.write(("k", True), "c")
+        store.seal()
+        assert store.multiplicity(("k", 3)) == 2
+        assert store.get_indexed(("k", np.int32(3)), 2) == "b"
+        assert store.get(("k", 1)) == "c"
+
+
+class TestIntegerIds:
+    """Ids and slots must be integers: a float would truncate onto
+    another key."""
+
+    def test_store_rejects_float_ids_and_slots(self):
+        store = make_store()
+        with pytest.raises(TypeError, match="'f'"):
+            store.write_array("f", np.array([1.7]), np.array([1]))
+        with pytest.raises(TypeError, match="slots of namespace 'f'"):
+            store.write_array(
+                "f", np.array([1]), np.array([1]), slots=np.array([0.5])
+            )
+        store.write_array("f", np.array([], dtype=np.float64), np.array([]))
+        store.seal()
+        with pytest.raises(TypeError, match="'f'"):
+            store.read_array("f", np.array([1.2]))
+        assert store.read_array("f", np.asarray([])).size == 0
+
+    def test_context_and_journal_reject_float_ids(self):
+        from repro.core import AMPCConfig
+        from repro.core.machine import MachineContext, _JournalStore
+
+        prev, nxt = make_store(), make_store()
+        prev.seal()
+        ctx = MachineContext(0, AMPCConfig(n_machines=1), prev, nxt)
+        with pytest.raises(TypeError, match="'f'"):
+            ctx.read_array("f", np.array([1.5]))
+        with pytest.raises(TypeError, match="'f'"):
+            ctx.write_array("f", np.array([1.5]), np.array([1]))
+        with pytest.raises(TypeError, match="'f'"):
+            _JournalStore(8, []).write_array(
+                "f", np.array([1.5]), np.array([1])
+            )
+        ctx.write_array("f", np.array([], dtype=np.float64), np.array([]))

@@ -877,6 +877,10 @@ def test_shadow_store_reads_through_the_shipped_index():
         store.write_array("wide", np.array([-(2**40), 12, 2**50]),
                           np.array([[1, 2], [3, 4], [5, 6]]),
                           slots=np.array([2, 0, 1]))
+        # scalar-written: an object-valued column and the object dict,
+        # which travel pickled
+        store.write(("obj", 4), (1, 2.5))
+        store.write(("other", "x"), 7)
         store.seal()
         return store
 
@@ -887,12 +891,14 @@ def test_shadow_store_reads_through_the_shipped_index():
             store.read_array("identity", np.array([19, 10, 9]), fill=-1.0),
             store.read_array("wide", np.array([12, 2**50, 12]),
                              slots=np.array([0, 1, 1]), fill=0),
+            store.read_array("obj", np.array([4, 5]), fill=None),
         ]
         scalars = [
             store.get(("table", 3)), store.get_indexed(("table", 3), 2),
             store.get(("identity", 12)), store.get(("wide", 2**50, 1)),
             store.get(("wide", 5, 0)), store.multiplicity(("table", 3)),
             ("identity", 20) in store, len(store),
+            store.get(("obj", 4)), store.get(("other", "x")),
         ]
         return got, scalars
 
@@ -902,10 +908,12 @@ def test_shadow_store_reads_through_the_shipped_index():
         shipped = {
             namespace: {name for name in ("order", "table", "sorted_keys")
                         if parts[name] is not None}
-            for namespace, parts in export["columns"].items()
+            for (namespace, _), parts in export["columns"].items()
         }
         assert shipped == {"table": {"order", "table"},
-                           "identity": {"table"}, "wide": {"sorted_keys"}}
+                           "identity": {"table"}, "wide": {"sorted_keys"},
+                           "obj": {"table"}}
+        assert export["columns"]["obj", 2]["values"] is None  # in the blob
         shadow, handles = attach_store(export)
         try:
             got, scalars = traffic(shadow)
