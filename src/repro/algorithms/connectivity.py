@@ -222,8 +222,7 @@ def _bfs_all(graph: Graph, d: int):
     namespace — each machine pays for each distinct ``deg`` row and
     ``adj`` slot it visited once, as its read cache would — and one
     ``write_array`` of the found ``(v, x)`` edges, x ascending per v
-    (the spec's store order). The op sequence does not depend on the
-    data, so process-backend shards stay aligned.
+    (the spec's store order).
     """
     indptr = np.asarray(graph.indptr, dtype=np.int64)
     indices = graph.indices

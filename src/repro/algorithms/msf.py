@@ -206,8 +206,7 @@ def _prim_all(graph: WeightedGraph, d: int):
     with one replayed-read charge per namespace — each machine pays for
     each distinct ``deg`` row and ``adjw`` slot it visited once, as its
     read cache would — and one ``write_array`` per output namespace, rows
-    in the order Prim committed them. The op sequence does not depend on
-    the data, so process-backend shards stay aligned.
+    in the order Prim committed them.
     """
     n = graph.n
     itype = np.int32 if max(n, graph.indices.size) < 2**31 - 1 else np.int64

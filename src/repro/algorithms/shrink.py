@@ -308,10 +308,8 @@ def fill_back(
     out = np.array(values, dtype=np.float64)
     config = runtime.config
     # Whole machines per group, about KEY_SLICE items' worth at S items
-    # a machine. Fixed by the deployment, so every process-backend shard
-    # runs the same groups.
+    # a machine.
     per_group = max(1, KEY_SLICE // config.space)
-    n_groups = -(-config.n_machines // per_group)
     for level in range(len(history) - 1, -1, -1):
         record = history[level]
         if record.absorbed.size == 0:
@@ -337,7 +335,7 @@ def fill_back(
         ]
         result = runtime.round_batch(
             record.absorbed,
-            _fill_all(additive, needed, base, per_group, n_groups),
+            _fill_all(additive, needed, base, per_group),
             setup_arrays=setup_arrays, fused=True, tag=f"{tag}:{level}",
         )
         out[record.absorbed] = result.results
@@ -349,7 +347,6 @@ def _fill_all(
     needed: np.ndarray,
     base: np.ndarray,
     per_group: int,
-    n_groups: int,
 ):
     """The fused machine program of one :func:`fill_back` level
     (per-element spec: ``repro.verify.specs.fill``).
@@ -359,17 +356,15 @@ def _fill_all(
     charge — each machine pays once for each distinct absorber, as its
     read cache would — and replay the values from ``(needed, base)``,
     the round's staged ``val`` column. Elements go through in groups of
-    ``per_group`` whole machines, ``n_groups`` groups in all, which
-    bounds the batch temporaries; a machine never spans two groups, so
-    the per-group charge de-duplicates exactly. The group count comes
-    from the deployment, not the items, so the op sequence is the same
-    in every process-backend shard.
+    ``per_group`` whole machines, which bounds the batch temporaries; a
+    machine never spans two groups, so the per-group charge
+    de-duplicates exactly.
     """
 
     def fill_all(gctx):
         items, machines = gctx.items, gctx.machines
         out = None
-        for idx in _machine_groups(machines, per_group, n_groups):
+        for idx in _machine_groups(machines, per_group):
             own = machines[idx]
             data = gctx.read_array("abs", items[idx], owner=own, fill=0.0)
             if out is None:
@@ -390,21 +385,22 @@ def _fill_all(
 
 
 def _machine_groups(
-    machines: np.ndarray, per_group: int, n_groups: int
+    machines: np.ndarray, per_group: int
 ) -> Iterator[np.ndarray]:
     """Indices of the items of machines ``[k * per_group, (k + 1) *
-    per_group)`` for each k < ``n_groups``, in item order within a group
-    (possibly empty)."""
-    narrow = per_group * n_groups <= 1 << 16
+    per_group)`` for each k that has items, in item order within a
+    group."""
+    narrow = int(machines.max()) < 1 << 16
     group = machines.astype(np.uint16 if narrow else np.int64)
     group //= per_group
     # Few distinct keys: a stable sort of them is a radix sort.
     order = np.argsort(group, kind="stable")
-    stops = np.cumsum(np.bincount(group, minlength=n_groups))
+    stops = np.cumsum(np.bincount(group))
     del group
     start = 0
     for stop in stops.tolist():
-        yield order[start:stop]
+        if stop > start:
+            yield order[start:stop]
         start = stop
 
 

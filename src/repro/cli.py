@@ -10,7 +10,7 @@ Usage::
     python -m repro two-cycle cycles.txt
     python -m repro bc graph.txt              # bridges / articulation / 2ecc
     python -m repro chaos connectivity graph.txt --crash 0.2 --outage 0.1
-    python -m repro chaos connectivity graph.txt --backend process \
+    python -m repro chaos mis graph.txt --backend process \
         --kill-worker 0.1 --hang-worker 0.05 --delay-reply 0.1
     python -m repro verify --smoke [--chaos] [--json report.json]
     python -m repro verify --smoke --backend process --workers 4
@@ -120,7 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="P",
                        help="real-process fault: SIGKILL a pool worker "
                             "mid-task with probability P per shard "
-                            "(needs --backend process)")
+                            "(needs --backend process). Process faults "
+                            "reach only rounds that shard (per-item and "
+                            "per-block, e.g. mis); connectivity's rounds "
+                            "are fused and run in the parent")
     chaos.add_argument("--hang-worker", type=float, default=0.0,
                        metavar="P",
                        help="real-process fault: worker computes but "

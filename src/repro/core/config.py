@@ -47,6 +47,9 @@ class AMPCConfig:
             pair. 1 (the default) is the paper's base model; k > 1 enables
             failover reads when serving machines fail (§2.1's practicality
             argument, exercised by :mod:`repro.core.chaos`).
+        read_budget / write_budget: the reads / writes a machine may
+            issue in one round, ``max(1, int(budget_multiplier * space))``
+            (the O(S) bound). Derived, not settable.
     """
 
     epsilon: float = DEFAULT_EPSILON
@@ -74,21 +77,15 @@ class AMPCConfig:
                 f"replication_factor must be >= 1, "
                 f"got {self.replication_factor}"
             )
+        # Read on every charged op, so computed once: the config is frozen.
+        budget = max(1, int(self.budget_multiplier * self.space))
+        object.__setattr__(self, "read_budget", budget)
+        object.__setattr__(self, "write_budget", budget)
 
     @property
     def total_space(self) -> int:
         """T = S · P, the aggregate space of the deployment."""
         return self.space * self.n_machines
-
-    @property
-    def read_budget(self) -> int:
-        """Maximum reads a machine may issue in one round (the O(S) bound)."""
-        return max(1, int(self.budget_multiplier * self.space))
-
-    @property
-    def write_budget(self) -> int:
-        """Maximum writes a machine may issue in one round."""
-        return max(1, int(self.budget_multiplier * self.space))
 
     @classmethod
     def for_input(

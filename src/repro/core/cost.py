@@ -341,32 +341,6 @@ class Timer:
         self.elapsed = time.perf_counter() - self.elapsed
 
 
-def merge_shard_counters(
-    counters: Iterable[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce per-shard fused-round budget arrays into round totals.
-
-    ``counters`` holds one ``(reads_used, writes_used)`` per-machine
-    array pair per shard (process backend). Integer sums are
-    order-independent, so the reduction is deterministic regardless of
-    worker placement or completion order.
-
-    Returns ``(reads_used, writes_used)``.
-    """
-    reads: np.ndarray | None = None
-    writes: np.ndarray | None = None
-    for shard_reads, shard_writes in counters:
-        if reads is None:
-            reads = shard_reads.copy()
-            writes = shard_writes.copy()
-        else:
-            reads += shard_reads
-            writes += shard_writes
-    if reads is None or writes is None:
-        raise ValueError("merge_shard_counters needs at least one shard")
-    return reads, writes
-
-
 def merge_reports(reports: Iterable[RunReport]) -> RunReport:
     """Concatenate several run reports (e.g. sub-algorithm phases)."""
     merged = RunReport()

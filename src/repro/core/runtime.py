@@ -228,13 +228,14 @@ class AMPCRuntime:
         self._round_counter = 0
         self._store_counter = 0
         # Execution backend: "serial" (default) or "process" (shard each
-        # round's machines over a pool of forked OS workers; see
-        # repro.parallel). When no explicit backend is given, the ambient
-        # selection of repro.parallel.use_backend applies — that is how
-        # the CLI and the verify sweep run algorithms that construct
-        # their runtimes internally. Imported lazily: repro.parallel's
-        # package module is stdlib-only, but keeping the import out of
-        # module scope avoids ordering constraints during package init.
+        # per-item and per-block round's machines over a pool of forked
+        # OS workers; see repro.parallel). When no explicit backend is
+        # given, the ambient selection of repro.parallel.use_backend
+        # applies — that is how the CLI and the verify sweep run
+        # algorithms that construct their runtimes internally. Imported
+        # lazily: repro.parallel's package module is stdlib-only, but
+        # keeping the import out of module scope avoids ordering
+        # constraints during package init.
         import repro.parallel as _parallel
 
         if backend is None:
@@ -564,11 +565,11 @@ class AMPCRuntime:
                 lockstep; must return None or (a tuple of) arrays with one
                 row per work item. A fused program may use only
                 ``gctx.items``, ``gctx.machines``, ``read_array``,
-                ``write_array`` and ``charge_replayed_reads``: the process
-                backend runs it on item-range shards and a chaos runtime
-                one machine at a time, through contexts with only that
-                surface. Its op sequence must not depend on its items, so
-                that the shards' journals line up.
+                ``write_array`` and ``charge_replayed_reads``: a chaos
+                runtime runs it one machine at a time, through a context
+                with only that surface. It runs in this process on every
+                backend; only per-block programs shard over the process
+                backend.
             setup: scalar key-value pairs readable this round (as in
                 :meth:`round`).
             setup_arrays: columnar setup — an iterable (a list or a
@@ -721,13 +722,14 @@ class AMPCRuntime:
         """Run the round's machines on the process backend.
 
         Returns what :meth:`_run_machines` would, or None when the round
-        must run in this process instead — wrong backend or stores, or a
-        serial degradation counted in :attr:`parallel_fallbacks`. Every
-        degradation is bit-identical by construction: pool workers mutate
-        no parent state before raising.
+        runs in this process instead — a fused round, wrong backend or
+        stores, or a serial degradation counted in
+        :attr:`parallel_fallbacks`. Every degradation is bit-identical by
+        construction: pool workers mutate no parent state before raising.
         """
         if not (
             self.backend == "process"
+            and shape != _FUSED
             and len(work) > 1
             and self.config.n_machines > 1
             and self.parallel_capable
@@ -738,19 +740,10 @@ class AMPCRuntime:
             and type(next_store) is DistributedDataStore
         ):
             return None
-        if shape == _FUSED and self.config.strict:
-            # Fused rounds in strict mode stay serial: a budget breach
-            # must raise at the exact op where the *global* cumulative
-            # count crosses the budget, which per-shard cumulative arrays
-            # cannot reproduce.
-            self.parallel_fallbacks += 1
-            return None
         import repro.parallel.backend as _pbackend
         from repro.parallel.pool import CallableShipError
 
-        if shape == _FUSED:
-            run = _pbackend.run_fused_round
-        elif shape == _PER_BLOCK:
+        if shape == _PER_BLOCK:
             run = _pbackend.run_block_round
         else:
             run = _pbackend.run_scalar_round
@@ -963,8 +956,6 @@ class BatchRoundContext:
         items: the round's work items (1-D int64, in work order).
         machines: ``machines[i]`` is the machine that owns ``items[i]``.
         reads_used / writes_used: per-machine budget consumption arrays.
-        worker_ids: on the process backend, the pool worker that ran each
-            item-range shard (``None`` when the round ran in-process).
     """
 
     __slots__ = (
@@ -978,7 +969,6 @@ class BatchRoundContext:
         "writes_used",
         "_read_over",
         "_write_over",
-        "worker_ids",
     )
 
     def __init__(
@@ -1001,7 +991,6 @@ class BatchRoundContext:
         self.writes_used = np.zeros(p, dtype=np.int64)
         self._read_over = np.zeros(p, dtype=bool)
         self._write_over = np.zeros(p, dtype=bool)
-        self.worker_ids: list[int] | None = None
 
     def read_array(
         self,

@@ -360,11 +360,6 @@ class Tracer(RuntimeObserver):
         worker_id = getattr(ctx, "worker_id", None)
         if worker_id is not None:
             span.attrs["worker"] = int(worker_id)
-        # A fused round has one span for all its machines: it carries the
-        # distinct workers that ran its item-range shards instead.
-        worker_ids = getattr(ctx, "worker_ids", None)
-        if worker_ids is not None:
-            span.attrs["workers"] = sorted({int(w) for w in worker_ids})
         self._emit(span)
 
     # -- lifecycle ---------------------------------------------------------

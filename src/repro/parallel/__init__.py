@@ -3,13 +3,18 @@
 The AMPC model is defined by many machines working concurrently against
 distributed data stores; this package makes the simulator execute that
 way. A persistent pool of forked OS workers (:mod:`repro.parallel.pool`)
-shards each round's machines; the sealed read store's columnar state is
-exported into POSIX shared memory (:mod:`repro.parallel.shm`) so workers
-serve adaptive reads from zero-copy numpy views; and the per-worker
-results, budget charges, write journals, and observer events are merged
-back in a fixed machine order (:mod:`repro.parallel.backend`) so that
-results, per-round cost ledgers, and trace digests are **bit-identical**
-to the serial path.
+shards each per-item and per-block round's machines; the sealed read
+store's columnar state is exported into POSIX shared memory
+(:mod:`repro.parallel.shm`) so workers serve adaptive reads from
+zero-copy numpy views; and the per-worker results, budget charges,
+write journals, and observer events are merged back in a fixed machine
+order (:mod:`repro.parallel.backend`) so that results, per-round cost
+ledgers, and trace digests are **bit-identical** to the serial path.
+
+Those machine shards are the one sharded path. A fused round
+(``round_batch(..., fused=True)``) advances all machines in one
+lockstep program and runs in the parent on either backend, so process
+faults reach only per-item and per-block rounds.
 
 Selecting the backend
 ---------------------
@@ -35,7 +40,8 @@ runtimes and chaos runtimes with *simulated* faults opt out
 (``parallel_capable`` is False) and run serially, so fault plans keep
 firing at identical operations; a :class:`~repro.core.chaos.FaultPlan`
 injecting only real *process-level* faults (worker kills, hangs, delayed
-replies, fork failures) shards normally. The pool
+replies, fork failures) shards normally; its faults reach only the
+rounds that shard. The pool
 (:mod:`repro.parallel.pool`) treats a crashed or hung worker as the
 crash of every machine in its shard — the paper's §2.1 failure — and
 re-runs that shard in the parent, which replies exactly as the worker
@@ -55,8 +61,7 @@ placement hash sweep per column chunk, no re-validation), and batch
 writes go straight through ``write_array``. Armed machine hooks fire in op order as the loop
 passes. The ``replay_items`` cell of ``repro perf collect --suite
 smoke`` (process-backend matching: per-item rounds, scalar writes)
-measures this constant; ``replay_merge`` (process-backend connectivity,
-all fused rounds) measures the fused merge.
+measures this constant.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ One pipe per worker, one in-flight task per worker, tasks dispatched by
 name from a registry in :mod:`repro.parallel.backend` (so only payloads
 cross the pipe, never code objects for the framework itself). Round
 *worker callables*, however, are frequently local closures — MIS's
-truncated-query worker, connectivity's CSR-capturing batch worker — which
-plain pickle refuses; :func:`encode_callable` falls back to a
+truncated-query worker, for one — which plain pickle refuses; :func:`encode_callable` falls back to a
 marshal-of-code encoding that reconstructs the function in the child
 against its defining module's globals, with pickled defaults and closure
 cell values. When even that fails, :class:`CallableShipError` tells the

@@ -133,8 +133,7 @@ class ShmArena:
         arr = np.ascontiguousarray(array)
         if arr.nbytes == 0 or arr.dtype.hasobject:
             return {"inline": arr}
-        segment = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-        self._segments.append(segment)
+        segment = self._new_segment(arr.nbytes)
         view: np.ndarray = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)
         view[...] = arr
         return {"name": segment.name, "shape": arr.shape, "dtype": arr.dtype.str}
@@ -143,10 +142,15 @@ class ShmArena:
         """Place an opaque byte blob in a segment (inline when empty)."""
         if not blob:
             return {"inline_bytes": b""}
-        segment = shared_memory.SharedMemory(create=True, size=len(blob))
-        self._segments.append(segment)
+        segment = self._new_segment(len(blob))
         segment.buf[: len(blob)] = blob
         return {"name": segment.name, "nbytes": len(blob)}
+
+    def _new_segment(self, size: int) -> shared_memory.SharedMemory:
+        """Create one segment of ``size`` bytes, owned by this arena."""
+        segment = shared_memory.SharedMemory(create=True, size=size)
+        self._segments.append(segment)
+        return segment
 
     def close(self) -> None:
         if self.closed:

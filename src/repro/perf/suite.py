@@ -34,7 +34,6 @@ SUITES: dict[str, list[_SuiteEntry]] = {
         ("list_ranking", {"n": 400}, {"n": 128}),
         ("mis", {"n": 200}, {"n": 80}),
         ("msf", {"n": 300}, {"n": 100}),
-        ("replay_merge", {"n": 400}, {"n": 160}),
         ("replay_items", {"n": 400}, {"n": 160}),
         ("dds_lookup", {"n": 20000}, {"n": 2000}),
         ("dds_get", {"n": 20000}, {"n": 2000}),
@@ -77,7 +76,6 @@ SUITES: dict[str, list[_SuiteEntry]] = {
         ("list_ranking", {"n": 20000}, {"n": 400}),
         ("mis", {"n": 2000}, {"n": 200}),
         ("msf", {"n": 1500}, {"n": 160}),
-        ("replay_merge", {"n": 4000}, {"n": 240}),
         ("replay_items", {"n": 4000}, {"n": 240}),
         ("dds_lookup", {"n": 1000000}, {"n": 20000}),
         ("dds_get", {"n": 1000000}, {"n": 20000}),
@@ -188,22 +186,18 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
             return total
 
         return run_rmat
-    if bench in ("replay_merge", "replay_items"):
-        # Process-backend solves, two workers: the parent-side merge is
-        # the serial fraction of every sharded round. Connectivity's
-        # rounds are all fused, so `replay_merge` gates the fused merge
-        # (positional concatenation, replayed-read charging);
-        # matching's are per-item with scalar journal writes, so
-        # `replay_items` gates the per-machine journal replay.
+    if bench == "replay_items":
+        # A process-backend solve, two workers: the parent-side merge is
+        # the serial fraction of every sharded round. Matching's rounds
+        # are per-item with scalar journal writes, so `replay_items`
+        # gates the per-machine journal replay.
         import repro.parallel as parallel
 
         graph = generators.erdos_renyi_gnm(n, 2 * n, 0)
-        solve = (repro.connectivity if bench == "replay_merge"
-                 else repro.maximal_matching)
 
         def run_process():
             with parallel.use_backend("process", n_workers=2):
-                return solve(graph, seed=1)
+                return repro.maximal_matching(graph, seed=1)
 
         return run_process
     if bench == "dds_lookup":

@@ -243,6 +243,7 @@ class CellRecord:
     duration_s: float = 0.0
     backend: str = "serial"
     process_faults: bool = False
+    worker_respawns: int = 0
 
     @property
     def ok(self) -> bool:
@@ -416,6 +417,9 @@ def _run_cell(
         ]
         report = case.report_of(result)
         record.rounds = report.n_rounds if report is not None else None
+        record.worker_respawns = (
+            report.worker_respawns if report is not None else 0
+        )
         record.oracle_discrepancies = case.oracle(workload, result, seed)
         if case.cross_model is not None:
             record.cross_model_discrepancies = case.cross_model(
@@ -742,38 +746,42 @@ def _traced_smoke(args: Any) -> list[dict]:
 
 
 def _process_smoke(args: Any) -> list[dict]:
-    """Connectivity, list-ranking, and MIS cells on the process backend
-    (2 workers), bit-identical in results and per-round ledgers to their
-    serial twins (the ``backend_identical`` oracle), then one worker-
-    crash-recovery cell with the default real-process fault plan armed
-    (SIGKILL/hang/delay at 10% each)."""
+    """MIS, matching and coloring cells on the process backend (2
+    workers) — solves whose rounds shard over the pool — bit-identical in
+    results and per-round ledgers to their serial twins (the
+    ``backend_identical`` oracle), then one worker-crash-recovery cell
+    with the default real-process fault plan armed (SIGKILL/hang/delay
+    at 10% each), which must have lost and respawned a worker."""
     outcomes = []
-    for name, family in (("connectivity", "er"),
-                         ("list-ranking", "list-uniform"),
-                         ("mis", "er")):
-        record = _run_cell(CASES[name], family, SMOKE_SIZE, 0,
+    for name in ("mis", "matching", "coloring"):
+        record = _run_cell(CASES[name], "er", SMOKE_SIZE, 0,
                            balance_slack=4.0, chaos=False,
                            backend="process", workers=2)
         outcomes.append(_cell_outcome(
             record, record.ok and record.backend_identical is True,
             "process backend",
-            f"{name} {family} n={record.n} bit-identical="
+            f"{name} er n={record.n} bit-identical="
             f"{record.backend_identical}",
         ))
     # Workers are really SIGKILLed, hung, and delayed mid-round; the
     # parent must re-run every lost shard and the answer must still be
-    # bit-identical to the fault-free serial twin. Every injected hang
-    # waits out the armed-plan 1 s deadline (n = 48 tasks take milliseconds).
+    # bit-identical to the fault-free serial twin. Under the default
+    # plan seed this cell's matching rounds lose a worker, and a cell
+    # that lost none proves nothing, so it fails. Every injected hang
+    # waits out the armed-plan 1 s deadline.
     record = _run_cell(
-        CASES["connectivity"], "er", SMOKE_SIZE, 0,
+        CASES["matching"], "er", SMOKE_SIZE, 0,
         balance_slack=4.0, chaos=False,
         backend="process", workers=2,
-        process_faults=default_process_fault_plan(3),
+        process_faults=default_process_fault_plan(),
     )
     outcomes.append(_cell_outcome(
-        record, record.ok and record.backend_identical is True,
+        record,
+        record.ok and record.backend_identical is True
+        and record.worker_respawns > 0,
         "worker-crash recovery",
-        f"connectivity er n={record.n} (kill/hang/delay 10%) "
+        f"matching er n={record.n} (kill/hang/delay 10%) "
+        f"respawns={record.worker_respawns} "
         f"bit-identical={record.backend_identical}",
     ))
     return outcomes

@@ -64,24 +64,52 @@ def pytest_runtest_call(item):
         signal.signal(signal.SIGALRM, previous)
 
 
+class OwnSegments:
+    """The shared-memory segments this process's ``ShmArena``s create
+    while armed, so a leak check never blames a segment another process
+    (a second pytest run, an unrelated program) made meanwhile."""
+
+    def __init__(self, monkeypatch) -> None:
+        from repro.parallel.shm import ShmArena
+
+        self.names: list[str] = []
+        create = ShmArena._new_segment
+
+        def recorded(arena, size):
+            segment = create(arena, size)
+            self.names.append(segment.name)
+            return segment
+
+        monkeypatch.setattr(ShmArena, "_new_segment", recorded)
+
+    def leaked(self) -> list[str]:
+        """Recorded segments still present in /dev/shm."""
+        import os
+
+        return sorted(name for name in self.names
+                      if os.path.exists(os.path.join("/dev/shm", name)))
+
+
 @pytest.fixture(autouse=True)
-def shm_leak_check(request):
+def shm_leak_check(request, monkeypatch):
     """Fail any parallel/faultproc test that leaks a /dev/shm segment.
 
     Armed only for pool-touching tests (marker-gated) — a shared-memory
     segment that survives a test is a failure even when the answers
     match, and doubly so under fault injection where a SIGKILLed worker
-    cannot run its own cleanup.
+    cannot run its own cleanup. Only segments this process's arenas
+    created count (:class:`OwnSegments`). Yields the watcher, or None
+    when unarmed.
     """
     import os
 
     if not _timeboxed(request.node) or not os.path.isdir("/dev/shm"):
-        yield  # unmarked test or non-Linux: nothing to scan
+        yield None  # unmarked test or non-Linux: nothing to scan
         return
-    before = set(os.listdir("/dev/shm"))
-    yield
-    leaked = set(os.listdir("/dev/shm")) - before
-    assert not leaked, f"shared-memory segments leaked: {sorted(leaked)}"
+    own = OwnSegments(monkeypatch)
+    yield own
+    leaked = own.leaked()
+    assert not leaked, f"shared-memory segments leaked: {leaked}"
 
 
 @pytest.fixture

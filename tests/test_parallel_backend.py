@@ -66,17 +66,35 @@ def test_connectivity_bit_identical():
         assert process.report.worker_respawns == 0
 
 
-def test_connectivity_fused_bfs_ships_to_the_pool():
-    """The fused BFS round shards like any fused program: no round
-    falls back to the serial loop, and results and ledgers hold."""
+def _spy_on_dispatch(monkeypatch):
+    """Record every ``WorkerPool.run_tasks`` call (then make it)."""
+    from repro.parallel import WorkerPool
+
+    dispatched = []
+    real = WorkerPool.run_tasks
+
+    def spy(self, *args, **kwargs):
+        dispatched.append(args[0])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "run_tasks", spy)
+    return dispatched
+
+
+def test_connectivity_fused_bfs_runs_in_the_parent(monkeypatch):
+    """Connectivity's rounds are all fused, so on the process backend
+    the whole solve runs in the parent: no task reaches the pool, no
+    round counts as a fallback, and results and ledgers hold."""
     g = generators.erdos_renyi_gnm(2000, 6000, rng=3)
     config = AMPCConfig.for_input(g.n + g.m, seed=4)
     serial = repro.connectivity(g, runtime=AMPCRuntime(config))
+    dispatched = _spy_on_dispatch(monkeypatch)
     with use_backend("process", 2):
         runtime = AMPCRuntime(config)
         process = repro.connectivity(g, runtime=runtime)
     assert runtime.backend == "process"
     assert runtime.parallel_fallbacks == 0
+    assert dispatched == []
     assert np.array_equal(serial.labels, process.labels)
     assert _ledger(serial.report) == _ledger(process.report)
 
@@ -84,7 +102,7 @@ def test_connectivity_fused_bfs_ships_to_the_pool():
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_list_ranking_bit_identical(vectorized):
     # The keyword selects nothing; on either value the fused Shrink and
-    # fill-back programs shard.
+    # fill-back programs run in the parent.
     succ = generators.linked_list(250, rng=7)
     serial, process = _run_both(
         lambda: repro.list_ranking(succ, seed=2, vectorized=vectorized)
@@ -103,10 +121,10 @@ class _Placement(RuntimeObserver):
 
 @pytest.mark.parametrize("additive", [True, False])
 def test_fill_back_across_machine_groups_bit_identical(additive):
-    """Fill-back in several machine groups on two shards: each machine's
-    items straddle both item-range shards, so its absorber reads are
-    de-duplicated only in the parent's merge of the group's journaled
-    ranges — and must charge what the serial run charges."""
+    """Fill-back in several machine groups, every machine's items spread
+    over the whole level: the absorber reads are de-duplicated per
+    machine within each group, and the process backend must charge what
+    the serial run charges."""
     from repro.algorithms.shrink import fill_back, shrink
 
     config = AMPCConfig(space=8192, n_machines=32, seed=3)
@@ -131,7 +149,7 @@ def test_fill_back_across_machine_groups_bit_identical(additive):
     assert _ledger(serial_report) == _ledger(process_report)
     runtime, level_0 = runs[1]
     assert runtime.backend == "process" and runtime.parallel_fallbacks == 0
-    # Both halves of level 0's items (the two shards) hold every machine.
+    # Both halves of level 0's items hold every machine.
     half = level_0.size // 2
     for part in (level_0[:half], level_0[half:]):
         assert np.unique(part).size == config.n_machines
@@ -171,9 +189,8 @@ def test_greedy_query_rounds_ship_and_stay_bit_identical(fn, field):
 
 
 def test_msf_bit_identical():
-    # Prim's fused program: a machine's items straddle the item-range
-    # shards, and its replayed reads are charged once per machine only
-    # after the parent merged every shard's ranges.
+    # Prim's fused program runs in the parent on either backend; its
+    # replayed reads are charged once per machine.
     g = generators.with_random_weights(
         generators.erdos_renyi_gnm(2000, 6000, rng=3), rng=3
     )
@@ -187,7 +204,7 @@ def test_msf_bit_identical():
     serial, process = _run_both(run)
     assert np.array_equal(serial.edge_ids, process.edge_ids)
     assert _ledger(serial.report) == _ledger(process.report)
-    # The program shipped: no round fell back to the serial loop.
+    # No round counted as a fallback to the serial loop.
     assert [rt.backend for rt in runtimes] == ["serial", "process"]
     assert runtimes[1].parallel_fallbacks == 0
 
@@ -221,41 +238,6 @@ def test_shards_spread_across_workers():
     assert len(workers) >= 2
 
 
-def _fused_spans(session):
-    return [e for e in session.events if e.name == "machines (fused)"]
-
-
-def test_fused_round_span_tagged_with_its_workers():
-    """Connectivity's BFS round is fused: one span for all machines, no
-    per-machine ``worker`` tag, and a ``workers`` list naming the pool
-    workers that ran its item-range shards."""
-    from repro.observe import TracingSession
-
-    g = generators.erdos_renyi_gnm(200, 300, rng=1)
-    with use_backend("process", 2):
-        with TracingSession(detail="machine") as session:
-            repro.connectivity(g, seed=0)
-    fused = _fused_spans(session)
-    assert fused, "connectivity ran no fused round"
-    for span in fused:
-        assert "worker" not in span.attrs
-        assert span.attrs["workers"]
-        assert all(0 <= w < 2 for w in span.attrs["workers"])
-
-
-@multicore
-def test_fused_shards_spread_across_workers():
-    from repro.observe import TracingSession
-
-    g = generators.erdos_renyi_gnm(400, 800, rng=2)
-    with use_backend("process", 2):
-        with TracingSession(detail="machine") as session:
-            repro.connectivity(g, seed=0)
-    workers = {w for span in _fused_spans(session)
-               for w in span.attrs["workers"]}
-    assert len(workers) >= 2
-
-
 # -- runtime-level behaviour -----------------------------------------------
 
 
@@ -263,34 +245,6 @@ def test_unknown_backend_rejected():
     config = AMPCConfig(epsilon=0.5, space=64, n_machines=8, seed=7)
     with pytest.raises(ValueError, match="unknown backend"):
         AMPCRuntime(config, backend="threads")
-
-
-def test_fused_strict_stays_serial_and_counts_fallback():
-    """Fused round_batch in strict mode never shards, and the serial
-    degradation is visible in the fallback counter."""
-
-    def run(backend_kwargs):
-        config = AMPCConfig(epsilon=0.5, space=256, n_machines=8, seed=7,
-                            strict=True)
-        runtime = AMPCRuntime(config, **backend_kwargs)
-        ids = np.arange(64, dtype=np.int64)
-
-        def fused(gctx):
-            vals = gctx.read_array("v", gctx.items, owner=gctx.machines)
-            return vals * 2
-
-        res = runtime.round_batch(
-            ids, fused, setup_arrays=[("v", ids, ids.astype(np.float64))],
-            fused=True, tag="t",
-        )
-        return res.results.tolist(), runtime
-
-    serial_res, serial_rt = run({})
-    proc_res, proc_rt = run({"backend": "process", "n_workers": 2})
-    assert proc_res == serial_res
-    assert serial_rt.parallel_fallbacks == 0
-    assert proc_rt.parallel_fallbacks == 1
-    assert _ledger(serial_rt.report) == _ledger(proc_rt.report)
 
 
 def test_strict_budget_error_parity():
@@ -758,27 +712,11 @@ def test_round_errors_identical_across_backends(
     assert raised["serial"] == raised["process"]
 
 
-def test_fused_shard_divergence_rejected():
-    """A fused program whose control flow depends on its slice of the
-    items cannot be merged; the process backend says so (serially there
-    are no shards to diverge)."""
-
-    def lopsided(gctx):
-        return gctx.items if gctx.items.min() == 0 else None
-
-    runtime, _ = _contract_runtime("serial", 8, False)
-    assert _plain(_run_shape(runtime, "fused", lopsided).results) == \
-        list(range(N_ITEMS))
-    runtime, _ = _contract_runtime("process", 8, False)
-    with pytest.raises(RoundProtocolError, match="diverged across shards"):
-        _run_shape(runtime, "fused", lopsided)
-    assert runtime.parallel_fallbacks == 0
-
-
 @pytest.mark.parametrize("shape", ["per-item", "per-block", "fused"])
 def test_fallback_on_unshippable_worker(shape):
     """A program that cannot cross the pipe runs serially, bit-identical,
-    and the degradation is counted exactly once."""
+    and the degradation is counted exactly once. A fused program never
+    ships, so it is no degradation."""
     import threading
 
     lock = threading.Lock()  # captured by the closures: unpicklable
@@ -791,10 +729,53 @@ def test_fallback_on_unshippable_worker(shape):
     want = _run_shape(serial, shape, programs[shape])
     process, _ = _contract_runtime("process", 8, False)
     got = _run_shape(process, shape, programs[shape])
-    assert process.parallel_fallbacks == 1
+    assert process.parallel_fallbacks == (shape != "fused")
     assert serial.parallel_fallbacks == 0
     assert _plain(got.results) == _plain(want.results)
     assert _row(got.stats) == _row(want.stats)
+
+
+def test_fused_round_never_touches_the_pool(monkeypatch):
+    """On the process backend a fused round runs in the parent: no pool
+    is started, no task dispatched, no fallback counted, and its results
+    and ledger row equal serial's."""
+    from repro.parallel import pool, shutdown_pool
+
+    shutdown_pool()
+    dispatched = _spy_on_dispatch(monkeypatch)
+    outcomes = {}
+    for backend in ("serial", "process"):
+        runtime, _ = _contract_runtime(backend, 8, False)
+        result = _run_shape(runtime, "fused")
+        assert runtime.parallel_fallbacks == 0
+        outcomes[backend] = (_plain(result.results), _row(result.stats),
+                             list(result.store.items()))
+    assert dispatched == []
+    assert pool._POOL is None
+    assert outcomes["serial"][0] == [6 * i for i in range(N_ITEMS)]
+    assert outcomes["process"] == outcomes["serial"]
+
+
+def test_leak_check_counts_only_our_own_segments(shm_leak_check):
+    """A segment created outside our arenas — as another process's would
+    be — is no leak of ours; a segment one of our arenas leaves behind
+    is."""
+    from multiprocessing import shared_memory
+
+    from repro.parallel import ShmArena
+
+    foreign = shared_memory.SharedMemory(create=True, size=64)
+    arena = ShmArena()
+    try:
+        arena.share_array(np.arange(8))
+        leaked = shm_leak_check.leaked()
+        assert foreign.name not in leaked
+        assert len(leaked) == 1 and leaked == shm_leak_check.names
+    finally:
+        arena.close()
+        foreign.close()
+        foreign.unlink()
+    assert shm_leak_check.leaked() == []
 
 
 def test_fallback_on_unshippable_result(small_config):

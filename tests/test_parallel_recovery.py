@@ -126,11 +126,11 @@ def test_kill_fault_mid_round_parity():
     """SIGKILLed workers mid-task: the parent re-runs their shards,
     bit-identical; every machine of a lost shard counts as a crash."""
     g = generators.erdos_renyi_gnm(300, 450, rng=5)
-    serial = repro.connectivity(g, seed=3)
+    serial = repro.maximal_independent_set(g, seed=3)
     plan = FaultPlan.kills(0.3, seed=2)
     with use_process_faults(plan), use_backend("process", 2):
-        faulted = repro.connectivity(g, seed=3)
-    assert np.array_equal(serial.labels, faulted.labels)
+        faulted = repro.maximal_independent_set(g, seed=3)
+    assert np.array_equal(serial.in_mis, faulted.in_mis)
     assert _ledger(serial.report) == _ledger(faulted.report)
     assert faulted.report.worker_respawns > 0
     assert faulted.report.crashes >= faulted.report.worker_respawns
@@ -141,13 +141,15 @@ def test_kill_fault_mid_round_parity():
 
 
 def test_hang_deadline_triggers_respawn(short_deadline):
-    """Dropped replies: the armed-plan deadline fires, never a wedge."""
-    succ = generators.linked_list(400, 3)
-    serial = repro.list_ranking(succ, seed=1)
-    plan = FaultPlan.hangs(0.15, seed=4)
+    """Dropped replies: the armed-plan deadline fires, never a wedge.
+    MIS ships one round of two shards here, and fault seed 1 drops one
+    of the two replies."""
+    g = generators.erdos_renyi_gnm(300, 450, rng=5)
+    serial = repro.maximal_independent_set(g, seed=1)
+    plan = FaultPlan.hangs(0.15, seed=1)
     with use_process_faults(plan), use_backend("process", 2):
-        faulted = repro.list_ranking(succ, seed=1)
-    assert np.array_equal(serial.ranks, faulted.ranks)
+        faulted = repro.maximal_independent_set(g, seed=1)
+    assert np.array_equal(serial.in_mis, faulted.in_mis)
     assert _ledger(serial.report) == _ledger(faulted.report)
     assert faulted.report.worker_respawns > 0
 
@@ -161,29 +163,6 @@ def test_delay_fault_parity():
         faulted = repro.maximal_independent_set(g, seed=1)
     assert np.array_equal(serial.in_mis, faulted.in_mis)
     assert _ledger(serial.report) == _ledger(faulted.report)
-
-
-def test_lost_fused_shard_matches_serial(monkeypatch):
-    """List ranking's Shrink rounds are fused programs sharded by item
-    range. With every worker killed, each fused shard is re-run in the
-    parent, and the ranks and the ledger still equal serial."""
-    succ = generators.linked_list(300, 3)
-    serial = repro.list_ranking(succ, seed=1)
-    parent_runs = []
-    fused = _backend.TASKS["fused_shard"]
-
-    def counted(payload):
-        parent_runs.append(os.getpid())
-        return fused(payload)
-
-    monkeypatch.setitem(_backend.TASKS, "fused_shard", counted)
-    with use_process_faults(FaultPlan.kills(1.0, seed=0)), \
-            use_backend("process", 2):
-        faulted = repro.list_ranking(succ, seed=1)
-    assert np.array_equal(serial.ranks, faulted.ranks)
-    assert _ledger(serial.report) == _ledger(faulted.report)
-    assert os.getpid() in parent_runs
-    assert faulted.report.crashes >= faulted.report.worker_respawns > 0
 
 
 def test_lost_shard_recovery_wall_covers_the_deadline(small_config,
@@ -244,7 +223,7 @@ def test_chaos_cli_hang_worker_waits_the_plan_deadline(tmp_path, capsys):
     path = tmp_path / "g.txt"
     files.write_edge_list(generators.erdos_renyi_gnm(300, 450, rng=5), path)
     began = time.monotonic()
-    rc = main(["chaos", "connectivity", str(path), "--backend", "process",
+    rc = main(["chaos", "mis", str(path), "--backend", "process",
                "--workers", "2", "--crash", "0", "--outage", "0",
                "--timeout", "0", "--straggler", "0", "--hang-worker", "0.5",
                "--fault-seed", "1", "--no-ledger"])
@@ -409,14 +388,14 @@ def test_process_only_chaos_plan_keeps_parallel_capable():
     """A FaultPlan carrying only real process faults shards normally —
     the blanket serial pin applies to *simulated* faults only."""
     g = generators.erdos_renyi_gnm(250, 375, rng=8)
-    clean = repro.connectivity(g, seed=2)
+    clean = repro.maximal_independent_set(g, seed=2)
 
     config = AMPCConfig.for_input(g.n + g.m, epsilon=0.5, seed=2)
     plan = FaultPlan.kills(0.2, seed=5)
     rt = ChaosRuntime(config, plan=plan, backend="process", n_workers=2)
     assert rt.parallel_capable
-    faulted = repro.connectivity(g, runtime=rt)
-    assert np.array_equal(clean.labels, faulted.labels)
+    faulted = repro.maximal_independent_set(g, runtime=rt)
+    assert np.array_equal(clean.in_mis, faulted.in_mis)
 
     # A simulated-fault plan still pins serial.
     sim = ChaosRuntime(config, plan=FaultPlan.machine_crashes(0.1),
@@ -437,12 +416,12 @@ def test_use_process_faults_rejects_simulated_faults():
 
 def test_single_fault_digest_property(short_deadline):
     """Property sweep: one fault kind at a time, several seeds — the
-    process run's labels and ledger always match serial exactly."""
+    process run's answer and ledger always match serial exactly."""
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    succ = generators.linked_list(80, 5)
-    serial = repro.list_ranking(succ, seed=0)
+    g = generators.erdos_renyi_gnm(80, 160, rng=5)
+    serial = repro.maximal_independent_set(g, seed=0)
     serial_ledger = _ledger(serial.report)
 
     @settings(max_examples=6, deadline=None,
@@ -458,8 +437,8 @@ def test_single_fault_digest_property(short_deadline):
             plan = FaultPlan.delays(0.4, delay_s=0.01,
                                            seed=fault_seed)
         with use_process_faults(plan), use_backend("process", 2):
-            faulted = repro.list_ranking(succ, seed=0)
-        assert np.array_equal(serial.ranks, faulted.ranks)
+            faulted = repro.maximal_independent_set(g, seed=0)
+        assert np.array_equal(serial.in_mis, faulted.in_mis)
         assert _ledger(faulted.report) == serial_ledger
 
     check()
