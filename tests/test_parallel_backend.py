@@ -149,7 +149,8 @@ def test_fill_back_across_machine_groups_bit_identical(additive):
     assert _ledger(serial_report) == _ledger(process_report)
     runtime, level_0 = runs[1]
     assert runtime.backend == "process" and runtime.parallel_fallbacks == 0
-    # Both halves of level 0's items hold every machine.
+    # Every machine's items spread over the level: both halves of
+    # level 0's items hold every machine.
     half = level_0.size // 2
     for part in (level_0[:half], level_0[half:]):
         assert np.unique(part).size == config.n_machines
