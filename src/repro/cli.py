@@ -171,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(kill/hang/delay workers) for every cell; "
                              "requires --backend process — the serial "
                              "twin stays fault-free and must still be "
-                             "bit-identical")
+                             "bit-identical; a cell whose rounds never "
+                             "shard is marked n/a (no sharded round)")
     add_backend(verify)
     verify.add_argument("--balance-slack", type=float, default=4.0,
                         help="constant factor over the Lemma 2.1 balance "
@@ -729,9 +730,13 @@ def _verify(args) -> int:
 
     def progress(record) -> None:
         marker = "ok " if record.ok else "FAIL"
+        if record.ok and record.no_sharded_round:
+            marker = "n/a"
         print(f"  [{marker}] {record.algorithm:20s} "
               f"{record.family:18s} seed={record.seed} "
-              f"n={record.n} rounds={record.rounds}", file=human)
+              f"n={record.n} rounds={record.rounds}"
+              + (" (no sharded round)" if record.no_sharded_round else ""),
+              file=human)
 
     report = verify_sweep(
         algorithms=args.algorithm,
@@ -753,6 +758,10 @@ def _verify(args) -> int:
           f"{summary['invariant_violations']} invariant violations, "
           f"{summary['oracle_disagreements']} oracle disagreements, "
           f"{summary['nondeterministic']} nondeterministic", file=human)
+    if args.process_faults:
+        print(f"process faults: {summary['no_sharded_round']} of "
+              f"{summary['cells']} cells had no sharded round, so no "
+              f"fault could reach them", file=human)
     if not report.ok:
         print(report.format_failures(), file=human)
 

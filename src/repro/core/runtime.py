@@ -722,14 +722,14 @@ class AMPCRuntime:
         """Run the round's machines on the process backend.
 
         Returns what :meth:`_run_machines` would, or None when the round
-        runs in this process instead — a fused round, wrong backend or
-        stores, or a serial degradation counted in
-        :attr:`parallel_fallbacks`. Every degradation is bit-identical by
-        construction: pool workers mutate no parent state before raising.
+        must run in this process instead — wrong backend or stores, or a
+        serial degradation counted in :attr:`parallel_fallbacks`. Every
+        degradation is bit-identical by construction: pool workers mutate
+        no parent state before raising. A fused round goes to the
+        backend's fused entry point, which runs it in this process too.
         """
         if not (
             self.backend == "process"
-            and shape != _FUSED
             and len(work) > 1
             and self.config.n_machines > 1
             and self.parallel_capable
@@ -743,7 +743,9 @@ class AMPCRuntime:
         import repro.parallel.backend as _pbackend
         from repro.parallel.pool import CallableShipError
 
-        if shape == _PER_BLOCK:
+        if shape == _FUSED:
+            run = _pbackend.run_fused_round
+        elif shape == _PER_BLOCK:
             run = _pbackend.run_block_round
         else:
             run = _pbackend.run_scalar_round

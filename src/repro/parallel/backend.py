@@ -344,10 +344,10 @@ def run_fused_round(
     assignment: np.ndarray,
     worker: Callable[..., Any],
 ) -> tuple[Any, list[Any]]:
-    """The fused program shape on the process backend: the round runs in
-    the parent, exactly as on serial (the runtime never ships it). Kept
-    so the per-layer probes of ``bench/metrics.py`` resolve this name.
-    """
+    """Process-backend execution of the fused program shape: the round
+    runs in the parent, exactly as on serial — no fused-only solve was
+    measured to gain from shards (``docs/perf.md``). It never touches
+    the pool."""
     return runtime._run_machines(
         "fused", work, worker, assignment, read_store, next_store
     )

@@ -14,6 +14,11 @@ compatible generator families and a seed matrix. Each cell
 5. optionally replays the cell on a fault-plan-armed chaos runtime and
    demands the bit-identical answer.
 
+With real-process faults armed, a cell counts the rounds that shipped
+machines to pool workers (:attr:`CellRecord.shipped_rounds`); a cell
+that shipped none — a fused-only solve — is reported as having no
+sharded round, not as a recovery cell: no fault could reach it.
+
 The result is a :class:`ConformanceReport` that serializes to JSON for CI.
 """
 
@@ -29,6 +34,8 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from repro.core.chaos import FaultPlan
+from repro.core.hooks import RuntimeObserver
+from repro.core.runtime import install_observer, uninstall_observer
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.parallel import BACKENDS, use_backend, use_process_faults
@@ -244,10 +251,19 @@ class CellRecord:
     backend: str = "serial"
     process_faults: bool = False
     worker_respawns: int = 0
+    # Rounds of the primary run whose machines ran in pool workers: the
+    # only rounds a process fault can reach.
+    shipped_rounds: int = 0
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def no_sharded_round(self) -> bool:
+        """Process faults were armed but no round shipped, so none of
+        them could fire: the cell checked no recovery."""
+        return self.process_faults and self.shipped_rounds == 0
 
     def failures(self) -> list[str]:
         """Human-readable reasons this cell is not conformant."""
@@ -287,6 +303,8 @@ class CellRecord:
             "duration_s": round(self.duration_s, 4),
             "backend": self.backend,
             "process_faults": self.process_faults,
+            "shipped_rounds": self.shipped_rounds,
+            "worker_respawns": self.worker_respawns,
         }
 
 
@@ -327,6 +345,9 @@ class ConformanceReport:
             ),
             "nondeterministic": sum(
                 1 for r in self.records if r.deterministic is False
+            ),
+            "no_sharded_round": sum(
+                1 for r in self.records if r.no_sharded_round
             ),
             "by_algorithm": by_algorithm,
             "ok": self.ok,
@@ -384,6 +405,18 @@ def default_process_fault_plan(seed: int = 1) -> FaultPlan:
     )
 
 
+class _ShippedRounds(RuntimeObserver):
+    """Counts rounds whose machines ran in pool workers — their ledger
+    contexts carry the worker id the parent's journal replay sets."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def on_round_end(self, runtime, stats, contexts, read_store, next_store):
+        if any(getattr(ctx, "worker_id", None) is not None for ctx in contexts):
+            self.count += 1
+
+
 def _run_cell(
     case: AlgorithmCase,
     family: str,
@@ -407,10 +440,16 @@ def _run_cell(
     # process run against a fault-free serial run — the strongest form
     # of the bit-identity contract.
     start = time.perf_counter()
+    shipped = _ShippedRounds()
     try:
-        with use_process_faults(process_faults), use_backend(backend, workers):
-            with InvariantSuite(balance_slack=balance_slack) as suite:
-                result = case.run(workload, seed)
+        install_observer(shipped)
+        try:
+            with use_process_faults(process_faults), use_backend(backend, workers):
+                with InvariantSuite(balance_slack=balance_slack) as suite:
+                    result = case.run(workload, seed)
+        finally:
+            uninstall_observer(shipped)
+        record.shipped_rounds = shipped.count
         record.invariant_violations = [
             {"invariant": v.invariant, "message": v.message, "tag": v.tag}
             for v in suite.violations
@@ -865,6 +904,8 @@ def verify_sweep(
             rerun — workers are really SIGKILLed, hung, and delayed —
             while the cross-backend serial twin stays fault-free. Only
             meaningful with ``backend="process"``; raises otherwise.
+            A cell none of whose rounds shipped is counted under
+            ``no_sharded_round`` in :meth:`ConformanceReport.summary`.
         balance_slack: constant factor granted over the Lemma 2.1 bound.
         progress: optional callback invoked with each finished cell.
     """

@@ -52,20 +52,6 @@ def _run_both(fn, workers=2):
 # -- end-to-end algorithm parity -------------------------------------------
 
 
-def test_connectivity_bit_identical():
-    g = generators.erdos_renyi_gnm(300, 450, rng=5)
-    # On 2 workers, and on more workers than the host may have cores.
-    for workers in (2, 4):
-        serial, process = _run_both(
-            lambda: repro.connectivity(g, seed=3), workers
-        )
-        assert np.array_equal(serial.labels, process.labels)
-        assert _ledger(serial.report) == _ledger(process.report)
-        # No faults armed: the supervisor had nothing to recover.
-        assert process.report.task_retries == 0
-        assert process.report.worker_respawns == 0
-
-
 def _spy_on_dispatch(monkeypatch):
     """Record every ``WorkerPool.run_tasks`` call (then make it)."""
     from repro.parallel import WorkerPool
@@ -79,6 +65,23 @@ def _spy_on_dispatch(monkeypatch):
 
     monkeypatch.setattr(WorkerPool, "run_tasks", spy)
     return dispatched
+
+
+def test_connectivity_bit_identical(monkeypatch):
+    g = generators.erdos_renyi_gnm(300, 450, rng=5)
+    dispatched = _spy_on_dispatch(monkeypatch)
+    # On 2 workers, and on more workers than the host may have cores.
+    for workers in (2, 4):
+        serial, process = _run_both(
+            lambda: repro.connectivity(g, seed=3), workers
+        )
+        assert np.array_equal(serial.labels, process.labels)
+        assert _ledger(serial.report) == _ledger(process.report)
+        # No faults armed: the supervisor had nothing to recover.
+        assert process.report.task_retries == 0
+        assert process.report.worker_respawns == 0
+    # Fused-only: every round ran in the parent.
+    assert dispatched == []
 
 
 def test_connectivity_fused_bfs_runs_in_the_parent(monkeypatch):
@@ -100,60 +103,49 @@ def test_connectivity_fused_bfs_runs_in_the_parent(monkeypatch):
 
 
 @pytest.mark.parametrize("vectorized", [False, True])
-def test_list_ranking_bit_identical(vectorized):
+def test_list_ranking_bit_identical(vectorized, monkeypatch):
     # The keyword selects nothing; on either value the fused Shrink and
     # fill-back programs run in the parent.
     succ = generators.linked_list(250, rng=7)
+    dispatched = _spy_on_dispatch(monkeypatch)
     serial, process = _run_both(
         lambda: repro.list_ranking(succ, seed=2, vectorized=vectorized)
     )
     assert np.array_equal(serial.ranks, process.ranks)
     assert _ledger(serial.report) == _ledger(process.report)
-
-
-class _Placement(RuntimeObserver):
-    def __init__(self):
-        self.assignments = []
-
-    def on_assignment(self, runtime, assignment, n_items):
-        self.assignments.append(assignment.copy())
+    assert dispatched == []
 
 
 @pytest.mark.parametrize("additive", [True, False])
-def test_fill_back_across_machine_groups_bit_identical(additive):
-    """Fill-back in several machine groups, every machine's items spread
-    over the whole level: the absorber reads are de-duplicated per
-    machine within each group, and the process backend must charge what
-    the serial run charges."""
+def test_fill_back_across_machine_groups_bit_identical(additive, monkeypatch):
+    """Fill-back in several machine groups: the absorber reads are
+    de-duplicated per machine within each group, and the process
+    backend, which runs the fused program in the parent, must charge
+    what the serial run charges."""
     from repro.algorithms.shrink import fill_back, shrink
 
     config = AMPCConfig(space=8192, n_machines=32, seed=3)
     succ = generators.linked_list(3000, rng=5)
     runs = []
+    dispatched = _spy_on_dispatch(monkeypatch)
 
     def run():
         runtime = AMPCRuntime(config)
-        placement = _Placement()
-        runtime.attach_observer(placement)
         outcome = shrink(succ, runtime, delta=0.5, target_size=750,
                          forced=np.array([generators.list_head(succ)]))
         values = np.full(succ.size, np.nan)
         values[outcome.alive] = outcome.alive
         filled = fill_back(runtime, outcome.history, values,
                            additive=additive)
-        runs.append((runtime, placement.assignments[-1]))
+        runs.append(runtime)
         return filled, runtime.report
 
     (serial, serial_report), (process, process_report) = _run_both(run)
     assert np.array_equal(serial, process)
     assert _ledger(serial_report) == _ledger(process_report)
-    runtime, level_0 = runs[1]
+    runtime = runs[1]
     assert runtime.backend == "process" and runtime.parallel_fallbacks == 0
-    # Every machine's items spread over the level: both halves of
-    # level 0's items hold every machine.
-    half = level_0.size // 2
-    for part in (level_0[:half], level_0[half:]):
-        assert np.unique(part).size == config.n_machines
+    assert dispatched == []
 
 
 def test_mis_bit_identical():
@@ -189,7 +181,7 @@ def test_greedy_query_rounds_ship_and_stay_bit_identical(fn, field):
     assert all("worker" in (e.attrs or {}) for e in machines)
 
 
-def test_msf_bit_identical():
+def test_msf_bit_identical(monkeypatch):
     # Prim's fused program runs in the parent on either backend; its
     # replayed reads are charged once per machine.
     g = generators.with_random_weights(
@@ -197,6 +189,7 @@ def test_msf_bit_identical():
     )
     config = AMPCConfig.for_input(g.n + g.m, seed=4)
     runtimes = []
+    dispatched = _spy_on_dispatch(monkeypatch)
 
     def run():
         runtimes.append(AMPCRuntime(config))
@@ -208,6 +201,7 @@ def test_msf_bit_identical():
     # No round counted as a fallback to the serial loop.
     assert [rt.backend for rt in runtimes] == ["serial", "process"]
     assert runtimes[1].parallel_fallbacks == 0
+    assert dispatched == []
 
 
 def test_trace_spans_tagged_with_worker():

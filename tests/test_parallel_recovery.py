@@ -442,3 +442,27 @@ def test_single_fault_digest_property(short_deadline):
         assert _ledger(faulted.report) == serial_ledger
 
     check()
+
+
+def test_process_fault_cell_without_a_sharded_round_is_flagged():
+    """A process-fault verify cell counts the rounds that shipped: a
+    fused-only solve ships none, so faults could not reach it and it is
+    reported as having no sharded round; a solve whose rounds shard
+    is a real recovery cell."""
+    from repro.verify.oracles import CASES
+    from repro.verify.runner import ConformanceReport, _run_cell
+
+    plan = FaultPlan.delays(0.5, delay_s=0.001, seed=1)
+    records = [
+        _run_cell(CASES[name], "er", 48, 0, balance_slack=4.0,
+                  chaos=False, backend="process", workers=2,
+                  process_faults=plan)
+        for name in ("connectivity", "mis")
+    ]
+    fused, sharded = records
+    assert fused.ok and sharded.ok
+    assert fused.shipped_rounds == 0 and fused.no_sharded_round
+    assert sharded.shipped_rounds > 0 and not sharded.no_sharded_round
+    assert fused.to_dict()["shipped_rounds"] == 0
+    report = ConformanceReport(records=records, settings={})
+    assert report.summary()["no_sharded_round"] == 1
