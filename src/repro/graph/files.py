@@ -64,14 +64,7 @@ def read_edge_list(source: str | Path | TextIO) -> Graph:
     back to the per-line parser (identical results and error messages)
     when the file is weighted or otherwise irregular.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            edges, n = _collect_fast(source)
-        except FastParseUnsupported:
-            pass
-        else:
-            return Graph.from_edges(n, edges)
-    edges, _weights, n = _parse(source, want_weights=False)
+    edges, n = _read_edges(source)
     return Graph.from_edges(n, edges)
 
 
@@ -275,15 +268,21 @@ def resolve_node_count(declared_n: int | None, max_id: int) -> int:
     return max(n, 0)
 
 
-def _collect_fast(path: str | Path) -> tuple[np.ndarray, int]:
-    """Fast-path read of a whole file: ``(edges, n)``."""
-    declared_n, chunks = scan_edge_list(path)
-    parts = list(chunks)
-    edges = (
-        np.concatenate(parts) if parts else np.zeros((0, 2), np.int64)
-    )
-    max_id = int(edges.max()) if edges.size else -1
-    return edges, resolve_node_count(declared_n, max_id)
+def _read_edges(
+    source, *, block_bytes: int = FAST_BLOCK_BYTES
+) -> tuple[np.ndarray, int]:
+    """:func:`read_edge_list`'s ``(edges, n)``: the fast path for file
+    paths, the per-line parser for file objects and refused files."""
+    if isinstance(source, (str, Path)):
+        try:
+            declared_n, chunks = scan_edge_list(source, block_bytes=block_bytes)
+            edges = np.concatenate([np.zeros((0, 2), np.int64), *chunks])
+            max_id = int(edges.max(initial=-1))
+            return edges, resolve_node_count(declared_n, max_id)
+        except FastParseUnsupported:
+            pass
+    edges, _weights, n = _parse(source, want_weights=False)
+    return edges, n
 
 
 # -- write-once binary edge cache ------------------------------------------

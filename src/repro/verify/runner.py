@@ -660,6 +660,38 @@ def serve_smoke_cell() -> dict:
     )
 
 
+def edge_list_parity(path, block_bytes: int) -> list[str]:
+    """Where the byte-level edge-list reader disagrees with the per-line
+    parser on the file ``path``.
+
+    :func:`repro.graph.files.read_edge_list`'s ``(edges, n)`` — read at
+    the default block size and at ``block_bytes`` — must equal the
+    per-line parse, or raise the same exception type with the same
+    message. The graph itself is not built: fuzzed ids reach 10^18.
+    """
+    from repro.graph import files
+
+    def outcome(read) -> tuple:
+        try:
+            edges, n = read()
+        except Exception as err:  # the outcome under comparison
+            return type(err), str(err)
+        return np.asarray(edges).tolist(), n
+
+    def per_line():
+        edges, _weights, n = files._parse(path, want_weights=False)
+        return edges, n
+
+    want = outcome(per_line)
+    problems = []
+    for size in (files.FAST_BLOCK_BYTES, block_bytes):
+        got = outcome(lambda: files._read_edges(path, block_bytes=size))
+        if got != want:
+            problems.append(f"{path}: block_bytes={size} read {got!r}, "
+                            f"per-line parser {want!r}")
+    return problems
+
+
 def ingest_smoke_cell() -> dict:
     """The ingest cell of ``repro verify --smoke``.
 

@@ -420,6 +420,48 @@ class TestEdgeCache:
 
 
 # ---------------------------------------------------------------------------
+# byte-level fast path vs the per-line parser
+# ---------------------------------------------------------------------------
+
+# Token lengths cluster where the fast path switches words (8 | 9 digits),
+# where it stops (16 | 17) and where int64 does (18 | 19 digits).
+_TOKEN = st.sampled_from([1, 2, 7, 8, 9, 16, 17, 18]).flatmap(
+    lambda k: st.text("0123456789", min_size=k, max_size=k).map(str.encode)
+)
+_BYTE = st.sampled_from([
+    b" ", b" ", b"\t", b"\r", b"\n", b"\n", b"\r\n", b"#", b"-", b"+", b".",
+    b"\x00", b"\xff",
+])
+_LINE = st.tuples(
+    _TOKEN, st.sampled_from([b" ", b"\t", b"  ", b"\r"]), _TOKEN,
+    st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]),
+).map(b"".join)
+_COMMENT = st.tuples(
+    st.sampled_from([b"# nodes: ", b"# c"]),
+    st.lists(st.one_of(_TOKEN, _BYTE), max_size=3).map(b"".join),
+    st.just(b"\n"),
+).map(b"".join)
+_EDGE_LIST_BYTES = st.tuples(
+    st.lists(_COMMENT, max_size=2),
+    st.lists(st.one_of(_LINE, _LINE, _LINE, _TOKEN, _BYTE), max_size=40),
+).map(lambda parts: b"".join(parts[0] + parts[1]))
+
+
+class TestParserParity:
+    @settings(max_examples=300, deadline=None)
+    @given(_EDGE_LIST_BYTES, st.integers(8, 48))
+    def test_fuzzed_bytes_read_as_the_per_line_parser_reads(
+        self, data, block_bytes
+    ):
+        from repro.verify.runner import edge_list_parity
+
+        with tempfile.TemporaryDirectory() as tmp:
+            text = Path(tmp) / "g.txt"
+            text.write_bytes(data)
+            assert edge_list_parity(text, block_bytes) == []
+
+
+# ---------------------------------------------------------------------------
 # streaming RMAT
 # ---------------------------------------------------------------------------
 
