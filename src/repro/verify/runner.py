@@ -660,6 +660,28 @@ def serve_smoke_cell() -> dict:
     )
 
 
+# Hostile edge-list bytes: each must read the same through the byte-level
+# fast path (or its refusal) as through the per-line parser.
+PARSER_CORPUS: tuple[bytes, ...] = (
+    b"0\r1\n",                       # lone CR: a line break, not a separator
+    b"0 1\r2 3\n",
+    b"# c\r0 1\n",                   # lone CR inside a header comment
+    b"# \xff\n0 1\n",                # header comment that is not UTF-8
+    b"0 1\r\n\r\n2\t3\r\n",           # CRLF and blank lines
+    b"\n\n0 1\n  \n\t\n2    3",       # leading blanks, no trailing newline
+    b"# nodes: 9\n",                  # header only
+    b"007 0000000000000012\n",        # leading zeros
+    b"1 22\n4444 55555\n7777777 88888888\n999999999 1\n",
+    b"123456789012345 1234567890123456\n",   # 15 and 16 digits
+    b"12345678901234567 1\n",         # 17 digits: per-line parser
+    b"1234567890123456789 1\n",       # 19 digits, still int64
+    b"99999999999999999999 1\n",      # beyond int64
+    b"0 1 2\n", b"0\n1\n", b"0 -1\n", b"+0 1\n", b"0 1.5\n", b"0\x001\n",
+    b"0 1" + b" " * 100 + b"\n2 3\n",  # a line longer than the block
+    b"# nodes: 2\n0 5\n",             # id above the declared count
+)
+
+
 def edge_list_parity(path, block_bytes: int) -> list[str]:
     """Where the byte-level edge-list reader disagrees with the per-line
     parser on the file ``path``.
@@ -701,13 +723,17 @@ def ingest_smoke_cell() -> dict:
     tiny ``chunk_edges`` so the chunked paths are actually exercised,
     then checks
 
+    * **parser parity**: every :data:`PARSER_CORPUS` file reads the same
+      through the byte-level fast path as through the per-line parser
+      (:func:`edge_list_parity`);
     * **CSR parity**: the mmap ``indptr``/``indices`` must be
       bit-identical to ``Graph.from_edges`` on the same edges;
     * **result + ledger parity**: connectivity and MIS run from the
       mmap-backed graph must produce bit-identical labels/membership AND
       bit-identical per-round cost ledgers vs the in-memory baseline.
 
-    Returns a smoke-cell outcome plus ``n``, ``m`` and ``checks``.
+    Returns a smoke-cell outcome plus ``n``, ``m``, ``checks`` and
+    ``parser_cases``.
     """
     import tempfile
     from pathlib import Path
@@ -757,11 +783,16 @@ def ingest_smoke_cell() -> dict:
         if _rows(got_mis.report) != _rows(want_mis.report):
             problems.append("MIS ledger differs on the mmap graph")
         checks += 2
+        for i, data in enumerate(PARSER_CORPUS):
+            hostile = Path(tmp) / f"hostile-{i}.txt"
+            hostile.write_bytes(data)
+            problems += edge_list_parity(hostile, block_bytes=16)
 
     return _outcome(
         "ingest smoke", problems,
-        f"mmap CSR n={base.n} m={base.m}, {checks} parity checks",
-        n=base.n, m=base.m, checks=checks,
+        f"mmap CSR n={base.n} m={base.m}, {checks} parity checks, "
+        f"parser parity on {len(PARSER_CORPUS)} byte cases",
+        n=base.n, m=base.m, checks=checks, parser_cases=len(PARSER_CORPUS),
     )
 
 

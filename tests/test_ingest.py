@@ -460,6 +460,97 @@ class TestParserParity:
             text.write_bytes(data)
             assert edge_list_parity(text, block_bytes) == []
 
+    @staticmethod
+    def _scan(path, block_bytes=files.FAST_BLOCK_BYTES):
+        declared_n, chunks = files.scan_edge_list(
+            path, block_bytes=block_bytes)
+        edges = np.concatenate([np.zeros((0, 2), np.int64), *chunks])
+        return declared_n, edges.tolist()
+
+    @staticmethod
+    def _per_line(path):
+        edges, _weights, n = files._parse(path, want_weights=False)
+        return edges.tolist(), n
+
+    @pytest.mark.parametrize("digits", [1, 7, 8, 9, 15, 16, 17, 18, 19])
+    def test_token_lengths(self, tmp_path, digits):
+        u = int("1234567890123456789"[:digits])
+        v = 10 ** (digits - 1)
+        text = tmp_path / "g.txt"
+        text.write_bytes(f"{u} {v}\n{v}\t{u}\n".encode())
+        want = [[u, v], [v, u]]
+        assert self._per_line(text) == (want, u + 1)
+        if digits <= 16:
+            assert self._scan(text) == (None, want)
+        else:  # three words or more: the per-line parser's job
+            with pytest.raises(files.FastParseUnsupported):
+                self._scan(text)
+        assert files._read_edges(text)[0].tolist() == want
+
+    @pytest.mark.parametrize("data, block_bytes, want", [
+        # leading zeros, on both sides of the one/two-word switch
+        (b"007 0000000000000012\n00000000 1\n", 64, [[7, 12], [0, 1]]),
+        # each block starts with a token whose word reaches into the
+        # block's front padding (one word, then the high one of two)
+        (b"1 87654321\n123456789 2\n", 11, [[1, 87654321], [123456789, 2]]),
+        # tabs and runs of spaces between u and v
+        (b"1\t2\n3   4\n5 \t 6\n  7 8  \n", 64,
+         [[1, 2], [3, 4], [5, 6], [7, 8]]),
+        # CRLF, and blank lines, one of them first in its block
+        (b"0 1\r\n\r\n2 3\r\n\n4 5\n", 5, [[0, 1], [2, 3], [4, 5]]),
+        # no trailing newline
+        (b"0 1\n2 3", 64, [[0, 1], [2, 3]]),
+        # blocks so small that every line straddles a block edge
+        (b"10 20\n11 21\n12 22\n13 23\n", 4,
+         [[10, 20], [11, 21], [12, 22], [13, 23]]),
+    ])
+    def test_boundary_cases_take_the_fast_path(self, tmp_path, data,
+                                                block_bytes, want):
+        text = tmp_path / "g.txt"
+        text.write_bytes(data)
+        assert self._scan(text, block_bytes) == (None, want)
+        assert self._per_line(text)[0] == want
+        from repro.verify.runner import edge_list_parity
+        assert edge_list_parity(text, block_bytes) == []
+
+    def test_header_only_file(self, tmp_path):
+        text = tmp_path / "g.txt"
+        text.write_bytes(b"# nodes: 7\n# more\n\n")
+        assert self._scan(text) == (7, [])
+        assert files.read_edge_list(text) == Graph.from_edges(7, [])
+
+    @pytest.mark.parametrize("data", [b"0\r1\n", b"0 1\r2 3\n", b"# c\r0 1\n"])
+    def test_lone_cr_is_a_line_break_on_both_paths(self, tmp_path, data):
+        # Text mode reads a lone CR as the end of a line; the byte-level
+        # path must not read it as a separator.
+        text = tmp_path / "g.txt"
+        text.write_bytes(data)
+        with pytest.raises(files.FastParseUnsupported):
+            self._scan(text)
+
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as err:
+                return str(err)
+
+        want = outcome(lambda: self._per_line(text))
+        got = outcome(lambda: files._read_edges(text))
+        if isinstance(got, tuple):
+            got = (got[0].tolist(), got[1])
+        assert got == want
+
+    def test_line_longer_than_a_block_goes_to_the_per_line_parser(
+        self, tmp_path
+    ):
+        text = tmp_path / "g.txt"
+        long_line = b"0 1" + b" " * (3 * files.FAST_BLOCK_BYTES) + b"\n"
+        text.write_bytes(long_line + b"2 3\n")
+        with pytest.raises(files.FastParseUnsupported, match="longer"):
+            self._scan(text)
+        edges, n = self._per_line(text)
+        assert files.read_edge_list(text) == Graph.from_edges(n, edges)
+
 
 # ---------------------------------------------------------------------------
 # streaming RMAT
