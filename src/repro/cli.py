@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "always drops them)")
     ingest.add_argument("--force", action="store_true",
                         help="rebuild even if the cache directory "
-                             "already holds a CSR cache")
+                             "already holds a CSR cache of this source")
     ingest.add_argument("--no-stats", action="store_true",
                         help="skip the graph-stats summary (avoids "
                              "touching every page of a huge cache)")
@@ -456,37 +456,19 @@ def _stats(args) -> int:
 
 def _ingest(args) -> int:
     """Build an on-disk CSR cache from an edge list or RMAT spec."""
-    from repro.graph import csr, files, generators, stats
+    from repro.graph import csr, stats
 
-    out = args.out
-    if csr.is_cache(out) and not args.force:
-        graph = csr.MmapGraph.load(out)
+    try:
+        graph, built = csr.ingest(
+            args.source, args.out, seed=args.seed,
+            chunk_edges=args.chunk_edges,
+            drop_self_loops=args.drop_self_loops, force=args.force)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"{args.source}: {reason}") from None
+    if not built:
         print(f"cache up to date: {graph!r} (use --force to rebuild)")
         return 0
-
-    spec = str(args.source)
-    if spec.startswith("rmat:"):
-        try:
-            fields = [int(field) for field in spec.split(":")[1:]]
-        except ValueError:
-            fields = []
-        if not 1 <= len(fields) <= 2:
-            raise UsageError(
-                f"bad RMAT spec {spec!r}: want rmat:SCALE[:EDGE_FACTOR]"
-            )
-        scale, edge_factor = (fields + [16])[:2]
-        n = 1 << scale
-        chunks = generators.rmat_edge_chunks(
-            scale, edge_factor, rng=args.seed,
-            chunk_edges=args.chunk_edges)
-        graph = csr.build_csr(chunks, n, out,
-                              chunk_edges=args.chunk_edges,
-                              drop_self_loops=True)
-    else:
-        edges, n = files.load_edge_cache(args.source)
-        graph = csr.build_csr(edges, n, out,
-                              chunk_edges=args.chunk_edges,
-                              drop_self_loops=args.drop_self_loops)
     print(f"built {graph!r}")
     if not args.no_stats:
         print(stats.graph_stats(graph).format())

@@ -1,8 +1,8 @@
 """External-memory CSR construction and memory-mapped graphs.
 
 This is the out-of-core half of the ingestion pipeline (ROADMAP item 4):
-:func:`build_csr` turns a stream of edge chunks — from the binary
-edge-list cache (:mod:`repro.graph.files`), the streaming RMAT generator
+:func:`build_csr` turns a stream of edge chunks — from the text parse
+(:func:`repro.graph.files.parse_edge_list`), the streaming RMAT generator
 (:mod:`repro.graph.generators`), or any ``(k, 2)`` int64 array iterator —
 into an on-disk CSR cache (``indptr.npy`` / ``indices.npy`` /
 ``meta.json``) without ever materializing the graph in RAM, and
@@ -17,8 +17,10 @@ O(n + chunk), never O(m)):
 1. **Count** — stream the edge chunks once, validating endpoints and
    self-loops, and accumulate per-vertex degree counts (both directions,
    duplicates included) with ``np.bincount``. One-shot iterators are
-   spooled to a raw edge file during this pass so pass 2 can re-read
-   them. The counts cut the vertices into *blocks* of consecutive rows
+   first spooled to a raw edge file (the build's one transient copy of
+   the edges; it also finds ``n`` when the caller leaves it to the
+   largest endpoint), and every pass re-reads it in ``chunk_edges``
+   rows. The counts cut the vertices into *blocks* of consecutive rows
    whose entries fit the chunk budget (a single row may exceed it),
    found with one ``searchsorted`` on the degree prefix sums per block.
 2. **Bucket** — stream again, one direction of a chunk at a time, and
@@ -41,7 +43,11 @@ them).
 
 ``meta.json`` is what makes a directory a cache: a build unlinks the old
 one first and publishes the new one last, and :func:`is_cache` /
-:meth:`MmapGraph.load` check the array headers against it.
+:meth:`MmapGraph.load` check the array headers and a ``zlib.crc32`` of
+each array's data against it. It also keeps the caller's record of the
+source (:func:`ingest`: a text file's path, size and mtime, or an RMAT
+spec and seed, plus the self-loop rule), so a directory built from
+something else is never taken as up to date.
 
 Mmap lifetime rule: the arrays of an :class:`MmapGraph` are views into
 the cache directory's files — the directory must outlive the graph and
@@ -50,17 +56,19 @@ every store the graph's columns were written into (see docs/model.md §8).
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .files import npy_header, rewrite_npy_header
+from . import files, generators
 from .graph import Graph
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_CHUNK_EDGES = 1 << 20
 #: Largest block-local key. A block of r rows over n vertices uses keys
 #: up to r·n − 1, so a block holds at most ``_KEY_MAX // n`` rows.
@@ -72,6 +80,34 @@ _INDICES = "indices.npy"
 _ROUGH = "keys.rough.bin"
 _SPOOL = "edges.spool.bin"
 _ITEM = np.dtype(np.int64).itemsize
+_CRC_BLOCK = 1 << 20
+
+
+def npy_header(shape: tuple[int, ...]) -> bytes:
+    """The ``.npy`` header of a C-order int64 array of ``shape``.
+
+    numpy pads the header so that its length does not depend on the
+    leading dimension, which lets a writer stream rows after a
+    placeholder header and overwrite it in place once the row count is
+    known (:func:`rewrite_npy_header`).
+    """
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.int64)),
+        "fortran_order": False,
+        "shape": tuple(int(s) for s in shape),
+    })
+    return buf.getvalue()
+
+
+def rewrite_npy_header(handle, placeholder: bytes,
+                       shape: tuple[int, ...]) -> None:
+    """Overwrite the ``placeholder`` header at the start of ``handle``."""
+    header = npy_header(shape)
+    if len(header) != len(placeholder):
+        raise RuntimeError(".npy header length changed with its shape")
+    handle.seek(0)
+    handle.write(header)
 
 
 def edge_chunks(
@@ -84,22 +120,25 @@ def edge_chunks(
 
 
 def _clean_chunk(
-    chunk: np.ndarray, n: int, drop_self_loops: bool
-) -> np.ndarray:
-    """Validate one edge chunk; returns it with self-loops handled."""
+    chunk: np.ndarray, n: int | None, drop_self_loops: bool
+) -> tuple[np.ndarray, int]:
+    """Validate one edge chunk: ``(its rows with self-loops handled, its
+    largest endpoint before that, or -1)``. ``n`` None checks no upper
+    bound."""
     chunk = np.asarray(chunk, dtype=np.int64)
     if chunk.ndim != 2 or chunk.shape[1] != 2:
         raise ValueError(f"edges must be (m, 2), got shape {chunk.shape}")
     if chunk.size == 0:
-        return chunk.reshape(0, 2)
-    if chunk.min() < 0 or chunk.max() >= n:
+        return chunk, -1
+    top = int(chunk.max())
+    if chunk.min() < 0 or (n is not None and top >= n):
         raise ValueError("edge endpoint out of range [0, n)")
     loops = chunk[:, 0] == chunk[:, 1]
     if np.any(loops):
         if not drop_self_loops:
             raise ValueError("self-loops are not allowed (paper §3)")
         chunk = chunk[~loops]
-    return chunk
+    return chunk, top
 
 
 def _block_starts(offsets: np.ndarray, budget: int) -> np.ndarray:
@@ -151,28 +190,33 @@ def _bucket(
 
 def build_csr(
     edges: np.ndarray | Iterable[np.ndarray],
-    n: int,
+    n: int | None,
     out_dir: str | os.PathLike,
     *,
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
     drop_self_loops: bool = False,
+    source: dict | None = None,
 ) -> "MmapGraph":
     """Build an on-disk CSR cache from streamed edges; return it mapped.
 
     Args:
         edges: an ``(m, 2)`` int64 array/memmap, or an iterable of such
             chunks (a one-shot generator is fine — it is spooled to disk
-            during the counting pass).
-        n: number of vertices; endpoints must lie in ``[0, n)``.
+            before the counting pass).
+        n: number of vertices; endpoints must lie in ``[0, n)``. None
+            takes 1 + the largest endpoint, self-loops included (0 for
+            no edges): :func:`repro.graph.files.resolve_node_count`'s
+            rule when a file declares no count.
         out_dir: cache directory (created if needed); receives
             ``indptr.npy``, ``indices.npy`` and ``meta.json``.
         chunk_edges: bound on rows processed (and resident) at once; a
             vertex whose degree exceeds it is sorted as a block alone.
         drop_self_loops: silently drop ``u == u`` rows instead of
             raising, for generators (e.g. RMAT) that emit them.
+        source: a JSON-able record of what the edges came from, kept in
+            ``meta.json`` for :func:`is_cache` to match.
     """
-    n = int(n)
-    if n < 0:
+    if n is not None and int(n) < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,40 +227,35 @@ def build_csr(
     step = max(1, int(chunk_edges))
     spool_path = out / _SPOOL
     rough_path = out / _ROUGH
-    spooled = False
+    spooled = not isinstance(edges, np.ndarray)
 
-    # Pass 1: count degrees (duplicates included, both directions) into
-    # offsets[1:], spooling iterator input so pass 2 can re-stream it.
-    offsets = np.zeros(n + 1, dtype=np.int64)
-
-    def _count(chunk: np.ndarray) -> None:
-        offsets[1:] += np.bincount(chunk[:, 0], minlength=n)
-        offsets[1:] += np.bincount(chunk[:, 1], minlength=n)
+    def _chunks() -> Iterator[np.ndarray]:
+        if spooled:
+            with open(spool_path, "rb") as spool:
+                while data := spool.read(2 * _ITEM * step):
+                    yield np.frombuffer(data, np.int64).reshape(-1, 2)
+        else:
+            for chunk in edge_chunks(edges, step):
+                yield _clean_chunk(chunk, n, drop_self_loops)[0]
 
     try:
-        if isinstance(edges, np.ndarray):
-            for chunk in edge_chunks(edges, step):
-                _count(_clean_chunk(chunk, n, drop_self_loops))
-        else:
-            spooled = True
+        if spooled:
+            top = -1
             with open(spool_path, "wb") as spool:
                 for chunk in edges:
-                    chunk = _clean_chunk(chunk, n, drop_self_loops)
-                    if chunk.size:
-                        spool.write(
-                            np.ascontiguousarray(chunk).tobytes()
-                        )
-                        _count(chunk)
+                    chunk, chunk_top = _clean_chunk(chunk, n,
+                                                    drop_self_loops)
+                    spool.write(np.ascontiguousarray(chunk))
+                    top = max(top, chunk_top)
+        elif n is None:
+            top = int(edges.max(initial=-1))
+        n = top + 1 if n is None else int(n)
 
-        def _chunks() -> Iterator[np.ndarray]:
-            if isinstance(edges, np.ndarray):
-                for chunk in edge_chunks(edges, step):
-                    yield _clean_chunk(chunk, n, drop_self_loops)
-            else:
-                with open(spool_path, "rb") as spool:
-                    while data := spool.read(2 * _ITEM * step):
-                        yield np.frombuffer(data, np.int64).reshape(-1, 2)
-
+        # Pass 1: count degrees (duplicates included, both directions)
+        # into offsets[1:].
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        for chunk in _chunks():
+            offsets[1:] += np.bincount(chunk.ravel(), minlength=n)
         np.cumsum(offsets, out=offsets)
         total = int(offsets[-1])
         starts = _block_starts(offsets, step)
@@ -242,6 +281,7 @@ def build_csr(
             # into row counts (indptr) and neighbors (indices).
             indptr = np.zeros(n + 1, dtype=np.int64)
             write_pos = 0
+            crc = 0
             with open(out / _INDICES, "wb") as dest:
                 placeholder = npy_header((total,))
                 dest.write(placeholder)
@@ -261,6 +301,7 @@ def build_csr(
                     )
                     keys %= n
                     dest.write(keys)
+                    crc = zlib.crc32(keys, crc)
                     write_pos += keys.size
                 rewrite_npy_header(dest, placeholder, (write_pos,))
         np.save(out / _INDPTR, indptr)
@@ -273,13 +314,77 @@ def build_csr(
         "n": n,
         "m": write_pos // 2,
         "directed_rows": write_pos,
+        "crc32": {_INDPTR: zlib.crc32(indptr), _INDICES: crc},
+        "source": source,
     }
     # Published last and atomically: the directory is a cache from the
     # moment the finished meta appears, never with a partial one.
     pending = out / (_META + ".tmp")
     pending.write_text(json.dumps(meta))
     os.replace(pending, out / _META)
-    return MmapGraph.load(out)
+    return MmapGraph._map(out, meta)
+
+
+def ingest(
+    source: str | os.PathLike,
+    out_dir: str | os.PathLike,
+    *,
+    seed: int = 0,
+    chunk_edges: int = DEFAULT_CHUNK_EDGES,
+    drop_self_loops: bool = False,
+    force: bool = False,
+) -> tuple["MmapGraph", bool]:
+    """``repro ingest``: an edge-list file or an ``rmat:SCALE[:EDGE_FACTOR]``
+    spec into a CSR cache at ``out_dir``; returns ``(graph, built)``.
+
+    Unless ``force``, a complete cache is reused (``built`` False) when
+    its source record matches this call's: the file's absolute path,
+    size and ``st_mtime_ns``, or the RMAT spec, ``seed`` and
+    ``chunk_edges`` (the RMAT stream depends on all three); and the
+    self-loop rule (RMAT input always drops self-loops). A text file
+    streams through :func:`repro.graph.files.parse_edge_list` into
+    :func:`build_csr`, whose spool is the only copy of its edges; a file
+    the fast path refuses part-way is rebuilt from the per-line parse.
+    Raises ValueError on bad input, OSError on an unreadable file.
+    """
+    spec = os.fspath(source)
+    if spec.startswith("rmat:"):
+        try:
+            fields = [int(field) for field in spec.split(":")[1:]]
+        except ValueError:
+            fields = []
+        if not 1 <= len(fields) <= 2:
+            raise ValueError("bad RMAT spec: want rmat:SCALE[:EDGE_FACTOR]")
+        scale, edge_factor = (fields + [16])[:2]
+        record = {"rmat": spec, "seed": seed, "chunk_edges": chunk_edges,
+                  "drop_self_loops": True}
+    else:
+        stat = os.stat(spec)
+        record = {"text": os.path.abspath(spec), "bytes": stat.st_size,
+                  "mtime_ns": stat.st_mtime_ns,
+                  "drop_self_loops": drop_self_loops}
+    if not force and is_cache(out_dir, source=record):
+        return MmapGraph.load(out_dir), False
+
+    def build(n: int | None, chunks: Iterable[np.ndarray]) -> MmapGraph:
+        return build_csr(chunks, n, out_dir, chunk_edges=chunk_edges,
+                         drop_self_loops=record["drop_self_loops"],
+                         source=record)
+
+    if "rmat" in record:
+        return build(1 << scale, generators.rmat_edge_chunks(
+            scale, edge_factor, rng=seed, chunk_edges=chunk_edges)), True
+    return files.parse_edge_list(spec, build), True
+
+
+def _crc32(path: Path, offset: int) -> int:
+    """``zlib.crc32`` of a file's bytes from ``offset`` on."""
+    crc = 0
+    with open(path, "rb") as f:
+        f.seek(offset)
+        while block := f.read(_CRC_BLOCK):
+            crc = zlib.crc32(block, crc)
+    return crc
 
 
 def _npy_shape(path: Path) -> tuple[tuple[int, ...], int]:
@@ -301,10 +406,11 @@ def _npy_shape(path: Path) -> tuple[tuple[int, ...], int]:
 
 
 def _checked_meta(path: Path) -> dict:
-    """The cache's meta, after checking the array headers against it:
-    ``indptr`` has shape (n + 1,) and ends at ``directed_rows``, and
-    ``indices`` has shape (directed_rows,). Reads headers and one
-    ``indptr`` entry only; raises ValueError on any mismatch."""
+    """The cache's meta, after checking the arrays against it: ``indptr``
+    has shape (n + 1,) and ends at ``directed_rows``, ``indices`` has
+    shape (directed_rows,), and each file's data has the recorded
+    ``zlib.crc32`` (a read of both files). Raises ValueError on any
+    mismatch."""
     meta = json.loads((path / _META).read_text())
     if meta.get("version") != FORMAT_VERSION:
         raise ValueError(
@@ -321,10 +427,14 @@ def _checked_meta(path: Path) -> dict:
     if int(last[0]) != rows:
         raise ValueError(f"{path / _INDPTR}: ends at {int(last[0])}, meta "
                          f"says {rows} directed rows")
-    shape, _ = _npy_shape(path / _INDICES)
+    shape, indices_at = _npy_shape(path / _INDICES)
     if shape != (rows,):
         raise ValueError(f"{path / _INDICES}: shape {shape}, meta says "
                          f"({rows},)")
+    for name, at in ((_INDPTR, offset), (_INDICES, indices_at)):
+        if _crc32(path / name, at) != meta["crc32"][name]:
+            raise ValueError(f"{path / name}: data does not match the "
+                             f"checksum in meta.json")
     return meta
 
 
@@ -342,8 +452,14 @@ class MmapGraph(Graph):
 
     @classmethod
     def load(cls, directory: str | os.PathLike) -> "MmapGraph":
+        """Map a cache after checking it (:func:`is_cache`'s checks);
+        ValueError if it fails them."""
         path = Path(directory)
-        meta = _checked_meta(path)
+        return cls._map(path, _checked_meta(path))
+
+    @classmethod
+    def _map(cls, path: Path, meta: dict) -> "MmapGraph":
+        """Map the arrays that ``meta`` describes, unchecked."""
         indptr = np.load(path / _INDPTR, mmap_mode="r")
         if meta["directed_rows"]:
             indices = np.load(path / _INDICES, mmap_mode="r")
@@ -357,11 +473,12 @@ class MmapGraph(Graph):
         return f"MmapGraph(n={self.n}, m={self.m}, path={str(self.path)!r})"
 
 
-def is_cache(directory: str | os.PathLike) -> bool:
+def is_cache(directory: str | os.PathLike, source: dict | None = None) -> bool:
     """Whether ``directory`` holds a complete CSR cache whose arrays
-    match its ``meta.json``."""
+    match its ``meta.json`` (shapes and checksums) and, when ``source``
+    is given, that was built from it."""
     try:
-        _checked_meta(Path(directory))
+        meta = _checked_meta(Path(directory))
     except (OSError, ValueError, KeyError, TypeError):
         return False
-    return True
+    return source is None or meta["source"] == source

@@ -23,25 +23,23 @@ Two reading speeds share one contract:
   16 digits); anything else (weights, mid-file comments, negative ids,
   longer tokens, a CR that no LF follows) raises
   :class:`FastParseUnsupported` and the caller restarts on
-* the **slow path** — the original per-line parser, kept verbatim so
+* the **slow path** — the original per-line parser, kept so that
   every error message and edge case (including the ``# nodes:`` header
   semantics) is unchanged.
 
-:func:`build_edge_cache` adds a write-once binary cache next to the
-text file (``<name>.edges.npy`` + ``<name>.edges.json`` fingerprint),
-so repeated ingestion runs memory-map parsed edges instead of
-re-parsing text. Both files are written under temporary names and
-renamed into place, the fingerprint last, so an interrupted build never
-leaves a fingerprint vouching for a missing or half-written array.
+Every reader shares one parse, :func:`parse_edge_list`: the fast path
+with the per-line parser behind it. :func:`read_edge_list` fills one
+array from it; ``repro ingest`` streams its chunks straight into
+:func:`repro.graph.csr.build_csr`, whose directory is the only artifact
+a text edge list leaves (nothing is written beside the text).
 """
 
 from __future__ import annotations
 
 import io
-import json
 import os
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO, TypeVar
 
 import numpy as np
 
@@ -50,7 +48,7 @@ from .graph import Graph, WeightedGraph
 # Measured fastest of 128 KB - 4 MB on a 24 MB edge list: the per-block
 # temporaries stay in cache.
 FAST_BLOCK_BYTES = 1 << 19
-CACHE_VERSION = 1
+_T = TypeVar("_T")
 
 
 class FastParseUnsupported(Exception):
@@ -134,15 +132,10 @@ def _parse(source, *, want_weights: bool):
     finally:
         if own:
             handle.close()
-    n = declared_n if declared_n is not None else max_id + 1
-    if max_id >= n:
-        raise ValueError(
-            f"declared nodes: {n} but saw vertex id {max_id}"
-        )
+    n = resolve_node_count(declared_n, max_id)
     edge_arr = (np.array(edges, dtype=np.int64)
                 if edges else np.zeros((0, 2), np.int64))
-    weight_arr = np.array(weights, dtype=np.float64)
-    return edge_arr, weight_arr, max(n, 0)
+    return edge_arr, np.array(weights, dtype=np.float64), n
 
 
 # -- byte-level fast path -------------------------------------------------
@@ -168,10 +161,12 @@ def _decode_words(words: np.ndarray) -> np.ndarray:
     in the lowest byte, zero bytes in front) -> their integers.
 
     Three multiply-shift steps combine digit pairs, then pairs of pairs,
-    then the two halves, all lanes of a word at once.
+    then the two halves, all lanes of a word at once, in place.
     """
     for multiplier, shift, keep in _SWAR_STEPS:
-        words = words * multiplier >> shift & keep
+        words *= multiplier
+        words >>= shift
+        words &= keep
     return words
 
 
@@ -206,6 +201,7 @@ def _parse_block(data: bytes) -> np.ndarray:
         raise FastParseUnsupported("CR without LF")
     # Token k spans bounds[2k] + 1 .. bounds[2k + 1].
     bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit
     if bounds.size % 4:
         raise FastParseUnsupported("tokens per line != 2")
     pairs = bounds.reshape(-1, 4)
@@ -224,11 +220,12 @@ def _parse_block(data: bytes) -> np.ndarray:
     if longest > 16:
         raise FastParseUnsupported("token over 16 digits")
     words = np.ndarray((buf.size - 7,), "<u8", buf, 0, (1,))
-    values = _decode_words(
-        words.take(ends - 7) & _DIGIT_MASKS.take(lengths, mode="clip"))
+    values = words[ends - 7]
+    values &= _DIGIT_MASKS.take(lengths, mode="clip")
+    _decode_words(values)
     if longest > 8:
         long = np.flatnonzero(lengths > 8)
-        high = words.take(ends[long] - 15) & _DIGIT_MASKS[lengths[long] - 8]
+        high = words[ends[long] - 15] & _DIGIT_MASKS[lengths[long] - 8]
         values[long] += _decode_words(high) * np.uint64(10**8)
     return values.view(np.int64).reshape(-1, 2)
 
@@ -289,7 +286,8 @@ def scan_edge_list(
                 carry = block[cut:]
                 if len(carry) > block_bytes:
                     raise FastParseUnsupported("line longer than a block")
-                if cut and (edges := _parse_block(block[:cut])).size:
+                whole = memoryview(block)[:cut]
+                if cut and (edges := _parse_block(whole)).size:
                     yield edges
             if carry.strip() and (edges := _parse_block(carry + b"\n")).size:
                 yield edges
@@ -298,161 +296,89 @@ def scan_edge_list(
 
 
 def resolve_node_count(declared_n: int | None, max_id: int) -> int:
-    """The slow path's vertex-count rule, shared by the fast path."""
+    """The vertex count: the ``# nodes:`` value, else 1 + the largest id."""
     n = declared_n if declared_n is not None else max_id + 1
     if max_id >= n:
         raise ValueError(f"declared nodes: {n} but saw vertex id {max_id}")
     return max(n, 0)
 
 
+def parse_edge_list(
+    source: str | Path | TextIO,
+    consume: Callable[[int | None, Iterator[np.ndarray]], _T],
+    *,
+    block_bytes: int = FAST_BLOCK_BYTES,
+) -> _T:
+    """The one edge-list parse: return ``consume(n, chunks)``.
+
+    A file path streams through :func:`scan_edge_list`, with ``n`` the
+    ``# nodes:`` value or None (the consumer applies
+    :func:`resolve_node_count` to what it saw). If the fast path refuses
+    the file, up front or after ``consume`` has taken some chunks,
+    ``consume`` runs again from scratch on the per-line parser's edges as
+    one chunk, with ``n`` resolved. File objects go there directly.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            return consume(*scan_edge_list(source, block_bytes=block_bytes))
+        except FastParseUnsupported:
+            pass
+    edges, _weights, n = _parse(source, want_weights=False)
+    return consume(n, iter([edges]))
+
+
 def _read_edges(
     source, *, block_bytes: int = FAST_BLOCK_BYTES
 ) -> tuple[np.ndarray, int]:
-    """:func:`read_edge_list`'s ``(edges, n)``: the fast path for file
-    paths, the per-line parser for file objects and refused files."""
-    if isinstance(source, (str, Path)):
-        try:
-            declared_n, chunks = scan_edge_list(
-                source, block_bytes=block_bytes)
-            edges = np.concatenate([np.zeros((0, 2), np.int64), *chunks])
-        except FastParseUnsupported:
-            pass
-        else:
-            max_id = int(edges.max(initial=-1))
-            return edges, resolve_node_count(declared_n, max_id)
-    edges, _weights, n = _parse(source, want_weights=False)
-    return edges, n
+    """:func:`read_edge_list`'s ``(edges, n)``, filled into one array.
 
-
-# -- write-once binary edge cache ------------------------------------------
-
-
-def edge_cache_paths(path: str | Path) -> tuple[Path, Path]:
-    """``(<name>.edges.npy, <name>.edges.json)`` next to the text file."""
-    p = Path(path)
-    return (
-        p.with_name(p.name + ".edges.npy"),
-        p.with_name(p.name + ".edges.json"),
-    )
-
-
-def _cache_fingerprint(path: Path) -> dict:
-    stat = path.stat()
-    return {"source_bytes": stat.st_size, "source_mtime_ns": stat.st_mtime_ns}
-
-
-def cache_valid(path: str | Path) -> bool:
-    """Whether a current binary cache exists for this text file."""
-    source = Path(path)
-    npy_path, meta_path = edge_cache_paths(source)
-    if not (npy_path.is_file() and meta_path.is_file()):
-        return False
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    return (
-        meta.get("version") == CACHE_VERSION
-        and {k: meta.get(k) for k in ("source_bytes", "source_mtime_ns")}
-        == _cache_fingerprint(source)
-    )
-
-
-def npy_header(shape: tuple[int, ...]) -> bytes:
-    """The ``.npy`` header of a C-order int64 array of ``shape``.
-
-    numpy pads the header so that its length does not depend on the
-    leading dimension, which lets a writer stream rows after a
-    placeholder header and overwrite it in place once the row count is
-    known (:func:`rewrite_npy_header`).
+    A data line takes at least 4 bytes, its line break included, so a
+    file of s bytes holds at most (s + 1) // 4 edges: the array is
+    reserved at that size and only the pages the edges fill are ever
+    touched. The edges are never held twice, as a chunk list and its
+    concatenation would hold them.
     """
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(buf, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(np.int64)),
-        "fortran_order": False,
-        "shape": tuple(int(s) for s in shape),
-    })
-    return buf.getvalue()
+    if not isinstance(source, (str, Path)):
+        edges, _weights, n = _parse(source, want_weights=False)
+        return edges, n
+
+    def fill(n: int | None, chunks: Iterator[np.ndarray]):
+        edges = np.empty(((os.path.getsize(source) + 1) // 4, 2), np.int64)
+        rows = 0
+        for chunk in chunks:
+            edges[rows : rows + chunk.shape[0]] = chunk
+            rows += chunk.shape[0]
+        edges = edges[:rows]
+        return edges, resolve_node_count(n, int(edges.max(initial=-1)))
+
+    return parse_edge_list(source, fill, block_bytes=block_bytes)
 
 
-def rewrite_npy_header(handle, placeholder: bytes,
-                       shape: tuple[int, ...]) -> None:
-    """Overwrite the ``placeholder`` header at the start of ``handle``."""
-    header = npy_header(shape)
-    if len(header) != len(placeholder):
-        raise RuntimeError(".npy header length changed with its shape")
-    handle.seek(0)
-    handle.write(header)
-
-
-def build_edge_cache(
-    path: str | Path, *, block_bytes: int = FAST_BLOCK_BYTES
-) -> tuple[Path, int]:
-    """Parse a text edge list once into ``<name>.edges.npy``.
-
-    Write-once: if a cache with a matching source fingerprint exists it
-    is reused untouched. The fast path streams chunks straight into the
-    array file behind a placeholder header (RAM stays O(block));
-    fallback files are parsed per-line in memory. Returns
-    ``(npy_path, n)``.
-    """
-    source = Path(path)
-    npy_path, meta_path = edge_cache_paths(source)
-    if cache_valid(source):
-        return npy_path, int(json.loads(meta_path.read_text())["n"])
-
-    # The fingerprint is what blesses the pair (cache_valid): a stale one
-    # goes before anything is written, and each file appears under its
-    # own name only once complete — the array first, the fingerprint last.
-    meta_path.unlink(missing_ok=True)
-    pending_npy = npy_path.with_name(npy_path.name + ".part")
-    pending_meta = meta_path.with_name(meta_path.name + ".part")
-    rows = 0
-    max_id = -1
-    try:
-        with open(pending_npy, "wb") as out:
-            placeholder = npy_header((0, 2))
-            out.write(placeholder)
-            try:
-                declared_n, chunks = scan_edge_list(
-                    source, block_bytes=block_bytes
-                )
-                for chunk in chunks:
-                    out.write(np.ascontiguousarray(chunk))
-                    rows += chunk.shape[0]
-                    max_id = max(max_id, int(chunk.max()))
-                n = resolve_node_count(declared_n, max_id)
-            except FastParseUnsupported:
-                edges, _weights, n = _parse(source, want_weights=False)
-                rows = edges.shape[0]
-                out.truncate(len(placeholder))
-                out.seek(len(placeholder))
-                out.write(np.ascontiguousarray(edges))
-            rewrite_npy_header(out, placeholder, (rows, 2))
-        os.replace(pending_npy, npy_path)
-        meta = {
-            "version": CACHE_VERSION,
-            "n": int(n),
-            "rows": int(rows),
-            **_cache_fingerprint(source),
-        }
-        pending_meta.write_text(json.dumps(meta))
-        os.replace(pending_meta, meta_path)
-    finally:
-        pending_npy.unlink(missing_ok=True)
-        pending_meta.unlink(missing_ok=True)
-    return npy_path, int(n)
+# -- names of the removed binary edge cache ---------------------------------
+# Nothing is written beside a text file any more. bench/ calls
+# load_edge_cache and edge_cache_paths, and its probe table names all four.
 
 
 def load_edge_cache(path: str | Path) -> tuple[np.ndarray, int]:
-    """Memory-mapped ``(edges, n)`` for a text edge list, building the
-    binary cache on first use."""
-    npy_path, meta_path = edge_cache_paths(path)
-    if not cache_valid(path):
-        build_edge_cache(path)
-    n = int(json.loads(meta_path.read_text())["n"])
-    edges = np.load(npy_path, mmap_mode="r")
-    return edges, n
+    """``(edges, n)`` of a text edge list: an ``(m, 2)`` int64 array in
+    file order. Read through :func:`build_edge_cache`, which the
+    benchmark times as the parse."""
+    return build_edge_cache(path)
+
+
+def build_edge_cache(path: str | Path) -> tuple[np.ndarray, int]:
+    """Parse a text edge list into ``(edges, n)``, held once."""
+    return _read_edges(path)
+
+
+def cache_valid(path: str | Path) -> bool:
+    """Whether a binary edge cache serves ``path``: never."""
+    return False
+
+
+def edge_cache_paths(path: str | Path) -> tuple[Path, ...]:
+    """Files a text edge list leaves beside itself: none."""
+    return ()
 
 
 def loads(text: str) -> Graph:

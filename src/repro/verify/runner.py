@@ -717,12 +717,15 @@ def edge_list_parity(path, block_bytes: int) -> list[str]:
 def ingest_smoke_cell() -> dict:
     """The ingest cell of ``repro verify --smoke``.
 
-    Round-trips a small ER graph through the full out-of-core ingestion
-    pipeline — text edge list → binary edge cache → external-memory CSR
-    build → :class:`repro.graph.csr.MmapGraph` — with a deliberately
-    tiny ``chunk_edges`` so the chunked paths are actually exercised,
-    then checks
+    Round-trips a small ER graph through the path ``repro ingest`` runs
+    (:func:`repro.graph.csr.ingest`) — text edge list streamed through
+    the parser into the external-memory CSR build →
+    :class:`repro.graph.csr.MmapGraph` — with a deliberately tiny
+    ``chunk_edges`` so the chunked paths are actually exercised, then
+    checks
 
+    * **one artifact**: nothing is left beside the source text, and an
+      edited source is rebuilt, not taken for the cache of the old one;
     * **parser parity**: every :data:`PARSER_CORPUS` file reads the same
       through the byte-level fast path as through the per-line parser
       (:func:`edge_list_parity`);
@@ -749,16 +752,24 @@ def ingest_smoke_cell() -> dict:
     checks = 0
     base = generators.erdos_renyi_gnm(SMOKE_SIZE, 2 * SMOKE_SIZE, rng=0)
     with tempfile.TemporaryDirectory(prefix="repro-ingest-smoke-") as tmp:
-        text = Path(tmp) / "smoke.txt"
+        text = Path(tmp) / "text" / "smoke.txt"
+        text.parent.mkdir()
+        out = Path(tmp) / "csr"
+        # The edited source differs in size, so its record differs even
+        # when the file system's mtime does not tick between the writes.
+        edited = generators.erdos_renyi_gnm(SMOKE_SIZE, 2 * SMOKE_SIZE + 7,
+                                            rng=1)
+        files.write_edge_list(edited, text)
+        csr.ingest(text, out, chunk_edges=97)
         files.write_edge_list(base, text)
-        edges, n = files.load_edge_cache(text)
-        if n != base.n or edges.shape[0] != base.m:
-            problems.append(
-                f"edge cache holds n={n} rows={edges.shape[0]}, "
-                f"expected n={base.n} m={base.m}"
-            )
-        checks += 1
-        mapped = csr.build_csr(edges, n, Path(tmp) / "csr", chunk_edges=97)
+        mapped, built = csr.ingest(text, out, chunk_edges=97)
+        if not built:
+            problems.append("an edited source was taken as up to date")
+        if csr.ingest(text, out, chunk_edges=97)[1]:
+            problems.append("an unchanged source was rebuilt")
+        if [p.name for p in text.parent.iterdir()] != [text.name]:
+            problems.append("ingest left files beside the source text")
+        checks += 3
         if (
             mapped.n != base.n
             or not np.array_equal(np.asarray(mapped.indptr), base.indptr)
@@ -790,8 +801,8 @@ def ingest_smoke_cell() -> dict:
 
     return _outcome(
         "ingest smoke", problems,
-        f"mmap CSR n={base.n} m={base.m}, {checks} parity checks, "
-        f"parser parity on {len(PARSER_CORPUS)} byte cases",
+        f"text streamed to mmap CSR n={base.n} m={base.m}, {checks} "
+        f"checks, parser parity on {len(PARSER_CORPUS)} byte cases",
         n=base.n, m=base.m, checks=checks, parser_cases=len(PARSER_CORPUS),
     )
 

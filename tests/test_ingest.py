@@ -1,8 +1,8 @@
 """Out-of-core ingestion (:mod:`repro.graph.files` / :mod:`repro.graph.csr`).
 
-The ingestion pipeline — vectorized text parse, write-once binary edge
-cache, external-memory CSR build, mmap-backed graphs, array-native DDS
-setup — is a pure I/O optimization: every test here asserts
+The ingestion pipeline — vectorized text parse streamed into the
+external-memory CSR build, mmap-backed graphs, array-native DDS setup —
+is a pure I/O optimization: every test here asserts
 bit-identity against the in-memory reference (``Graph.from_edges``,
 the per-line parser, ``encode_graph``), most of them down to the full
 per-round cost ledger.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import cli
 from repro.core import AMPCConfig, AMPCRuntime
 from repro.graph import csr, files, generators
 from repro.graph.graph import Graph
@@ -290,6 +292,30 @@ class TestBuildCSR:
             with pytest.raises(ValueError):
                 csr.MmapGraph.load(tmp)
 
+    def test_flipped_data_byte_fails_the_checksum(self):
+        edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]], dtype=np.int64)
+        with tempfile.TemporaryDirectory() as tmp:
+            csr.build_csr(edges, 4, tmp)
+            indices = Path(tmp) / "indices.npy"
+            data = bytearray(indices.read_bytes())
+            data[-2] ^= 1  # the last neighbor: shapes and sizes still agree
+            indices.write_bytes(bytes(data))
+            assert not csr.is_cache(tmp)
+            with pytest.raises(ValueError, match="checksum"):
+                csr.MmapGraph.load(tmp)
+
+    def test_unknown_n_is_one_past_the_largest_endpoint(self):
+        # Self-loops count: the per-line parser's rule for a file without
+        # a "# nodes:" header, which the dropped loop (5, 5) still sizes.
+        edges = np.array([[0, 1], [5, 5], [1, 2]], dtype=np.int64)
+        want = Graph.from_edges(6, edges[[0, 2]])
+        for stream in (edges, csr.edge_chunks(edges, 2)):
+            with tempfile.TemporaryDirectory() as tmp:
+                got = csr.build_csr(stream, None, tmp, drop_self_loops=True)
+                assert got == want
+        with tempfile.TemporaryDirectory() as tmp:
+            assert csr.build_csr(iter([]), None, tmp).n == 0
+
     def test_self_loop_rejected_by_default(self):
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(ValueError, match="self-loops"):
@@ -313,15 +339,19 @@ class TestBuildCSR:
         with tempfile.TemporaryDirectory() as tmp:
             csr.build_csr(np.array([[0, 1]]), 2, tmp)
             meta = Path(tmp) / "meta.json"
-            meta.write_text(meta.read_text().replace('"version": 1',
-                                                     '"version": 99'))
+            meta.write_text(meta.read_text().replace(
+                f'"version": {csr.FORMAT_VERSION}', '"version": 99'))
             with pytest.raises(ValueError, match="version"):
                 csr.MmapGraph.load(tmp)
 
 
 # ---------------------------------------------------------------------------
-# text edge lists: fast parse + binary cache
+# text edge lists: one parse, streamed into the CSR build
 # ---------------------------------------------------------------------------
+
+
+def _ingest_cli(source, out, *flags) -> int:
+    return cli.main(["ingest", str(source), str(out), "--no-stats", *flags])
 
 
 class TestEdgeCache:
@@ -336,72 +366,103 @@ class TestEdgeCache:
             # Text -> fast parse.
             parsed = files.read_edge_list(text)
             assert parsed == graph
-            # Text -> binary cache -> mmap edges.
-            cached, cached_n = files.load_edge_cache(text)
-            assert cached_n == graph.n
-            # Cache -> CSR -> Graph, all bit-identical.
-            mapped = csr.build_csr(cached, cached_n, Path(tmp) / "csr",
+            # Text -> edge array -> CSR -> Graph, all bit-identical.
+            loaded, loaded_n = files.load_edge_cache(text)
+            assert loaded_n == graph.n
+            mapped = csr.build_csr(loaded, loaded_n, Path(tmp) / "csr",
                                    chunk_edges=61)
-            assert np.array_equal(np.asarray(mapped.indptr), graph.indptr)
-            assert np.array_equal(np.asarray(mapped.indices), graph.indices)
+            assert mapped == graph
+            # Text streamed into the CSR build, as `repro ingest` runs it.
+            streamed, built = csr.ingest(text, Path(tmp) / "stream",
+                                         chunk_edges=61)
+            assert built and streamed == graph
 
-    def test_cache_is_write_once_and_fingerprinted(self):
-        graph = generators.erdos_renyi_gnm(30, 60, rng=1)
-        with tempfile.TemporaryDirectory() as tmp:
-            text = Path(tmp) / "g.txt"
-            files.write_edge_list(graph, text)
-            npy_path, _ = files.build_edge_cache(text)
-            stamp = os.stat(npy_path).st_mtime_ns
-            files.build_edge_cache(text)  # valid cache: untouched
-            assert os.stat(npy_path).st_mtime_ns == stamp
-            # Source change invalidates the fingerprint.
-            other = generators.erdos_renyi_gnm(31, 50, rng=2)
-            files.write_edge_list(other, text)
-            assert not files.cache_valid(text)
-            edges, n = files.load_edge_cache(text)
-            assert n == other.n
-            assert Graph.from_edges(n, edges) == other
-
-    def test_killed_rebuild_never_blesses_a_stale_fingerprint(self):
-        """A valid cache loses its array; the rebuild is killed at each of
-        its Python-level calls in turn. The stale fingerprint must never
-        vouch for a missing or half-written array."""
-        graph = generators.erdos_renyi_gnm(40, 120, rng=3)
-        with tempfile.TemporaryDirectory() as tmp:
-            text = Path(tmp) / "g.txt"
-            files.write_edge_list(graph, text)
-            npy_path, _ = files.edge_cache_paths(text)
-            for k in itertools.count(1):
-                files.build_edge_cache(text)
-                npy_path.unlink()
-                killed = _killed_at(k, lambda: files.build_edge_cache(
-                    text, block_bytes=256))
-                if files.cache_valid(text):
-                    edges, n = files.load_edge_cache(text)
-                    assert edges.shape == (graph.m, 2)
-                    assert Graph.from_edges(n, edges) == graph
-                if not killed:
-                    break
-            assert k > 100
-            assert files.cache_valid(text)
-            assert sorted(p.name for p in Path(tmp).iterdir()) == [
-                "g.txt", "g.txt.edges.json", "g.txt.edges.npy"
-            ]
-
-    def test_fallback_mid_stream_replaces_the_fast_rows(self):
-        # The fast path streams a few blocks, then meets a weight column
-        # and the per-line parser rewrites the array from scratch.
+    def test_fallback_mid_stream_replaces_the_fast_rows(self, tmp_path,
+                                                        monkeypatch):
+        # `repro ingest` streams a few 64-byte blocks into the CSR build,
+        # then meets a weight column on the last line; the build starts
+        # over from the per-line parse.
         graph = generators.erdos_renyi_gnm(30, 80, rng=4)
         lines = [f"{u} {v}" for u, v in graph.edges().tolist()]
         lines[-1] += " 2.5"
-        with tempfile.TemporaryDirectory() as tmp:
-            text = Path(tmp) / "g.txt"
-            text.write_text("\n".join(lines) + "\n")
-            files.build_edge_cache(text, block_bytes=64)
-            edges, n = files.load_edge_cache(text)
-            assert edges.shape == (graph.m, 2)
-            assert n == graph.n
-            assert np.array_equal(edges, graph.edges())
+        text = tmp_path / "src" / "g.txt"
+        text.parent.mkdir()
+        text.write_text("\n".join(lines) + "\n")
+        scan, streamed = files.scan_edge_list, []
+
+        def small_blocks(path, **_):
+            declared_n, chunks = scan(path, block_bytes=64)
+            return declared_n, (streamed.append(c) or c for c in chunks)
+
+        monkeypatch.setattr(files, "scan_edge_list", small_blocks)
+        out = tmp_path / "csr"
+        assert _ingest_cli(text, out, "--chunk-edges", "16") == 0
+        assert len(streamed) > 2
+        n = int(graph.edges().max()) + 1
+        assert csr.MmapGraph.load(out) == Graph.from_edges(n, graph.edges())
+        assert sorted(os.listdir(out)) == [
+            "indices.npy", "indptr.npy", "meta.json"
+        ]
+        assert os.listdir(text.parent) == ["g.txt"]
+
+    def test_stale_csr_is_rebuilt(self, tmp_path, capsys):
+        out = tmp_path / "csr"
+        assert _ingest_cli("rmat:8:4", out) == 0
+        assert _ingest_cli("rmat:10:4", out) == 0
+        assert csr.MmapGraph.load(out).n == 1 << 10
+        # An edited source (a different size, so the record differs even
+        # if the file system's mtime does not tick between the writes).
+        text = tmp_path / "g.txt"
+        files.write_edge_list(generators.erdos_renyi_gnm(40, 60, rng=1), text)
+        assert _ingest_cli(text, out) == 0
+        edited = generators.erdos_renyi_gnm(50, 90, rng=2)
+        files.write_edge_list(edited, text)
+        assert _ingest_cli(text, out) == 0
+        assert csr.MmapGraph.load(out) == edited
+        capsys.readouterr()
+        assert _ingest_cli(text, out) == 0
+        assert "cache up to date" in capsys.readouterr().out
+        # A flipped --drop-self-loops rebuilds, and the loop is refused.
+        text.write_text("0 1\n2 2\n")
+        assert _ingest_cli(text, out, "--drop-self-loops") == 0
+        assert _ingest_cli(text, out) == 2
+        assert "self-loops are not allowed" in capsys.readouterr().err
+
+    def test_read_holds_the_edges_once(self, tmp_path):
+        """Peak RSS growth of a 2*10^6-edge read (the reader behind
+        read_edge_list and load_edge_cache) stays near the edge array's
+        own bytes: the chunks are never held beside a copy. ru_maxrss
+        counts touched pages only, as the reserved array relies on."""
+        rng = np.random.default_rng(12)
+        pairs = rng.integers(0, 1 << 20, size=(2000, 2)).tolist()
+        text = tmp_path / "g.txt"
+        text.write_bytes("".join(f"{u} {v}\n" for u, v in pairs).encode()
+                         * 1000)
+        (tmp_path / "warm.txt").write_text("0 1\n")
+        measure = (
+            "import resource, sys\n"
+            "from repro.graph import files\n"
+            "files._read_edges(sys.argv[2])\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "edges, n = files._read_edges(sys.argv[1])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) * 1024, edges.nbytes)\n"
+        )
+        # Linux starts a forked child's ru_maxrss at its parent's RSS, so
+        # the measuring process is forked from a small launcher, not from
+        # this test process.
+        launch = ("import subprocess, sys\n"
+                  "subprocess.run([sys.executable, '-c', *sys.argv[1:]], "
+                  "check=True)\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", launch, measure, str(text),
+             str(tmp_path / "warm.txt")],
+            capture_output=True, text=True, check=True, env=env).stdout
+        growth, nbytes = map(int, out.split())
+        assert nbytes == 2_000_000 * 16
+        assert growth < 1.3 * nbytes
 
     def test_fast_and_slow_paths_raise_identical_errors(self):
         cases = [
