@@ -46,8 +46,8 @@ one first and publishes the new one last, and :func:`is_cache` /
 :meth:`MmapGraph.load` check the array headers and a ``zlib.crc32`` of
 each array's data against it. It also keeps the caller's record of the
 source (:func:`ingest`: a text file's path, size and mtime, or an RMAT
-spec and seed, plus the self-loop rule), so a directory built from
-something else is never taken as up to date.
+spec, seed and chunk size, plus the self-loop rule), so a directory
+built from something else is never taken as up to date.
 
 Mmap lifetime rule: the arrays of an :class:`MmapGraph` are views into
 the cache directory's files — the directory must outlive the graph and
