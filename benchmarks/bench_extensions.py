@@ -11,7 +11,8 @@ import pytest
 from repro.core import (
     AMPCConfig,
     AMPCRuntime,
-    FaultInjectingRuntime,
+    ChaosRuntime,
+    FaultPlan,
     SlacknessModel,
     estimate_run,
 )
@@ -95,18 +96,20 @@ def test_fault_tolerance_overhead(benchmark, record):
     clean = shrink(succ, clean_rt, delta=0.5, target_size=100)
 
     def faulty_run():
-        rt = FaultInjectingRuntime(config, crash_probability=0.3)
+        rt = ChaosRuntime(config, plan=FaultPlan.machine_crashes(
+            0.3, seed=config.seed, max_retries=16))
         out = shrink(succ, rt, delta=0.5, target_size=100)
         return out, rt
 
     (faulty, faulty_rt) = benchmark.pedantic(faulty_run, rounds=1, iterations=1)
     assert np.array_equal(clean.alive, faulty.alive)
     assert np.array_equal(clean.succ, faulty.succ)
-    overhead = faulty_rt.retry_reads / max(clean_rt.report.total_reads, 1)
+    wasted = faulty_rt.report.wasted_reads
+    overhead = wasted / max(clean_rt.report.total_reads, 1)
     record(
         "§2.1: fault tolerance (shrink, n=2048, 30% crash rate)",
         ["crashes injected", "retry reads", "useful reads", "overhead"],
-        [faulty_rt.crashes_injected, faulty_rt.retry_reads,
+        [faulty_rt.crashes_injected, wasted,
          clean_rt.report.total_reads, f"{overhead:.1%}"],
         crashes=faulty_rt.crashes_injected,
     )

@@ -31,7 +31,6 @@ from repro.core import (
     AMPCConfig,
     AMPCRuntime,
     ChaosRuntime,
-    FaultInjectingRuntime,
     FaultPlan,
     SlacknessModel,
     estimate_run,
@@ -51,7 +50,8 @@ def main() -> None:
     # Unreliable cluster: every machine execution crashes with p = 0.25
     # at a random point; the framework restarts it against the immutable
     # round store (paper §2.1 "Fault tolerance").
-    faulty_rt = FaultInjectingRuntime(config, crash_probability=0.25)
+    faulty_rt = ChaosRuntime(config, plan=FaultPlan.machine_crashes(
+        0.25, seed=config.seed, max_retries=16))
     faulty = list_ranking(succ, runtime=faulty_rt)
 
     assert np.array_equal(healthy.ranks, faulty.ranks)
@@ -59,8 +59,9 @@ def main() -> None:
     print(f"list ranking n={n}: healthy and crashy runs produced "
           f"identical (correct) ranks")
     print(f"  crashes injected:    {faulty_rt.crashes_injected}")
-    print(f"  wasted retry reads:  {faulty_rt.retry_reads} "
-          f"({faulty_rt.retry_reads / healthy_rt.report.total_reads:.1%} "
+    wasted = faulty_rt.report.wasted_reads
+    print(f"  wasted retry reads:  {wasted} "
+          f"({wasted / healthy_rt.report.total_reads:.1%} "
           f"of useful reads)")
     print(f"  rounds (unchanged):  {faulty.report.n_rounds}")
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import new_runtime
 from repro.graph.graph import WeightedGraph
 from repro.primitives.contraction import contract_weighted, resolve_pointers
 
@@ -84,7 +84,7 @@ def affinity_clustering(
         config = AMPCConfig.for_input(max(n + graph.m, 1), epsilon=epsilon, seed=seed)
     if not graph.weights_distinct():
         raise ValueError("affinity clustering requires distinct weights")
-    runtime = AMPCRuntime(config)
+    runtime = new_runtime(config)
     result = AffinityClusteringResult(report=runtime.report, config=config)
     if n == 0:
         return result

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport, merge_reports
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import new_runtime
 from repro.graph.graph import Graph
 from repro.graph.generators import with_distinct_integer_weights
 
@@ -105,7 +105,7 @@ def bc_labeling(
     forest_graph = Graph.from_edges(n, tree_edges)
 
     # Step 2: root the forest; preorder numbers and subtree sizes.
-    runtime = AMPCRuntime(config)
+    runtime = new_runtime(config)
     forest = root_forest(forest_graph, config=config, runtime=runtime)
     pn = forest.preorder
     size = forest.subtree_size

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import new_runtime
 from repro.graph.graph import Graph
 from repro.primitives.sampling import random_priorities
 from repro.primitives.sorting import SORT_ROUNDS
@@ -75,7 +75,7 @@ def greedy_coloring(
     if config is None:
         config = AMPCConfig.for_input(max(n + graph.m, 1), epsilon=epsilon, seed=seed)
     query_cap = query_capacity(query_cap, n, config.epsilon)
-    runtime = AMPCRuntime(config)
+    runtime = new_runtime(config)
     if n == 0:
         return ColoringResult(
             colors=np.zeros(0, np.int64), pi=np.zeros(0, np.int64),
@@ -186,7 +186,7 @@ def greedy_edge_coloring(
     if config is None:
         config = AMPCConfig.for_input(max(graph.n + m, 1), epsilon=epsilon, seed=seed)
     query_cap = query_capacity(query_cap, m, config.epsilon)
-    runtime = AMPCRuntime(config)
+    runtime = new_runtime(config)
     if m == 0:
         return ColoringResult(
             colors=np.zeros(0, np.int64), pi=np.zeros(0, np.int64),

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import AMPCRuntime, new_runtime
 from repro.graph.graph import Graph, sort_unique, unique_sorted
 from repro.graph.io import encode_graph_arrays
 from repro.primitives.contraction import contract_graph, resolve_pointers
@@ -112,7 +112,7 @@ def connectivity(
                                       seed=seed)
         )
     if runtime is None:
-        runtime = AMPCRuntime(config)
+        runtime = new_runtime(config)
     if n == 0:
         return ConnectivityResult(
             labels=np.zeros(0, np.int64), n_components=0, phases=0,

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import AMPCRuntime, new_runtime
 from repro.graph.graph import Graph
 from repro.graph.io import orient_cycles
 from repro.primitives.contraction import resolve_pointers
@@ -123,7 +123,7 @@ def cycle_connectivity(
     """Connected components of a union of simple cycles (Algorithm 10)."""
     if config is None:
         config = AMPCConfig.for_input(max(graph.n, 1), epsilon=epsilon, seed=seed)
-    runtime = AMPCRuntime(config)
+    runtime = new_runtime(config)
     succ, _ = orient_cycles(graph)
     runtime.charge("orient-cycles", rounds=1, reads=graph.n, writes=graph.n)
     labels, rounds = cycle_connectivity_pointers(succ, runtime=runtime)
@@ -169,7 +169,7 @@ def forest_connectivity(
     if config is None:
         config = AMPCConfig.for_input(max(graph.n + graph.m, 1),
                                       epsilon=epsilon, seed=seed)
-    runtime = AMPCRuntime(config)
+    runtime = new_runtime(config)
     n = graph.n
     if graph.m == 0:
         labels = np.arange(n, dtype=np.int64)

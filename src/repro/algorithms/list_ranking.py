@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import AMPCRuntime, new_runtime
 from repro.graph.generators import list_head
 
 from .shrink import TAIL, ShrinkOutcome, fill_back, filled_ints, shrink
@@ -75,7 +75,7 @@ def list_ranking(
             else AMPCConfig.for_input(max(n, 1), epsilon=epsilon, seed=seed)
         )
     if runtime is None:
-        runtime = AMPCRuntime(config)
+        runtime = new_runtime(config)
     if n == 0:
         return ListRankingResult(
             ranks=np.zeros(0, np.int64), head=-1, shrink_rounds=0,
@@ -160,7 +160,7 @@ def multi_list_ranking(
     n = int(succ.size)
     if runtime is None:
         config = AMPCConfig.for_input(max(n, 1), epsilon=epsilon, seed=seed)
-        runtime = AMPCRuntime(config)
+        runtime = new_runtime(config)
     else:
         config = runtime.config
     heads = np.asarray(heads, dtype=np.int64)

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import new_runtime
 from repro.graph.graph import Graph
 from repro.primitives.sorting import SORT_ROUNDS
 
@@ -67,7 +67,7 @@ def maximal_matching(
     if config is None:
         config = AMPCConfig.for_input(max(graph.n + m, 1), epsilon=epsilon, seed=seed)
     query_cap = query_capacity(query_cap, m, config.epsilon)
-    runtime = AMPCRuntime(config)
+    runtime = new_runtime(config)
     if m == 0:
         return MatchingResult(
             edge_ids=np.zeros(0, np.int64), pi=np.zeros(0, np.int64),

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import AMPCRuntime, new_runtime
 from repro.graph.graph import Graph
 from repro.primitives.sampling import random_priorities
 from repro.primitives.sorting import SORT_ROUNDS
@@ -114,7 +114,7 @@ def maximal_independent_set(
         )
     query_cap = query_capacity(query_cap, n, config.epsilon)
     if runtime is None:
-        runtime = AMPCRuntime(config)
+        runtime = new_runtime(config)
     if n == 0:
         return MISResult(
             in_mis=np.zeros(0, bool), pi=np.zeros(0, np.int64), iterations=0,

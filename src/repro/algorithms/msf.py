@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import AMPCRuntime, new_runtime
 from repro.graph.graph import WeightedGraph, sort_unique
 from repro.graph.io import encode_weighted_graph_arrays
 from repro.primitives.contraction import contract_weighted
@@ -105,7 +105,7 @@ def minimum_spanning_forest(
     if not graph.weights_distinct():
         raise ValueError("MSF requires distinct edge weights (paper §7)")
     if runtime is None:
-        runtime = AMPCRuntime(config)
+        runtime = new_runtime(config)
     if n == 0 or graph.m == 0:
         return MSFResult(
             edge_ids=np.zeros(0, np.int64), total_weight=0.0, phases=0,

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import AMPCRuntime, new_runtime
 from repro.graph.graph import Graph
 from repro.graph.validation import is_forest
 from repro.primitives.euler import EulerTour, build_euler_tour
@@ -176,7 +176,7 @@ def root_forest(
                                       epsilon=epsilon, seed=seed)
         )
     if runtime is None:
-        runtime = AMPCRuntime(config)
+        runtime = new_runtime(config)
 
     tour = build_euler_tour(graph, runtime)
     degs = graph.degrees

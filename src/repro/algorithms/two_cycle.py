@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
+from repro.core.runtime import new_runtime
 from repro.graph.graph import Graph
 from repro.graph.io import orient_cycles
 
@@ -66,7 +66,7 @@ def two_cycle(
     """
     if config is None:
         config = AMPCConfig.for_input(graph.n, epsilon=epsilon, seed=seed)
-    runtime = AMPCRuntime(config)
+    runtime = new_runtime(config)
     succ, _pred = orient_cycles(graph)
     runtime.charge("orient-cycles", rounds=1, reads=graph.n, writes=graph.n)
 

@@ -45,6 +45,9 @@ from typing import Sequence
 
 import numpy as np
 
+#: Verify-case input kinds an edge-list file can feed.
+GRAPH_KINDS = ("graph", "weighted")
+
 #: ``repro generate`` families and the parameters each takes.
 GENERATE_PARAMS = {"er": "n m", "ba": "n k", "grid": "rows cols",
                    "cycle": "n", "two-cycle": "n", "tree": "n"}
@@ -92,15 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_run("two-cycle", "one cycle or two? (paper §4; 2-regular input)")
     add_run("bc", "bridges / articulation points / 2ECC (paper §9)")
 
+    from repro.verify.oracles import CASES
+
     chaos = sub.add_parser(
         "chaos",
         help="run an algorithm under a fault plan and print the recovery "
              "ledger",
     )
-    chaos.add_argument("algorithm", choices=["connectivity", "mis"],
-                       help="algorithm to run under faults")
-    chaos.add_argument("graph", help="edge-list file (u v per line)")
-    chaos.add_argument("--epsilon", type=float, default=0.5)
+    chaos.add_argument("algorithm", choices=[
+                           name for name, case in CASES.items()
+                           if case.kind in GRAPH_KINDS],
+                       help="verify case to run under faults (msf and "
+                            "affinity read a weight column)")
+    chaos.add_argument("graph", help="edge-list file (u v [w] per line)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="algorithm seed (placement, permutations)")
     chaos.add_argument("--fault-seed", type=int, default=1,
@@ -164,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--smoke", action="store_true",
                         help="CI mode: small instances, two seeds")
     verify.add_argument("--chaos", action="store_true",
-                        help="also replay chaos-capable algorithms under "
-                             "the default fault plan")
+                        help="also run every case with its runtimes armed "
+                             "with the default fault plan; a cell where no "
+                             "fault fired is marked n/a (no fault fired)")
     verify.add_argument("--process-faults", action="store_true",
                         help="arm the default real-process fault plan "
                              "(kill/hang/delay workers) for every cell; "
@@ -447,6 +455,16 @@ def _read_graph(path: str, weighted: bool = False):
         raise UsageError(f"cannot read {path}: {reason}") from None
 
 
+def _file_workload(case, path: str, seed: int):
+    """The :class:`~repro.verify.oracles.Workload` a graph-input verify
+    case reads from the edge list at ``path`` (with its weight column
+    when the case is weighted)."""
+    from repro.verify.oracles import Workload
+
+    payload = _read_graph(path, case.kind == "weighted")
+    return Workload(family="file", kind=case.kind, payload=payload, seed=seed)
+
+
 def _stats(args) -> int:
     from repro.graph import stats
 
@@ -696,6 +714,7 @@ def _perf_report(args) -> int:
 
 def _verify(args) -> int:
     from repro.verify import case_names, verify_sweep
+    from repro.verify.oracles import CASES
     from repro.verify.runner import family_names
 
     if args.list:
@@ -711,14 +730,12 @@ def _verify(args) -> int:
     human = sys.stderr if args.json == "-" else sys.stdout
 
     def progress(record) -> None:
-        marker = "ok " if record.ok else "FAIL"
-        if record.ok and record.no_sharded_round:
-            marker = "n/a"
+        na = (" (no sharded round)" if record.no_sharded_round
+              else " (no fault fired)" if record.no_fault_fired else "")
+        marker = "FAIL" if not record.ok else "n/a" if na else "ok "
         print(f"  [{marker}] {record.algorithm:20s} "
               f"{record.family:18s} seed={record.seed} "
-              f"n={record.n} rounds={record.rounds}"
-              + (" (no sharded round)" if record.no_sharded_round else ""),
-              file=human)
+              f"n={record.n} rounds={record.rounds}{na}", file=human)
 
     report = verify_sweep(
         algorithms=args.algorithm,
@@ -744,6 +761,13 @@ def _verify(args) -> int:
         print(f"process faults: {summary['no_sharded_round']} of "
               f"{summary['cells']} cells had no sharded round, so no "
               f"fault could reach them", file=human)
+    for name in report.settings["algorithms"] if args.chaos else ():
+        if CASES[name].chaos_exempt:
+            print(f"  [n/a] {name}: chaos exempt: {CASES[name].chaos_exempt}",
+                  file=human)
+    if summary["unfaulted_cases"]:
+        print(f"no fault fired in any armed cell of: "
+              f"{' '.join(summary['unfaulted_cases'])}", file=human)
     if not report.ok:
         print(report.format_failures(), file=human)
 
@@ -754,7 +778,8 @@ def _verify(args) -> int:
             fh.write(report.to_json())
         print(f"wrote JSON report -> {args.json}")
 
-    ok = report.ok
+    # At smoke shapes a case whose every armed cell went unhit fails.
+    ok = report.ok and not (args.smoke and summary["unfaulted_cases"])
     if args.smoke:
         from repro.verify.runner import SMOKE_CELLS
 
@@ -892,7 +917,7 @@ def _trace(args) -> int:
         write_chrome_trace,
         write_jsonl,
     )
-    from repro.verify.oracles import CASES, Workload
+    from repro.verify.oracles import CASES
     from repro.verify.runner import make_workload
 
     if args.algorithm not in CASES:
@@ -901,13 +926,11 @@ def _trace(args) -> int:
     case = CASES[args.algorithm]
 
     if args.graph is not None:
-        if case.kind not in ("graph", "weighted"):
+        if case.kind not in GRAPH_KINDS:
             raise UsageError(f"{case.name} consumes generated {case.kind!r} "
                              f"instances; drop the graph file and use "
                              f"--family/--size")
-        payload = _read_graph(args.graph, case.kind == "weighted")
-        workload = Workload(family="file", kind=case.kind,
-                            payload=payload, seed=args.seed)
+        workload = _file_workload(case, args.graph, args.seed)
         source = args.graph
     else:
         family = args.family or case.families[0]
@@ -922,9 +945,7 @@ def _trace(args) -> int:
     print(f"tracing {case.name} on {source} "
           f"(detail={args.detail}, backend={args.backend})")
 
-    from repro.parallel import use_backend
-
-    with use_backend(args.backend, args.workers):
+    with _backend(args):
         with TracingSession(detail=args.detail, metrics=True) as session:
             result = case.run(workload, args.seed)
     report = case.report_of(result)
@@ -993,11 +1014,10 @@ def chaos_plan(args):
 
 
 def _chaos(args) -> int:
-    from repro.algorithms.connectivity import connectivity
-    from repro.algorithms.mis import maximal_independent_set
     from repro.analysis import render_recovery_table
     from repro.core.chaos import ChaosRuntime
-    from repro.core.config import AMPCConfig
+    from repro.core.runtime import use_runtime
+    from repro.verify.oracles import CASES
 
     process_faults = any((args.kill_worker, args.hang_worker,
                           args.delay_reply, args.fork_fail))
@@ -1005,74 +1025,64 @@ def _chaos(args) -> int:
         raise UsageError("--kill-worker/--hang-worker/--delay-reply/"
                          "--fork-fail inject real process faults and need "
                          "--backend process")
-    graph = _read_graph(args.graph)
-    print(f"loaded {graph!r} from {args.graph}")
-
+    if args.replication < 1:
+        raise UsageError(f"--replication must be >= 1, got {args.replication}")
+    case = CASES[args.algorithm]
+    workload = _file_workload(case, args.graph, args.seed)
+    print(f"loaded {workload.payload!r} from {args.graph}")
     try:
-        config = AMPCConfig.for_input(
-            max(graph.n + graph.m, 1),
-            epsilon=args.epsilon,
-            seed=args.seed,
-            replication_factor=args.replication,
-        )
         plan = chaos_plan(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     print(f"fault plan: crash={args.crash} outage={args.outage} "
           f"timeout={args.timeout} straggler={args.straggler} "
-          f"replication={config.replication_factor} seed={args.fault_seed}")
+          f"replication={args.replication} seed={args.fault_seed}")
     if process_faults:
         print(f"process faults: kill={args.kill_worker} "
               f"hang={args.hang_worker} delay={args.delay_reply} "
               f"fork-fail={args.fork_fail} "
               f"(backend={args.backend}, workers={args.workers or 'auto'})")
 
-    runtime = ChaosRuntime(config, plan=plan, backend=args.backend,
-                           n_workers=args.workers)
-    if args.algorithm == "connectivity":
-        res = connectivity(graph, runtime=runtime)
-        print(f"components: {res.n_components} "
-              f"(phases: {res.phases}, rounds: {res.report.n_rounds})")
-        answer = res.labels
-    else:
-        res = maximal_independent_set(graph, runtime=runtime)
-        print(f"|MIS| = {res.vertices.size} "
-              f"(iterations: {res.iterations}, rounds: {res.report.n_rounds})")
-        answer = res.in_mis
+    with use_runtime(lambda c: ChaosRuntime(
+            c.with_replication(args.replication), plan=plan,
+            backend=args.backend, n_workers=args.workers)):
+        res = case.run(workload, args.seed)
+    report = case.report_of(res)
+    print(f"{case.name}: {report.n_rounds} rounds")
 
     if not args.no_verify:
-        if args.algorithm == "connectivity":
-            clean = connectivity(graph, config=config).labels
-        else:
-            clean = maximal_independent_set(graph, config=config).in_mis
-        identical = bool(np.array_equal(answer, clean))
+        identical = case.digest(res) == case.digest(
+            case.run(workload, args.seed))
         print(f"bit-identical to fault-free run: {identical}")
         if not identical:
             return 1
 
     print()
-    print(render_recovery_table(res.report))
+    print(render_recovery_table(report))
     if not args.no_ledger:
         print()
-        print(res.report.format_table())
+        print(report.format_table())
     return 0
 
 
+def _backend(args):
+    """Build every runtime inside the ``with`` block on ``--backend`` with
+    ``--workers``."""
+    from functools import partial
+
+    from repro.core.runtime import AMPCRuntime, use_runtime
+
+    return use_runtime(partial(AMPCRuntime, backend=args.backend,
+                               n_workers=args.workers))
+
+
 def _run(args) -> int:
-    import contextlib
-
-    from repro.parallel import use_backend
-
     graph = _read_graph(args.graph, args.command == "msf")
     print(f"loaded {graph!r} from {args.graph}")
     if args.backend != "serial":
         print(f"backend: {args.backend} "
               f"(workers={args.workers or 'auto'})")
-
-    backend_ctx = (use_backend(args.backend, args.workers)
-                   if args.backend != "serial"
-                   else contextlib.nullcontext())
-    with backend_ctx:
+    with _backend(args):
         return _run_dispatch(args, graph)
 
 

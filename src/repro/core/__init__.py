@@ -5,6 +5,8 @@ Public surface:
 * :class:`AMPCConfig` — deployment parameters (ε, S, P, budgets, seed).
 * :class:`AMPCRuntime` — rounds, stores, machines, accounting.
 * :class:`MPCRuntime` — message-passing-only runtime for baselines.
+* :func:`use_runtime` / :func:`new_runtime` — the runtime factory every
+  solve builds its runtimes with (backend, workers, fault plan).
 * :class:`DistributedDataStore` — one round's key-value store D_i.
 * :class:`MachineContext` / :class:`MPCMachineContext` — per-machine APIs.
 * :class:`RoundStats` / :class:`RunReport` — the cost ledger.
@@ -17,7 +19,6 @@ from .chaos import (
     ChaosMixin,
     ChaosRuntime,
     ChaosSession,
-    FaultInjectingRuntime,
     FaultPlan,
     RetryPolicy,
     arm,
@@ -52,13 +53,22 @@ from .partition import (
     splitmix64,
 )
 from .pram import PRAMSimulator
-from .runtime import AMPCRuntime, MPCRuntime, RoundCheckpoint, RoundResult
+from .runtime import (
+    AMPCRuntime,
+    MPCRuntime,
+    RoundCheckpoint,
+    RoundResult,
+    new_runtime,
+    use_runtime,
+)
 from .slackness import SlacknessEstimate, SlacknessModel, estimate_run
 
 __all__ = [
     "AMPCConfig",
     "AMPCRuntime",
     "MPCRuntime",
+    "new_runtime",
+    "use_runtime",
     "RoundResult",
     "DistributedDataStore",
     "MachineContext",
@@ -82,7 +92,6 @@ __all__ = [
     "partition_items",
     "splitmix64",
     "PRAMSimulator",
-    "FaultInjectingRuntime",
     "MachineCrash",
     "CrashingContext",
     "TransactionalContextMixin",

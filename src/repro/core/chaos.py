@@ -23,8 +23,15 @@ module makes every one of those failure modes executable and measurable:
   aborted, rolled back to the :meth:`~repro.core.runtime.AMPCRuntime.checkpoint`
   taken at round entry, and replayed — recovery the immutable-store
   design makes an O(1) pointer swap.
-* :class:`FaultInjectingRuntime` — the minimal §2.1 story as a preset:
-  worker crashes only, no outages, timeouts or stragglers.
+
+A solve that builds its own runtimes is armed whole through the runtime
+factory (:func:`~repro.core.runtime.use_runtime`)::
+
+    with use_runtime(lambda c: ChaosRuntime(c.with_replication(2), plan=plan)):
+        repro.bc_labeling(graph)       # every stage's runtime armed
+
+The minimal §2.1 story — worker crashes only — is
+``ChaosRuntime(config, plan=FaultPlan.machine_crashes(p))``.
 
 Everything is deterministic in ``FaultPlan.seed`` and independent of the
 algorithm's own randomness, so a faulty run must produce *bit-identical*
@@ -65,7 +72,6 @@ __all__ = [
     "ChaosSession",
     "ChaosMixin",
     "ChaosRuntime",
-    "FaultInjectingRuntime",
     "arm",
 ]
 
@@ -153,11 +159,12 @@ class FaultPlan:
     (:mod:`repro.parallel.pool`), which re-runs a lost worker's shard in
     the parent; they are ignored on the serial path, where there is no
     process to kill. A plan with process faults only keeps plain stores
-    and shards normally, and can also be armed ambiently for runtimes an
-    algorithm builds itself::
+    and shards normally; the runtimes a solve builds itself are armed
+    through the runtime factory::
 
-        with use_backend("process", 2), use_process_faults(plan):
-            repro.connectivity(graph, seed=0)
+        with use_runtime(lambda c: ChaosRuntime(
+                c, plan=plan, backend="process", n_workers=2)):
+            repro.maximal_independent_set(graph, seed=0)
 
     With process faults armed the pool declares a worker lost when it
     has not replied after :data:`~repro.parallel.pool.FAULT_DEADLINE_S`
@@ -570,8 +577,7 @@ class ChaosMixin:
         self.plan = FaultPlan() if plan is None else plan
         self.session = ChaosSession(self.plan)
         if not self.plan.is_null:
-            # Real process-level faults ride the pool's dispatch path;
-            # a plan on the runtime overrides the ambient selection.
+            # Real process-level faults ride the pool's dispatch path.
             self.process_fault_plan = self.plan
 
     @property
@@ -798,43 +804,6 @@ class ChaosRuntime(ChaosMixin, AMPCRuntime):
     """
 
     machine_context_cls = CrashingContext
-
-
-class FaultInjectingRuntime(ChaosRuntime):
-    """The minimal fault-tolerance story of §2.1: worker crashes only.
-
-    "A failing machine can be simply replaced with a different machine
-    that would perform the computation from scratch" — possible because
-    the readable store is immutable for the whole round. A preset over
-    ``FaultPlan.machine_crashes``: machine programs crash mid-read with
-    ``crash_probability`` per attempt (every attempt but the last of
-    ``max_retries`` replacements, so the bounded simulation terminates),
-    the attempt's journaled writes are discarded, and a replacement with
-    a fresh O(S) budget re-runs the work against the same sealed store.
-
-    Attributes:
-        crashes_injected: machine crashes so far.
-        retry_reads: reads the crashed attempts burned — recovery
-            overhead (the ledger's ``wasted_reads``), not machine load.
-    """
-
-    def __init__(
-        self,
-        config: AMPCConfig,
-        *,
-        crash_probability: float = 0.2,
-        max_retries: int = 16,
-    ) -> None:
-        super().__init__(
-            config,
-            plan=FaultPlan.machine_crashes(
-                crash_probability, seed=config.seed, max_retries=max_retries
-            ),
-        )
-
-    @property
-    def retry_reads(self) -> int:
-        return self.report.wasted_reads + self.session.wasted_reads
 
 
 _ARMED: dict[type, type] = {AMPCRuntime: ChaosRuntime}

@@ -32,11 +32,14 @@ though the simulator is a single process.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from repro.parallel import BACKENDS, autodetect_workers
 
 from .config import AMPCConfig
 from .cost import RoundStats, RunReport
@@ -201,6 +204,37 @@ def uninstall_observer(observer: Any) -> None:
         pass
 
 
+# The factories of the open use_runtime blocks, innermost last: the one
+# ambient deployment setting. Backend, workers, replication and a fault
+# plan are constructor arguments of the runtime a factory returns.
+_FACTORIES: list[Callable[[AMPCConfig], "AMPCRuntime"]] = []
+
+
+def new_runtime(config: AMPCConfig) -> "AMPCRuntime":
+    """The runtime a solve runs on: ``factory(config)`` for the factory of
+    the innermost :func:`use_runtime` block, else a serial
+    :class:`AMPCRuntime`."""
+    return (_FACTORIES[-1] if _FACTORIES else AMPCRuntime)(config)
+
+
+@contextlib.contextmanager
+def use_runtime(factory: Callable[[AMPCConfig], "AMPCRuntime"]) -> Iterator[None]:
+    """Build every runtime the solves inside the ``with`` block construct
+    as ``factory(config)``: how the CLI, the verify sweep and the tests
+    run whole solves on the process backend or under a fault plan::
+
+        with use_runtime(partial(AMPCRuntime, backend="process", n_workers=4)):
+            repro.connectivity(graph)
+        with use_runtime(lambda c: ChaosRuntime(c.with_replication(2), plan=plan)):
+            repro.bc_labeling(graph)       # all four of its runtimes armed
+    """
+    _FACTORIES.append(factory)
+    try:
+        yield
+    finally:
+        _FACTORIES.pop()
+
+
 class AMPCRuntime:
     """Simulated AMPC deployment executing one algorithm run.
 
@@ -219,7 +253,7 @@ class AMPCRuntime:
         self,
         config: AMPCConfig,
         *,
-        backend: str | None = None,
+        backend: str = "serial",
         n_workers: int | None = None,
     ) -> None:
         self.config = config
@@ -229,35 +263,27 @@ class AMPCRuntime:
         self._store_counter = 0
         # Execution backend: "serial" (default) or "process" (shard each
         # per-item and per-block round's machines over a pool of forked
-        # OS workers; see repro.parallel). When no explicit backend is
-        # given, the ambient selection of repro.parallel.use_backend
-        # applies — that is how the CLI and the verify sweep run
-        # algorithms that construct their runtimes internally. Imported
-        # lazily: repro.parallel's package module is stdlib-only, but
-        # keeping the import out of module scope avoids ordering
-        # constraints during package init.
-        import repro.parallel as _parallel
-
-        if backend is None:
-            backend = _parallel.default_backend()
-            if n_workers is None:
-                n_workers = _parallel.default_workers()
-        if backend not in _parallel.BACKENDS:
+        # OS workers; see repro.parallel). A solve that builds its own
+        # runtimes gets both from the factory installed by use_runtime.
+        if backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{_parallel.BACKENDS}"
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
         self.backend = backend
-        self.n_workers = n_workers
+        # The worker count a parallel round uses: one per core (at most 8)
+        # unless set.
+        self.n_workers = (
+            autodetect_workers() if n_workers is None else max(1, int(n_workers))
+        )
         # Rounds that requested the process backend but ran serially
         # because their worker/payload could not be shipped to pool
         # workers. Diagnostic only — fallback rounds are bit-identical.
         self.parallel_fallbacks = 0
-        # The ambient process-fault plan under test (None = no injection),
-        # and this round's shards whose pool worker was lost, as
-        # (machines, recovery wall seconds), folded into the round's
-        # RoundStats by _record.
-        self.process_fault_plan = _parallel.default_process_faults()
+        # The process-fault plan under test (a chaos runtime's plan; None
+        # = no injection), and this round's shards whose pool worker was
+        # lost, as (machines, recovery wall seconds), folded into the
+        # round's RoundStats by _record.
+        self.process_fault_plan: Any = None
         self._lost_shards: list[tuple[int, float]] = []
         # Invariant observers (repro.verify): globally-installed observers
         # are picked up at construction; more can be attached per instance.
@@ -521,17 +547,6 @@ class AMPCRuntime:
         operations; they run serially instead.
         """
         return self.machine_context_cls is MachineContext
-
-    def resolved_workers(self) -> int:
-        """The worker count a parallel round would use right now."""
-        import repro.parallel as _parallel
-
-        if self.n_workers is not None:
-            return max(1, int(self.n_workers))
-        ambient = _parallel.default_workers()
-        if ambient is not None:
-            return max(1, int(ambient))
-        return _parallel.autodetect_workers()
 
     def round_batch(
         self,

@@ -208,7 +208,8 @@ def build_csr(
         n: number of vertices; endpoints must lie in ``[0, n)``. None
             takes 1 + the largest endpoint, self-loops included (0 for
             no edges): :func:`repro.graph.files.resolve_node_count`'s
-            rule when a file declares no count.
+            rule when a file declares no count. Streamed chunks are
+            held to it by that rule too, with its message.
         out_dir: cache directory (created if needed); receives
             ``indptr.npy``, ``indices.npy`` and ``meta.json``.
         chunk_edges: bound on rows processed (and resident) at once; a
@@ -245,10 +246,13 @@ def build_csr(
             top = -1
             with open(spool_path, "wb") as spool:
                 for chunk in edges:
-                    chunk, chunk_top = _clean_chunk(chunk, n,
+                    chunk, chunk_top = _clean_chunk(chunk, None,
                                                     drop_self_loops)
                     spool.write(np.ascontiguousarray(chunk))
                     top = max(top, chunk_top)
+            # Checked once every id is seen, so an id above the count
+            # reads as the edge-list parser reports it.
+            n = files.resolve_node_count(n, top)
         elif n is None:
             top = int(edges.max(initial=-1))
         n = top + 1 if n is None else int(n)

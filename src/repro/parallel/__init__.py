@@ -23,11 +23,15 @@ Per runtime::
 
     rt = AMPCRuntime(config, backend="process", n_workers=4)
 
-or ambiently, for code that constructs runtimes internally (the verify
-sweep, the CLI, the algorithm entry points)::
+or, for solves that construct their runtimes internally (the verify
+sweep, the CLI, the algorithm entry points), through the runtime
+factory of :func:`repro.core.runtime.use_runtime`::
 
-    with use_backend("process", n_workers=4):
+    with use_runtime(partial(AMPCRuntime, backend="process", n_workers=4)):
         result = repro.connectivity(graph, epsilon=0.5, seed=0)
+
+A :class:`~repro.core.chaos.ChaosRuntime` takes the same two arguments
+beside its ``plan=``; that is how process faults reach a whole solve.
 
 Determinism contract
 --------------------
@@ -66,46 +70,12 @@ measures this constant.
 
 from __future__ import annotations
 
-import contextlib
 import os
-from typing import Any, Iterator
+from typing import Any
 
-__all__ = [
-    "use_backend",
-    "use_process_faults",
-    "default_backend",
-    "default_workers",
-    "default_process_faults",
-    "autodetect_workers",
-    "BACKENDS",
-]
+__all__ = ["autodetect_workers", "BACKENDS"]
 
 BACKENDS = ("serial", "process")
-
-# Ambient backend selection consulted by AMPCRuntime.__init__ when no
-# explicit backend= argument is given. Kept here (stdlib-only module) so
-# repro.core.runtime can read it without an import cycle; the heavy
-# submodules (pool, shm, backend) import core and load lazily below.
-# The process-fault plan is held as an opaque object for the same reason
-# (its class lives in repro.core.chaos).
-_DEFAULT_BACKEND = "serial"
-_DEFAULT_WORKERS: int | None = None
-_DEFAULT_PROCESS_FAULTS: Any = None
-
-
-def default_backend() -> str:
-    """The backend newly-constructed runtimes use (see :func:`use_backend`)."""
-    return _DEFAULT_BACKEND
-
-
-def default_workers() -> int | None:
-    """Ambient worker count (None = autodetect at first parallel round)."""
-    return _DEFAULT_WORKERS
-
-
-def default_process_faults() -> Any:
-    """Ambient process-fault :class:`~repro.core.chaos.FaultPlan` (or None)."""
-    return _DEFAULT_PROCESS_FAULTS
 
 
 def autodetect_workers() -> int:
@@ -116,55 +86,6 @@ def autodetect_workers() -> int:
     this simulator targets.
     """
     return max(1, min(8, os.cpu_count() or 1))
-
-
-@contextlib.contextmanager
-def use_backend(backend: str, n_workers: int | None = None) -> Iterator[None]:
-    """Ambiently select the execution backend for runtimes constructed
-    inside the ``with`` block (and not given an explicit ``backend=``).
-
-    This is how the conformance sweep and the CLI run whole algorithms —
-    which build their runtimes internally — on the process backend.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    global _DEFAULT_BACKEND, _DEFAULT_WORKERS
-    prev = (_DEFAULT_BACKEND, _DEFAULT_WORKERS)
-    _DEFAULT_BACKEND = backend
-    _DEFAULT_WORKERS = n_workers
-    try:
-        yield
-    finally:
-        _DEFAULT_BACKEND, _DEFAULT_WORKERS = prev
-
-
-@contextlib.contextmanager
-def use_process_faults(plan: Any) -> Iterator[None]:
-    """Ambiently arm a :class:`~repro.core.chaos.FaultPlan` of process
-    faults for runtimes constructed inside the ``with`` block.
-
-    Only bites on ``backend="process"`` runs — there is no process to
-    kill on the serial path — which is exactly what the cross-backend
-    oracle exploits: the serial twin of a fault-injected process run is
-    automatically fault-free, and the two must still be bit-identical.
-    Simulated faults need a chaos runtime (``ChaosRuntime(config,
-    plan=plan)``), so a plan with any raises ValueError.
-    """
-    if plan is not None and not plan.simulated_is_null:
-        raise ValueError(
-            "use_process_faults arms real process faults only; run "
-            "simulated faults on a chaos runtime (ChaosRuntime(config, "
-            "plan=plan))"
-        )
-    global _DEFAULT_PROCESS_FAULTS
-    prev = _DEFAULT_PROCESS_FAULTS
-    _DEFAULT_PROCESS_FAULTS = plan
-    try:
-        yield
-    finally:
-        _DEFAULT_PROCESS_FAULTS = prev
 
 
 # Heavy submodule symbols, loaded on first touch to keep this package

@@ -235,7 +235,7 @@ def _dispatch_shards(
     — also when the pool raises, so a round that falls back to the
     serial loop still accounts for its lost workers.
     """
-    pool = get_pool(runtime.resolved_workers())
+    pool = get_pool(runtime.n_workers)
     plan = runtime.process_fault_plan
     faults = (
         None if plan is None or plan.is_null
@@ -273,7 +273,7 @@ def _run_machine_shards(
     """
     groups = group_by_machine(assignment, as_lists=per_item)
     bounds = _split_contiguous(
-        [len(idx) for _, idx in groups], runtime.resolved_workers()
+        [len(idx) for _, idx in groups], runtime.n_workers
     )
     common = {
         "config": runtime.config,

@@ -191,12 +191,15 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
         # the serial fraction of every sharded round. Matching's rounds
         # are per-item with scalar journal writes, so `replay_items`
         # gates the per-machine journal replay.
-        import repro.parallel as parallel
+        from functools import partial
+
+        from repro.core.runtime import AMPCRuntime, use_runtime
 
         graph = generators.erdos_renyi_gnm(n, 2 * n, 0)
+        process = partial(AMPCRuntime, backend="process", n_workers=2)
 
         def run_process():
-            with parallel.use_backend("process", n_workers=2):
+            with use_runtime(process):
                 return repro.maximal_matching(graph, seed=1)
 
         return run_process

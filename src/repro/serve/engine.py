@@ -156,11 +156,9 @@ class ServingEngine:
         )
 
         # -- seal phase: publish the columns, pin the resident checkpoint --
-        # Pinned serial: a tick is one batch window of requests, and
-        # sharding that over worker processes lost to in-process on every
-        # measured workload (ROADMAP item 3) — an ambient
-        # use_backend("process") must not re-enable it.
-        self.runtime = AMPCRuntime(config, backend="serial")
+        # Built directly, not by the runtime factory: sharding a tick's
+        # batch over worker processes lost on every measured workload.
+        self.runtime = AMPCRuntime(config)
         vs = np.arange(n, dtype=np.int64)
         deg = np.diff(indptr).astype(np.int64)
         base = indptr[:-1].astype(np.int64) if n else np.zeros(0, np.int64)

@@ -12,9 +12,12 @@ Each registered :class:`AlgorithmCase` binds one algorithm in
 * a **digest** of the output, used by the seed-determinism matrix (two
   runs of the same cell must be bit-identical);
 * the set of **generator families** (named in
-  :data:`repro.verify.runner.FAMILIES`) the case accepts as workloads, and
-  optionally a **chaos runner** executing the same computation on a
-  fault-plan-armed runtime.
+  :data:`repro.verify.runner.FAMILIES`) the case accepts as workloads.
+
+Every case also runs under faults: the runner arms the runtimes the
+solve builds (:func:`repro.core.runtime.use_runtime`) and demands the
+fault-free digest. A case no machine fault can reach says why in
+``chaos_exempt``.
 
 Oracle callables return a list of human-readable discrepancy strings —
 empty means agreement. The conformance runner
@@ -34,11 +37,8 @@ from repro.baselines import seq
 from repro.baselines.boruvka import boruvka_msf
 from repro.baselines.label_propagation import label_propagation
 from repro.baselines.pointer_doubling import mpc_list_ranking, mpc_two_cycle
-from repro.core.chaos import FaultPlan, arm
-from repro.core.config import AMPCConfig
 from repro.core.cost import RunReport
-from repro.core.runtime import AMPCRuntime
-from repro.graph import generators, validation
+from repro.graph import validation
 from repro.graph.graph import Graph, WeightedGraph
 
 
@@ -85,8 +85,8 @@ class AlgorithmCase:
         report_of: extracts the :class:`RunReport` from a result.
         cross_model: optional ``(workload, result, seed)`` → discrepancies
             against the MPC baseline.
-        chaos_run: optional ``(workload, seed, plan)`` → result computed
-            under the fault plan (must match the fault-free digest).
+        chaos_exempt: why no machine fault can reach the case (its
+            chaos cells are skipped); empty for every case they reach.
     """
 
     name: str
@@ -97,7 +97,7 @@ class AlgorithmCase:
     digest: Callable[[Any], bytes]
     report_of: Callable[[Any], RunReport | None]
     cross_model: Callable[[Workload, Any, int], list[str]] | None = None
-    chaos_run: Callable[[Workload, int, FaultPlan], Any] | None = None
+    chaos_exempt: str = ""
 
 
 CASES: dict[str, AlgorithmCase] = {}
@@ -208,13 +208,6 @@ def _arr_digest(*arrays: np.ndarray) -> bytes:
     return b"|".join(parts)
 
 
-def _chaos_runtime(workload_size: int, seed: int, plan: FaultPlan):
-    config = AMPCConfig.for_input(
-        max(workload_size, 1), seed=seed, replication_factor=2
-    )
-    return arm(AMPCRuntime)(config, plan=plan)
-
-
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
@@ -252,10 +245,6 @@ register(AlgorithmCase(
     digest=lambda res: _arr_digest(res.labels),
     report_of=lambda res: res.report,
     cross_model=_connectivity_cross,
-    chaos_run=lambda w, seed, plan: algorithms.connectivity(
-        w.payload,
-        runtime=_chaos_runtime(w.payload.n + w.payload.m, seed, plan),
-    ),
 ))
 
 
@@ -278,10 +267,6 @@ register(AlgorithmCase(
     oracle=_mis_oracle,
     digest=lambda res: _arr_digest(res.in_mis, res.pi),
     report_of=lambda res: res.report,
-    chaos_run=lambda w, seed, plan: algorithms.maximal_independent_set(
-        w.payload,
-        runtime=_chaos_runtime(w.payload.n + w.payload.m, seed, plan),
-    ),
 ))
 
 
@@ -408,6 +393,8 @@ register(AlgorithmCase(
     oracle=_affinity_oracle,
     digest=lambda res: _arr_digest(*res.levels) if res.levels else b"empty",
     report_of=lambda res: res.report,
+    chaos_exempt="its adaptive rounds are resolve_pointers ledger charges, "
+                 "not machine programs, so no machine can crash in them",
 ))
 
 

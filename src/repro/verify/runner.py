@@ -11,13 +11,18 @@ compatible generator families and a seed matrix. Each cell
    and — where registered — the MPC baseline (cross-model equivalence);
 4. re-runs the cell and compares output digests plus cost-ledger
    summaries (wall time excluded) for seed-determinism;
-5. optionally replays the cell on a fault-plan-armed chaos runtime and
-   demands the bit-identical answer.
+5. optionally replays the cell with every runtime the solve builds
+   armed with the default fault plan (:func:`repro.core.runtime.use_runtime`)
+   and demands the bit-identical answer.
 
 With real-process faults armed, a cell counts the rounds that shipped
 machines to pool workers (:attr:`CellRecord.shipped_rounds`); a cell
 that shipped none — a fused-only solve — is reported as having no
-sharded round, not as a recovery cell: no fault could reach it.
+sharded round, not as a recovery cell: no fault could reach it. An
+armed run whose ledger records no crash, failover or retry read,
+checkpoint restore or worker respawn checked no recovery either: its
+cell is reported as having no fault fired
+(:attr:`CellRecord.no_fault_fired`).
 
 The result is a :class:`ConformanceReport` that serializes to JSON for CI.
 """
@@ -29,16 +34,22 @@ import json
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.core.chaos import FaultPlan
+from repro.core.chaos import ChaosRuntime, FaultPlan
 from repro.core.hooks import RuntimeObserver
-from repro.core.runtime import install_observer, uninstall_observer
+from repro.core.runtime import (
+    AMPCRuntime,
+    install_observer,
+    uninstall_observer,
+    use_runtime,
+)
 from repro.graph import generators
 from repro.graph.graph import Graph
-from repro.parallel import BACKENDS, use_backend, use_process_faults
+from repro.parallel import BACKENDS
 
 from .invariants import InvariantSuite
 from .oracles import CASES, AlgorithmCase, Workload
@@ -254,6 +265,10 @@ class CellRecord:
     # Rounds of the primary run whose machines ran in pool workers: the
     # only rounds a process fault can reach.
     shipped_rounds: int = 0
+    # Faults that fired in the armed runs a fault could reach (the chaos
+    # run; the primary run when it shipped a round under process faults);
+    # None when no such run was made.
+    faults_fired: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -264,6 +279,12 @@ class CellRecord:
         """Process faults were armed but no round shipped, so none of
         them could fire: the cell checked no recovery."""
         return self.process_faults and self.shipped_rounds == 0
+
+    @property
+    def no_fault_fired(self) -> bool:
+        """An armed run could have been hit but was not: the cell checked
+        no recovery."""
+        return self.faults_fired == 0
 
     def failures(self) -> list[str]:
         """Human-readable reasons this cell is not conformant."""
@@ -305,6 +326,7 @@ class CellRecord:
             "process_faults": self.process_faults,
             "shipped_rounds": self.shipped_rounds,
             "worker_respawns": self.worker_respawns,
+            "faults_fired": self.faults_fired,
         }
 
 
@@ -349,9 +371,20 @@ class ConformanceReport:
             "no_sharded_round": sum(
                 1 for r in self.records if r.no_sharded_round
             ),
+            "no_fault_fired": sum(1 for r in self.records if r.no_fault_fired),
+            "unfaulted_cases": self.unfaulted_cases(),
             "by_algorithm": by_algorithm,
             "ok": self.ok,
         }
+
+    def unfaulted_cases(self) -> list[str]:
+        """Cases with armed runs a fault could reach, in none of which a
+        fault fired: their recovery went unchecked."""
+        fired: dict[str, int] = {}
+        for r in self.records:
+            if r.faults_fired is not None:
+                fired[r.algorithm] = fired.get(r.algorithm, 0) + r.faults_fired
+        return [name for name, count in fired.items() if count == 0]
 
     def to_dict(self) -> dict:
         return {
@@ -380,7 +413,8 @@ class ConformanceReport:
 
 SMOKE_SIZE = 48
 FULL_SIZE = 140
-DEFAULT_CHAOS_PLAN = dict(crash=0.15, outage=0.08, fault_seed=1)
+DEFAULT_CHAOS_PLAN = dict(crash=0.15, outage=0.08, fault_seed=1,
+                          replication=2)
 
 
 def default_fault_plan(seed: int = 1) -> FaultPlan:
@@ -403,6 +437,15 @@ def default_process_fault_plan(seed: int = 1) -> FaultPlan:
         | FaultPlan.hangs(0.1, seed=seed)
         | FaultPlan.delays(0.1, delay_s=0.02, seed=seed)
     )
+
+
+def faults_fired(report) -> int:
+    """Faults that fired in a run, read from its recovery counters:
+    crashes, failover and retry reads, checkpoint restores and worker
+    respawns. Outages and stragglers do not count: an outage no read
+    touched and a straggler's delay leave nothing to recover."""
+    return (report.crashes + report.failover_reads + report.retry_reads
+            + report.checkpoint_restores + report.worker_respawns)
 
 
 class _ShippedRounds(RuntimeObserver):
@@ -434,17 +477,23 @@ def _run_cell(
     record = CellRecord(algorithm=case.name, family=family, seed=seed,
                         n=wn, m=wm, backend=backend,
                         process_faults=process_faults is not None)
-    # Real-process faults are armed ambiently for the primary run and
-    # the determinism rerun; the serial twin below runs outside the
-    # context, so the cross-backend oracle compares a fault-injected
-    # process run against a fault-free serial run — the strongest form
-    # of the bit-identity contract.
+    # Real-process faults arm the runtimes of the primary run and the
+    # determinism rerun; the serial twin below runs fault-free, so the
+    # cross-backend oracle compares a fault-injected process run against
+    # a fault-free serial run — the strongest form of the bit-identity
+    # contract.
+    deployment = (
+        partial(AMPCRuntime, backend=backend, n_workers=workers)
+        if process_faults is None else
+        lambda c: ChaosRuntime(c, plan=process_faults, backend=backend,
+                               n_workers=workers)
+    )
     start = time.perf_counter()
     shipped = _ShippedRounds()
     try:
         install_observer(shipped)
         try:
-            with use_process_faults(process_faults), use_backend(backend, workers):
+            with use_runtime(deployment):
                 with InvariantSuite(balance_slack=balance_slack) as suite:
                     result = case.run(workload, seed)
         finally:
@@ -459,6 +508,8 @@ def _run_cell(
         record.worker_respawns = (
             report.worker_respawns if report is not None else 0
         )
+        if process_faults is not None and shipped.count:
+            record.faults_fired = faults_fired(report)
         record.oracle_discrepancies = case.oracle(workload, result, seed)
         if case.cross_model is not None:
             record.cross_model_discrepancies = case.cross_model(
@@ -468,7 +519,7 @@ def _run_cell(
         # Seed-determinism: the same cell twice must agree bit for bit,
         # including the cost ledger (wall time excluded).
         rerun_workload = make_workload(case, family, n, seed)
-        with use_process_faults(process_faults), use_backend(backend, workers):
+        with use_runtime(deployment):
             rerun = case.run(rerun_workload, seed)
         record.deterministic = (
             case.digest(result) == case.digest(rerun)
@@ -481,7 +532,7 @@ def _run_cell(
         # cost ledger (wall time excluded).
         if backend != "serial":
             twin_workload = make_workload(case, family, n, seed)
-            with use_backend("serial", None):
+            with use_runtime(AMPCRuntime):
                 twin = case.run(twin_workload, seed)
             record.backend_identical = (
                 case.digest(result) == case.digest(twin)
@@ -489,11 +540,18 @@ def _run_cell(
                 == _summary_without_walltime(case.report_of(twin))
             )
 
-        if chaos and case.chaos_run is not None:
+        if chaos and not case.chaos_exempt:
             plan = default_fault_plan(DEFAULT_CHAOS_PLAN["fault_seed"] + seed)
-            chaos_result = case.chaos_run(workload, seed, plan)
+            k = DEFAULT_CHAOS_PLAN["replication"]
+            with use_runtime(
+                lambda c: ChaosRuntime(c.with_replication(k), plan=plan)
+            ):
+                chaos_result = case.run(workload, seed)
             record.chaos_identical = (
                 case.digest(chaos_result) == case.digest(result)
+            )
+            record.faults_fired = (record.faults_fired or 0) + faults_fired(
+                case.report_of(chaos_result)
             )
     except Exception:
         record.error = traceback.format_exc()
@@ -965,8 +1023,9 @@ def verify_sweep(
         seeds: seed matrix (default ``(0, 1)`` smoke / ``(0, 1, 2)`` full).
         size: target instance size n (defaults by mode).
         smoke: CI mode — small instances, two seeds.
-        chaos: additionally replay chaos-capable cases under the default
-            fault plan and require bit-identical answers.
+        chaos: additionally replay every case but the ``chaos_exempt``
+            ones with each runtime its solve builds armed with the
+            default fault plan, and require bit-identical answers.
         backend: execution backend for every cell (``"serial"`` or
             ``"process"``). With ``"process"``, each cell additionally
             runs a serial twin and requires bit-identical results and

@@ -5,8 +5,8 @@ bit-identical to a fault-free run."""
 import numpy as np
 import pytest
 
-from repro.core import AMPCConfig, AMPCRuntime
-from repro.core import FaultInjectingRuntime, MachineCrash
+from repro.core import AMPCConfig, AMPCRuntime, ChaosRuntime, FaultPlan
+from repro.core import MachineCrash
 from repro.graph import generators
 from repro.graph.io import orient_cycles
 
@@ -15,9 +15,16 @@ def config(seed=1):
     return AMPCConfig.for_input(600, seed=seed)
 
 
+def crashing(cfg, crash_probability):
+    """A runtime whose machines crash mid-read with ``crash_probability``
+    per attempt — worker crashes only, the §2.1 story."""
+    return ChaosRuntime(cfg, plan=FaultPlan.machine_crashes(
+        crash_probability, seed=cfg.seed, max_retries=16))
+
+
 class TestFaultInjection:
     def test_crashes_actually_happen(self):
-        rt = FaultInjectingRuntime(config(), crash_probability=0.5)
+        rt = crashing(config(), 0.5)
         rt.bootstrap([(("v", i), i) for i in range(100)])
 
         def worker(ctx, v):
@@ -28,11 +35,11 @@ class TestFaultInjection:
 
         rt.round(list(range(100)), worker)
         assert rt.crashes_injected > 5
-        assert rt.retry_reads > 0
+        assert rt.report.wasted_reads > 0
 
     def test_results_identical_to_fault_free_run(self):
-        def run(runtime_cls, **kw):
-            rt = runtime_cls(config(seed=3), **kw)
+        def run(runtime_cls):
+            rt = runtime_cls(config(seed=3))
             rt.bootstrap([(("v", i), (i * 7) % 100) for i in range(100)])
 
             def worker(ctx, v):
@@ -46,7 +53,7 @@ class TestFaultInjection:
             return result
 
         clean = run(AMPCRuntime)
-        faulty = run(FaultInjectingRuntime, crash_probability=0.4)
+        faulty = run(lambda cfg: crashing(cfg, 0.4))
         assert clean.results == faulty.results
         # The committed stores are identical too (no partial writes leak).
         clean_pairs = sorted(
@@ -60,7 +67,7 @@ class TestFaultInjection:
         assert clean_pairs == faulty_pairs
 
     def test_no_partial_writes_from_crashed_attempts(self):
-        rt = FaultInjectingRuntime(config(seed=5), crash_probability=0.6)
+        rt = crashing(config(seed=5), 0.6)
         rt.bootstrap([(("v", i), i) for i in range(50)])
 
         def worker(ctx, v):
@@ -87,7 +94,7 @@ class TestFaultInjection:
         strict budgets, a leak would raise BudgetExceededError."""
         cfg = AMPCConfig.for_input(600, seed=13, strict=True)
         clean_rt = AMPCRuntime(cfg)
-        faulty_rt = FaultInjectingRuntime(cfg, crash_probability=0.6)
+        faulty_rt = crashing(cfg, 0.6)
 
         def run(rt):
             rt.bootstrap([(("v", i), i) for i in range(100)])
@@ -113,7 +120,7 @@ class TestFaultInjection:
         """Crashes are not limited to a machine's first attempt: with
         high crash probability there are more crashes than work items,
         which requires recovery depth > 1."""
-        rt = FaultInjectingRuntime(config(seed=21), crash_probability=0.85)
+        rt = crashing(config(seed=21), 0.85)
         rt.bootstrap([(("v", i), i) for i in range(40)])
 
         def worker(ctx, v):
@@ -123,14 +130,14 @@ class TestFaultInjection:
         assert rt.crashes_injected > 40
 
     def test_zero_probability_injects_nothing(self):
-        rt = FaultInjectingRuntime(config(), crash_probability=0.0)
+        rt = crashing(config(), 0.0)
         rt.bootstrap([("k", 1)])
         rt.round([0, 1], lambda ctx, v: ctx.read("k"))
         assert rt.crashes_injected == 0
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
-            FaultInjectingRuntime(config(), crash_probability=1.0)
+            crashing(config(), 1.0)
 
     def test_machine_crash_carries_context(self):
         err = MachineCrash(3, 17)
@@ -149,8 +156,7 @@ class TestAlgorithmsUnderFaults:
         healthy_rt = AMPCRuntime(config(seed=9))
         healthy = shrink(succ, healthy_rt, delta=0.5, target_size=40)
 
-        faulty_rt = FaultInjectingRuntime(config(seed=9),
-                                          crash_probability=0.3)
+        faulty_rt = crashing(config(seed=9), 0.3)
         faulty = shrink(succ, faulty_rt, delta=0.5, target_size=40)
 
         assert faulty_rt.crashes_injected > 0
@@ -163,6 +169,6 @@ class TestAlgorithmsUnderFaults:
 
         g = generators.cycle(200)
         succ, _ = orient_cycles(g)
-        rt = FaultInjectingRuntime(config(seed=11), crash_probability=0.4)
+        rt = crashing(config(seed=11), 0.4)
         shrink(succ, rt, delta=0.5, target_size=30)
-        assert rt.retry_reads > 0
+        assert rt.report.wasted_reads > 0

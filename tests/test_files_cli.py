@@ -136,6 +136,18 @@ class TestCLI:
         assert isinstance(wg, WeightedGraph)
         assert wg.weights_distinct()
 
+    @pytest.mark.parametrize("case", [
+        "connectivity", "mis", "matching", "coloring", "edge-coloring",
+        "msf", "affinity", "biconnectivity",
+    ])
+    def test_chaos_command_runs_any_graph_case(self, case, tmp_path, capsys):
+        weighted = case in ("msf", "affinity")
+        rc = main(["chaos", case, self.graph_file(tmp_path, weighted),
+                   "--crash", "0.3", "--outage", "0.1", "--no-ledger"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "bit-identical to fault-free run: True" in out
+
     def test_epsilon_flag_propagates(self, tmp_path, capsys):
         path = self.graph_file(tmp_path)
         assert main(["mis", path, "--epsilon", "0.7", "--no-ledger"]) == 0

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,10 @@ from hypothesis import strategies as st
 import repro
 from repro import cli
 from repro.core import AMPCConfig, AMPCRuntime
+from repro.core.runtime import use_runtime
 from repro.graph import csr, files, generators
 from repro.graph.graph import Graph
 from repro.graph.io import encode_graph, encode_graph_arrays
-from repro.parallel import use_backend
 from repro.verify.runner import edge_list_parity
 
 pytestmark = pytest.mark.ingest
@@ -480,6 +481,20 @@ class TestEdgeCache:
                     files.read_edge_list(io.StringIO(content))
                 assert str(fast_err.value) == str(slow_err.value)
 
+    def test_ingest_reports_a_declared_count_overrun_as_the_parser_does(
+            self, tmp_path):
+        # The first file takes the fast path into the CSR build; the lone
+        # CR of the second sends it to the per-line parser.
+        for content in ("# nodes: 3\n0 1\n5 1\n", "# nodes: 3\n0 1\r5 1\n"):
+            text = tmp_path / "g.txt"
+            text.write_text(content, newline="")
+            with pytest.raises(ValueError) as parsed:
+                files.read_edge_list(text)
+            with pytest.raises(ValueError) as ingested:
+                csr.ingest(text, tmp_path / "csr")
+            assert str(ingested.value) == str(parsed.value) == (
+                "declared nodes: 3 but saw vertex id 5")
+
 
 # ---------------------------------------------------------------------------
 # byte-level fast path vs the per-line parser
@@ -701,7 +716,8 @@ class TestMmapGraphEndToEnd:
         with tempfile.TemporaryDirectory() as tmp:
             mapped = self._mapped(graph, tmp)
             serial = repro.connectivity(graph, seed=4)
-            with use_backend("process", 2):
+            with use_runtime(partial(AMPCRuntime, backend="process",
+                                     n_workers=2)):
                 process = repro.connectivity(mapped, seed=4)
             assert np.array_equal(serial.labels, process.labels)
             assert _ledger(serial.report) == _ledger(process.report)

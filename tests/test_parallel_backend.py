@@ -9,6 +9,8 @@ a test is a failure even if the answers match.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from repro.core import AMPCConfig, AMPCRuntime
 from repro.core.chaos import ChaosRuntime, FaultPlan
 from repro.core.errors import BudgetExceededError, RoundProtocolError
 from repro.core.hooks import RuntimeObserver
+from repro.core.runtime import new_runtime, use_runtime
 from repro.graph import generators
-from repro.parallel import autodetect_workers, use_backend
+from repro.parallel import autodetect_workers
 from repro.verify.runner import _run_cell, _summary_without_walltime
 from repro.verify.oracles import CASES
 
@@ -41,10 +44,17 @@ def _ledger(report):
     return _summary_without_walltime(report)
 
 
+def _process(workers=2):
+    """Build every runtime inside the ``with`` block on the process
+    backend."""
+    return use_runtime(partial(AMPCRuntime, backend="process",
+                               n_workers=workers))
+
+
 def _run_both(fn, workers=2):
     """Run ``fn()`` serially and under the process backend."""
     serial = fn()
-    with use_backend("process", workers):
+    with _process(workers):
         process = fn()
     return serial, process
 
@@ -92,8 +102,8 @@ def test_connectivity_fused_bfs_runs_in_the_parent(monkeypatch):
     config = AMPCConfig.for_input(g.n + g.m, seed=4)
     serial = repro.connectivity(g, runtime=AMPCRuntime(config))
     dispatched = _spy_on_dispatch(monkeypatch)
-    with use_backend("process", 2):
-        runtime = AMPCRuntime(config)
+    with _process():
+        runtime = new_runtime(config)
         process = repro.connectivity(g, runtime=runtime)
     assert runtime.backend == "process"
     assert runtime.parallel_fallbacks == 0
@@ -130,7 +140,7 @@ def test_fill_back_across_machine_groups_bit_identical(additive, monkeypatch):
     dispatched = _spy_on_dispatch(monkeypatch)
 
     def run():
-        runtime = AMPCRuntime(config)
+        runtime = new_runtime(config)
         outcome = shrink(succ, runtime, delta=0.5, target_size=750,
                          forced=np.array([generators.list_head(succ)]))
         values = np.full(succ.size, np.nan)
@@ -170,7 +180,7 @@ def test_greedy_query_rounds_ship_and_stay_bit_identical(fn, field):
 
     g = generators.erdos_renyi_gnm(300, 900, rng=4)
     serial = fn(g, seed=2, query_cap=4)
-    with use_backend("process", 2):
+    with _process():
         with TracingSession(detail="machine") as session:
             process = fn(g, seed=2, query_cap=4)
     assert np.array_equal(getattr(serial, field), getattr(process, field))
@@ -192,7 +202,7 @@ def test_msf_bit_identical(monkeypatch):
     dispatched = _spy_on_dispatch(monkeypatch)
 
     def run():
-        runtimes.append(AMPCRuntime(config))
+        runtimes.append(new_runtime(config))
         return repro.minimum_spanning_forest(g, runtime=runtimes[-1])
 
     serial, process = _run_both(run)
@@ -210,7 +220,7 @@ def test_trace_spans_tagged_with_worker():
     # MIS: its query round is a per-block program, so every machine has
     # a span of its own (a fused round has one span for all machines).
     g = generators.erdos_renyi_gnm(200, 300, rng=1)
-    with use_backend("process", 2):
+    with _process():
         with TracingSession(detail="machine") as session:
             repro.maximal_independent_set(g, seed=0)
     workers = {e.attrs["worker"] for e in session.events
@@ -225,7 +235,7 @@ def test_shards_spread_across_workers():
 
     # MIS: a per-block round, one span per machine (as above).
     g = generators.erdos_renyi_gnm(400, 800, rng=2)
-    with use_backend("process", 2):
+    with _process():
         with TracingSession(detail="machine") as session:
             repro.maximal_independent_set(g, seed=0)
     workers = {e.attrs["worker"] for e in session.events
@@ -246,7 +256,7 @@ def test_strict_budget_error_parity():
     def run():
         config = AMPCConfig(epsilon=0.5, space=8, n_machines=4, seed=3,
                             strict=True)
-        runtime = AMPCRuntime(config)
+        runtime = new_runtime(config)
         runtime.bootstrap((("v", i), i) for i in range(300))
 
         def hungry(ctx, item):
@@ -258,7 +268,7 @@ def test_strict_budget_error_parity():
 
     with pytest.raises(BudgetExceededError) as serial_err:
         run()
-    with use_backend("process", 2):
+    with _process():
         with pytest.raises(BudgetExceededError) as process_err:
             run()
     assert serial_err.value.args == process_err.value.args
@@ -273,11 +283,12 @@ def test_chaos_runtime_stays_serial_and_identical():
     from repro.algorithms.connectivity import connectivity
 
     base = connectivity(g, runtime=ChaosRuntime(config, plan=plan))
-    with use_backend("process", 2):
-        chaos_runtime = ChaosRuntime(config, plan=plan)
-        assert chaos_runtime.backend == "process"
-        assert not chaos_runtime.parallel_capable
-        under = connectivity(g, runtime=chaos_runtime)
+    with _process():
+        armed = ChaosRuntime(config, plan=plan, backend="process",
+                                     n_workers=2)
+        assert armed.backend == "process"
+        assert not armed.parallel_capable
+        under = connectivity(g, runtime=armed)
     assert np.array_equal(base.labels, under.labels)
     assert _ledger(base.report) == _ledger(under.report)
 
@@ -298,11 +309,11 @@ def test_machine_crashes_keep_the_fault_free_connectivity_run():
         return out
 
     clean = connectivity(g, runtime=AMPCRuntime(config))
-    chaos_runtime = ChaosRuntime(
+    armed = ChaosRuntime(
         config, plan=FaultPlan.machine_crashes(0.3, seed=1)
     )
-    crashed = connectivity(g, runtime=chaos_runtime)
-    assert chaos_runtime.report.recovery_summary()["crashes"] > 0
+    crashed = connectivity(g, runtime=armed)
+    assert armed.report.recovery_summary()["crashes"] > 0
     assert np.array_equal(clean.labels, crashed.labels)
     assert rows(clean.report) == rows(crashed.report)
     assert _ledger(clean.report) == _ledger(crashed.report)
@@ -926,7 +937,7 @@ def test_dds_ops_backend_parity(batch, seed):
     def run():
         config = AMPCConfig(epsilon=0.5, space=64, n_machines=8,
                             seed=seed % 64)
-        runtime = AMPCRuntime(config)
+        runtime = new_runtime(config)
         runtime.bootstrap([("n", int(ids.size))])
         runtime.round([0], lambda ctx, item: ctx.write(
             "seeded", True) or ctx.read("n"))
@@ -951,7 +962,7 @@ def test_dds_ops_backend_parity(batch, seed):
         return ([np.asarray(o) for o in outs], runtime.report)
 
     (serial_out, serial_rep) = run()
-    with use_backend("process", 2):
+    with _process():
         (process_out, process_rep) = run()
     assert len(serial_out) == len(process_out)
     for a, b in zip(serial_out, process_out):

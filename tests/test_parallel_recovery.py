@@ -27,13 +27,9 @@ import repro
 from repro.cli import main
 from repro.core import AMPCConfig, AMPCRuntime
 from repro.core.chaos import ChaosRuntime, FaultPlan
+from repro.core.runtime import use_runtime
 from repro.graph import files, generators
-from repro.parallel import (
-    WorkerPool,
-    shutdown_pool,
-    use_backend,
-    use_process_faults,
-)
+from repro.parallel import WorkerPool, shutdown_pool
 from repro.parallel import backend as _backend
 from repro.parallel import pool as pool_mod
 from repro.verify.runner import _summary_without_walltime
@@ -122,13 +118,20 @@ def _bootstrapped(config, **kwargs) -> AMPCRuntime:
 # -- end-to-end parity under injected process faults ------------------------
 
 
+def _armed(plan):
+    """Build every runtime inside the ``with`` block on the process
+    backend (2 workers), armed with ``plan``."""
+    return use_runtime(lambda c: ChaosRuntime(
+        c, plan=plan, backend="process", n_workers=2))
+
+
 def test_kill_fault_mid_round_parity():
     """SIGKILLed workers mid-task: the parent re-runs their shards,
     bit-identical; every machine of a lost shard counts as a crash."""
     g = generators.erdos_renyi_gnm(300, 450, rng=5)
     serial = repro.maximal_independent_set(g, seed=3)
     plan = FaultPlan.kills(0.3, seed=2)
-    with use_process_faults(plan), use_backend("process", 2):
+    with _armed(plan):
         faulted = repro.maximal_independent_set(g, seed=3)
     assert np.array_equal(serial.in_mis, faulted.in_mis)
     assert _ledger(serial.report) == _ledger(faulted.report)
@@ -147,7 +150,7 @@ def test_hang_deadline_triggers_respawn(short_deadline):
     g = generators.erdos_renyi_gnm(300, 450, rng=5)
     serial = repro.maximal_independent_set(g, seed=1)
     plan = FaultPlan.hangs(0.15, seed=1)
-    with use_process_faults(plan), use_backend("process", 2):
+    with _armed(plan):
         faulted = repro.maximal_independent_set(g, seed=1)
     assert np.array_equal(serial.in_mis, faulted.in_mis)
     assert _ledger(serial.report) == _ledger(faulted.report)
@@ -159,7 +162,7 @@ def test_delay_fault_parity():
     g = generators.barabasi_albert(200, 3, rng=11)
     serial = repro.maximal_independent_set(g, seed=1)
     plan = FaultPlan.delays(0.5, delay_s=0.05, seed=6)
-    with use_process_faults(plan), use_backend("process", 2):
+    with _armed(plan):
         faulted = repro.maximal_independent_set(g, seed=1)
     assert np.array_equal(serial.in_mis, faulted.in_mis)
     assert _ledger(serial.report) == _ledger(faulted.report)
@@ -403,17 +406,6 @@ def test_process_only_chaos_plan_keeps_parallel_capable():
     assert not sim.parallel_capable
 
 
-def test_use_process_faults_rejects_simulated_faults():
-    """Simulated faults need a chaos runtime; the ambient selection
-    arms real process faults only."""
-    with pytest.raises(ValueError, match="simulated faults"):
-        with use_process_faults(FaultPlan.kills(0.1)
-                                | FaultPlan.machine_crashes(0.1)):
-            pass
-    with use_process_faults(FaultPlan.kills(0.1) | FaultPlan.hangs(0.1)):
-        pass
-
-
 def test_single_fault_digest_property(short_deadline):
     """Property sweep: one fault kind at a time, several seeds — the
     process run's answer and ledger always match serial exactly."""
@@ -436,7 +428,7 @@ def test_single_fault_digest_property(short_deadline):
         else:
             plan = FaultPlan.delays(0.4, delay_s=0.01,
                                            seed=fault_seed)
-        with use_process_faults(plan), use_backend("process", 2):
+        with _armed(plan):
             faulted = repro.maximal_independent_set(g, seed=0)
         assert np.array_equal(serial.in_mis, faulted.in_mis)
         assert _ledger(faulted.report) == serial_ledger

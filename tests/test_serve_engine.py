@@ -198,8 +198,10 @@ class TestLedgers:
 
 @pytest.mark.parallel
 def test_ambient_process_backend_does_not_reach_the_serving_runtime():
-    from repro.parallel import use_backend
+    from functools import partial
 
-    with use_backend("process", 2):
+    from repro.core.runtime import AMPCRuntime, use_runtime
+
+    with use_runtime(partial(AMPCRuntime, backend="process", n_workers=2)):
         engine = ServingEngine(make_graph(seed=4), seed=0)
     assert engine.runtime.backend == "serial"

@@ -9,12 +9,23 @@ exercised separately on a narrow slice to keep the suite fast.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.algorithms import bc_labeling
 from repro.cli import main as cli_main
+from repro.core import AMPCRuntime, ChaosRuntime, use_runtime
+from repro.graph import generators
 from repro.verify import CASES, case_names, verify_sweep
 from repro.verify.oracles import Workload
-from repro.verify.runner import FAMILIES, family_names, make_workload
+from repro.verify.runner import (
+    FAMILIES,
+    CellRecord,
+    ConformanceReport,
+    default_fault_plan,
+    family_names,
+    make_workload,
+)
 
 pytestmark = pytest.mark.verify
 
@@ -38,11 +49,17 @@ class TestRegistry:
                 assert isinstance(workload, Workload)
                 assert workload.kind == case.kind
 
-    def test_cross_model_and_chaos_coverage(self):
+    def test_cross_model_and_chaos_coverage(self, smoke_report):
         crossed = {n for n, c in CASES.items() if c.cross_model is not None}
         assert {"connectivity", "msf", "list-ranking", "two-cycle"} <= crossed
-        chaotic = {n for n, c in CASES.items() if c.chaos_run is not None}
-        assert {"connectivity", "mis"} <= chaotic
+        # The smoke report has chaos cells for every case except the
+        # exempt one, and a fault fired in some cell of each.
+        exempt = {n for n, c in CASES.items() if c.chaos_exempt}
+        assert exempt == {"affinity"}
+        chaotic = {r.algorithm for r in smoke_report.records
+                   if r.chaos_identical is not None}
+        assert chaotic == set(CASES) - exempt
+        assert smoke_report.summary()["unfaulted_cases"] == []
 
 
 class TestSmokeSweep:
@@ -79,6 +96,63 @@ class TestSmokeSweep:
         for field in ("algorithm", "family", "seed", "status", "rounds",
                       "deterministic", "invariant_violations"):
             assert field in record
+
+
+class TestRuntimeFactory:
+    def test_every_case_builds_its_runtimes_through_the_factory(self):
+        """A solve that constructs ``AMPCRuntime(config)`` itself would
+        escape every deployment (backend, workers, fault plan): each case
+        must build at least one runtime through the factory."""
+        for name, case in CASES.items():
+            built = []
+
+            def counting(config):
+                built.append(config)
+                return AMPCRuntime(config)
+
+            workload = make_workload(case, case.families[0], n=12, seed=0)
+            with use_runtime(counting):
+                case.run(workload, 0)
+            assert built, f"{name} built no runtime through the factory"
+
+    def test_bc_labeling_is_armed_in_every_stage(self):
+        graph = generators.erdos_renyi_gnm(60, 120, rng=2)
+        clean = bc_labeling(graph, seed=0)
+        armed = []
+
+        def chaos(config):
+            armed.append(ChaosRuntime(config.with_replication(2),
+                                      plan=default_fault_plan(3)))
+            return armed[-1]
+
+        with use_runtime(chaos):
+            faulted = bc_labeling(graph, seed=0)
+        # MSF, the rooted forest's runtime and two connectivity runs.
+        assert len(armed) == 4
+        assert faulted.report.crashes > 0
+        assert faulted.report.crashes == sum(rt.report.crashes
+                                             for rt in armed)
+        for field in ("bridges", "articulation_points", "two_edge_labels",
+                      "labels"):
+            assert np.array_equal(getattr(clean, field),
+                                  getattr(faulted, field)), field
+
+    def test_armed_cell_with_no_fault_fired_is_counted_apart(self):
+        def cell(name, fired):
+            return CellRecord(algorithm=name, family="er", seed=0, n=1,
+                              m=0, faults_fired=fired)
+
+        report = ConformanceReport(records=[
+            cell("a", 0), cell("a", 0), cell("b", 0), cell("b", 3),
+            cell("c", None),
+        ], settings={})
+        assert [r.no_fault_fired for r in report.records] == [
+            True, True, True, False, False]
+        summary = report.summary()
+        assert summary["no_fault_fired"] == 3
+        # Only a case none of whose armed cells was hit fails the smoke.
+        assert summary["unfaulted_cases"] == ["a"]
+        assert report.to_dict()["records"][3]["faults_fired"] == 3
 
 
 class TestSelection:
