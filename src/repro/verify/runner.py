@@ -439,7 +439,7 @@ def default_process_fault_plan(seed: int = 1) -> FaultPlan:
     )
 
 
-def faults_fired(report) -> int:
+def _fired(report) -> int:
     """Faults that fired in a run, read from its recovery counters:
     crashes, failover and retry reads, checkpoint restores and worker
     respawns. Outages and stragglers do not count: an outage no read
@@ -509,7 +509,7 @@ def _run_cell(
             report.worker_respawns if report is not None else 0
         )
         if process_faults is not None and shipped.count:
-            record.faults_fired = faults_fired(report)
+            record.faults_fired = _fired(report)
         record.oracle_discrepancies = case.oracle(workload, result, seed)
         if case.cross_model is not None:
             record.cross_model_discrepancies = case.cross_model(
@@ -550,9 +550,8 @@ def _run_cell(
             record.chaos_identical = (
                 case.digest(chaos_result) == case.digest(result)
             )
-            record.faults_fired = (record.faults_fired or 0) + faults_fired(
-                case.report_of(chaos_result)
-            )
+            fired = _fired(case.report_of(chaos_result))
+            record.faults_fired = (record.faults_fired or 0) + fired
     except Exception:
         record.error = traceback.format_exc()
         record.status = "error"
