@@ -12,7 +12,8 @@ use :func:`repro.baselines.pointer_doubling.mpc_list_ranking` for speed.
 
 Machines are stateless between rounds in the simulator, so each machine
 re-sends its own elements' state to itself every round — the standard
-self-message formalization of persistent local state in MPC.
+self-message formalization of persistent local state in MPC. A message is
+one DDS word row, ``(tag, v, ptr, dist)``, with an int tag.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.core.partition import machine_of
 from repro.core.runtime import MPCRuntime
 
 from .pointer_doubling import MPCListRankingResult
+
+_REQ, _STATE, _ANS = range(3)  # message tags
 
 
 def mpc_list_ranking_simulated(
@@ -62,24 +65,23 @@ def mpc_list_ranking_simulated(
     for i in range(iterations):
         # Round A: each owner asks the owner of ptr(v) for ptr(v)'s state.
         requests = [
-            (owner[ptr], ("req", v, ptr))
+            (owner[ptr], (_REQ, v, ptr, 0))
             for v, (ptr, _dist) in state.items()
         ]
         holdings = [
-            (owner[v], ("state", v, ptr, dist))
+            (owner[v], (_STATE, v, ptr, dist))
             for v, (ptr, dist) in state.items()
         ]
 
         def respond(ctx: MPCMachineContext):
             inbox = ctx.inbox()
             local = {
-                msg[1]: (msg[2], msg[3]) for msg in inbox if msg[0] == "state"
+                msg[1]: (msg[2], msg[3]) for msg in inbox if msg[0] == _STATE
             }
-            for msg in inbox:
-                if msg[0] == "req":
-                    _, v, ptr = msg
+            for tag, v, ptr, _ in inbox:
+                if tag == _REQ:
                     ptr2, dist2 = local[ptr]
-                    ctx.send(owner[v], ("ans", v, ptr2, dist2))
+                    ctx.send(owner[v], (_ANS, v, ptr2, dist2))
 
         runtime.message_round(
             respond, messages=requests + holdings, tag=f"mpc-req:{i}"
@@ -90,7 +92,7 @@ def mpc_list_ranking_simulated(
 
         def collect(ctx: MPCMachineContext):
             for msg in ctx.inbox():
-                if msg[0] == "ans":
+                if msg[0] == _ANS:
                     answers[msg[1]] = (msg[2], msg[3])
 
         runtime.message_round(collect, tag=f"mpc-fold:{i}")

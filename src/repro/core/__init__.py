@@ -25,7 +25,7 @@ from .chaos import (
 )
 from .config import AMPCConfig
 from .cost import RoundStats, RunReport, Timer, load_balance_gini, merge_reports
-from .dds import DistributedDataStore, ReplicatedDataStore, value_words
+from .dds import DistributedDataStore, ReplicatedDataStore
 from .errors import (
     AdaptivityError,
     AMPCError,
@@ -78,7 +78,6 @@ __all__ = [
     "Timer",
     "merge_reports",
     "load_balance_gini",
-    "value_words",
     "AMPCError",
     "BudgetExceededError",
     "StoreSealedError",

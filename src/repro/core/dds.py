@@ -4,7 +4,10 @@ One :class:`DistributedDataStore` instance models one D_i: the collection of
 key-value pairs written during round i and readable (only) during round i+1.
 Semantics implemented exactly as specified:
 
-* key → constant-size value (size bound enforced);
+* key → constant-size value: a key is ``(namespace, id)`` or
+  ``(namespace, id, slot)`` with a str namespace and int64 ids, a value
+  one int or float or a flat tuple of at most ``max_words`` of them
+  (both enforced: anything else raises);
 * k pairs sharing a key ``x`` are individually addressable as
   ``(x, 1) ... (x, k)`` — indices assigned in write order, which is one
   valid choice of the model's "arbitrary" assignment;
@@ -12,10 +15,9 @@ Semantics implemented exactly as specified:
 * the store is *sealed* between rounds: reads before sealing and writes
   after sealing raise, enforcing the model's round discipline.
 
-Every ``(namespace, id)`` and ``(namespace, id, slot)`` key with a str
-namespace and int64 ids lives in one :class:`_Column` per namespace and
-key arity, whichever call wrote it; every other key lives in one
-object-keyed dict. A read resolves its key once, to one of the two.
+Every pair lives in one :class:`_Column` per namespace and key arity,
+whichever call wrote it: numeric arrays of one row layout (dtype and
+words per row), fixed by the namespace's first write.
 
 The store also plays the role of the P serving machines of §2.1: every read
 is attributed to the server owning the key (random placement via
@@ -29,6 +31,8 @@ operation a machine issues fires that machine's hooks
 
 from __future__ import annotations
 
+import reprlib
+from itertools import chain
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,11 +53,7 @@ def _batch_keys(parts: Sequence[Any]) -> Iterator[tuple]:
     arrays of per-key components — the same layout
     :func:`repro.core.partition.key_hash_array` consumes.
     """
-    length = None
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            length = part.size
-            break
+    length = next((p.size for p in parts if isinstance(p, np.ndarray)), None)
     if length is None:
         raise ValueError("key batch needs at least one array component")
     columns = [
@@ -95,7 +95,9 @@ def int64_keys(namespace: str, array: Any, what: str = "ids") -> np.ndarray:
 
 
 _I64 = 1 << 63
-_OBJECT = np.dtype(object)
+_INT64, _FLOAT64 = np.dtype(np.int64), np.dtype(np.float64)
+# Row layouts, ``(dtype, row shape)``, of one-word scalar writes.
+_INT_ROW, _FLOAT_ROW = (_INT64, ()), (_FLOAT64, ())
 
 
 def _int64(x: Any) -> int | None:
@@ -110,18 +112,17 @@ def _int64(x: Any) -> int | None:
 def _route(key: Hashable) -> tuple[tuple[str, int], int, int | None] | None:
     """Where ``key`` lives: ``((namespace, arity), id, slot)`` for a
     ``(str, int)`` or ``(str, int, int)`` key whose ints fit int64, None
-    for the object dict."""
+    for any other key (no store holds it)."""
     arity = len(key) if type(key) is tuple else 0
-    if arity != 2 and arity != 3:
+    if (arity != 2 and arity != 3) or not isinstance(key[0], str):
         return None
+    # Exact int parts checked inline: every scalar write routes its key.
     id_, slot = key[1], key[2] if arity == 3 else None
     if type(id_) is not int or not -_I64 <= id_ < _I64:
         id_ = _int64(id_)
     if arity == 3 and (type(slot) is not int or not -_I64 <= slot < _I64):
         slot = _int64(slot)
-        if slot is None:
-            return None
-    if id_ is None or not isinstance(key[0], str):
+    if id_ is None or (arity == 3 and slot is None):
         return None
     return (key[0], arity), id_, slot
 
@@ -138,13 +139,28 @@ def _joined(chunks: list[np.ndarray]) -> np.ndarray:
 def _py_values(values: np.ndarray) -> list:
     """Rows as the Python values a scalar read returns: scalars, or tuples
     for a multi-word column."""
-    rows = values.tolist()
-    return rows if values.ndim == 1 else [tuple(row) for row in rows]
+    if values.ndim == 1:
+        return values.tolist()
+    return list(zip(*values.T.tolist()))  # twice as fast as map(tuple, ...)
 
 
-def _to_objects(values: np.ndarray) -> np.ndarray:
-    """:func:`_py_values` as a 1-D object array."""
-    return np.fromiter(_py_values(values), dtype=_OBJECT, count=len(values))
+def _row_layout(value: Any) -> tuple[np.dtype, tuple] | None:
+    """The row layout ``(dtype, row shape)`` of one scalar value: int64,
+    or float64 if any component is a float; shape ``()`` for a number,
+    ``(len,)`` for a flat non-empty tuple. None if it is no word row."""
+    if type(value) is tuple and value:
+        floats = False
+        for part in value:
+            if type(part) is int and -_I64 <= part < _I64:
+                continue  # the common case, checked inline
+            if isinstance(part, (float, np.floating)):
+                floats = True
+            elif _int64(part) is None:
+                return None
+        return (_FLOAT64 if floats else _INT64, (len(value),))
+    if isinstance(value, (float, np.floating)):
+        return _FLOAT_ROW
+    return None if _int64(value) is None else _INT_ROW
 
 
 def _rank(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,10 +171,12 @@ def _rank(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 # A column is indexed by a position table when its key span is at most this
-# many times its row count. At 4 the int32 table (span + 1 entries) takes no
-# more bytes than the int64 sorted-keys + order pair of the other form, so
-# index bytes stay O(rows) whichever form the data selects.
-_TABLE_SPAN_FACTOR = 4
+# many times its row count. Measured on 30,000 rows (2-core VM): at 32,
+# building the int32 table and gathering every row's key through it takes
+# what one sorted-keys pass takes (4.1 ms each), and a scalar probe through
+# the table is two list-speed gathers instead of two binary searches. The
+# table then holds at most 128 bytes per row.
+_TABLE_SPAN_FACTOR = 32
 
 #: Keys per hash sweep when a whole-round batch is placed or charged:
 #: bounds the sweep's temporaries whatever the batch size.
@@ -175,10 +193,8 @@ class _Column:
     batch, :meth:`put` adds one scalar write to a pending chunk that
     :meth:`close` turns into arrays. The store closes it at seal and
     before any batch write, so duplicates index in write order across
-    both calls. Values are kept exactly: a column that any scalar write
-    touched is *object-valued* (one Python value per row, earlier numeric
-    rows converted to what a scalar read of them returns); a column only
-    ``write_array`` wrote stays numeric, ``width`` words per row.
+    both calls. The first write fixes the row layout, ``(dtype, row
+    shape)``; a write of any other layout raises :class:`ValueError`.
 
     An index over the keys is built lazily on first lookup (i.e. after
     the store seals). Duplicate ids keep every row — bucket semantics —
@@ -191,8 +207,7 @@ class _Column:
     of two forms, chosen from the data when it is built:
 
     * *position table* — when ``max_key - min_key + 1`` is within
-      :data:`_TABLE_SPAN_FACTOR` times the row count (8 times that for an
-      object-valued column): ``table[k - lo]``
+      :data:`_TABLE_SPAN_FACTOR` times the row count: ``table[k - lo]``
       counts the stored keys below ``k``, so a probe is two adjacent
       gathers whatever the column's size;
     * *sorted keys* — otherwise (ids are arbitrary int64, so an O(span)
@@ -205,8 +220,7 @@ class _Column:
     """
 
     __slots__ = (
-        "width",
-        "dtype",
+        "_layout",
         "rows",
         "slotted",
         "_id_chunks",
@@ -231,8 +245,7 @@ class _Column:
 
     def __init__(self, slotted: bool) -> None:
         # The first append or put decides the value layout.
-        self.width = 1
-        self.dtype: np.dtype | None = None
+        self._layout: tuple[np.dtype, tuple] | None = None
         self.rows = 0
         self.slotted = slotted
         self._id_chunks: list[np.ndarray] = []
@@ -249,6 +262,18 @@ class _Column:
         self._order = self._table = self._sorted_keys = None
         self._probe = None
 
+    def _fix_layout(self, layout: tuple[np.dtype, tuple]) -> None:
+        """Take ``layout`` as the column's, or raise if it has another."""
+        if self._layout is None:
+            self._layout = layout
+        elif layout != self._layout:
+            (dtype, shape), (got, got_shape) = self._layout, layout
+            raise ValueError(
+                f"namespace value layout changed: expected width "
+                f"{shape[0] if shape else 1} dtype {dtype}, got width "
+                f"{got_shape[0] if got_shape else 1} dtype {got}"
+            )
+
     def append(
         self,
         ids: np.ndarray,
@@ -256,29 +281,20 @@ class _Column:
         slots: np.ndarray | None = None,
     ) -> None:
         """Add one ``write_array`` batch (copied unless read-only)."""
-        width = 1 if values.ndim == 1 else values.shape[1]
-        if self.dtype is None:
-            self.dtype, self.width = values.dtype, width
-        if self.dtype.hasobject:
-            values = _to_objects(values)
-        elif width != self.width or values.dtype != self.dtype:
-            raise ValueError(
-                f"namespace value layout changed: expected width {self.width} "
-                f"dtype {self.dtype}, got width {width} dtype {values.dtype}"
-            )
-        else:
-            values = _owned_chunk(values)
+        self._fix_layout((values.dtype, values.shape[1:]))
         self._push(
-            _owned_chunk(ids), values,
+            _owned_chunk(ids), _owned_chunk(values),
             None if slots is None else _owned_chunk(slots),
         )
 
-    def put(self, id_: int, slot: int | None, value: Any) -> None:
-        """Add one scalar write to the pending chunk."""
-        if self.dtype is not _OBJECT:
-            self._value_chunks = [_to_objects(c) for c in self._value_chunks]
-            self.dtype, self.width = _OBJECT, 1
-            self._reset()
+    def put(
+        self, id_: int, slot: int | None, value: Any,
+        layout: tuple[np.dtype, tuple],
+    ) -> None:
+        """Add one scalar write, of row layout ``layout``, to the pending
+        chunk."""
+        if layout != self._layout:
+            self._fix_layout(layout)
         self._pending_values.append(value)
         if slot is None:
             self._pending_keys.append(id_)
@@ -292,7 +308,10 @@ class _Column:
         if not pending:
             return None
         keys = np.array(self._pending_keys, dtype=np.int64)
-        values = np.fromiter(pending, dtype=_OBJECT, count=len(pending))
+        # Flattened: np.array of a list of tuples is several times slower.
+        dtype, shape = self._layout
+        flat = chain.from_iterable(pending) if shape else pending
+        values = np.fromiter(flat, dtype).reshape(len(pending), *shape)
         self._pending_keys, self._pending_values = [], []
         ids, slots = keys.reshape(-1, 2).T.copy() if self.slotted else (keys, None)
         self._push(ids, values, slots)
@@ -376,10 +395,7 @@ class _Column:
         # encode_* column): the identity is the stable sort.
         ordered = rows == 1 or bool((keys[1:] >= keys[:-1]).all())
         order = table = None
-        # An object-valued row already costs a pointer and a Python
-        # object (>= 36 bytes), so its table may span 8 times as far.
-        factor = _TABLE_SPAN_FACTOR * (8 if self.dtype.hasobject else 1)
-        if span <= factor * rows:
+        if span <= _TABLE_SPAN_FACTOR * rows:
             # Counting, not sorting: O(rows + span). The int64 histogram
             # is a temporary, gone before any argsort below allocates.
             offsets = keys - lo if lo else keys
@@ -446,9 +462,10 @@ class _Column:
     ) -> tuple[np.ndarray, np.ndarray]:
         """First-written value per id, ``fill`` where absent; plus hit mask."""
         k = ids.size
-        shape = k if self.width == 1 else (k, self.width)
+        dtype, row_shape = self._layout
+        shape = (k, *row_shape)
         if k == 0 or self.rows == 0:
-            return np.full(shape, fill, dtype=self.dtype), np.zeros(k, bool)
+            return np.full(shape, fill, dtype=dtype), np.zeros(k, bool)
         self._indexed()
         valid = None
         if slots is not None:
@@ -462,7 +479,7 @@ class _Column:
         if found.all():
             rows = first if order is None else order[first]
             return values.take(rows, axis=0), found
-        out = np.full(shape, fill, dtype=self.dtype)
+        out = np.full(shape, fill, dtype=dtype)
         hits = first[found]
         rows = hits if order is None else order[hits]
         out[found] = values.take(rows, axis=0)
@@ -471,24 +488,20 @@ class _Column:
     def find(self, id_: int, slot: int | None, index: int) -> tuple[int, Any]:
         """One key's scalar probe: ``(count, value)``, how many rows the
         key has and the ``index``-th one's value (1-based, write order;
-        None past the end) as written."""
+        None past the end) as a scalar read returns it."""
         probe = self._probe
         if probe is None:
-            # Built once: memoryviews and a list index in a fraction of
-            # numpy's scalar-indexing time.
+            # Built once: the table as a memoryview and a cache of the rows
+            # as Python values by stable key position, filled as probes
+            # touch them: a repeated probe is two memoryview gathers and
+            # one list index, a fraction of numpy's scalar-indexing time,
+            # and a column only touches what its probes reach.
             self._indexed()
-            values, order = self._values, self._order
-            objects = self.dtype.hasobject
-            if objects:
-                # The Python values in stable key order: no row lookup.
-                values = (values if order is None else values[order]).tolist()
-                order = None
             probe = self._probe = (
                 None if self._table is None else memoryview(self._table),
-                None if order is None else memoryview(order),
-                self._lo, self._hi, values, objects,
+                self._lo, self._hi, [None] * self.rows,
             )
-        table, order, lo, hi, values, as_written = probe
+        table, lo, hi, rows = probe
         if slot is None:
             key = id_
         elif self._id_keys is None:
@@ -513,14 +526,15 @@ class _Column:
             count = table[key - lo + 1] - first
         if index > count:
             return count, None
-        row = first + index - 1
-        if order is not None:
-            row = order[row]
-        if as_written:
-            return count, values[row]
-        if self.width == 1:
-            return count, values.item(row)
-        return count, tuple(values[row].tolist())
+        position = first + index - 1
+        value = rows[position]
+        if value is None:  # no stored row is None: its first probe
+            row = position if self._order is None else self._order[position]
+            values = self._values
+            value = rows[position] = (
+                values.item(row) if values.ndim == 1 else tuple(values[row].tolist())
+            )
+        return count, value
 
     def pairs(self, namespace: str) -> Iterator[tuple[tuple, Any]]:
         """``(key, value)`` rows in write order, values as read."""
@@ -543,18 +557,15 @@ class _Column:
         parts = {name: getattr(self, "_" + name) for name in _SHARED}
         if parts["sorted_keys"] is parts["ids"]:
             parts["sorted_keys"] = None
-        return {"width": self.width, "dtype": self.dtype, **parts}
+        return parts
 
     @classmethod
-    def from_shared_parts(
-        cls, width: int, dtype: np.dtype, **parts: Any
-    ) -> "_Column":
+    def from_shared_parts(cls, **parts: Any) -> "_Column":
         """Rebuild a read-only column over externally-held (e.g. shared-
         memory) arrays without copying. The result is for lookups only;
         appending to it is unsupported (shadow stores are sealed).
         """
         column = cls(parts["slots"] is not None)
-        column.width, column.dtype = width, np.dtype(dtype)
         column.rows = int(parts["ids"].size)
         if parts["table"] is None and parts["sorted_keys"] is None:
             parts["sorted_keys"] = parts["ids"]
@@ -565,39 +576,46 @@ class _Column:
 
 # What a column shares across processes, by attribute name less the "_".
 _SHARED = (
-    "ids", "values", "slots", "sorted_keys", "order", "table", "lo", "hi",
+    "layout", "ids", "values", "slots", "sorted_keys", "order", "table", "lo", "hi",
     "n_distinct", "slot_range", "id_keys", "slot_keys",
 )
 
 
-def value_words(value: Any) -> int:
-    """Number of machine words a key or value occupies.
-
-    Scalars (int, float, str treated as an interned symbol) count as one
-    word; tuples count component-wise. Used to enforce the model's
-    constant-size bound on key-value pairs.
-    """
-    if type(value) is tuple:
-        # Fast path: flat tuples are by far the common case (profiled).
-        total = 0
-        for v in value:
-            total += value_words(v) if type(v) is tuple else 1
-        return total
-    return 1
-
-
-def check_write(key: Hashable, value: Any, max_words: int) -> None:
-    """Enforce the model's constant-size bound on one key-value pair.
+def check_write(
+    key: Hashable, value: Any, max_words: int
+) -> tuple[tuple[tuple[str, int], int, int | None], tuple[np.dtype, tuple]]:
+    """Enforce the model's word bound on one key-value pair.
 
     The one definition of a scalar write's validity: the real store
     applies it before storing, the process backend's worker-side journal
     before journaling, so a model violation raises the same error type
-    and message wherever the machine program ran.
+    and message wherever the machine program ran. A key that is not
+    ``(str, int64[, int64])`` or a value that is not a word row (see
+    :func:`_row_layout`) raises :class:`TypeError` naming the namespace;
+    one of more than ``max_words`` words, :class:`ValueSizeError`.
+    Returns where the pair goes, ``((namespace, arity), id, slot)``, and
+    the value's row layout.
     """
-    if value_words(key) > max_words:
+    where = _route(key)
+    if where is None:
+        raise TypeError(
+            f"DDS key of namespace "
+            f"{key[0] if type(key) is tuple and key else key!r} is not "
+            f"(str, int64[, int64]): {reprlib.repr(key)}"
+        )
+    if len(key) > max_words:
         raise ValueSizeError(f"key exceeds {max_words} words: {key!r}")
-    if value_words(value) > max_words:
+    if type(value) is int and -_I64 <= value < _I64:
+        return where, _INT_ROW  # the common case, checked inline
+    layout = _row_layout(value)
+    if layout is None:
+        raise TypeError(
+            f"DDS value of namespace {where[0][0]!r} is not an int, a float "
+            f"or a flat tuple of them: {reprlib.repr(value)}"
+        )
+    if layout[1] and layout[1][0] > max_words:
         raise ValueSizeError(f"value exceeds {max_words} words: {value!r}")
+    return where, layout
 
 
 def check_write_array(
@@ -616,6 +634,11 @@ def check_write_array(
         )
     ids = int64_keys(namespace, ids)
     values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise TypeError(
+            f"values of namespace {namespace!r} must have a bool, int or "
+            f"float dtype, got {values.dtype}"
+        )
     if ids.ndim != 1:
         raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
     if values.ndim not in (1, 2) or len(values) != ids.size:
@@ -638,9 +661,7 @@ def check_write_array(
             f"({namespace!r}, id{', slot' if slots is not None else ''})"
         )
     if width > max_words:
-        raise ValueSizeError(
-            f"values exceed {max_words} words: width {width}"
-        )
+        raise ValueSizeError(f"values exceed {max_words} words: width {width}")
     return ids, values, slots
 
 
@@ -660,7 +681,6 @@ class DistributedDataStore:
         "seed",
         "max_words",
         "_columns",
-        "_other",
         "_sealed",
         "_server_reads",
         "_read_counts",
@@ -681,10 +701,8 @@ class DistributedDataStore:
         self.n_servers = n_servers
         self.seed = seed
         self.max_words = max_words
-        # (namespace, key arity) -> every (str, int64[, int64]) key's rows.
+        # (namespace, key arity) -> that namespace's rows.
         self._columns: dict[tuple[str, int], _Column] = {}
-        # Every other key -> its values in write order.
-        self._other: dict[Hashable, list[Any]] = {}
         # key -> owning server, memoized so repeated reads don't re-hash
         # (profiling showed per-read hashing dominating).
         self._server_map: dict[Hashable, int] = {}
@@ -705,25 +723,18 @@ class DistributedDataStore:
         n_servers: int,
         seed: int,
         max_words: int,
-        other: dict,
         columns: dict[tuple[str, int], _Column],
     ) -> "DistributedDataStore":
         """Reconstruct a sealed read-only twin of an exported store.
 
         Used by the process backend (:mod:`repro.parallel`): workers
         serve the round's adaptive reads from a shadow wired to the
-        parent's columns (numeric arrays in shared memory, zero copy) and
-        object-keyed dict. The shadow starts with zeroed read counters, so
+        parent's columns (arrays in shared memory, zero copy). The shadow
+        starts with zeroed read counters, so
         ``n_reads`` / ``_server_reads`` accumulated worker-side are
         exactly the deltas to merge back into the parent's store.
         """
-        store = cls(
-            round_index=round_index,
-            n_servers=n_servers,
-            seed=seed,
-            max_words=max_words,
-        )
-        store._other = other
+        store = cls(round_index, n_servers, seed, max_words)
         store._columns = columns
         store._sealed = True
         return store
@@ -736,10 +747,6 @@ class DistributedDataStore:
             server = server_of(key, self.n_servers, self.seed)
             self._server_map[key] = server
         return server
-
-    def _place_write(self, key: Hashable) -> None:
-        """Attribute one stored pair to the server(s) owning ``key``."""
-        self._server_items[self._owner_of(key)] += 1
 
     def _serve_read(self, key: Hashable) -> None:
         """Attribute one read to the server answering it."""
@@ -763,7 +770,8 @@ class DistributedDataStore:
         return counts
 
     def _place_write_array(self, parts: Sequence[Any]) -> None:
-        """Batch :meth:`_place_write` over column-decomposed keys."""
+        """Attribute stored pairs, a column-decomposed key batch, to the
+        servers owning them."""
         self._server_items += self._histogram(parts)
 
     def _serve_read_array(self, parts: Sequence[Any]) -> None:
@@ -793,11 +801,13 @@ class DistributedDataStore:
 
         Duplicate keys accumulate: the j-th write of key ``x`` becomes
         addressable as ``(x, j)`` with j starting at 1, and a plain read of
-        ``x`` returns the first value written.
+        ``x`` returns the first value written. The key and value must be
+        words (:func:`check_write`), the value of the row layout the
+        namespace's first write fixed: int64, or float64 if any component
+        is a float, as many words as the tuple is long.
         """
         if self._sealed:
             raise self._sealed_error()
-        check_write(key, value, self.max_words)
         self._put(key, value)
         self.n_writes += 1
 
@@ -806,23 +816,14 @@ class DistributedDataStore:
 
         Same contents, ``n_writes`` and placement histogram as one
         :meth:`write` per pair in order — a pair that fails validation
-        raises with every earlier pair written — at one seal check.
+        raises with every earlier pair written — at one seal check. The
+        process backend's journal merge writes through it too.
         """
-        return self._write_pairs(pairs, self.max_words)
-
-    def _write_pairs(
-        self, pairs: Iterable[tuple[Hashable, Any]], max_words: int | None
-    ) -> int:
-        """The one bulk scalar-write path: :meth:`write_many`, and the
-        process backend's journal merge with ``max_words=None`` (its
-        pairs were validated when the worker journaled them)."""
         if self._sealed:
             raise self._sealed_error()
         count = 0
         try:
             for key, value in pairs:
-                if max_words is not None:
-                    check_write(key, value, max_words)
                 self._put(key, value)
                 count += 1
         finally:
@@ -830,15 +831,11 @@ class DistributedDataStore:
         return count
 
     def _put(self, key: Hashable, value: Any) -> None:
-        """Store one validated pair: in its column's pending chunk, placed
-        when the chunk closes (one hash sweep), or in the object dict,
-        placed now."""
-        where = _route(key)
-        if where is None:
-            self._other.setdefault(key, []).append(value)
-            self._place_write(key)
-            return
-        self._column(where[0]).put(where[1], where[2], value)
+        """Validate one pair and add it to its column's pending chunk,
+        placed when the chunk closes (one hash sweep)."""
+        (column_key, id_, slot), layout = check_write(key, value, self.max_words)
+        column = self._columns.get(column_key) or self._column(column_key)
+        column.put(id_, slot, value, layout)
 
     def _column(self, key: tuple[str, int]) -> _Column:
         """The column of ``(namespace, arity)``, created empty if new."""
@@ -848,7 +845,10 @@ class DistributedDataStore:
         return column
 
     def _close_pending(self) -> None:
-        """Close every column's pending chunk and place its rows."""
+        """Close every column's pending chunk and place its rows (a sealed
+        store has none)."""
+        if self._sealed:
+            return
         for (namespace, _), column in self._columns.items():
             closed = column.close()
             if closed is not None:
@@ -868,9 +868,10 @@ class DistributedDataStore:
         same duplicate-key bucket semantics, same seal discipline — but the
         whole batch is placed with one vectorized hash sweep and one
         ``np.bincount``. ``values`` is 1-D (one word per value) or 2-D with
-        ``values.shape[1]`` words per value. Duplicates index in write
-        order, across ``write`` and ``write_array`` alike. Ids (and slots)
-        must have an integer dtype.
+        ``values.shape[1]`` words per value, of a bool, int or float
+        dtype; it must match the layout the namespace's first write
+        fixed. Duplicates index in write order, across ``write`` and
+        ``write_array`` alike. Ids (and slots) must have an integer dtype.
 
         With ``slots`` (an int64 array parallel to ``ids``), the row keys
         are the 3-part ``(namespace, ids[i], slots[i])`` — the adjacency
@@ -907,22 +908,15 @@ class DistributedDataStore:
             # _route's answer for exact str / int parts, inlined: the hot
             # read path.
             id_, slot = key[1], key[2] if arity == 3 else None
-            if (
-                type(key[0]) is str and type(id_) is int
-                and -_I64 <= id_ < _I64 and (
-                    arity == 2 or type(slot) is int and -_I64 <= slot < _I64
-                )
+            if type(key[0]) is str and type(id_) is int and -_I64 <= id_ < _I64 and (
+                arity == 2 or type(slot) is int and -_I64 <= slot < _I64
             ):
                 column = self._columns.get((key[0], arity))
                 return (0, None) if column is None else column.find(
                     id_, slot, index
                 )
         where = _route(key)
-        if where is None:
-            values = self._other.get(key, ())
-            count = len(values)
-            return count, values[index - 1] if index <= count else None
-        column = self._columns.get(where[0])
+        column = None if where is None else self._columns.get(where[0])
         if column is None:
             return 0, None
         return column.find(where[1], where[2], index)
@@ -957,9 +951,8 @@ class DistributedDataStore:
         castable to the namespace's value dtype); pass
         ``return_found=True`` to also get the hit mask. With ``slots``,
         the probed keys are the 3-part ``(namespace, id, slot)``. Pairs
-        written by scalar :meth:`write` are read like any other; their
-        namespace is object-valued, so the result is an object array of
-        the values as written.
+        written by scalar :meth:`write` are read like any other: the
+        result has the namespace's row layout whichever call wrote it.
         """
         if not self._sealed:
             raise self._unsealed_error()
@@ -970,13 +963,10 @@ class DistributedDataStore:
         self._serve_read_array(_key_parts(namespace, ids, slots))
         column = self._columns.get((namespace, 2 if slots is None else 3))
         if column is None:
-            out = np.full(ids.size, fill)
-            found = np.zeros(ids.size, bool)
+            out, found = np.full(ids.size, fill), np.zeros(ids.size, bool)
         else:
             out, found = column.lookup(ids, fill, slots=slots)
-        if return_found:
-            return out, found
-        return out
+        return (out, found) if return_found else out
 
     def serve_reads_array(self, parts: Sequence[Any]) -> None:
         """Charge a batch of reads without fetching values.
@@ -1002,27 +992,18 @@ class DistributedDataStore:
 
         The one harvest of a round's output, whichever calls wrote it:
         every ``(namespace, id)`` pair in write order, duplicates
-        included. ``values`` keeps a numeric column's dtype and width
-        (views of the store's arrays: do not mutate); an object-valued
-        column (one a scalar write touched) yields ``np.asarray`` of the
-        values, so k-tuples become a ``(rows, k)`` array, or the object
-        array of them when they form no other array. An absent
-        namespace yields two empty arrays. Uncharged, like :meth:`items`:
+        included. ``values`` has the namespace's row layout: 1-D for
+        one-word rows, ``(rows, k)`` for k-word rows (views of the
+        store's arrays: do not mutate). An absent namespace yields two
+        empty arrays. Uncharged, like :meth:`items`:
         callers that model machine-side collection must charge reads
         through the runtime.
         """
-        if not self._sealed:
-            self._close_pending()
+        self._close_pending()
         column = self._columns.get((namespace, 2))
         if column is None:
             return np.asarray([], dtype=np.int64), np.asarray([])
-        ids, values = column.write_order()
-        if values.dtype.hasobject:
-            try:
-                values = np.asarray(values.tolist())
-            except ValueError:
-                pass  # a mix of scalars and tuples: no array but objects
-        return ids, values
+        return column.write_order()
 
     def get_indexed(self, key: Hashable, index: int) -> Any:
         """Query the ``index``-th (1-based) pair with this key, or None.
@@ -1052,11 +1033,8 @@ class DistributedDataStore:
 
     def __len__(self) -> int:
         """Number of distinct keys stored."""
-        if not self._sealed:
-            self._close_pending()
-        return len(self._other) + sum(
-            column.n_distinct for column in self._columns.values()
-        )
+        self._close_pending()
+        return sum(column.n_distinct for column in self._columns.values())
 
     @property
     def n_pairs(self) -> int:
@@ -1065,18 +1043,14 @@ class DistributedDataStore:
 
     def items(self) -> Iterator[tuple[Hashable, Any]]:
         """Iterate all (key, value) pairs: each column's rows in write
-        order, then the object-keyed pairs, each key's in write order.
+        order, columns in the order their namespaces were first written.
 
         Coordinator-side convenience for collecting round outputs; per-pair
         read charging is handled by the runtime helpers that call it.
         """
-        if not self._sealed:
-            self._close_pending()
+        self._close_pending()
         for (namespace, _), column in self._columns.items():
             yield from column.pairs(namespace)
-        for key, values in self._other.items():
-            for value in values:
-                yield key, value
 
     # -- contention accounting (Lemma 2.1) --------------------------------
 
@@ -1088,8 +1062,7 @@ class DistributedDataStore:
     @property
     def server_item_loads(self) -> np.ndarray:
         """Key-value pairs stored per DDS server (copy)."""
-        if not self._sealed:
-            self._close_pending()
+        self._close_pending()
         return self._server_items.copy()
 
     def max_server_load(self) -> int:
@@ -1198,16 +1171,13 @@ class ReplicatedDataStore(DistributedDataStore):
             self._replica_map[key] = replicas
         return replicas
 
-    def _place_write(self, key: Hashable) -> None:
-        for server in self.replicas_of(key):
-            self._server_items[server] += 1
-
     def _place_write_array(self, parts: Sequence[Any]) -> None:
         # Replication placement is per-key (distinct-replica search), so
-        # the batch degrades to the scalar loop — the price block
-        # programs pay for running under a fault plan.
+        # the batch degrades to a scalar loop — the price block programs
+        # pay for running under a fault plan.
         for key in _batch_keys(parts):
-            self._place_write(key)
+            for server in self.replicas_of(key):
+                self._server_items[server] += 1
 
     def _serve_read_array(self, parts: Sequence[Any]) -> None:
         # Per-key failover (outage probing, injector hooks) cannot be

@@ -307,8 +307,7 @@ def _replay_ops(
     and the real next store, in the order the machine issued them. A run
     of scalar writes fires its hooks, then applies through the store's
     one bulk path — hooks see only the context, so the order within a
-    run is not observable; the run's pairs were validated when they
-    were journaled."""
+    run is not observable."""
     scalar_hooks = fan is not None and fan.any_machine_scalar_hooks
     batch_hooks = fan is not None and fan.any_machine_batch_hooks
     for op in ops:
@@ -317,7 +316,7 @@ def _replay_ops(
             if scalar_hooks:
                 for key, _ in op[1]:
                     fan.on_machine_write(ctx, key)
-            next_store._write_pairs(op[1], None)
+            next_store.write_many(op[1])
         elif kind == "wa":
             if batch_hooks:
                 fan.on_machine_write_batch(ctx, op[1], op[2])

@@ -12,7 +12,10 @@ CREW is natural) and emits writes for the next step's memory. Write
 conflicts resolve by minimum value (common-CRCW style, deterministic);
 EREW/CREW programs never trigger it.
 
-Memory is carried forward between steps by rewriting the touched cells —
+Addresses are int64 ids and every cell holds one DDS word (an int, a
+float or a flat tuple of them), so a cell is the DDS pair
+``("mem", address)``. Memory is carried forward between steps by
+rewriting the touched cells —
 the simulator keeps the full memory dict driver-side and republished
 cells are charged as the round's setup writes, matching the MPC→AMPC
 simulation's cost structure.
@@ -20,14 +23,14 @@ simulation's cost structure.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable
+from typing import Any, Callable
 
 from .config import AMPCConfig
 from .runtime import AMPCRuntime
 
 # A processor program: (proc_id, read) -> iterable of (address, value)
 # writes. `read(address)` performs an adaptive DDS read of shared memory.
-ProcessorProgram = Callable[[int, Callable[[Hashable], Any]], Any]
+ProcessorProgram = Callable[[int, Callable[[int], Any]], Any]
 
 
 class PRAMSimulator:
@@ -35,20 +38,20 @@ class PRAMSimulator:
 
     Args:
         n_processors: PRAM width.
-        memory: initial shared memory (address -> value).
+        memory: initial shared memory, int64 address -> word.
         config: AMPC deployment (defaults to one sized for n_processors).
     """
 
     def __init__(
         self,
         n_processors: int,
-        memory: dict[Hashable, Any] | None = None,
+        memory: dict[int, Any] | None = None,
         config: AMPCConfig | None = None,
     ) -> None:
         if n_processors < 1:
             raise ValueError("need at least one processor")
         self.n_processors = n_processors
-        self.memory: dict[Hashable, Any] = dict(memory or {})
+        self.memory: dict[int, Any] = dict(memory or {})
         self.config = config or AMPCConfig.for_input(
             max(n_processors, 16), seed=0
         )
@@ -70,7 +73,7 @@ class PRAMSimulator:
                 yield ("mem", address), value
 
         def worker(ctx, proc_id: int):
-            def read(address: Hashable) -> Any:
+            def read(address: int) -> Any:
                 return ctx.read(("mem", address))
 
             writes = program(proc_id, read)
@@ -83,9 +86,9 @@ class PRAMSimulator:
         result = self.runtime.round(
             list(range(self.n_processors)), worker, setup=setup(), tag=label
         )
-        pending: dict[Hashable, Any] = {}
+        pending: dict[int, Any] = {}
         for key, value in result.store.items():
-            if isinstance(key, tuple) and key[0] == "out":
+            if key[0] == "out":
                 address = key[2]
                 if address in pending:
                     pending[address] = min(pending[address], value)

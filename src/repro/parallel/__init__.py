@@ -61,8 +61,9 @@ one loop — the one a chaos runtime's machine commits a finished attempt
 through (:mod:`repro.core.machine`): a worker journals consecutive
 scalar writes as one run, which the parent applies with the store's one
 bulk scalar-write path (the one ``write_many`` uses: one seal check, one
-placement hash sweep per column chunk, no re-validation), and batch
-writes go straight through ``write_array``. Armed machine hooks fire in op order as the loop
+placement hash sweep per column chunk, each pair checked again by
+``check_write``, whose row-layout check only the store can make), and
+batch writes go straight through ``write_array``. Armed machine hooks fire in op order as the loop
 passes. The ``replay_items`` cell of ``repro perf collect --suite
 smoke`` (process-backend matching: per-item rounds, scalar writes)
 measures this constant.

@@ -6,18 +6,12 @@ workers attach zero-copy numpy views over those segments, and the arena
 unlinks everything in a ``finally`` around the round — covering normal
 completion, worker exceptions, chaos-induced aborts, and
 KeyboardInterrupt. Workers never create or unlink segments, only attach
-and close, so a crashed worker cannot leak ``/dev/shm`` entries.
-
-Only numeric column arrays travel through shared memory (that is the
-graph-sized data); the object-valued parts — the values of columns a
-scalar write touched, and the object-keyed dict of every other key — are
-pickled once into a shared blob so the parent pays serialization once,
-not once per worker.
+and close, so a crashed worker cannot leak ``/dev/shm`` entries. A store
+holds numeric columns only, so its arrays are all that travels.
 """
 
 from __future__ import annotations
 
-import pickle
 import weakref
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
@@ -62,9 +56,7 @@ def _mmap_descriptor(array: np.ndarray) -> dict | None:
     Returns None for anything that is not cleanly re-mappable (the
     caller then falls back to a segment copy).
     """
-    if array.nbytes == 0 or array.dtype.hasobject:
-        return None
-    if not array.flags.c_contiguous:
+    if array.nbytes == 0 or not array.flags.c_contiguous:
         return None
     root = array
     while isinstance(root.base, np.ndarray):
@@ -106,8 +98,8 @@ class ShmArena:
     """Parent-side owner of one parallel round's shared-memory segments.
 
     Use as a context manager (or call :meth:`close` in a ``finally``):
-    every segment created through :meth:`share_array` / :meth:`share_bytes`
-    is closed *and unlinked* on exit, on every exit path.
+    every segment created through :meth:`share_array` is closed *and
+    unlinked* on exit, on every exit path.
     """
 
     __slots__ = ("_segments", "closed", "__weakref__")
@@ -121,8 +113,8 @@ class ShmArena:
         """Copy ``array`` into a fresh segment; returns a picklable
         descriptor :func:`attached` workers turn back into a view.
 
-        Zero-size and object-dtype arrays are shipped inline (a segment
-        cannot hold them / adds nothing). File-backed (``np.memmap``)
+        Zero-size arrays are shipped inline (a segment adds nothing).
+        File-backed (``np.memmap``)
         arrays skip the segment entirely: workers re-map the backing
         file read-only, so an out-of-core column crosses the process
         boundary without a second full copy.
@@ -131,20 +123,12 @@ class ShmArena:
         if mapped is not None:
             return mapped
         arr = np.ascontiguousarray(array)
-        if arr.nbytes == 0 or arr.dtype.hasobject:
+        if arr.nbytes == 0:
             return {"inline": arr}
         segment = self._new_segment(arr.nbytes)
         view: np.ndarray = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)
         view[...] = arr
         return {"name": segment.name, "shape": arr.shape, "dtype": arr.dtype.str}
-
-    def share_bytes(self, blob: bytes) -> dict:
-        """Place an opaque byte blob in a segment (inline when empty)."""
-        if not blob:
-            return {"inline_bytes": b""}
-        segment = self._new_segment(len(blob))
-        segment.buf[: len(blob)] = blob
-        return {"name": segment.name, "nbytes": len(blob)}
 
     def _new_segment(self, size: int) -> shared_memory.SharedMemory:
         """Create one segment of ``size`` bytes, owned by this arena."""
@@ -210,15 +194,6 @@ class AttachedSegments:
             buffer=segment.buf,
         )
 
-    def blob(self, descriptor: dict) -> Any:
-        """A buffer over the blob segment (or the inline bytes)."""
-        inline = descriptor.get("inline_bytes")
-        if inline is not None:
-            return inline
-        segment = shared_memory.SharedMemory(name=descriptor["name"])
-        self._segments.append(segment)
-        return segment.buf[: descriptor["nbytes"]]
-
     def close(self) -> None:
         for segment in self._segments:
             try:
@@ -232,12 +207,11 @@ def export_store(store: DistributedDataStore, arena: ShmArena) -> dict:
     """Picklable descriptor of a sealed read store, column arrays in shm.
 
     Column indexes are built here, once, in the parent, and only the
-    numeric arrays a column actually holds go into segments
+    arrays a column actually holds go into segments
     (:meth:`_Column.share_parts`: position table *or* sorted keys, row
     order only when the keys were written out of order) — workers resolve
     reads through the parent's index form instead of re-indexing per
-    process. Object-valued parts and the object-keyed dict go into one
-    pickled blob. Raises :class:`StoreExportError` for store subclasses
+    process. Raises :class:`StoreExportError` for store subclasses
     (replicated / chaos stores have per-key failover state that must stay
     serial).
     """
@@ -246,26 +220,19 @@ def export_store(store: DistributedDataStore, arena: ShmArena) -> dict:
             f"cannot export {type(store).__name__} to the process backend; "
             f"only plain DistributedDataStore rounds shard"
         )
-    columns: dict = {}
-    objects: dict = {}
-    for key, column in store._columns.items():
-        parts = columns[key] = column.share_parts()
-        for name, part in parts.items():
-            if isinstance(part, np.ndarray) and part.dtype.hasobject:
-                objects[key, name], parts[name] = part, None
-            elif isinstance(part, np.ndarray):
-                parts[name] = arena.share_array(part)
-    blob = (
-        pickle.dumps((store._other, objects), protocol=pickle.HIGHEST_PROTOCOL)
-        if store._other or objects
-        else b""
-    )
+    columns = {
+        key: {
+            name: arena.share_array(part) if isinstance(part, np.ndarray)
+            else part
+            for name, part in column.share_parts().items()
+        }
+        for key, column in store._columns.items()
+    }
     return {
         "round_index": store.round_index,
         "n_servers": store.n_servers,
         "seed": store.seed,
         "max_words": store.max_words,
-        "data": arena.share_bytes(blob),
         "columns": columns,
     }
 
@@ -282,12 +249,9 @@ def attach_store(
     """
     handles = AttachedSegments()
     try:
-        raw = handles.blob(export["data"])
-        other, objects = pickle.loads(raw) if len(raw) else ({}, {})
         columns = {
             key: _Column.from_shared_parts(**{
-                name: objects.get((key, name)) if part is None
-                else handles.array(part) if isinstance(part, dict) else part
+                name: handles.array(part) if isinstance(part, dict) else part
                 for name, part in parts.items()
             })
             for key, parts in export["columns"].items()
@@ -297,7 +261,6 @@ def attach_store(
             n_servers=export["n_servers"],
             seed=export["seed"],
             max_words=export["max_words"],
-            other=other,
             columns=columns,
         )
         return store, handles

@@ -242,9 +242,9 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
         return run_lookups
     if bench == "dds_get":
         # The one scalar read path, placement included: store.get over
-        # 1,000 keys of a write_array namespace (numeric column) and
-        # 1,000 keys of a write_many namespace (object-valued column) of
-        # one sealed store, hits and misses both.
+        # 1,000 keys each of two numeric columns of one sealed store, one
+        # written by write_array and one by write_many, hits and misses
+        # both.
         import numpy as np
 
         from repro.core.dds import DistributedDataStore

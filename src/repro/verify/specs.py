@@ -215,11 +215,12 @@ def prim(d: int) -> Callable[..., Any]:
 def walk(ctx, v: int):
     """Algorithm 1, step 2: sample ``v`` walks successor pointers to the
     next sample, absorbing what it passes (``("absorb", u) -> (v,
-    distance)``); returns its new successor and link length."""
+    distance)``, a float row as the production round writes it); returns
+    its new successor and link length."""
     cur = ctx.read(("succ", v))
     cum = ctx.read(("len", v))
     while cur != TAIL and cur != v and ctx.read(("smp", cur)) is None:
-        ctx.write(("absorb", cur), (int(v), float(cum)))
+        ctx.write(("absorb", cur), (float(v), float(cum)))
         cum += ctx.read(("len", cur))
         cur = ctx.read(("succ", cur))
     return (int(cur), float(cum))

@@ -22,6 +22,7 @@ from repro.graph import generators
 from repro.graph.graph import Graph, WeightedGraph
 
 __all__ = [
+    "DDS_NAMESPACES",
     "column_ids",
     "dds_keys",
     "dds_values",
@@ -234,13 +235,33 @@ def float_arrays(
     return np.asarray(values, dtype=np.float64)
 
 
-def dds_keys() -> st.SearchStrategy:
-    """Keys as algorithms use them: scalars and small structured tuples."""
-    scalar = st.one_of(
-        st.integers(-1000, 1000),
-        st.sampled_from(["a", "b", "deg", "label", "succ"]),
+#: The namespaces :func:`dds_keys` draws, each with the one row layout
+#: :func:`dds_values` follows: int, float, int pair, and an (int, float)
+#: pair, which reads back as a float row.
+DDS_NAMESPACES = ("i", "f", "t", "m")
+
+
+def dds_keys(namespaces: tuple[str, ...] = DDS_NAMESPACES) -> st.SearchStrategy:
+    """Word keys as algorithms use them: ``(namespace, id)`` and
+    ``(namespace, id, slot)``, ids up to the int64 ends."""
+    namespace = st.sampled_from(namespaces)
+    ids = st.one_of(
+        st.integers(-3, 8), st.sampled_from([2**63 - 1, -(2**63)])
     )
-    return st.one_of(scalar, st.tuples(scalar, st.integers(0, 8)))
+    return st.one_of(
+        st.tuples(namespace, ids),
+        st.tuples(namespace, ids, st.integers(-2, 2)),
+    )
+
+
+def dds_values(namespace: str) -> st.SearchStrategy:
+    """Values of ``namespace``'s row layout (see :data:`DDS_NAMESPACES`)."""
+    integer = st.integers(-10_000, 10_000)
+    real = st.floats(-100, 100, allow_nan=False)
+    return {
+        "i": integer, "f": real, "t": st.tuples(integer, integer),
+        "m": st.tuples(integer, real),
+    }[namespace]
 
 
 @st.composite
@@ -297,12 +318,3 @@ def id_batches(
     else:
         values = rng.standard_normal(ids.size)
     return namespace, ids, values
-
-
-def dds_values() -> st.SearchStrategy:
-    """Constant-size values: scalars or short flat tuples."""
-    scalar = st.one_of(
-        st.integers(-10_000, 10_000),
-        st.floats(-100, 100, allow_nan=False),
-    )
-    return st.one_of(scalar, st.tuples(scalar, scalar))

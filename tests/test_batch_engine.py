@@ -160,8 +160,11 @@ class TestVectorizedHashing:
 
 class TestBatchStore:
     def _scalar_twin(self, namespace, ids, values, n_servers=16, seed=3):
+        # A k-word row is written as the k-tuple a scalar read returns.
         store = DistributedDataStore(0, n_servers=n_servers, seed=seed)
-        for i, v in zip(ids.tolist(), values.tolist()):
+        rows = values.tolist()
+        for i, v in zip(ids.tolist(), map(tuple, rows) if values.ndim == 2
+                        else rows):
             store.write((namespace, i), v)
         return store
 
@@ -238,7 +241,8 @@ class TestBatchStore:
         got = batched.read_array(namespace, ids)
         # Exact equality: both paths store the same float64 bits.
         want = [scalar.get((namespace, int(i))) for i in ids]
-        assert got.tolist() == want
+        rows = got.tolist()
+        assert (rows if got.ndim == 1 else list(map(tuple, rows))) == want
 
     def test_read_array_missing_ids_fill_and_found(self):
         store = DistributedDataStore(0, n_servers=8, seed=1)

@@ -165,13 +165,13 @@ class TestReplicatedDataStore:
         session = ChaosSession(FaultPlan())
         s = ReplicatedDataStore(0, 8, seed=3, replication=2,
                                 injector=session)
-        s.write("x", 1)
+        s.write(("x", 0), 1)
         s.seal()
         session.begin_attempt(
-            downed=frozenset(s.replicas_of("x")[:1]),
+            downed=frozenset(s.replicas_of(("x", 0))[:1]),
             rng=np.random.default_rng(0),
         )
-        assert s.get("x") == 1
+        assert s.get(("x", 0)) == 1
         assert session.failover_reads >= 1
 
 
@@ -183,20 +183,20 @@ class TestReplicatedDataStore:
 class TestCheckpointRestore:
     def test_restore_rewinds_counters_and_ledger(self):
         rt = AMPCRuntime(config(replication=1))
-        rt.bootstrap([("k", 7)])
+        rt.bootstrap([(("k", 0), 7)])
         cp = rt.checkpoint()
-        rt.round([0], lambda ctx, v: ctx.read("k"), tag="doomed")
+        rt.round([0], lambda ctx, v: ctx.read(("k", 0)), tag="doomed")
         assert len(rt.report.rounds) == 2
         rt.restore(cp)
         assert len(rt.report.rounds) == 1
         assert rt._round_counter == cp.round_counter
         # Replay produces the same answer against the same store.
-        result = rt.round([0], lambda ctx, v: ctx.read("k"), tag="replay")
+        result = rt.round([0], lambda ctx, v: ctx.read(("k", 0)), tag="replay")
         assert result.results == [7]
 
     def test_restore_refuses_unsealed_store(self):
         rt = AMPCRuntime(config(replication=1))
-        rt.bootstrap([("k", 1)])
+        rt.bootstrap([(("k", 0), 1)])
         cp = rt.checkpoint()
         cp.store._sealed = False
         with pytest.raises(RoundProtocolError):
@@ -343,9 +343,9 @@ class TestChaosRuntime:
             retry=RetryPolicy(max_read_attempts=2, max_round_attempts=2),
         )
         rt = ChaosRuntime(config(), plan=plan)
-        rt.bootstrap([("k", 1)])
+        rt.bootstrap([(("k", 0), 1)])
         with pytest.raises(RoundAbortedError):
-            rt.round([0, 1, 2], lambda ctx, v: ctx.read("k"))
+            rt.round([0, 1, 2], lambda ctx, v: ctx.read(("k", 0)))
 
 
 class TestArm:

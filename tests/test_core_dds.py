@@ -9,7 +9,6 @@ from repro.core import (
     StoreNotSealedError,
     StoreSealedError,
     ValueSizeError,
-    value_words,
 )
 
 
@@ -29,30 +28,33 @@ class TestWriteReadCycle:
     def test_missing_key_returns_none(self):
         store = make_store()
         store.seal()
-        assert store.get("absent") is None
+        assert store.get(("absent", 0)) is None
 
     def test_read_before_seal_raises(self):
         store = make_store()
-        store.write("a", 1)
+        store.write(("a", 0), 1)
         with pytest.raises(StoreNotSealedError):
-            store.get("a")
+            store.get(("a", 0))
 
     def test_write_after_seal_raises(self):
         store = make_store()
         store.seal()
         with pytest.raises(StoreSealedError):
-            store.write("a", 1)
+            store.write(("a", 0), 1)
 
     def test_write_many_returns_count(self):
         store = make_store()
-        assert store.write_many([("a", 1), ("b", 2), ("c", 3)]) == 3
+        assert store.write_many(
+            [(("a", 0), 1), (("b", 0), 2), (("c", 0), 3)]
+        ) == 3
 
     def test_contains_and_len_count_distinct_keys(self):
         store = make_store()
-        store.write("a", 1)
-        store.write("a", 2)
-        store.write("b", 3)
-        assert "a" in store and "b" in store and "c" not in store
+        store.write(("k", 1), 1)
+        store.write(("k", 1), 2)
+        store.write(("k", 2), 3)
+        assert ("k", 1) in store and ("k", 2) in store
+        assert ("k", 3) not in store
         assert len(store) == 2
         assert store.n_pairs == 3
 
@@ -62,50 +64,52 @@ class TestDuplicateKeys:
 
     def test_plain_get_returns_first_written(self):
         store = make_store()
-        store.write("x", "first")
-        store.write("x", "second")
+        store.write(("x", 0), 1)
+        store.write(("x", 0), 2)
         store.seal()
-        assert store.get("x") == "first"
+        assert store.get(("x", 0)) == 1
 
     def test_indexed_access_is_one_based_write_order(self):
         store = make_store()
         for i in range(5):
-            store.write("x", i * 10)
+            store.write(("x", 0), i * 10)
         store.seal()
-        assert [store.get_indexed("x", i) for i in range(1, 6)] == [
+        assert [store.get_indexed(("x", 0), i) for i in range(1, 6)] == [
             0, 10, 20, 30, 40,
         ]
 
     def test_index_past_end_returns_none(self):
         store = make_store()
-        store.write("x", 1)
+        store.write(("x", 0), 1)
         store.seal()
-        assert store.get_indexed("x", 2) is None
+        assert store.get_indexed(("x", 0), 2) is None
 
     def test_indexed_access_on_missing_key_returns_none(self):
         store = make_store()
         store.seal()
-        assert store.get_indexed("nope", 1) is None
+        assert store.get_indexed(("nope", 0), 1) is None
 
     def test_zero_index_rejected(self):
         store = make_store()
         store.seal()
         with pytest.raises(ValueError):
-            store.get_indexed("x", 0)
+            store.get_indexed(("x", 0), 0)
 
     def test_multiplicity(self):
         store = make_store()
-        store.write("x", 1)
-        store.write("x", 2)
-        assert store.multiplicity("x") == 2
-        assert store.multiplicity("y") == 0
+        store.write(("x", 0), 1)
+        store.write(("x", 0), 2)
+        assert store.multiplicity(("x", 0)) == 2
+        assert store.multiplicity(("y", 0)) == 0
 
     def test_items_expands_buckets(self):
         store = make_store()
-        store.write("x", 1)
-        store.write("x", 2)
-        store.write("y", 3)
-        assert sorted(store.items()) == [("x", 1), ("x", 2), ("y", 3)]
+        store.write(("x", 0), 1)
+        store.write(("x", 0), 2)
+        store.write(("y", 0), 3)
+        assert sorted(store.items()) == [
+            (("x", 0), 1), (("x", 0), 2), (("y", 0), 3),
+        ]
 
     def test_write_and_write_array_share_one_bucket(self):
         store = make_store()
@@ -128,17 +132,95 @@ class TestConstantSizeBound:
     def test_oversized_value_rejected(self):
         store = make_store(max_words=2)
         with pytest.raises(ValueSizeError):
-            store.write("k", (1, 2, 3))
+            store.write(("k", 0), (1, 2, 3))
 
     def test_oversized_key_rejected(self):
         store = make_store(max_words=2)
         with pytest.raises(ValueSizeError):
-            store.write(("a", "b", "c"), 1)
+            store.write(("a", 1, 2), 1)
 
-    def test_value_words_counts_tuple_components(self):
-        assert value_words(5) == 1
-        assert value_words((1, 2.0, "x")) == 3
-        assert value_words(((1, 2), 3)) == 3
+    @pytest.mark.parametrize("value", [
+        list(range(100_000)), "x" * (1 << 20), np.arange(1000), "x", None,
+        (1, "x"), ((1, 2), 3), (), 2**63, -(2**63) - 1, (1, 2**64), 1j,
+    ], ids=["list", "1MB-str", "ndarray", "str", "None", "str-in-tuple",
+            "nested-tuple", "empty-tuple", "int-past-int64",
+            "int-below-int64", "tuple-int-past-int64", "complex"])
+    def test_non_word_value_raises_type_error_naming_the_namespace(
+            self, value):
+        store = make_store()
+        with pytest.raises(TypeError, match="namespace 'v'") as info:
+            store.write(("v", 1), value)
+        assert len(str(info.value)) < 200
+        assert store.n_writes == 0 and len(store) == 0
+
+    @pytest.mark.parametrize("key", [
+        ("k", 2**63), ("k", -(2**63) - 1), ("k", 1, 2**64), ("k", 1.5),
+        ("k", "1"), ("k", 1, "x"), ("k",), (5, 1), ("k", 1, 2, 3), "k", (),
+        ("k", (1, 2)),
+    ])
+    def test_non_word_key_raises_type_error(self, key):
+        store = make_store()
+        with pytest.raises(TypeError, match="not \\(str, int64"):
+            store.write(key, 1)
+        assert store.n_writes == 0
+
+    def test_words_of_every_kind_roundtrip(self):
+        store = make_store()
+        pairs = [
+            (("i", -(2**63)), 2**63 - 1), (("f", 1), 2.5),
+            (("t", 1), (1, 2)), (("m", 1), (1, 2.5)),
+            (("b", np.int32(3), True), np.int64(7)), (("g", 1), np.float32(0.5)),
+            (("o", 1), (5,)),
+        ]
+        store.write_many(pairs)
+        store.seal()
+        assert [store.get(key) for key, _ in pairs] == [
+            2**63 - 1, 2.5, (1, 2), (1.0, 2.5), 7, 0.5, (5,),
+        ]
+        assert store.get(("b", 3, 1)) == 7
+        assert type(store.get(("m", 1))[0]) is float
+        assert store.read_namespace("t")[1].tolist() == [[1, 2]]
+        assert store.read_namespace("m")[1].dtype == np.float64
+
+
+class TestRowLayout:
+    """The first write to a namespace fixes its row layout; a write of
+    another layout raises, whichever calls made the two."""
+
+    @pytest.mark.parametrize("first, then", [
+        (1, (1, 2)), ((1, 2), 1), (1, 1.5), (1.5, 1), ((1, 2), (1, 2, 3)),
+        ((1, 2), (1, 2.5)), (1, (1,)),
+    ])
+    def test_scalar_writes_of_another_layout_raise(self, first, then):
+        store = make_store()
+        store.write(("n", 1), first)
+        with pytest.raises(ValueError, match="layout changed"):
+            store.write(("n", 2), then)
+        store.seal()
+        assert list(store.items()) == [(("n", 1), first)]
+        assert store.n_writes == 1
+
+    def test_scalar_and_array_writes_share_one_layout(self):
+        store = make_store()
+        store.write_array("a", np.array([1]), np.array([1.5]))
+        store.write(("a", 2), 2.5)
+        with pytest.raises(ValueError, match="layout changed"):
+            store.write(("a", 3), 3)
+        store.write(("b", 1), (1, 2))
+        with pytest.raises(ValueError, match="layout changed"):
+            store.write_array("b", np.array([2]), np.array([3]))
+        store.write_array("b", np.array([2]), np.array([[3, 4]]))
+        store.seal()
+        assert store.read_array("a", np.array([1, 2])).tolist() == [1.5, 2.5]
+        assert store.get(("b", 2)) == (3, 4)
+
+    @pytest.mark.parametrize("values", [
+        np.array(["x"]), np.array([None], dtype=object), np.array([1j]),
+    ], ids=["str", "object", "complex"])
+    def test_write_array_needs_a_numeric_dtype(self, values):
+        store = make_store()
+        with pytest.raises(TypeError, match="namespace 'a'"):
+            store.write_array("a", np.array([1]), values)
 
 
 class TestContentionAccounting:
@@ -162,10 +244,10 @@ class TestContentionAccounting:
 
     def test_repeated_key_reads_hit_same_server(self):
         store = make_store(n_servers=8)
-        store.write("hot", 1)
+        store.write(("hot", 0), 1)
         store.seal()
         for _ in range(50):
-            store.get("hot")
+            store.get(("hot", 0))
         assert store.max_server_load() == 50
 
 
@@ -174,10 +256,10 @@ class TestWriteMany:
     places the keys."""
 
     PAIRS = [
-        (("k", 3), 1), (("k", -2), 2), (("k", 2**63), 3), (("k", 3), 4),
-        (("k", np.int64(5)), 5), (("a", 1, 2), 6), (("a", 2**64, 0), 7),
-        ("plain", 8), (("k", True), 9), ((1, 2), 10), (("a", 1, 2), 11),
-        ((), 12), (("k",), 13), (("a", 1, 2, 3), 14), (("k", 3), 15),
+        (("k", 3), 1), (("k", -2), 2), (("k", 2**63 - 1), 3), (("k", 3), 4),
+        (("k", np.int64(5)), 5), (("a", 1, 2), 6), (("a", -(2**63), 0), 7),
+        (("f", 8), 8.5), (("k", True), 9), (("t", 1), (1, 2)),
+        (("a", 1, 2), 11), (("t", 1, 1), (1.5, 2)), (("k", 3), 15),
     ]
 
     @pytest.mark.parametrize("replication", [None, 2])
@@ -274,7 +356,7 @@ class TestBulkReadsSeeScalarPairs:
         return DistributedDataStore.attach_shadow(
             round_index=store.round_index, n_servers=store.n_servers,
             seed=store.seed, max_words=store.max_words,
-            other=dict(store._other), columns=dict(store._columns),
+            columns=dict(store._columns),
         )
 
     def test_read_array_sees_a_scalar_written_namespace(self):
@@ -310,7 +392,6 @@ class TestBulkReadsSeeScalarPairs:
         store.write(("b", 4), 40)
         store.write(("b", 4), 41)
         store.write(("c", 1, 2), 9)  # a slotted key is not in namespace "c"
-        store.write(("other", "k"), 1)
         store.seal()
         assert store.read_array("a", np.array([2, 3])).tolist() == [20, 0]
         assert store.read_array("c", np.array([1])).tolist() == [0]
@@ -322,43 +403,41 @@ class TestBulkReadsSeeScalarPairs:
 
     def test_scalar_values_are_kept_exactly(self):
         store = make_store()
-        store.write_array("v", np.array([1]), np.array([[1, 2]]))
+        store.write_array("v", np.array([1]), np.array([[1.0, 2.0]]))
         store.write(("v", 2), (3, 4.5))
-        store.write(("v", 3), 2**70)
+        store.write(("v", 3), (2**53, 0.25))
         store.seal()
         assert [store.get(("v", i)) for i in (1, 2, 3)] == [
-            (1, 2), (3, 4.5), 2**70,
+            (1, 2), (3, 4.5), (2**53, 0.25),
         ]
-        out = store.read_array("v", np.array([3, 1, 9]), fill=None)
-        assert out.dtype == object and out.tolist() == [2**70, (1, 2), None]
+        out = store.read_array("v", np.array([3, 1, 9]), fill=-1)
+        assert out.dtype == np.float64
+        assert out.tolist() == [[2**53, 0.25], [1, 2], [-1, -1]]
 
 
 class TestWhereKeysLive:
     """A (str, int64[, int64]) key lives in its namespace's column,
-    whichever call wrote it; every other key in the object dict."""
+    whichever call wrote it; no other key is stored."""
 
-    def test_other_keys_live_in_the_object_dict(self):
+    def test_reads_of_other_keys_miss(self):
         store = make_store()
-        keys = [("k", 1, "x"), ("k", 2**63), ("k", 1.5), (5, 1), ("k",), "k"]
-        for i, key in enumerate(keys):
-            store.write(key, i)
         store.write(("k", 1), 99)
         store.seal()
-        assert [store.get(key) for key in keys] == list(range(len(keys)))
+        for key in [("k", 1, "x"), ("k", 2**63), ("k", 1.5), (5, 1), "k"]:
+            assert store.get(key) is None and key not in store
         assert store.get(("k", 1)) == 99
         assert set(store._columns) == {("k", 2)}
-        assert len(store) == len(keys) + 1
-        assert store.read_namespace("k")[0].tolist() == [1]
+        assert len(store) == 1
 
     def test_numpy_and_bool_ids_share_their_int_key(self):
         store = make_store()
-        store.write(("k", np.int64(3)), "a")
-        store.write(("k", 3), "b")
-        store.write(("k", True), "c")
+        store.write(("k", np.int64(3)), 1)
+        store.write(("k", 3), 2)
+        store.write(("k", True), 3)
         store.seal()
         assert store.multiplicity(("k", 3)) == 2
-        assert store.get_indexed(("k", np.int32(3)), 2) == "b"
-        assert store.get(("k", 1)) == "c"
+        assert store.get_indexed(("k", np.int32(3)), 2) == 2
+        assert store.get(("k", 1)) == 3
 
 
 class TestIntegerIds:

@@ -67,13 +67,13 @@ class TestPRAMSimulation:
     def test_concurrent_reads_allowed(self):
         # CREW: every processor reads cell 0 in the same step.
         sim = PRAMSimulator(16, memory={0: 42})
-        sim.step(lambda pid, read: [((1, pid), read(0))])
-        assert all(sim.memory[(1, pid)] == 42 for pid in range(16))
+        sim.step(lambda pid, read: [(100 + pid, read(0))])
+        assert all(sim.memory[100 + pid] == 42 for pid in range(16))
 
     def test_common_crcw_conflict_resolution(self):
         sim = PRAMSimulator(8, memory={})
-        sim.step(lambda pid, read: [("winner", pid)])
-        assert sim.memory["winner"] == 0  # minimum write wins
+        sim.step(lambda pid, read: [(7, pid)])
+        assert sim.memory[7] == 0  # minimum write wins
 
     def test_pointer_jumping_as_pram_program(self):
         """Wyllie's algorithm written as a PRAM program: distance-to-tail
@@ -81,18 +81,19 @@ class TestPRAMSimulation:
         n = 32
         succ = generators.linked_list(n, rng=3)
         tail = int(np.flatnonzero(succ < 0)[0])
+        # ptr(v) lives at address v, dist(v) at address n + v.
         memory = {}
         for v in range(n):
-            memory[("ptr", v)] = int(succ[v]) if succ[v] >= 0 else v
-            memory[("dist", v)] = 1 if succ[v] >= 0 else 0
+            memory[v] = int(succ[v]) if succ[v] >= 0 else v
+            memory[n + v] = 1 if succ[v] >= 0 else 0
         sim = PRAMSimulator(n, memory=memory)
 
         def jump(pid, read):
-            ptr = read(("ptr", pid))
-            dist = read(("dist", pid))
-            ptr2 = read(("ptr", ptr))
-            dist2 = read(("dist", ptr))
-            return [(("ptr", pid), ptr2), (("dist", pid), dist + dist2)]
+            ptr = read(pid)
+            dist = read(n + pid)
+            ptr2 = read(ptr)
+            dist2 = read(n + ptr)
+            return [(pid, ptr2), (n + pid, dist + dist2)]
 
         steps = int(np.ceil(np.log2(n)))
         for _ in range(steps):
@@ -102,8 +103,8 @@ class TestPRAMSimulation:
 
         ranks = sequential_list_ranks(succ)
         for v in range(n):
-            assert sim.memory[("ptr", v)] == tail
-            assert sim.memory[("dist", v)] == (n - 1) - ranks[v]
+            assert sim.memory[v] == tail
+            assert sim.memory[n + v] == (n - 1) - ranks[v]
 
     def test_invalid_processor_count(self):
         with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ class TestFaultInjection:
 
         def worker(ctx, v):
             # Writes before reads: a crash mid-read must roll these back.
-            ctx.write(("partial", v), "attempt")
+            ctx.write(("partial", v), -1)
             ctx.read(("v", v))
             ctx.read(("v", (v + 1) % 50))
             return v
@@ -131,8 +131,8 @@ class TestFaultInjection:
 
     def test_zero_probability_injects_nothing(self):
         rt = crashing(config(), 0.0)
-        rt.bootstrap([("k", 1)])
-        rt.round([0, 1], lambda ctx, v: ctx.read("k"))
+        rt.bootstrap([(("k", 0), 1)])
+        rt.round([0, 1], lambda ctx, v: ctx.read(("k", 0)))
         assert rt.crashes_injected == 0
 
     def test_invalid_probability_rejected(self):

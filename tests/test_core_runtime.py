@@ -36,15 +36,15 @@ class TestRoundExecution:
         rt = make_runtime()
         result = rt.round(
             [1, 2], lambda ctx, v: ctx.read(("x", v)),
-            setup=[(("x", 1), "a"), (("x", 2), "b")],
+            setup=[(("x", 1), 10), (("x", 2), 20)],
         )
-        assert result.results == ["a", "b"]
+        assert result.results == [10, 20]
 
     def test_setup_replaces_previous_store(self):
         rt = make_runtime()
-        rt.bootstrap([("old", 1)])
-        result = rt.round([0], lambda ctx, v: ctx.read("old"),
-                          setup=[("new", 2)])
+        rt.bootstrap([(("old", 0), 1)])
+        result = rt.round([0], lambda ctx, v: ctx.read(("old", 0)),
+                          setup=[(("new", 0), 2)])
         assert result.results == [None]
 
     def test_writes_visible_next_round_not_same_round(self):
@@ -122,11 +122,11 @@ class TestAccounting:
 
     def test_cached_rereads_free(self):
         rt = make_runtime()
-        rt.bootstrap([("k", 1)])
+        rt.bootstrap([(("k", 0), 1)])
 
         def worker(ctx, v):
             for _ in range(100):
-                ctx.read("k")
+                ctx.read(("k", 0))
             return None
 
         result = rt.round([0], worker)
@@ -153,7 +153,7 @@ class TestAccounting:
 
     def test_bootstrap_costs_zero_rounds(self):
         rt = make_runtime()
-        rt.bootstrap([("a", 1)])
+        rt.bootstrap([(("a", 0), 1)])
         assert rt.report.n_rounds == 0
 
     def test_charge_records_communication(self):
@@ -220,9 +220,9 @@ class TestMPCRuntime:
         def program(ctx):
             got[ctx.machine_id] = sorted(ctx.inbox())
 
-        rt.message_round(program, messages=[(0, "a"), (0, "b"), (2, "c")])
-        assert got[0] == ["a", "b"]
-        assert got[2] == ["c"]
+        rt.message_round(program, messages=[(0, 1), (0, 2), (2, 3)])
+        assert got[0] == [1, 2]
+        assert got[2] == [3]
         assert got[1] == []
 
     def test_sends_arrive_next_round(self):

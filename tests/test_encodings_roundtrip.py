@@ -50,7 +50,8 @@ class TestGraphEncodingThroughRounds:
             w, nbr, eid = result.results[v]
             ws = wg.neighbor_weights(v)
             assert w == pytest.approx(float(ws.min()))
-            assert wg.edge_weights()[eid] == pytest.approx(w)
+            # A mixed int/float row reads back as a float row.
+            assert wg.edge_weights()[int(eid)] == pytest.approx(w)
 
     def test_list_pointer_encoding(self):
         succ = generators.linked_list(30, rng=3)
@@ -107,10 +108,10 @@ class TestSmallGaps:
         # Model semantics: D_{i-1} is only readable during round i; data
         # not rewritten during round i is gone afterwards.
         rt = make_runtime()
-        result = rt.round([0], lambda ctx, v: ctx.read("a"),
-                          setup=[("a", 1)], tag="probe")
+        result = rt.round([0], lambda ctx, v: ctx.read(("a", 0)),
+                          setup=[(("a", 0), 1)], tag="probe")
         assert result.results == [1]  # visible during the round...
-        follow = rt.round([0], lambda ctx, v: ctx.read("a"), tag="after")
+        follow = rt.round([0], lambda ctx, v: ctx.read(("a", 0)), tag="after")
         assert follow.results == [None]  # ...and gone the round after
 
     def test_graph_pair_count_matches_encoder(self):

@@ -114,8 +114,8 @@ class TestBipartite:
 class TestReportSerialization:
     def make_report(self):
         rt = AMPCRuntime(AMPCConfig(space=32, n_machines=2, seed=1))
-        rt.bootstrap([("k", 1)])
-        rt.round([0, 1], lambda ctx, v: ctx.read("k"), tag="stage-a")
+        rt.bootstrap([(("k", 0), 1)])
+        rt.round([0, 1], lambda ctx, v: ctx.read(("k", 0)), tag="stage-a")
         rt.charge("stage-b", rounds=2, reads=10, writes=5)
         return rt.report
 
@@ -136,8 +136,8 @@ class TestReportSerialization:
     def test_compare_reports_diffs_changed_metrics(self):
         a = self.make_report()
         rt = AMPCRuntime(AMPCConfig(space=32, n_machines=2, seed=1))
-        rt.bootstrap([("k", 1)])
-        rt.round([0, 1], lambda ctx, v: ctx.read("k"), tag="stage-a")
+        rt.bootstrap([(("k", 0), 1)])
+        rt.round([0, 1], lambda ctx, v: ctx.read(("k", 0)), tag="stage-a")
         rt.charge("stage-b", rounds=4, reads=10, writes=5)
         diff = compare_reports(a, rt.report)
         assert diff["rounds"] == (3, 5)

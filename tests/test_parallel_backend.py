@@ -454,10 +454,11 @@ class _Recorder(RuntimeObserver):
 
 
 def _contract_runtime(backend, n_machines, observed, space=256, **config):
-    runtime = AMPCRuntime(
-        AMPCConfig(epsilon=0.5, space=space, n_machines=n_machines, seed=7,
-                   **config),
-        backend=backend, n_workers=2,
+    config = AMPCConfig(epsilon=0.5, space=space, n_machines=n_machines,
+                        seed=7, **config)
+    runtime = (
+        ChaosRuntime(config, plan=FaultPlan()) if backend == "chaos"
+        else AMPCRuntime(config, backend=backend, n_workers=2)
     )
     recorder = None
     if observed:
@@ -506,39 +507,6 @@ def test_round_contract_matrix(shape, n_machines):
     assert serial.worker_ids == {None}
     sharded = n_machines > 1 and shape in ("per-item", "per-block")
     assert (process.worker_ids != {None}) == sharded
-
-
-BIG = 2**63  # one past int64: Python keys may hold it, id columns cannot
-
-
-def _big_id_program(ctx, v):
-    x = ctx.read(("big", BIG + v))
-    ctx.write(("big", BIG + v), x)
-    ctx.write(("big", v), -x)
-    ctx.write(("big", 2**70 + v, v), x)
-    return x
-
-
-def test_ids_beyond_int64_merge_like_serial():
-    """Scalar keys with ids beyond int64 — written by machines and
-    staged as setup pairs — give the same next store, ledger row and
-    placement on both backends (the process merge raised
-    ``OverflowError`` placing them as one int64 column)."""
-    outcomes = {}
-    for backend in ("serial", "process"):
-        runtime, recorder = _contract_runtime(backend, 8, False)
-        result = runtime.round(
-            list(range(N_ITEMS)), _big_id_program,
-            setup=[(("big", BIG + i), i) for i in range(N_ITEMS)], tag="t",
-        )
-        assert runtime.parallel_fallbacks == 0
-        outcomes[backend] = (
-            _plain(result.results), _row(result.stats),
-            list(result.store.items()),
-            result.store.server_item_loads.tolist(),
-        )
-    assert outcomes["serial"][0] == list(range(N_ITEMS))
-    assert outcomes["serial"] == outcomes["process"]
 
 
 # -- the same contract under simulated faults: shape x plan x P -------------
@@ -683,6 +651,24 @@ def _hungry_fused(gctx):
     return gctx.items
 
 
+def _writes_value(value, ctx, v):
+    # Item 5 writes ``value``, every other item a word.
+    ctx.write(("o", v), value if v == 5 else v)
+    return v
+
+
+def _writes_id(id_, ctx, v):
+    ctx.write(("o", id_ if v == 5 else v), v)
+    return v
+
+
+def _int_then_pair(ctx, v):
+    # Namespace "o" gets int rows and pairs: the first write in machine
+    # order fixes its layout, the first of the other kind raises.
+    ctx.write(("o", v), v if v % 2 else (v, v))
+    return v
+
+
 @pytest.mark.parametrize("observed", [False, True])
 @pytest.mark.parametrize("shape, program, error, strict", [
     ("per-block", _short_block, RoundProtocolError, False),
@@ -691,31 +677,44 @@ def _hungry_fused(gctx):
     ("per-item", _hungry_item, BudgetExceededError, True),
     ("per-block", _hungry_block, BudgetExceededError, True),
     ("fused", _hungry_fused, BudgetExceededError, True),
+    ("per-item", partial(_writes_value, list(range(100_000))), TypeError,
+     False),
+    ("per-item", partial(_writes_value, "x" * (1 << 20)), TypeError, False),
+    ("per-item", partial(_writes_value, np.arange(1000)), TypeError, False),
+    ("per-item", partial(_writes_id, 2**63), TypeError, False),
+    ("per-item", _int_then_pair, ValueError, False),
 ], ids=["block-row-count", "all-or-none", "fused-row-count",
-        "strict-per-item", "strict-per-block", "strict-fused"])
+        "strict-per-item", "strict-per-block", "strict-fused",
+        "list-value", "1MB-str-value", "ndarray-value", "id-past-int64",
+        "layout-change"])
 def test_round_errors_identical_across_backends(
         shape, program, error, strict, observed):
     """A model violation raises the same exception, with the same
     message, wherever the machines ran — and the runtime aborts back to
-    its state before the round."""
+    its state before the round. A write that is no DDS word raises at
+    the op in a chaos runtime's journal too."""
     raised = {}
-    for backend in ("serial", "process"):
+    backends = ("serial", "process") + (
+        ("chaos",) if error is TypeError else ())
+    for backend in backends:
         runtime, recorder = _contract_runtime(
             backend, 8, observed, strict=strict,
             **({"space": 32, "budget_multiplier": 1.0} if strict else {}))
-        runtime.bootstrap([("k", 1)])
+        runtime.bootstrap([(("k", 0), 1)])
         before = (runtime.store, runtime._round_counter,
                   runtime._store_counter, len(runtime.report.rounds))
         with pytest.raises(error) as info:
             _run_shape(runtime, shape, program)
         raised[backend] = (type(info.value), str(info.value), info.value.args)
+        assert runtime.parallel_fallbacks == 0
         assert before == (runtime.store, runtime._round_counter,
                           runtime._store_counter, len(runtime.report.rounds))
         if recorder is not None:
             assert recorder.events[-1][0] == "restore"
         # The runtime is usable again: same round, this time well-behaved.
         assert _plain(_run_shape(runtime, shape).results)[:2] == [0, 6]
-    assert raised["serial"] == raised["process"]
+    assert raised["serial"] == raised["process"] == raised.get(
+        "chaos", raised["serial"])
 
 
 @pytest.mark.parametrize("shape", ["per-item", "per-block", "fused"])
@@ -787,7 +786,7 @@ def test_leak_check_counts_only_our_own_segments(shm_leak_check):
 def test_fallback_on_unshippable_result(small_config):
     """A worker output that cannot be pickled falls back to serial."""
     runtime = AMPCRuntime(small_config, backend="process", n_workers=2)
-    runtime.bootstrap(("x", i) for i in range(16))
+    runtime.bootstrap((("x", 0), i) for i in range(16))
 
     def worker(ctx, item):
         return lambda: item  # unpicklable result
@@ -864,10 +863,8 @@ def test_shadow_store_reads_through_the_shipped_index():
         store.write_array("wide", np.array([-(2**40), 12, 2**50]),
                           np.array([[1, 2], [3, 4], [5, 6]]),
                           slots=np.array([2, 0, 1]))
-        # scalar-written: an object-valued column and the object dict,
-        # which travel pickled
+        # scalar-written: a numeric column like any other
         store.write(("obj", 4), (1, 2.5))
-        store.write(("other", "x"), 7)
         store.seal()
         return store
 
@@ -878,14 +875,14 @@ def test_shadow_store_reads_through_the_shipped_index():
             store.read_array("identity", np.array([19, 10, 9]), fill=-1.0),
             store.read_array("wide", np.array([12, 2**50, 12]),
                              slots=np.array([0, 1, 1]), fill=0),
-            store.read_array("obj", np.array([4, 5]), fill=None),
+            store.read_array("obj", np.array([4, 5]), fill=-1),
         ]
         scalars = [
             store.get(("table", 3)), store.get_indexed(("table", 3), 2),
             store.get(("identity", 12)), store.get(("wide", 2**50, 1)),
             store.get(("wide", 5, 0)), store.multiplicity(("table", 3)),
             ("identity", 20) in store, len(store),
-            store.get(("obj", 4)), store.get(("other", "x")),
+            store.get(("obj", 4)),
         ]
         return got, scalars
 
@@ -900,7 +897,11 @@ def test_shadow_store_reads_through_the_shipped_index():
         assert shipped == {"table": {"order", "table"},
                            "identity": {"table"}, "wide": {"sorted_keys"},
                            "obj": {"table"}}
-        assert export["columns"]["obj", 2]["values"] is None  # in the blob
+        # Every column's values travel as an array, none pickled.
+        assert all(isinstance(parts["values"], dict)
+                   for parts in export["columns"].values())
+        assert set(export) == {"round_index", "n_servers", "seed",
+                               "max_words", "columns"}
         shadow, handles = attach_store(export)
         try:
             got, scalars = traffic(shadow)
@@ -938,9 +939,9 @@ def test_dds_ops_backend_parity(batch, seed):
         config = AMPCConfig(epsilon=0.5, space=64, n_machines=8,
                             seed=seed % 64)
         runtime = new_runtime(config)
-        runtime.bootstrap([("n", int(ids.size))])
+        runtime.bootstrap([(("n", 0), int(ids.size))])
         runtime.round([0], lambda ctx, item: ctx.write(
-            "seeded", True) or ctx.read("n"))
+            ("seeded", 0), True) or ctx.read(("n", 0)))
 
         def writer(ctx, item):
             lo, hi = item

@@ -23,19 +23,24 @@ class TestRuntimeFailureInjection:
         # Even after a mid-round crash, a fresh round can run: the
         # runtime's readable store is still the last *sealed* one.
         rt = AMPCRuntime(AMPCConfig(space=32, n_machines=2, seed=1))
-        rt.bootstrap([("k", 1)])
+        rt.bootstrap([(("k", 0), 1)])
         with pytest.raises(ValueError):
             rt.round([0], lambda ctx, v: (_ for _ in ()).throw(ValueError()))
         # Recovery path: the paper's fault-tolerance story — restart the
         # round from scratch against the same immutable inputs.
-        result = rt.round([0], lambda ctx, v: ctx.read("k"))
+        result = rt.round([0], lambda ctx, v: ctx.read(("k", 0)))
         assert result.results == [1]
 
-    def test_nested_tuple_keys_roundtrip(self):
+    def test_nested_tuple_keys_are_rejected(self):
+        # A DDS key is (str, int64[, int64]): a nested one is no word, and
+        # staging it fails before any round is recorded.
         rt = AMPCRuntime(AMPCConfig(space=32, n_machines=4, seed=1))
-        rt.bootstrap([((("a", (1, 2)), 3), "deep")])
-        out = rt.round([0], lambda ctx, v: ctx.read((("a", (1, 2)), 3)))
-        assert out.results == ["deep"]
+        with pytest.raises(TypeError, match="not \\(str, int64"):
+            rt.bootstrap([((("a", (1, 2)), 3), 4)])
+        assert rt.report.n_rounds == 0
+        rt.bootstrap([(("a", 3), 4)])
+        out = rt.round([0], lambda ctx, v: ctx.read(("a", 3)))
+        assert out.results == [4]
 
     def test_timer_measures(self):
         with Timer() as t:

@@ -1,9 +1,9 @@
 """Hypothesis stateful test: the DDS against a Python-dict model.
 
 Random interleavings of scalar writes, bulk writes, columnar writes on the
-same namespaces, seals, plain reads, indexed reads, multiplicity probes
-and bulk reads must always agree with a reference model that implements
-the §2 semantics directly.
+same namespaces, rejected writes (no word, or another row layout), seals,
+plain reads, indexed reads, multiplicity probes and bulk reads must always
+agree with a reference model that implements the §2 semantics directly.
 """
 
 import numpy as np
@@ -28,32 +28,49 @@ from repro.verify import strategies as vst
 # A narrowed draw of the shared DDS strategies: sampling from a small key
 # pool keeps duplicate-key interleavings (the interesting case) frequent.
 KEYS = st.one_of(
-    st.sampled_from([("k", i) for i in range(6)] + ["a", "b"]),
+    st.sampled_from([("i", i) for i in range(6)] + [("m", 1), ("t", 0, 1)]),
     vst.dds_keys(),
 )
-VALUES = vst.dds_values()
-# What write_many places in bulk, and what it must still place per key:
-# ids inside and beyond int64, slotted keys, numpy ids, plain strings.
-IDS = st.one_of(
-    st.integers(-3, 5),
-    st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, -(2**63), -(2**63) - 1]),
+
+
+def _with_value(key):
+    """``key`` and a value of its namespace's row layout."""
+    return st.tuples(st.just(key), vst.dds_values(key[0]))
+
+
+PAIRS = KEYS.flatmap(_with_value)
+# What write_many places in bulk: numpy and bool ids share their int key.
+BULK_PAIRS = st.one_of(
+    PAIRS,
+    st.integers(0, 5).map(lambda i: ("i", np.int64(i))).flatmap(_with_value),
+    st.booleans().map(lambda b: ("i", b)).flatmap(_with_value),
 )
-BULK_KEYS = st.one_of(
+READ_KEYS = st.one_of(
     KEYS,
-    st.tuples(st.sampled_from(["k", "m"]), IDS),
-    st.tuples(st.sampled_from(["k", "s"]), IDS, st.integers(-2, 2)),
-    st.integers(0, 5).map(lambda i: ("k", np.int64(i))),
-    st.sampled_from(["a", "b", "k"]),
+    st.integers(0, 5).map(lambda i: ("i", np.int64(i))),
+    st.sampled_from([("i", 2**63), ("i", 1.5), "i", ("x", 1), (1, 2)]),
 )
-# What write_array writes into the namespaces the scalar rules use: int64
-# ids, the int64 ends included, and slots.
-ARRAY_NAMESPACES = st.sampled_from(["k", "s"])
+# No word: each write of one raises TypeError and leaves no trace.
+NON_WORD_PAIRS = st.one_of(
+    st.tuples(
+        st.sampled_from([
+            ("i", 2**63), ("i", -(2**63) - 1), ("i", 1, 2**64), ("i", 1.5),
+            "i", ("i",), (1, 2), ("i", 1, 2, 3), ("i", "1"),
+        ]),
+        st.just(1),
+    ),
+    st.tuples(
+        KEYS,
+        st.sampled_from(["x", None, [1], (1, (2,)), 2**63, (), (1, "x")]),
+    ),
+)
+# What write_array writes into namespaces the scalar rules use: int64
+# ids, the int64 ends included, and slots; values of the namespace's
+# layout.
+ARRAY_NAMESPACES = st.sampled_from(["i", "f"])
 ARRAY_IDS = st.one_of(st.integers(-3, 5), st.sampled_from([2**63 - 1, -(2**63)]))
 SLOTS = st.integers(-2, 2)
-
-
-def _int64(x):
-    return isinstance(x, (int, np.integer)) and -(2**63) <= x < 2**63
+ARRAY_DTYPES = {"i": np.int64, "f": np.float64}
 
 
 class DDSMachine(RuleBasedStateMachine):
@@ -65,15 +82,19 @@ class DDSMachine(RuleBasedStateMachine):
         self.model: dict = {}
         # Every (key, value) pair in write order.
         self.log: list = []
+        # The (namespace, arity) columns some pair was written to.
+        self.columns: set = set()
         self.sealed = False
         self.n_writes = 0
 
     def _record(self, key, value):
         self.model.setdefault(key, []).append(value)
         self.log.append((key, value))
+        self.columns.add((key[0], len(key)))
 
-    @rule(key=KEYS, value=VALUES)
-    def write(self, key, value):
+    @rule(pair=PAIRS)
+    def write(self, pair):
+        key, value = pair
         if self.sealed:
             with pytest.raises(StoreSealedError):
                 self.store.write(key, value)
@@ -83,7 +104,26 @@ class DDSMachine(RuleBasedStateMachine):
             self._record(key, value)
             self.n_writes += 1
 
-    @rule(pairs=st.lists(st.tuples(BULK_KEYS, VALUES), max_size=12))
+    @rule(pair=NON_WORD_PAIRS)
+    def write_non_word(self, pair):
+        error = StoreSealedError if self.sealed else TypeError
+        with pytest.raises(error):
+            self.store.write(*pair)
+        with pytest.raises(error):
+            self.store.write_many([pair])
+
+    @rule(key=KEYS, other=st.sampled_from(vst.DDS_NAMESPACES), data=st.data())
+    def write_other_layout(self, key, other, data):
+        """A written column keeps its layout: a value of another one
+        raises ValueError and leaves no trace."""
+        if (self.sealed or other == key[0]
+                or (key[0], len(key)) not in self.columns):
+            return
+        value = data.draw(vst.dds_values(other))
+        with pytest.raises(ValueError, match="layout changed"):
+            self.store.write(key, value)
+
+    @rule(pairs=st.lists(BULK_PAIRS, max_size=12))
     def write_many(self, pairs):
         if self.sealed:
             with pytest.raises(StoreSealedError):
@@ -104,14 +144,14 @@ class DDSMachine(RuleBasedStateMachine):
     def write_array(self, namespace, rows, slotted):
         ids = np.array([i for i, _, _ in rows], dtype=np.int64)
         slots = np.array([j for _, j, _ in rows], dtype=np.int64)
-        values = np.array([v for _, _, v in rows], dtype=np.int64)
+        values = np.array([v for _, _, v in rows], ARRAY_DTYPES[namespace])
         slots = slots if slotted else None
         if self.sealed:
             with pytest.raises(StoreSealedError):
                 self.store.write_array(namespace, ids, values, slots=slots)
             return
         self.store.write_array(namespace, ids, values, slots=slots)
-        for i, j, v in rows:
+        for (i, j, _), v in zip(rows, values.tolist()):
             key = (namespace, i, j) if slotted else (namespace, i)
             self.reference.write(key, v)
             self._record(key, v)
@@ -122,7 +162,7 @@ class DDSMachine(RuleBasedStateMachine):
         self.store.seal()
         self.sealed = True
 
-    @rule(key=BULK_KEYS)
+    @rule(key=READ_KEYS)
     def read(self, key):
         if not self.sealed:
             with pytest.raises(StoreNotSealedError):
@@ -131,7 +171,7 @@ class DDSMachine(RuleBasedStateMachine):
         expected = self.model.get(key, [None])[0] if key in self.model else None
         assert self.store.get(key) == expected
 
-    @rule(key=BULK_KEYS, index=st.integers(1, 8))
+    @rule(key=READ_KEYS, index=st.integers(1, 8))
     def read_indexed(self, key, index):
         if not self.sealed:
             return
@@ -139,26 +179,19 @@ class DDSMachine(RuleBasedStateMachine):
         expected = values[index - 1] if index <= len(values) else None
         assert self.store.get_indexed(key, index) == expected
 
-    @rule(key=BULK_KEYS)
+    @rule(key=READ_KEYS)
     def multiplicity(self, key):
         assert self.store.multiplicity(key) == len(self.model.get(key, []))
 
-    @rule(namespace=st.sampled_from(["k", "s", "m"]))
+    @rule(namespace=st.sampled_from(vst.DDS_NAMESPACES))
     def read_namespace(self, namespace):
         rows = [
             (key[1], value) for key, value in self.log
-            if type(key) is tuple and len(key) == 2 and key[0] == namespace
-            and _int64(key[1])
+            if len(key) == 2 and key[0] == namespace
         ]
         ids, values = self.store.read_namespace(namespace)
         assert ids.tolist() == [id_ for id_, _ in rows]
-        want = [value for _, value in rows]
-        try:
-            want_array = np.asarray(want)
-        except ValueError:  # a mix of scalars and tuples
-            assert values.dtype == object and values.tolist() == want
-        else:
-            assert values.tolist() == want_array.tolist()
+        assert values.tolist() == np.asarray([v for _, v in rows]).tolist()
 
     @rule(
         namespace=ARRAY_NAMESPACES,
@@ -195,8 +228,8 @@ class DDSMachine(RuleBasedStateMachine):
 
     @invariant()
     def items_match_model(self):
-        # Grouped by key equality, not sorted by repr: ("k", np.int64(3))
-        # and ("k", 3) are one key. Each key's values in write order.
+        # Grouped by key equality, not sorted by repr: ("i", np.int64(3))
+        # and ("i", 3) are one key. Each key's values in write order.
         got: dict = {}
         for key, value in self.store.items():
             got.setdefault(key, []).append(value)
@@ -211,27 +244,28 @@ TestDDSStateful.settings = settings(
 
 # -- read_namespace: the one harvest, over either representation ------------
 
-# Keys around namespace "a": its own (duplicates likely), plus what must be
-# skipped — scalars, other namespaces, slotted and non-integer-id shapes.
-HARVEST_KEYS = st.one_of(
-    st.tuples(st.just("a"), st.integers(0, 5)),
-    vst.dds_keys(),
-    st.tuples(st.just("a"), st.integers(0, 5), st.integers(0, 3)),
-    st.tuples(st.just("a"), st.sampled_from(["x", "y"])),
-)
+# Keys around namespace "a" (int pairs): its own (duplicates likely),
+# plus what must be skipped — other namespaces and slotted keys.
 PAIR_VALUES = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000))
+HARVEST_PAIRS = st.one_of(
+    st.tuples(st.tuples(st.just("a"), st.integers(0, 5)), PAIR_VALUES),
+    st.tuples(
+        st.tuples(st.just("a"), st.integers(0, 5), st.integers(0, 3)),
+        PAIR_VALUES,
+    ),
+    vst.dds_keys().flatmap(_with_value),
+)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(HARVEST_KEYS, PAIR_VALUES), max_size=40))
+@given(st.lists(HARVEST_PAIRS, max_size=40))
 def test_read_namespace_of_scalar_writes_is_the_items_sequence(writes):
     store = DistributedDataStore(0, n_servers=4, seed=7)
     for key, value in writes:
         store.write(key, value)
     want = [
         (key[1], list(value)) for key, value in store.items()
-        if type(key) is tuple and len(key) == 2 and key[0] == "a"
-        and type(key[1]) is int
+        if len(key) == 2 and key[0] == "a"
     ]
     ids, values = store.read_namespace("a")
     assert ids.dtype == np.int64

@@ -81,8 +81,8 @@ class TestBudgetObserver:
         rt = small_runtime()
         violations = []
         rt.attach_observer(BudgetObserver(violations))
-        rt.bootstrap([("a", 1)])
-        rt.round(per_machine=lambda ctx: ctx.read("a"), machines=[0])
+        rt.bootstrap([(("a", 0), 1)])
+        rt.round(per_machine=lambda ctx: ctx.read(("a", 0)), machines=[0])
         assert violations == []
 
 
@@ -123,10 +123,10 @@ class TestStoreDisciplineObserver:
         rt = small_runtime()
         violations = []
         rt.attach_observer(StoreDisciplineObserver(violations))
-        rt.bootstrap([("a", 1), ("b", 2)])
+        rt.bootstrap([(("a", 0), 1), (("a", 1), 2)])
         rt.round(
-            work=["a", "b"],
-            worker=lambda ctx, key: ctx.read(key),
+            work=[0, 1],
+            worker=lambda ctx, v: ctx.read(("a", v)),
             tag="read-two",
         )
         assert violations == []
