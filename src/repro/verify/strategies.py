@@ -241,10 +241,11 @@ def float_arrays(
 DDS_NAMESPACES = ("i", "f", "t", "m")
 
 
-def dds_keys(namespaces: tuple[str, ...] = DDS_NAMESPACES) -> st.SearchStrategy:
+def dds_keys() -> st.SearchStrategy:
     """Word keys as algorithms use them: ``(namespace, id)`` and
-    ``(namespace, id, slot)``, ids up to the int64 ends."""
-    namespace = st.sampled_from(namespaces)
+    ``(namespace, id, slot)`` over :data:`DDS_NAMESPACES`, ids up to the
+    int64 ends."""
+    namespace = st.sampled_from(DDS_NAMESPACES)
     ids = st.one_of(
         st.integers(-3, 8), st.sampled_from([2**63 - 1, -(2**63)])
     )
