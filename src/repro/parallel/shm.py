@@ -114,10 +114,9 @@ class ShmArena:
         descriptor :func:`attached` workers turn back into a view.
 
         Zero-size arrays are shipped inline (a segment adds nothing).
-        File-backed (``np.memmap``)
-        arrays skip the segment entirely: workers re-map the backing
-        file read-only, so an out-of-core column crosses the process
-        boundary without a second full copy.
+        File-backed (``np.memmap``) arrays skip the segment entirely:
+        workers re-map the backing file read-only, so an out-of-core
+        column crosses the process boundary without a second full copy.
         """
         mapped = _mmap_descriptor(array)
         if mapped is not None:
