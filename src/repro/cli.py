@@ -17,10 +17,8 @@ Usage::
     python -m repro verify --backend process --process-faults
     python -m repro trace connectivity [graph.txt] [--detail machine]
     python -m repro bench --quick
-    python -m repro perf collect --suite smoke
-    python -m repro perf check [--suite smoke] [--json -]
-    python -m repro perf baseline --suite smoke [--profile ID]
-    python -m repro perf report --suite smoke
+    python -m repro perf pairs --parent ../parent --pairs 10 \
+        --workload listrank-1m --workload 'dds_get[n=20000]'
     python -m repro serve graph.txt --query mis_member:17
     python -m repro serve --size 500 --workload bursty-hotspot
     python -m repro loadgen --size 400 [--json rows.json]
@@ -235,92 +233,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="perf-regression harness: collect timestamped profiles, pin "
-             "baselines, detect statistical degradations (exit 1)",
+        help="time this checkout against a parent checkout in alternating "
+             "pairs (docs/perf.md)",
     )
     perf_sub = perf.add_subparsers(dest="perf_cmd", required=True)
-
-    def add_store(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--store", default=".perf", metavar="DIR",
-                       help="profile store root (default .perf)")
-        p.add_argument("--suite", default="smoke",
-                       help="bench suite (default smoke; see "
-                            "`repro perf collect --list`)")
-
-    p_collect = perf_sub.add_parser(
-        "collect", help="run a bench suite and store a timestamped profile"
+    pairs = perf_sub.add_parser(
+        "pairs",
+        help="run bench workloads and suite cells in both checkouts, "
+             "alternating which goes first; print a verdict per metric or "
+             "cell (exit 1 on a wrong answer or a 'worse' verdict)",
     )
-    add_store(p_collect)
-    p_collect.add_argument("--repeats", type=int, default=5,
-                           help="samples per cell (default 5)")
-    p_collect.add_argument("--warmup", type=int, default=1,
-                           help="throwaway runs per cell (default 1)")
-    p_collect.add_argument("--quick", action="store_true",
-                           help="fast mode: tiny cell sizes (also "
-                                "enabled by REPRO_BENCH_QUICK=1)")
-    p_collect.add_argument("--label", default=None,
-                           help="free-form label stored in the profile")
-    p_collect.add_argument("--no-pin", action="store_true",
-                           help="never auto-pin this profile as the "
-                                "suite baseline (default: pin when the "
-                                "suite has no baseline yet)")
-    p_collect.add_argument("--list", action="store_true",
-                           help="list registered suites and cells, exit")
-
-    p_check = perf_sub.add_parser(
-        "check",
-        help="compare a candidate profile against the pinned baseline; "
-             "exit 1 on degradation, 2 on host-fingerprint mismatch",
-    )
-    add_store(p_check)
-    p_check.add_argument("--profile", default=None, metavar="ID",
-                         help="candidate profile id (default: latest "
-                              "stored profile of the suite)")
-    p_check.add_argument("--baseline", default=None, metavar="NAME",
-                         help="baseline name (default: the suite name)")
-    p_check.add_argument("--collect", action="store_true",
-                         help="measure a fresh candidate now instead of "
-                              "loading the latest stored profile")
-    p_check.add_argument("--repeats", type=int, default=5,
-                         help="samples per cell with --collect")
-    p_check.add_argument("--quick", action="store_true",
-                         help="fast mode with --collect")
-    p_check.add_argument("--threshold", type=float, default=0.05,
-                         help="relative median-shift that matters "
-                              "(default 0.05 = 5%%)")
-    p_check.add_argument("--alpha", type=float, default=0.01,
-                         help="Mann-Whitney significance level "
-                              "(default 0.01)")
-    p_check.add_argument("--allow-host-mismatch", action="store_true",
-                         help="compare despite mismatched host "
-                              "fingerprints (records warnings instead "
-                              "of refusing)")
-    p_check.add_argument("--json", metavar="PATH", default=None,
-                         help="write the JSON check report here "
-                              "('-' for stdout)")
-
-    p_baseline = perf_sub.add_parser(
-        "baseline", help="pin, show, or list named baselines"
-    )
-    add_store(p_baseline)
-    p_baseline.add_argument("--profile", default=None, metavar="ID",
-                            help="profile to pin (default: latest stored "
-                                 "profile of the suite)")
-    p_baseline.add_argument("--name", default=None,
-                            help="baseline name (default: the suite name)")
-    p_baseline.add_argument("--note", default=None,
-                            help="free-form note stored with the pin")
-    p_baseline.add_argument("--show", action="store_true",
-                            help="print the current pins and exit "
-                                 "(no pinning)")
-
-    p_report = perf_sub.add_parser(
-        "report", help="per-cell median trajectory across stored profiles"
-    )
-    add_store(p_report)
-    p_report.add_argument("--limit", type=int, default=8,
-                          help="show at most the newest N profiles "
-                               "(default 8)")
+    pairs.add_argument("--parent", required=True, metavar="DIR",
+                       help="the parent checkout, at a path as long as "
+                            "this one's")
+    pairs.add_argument("--pairs", type=int, default=10, metavar="K",
+                       help="alternating pairs per name (default 10)")
+    pairs.add_argument("--workload", action="append", default=[],
+                       metavar="NAME",
+                       help="a BENCHMARK.json workload or a suite cell "
+                            "such as 'dds_get[n=20000]' (repeatable; "
+                            "default every workload)")
 
     bench = sub.add_parser(
         "bench",
@@ -564,152 +496,19 @@ def _bench(args) -> int:
 
 
 def _perf(args) -> int:
-    """``repro perf collect|check|baseline|report`` dispatch."""
-    handlers = {
-        "collect": _perf_collect,
-        "check": _perf_check,
-        "baseline": _perf_baseline,
-        "report": _perf_report,
-    }
-    return handlers[args.perf_cmd](args)
+    """``repro perf pairs``: this checkout against ``--parent``."""
+    from pathlib import Path
 
+    from repro.perf import compare
 
-def _perf_collect(args) -> int:
-    from repro.perf import ProfileStore, collect, suite_names, suite_specs
-
-    if args.list:
-        for suite in suite_names():
-            cells = " ".join(s.cell for s in suite_specs(suite))
-            print(f"{suite}: {cells}")
-        return 0
-    if args.suite not in suite_names():
-        raise UsageError(f"unknown suite {args.suite!r}; registered: "
-                         f"{' '.join(suite_names())}")
-
-    quick = args.quick or None  # None -> honor REPRO_BENCH_QUICK
-    print(f"perf collect: suite={args.suite} repeats={args.repeats} "
-          f"warmup={args.warmup}")
-
-    def progress(cell: str, median_s: float) -> None:
-        print(f"  {cell}: median {median_s * 1e3:.1f}ms")
-
-    profile = collect(args.suite, repeats=args.repeats, warmup=args.warmup,
-                      quick=quick, label=args.label, progress=progress)
-    store = ProfileStore(args.store)
-    profile_id = store.save(profile)
-    print(f"stored profile {profile_id} "
-          f"(host_cores={profile.host['host_cores']}, "
-          f"commit={profile.host.get('commit')})")
-    if store.get_baseline(args.suite) is None and not args.no_pin:
-        store.set_baseline(args.suite, profile_id,
-                           note="auto-pinned by first collect")
-        print(f"pinned baseline {args.suite!r} -> {profile_id} "
-              f"(first profile of this suite)")
-    return 0
-
-
-def _perf_check(args) -> int:
-    from repro.perf import (
-        DetectorConfig,
-        HostMismatchError,
-        ProfileStore,
-        check_to_json,
-        collect,
-        compare_profiles,
-        render_check,
-    )
-
-    human = sys.stderr if args.json == "-" else sys.stdout
-    store = ProfileStore(args.store)
-    baseline_name = args.baseline or args.suite
-    baseline = store.baseline_profile(baseline_name)
-    if baseline is None:
-        raise UsageError(
-            f"no baseline {baseline_name!r} pinned in {args.store} — "
-            f"run `repro perf collect --suite {args.suite}` then "
-            f"`repro perf baseline --suite {args.suite}`"
-        )
-
-    if args.collect:
-        candidate = collect(args.suite, repeats=args.repeats,
-                            quick=args.quick or None, label="check")
-        candidate.profile_id = "<fresh>"
-    elif args.profile is not None:
-        candidate = store.load(args.profile)
-    else:
-        latest = store.latest(args.suite)
-        if latest is None:
-            raise UsageError(f"no stored profiles for suite {args.suite!r} "
-                             f"in {args.store}; run `repro perf collect` "
-                             f"or pass --collect")
-        candidate = store.load(latest)
-
-    config = DetectorConfig(shift_threshold=args.threshold,
-                            alpha=args.alpha)
+    change = Path(__file__).resolve().parents[2]
+    if not (change / "BENCHMARK.json").is_file():
+        raise UsageError(f"{change} is not a checkout of this repository")
     try:
-        result = compare_profiles(
-            baseline, candidate, config=config,
-            allow_host_mismatch=args.allow_host_mismatch,
-        )
-    except HostMismatchError as exc:
-        for problem in exc.problems:
-            print(f"host mismatch: {problem}", file=sys.stderr)
-        print("refusing to compare (use --allow-host-mismatch to "
-              "override); profiles are only comparable on the host "
-              "that produced the baseline", file=sys.stderr)
-        return 2
-
-    print(render_check(result), file=human)
-
-    if args.json == "-":
-        print(check_to_json(result))
-    elif args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(check_to_json(result) + "\n")
-        print(f"wrote JSON check report -> {args.json}", file=human)
-
-    return 0 if result.ok else 1
-
-
-def _perf_baseline(args) -> int:
-    from repro.perf import ProfileStore
-
-    store = ProfileStore(args.store)
-    if args.show:
-        pins = store.baselines()
-        if not pins:
-            print(f"(no baselines pinned in {args.store})")
-        for name, pin in sorted(pins.items()):
-            print(f"{name}: {pin.profile} (pinned {pin.pinned_utc}"
-                  + (f", {pin.note}" if pin.note else "") + ")")
-        return 0
-    profile_id = args.profile or store.latest(args.suite)
-    if profile_id is None:
-        raise UsageError(f"no stored profiles for suite {args.suite!r} in "
-                         f"{args.store}; run `repro perf collect` first")
-    name = args.name or args.suite
-    try:
-        pin = store.set_baseline(name, profile_id, note=args.note)
-    except FileNotFoundError as exc:
+        return compare(change, Path(args.parent).resolve(), args.pairs,
+                       args.workload)
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
-    print(f"pinned baseline {name!r} -> {pin.profile}")
-    return 0
-
-
-def _perf_report(args) -> int:
-    from repro.perf import ProfileStore, render_history
-
-    store = ProfileStore(args.store)
-    ids = store.ids(args.suite)[-max(1, args.limit):]
-    if not ids:
-        print(f"(no stored profiles for suite {args.suite!r} in "
-              f"{args.store})")
-        return 0
-    pin = store.get_baseline(args.suite)
-    profiles = [store.load(profile_id) for profile_id in ids]
-    print(render_history(profiles,
-                         baseline_id=pin.profile if pin else None))
-    return 0
 
 
 def _verify(args) -> int:

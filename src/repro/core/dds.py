@@ -220,6 +220,7 @@ class _Column:
     """
 
     __slots__ = (
+        "namespace",
         "_layout",
         "rows",
         "slotted",
@@ -243,7 +244,8 @@ class _Column:
         "_probe",
     )
 
-    def __init__(self, slotted: bool) -> None:
+    def __init__(self, namespace: str, slotted: bool) -> None:
+        self.namespace = namespace
         # The first append or put decides the value layout.
         self._layout: tuple[np.dtype, tuple] | None = None
         self.rows = 0
@@ -269,9 +271,9 @@ class _Column:
         elif layout != self._layout:
             (dtype, shape), (got, got_shape) = self._layout, layout
             raise ValueError(
-                f"namespace value layout changed: expected width "
-                f"{shape[0] if shape else 1} dtype {dtype}, got width "
-                f"{got_shape[0] if got_shape else 1} dtype {got}"
+                f"namespace {self.namespace!r} value layout changed: "
+                f"expected width {shape[0] if shape else 1} dtype {dtype}, "
+                f"got width {got_shape[0] if got_shape else 1} dtype {got}"
             )
 
     def append(
@@ -560,12 +562,12 @@ class _Column:
         return parts
 
     @classmethod
-    def from_shared_parts(cls, **parts: Any) -> "_Column":
+    def from_shared_parts(cls, namespace: str, **parts: Any) -> "_Column":
         """Rebuild a read-only column over externally-held (e.g. shared-
         memory) arrays without copying. The result is for lookups only;
         appending to it is unsupported (shadow stores are sealed).
         """
-        column = cls(parts["slots"] is not None)
+        column = cls(namespace, parts["slots"] is not None)
         column.rows = int(parts["ids"].size)
         if parts["table"] is None and parts["sorted_keys"] is None:
             parts["sorted_keys"] = parts["ids"]
@@ -841,7 +843,7 @@ class DistributedDataStore:
         """The column of ``(namespace, arity)``, created empty if new."""
         column = self._columns.get(key)
         if column is None:
-            column = self._columns[key] = _Column(key[1] == 3)
+            column = self._columns[key] = _Column(key[0], key[1] == 3)
         return column
 
     def _close_pending(self) -> None:
@@ -870,7 +872,8 @@ class DistributedDataStore:
         ``np.bincount``. ``values`` is 1-D (one word per value) or 2-D with
         ``values.shape[1]`` words per value, of a bool, int or float
         dtype; it must match the layout the namespace's first write
-        fixed. Duplicates index in write order, across ``write`` and
+        fixed. An empty batch is checked, then stores nothing and fixes
+        no layout. Duplicates index in write order, across ``write`` and
         ``write_array`` alike. Ids (and slots) must have an integer dtype.
 
         With ``slots`` (an int64 array parallel to ``ids``), the row keys
@@ -884,6 +887,8 @@ class DistributedDataStore:
         ids, values, slots = check_write_array(
             namespace, ids, values, slots, self.max_words
         )
+        if not ids.size:
+            return  # stores nothing, so fixes no layout
         self._close_pending()
         self._column((namespace, 2 if slots is None else 3)).append(
             ids, values, slots

@@ -26,13 +26,6 @@ read/write/round totals recoverable from a trace must be bit-identical
 to the :class:`~repro.core.cost.RunReport` of the traced run (rounds
 aborted by chaos recovery carry ``aborted: true`` and are excluded,
 matching the ledger's truncation).
-
-The JSONL record shape is also the interchange format of the perf
-harness: :mod:`repro.perf` profiles are a ``meta`` header plus one
-``span`` per timed sample (``cat="perf"``, ``dur_us`` = wall time).
-``"perf"`` is deliberately not in :data:`LEDGER_CATS`, so perf records
-never perturb ledger reconciliation, while :func:`validate_records`
-and :func:`read_jsonl` apply to profiles and traces alike.
 """
 
 from __future__ import annotations

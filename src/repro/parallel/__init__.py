@@ -64,9 +64,8 @@ bulk scalar-write path (the one ``write_many`` uses: one seal check, one
 placement hash sweep per column chunk, each pair checked again by
 ``check_write``, whose row-layout check only the store can make), and
 batch writes go straight through ``write_array``. Armed machine hooks fire in op order as the loop
-passes. The ``replay_items`` cell of ``repro perf collect --suite
-smoke`` (process-backend matching: per-item rounds, scalar writes)
-measures this constant.
+passes. The ``replay_items`` suite cell (process-backend matching: per-item
+rounds, scalar writes) measures this constant.
 """
 
 from __future__ import annotations

@@ -249,7 +249,7 @@ def attach_store(
     handles = AttachedSegments()
     try:
         columns = {
-            key: _Column.from_shared_parts(**{
+            key: _Column.from_shared_parts(key[0], **{
                 name: handles.array(part) if isinstance(part, dict) else part
                 for name, part in parts.items()
             })

@@ -1,73 +1,48 @@
-"""Perf-regression harness: profiles, baselines, degradation detection.
+"""Speed evidence: alternating pairs of parent and change.
 
-ROADMAP item 3 made first-class (in the mold of Perun's per-version
-profile stores): ``collect()`` runs a declared bench suite and emits a
-timestamped :class:`Profile` in the ``observe/export.py`` JSONL schema,
-:class:`ProfileStore` versions profiles on disk (``.perf/profiles/``)
-with named baselines, and :func:`compare_profiles` classifies every
-(bench, params) cell as improvement / no-change / degradation with
-three noise-aware detectors (bootstrap median-shift CI, Mann–Whitney U,
-best-of-k exceedance). The ``repro perf`` CLI wires it into CI:
-``collect`` → ``baseline`` → ``check`` (exit 1 on degradation). See
-``docs/perf.md``.
+:mod:`repro.perf.pairs` is the one way this repository times a change:
+``repro perf pairs --parent DIR`` runs bench workloads and suite cells in
+both checkouts, alternating which goes first, and reads a verdict per
+metric from the pairs (:func:`verdict`). :mod:`repro.perf.suite` registers
+the cells it can time (:data:`SUITES`). See ``docs/perf.md``.
 """
 
-from .detect import (
-    DEGRADATION,
-    IMPROVEMENT,
+from .pairs import (
+    AA_PAIRS,
+    BETTER,
     NO_CHANGE,
-    CellComparison,
-    CheckResult,
-    DetectorConfig,
-    DetectorVote,
-    HostMismatchError,
-    best_of_k,
-    classify_cell,
-    compare_profiles,
-    fingerprint_problems,
-    mann_whitney,
-    median_shift,
+    WORSE,
+    alternate,
+    compare,
+    pair_row,
+    pair_stats,
+    timed,
+    verdict,
 )
-from .report import check_to_json, render_check, render_history
-from .store import BaselinePin, Profile, ProfileStore
 from .suite import (
     SUITES,
     BenchSpec,
-    collect,
     host_fingerprint,
     observe_overhead_gate,
     quick_mode,
-    suite_names,
     suite_specs,
 )
 
 __all__ = [
-    "DEGRADATION",
-    "IMPROVEMENT",
+    "AA_PAIRS",
+    "BETTER",
     "NO_CHANGE",
-    "BaselinePin",
-    "BenchSpec",
-    "CellComparison",
-    "CheckResult",
-    "DetectorConfig",
-    "DetectorVote",
-    "HostMismatchError",
-    "Profile",
-    "ProfileStore",
     "SUITES",
-    "best_of_k",
-    "check_to_json",
-    "classify_cell",
-    "collect",
-    "compare_profiles",
-    "fingerprint_problems",
+    "WORSE",
+    "BenchSpec",
+    "alternate",
+    "compare",
     "host_fingerprint",
-    "mann_whitney",
-    "median_shift",
     "observe_overhead_gate",
+    "pair_row",
+    "pair_stats",
     "quick_mode",
-    "render_check",
-    "render_history",
-    "suite_names",
     "suite_specs",
+    "timed",
+    "verdict",
 ]

@@ -1,15 +1,8 @@
-"""Declarative bench-suite registry and the profile collector.
+"""Declarative bench-suite registry: the cells ``repro perf pairs`` times.
 
-A **suite** is a named list of :class:`BenchSpec` cells behind one
-uniform ``collect()`` API. Each spec builds its workload once
-(generation cost never contaminates the samples), runs ``warmup``
-throwaway iterations, then records ``repeats`` wall-clock samples.
-
-``collect()`` emits a :class:`~repro.perf.store.Profile` in the
-``observe/export.py`` JSONL schema, stamped with the host fingerprint
-(cores, machine, python, platform, commit) and the measurement
-methodology (repeats, warmup, statistic=median, timer) — the fields
-``repro perf check`` refuses to compare without.
+A **suite** is a named list of :class:`BenchSpec` cells. Each spec builds
+its workload once in ``setup()`` (generation cost never contaminates the
+samples) and returns the thunk that is timed.
 
 Fast mode: ``REPRO_BENCH_QUICK=1`` (the same switch ``repro bench
 --quick`` and the benchmark conftest honor) or ``quick=True`` shrinks
@@ -21,7 +14,6 @@ from __future__ import annotations
 import os
 import platform
 import subprocess
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -79,12 +71,13 @@ SUITES: dict[str, list[_SuiteEntry]] = {
         ("replay_items", {"n": 4000}, {"n": 240}),
         ("dds_lookup", {"n": 1000000}, {"n": 20000}),
         ("dds_get", {"n": 1000000}, {"n": 20000}),
+        # The greedy solves of ROADMAP item 3, kept out of `smoke` so that
+        # its A/A check stays fast.
+        ("matching", {"n": 4000}, {"n": 200}),
+        ("coloring", {"n": 4000}, {"n": 200}),
+        ("edge_coloring", {"n": 1000}, {"n": 100}),
     ],
 }
-
-
-def suite_names() -> list[str]:
-    return list(SUITES)
 
 
 @dataclass(frozen=True)
@@ -126,6 +119,12 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
             generators.erdos_renyi_gnm(n, 2 * n, 0), 7919
         )
         return lambda: repro.minimum_spanning_forest(graph, seed=1)
+    if bench in ("matching", "coloring", "edge_coloring"):
+        solve = {"matching": repro.maximal_matching,
+                 "coloring": repro.greedy_coloring,
+                 "edge_coloring": repro.greedy_edge_coloring}[bench]
+        graph = generators.erdos_renyi_gnm(n, 3 * n, 0)
+        return lambda: solve(graph, seed=1)
     if bench == "serve":
         from repro.serve import ServingEngine, run_loadgen, workload_config
 
@@ -318,68 +317,6 @@ def host_fingerprint() -> dict[str, Any]:
         "python": platform.python_version(),
         "commit": _git_commit(),
     }
-
-
-# ---------------------------------------------------------------------------
-# the collector
-# ---------------------------------------------------------------------------
-
-
-def collect(
-    suite: str = "smoke",
-    *,
-    repeats: int = 5,
-    warmup: int = 1,
-    quick: bool | None = None,
-    label: str | None = None,
-    progress: Callable[[str, float], None] | None = None,
-):
-    """Run every cell of a suite and return the resulting Profile.
-
-    Every profile records the methodology fields the degradation
-    check refuses to compare without: ``repeats``, ``warmup``,
-    ``statistic="median"``, plus the full host fingerprint.
-    """
-    from .store import Profile
-
-    use_quick = quick_mode(quick)
-    specs = suite_specs(suite, quick=use_quick)
-    t0 = time.perf_counter()
-    cells: dict[str, dict[str, Any]] = {}
-    for spec in specs:
-        run = spec.setup()
-        for _ in range(max(0, warmup)):
-            run()
-        samples: list[float] = []
-        ts_us: list[float] = []
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            run()
-            samples.append(time.perf_counter() - start)
-            ts_us.append((start - t0) * 1e6)
-        cells[spec.cell] = {
-            "bench": spec.bench,
-            "params": spec.params,
-            "samples_s": samples,
-            "ts_us": ts_us,
-        }
-        if progress is not None:
-            import numpy as np
-
-            progress(spec.cell, float(np.median(samples)))
-    return Profile(
-        suite=suite,
-        host=host_fingerprint(),
-        methodology={
-            "repeats": max(1, repeats),
-            "warmup": max(0, warmup),
-            "statistic": "median",
-            "timer": "perf_counter",
-            "quick": use_quick,
-        },
-        cells=cells,
-        label=label,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ The result is a :class:`ConformanceReport` that serializes to JSON for CI.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import time
 import traceback
@@ -580,53 +579,76 @@ def _outcome(label: str, problems: list[str], text: str, **extra: Any) -> dict:
     }
 
 
-def perf_smoke_cell(store_root: str | None = None) -> dict:
-    """The ``perf-smoke`` cell of ``repro verify --smoke``.
+def perf_smoke_cell() -> dict:
+    """The perf cell of ``repro verify --smoke``: two in-process checks
+    of the pair verdict (:func:`repro.perf.verdict`) on real noise.
 
-    Exercises the whole perf-regression pipeline without a single
-    flaky timing assertion: collect the smoke suite at tiny quick
-    sizes, save it into a (temporary, unless ``store_root`` is given)
-    profile store, pin it as the baseline, then ``check`` the profile
-    against the just-written baseline. Identical samples must classify
-    as no-change in every cell — a degradation here means the detectors
-    themselves broke, not that the host got slower. The profile's JSONL
-    records are also validated against the observe/export schema.
+    * **A/A:** every quick ``smoke`` cell, timed against itself over
+      :data:`~repro.perf.AA_PAIRS` alternating pairs, must read
+      ``no-change``.
+    * **Positive control:** the ``dds_lookup`` cell against itself with
+      a busy-wait as long as its A/A median added to one side must read
+      ``worse``. Its ~10 ms samples are steady; a 2 ms cell's busy-wait
+      is within the scheduler's noise.
 
     Returns a smoke-cell outcome (see :data:`SMOKE_CELLS`) plus ``cells``.
     """
-    import tempfile
+    import statistics
 
-    from repro.observe.export import validate_records
-    from repro.perf import ProfileStore, collect, compare_profiles
+    from repro.perf import (
+        AA_PAIRS,
+        NO_CHANGE,
+        WORSE,
+        alternate,
+        suite_specs,
+        timed,
+        verdict,
+    )
+
+    def pairs_ms(parent, change) -> str:
+        """Each pair's samples in run order, for a failure message."""
+        return " ".join(
+            f"{p * 1e3:.1f}/{c * 1e3:.1f}" if i % 2 == 0
+            else f"{c * 1e3:.1f}/{p * 1e3:.1f}"
+            for i, (p, c) in enumerate(zip(parent, change)))
 
     problems: list[str] = []
-    with contextlib.ExitStack() as stack:
-        if store_root is None:
-            store_root = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-perf-smoke-")
-            )
-        profile = collect("smoke", repeats=3, warmup=1, quick=True,
-                          label="verify-smoke")
-        problems += [f"profile schema: {p}"
-                     for p in validate_records(profile.to_records())]
-        store = ProfileStore(store_root)
-        profile_id = store.save(profile)
-        store.set_baseline("smoke", profile_id, note="perf-smoke self-check")
-        baseline = store.baseline_profile("smoke")
-        candidate = store.load(profile_id)
-        result = compare_profiles(baseline, candidate)
-        for cell in result.cells:
-            if cell.verdict != "no-change":
-                problems.append(
-                    f"self-check cell {cell.cell} classified "
-                    f"{cell.verdict!r} against its own samples"
-                )
-        if not result.cells:
-            problems.append("self-check compared zero cells")
-        n_cells = len(result.cells)
+    specs = suite_specs("smoke", quick=True)
+    quiet = 0
+    for spec in specs:
+        run = spec.setup()
+        run()  # warm-up
+        sample = partial(timed, run)
+        parent, change = zip(*alternate(sample, sample, AA_PAIRS))
+        got = verdict(list(parent), list(change), "lower")
+        quiet += got == NO_CHANGE
+        if got != NO_CHANGE:
+            problems.append(
+                f"A/A cell {spec.cell} read {got!r} against itself over "
+                f"{AA_PAIRS} pairs; ms per pair in run order: "
+                f"{pairs_ms(parent, change)}")
+        if spec.bench == "dds_lookup":
+            control_run = run
+            median = statistics.median(parent + change)
+
+    def slowed() -> None:
+        control_run()
+        end = time.perf_counter() + median
+        while time.perf_counter() < end:
+            pass
+
+    parent, change = zip(*alternate(partial(timed, control_run),
+                                    partial(timed, slowed), AA_PAIRS))
+    control = verdict(list(parent), list(change), "lower")
+    if control != WORSE:
+        problems.append(f"control: dds_lookup with a busy-wait of its "
+                        f"median read {control!r}, not {WORSE!r}; ms per "
+                        f"pair in run order: {pairs_ms(parent, change)}")
     return _outcome(
         "perf smoke", problems,
-        f"collect+self-check, {n_cells} cells no-change", cells=n_cells,
+        f"A/A {quiet}/{len(specs)} cells no-change over {AA_PAIRS} pairs, "
+        f"control (dds_lookup + a busy-wait of its median) {control}",
+        cells=len(specs), control=control,
     )
 
 

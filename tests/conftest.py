@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import re
 import signal
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +67,41 @@ def pytest_runtest_call(item):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+#: One JSON line per failed test phase, outside the tree, so that a one-off
+#: tier-1 failure can be named after the run that hit it.
+FAILURE_LOG = Path(tempfile.gettempdir()) / "repro-tier1-failures.jsonl"
+
+_HYPOTHESIS = re.compile(r"Falsifying|reproduce_failure|reproduce this example")
+
+
+def hypothesis_lines(text: str) -> list[str]:
+    """The falsifying-example and reproduce lines Hypothesis put in a
+    failure report, a multi-line example through its closing ``)``."""
+    lines, inside = [], False
+    for raw in text.splitlines():
+        line = (raw[1:] if raw.startswith("E ") else raw).strip()
+        if _HYPOTHESIS.search(line):
+            lines.append(line)
+            inside = line.endswith("(")
+        elif inside:
+            lines.append(line)
+            inside = line != ")"
+    return lines
+
+
+def pytest_runtest_logreport(report):
+    if not report.failed:
+        return
+    record = {
+        "nodeid": report.nodeid,
+        "phase": report.when,
+        "hypothesis": hypothesis_lines(report.longreprtext),
+        "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    with FAILURE_LOG.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record) + "\n")
 
 
 class OwnSegments:

@@ -194,7 +194,7 @@ class TestRowLayout:
     def test_scalar_writes_of_another_layout_raise(self, first, then):
         store = make_store()
         store.write(("n", 1), first)
-        with pytest.raises(ValueError, match="layout changed"):
+        with pytest.raises(ValueError, match="namespace 'n' value layout"):
             store.write(("n", 2), then)
         store.seal()
         assert list(store.items()) == [(("n", 1), first)]
@@ -213,6 +213,18 @@ class TestRowLayout:
         store.seal()
         assert store.read_array("a", np.array([1, 2])).tolist() == [1.5, 2.5]
         assert store.get(("b", 2)) == (3, 4)
+
+    def test_an_empty_batch_fixes_no_layout(self):
+        store = make_store()
+        # np.array([]) is float64; the batch stores nothing.
+        store.write_array("f", np.array([], dtype=np.int64), np.array([]))
+        store.write(("f", 1), 1)
+        store.seal()
+        assert store.get(("f", 1)) == 1
+        assert store.n_writes == 1
+        with pytest.raises(TypeError, match="namespace 'f'"):
+            make_store().write_array("f", np.array([], dtype=np.int64),
+                                     np.array([], dtype=object))
 
     @pytest.mark.parametrize("values", [
         np.array(["x"]), np.array([None], dtype=object), np.array([1j]),

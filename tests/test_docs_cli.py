@@ -73,3 +73,13 @@ def test_docs_name_only_real_commands_and_flags(doc):
             except SystemExit:
                 problems.append(f"does not parse: repro {command}")
     assert not problems, "\n".join(problems)
+
+
+def test_perf_is_one_pair_runner_with_at_most_four_options():
+    perf = _subparser(["perf"])
+    (choices,) = [action.choices for action in perf._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert set(choices) == {"pairs"}
+    options = {action.dest for action in choices["pairs"]._actions
+               if action.dest != "help"}
+    assert options == {"parent", "pairs", "workload"}

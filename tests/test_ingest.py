@@ -15,7 +15,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -55,32 +54,45 @@ def _store_state(store):
     )
 
 
-def _killed_at(k: int, run) -> bool:
-    """Call ``run()``, raising KeyboardInterrupt at its k-th Python-level
-    function call — one kill point per k, as a signal could land there.
-    Returns whether the kill happened (False: ``run`` made fewer calls
-    and completed). Whatever exception the kill turns into on its way
-    out (C code may replace it) counts as the kill."""
-    calls = 0
+#: Kill points lie in this package's code only: an interrupt raised in
+#: other code (a gc callback such as Hypothesis's) may be swallowed and
+#: let the build finish.
+_REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
+
+
+def _repro_steps(run, kill_at: int = 0) -> int | None:
+    """Call ``run()``, raising KeyboardInterrupt at its ``kill_at``-th step
+    (never when 0) — a call of, or a line in, a function of the ``repro``
+    package, as a signal could land there. Returns None when the kill
+    happened, else the number of steps ``run`` took. Whatever exception
+    the kill turns into on its way out (C code may replace it) counts as
+    the kill."""
+    steps = 0
+
+    def step(frame, event, arg):
+        nonlocal steps
+        if event in ("call", "line"):
+            steps += 1
+            if steps == kill_at:
+                raise KeyboardInterrupt(f"killed at step {kill_at}")
+        return step
 
     def tracer(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-            if calls == k:
-                raise KeyboardInterrupt(f"killed at call {k}")
+        if frame.f_code.co_filename.startswith(_REPRO_DIR):
+            return step(frame, event, arg)
+        return None
 
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
         run()
     except BaseException:
-        if calls < k:
+        if not 0 < kill_at <= steps:
             raise
-        return True
+        return None
     finally:
         sys.settrace(previous)
-    return False
+    return steps
 
 
 def edge_arrays(max_n: int = 40, max_m: int = 120, self_loops: bool = False):
@@ -183,18 +195,23 @@ class TestBuildCSR:
             ]
 
     def test_every_kill_point_leaves_no_blessed_cache(self):
-        """Killed at any Python-level call of a rebuild, the directory is
-        either not a cache or a complete one of the old or new edges."""
+        """Killed at any step of a rebuild's own code, the directory is
+        either not a cache or a complete one of the old or new edges, and
+        the loop reaches every step an unkilled rebuild takes."""
         old = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
         rng = np.random.default_rng(8)
         new = rng.integers(0, 24, size=(90, 2), dtype=np.int64)
         new = new[new[:, 0] != new[:, 1]]
         complete = [Graph.from_edges(4, old), Graph.from_edges(24, new)]
+        def rebuild():
+            csr.build_csr(csr.edge_chunks(new, 32), 24, tmp, chunk_edges=32)
+
         with tempfile.TemporaryDirectory() as tmp:
+            csr.build_csr(old, 4, tmp)
+            kill_points = _repro_steps(rebuild)
             for k in itertools.count(1):
                 csr.build_csr(old, 4, tmp)
-                killed = _killed_at(k, lambda: csr.build_csr(
-                    csr.edge_chunks(new, 32), 24, tmp, chunk_edges=32))
+                killed = _repro_steps(rebuild, k) is None
                 if csr.is_cache(tmp):
                     got = csr.MmapGraph.load(tmp)
                     assert any(
@@ -205,26 +222,40 @@ class TestBuildCSR:
                     )
                 if not killed:
                     break
-            assert k > 100
+            assert k == kill_points + 1
             assert csr.is_cache(tmp)
 
     @pytest.mark.parametrize("source", ["array", "generator"])
-    def test_peak_allocation_is_linear_in_n_plus_chunk(self, source):
-        n, chunk = 2000, 4096
-        rng = np.random.default_rng(11)
-        edges = rng.integers(0, n, size=(120_000, 2), dtype=np.int64)
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        stream = edges if source == "array" else csr.edge_chunks(edges,
-                                                                 chunk)
-        with tempfile.TemporaryDirectory() as tmp:
-            tracemalloc.start()
-            try:
-                got = csr.build_csr(stream, n, tmp, chunk_edges=chunk)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            want = Graph.from_edges(n, edges)
-            assert np.array_equal(np.asarray(got.indices), want.indices)
+    def test_peak_allocation_is_linear_in_n_plus_chunk(self, source, tmp_path):
+        # tracemalloc counts every allocation of the process, so the
+        # window runs in a fresh child where nothing else allocates.
+        measure = (
+            "import sys, tracemalloc\n"
+            "import numpy as np\n"
+            "from repro.graph import csr\n"
+            "n, chunk = 2000, 4096\n"
+            "rng = np.random.default_rng(11)\n"
+            "edges = rng.integers(0, n, size=(120_000, 2), dtype=np.int64)\n"
+            "edges = edges[edges[:, 0] != edges[:, 1]]\n"
+            "stream = (edges if sys.argv[1] == 'array'\n"
+            "          else csr.edge_chunks(edges, chunk))\n"
+            "tracemalloc.start()\n"
+            "csr.build_csr(stream, n, sys.argv[2], chunk_edges=chunk)\n"
+            "_, peak = tracemalloc.get_traced_memory()\n"
+            "tracemalloc.stop()\n"
+            "np.save(sys.argv[3], edges)\n"
+            "print(peak)\n"
+        )
+        out, saved = tmp_path / "csr", tmp_path / "edges.npy"
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        peak = int(subprocess.run(
+            [sys.executable, "-c", measure, source, str(out), str(saved)],
+            capture_output=True, text=True, check=True, env=env).stdout)
+        n, chunk, edges = 2000, 4096, np.load(saved)
+        got = csr.MmapGraph.load(str(out))
+        assert np.array_equal(np.asarray(got.indices),
+                              Graph.from_edges(n, edges).indices)
         assert peak * 4 <= edges.nbytes
         assert peak <= 8 * 8 * (n + chunk)
 

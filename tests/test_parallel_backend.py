@@ -706,6 +706,8 @@ def test_round_errors_identical_across_backends(
         with pytest.raises(error) as info:
             _run_shape(runtime, shape, program)
         raised[backend] = (type(info.value), str(info.value), info.value.args)
+        if error is ValueError:
+            assert "'o'" in str(info.value)
         assert runtime.parallel_fallbacks == 0
         assert before == (runtime.store, runtime._round_counter,
                           runtime._store_counter, len(runtime.report.rounds))
