@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(kill/hang/delay workers) for every cell; "
                              "requires --backend process — the serial "
                              "twin stays fault-free and must still be "
-                             "bit-identical; a cell whose rounds never "
-                             "shard is marked n/a (no sharded round)")
+                             "bit-identical; a fused-only case is exempt "
+                             "(one line), and any other cell whose rounds "
+                             "never shard fails")
     add_backend(verify)
     verify.add_argument("--balance-slack", type=float, default=4.0,
                         help="constant factor over the Lemma 2.1 balance "
@@ -529,8 +530,7 @@ def _verify(args) -> int:
     human = sys.stderr if args.json == "-" else sys.stdout
 
     def progress(record) -> None:
-        na = (" (no sharded round)" if record.no_sharded_round
-              else " (no fault fired)" if record.no_fault_fired else "")
+        na = " (no fault fired)" if record.no_fault_fired else ""
         marker = "FAIL" if not record.ok else "n/a" if na else "ok "
         print(f"  [{marker}] {record.algorithm:20s} "
               f"{record.family:18s} seed={record.seed} "
@@ -556,14 +556,11 @@ def _verify(args) -> int:
           f"{summary['invariant_violations']} invariant violations, "
           f"{summary['oracle_disagreements']} oracle disagreements, "
           f"{summary['nondeterministic']} nondeterministic", file=human)
-    if args.process_faults:
-        print(f"process faults: {summary['no_sharded_round']} of "
-              f"{summary['cells']} cells had no sharded round, so no "
-              f"fault could reach them", file=human)
-    for name in report.settings["algorithms"] if args.chaos else ():
-        if CASES[name].chaos_exempt:
-            print(f"  [n/a] {name}: chaos exempt: {CASES[name].chaos_exempt}",
-                  file=human)
+    for name in report.settings["algorithms"]:
+        for armed, kind in ((args.chaos, "chaos"), (args.process_faults, "process")):
+            reason = getattr(CASES[name], f"{kind}_exempt")
+            if armed and reason:
+                print(f"  [n/a] {name}: {kind} exempt: {reason}", file=human)
     if summary["unfaulted_cases"]:
         print(f"no fault fired in any armed cell of: "
               f"{' '.join(summary['unfaulted_cases'])}", file=human)

@@ -22,7 +22,10 @@ words per row), fixed by the namespace's first write.
 The store also plays the role of the P serving machines of §2.1: every read
 is attributed to the server owning the key (random placement via
 :mod:`repro.core.partition`), giving the per-server load data behind the
-Lemma 2.1 contention analysis.
+Lemma 2.1 contention analysis. A key's server is a pure function of the
+key, so it is part of the column's index: computed once per stored row,
+when the index is, and gathered by every read that finds the row. Only a
+read of an absent key hashes it, on every such read.
 
 The store is a passive service: nothing observes it directly. Every
 operation a machine issues fires that machine's hooks
@@ -175,12 +178,35 @@ def _rank(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 # building the int32 table and gathering every row's key through it takes
 # what one sorted-keys pass takes (4.1 ms each), and a scalar probe through
 # the table is two list-speed gathers instead of two binary searches. The
-# table then holds at most 128 bytes per row.
+# table's entries count rows, in the narrowest dtype that holds the row
+# count, so it holds at most 128 bytes per row (64 below 65,536 rows).
 _TABLE_SPAN_FACTOR = 32
 
 #: Keys per hash sweep when a whole-round batch is placed or charged:
 #: bounds the sweep's temporaries whatever the batch size.
 KEY_SLICE = 1 << 16
+
+
+def _servers_of(parts: Sequence[Any], n_servers: int, seed: int) -> np.ndarray:
+    """Each key's server for a column-decomposed key batch: hash sweeps of
+    at most :data:`KEY_SLICE` keys, in the narrowest dtype that holds
+    ``n_servers - 1``."""
+    length = next(p.size for p in parts if isinstance(p, np.ndarray))
+    servers = np.empty(length, dtype=np.min_scalar_type(n_servers - 1))
+    for lo in range(0, length, KEY_SLICE):
+        part = slice(lo, lo + KEY_SLICE)
+        servers[part] = server_of_array(
+            [p[part] if isinstance(p, np.ndarray) else p for p in parts],
+            n_servers, seed,
+        )
+    return servers
+
+
+def _tally(counts: np.ndarray, servers: np.ndarray) -> None:
+    """Add each server's share of ``servers`` to ``counts``: one bincount
+    per :data:`KEY_SLICE` keys, since bincount copies its input as intp."""
+    for lo in range(0, servers.size, KEY_SLICE):
+        counts += np.bincount(servers[lo:lo + KEY_SLICE], minlength=counts.size)
 
 
 class _Column:
@@ -216,36 +242,27 @@ class _Column:
     In both, ``_order`` maps a sorted position to its row and is None when
     the keys were written in non-decreasing order (position *is* row).
     :meth:`_locate` and :meth:`find` are the only code that knows which
-    form is live.
+    form is live. Beside the index, :meth:`servers` holds each row's DDS
+    server, hashed once; both are dropped when a chunk is added.
     """
 
     __slots__ = (
-        "namespace",
-        "_layout",
-        "rows",
-        "slotted",
-        "_id_chunks",
-        "_slot_chunks",
-        "_value_chunks",
-        "_pending_keys",
+        "namespace", "_layout", "rows", "slotted", "_placement",
+        # chunks in write order, and the scalar writes not yet in one
+        "_id_chunks", "_slot_chunks", "_value_chunks", "_pending_keys",
         "_pending_values",
-        "_ids",
-        "_slots",
-        "_values",
-        "_order",
-        "_table",
-        "_sorted_keys",
-        "_lo",
-        "_hi",
-        "_n_distinct",
-        "_slot_range",
-        "_id_keys",
-        "_slot_keys",
-        "_probe",
+        # derived, dropped by _reset: joined chunks, index, servers
+        "_ids", "_slots", "_values", "_order", "_table", "_sorted_keys",
+        "_lo", "_hi", "_n_distinct", "_probe", "_servers",
+        # the slotted composite, fixed by the first index build
+        "_slot_range", "_id_keys", "_slot_keys",
     )
 
-    def __init__(self, namespace: str, slotted: bool) -> None:
+    def __init__(
+        self, namespace: str, slotted: bool, placement: tuple[int, int]
+    ) -> None:
         self.namespace = namespace
+        self._placement = placement  # the store's (n_servers, seed)
         # The first append or put decides the value layout.
         self._layout: tuple[np.dtype, tuple] | None = None
         self.rows = 0
@@ -262,7 +279,7 @@ class _Column:
     def _reset(self) -> None:
         self._ids = self._slots = self._values = self._n_distinct = None
         self._order = self._table = self._sorted_keys = None
-        self._probe = None
+        self._probe = self._servers = None
 
     def _fix_layout(self, layout: tuple[np.dtype, tuple]) -> None:
         """Take ``layout`` as the column's, or raise if it has another."""
@@ -303,12 +320,11 @@ class _Column:
         else:
             self._pending_keys += (id_, slot)
 
-    def close(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """Turn the pending scalar writes into a chunk; returns its ids
-        and slots for placement, or None if none were pending."""
+    def close(self) -> None:
+        """Turn the pending scalar writes into a chunk, if any are."""
         pending = self._pending_values
         if not pending:
-            return None
+            return
         keys = np.array(self._pending_keys, dtype=np.int64)
         # Flattened: np.array of a list of tuples is several times slower.
         dtype, shape = self._layout
@@ -317,7 +333,6 @@ class _Column:
         self._pending_keys, self._pending_values = [], []
         ids, slots = keys.reshape(-1, 2).T.copy() if self.slotted else (keys, None)
         self._push(ids, values, slots)
-        return ids, slots
 
     def _push(
         self, ids: np.ndarray, values: np.ndarray, slots: np.ndarray | None
@@ -345,9 +360,11 @@ class _Column:
         those that can be stored here (None: all of them)."""
         id_lo, id_hi, slot_lo, stride = self._slot_range
         if self._id_keys is not None:
-            ids, id_hit = _rank(self._id_keys, ids)
+            keys, id_hit = _rank(self._id_keys, ids)
             slots, slot_hit = _rank(self._slot_keys, slots)
-            return ids * stride + slots, id_hit & slot_hit
+            keys *= stride
+            keys += slots
+            return keys, id_hit & slot_hit
         slot_hi = slot_lo + stride - 1
         valid = None
         if (
@@ -363,7 +380,12 @@ class _Column:
             )
             ids = np.where(valid, ids, id_lo)
             slots = np.where(valid, slots, slot_lo)
-        return (ids - id_lo) * stride + (slots - slot_lo), valid
+        # In place: one array the size of the batch, whatever its size.
+        keys = ids - id_lo
+        keys *= stride
+        keys += slots
+        keys -= slot_lo
+        return keys, valid
 
     def _slotted_keys(self, ids: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Fix the composite form from the written rows; their keys."""
@@ -383,12 +405,7 @@ class _Column:
         if self._n_distinct is not None:
             return
         keys, _ = self.write_order()
-        rows = self.rows
-        if rows == 0:
-            # Every probe misses: an empty sorted-keys index.
-            self._lo, self._hi, self._n_distinct = 0, -1, 0
-            self._sorted_keys = keys
-            return
+        rows = self.rows  # a column exists once a row is written
         if self.slotted:
             keys = self._slotted_keys(keys, self._slots)
         lo, hi = int(keys.min()), int(keys.max())
@@ -398,18 +415,20 @@ class _Column:
         ordered = rows == 1 or bool((keys[1:] >= keys[:-1]).all())
         order = table = None
         if span <= _TABLE_SPAN_FACTOR * rows:
-            # Counting, not sorting: O(rows + span). The int64 histogram
-            # is a temporary, gone before any argsort below allocates.
+            # Counting, not sorting: O(rows + span). Each key's slot is
+            # marked and summed in place; only repeated keys need the
+            # int64 histogram, a temporary gone before any argsort below.
             offsets = keys - lo if lo else keys
-            table = np.zeros(
-                span + 1, dtype=np.int32 if rows < 2**31 else np.int64
-            )
-            np.cumsum(
-                np.bincount(offsets, minlength=span),
-                dtype=table.dtype, out=table[1:],
-            )
-            n_distinct = int(np.count_nonzero(table[1:] > table[:-1]))
-            if not ordered and n_distinct == rows:
+            table = np.zeros(span + 1, dtype=np.min_scalar_type(rows))
+            table[1:][offsets] = 1
+            np.cumsum(table, out=table)
+            n_distinct = int(table[-1])
+            if n_distinct < rows:
+                np.cumsum(
+                    np.bincount(offsets, minlength=span),
+                    dtype=table.dtype, out=table[1:],
+                )
+            elif not ordered:
                 # No duplicates: a key's table entry is its one sorted
                 # position, so the order is a scatter, not a sort.
                 order = np.empty(rows, dtype=np.intp)
@@ -421,7 +440,8 @@ class _Column:
             order = np.argsort(keys, kind="stable")
         if table is None:
             sorted_keys = keys if order is None else keys[order]
-            n_distinct = int(np.count_nonzero(np.diff(sorted_keys))) + 1
+            steps = sorted_keys[1:] != sorted_keys[:-1]
+            n_distinct = int(np.count_nonzero(steps)) + 1
             self._sorted_keys = sorted_keys
         self._order, self._table = order, table
         self._lo, self._hi, self._n_distinct = lo, hi, n_distinct
@@ -431,7 +451,7 @@ class _Column:
 
         ``found`` says whether the key is stored and ``first`` (meaningful
         only where ``found``) is the position of its first-written row in
-        stable key order. Requires a built index over >= 1 row.
+        stable key order. Requires a built index.
         """
         table = self._table
         if table is None:
@@ -456,48 +476,60 @@ class _Column:
         self._indexed()
         return self._n_distinct
 
-    def lookup(
-        self,
-        ids: np.ndarray,
-        fill: Any,
-        slots: np.ndarray | None = None,
+    def servers(self) -> np.ndarray:
+        """Each row's DDS server, in write order: hashed once per column
+        (:func:`_servers_of`), like the index."""
+        if self._servers is None:
+            ids, _ = self.write_order()
+            self._servers = _servers_of(
+                _key_parts(self.namespace, ids, self._slots), *self._placement
+            )
+        return self._servers
+
+    def resolve(
+        self, ids: np.ndarray, slots: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """First-written value per id, ``fill`` where absent; plus hit mask."""
-        k = ids.size
-        dtype, row_shape = self._layout
-        shape = (k, *row_shape)
-        if k == 0 or self.rows == 0:
-            return np.full(shape, fill, dtype=dtype), np.zeros(k, bool)
+        """Locate int64 probes once: ``(rows, found)``, the hit mask and,
+        for each hit in probe order, the row of its first-written pair."""
         self._indexed()
+        if ids.size == 0:
+            return ids, np.zeros(0, bool)
         valid = None
         if slots is not None:
             ids, valid = self._composite(ids, slots)
         first, found = self._locate(ids)
         if valid is not None:
             found &= valid
-        order, values = self._order, self._values
+        if not found.all():
+            first = first[found]
+        return (first if self._order is None else self._order[first]), found
+
+    def gather(self, rows: np.ndarray, found: np.ndarray, fill: Any) -> np.ndarray:
+        """The values of a :meth:`resolve` answer: each probe's first-written
+        value, ``fill`` where absent."""
         # take(axis=0): fancy-indexing the rows of a 2-D array is several
         # times slower.
-        if found.all():
-            rows = first if order is None else order[first]
-            return values.take(rows, axis=0), found
-        out = np.full(shape, fill, dtype=dtype)
-        hits = first[found]
-        rows = hits if order is None else order[hits]
-        out[found] = values.take(rows, axis=0)
-        return out, found
+        if rows.size == found.size:
+            return self._values.take(rows, axis=0)
+        dtype, row_shape = self._layout
+        out = np.full((found.size, *row_shape), fill, dtype=dtype)
+        out[found] = self._values.take(rows, axis=0)
+        return out
 
-    def find(self, id_: int, slot: int | None, index: int) -> tuple[int, Any]:
-        """One key's scalar probe: ``(count, value)``, how many rows the
-        key has and the ``index``-th one's value (1-based, write order;
-        None past the end) as a scalar read returns it."""
+    def find(
+        self, id_: int, slot: int | None, index: int
+    ) -> tuple[int, Any, int | None]:
+        """One key's scalar probe: ``(count, value, server)``, how many rows
+        the key has, the ``index``-th one's value (1-based, write order;
+        None past the end) as a scalar read returns it, and the key's
+        server (None if the key has no row)."""
         probe = self._probe
         if probe is None:
             # Built once: the table as a memoryview and a cache of the rows
-            # as Python values by stable key position, filled as probes
-            # touch them: a repeated probe is two memoryview gathers and
-            # one list index, a fraction of numpy's scalar-indexing time,
-            # and a column only touches what its probes reach.
+            # as ``(value, server)`` by stable key position, filled as
+            # probes touch them: a repeated probe is two memoryview gathers
+            # and one list index, a fraction of numpy's scalar-indexing
+            # time, and a column only touches what its probes reach.
             self._indexed()
             probe = self._probe = (
                 None if self._table is None else memoryview(self._table),
@@ -510,33 +542,35 @@ class _Column:
             id_lo, id_hi, slot_lo, stride = self._slot_range
             slot -= slot_lo
             if not (0 <= slot < stride and id_lo <= id_ <= id_hi):
-                return 0, None
+                return 0, None, None
             key = (id_ - id_lo) * stride + slot
         else:
             keys, hit = self._composite(np.array([id_]), np.array([slot]))
             if not hit[0]:
-                return 0, None
+                return 0, None, None
             key = int(keys[0])
         if table is None:
             sorted_keys = self._sorted_keys
             first = int(sorted_keys.searchsorted(key))
             count = int(sorted_keys.searchsorted(key, "right")) - first
         elif key < lo or key > hi:
-            return 0, None
+            return 0, None, None
         else:
             first = table[key - lo]
             count = table[key - lo + 1] - first
-        if index > count:
-            return count, None
-        position = first + index - 1
-        value = rows[position]
-        if value is None:  # no stored row is None: its first probe
-            row = position if self._order is None else self._order[position]
+        if not count:
+            return 0, None, None
+        # Past the end: the first row answers for the key's server.
+        position = first + index - 1 if index <= count else first
+        entry = rows[position]
+        if entry is None:  # its first probe
+            row = position if self._order is None else int(self._order[position])
             values = self._values
-            value = rows[position] = (
-                values.item(row) if values.ndim == 1 else tuple(values[row].tolist())
+            entry = rows[position] = (
+                values.item(row) if values.ndim == 1 else tuple(values[row].tolist()),
+                self.servers().item(row),
             )
-        return count, value
+        return count, entry[0] if index <= count else None, entry[1]
 
     def pairs(self, namespace: str) -> Iterator[tuple[tuple, Any]]:
         """``(key, value)`` rows in write order, values as read."""
@@ -545,17 +579,19 @@ class _Column:
         return zip(_batch_keys(parts), _py_values(values))
 
     def share_parts(self) -> dict[str, Any]:
-        """Materialize + index, then expose the column for cross-process
-        sharing: the keyword arguments of :meth:`from_shared_parts`, arrays
-        as internal views (treat as read-only) and None for what this
-        column does not have — ``slots`` on a plain column, ``order`` when
-        the keys were written in order, ``table`` / ``sorted_keys`` for
-        the index form not in use (``sorted_keys`` also when it is just
-        ``ids``), the rank arrays of a slotted column that offsets. Building
-        the index *before* sharing means every worker reads one
-        parent-built index instead of re-indexing per process.
+        """Materialize, index and place, then expose the column for
+        cross-process sharing: the keyword arguments of
+        :meth:`from_shared_parts`, arrays as internal views (treat as
+        read-only) and None for what this column does not have — ``slots``
+        on a plain column, ``order`` when the keys were written in order,
+        ``table`` / ``sorted_keys`` for the index form not in use
+        (``sorted_keys`` also when it is just ``ids``), the rank arrays of
+        a slotted column that offsets. Building the index and the servers
+        *before* sharing means every worker reads the parent's instead of
+        re-indexing and re-hashing per process.
         """
         self._indexed()
+        self.servers()
         parts = {name: getattr(self, "_" + name) for name in _SHARED}
         if parts["sorted_keys"] is parts["ids"]:
             parts["sorted_keys"] = None
@@ -567,7 +603,7 @@ class _Column:
         memory) arrays without copying. The result is for lookups only;
         appending to it is unsupported (shadow stores are sealed).
         """
-        column = cls(namespace, parts["slots"] is not None)
+        column = cls(namespace, parts["slots"] is not None, parts["placement"])
         column.rows = int(parts["ids"].size)
         if parts["table"] is None and parts["sorted_keys"] is None:
             parts["sorted_keys"] = parts["ids"]
@@ -579,7 +615,7 @@ class _Column:
 # What a column shares across processes, by attribute name less the "_".
 _SHARED = (
     "layout", "ids", "values", "slots", "sorted_keys", "order", "table", "lo", "hi",
-    "n_distinct", "slot_range", "id_keys", "slot_keys",
+    "n_distinct", "slot_range", "id_keys", "slot_keys", "placement", "servers",
 )
 
 
@@ -678,18 +714,8 @@ class DistributedDataStore:
     """
 
     __slots__ = (
-        "round_index",
-        "n_servers",
-        "seed",
-        "max_words",
-        "_columns",
-        "_sealed",
-        "_server_reads",
-        "_read_counts",
-        "_server_items",
-        "_server_map",
-        "n_writes",
-        "n_reads",
+        "round_index", "n_servers", "seed", "max_words", "_columns", "_sealed",
+        "_server_reads", "_read_counts", "n_writes", "n_reads",
     )
 
     def __init__(
@@ -705,15 +731,11 @@ class DistributedDataStore:
         self.max_words = max_words
         # (namespace, key arity) -> that namespace's rows.
         self._columns: dict[tuple[str, int], _Column] = {}
-        # key -> owning server, memoized so repeated reads don't re-hash
-        # (profiling showed per-read hashing dominating).
-        self._server_map: dict[Hashable, int] = {}
         self._sealed = False
         self._server_reads = np.zeros(n_servers, dtype=np.int64)
         # _server_reads as a memoryview: one read's increment through it
         # costs half of numpy's scalar indexing (the per-read hot path).
         self._read_counts = memoryview(self._server_reads)
-        self._server_items = np.zeros(n_servers, dtype=np.int64)
         self.n_writes = 0
         self.n_reads = 0
 
@@ -741,44 +763,36 @@ class DistributedDataStore:
         store._sealed = True
         return store
 
-    # -- server routing (overridden by ReplicatedDataStore) ----------------
+    # -- read routing (overridden by ReplicatedDataStore) ------------------
 
-    def _owner_of(self, key: Hashable) -> int:
-        server = self._server_map.get(key)
+    def _read(self, key: Hashable, index: int) -> Any:
+        """One scalar read, charged to the server holding ``key``: its
+        column's, or hashed if no row has the key."""
+        if not self._sealed:
+            raise self._unsealed_error()
+        self.n_reads += 1
+        _, value, server = self._find(key, index)
         if server is None:
             server = server_of(key, self.n_servers, self.seed)
-            self._server_map[key] = server
-        return server
+        self._read_counts[server] += 1
+        return value
 
-    def _serve_read(self, key: Hashable) -> None:
-        """Attribute one read to the server answering it."""
-        self._read_counts[self._owner_of(key)] += 1
-
-    def _histogram(self, parts: Sequence[Any]) -> np.ndarray:
-        """Keys per server of a column-decomposed key batch: hash sweeps
-        of at most :data:`KEY_SLICE` keys (bounded temporaries), bincount
-        histogram."""
-        length = next(p.size for p in parts if isinstance(p, np.ndarray))
-        counts = np.zeros(self.n_servers, dtype=np.int64)
-        for lo in range(0, length, KEY_SLICE):
-            part = slice(lo, lo + KEY_SLICE)
-            counts += np.bincount(
-                server_of_array(
-                    [p[part] if isinstance(p, np.ndarray) else p for p in parts],
-                    self.n_servers, self.seed,
-                ),
-                minlength=self.n_servers,
-            )
-        return counts
-
-    def _place_write_array(self, parts: Sequence[Any]) -> None:
-        """Attribute stored pairs, a column-decomposed key batch, to the
-        servers owning them."""
-        self._server_items += self._histogram(parts)
-
-    def _serve_read_array(self, parts: Sequence[Any]) -> None:
-        """Batch :meth:`_serve_read` over column-decomposed keys."""
-        self._server_reads += self._histogram(parts)
+    def _serve_reads(
+        self, parts: Sequence[Any], column: _Column | None, rows: np.ndarray,
+        found: np.ndarray,
+    ) -> None:
+        """Charge a batch of reads, a column-decomposed key batch located
+        in ``column`` (:meth:`_Column.resolve`), to the servers holding
+        the keys: a hit's server is gathered from its row, a miss's
+        hashed."""
+        hits = rows.size
+        if hits:
+            _tally(self._server_reads, column.servers()[rows])
+        if hits < found.size:
+            if hits:
+                misses = ~found
+                parts = [p[misses] if isinstance(p, np.ndarray) else p for p in parts]
+            _tally(self._server_reads, _servers_of(parts, self.n_servers, self.seed))
 
     # -- write side (open during round i) ---------------------------------
 
@@ -833,8 +847,7 @@ class DistributedDataStore:
         return count
 
     def _put(self, key: Hashable, value: Any) -> None:
-        """Validate one pair and add it to its column's pending chunk,
-        placed when the chunk closes (one hash sweep)."""
+        """Validate one pair and add it to its column's pending chunk."""
         (column_key, id_, slot), layout = check_write(key, value, self.max_words)
         column = self._columns.get(column_key) or self._column(column_key)
         column.put(id_, slot, value, layout)
@@ -843,18 +856,17 @@ class DistributedDataStore:
         """The column of ``(namespace, arity)``, created empty if new."""
         column = self._columns.get(key)
         if column is None:
-            column = self._columns[key] = _Column(key[0], key[1] == 3)
+            column = self._columns[key] = _Column(
+                key[0], key[1] == 3, (self.n_servers, self.seed)
+            )
         return column
 
     def _close_pending(self) -> None:
-        """Close every column's pending chunk and place its rows (a sealed
-        store has none)."""
+        """Close every column's pending chunk (a sealed store has none)."""
         if self._sealed:
             return
-        for (namespace, _), column in self._columns.items():
-            closed = column.close()
-            if closed is not None:
-                self._place_write_array(_key_parts(namespace, *closed))
+        for column in self._columns.values():
+            column.close()
 
     def write_array(
         self,
@@ -866,10 +878,9 @@ class DistributedDataStore:
         """Columnar bulk write: pair ``(namespace, ids[i]) -> values[i]``.
 
         Semantically identical to ``write((namespace, int(ids[i])), v_i)``
-        for every row — same key hash, same per-server placement histogram,
-        same duplicate-key bucket semantics, same seal discipline — but the
-        whole batch is placed with one vectorized hash sweep and one
-        ``np.bincount``. ``values`` is 1-D (one word per value) or 2-D with
+        for every row — same key, so same server; same duplicate-key
+        bucket semantics; same seal discipline — but the batch is stored
+        as one chunk. ``values`` is 1-D (one word per value) or 2-D with
         ``values.shape[1]`` words per value, of a bool, int or float
         dtype; it must match the layout the namespace's first write
         fixed. An empty batch is checked, then stores nothing and fixes
@@ -879,8 +890,7 @@ class DistributedDataStore:
         With ``slots`` (an int64 array parallel to ``ids``), the row keys
         are the 3-part ``(namespace, ids[i], slots[i])`` — the adjacency
         slot addressing ``("adj", u, i)`` of :func:`repro.graph.io.
-        encode_graph` — hashed and placed exactly like the scalar
-        3-tuples.
+        encode_graph` — placed exactly like the scalar 3-tuples.
         """
         if self._sealed:
             raise self._sealed_error()
@@ -894,7 +904,6 @@ class DistributedDataStore:
             ids, values, slots
         )
         self.n_writes += ids.size
-        self._place_write_array(_key_parts(namespace, ids, slots))
 
     def seal(self) -> None:
         """Freeze the store; from now on it is read-only (round boundary)."""
@@ -903,27 +912,16 @@ class DistributedDataStore:
 
     # -- read side (open during round i+1) --------------------------------
 
-    def _find(self, key: Hashable, index: int = 1) -> tuple[int, Any]:
-        """Resolve ``key`` once: ``(count, value)``, how many pairs share
-        it and the ``index``-th one's value (None past the end)."""
+    def _find(self, key: Hashable, index: int = 1) -> tuple[int, Any, int | None]:
+        """Resolve ``key`` once: ``(count, value, server)``, how many pairs
+        share it, the ``index``-th one's value (None past the end) and
+        its server (None if absent)."""
         if not self._sealed:
             self._close_pending()
-        arity = len(key) if type(key) is tuple else 0
-        if arity == 2 or arity == 3:
-            # _route's answer for exact str / int parts, inlined: the hot
-            # read path.
-            id_, slot = key[1], key[2] if arity == 3 else None
-            if type(key[0]) is str and type(id_) is int and -_I64 <= id_ < _I64 and (
-                arity == 2 or type(slot) is int and -_I64 <= slot < _I64
-            ):
-                column = self._columns.get((key[0], arity))
-                return (0, None) if column is None else column.find(
-                    id_, slot, index
-                )
         where = _route(key)
         column = None if where is None else self._columns.get(where[0])
         if column is None:
-            return 0, None
+            return 0, None, None
         return column.find(where[1], where[2], index)
 
     def get(self, key: Hashable) -> Any:
@@ -932,11 +930,7 @@ class DistributedDataStore:
         For a key written k > 1 times, this returns the value addressable as
         ``(key, 1)``; use :meth:`get_indexed` for the others.
         """
-        if not self._sealed:
-            raise self._unsealed_error()
-        self.n_reads += 1
-        self._serve_read(key)
-        return self._find(key)[1]
+        return self._read(key, 1)
 
     def read_array(
         self,
@@ -951,46 +945,50 @@ class DistributedDataStore:
 
         Charges exactly like ``ids.size`` scalar :meth:`get` calls — the
         read counter and the per-server read-load histogram advance by the
-        same amounts on the same servers — but the batch is routed with one
-        vectorized hash sweep. Missing ids yield ``fill`` (which must be
-        castable to the namespace's value dtype); pass
+        same amounts on the same servers — with each probe located once
+        for its value and its server. Missing ids yield ``fill`` (which
+        must be castable to the namespace's value dtype); pass
         ``return_found=True`` to also get the hit mask. With ``slots``,
         the probed keys are the 3-part ``(namespace, id, slot)``. Pairs
         written by scalar :meth:`write` are read like any other: the
         result has the namespace's row layout whichever call wrote it.
         """
+        column, rows, found = self._serve_batch(namespace, ids, slots)
+        out = (np.full(found.size, fill) if column is None
+               else column.gather(rows, found, fill))
+        return (out, found) if return_found else out
+
+    def _serve_batch(
+        self, namespace: str, ids: Any, slots: Any = None
+    ) -> tuple[_Column | None, np.ndarray, np.ndarray]:
+        """Count and charge reads of keys ``(namespace, ids[i](,
+        slots[i]))``, each probe located once: returns the namespace's
+        column (None if absent) and :meth:`_Column.resolve`'s ``(rows,
+        found)``."""
         if not self._sealed:
             raise self._unsealed_error()
         ids = int64_keys(namespace, ids)
         if slots is not None:
             slots = int64_keys(namespace, slots, "slots")
         self.n_reads += ids.size
-        self._serve_read_array(_key_parts(namespace, ids, slots))
         column = self._columns.get((namespace, 2 if slots is None else 3))
-        if column is None:
-            out, found = np.full(ids.size, fill), np.zeros(ids.size, bool)
-        else:
-            out, found = column.lookup(ids, fill, slots=slots)
-        return (out, found) if return_found else out
+        rows, found = ids[:0], np.zeros(ids.size, bool)
+        if column is not None:
+            rows, found = column.resolve(ids, slots)
+        self._serve_reads(_key_parts(namespace, ids, slots), column, rows, found)
+        return column, rows, found
 
     def serve_reads_array(self, parts: Sequence[Any]) -> None:
         """Charge a batch of reads without fetching values.
 
-        ``parts`` is a column-decomposed key batch (scalars shared across
-        keys, arrays per-key) — e.g. ``["adj", us, slots]`` for keys
+        ``parts`` is a column-decomposed key batch ``[namespace, ids(,
+        slots)]`` of integer arrays — e.g. ``["adj", us, slots]`` for keys
         ``("adj", u, slot)``. Advances the read counter and per-server
         loads exactly as individual :meth:`get` calls on those keys would;
         used by workers that recompute values locally (replayed reads) but
         must still pay and attribute the model's read cost.
         """
-        if not self._sealed:
-            raise self._unsealed_error()
-        length = next(
-            (p.size for p in parts if isinstance(p, np.ndarray)), 0
-        )
-        self.n_reads += length
-        if length:
-            self._serve_read_array(parts)
+        self._serve_batch(*parts)
 
     def read_namespace(self, namespace: str) -> tuple[np.ndarray, np.ndarray]:
         """Coordinator-side bulk collection of one namespace: ``(ids, values)``.
@@ -1017,11 +1015,7 @@ class DistributedDataStore:
         """
         if index < 1:
             raise ValueError(f"duplicate-key indices are 1-based, got {index}")
-        if not self._sealed:
-            raise self._unsealed_error()
-        self.n_reads += 1
-        self._serve_read(key)
-        return self._find(key, index)[1]
+        return self._read(key, index)
 
     def multiplicity(self, key: Hashable) -> int:
         """How many pairs share ``key`` (0 if absent).
@@ -1066,9 +1060,13 @@ class DistributedDataStore:
 
     @property
     def server_item_loads(self) -> np.ndarray:
-        """Key-value pairs stored per DDS server (copy)."""
+        """Key-value pairs stored per DDS server: a bincount of the
+        columns' servers."""
         self._close_pending()
-        return self._server_items.copy()
+        loads = np.zeros(self.n_servers, dtype=np.int64)
+        for column in self._columns.values():
+            _tally(loads, column.servers())
+        return loads
 
     def max_server_load(self) -> int:
         """Maximum reads any single server answered for this store."""
@@ -1124,8 +1122,7 @@ class ReplicatedDataStore(DistributedDataStore):
             ``on_read(server)`` / ``on_failover(n)`` hooks.
     """
 
-    __slots__ = ("replication", "_replica_map", "_down", "_injector",
-                 "failover_reads")
+    __slots__ = ("replication", "_down", "_injector", "failover_reads")
 
     def __init__(
         self,
@@ -1141,7 +1138,6 @@ class ReplicatedDataStore(DistributedDataStore):
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.replication = min(replication, n_servers)
-        self._replica_map: dict[Hashable, tuple[int, ...]] = {}
         self._down: set[int] = set()
         self._injector = injector
         self.failover_reads = 0
@@ -1168,29 +1164,36 @@ class ReplicatedDataStore(DistributedDataStore):
 
     def replicas_of(self, key: Hashable) -> tuple[int, ...]:
         """The servers holding ``key`` (primary first)."""
-        replicas = self._replica_map.get(key)
-        if replicas is None:
-            replicas = replica_servers(
-                key, self.n_servers, self.seed, self.replication
-            )
-            self._replica_map[key] = replicas
-        return replicas
+        return replica_servers(key, self.n_servers, self.seed, self.replication)
 
-    def _place_write_array(self, parts: Sequence[Any]) -> None:
-        # Replication placement is per-key (distinct-replica search), so
-        # the batch degrades to a scalar loop — the price block programs
-        # pay for running under a fault plan.
-        for key in _batch_keys(parts):
-            for server in self.replicas_of(key):
-                self._server_items[server] += 1
+    @property
+    def server_item_loads(self) -> np.ndarray:
+        # Every replica holds a copy; replication placement is per key
+        # (distinct-replica search).
+        return np.bincount(
+            [server for key, _ in self.items() for server in self.replicas_of(key)],
+            minlength=self.n_servers,
+        )
 
-    def _serve_read_array(self, parts: Sequence[Any]) -> None:
+    def _read(self, key: Hashable, index: int) -> Any:
+        if not self._sealed:
+            raise self._unsealed_error()
+        self.n_reads += 1
+        self._serve_replica(key)
+        return self._find(key, index)[1]
+
+    def _serve_reads(
+        self, parts: Sequence[Any], column: _Column | None, rows: np.ndarray,
+        found: np.ndarray,
+    ) -> None:
         # Per-key failover (outage probing, injector hooks) cannot be
-        # expressed as a bincount; replay the batch through _serve_read.
+        # expressed as a bincount: a scalar loop, the price block
+        # programs pay for running under a fault plan.
         for key in _batch_keys(parts):
-            self._serve_read(key)
+            self._serve_replica(key)
 
-    def _serve_read(self, key: Hashable) -> None:
+    def _serve_replica(self, key: Hashable) -> None:
+        """Charge one read of ``key`` to its first live replica."""
         replicas = self.replicas_of(key)
         injector = self._injector
         down = self._down if injector is None else None

@@ -24,9 +24,11 @@ _MULT2 = 0x94D049BB133111EB
 _GOLDEN_U64, _MULT1_U64, _MULT2_U64 = map(np.uint64, (_GOLDEN, _MULT1, _MULT2))
 _SHIFT30, _SHIFT27, _SHIFT31 = map(np.uint64, (30, 27, 31))
 
-# Memoized string-component mixes: algorithms hash the same handful of
-# namespace strings ("succ", "deg", "adj", ...) on every single read, and
-# the crc32 + splitmix of those strings showed up in read-path profiles.
+# Memoized string-component mixes: the same handful of strings recur in
+# every hashed key — namespaces ("succ", "deg", "adj", ...) in column
+# placement sweeps and absent-key reads, ``("req", key)`` items in every
+# serving tick's machine assignment — and their crc32 + splitmix showed
+# up in profiles.
 # A small LRU (dicts iterate in insertion order; re-inserting an entry
 # moves it to the MRU end) so long sweeps over adversarial key streams
 # keep the working set — the namespace strings — and evict the rest.

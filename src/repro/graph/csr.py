@@ -243,16 +243,16 @@ def build_csr(
 
     try:
         if spooled:
-            top = -1
+            top, m = -1, 0
             with open(spool_path, "wb") as spool:
                 for chunk in edges:
                     chunk, chunk_top = _clean_chunk(chunk, None,
                                                     drop_self_loops)
                     spool.write(np.ascontiguousarray(chunk))
-                    top = max(top, chunk_top)
+                    top, m = max(top, chunk_top), m + len(chunk)
             # Checked once every id is seen, so an id above the count
             # reads as the edge-list parser reports it.
-            n = files.resolve_node_count(n, top)
+            n = files.resolve_node_count(n, top, m)
         elif n is None:
             top = int(edges.max(initial=-1))
         n = top + 1 if n is None else int(n)

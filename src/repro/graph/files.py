@@ -132,7 +132,7 @@ def _parse(source, *, want_weights: bool):
     finally:
         if own:
             handle.close()
-    n = resolve_node_count(declared_n, max_id)
+    n = resolve_node_count(declared_n, max_id, len(edges))
     edge_arr = (np.array(edges, dtype=np.int64)
                 if edges else np.zeros((0, 2), np.int64))
     return edge_arr, np.array(weights, dtype=np.float64), n
@@ -295,11 +295,24 @@ def scan_edge_list(
     return declared_n, _chunks()
 
 
-def resolve_node_count(declared_n: int | None, max_id: int) -> int:
-    """The vertex count: the ``# nodes:`` value, else 1 + the largest id."""
+#: Vertices a file of m edges may have beyond the 2m its edges can touch
+#: (isolated ones, by a ``# nodes:`` header or ids left out): the bound
+#: 2m + this keeps what a build allocates per vertex linear in the file,
+#: plus a constant, whatever ids or header the file holds.
+NODE_SLACK = 1 << 20
+
+
+def resolve_node_count(declared_n: int | None, max_id: int, m: int) -> int:
+    """The vertex count of ``m`` edges: the ``# nodes:`` value, else 1 +
+    the largest id. Raises ValueError if an id reaches past the declared
+    count, or if the count exceeds ``2 * m + NODE_SLACK``."""
     n = declared_n if declared_n is not None else max_id + 1
     if max_id >= n:
         raise ValueError(f"declared nodes: {n} but saw vertex id {max_id}")
+    bound = 2 * m + NODE_SLACK
+    if n > bound:
+        what = f"vertex id {max_id}" if declared_n is None else f"declared nodes: {n}"
+        raise ValueError(f"{what} exceeds 2 per edge + {NODE_SLACK} = {bound}")
     return max(n, 0)
 
 
@@ -349,7 +362,7 @@ def _read_edges(
             edges[rows : rows + chunk.shape[0]] = chunk
             rows += chunk.shape[0]
         edges = edges[:rows]
-        return edges, resolve_node_count(n, int(edges.max(initial=-1)))
+        return edges, resolve_node_count(n, int(edges.max(initial=-1)), rows)
 
     return parse_edge_list(source, fill, block_bytes=block_bytes)
 

@@ -12,7 +12,7 @@ rejected at construction, matching the paper's assumption.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -109,10 +109,6 @@ class Graph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         mask = src < self.indices
         return np.column_stack([src[mask], self.indices[mask]])
-
-    def edge_iter(self) -> Iterator[tuple[int, int]]:
-        for u, v in self.edges():
-            yield int(u), int(v)
 
     def subgraph_without_edges(self, drop: np.ndarray) -> "Graph":
         """New graph with the given (u, v) edges removed (u<v rows)."""

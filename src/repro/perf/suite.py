@@ -232,7 +232,7 @@ def _setup(bench: str, params: dict[str, Any]) -> Callable[[], Any]:
             total = 0
             for column, probe_blocks, probe_ids in work:
                 for block in probe_blocks:
-                    total += int(column.lookup(block, 0)[0].sum())
+                    total += int(column.gather(*column.resolve(block), 0).sum())
                 for id_ in probe_ids:
                     total += column.find(id_, None, 1)[1] or 0
             return total

@@ -17,7 +17,8 @@ Each registered :class:`AlgorithmCase` binds one algorithm in
 Every case also runs under faults: the runner arms the runtimes the
 solve builds (:func:`repro.core.runtime.use_runtime`) and demands the
 fault-free digest. A case no machine fault can reach says why in
-``chaos_exempt``.
+``chaos_exempt``; a case no real-process fault can reach, in
+``process_exempt``.
 
 Oracle callables return a list of human-readable discrepancy strings —
 empty means agreement. The conformance runner
@@ -87,6 +88,9 @@ class AlgorithmCase:
             against the MPC baseline.
         chaos_exempt: why no machine fault can reach the case (its
             chaos cells are skipped); empty for every case they reach.
+        process_exempt: why no real-process fault can reach the case
+            (its cells run unarmed under ``--process-faults`` and fail if
+            a round ships after all); empty for every case they reach.
     """
 
     name: str
@@ -98,6 +102,12 @@ class AlgorithmCase:
     report_of: Callable[[Any], RunReport | None]
     cross_model: Callable[[Workload, Any, int], list[str]] | None = None
     chaos_exempt: str = ""
+    process_exempt: str = ""
+
+
+# Solves whose every round is fused: the parent runs each one whole, so
+# nothing ships to a pool worker.
+_FUSED_ONLY = "fused-only: every round runs in the parent, none in a worker"
 
 
 CASES: dict[str, AlgorithmCase] = {}
@@ -245,6 +255,7 @@ register(AlgorithmCase(
     digest=lambda res: _arr_digest(res.labels),
     report_of=lambda res: res.report,
     cross_model=_connectivity_cross,
+    process_exempt=_FUSED_ONLY,
 ))
 
 
@@ -368,6 +379,7 @@ register(AlgorithmCase(
     digest=lambda res: _arr_digest(res.edge_ids),
     report_of=lambda res: res.report,
     cross_model=_msf_cross,
+    process_exempt=_FUSED_ONLY,
 ))
 
 
@@ -395,6 +407,7 @@ register(AlgorithmCase(
     report_of=lambda res: res.report,
     chaos_exempt="its adaptive rounds are resolve_pointers ledger charges, "
                  "not machine programs, so no machine can crash in them",
+    process_exempt=_FUSED_ONLY,
 ))
 
 
@@ -435,6 +448,7 @@ register(AlgorithmCase(
     ),
     report_of=lambda res: res.report,
     cross_model=_two_cycle_cross,
+    process_exempt=_FUSED_ONLY,
 ))
 
 
@@ -499,6 +513,7 @@ register(AlgorithmCase(
     digest=lambda res: _arr_digest(res.ranks),
     report_of=lambda res: res.report,
     cross_model=_list_ranking_cross,
+    process_exempt=_FUSED_ONLY,
 ))
 
 
@@ -547,6 +562,7 @@ register(AlgorithmCase(
     oracle=_tree_ops_oracle,
     digest=lambda res: _arr_digest(res.parent, res.preorder, res.subtree_size),
     report_of=lambda res: res.report,
+    process_exempt=_FUSED_ONLY,
 ))
 
 
@@ -580,4 +596,5 @@ register(AlgorithmCase(
         np.asarray(res.two_edge_labels, dtype=np.int64),
     ),
     report_of=lambda res: res.report,
+    process_exempt=_FUSED_ONLY,
 ))

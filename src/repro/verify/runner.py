@@ -16,9 +16,10 @@ compatible generator families and a seed matrix. Each cell
    and demands the bit-identical answer.
 
 With real-process faults armed, a cell counts the rounds that shipped
-machines to pool workers (:attr:`CellRecord.shipped_rounds`); a cell
-that shipped none — a fused-only solve — is reported as having no
-sharded round, not as a recovery cell: no fault could reach it. An
+machines to pool workers (:attr:`CellRecord.shipped_rounds`). A cell
+that shipped none checked no recovery, so it fails, unless its case is
+fused-only (``process_exempt``): such a case runs unarmed, and fails if
+a round ships after all. An
 armed run whose ledger records no crash, failover or retry read,
 checkpoint restore or worker respawn checked no recovery either: its
 cell is reported as having no fault fired
@@ -260,6 +261,8 @@ class CellRecord:
     duration_s: float = 0.0
     backend: str = "serial"
     process_faults: bool = False
+    # Process faults were asked for, and the case is exempt from them.
+    process_exempt: bool = False
     worker_respawns: int = 0
     # Rounds of the primary run whose machines ran in pool workers: the
     # only rounds a process fault can reach.
@@ -272,12 +275,6 @@ class CellRecord:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    @property
-    def no_sharded_round(self) -> bool:
-        """Process faults were armed but no round shipped, so none of
-        them could fire: the cell checked no recovery."""
-        return self.process_faults and self.shipped_rounds == 0
 
     @property
     def no_fault_fired(self) -> bool:
@@ -300,6 +297,12 @@ class CellRecord:
                 "process backend is not bit-identical to serial "
                 "(results or per-round ledgers differ)"
             )
+        if self.process_faults and not self.shipped_rounds:
+            reasons.append("process faults armed, but no round shipped to "
+                           "a worker for them to reach")
+        if self.process_exempt and self.shipped_rounds:
+            reasons.append(f"exempt from process faults as fused-only, yet "
+                           f"{self.shipped_rounds} rounds shipped")
         if self.error:
             reasons.append(f"exception: {self.error.splitlines()[-1]}")
         return reasons
@@ -323,6 +326,7 @@ class CellRecord:
             "duration_s": round(self.duration_s, 4),
             "backend": self.backend,
             "process_faults": self.process_faults,
+            "process_exempt": self.process_exempt,
             "shipped_rounds": self.shipped_rounds,
             "worker_respawns": self.worker_respawns,
             "faults_fired": self.faults_fired,
@@ -366,9 +370,6 @@ class ConformanceReport:
             ),
             "nondeterministic": sum(
                 1 for r in self.records if r.deterministic is False
-            ),
-            "no_sharded_round": sum(
-                1 for r in self.records if r.no_sharded_round
             ),
             "no_fault_fired": sum(1 for r in self.records if r.no_fault_fired),
             "unfaulted_cases": self.unfaulted_cases(),
@@ -473,9 +474,13 @@ def _run_cell(
 ) -> CellRecord:
     workload = make_workload(case, family, n, seed)
     wn, wm = workload.size
+    exempt = process_faults is not None and bool(case.process_exempt)
+    if exempt:
+        process_faults = None
     record = CellRecord(algorithm=case.name, family=family, seed=seed,
                         n=wn, m=wm, backend=backend,
-                        process_faults=process_faults is not None)
+                        process_faults=process_faults is not None,
+                        process_exempt=exempt)
     # Real-process faults arm the runtimes of the primary run and the
     # determinism rerun; the serial twin below runs fault-free, so the
     # cross-backend oracle compares a fault-injected process run against
@@ -758,6 +763,8 @@ PARSER_CORPUS: tuple[bytes, ...] = (
     b"0 1 2\n", b"0\n1\n", b"0 -1\n", b"+0 1\n", b"0 1.5\n", b"0\x001\n",
     b"0 1" + b" " * 100 + b"\n2 3\n",  # a line longer than the block
     b"# nodes: 2\n0 5\n",             # id above the declared count
+    b"0 999999999999",                # more vertices than one edge may have
+    b"# nodes: 9999999\n0 1\n",       # a header past the same bound
 )
 
 
@@ -1058,8 +1065,8 @@ def verify_sweep(
             rerun — workers are really SIGKILLed, hung, and delayed —
             while the cross-backend serial twin stays fault-free. Only
             meaningful with ``backend="process"``; raises otherwise.
-            A cell none of whose rounds shipped is counted under
-            ``no_sharded_round`` in :meth:`ConformanceReport.summary`.
+            ``process_exempt`` cases run unarmed; a cell of any other
+            case none of whose rounds shipped fails.
         balance_slack: constant factor granted over the Lemma 2.1 bound.
         progress: optional callback invoked with each finished cell.
     """

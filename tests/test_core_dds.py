@@ -262,6 +262,56 @@ class TestContentionAccounting:
             store.get(("hot", 0))
         assert store.max_server_load() == 50
 
+    def test_each_stored_key_is_hashed_once(self, monkeypatch):
+        """Placement is part of a column's index: writes and seal hash
+        nothing, a column's first read hashes its rows once, reads of
+        stored keys then gather, and only an absent key is hashed, on
+        every read of it."""
+        from repro.core import dds, partition
+
+        calls = {"server_of": 0, "server_of_array": 0}
+
+        def counted(name):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return getattr(partition, name)(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(dds, name, counted(name))
+        rows = dds.KEY_SLICE + 5
+        store = make_store(n_servers=300)
+        store.write_array("a", np.arange(rows), np.arange(rows))
+        store.write_array("s", np.arange(6), np.arange(6), slots=np.ones(6, np.int64))
+        store.write_many((("w", i), i) for i in range(10))
+        store.write(("w", 3), 30)
+        store.seal()
+        assert calls == {"server_of": 0, "server_of_array": 0}
+        reads = np.arange(0, rows, 7)
+        store.read_array("a", reads)
+        assert calls == {"server_of": 0, "server_of_array": 2}
+        assert store._columns["a", 2].servers().dtype == np.uint16
+        store.read_array("a", reads[::-1])
+        store.serve_reads_array(["a", reads])
+        store.serve_reads_array(["s", np.arange(6), np.ones(6, np.int64)])
+        store.read_array("s", np.arange(6), slots=np.ones(6, np.int64))
+        assert store.get(("w", 3)) == 3 and store.get_indexed(("w", 3), 2) == 30
+        store.get_indexed(("w", 3), 3)
+        # Columns s and w: one sweep each.
+        assert calls == {"server_of": 0, "server_of_array": 4}
+        for _ in range(2):
+            assert store.get(("w", 99)) is None
+            store.read_array("a", np.array([-1, 0]))
+        assert calls == {"server_of": 2, "server_of_array": 6}
+        want = np.zeros(300, dtype=np.int64)
+        for key in (
+            [("a", int(i)) for i in reads] * 3 + [("a", 0)] * 2
+            + [("s", i, 1) for i in range(6)] * 2
+            + [("w", 3)] * 3 + [("w", 99), ("a", -1)] * 2
+        ):
+            want[partition.server_of(key, 300, 1)] += 1
+        assert store.server_read_loads.tolist() == want.tolist()
+
 
 class TestWriteMany:
     """``write_many`` is one ``write`` per pair, in order, however it

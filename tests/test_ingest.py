@@ -526,6 +526,34 @@ class TestEdgeCache:
             assert str(ingested.value) == str(parsed.value) == (
                 "declared nodes: 3 but saw vertex id 5")
 
+    @pytest.mark.parametrize("content, what", [
+        (b"0 999999999999", "vertex id 999999999999"),
+        (b"# nodes: 10000000\n0 1\n", "declared nodes: 10000000"),
+    ])
+    def test_a_vertex_count_beyond_the_edge_bound_is_refused(
+            self, tmp_path, content, what):
+        # Refused before anything is sized by the count: the 15-byte file
+        # once asked numpy for 7.28 TiB.
+        text = tmp_path / "g.txt"
+        text.write_bytes(content)
+        for read in (files.read_edge_list, files._read_edges,
+                     lambda path: files._parse(path, want_weights=False),
+                     lambda path: csr.ingest(path, tmp_path / "csr")):
+            with pytest.raises(ValueError, match=f"^{what} exceeds 2 per edge"):
+                read(text)
+
+    def test_the_edge_bound_is_inclusive(self, tmp_path):
+        m = 3
+        bound = 2 * m + files.NODE_SLACK
+        text = tmp_path / "g.txt"
+        for n, ok in ((bound, True), (bound + 1, False)):
+            text.write_text(f"# nodes: {n}\n0 1\n1 2\n2 3\n")
+            if ok:
+                assert files._read_edges(text)[1] == n
+            else:
+                with pytest.raises(ValueError, match="exceeds"):
+                    files._read_edges(text)
+
 
 # ---------------------------------------------------------------------------
 # byte-level fast path vs the per-line parser
@@ -579,12 +607,17 @@ class TestParserParity:
         return edges.tolist(), n
 
     @pytest.mark.parametrize("digits", [1, 7, 8, 9, 15, 16, 17, 18, 19])
-    def test_token_lengths(self, tmp_path, digits):
+    def test_token_lengths(self, tmp_path, digits, monkeypatch):
         u = int("1234567890123456789"[:digits])
         v = 10 ** (digits - 1)
         text = tmp_path / "g.txt"
         text.write_bytes(f"{u} {v}\n{v}\t{u}\n".encode())
         want = [[u, v], [v, u]]
+        if u + 1 > 2 * len(want) + files.NODE_SLACK:
+            with pytest.raises(ValueError, match=f"vertex id {u} exceeds"):
+                files._read_edges(text)
+        # Token decoding is under test here, not the vertex bound: lift it.
+        monkeypatch.setattr(files, "NODE_SLACK", 1 << 62)
         assert self._per_line(text) == (want, u + 1)
         if digits <= 16:
             assert self._scan(text) == (None, want)
@@ -611,7 +644,9 @@ class TestParserParity:
          [[10, 20], [11, 21], [12, 22], [13, 23]]),
     ])
     def test_boundary_cases_take_the_fast_path(self, tmp_path, data,
-                                                block_bytes, want):
+                                                block_bytes, want,
+                                                monkeypatch):
+        monkeypatch.setattr(files, "NODE_SLACK", 1 << 62)  # 9-digit ids
         text = tmp_path / "g.txt"
         text.write_bytes(data)
         assert self._scan(text, block_bytes) == (None, want)

@@ -437,24 +437,30 @@ def test_single_fault_digest_property(short_deadline):
 
 
 def test_process_fault_cell_without_a_sharded_round_is_flagged():
-    """A process-fault verify cell counts the rounds that shipped: a
-    fused-only solve ships none, so faults could not reach it and it is
-    reported as having no sharded round; a solve whose rounds shard
-    is a real recovery cell."""
+    """A process-fault verify cell counts the rounds that shipped. A
+    fused-only case ships none, so it is exempt and runs unarmed; a case
+    whose rounds shard is a real recovery cell. Either declaration
+    fails its cell once the rounds say otherwise."""
+    from dataclasses import replace
+
     from repro.verify.oracles import CASES
-    from repro.verify.runner import ConformanceReport, _run_cell
+    from repro.verify.runner import _run_cell
 
     plan = FaultPlan.delays(0.5, delay_s=0.001, seed=1)
-    records = [
-        _run_cell(CASES[name], "er", 48, 0, balance_slack=4.0,
-                  chaos=False, backend="process", workers=2,
-                  process_faults=plan)
-        for name in ("connectivity", "mis")
-    ]
-    fused, sharded = records
+
+    def cell(case):
+        return _run_cell(case, "er", 48, 0, balance_slack=4.0, chaos=False,
+                         backend="process", workers=2, process_faults=plan)
+
+    fused, sharded = cell(CASES["connectivity"]), cell(CASES["mis"])
     assert fused.ok and sharded.ok
-    assert fused.shipped_rounds == 0 and fused.no_sharded_round
-    assert sharded.shipped_rounds > 0 and not sharded.no_sharded_round
+    assert fused.shipped_rounds == 0 and fused.process_exempt
+    assert not fused.process_faults
+    assert sharded.shipped_rounds > 0 and sharded.process_faults
     assert fused.to_dict()["shipped_rounds"] == 0
-    report = ConformanceReport(records=records, settings={})
-    assert report.summary()["no_sharded_round"] == 1
+    unexempt = cell(replace(CASES["connectivity"], process_exempt=""))
+    assert unexempt.process_faults and not unexempt.ok
+    assert "no round shipped" in unexempt.failures()[0]
+    stale = cell(replace(CASES["mis"], process_exempt="fused-only"))
+    assert not stale.process_faults and not stale.ok
+    assert "rounds shipped" in stale.failures()[0]

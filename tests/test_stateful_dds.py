@@ -4,6 +4,8 @@ Random interleavings of scalar writes, bulk writes, columnar writes on the
 same namespaces, rejected writes (no word, or another row layout), seals,
 plain reads, indexed reads, multiplicity probes and bulk reads must always
 agree with a reference model that implements the §2 semantics directly.
+Every read, hit or miss, through the store or a shared-memory shadow of
+it, is charged to ``server_of`` of its key (§2.1, Lemma 2.1).
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -23,6 +26,8 @@ from repro.core import (
     StoreSealedError,
 )
 from repro.core import dds as dds_module
+from repro.core.partition import server_of
+from repro.parallel.shm import ShmArena, attach_store, export_store
 from repro.verify import strategies as vst
 
 # A narrowed draw of the shared DDS strategies: sampling from a small key
@@ -71,14 +76,41 @@ ARRAY_NAMESPACES = st.sampled_from(["i", "f"])
 ARRAY_IDS = st.one_of(st.integers(-3, 5), st.sampled_from([2**63 - 1, -(2**63)]))
 SLOTS = st.integers(-2, 2)
 ARRAY_DTYPES = {"i": np.int64, "f": np.float64}
+PROBES = st.lists(st.tuples(ARRAY_IDS, SLOTS), max_size=6)
+N_SERVERS, SEED = 4, 7
+
+
+def _probe_keys(namespace, probes, slotted):
+    """The keys a batch of ``(id, slot)`` probes reads, and its parts."""
+    ids = np.array([i for i, _ in probes], dtype=np.int64)
+    slots = np.array([j for _, j in probes], dtype=np.int64)
+    keys = [(namespace, i, j) if slotted else (namespace, i) for i, j in probes]
+    return keys, ids, slots if slotted else None
+
+
+def _routable(key):
+    """Whether ``key`` is ``(str, int64[, int64])``: one a column can hold."""
+    return (
+        type(key) is tuple and len(key) in (2, 3) and isinstance(key[0], str)
+        and all(isinstance(part, (int, np.integer)) and -(2**63) <= part < 2**63
+                for part in key[1:])
+    )
+
+
+def _charge(loads, keys):
+    """The model of read placement: each read on ``server_of`` its key."""
+    for key in keys:
+        loads[server_of(key, N_SERVERS, SEED)] += 1
 
 
 class DDSMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.store = DistributedDataStore(0, n_servers=4, seed=7)
+        self.store = DistributedDataStore(0, n_servers=N_SERVERS, seed=SEED)
         # Written one pair at a time: the placement write_many must match.
-        self.reference = DistributedDataStore(0, n_servers=4, seed=7)
+        self.reference = DistributedDataStore(0, n_servers=N_SERVERS, seed=SEED)
+        # Reads charged per server, by the model.
+        self.read_loads = np.zeros(N_SERVERS, dtype=np.int64)
         self.model: dict = {}
         # Every (key, value) pair in write order.
         self.log: list = []
@@ -91,6 +123,23 @@ class DDSMachine(RuleBasedStateMachine):
         self.model.setdefault(key, []).append(value)
         self.log.append((key, value))
         self.columns.add((key[0], len(key)))
+
+    @initialize(values=st.lists(st.integers(-99, 99), min_size=14, max_size=14))
+    def write_every_index_form(self, values):
+        """One column per index form, so that reads reach each: a
+        position table (plain, and slotted with the offset composite),
+        sorted keys (plain, and slotted with the offset composite) and
+        a slotted column too wide for one int64 offset (ranked)."""
+        values = iter(values)
+        for namespace, ids, slots in (
+            ("pt", [3, 0, 3, 1], None),
+            ("ps", [2**62, -5, 2**62], None),
+            ("st", [1, 0, 1], [0, 2, 0]),
+            ("ss", [0, 2**40], [0, 1]),
+            ("sr", [-(2**63), 2**63 - 1], [1, 0]),
+        ):
+            rows = [(i, j, next(values)) for i, j in zip(ids, slots or ids)]
+            self.write_array(namespace, rows, slots is not None)
 
     @rule(pair=PAIRS)
     def write(self, pair):
@@ -144,7 +193,8 @@ class DDSMachine(RuleBasedStateMachine):
     def write_array(self, namespace, rows, slotted):
         ids = np.array([i for i, _, _ in rows], dtype=np.int64)
         slots = np.array([j for _, j, _ in rows], dtype=np.int64)
-        values = np.array([v for _, _, v in rows], ARRAY_DTYPES[namespace])
+        values = np.array([v for _, _, v in rows],
+                          ARRAY_DTYPES.get(namespace, np.int64))
         slots = slots if slotted else None
         if self.sealed:
             with pytest.raises(StoreSealedError):
@@ -170,6 +220,7 @@ class DDSMachine(RuleBasedStateMachine):
             return
         expected = self.model.get(key, [None])[0] if key in self.model else None
         assert self.store.get(key) == expected
+        _charge(self.read_loads, [key])
 
     @rule(key=READ_KEYS, index=st.integers(1, 8))
     def read_indexed(self, key, index):
@@ -178,6 +229,7 @@ class DDSMachine(RuleBasedStateMachine):
         values = self.model.get(key, [])
         expected = values[index - 1] if index <= len(values) else None
         assert self.store.get_indexed(key, index) == expected
+        _charge(self.read_loads, [key])
 
     @rule(key=READ_KEYS)
     def multiplicity(self, key):
@@ -193,29 +245,95 @@ class DDSMachine(RuleBasedStateMachine):
         assert ids.tolist() == [id_ for id_, _ in rows]
         assert values.tolist() == np.asarray([v for _, v in rows]).tolist()
 
-    @rule(
-        namespace=ARRAY_NAMESPACES,
-        probes=st.lists(st.tuples(ARRAY_IDS, SLOTS), max_size=6),
-        slotted=st.booleans(),
-    )
+    @rule(namespace=ARRAY_NAMESPACES, probes=PROBES, slotted=st.booleans())
     def read_array(self, namespace, probes, slotted):
         if not self.sealed:
             return
-        ids = np.array([i for i, _ in probes], dtype=np.int64)
-        slots = np.array([j for _, j in probes], dtype=np.int64)
+        keys, ids, slots = _probe_keys(namespace, probes, slotted)
         out, found = self.store.read_array(
-            namespace, ids, slots=slots if slotted else None, fill=0,
-            return_found=True,
+            namespace, ids, slots=slots, fill=0, return_found=True,
         )
-        for (i, j), value, hit in zip(probes, out.tolist(), found.tolist()):
-            key = (namespace, i, j) if slotted else (namespace, i)
+        for key, value, hit in zip(keys, out.tolist(), found.tolist()):
             want = self.model.get(key)
             assert hit == bool(want)
             assert value == (want[0] if want else 0)
+        _charge(self.read_loads, keys)
+
+    @rule(namespace=ARRAY_NAMESPACES, probes=PROBES, slotted=st.booleans())
+    def serve_reads_array(self, namespace, probes, slotted):
+        keys, ids, slots = _probe_keys(namespace, probes, slotted)
+        parts = [namespace, ids] + ([] if slots is None else [slots])
+        if not self.sealed:
+            with pytest.raises(StoreNotSealedError):
+                self.store.serve_reads_array(parts)
+            return
+        self.store.serve_reads_array(parts)
+        _charge(self.read_loads, keys)
+
+    def _probes(self, data):
+        """Keys to read: written ones (hits), a neighbour of each (hits
+        or misses) and arbitrary ones (mostly misses, some unroutable)."""
+        written = data.draw(st.lists(
+            st.sampled_from([key for key, _ in self.log]), max_size=6,
+        )) if self.log else []
+        near = [
+            (key[0], int(key[1]) + (1 if key[1] < 0 else -1), *key[2:])
+            for key in written
+        ]
+        return written + near + data.draw(st.lists(READ_KEYS, max_size=3))
+
+    def _read_through_every_call(self, store, keys, loads):
+        """Read ``keys`` with get and get_indexed, and the routable ones
+        batched per column with read_array and serve_reads_array: each
+        answer checked against the model, each read charged to ``loads``."""
+        for key in keys:
+            values = self.model.get(key, [])
+            assert store.get(key) == (values[0] if values else None)
+            assert store.get_indexed(key, 2) == (
+                values[1] if len(values) > 1 else None)
+        _charge(loads, keys + keys)
+        batches: dict = {}
+        for key in keys:
+            if _routable(key):
+                batches.setdefault((key[0], len(key)), []).append(key)
+        for (namespace, arity), batch in batches.items():
+            ids, *slots = (np.array([int(part) for part in parts], np.int64)
+                           for parts in list(zip(*batch))[1:])
+            found = store.read_array(
+                namespace, ids, slots=slots[0] if slots else None,
+                return_found=True,
+            )[1]
+            assert found.tolist() == [key in self.model for key in batch]
+            store.serve_reads_array([namespace, ids, *slots])
+            _charge(loads, batch + batch)
+
+    @precondition(lambda self: self.sealed)
+    @rule(data=st.data())
+    def read_through_every_call(self, data):
+        self._read_through_every_call(self.store, self._probes(data), self.read_loads)
+
+    @precondition(lambda self: self.sealed)
+    @rule(data=st.data())
+    def read_a_shared_memory_shadow(self, data):
+        """The process backend's worker-side twin of the sealed store:
+        the same answers, and reads charged from the parent's servers."""
+        loads = np.zeros(N_SERVERS, dtype=np.int64)
+        with ShmArena() as arena:
+            shadow, handles = attach_store(export_store(self.store, arena))
+            try:
+                self._read_through_every_call(shadow, self._probes(data), loads)
+                assert shadow.server_read_loads.tolist() == loads.tolist()
+            finally:
+                handles.close()
 
     @invariant()
     def pair_count_matches(self):
         assert self.store.n_pairs == self.n_writes
+
+    @invariant()
+    def reads_are_charged_to_their_keys_servers(self):
+        assert self.store.server_read_loads.tolist() == self.read_loads.tolist()
+        assert self.store.n_reads == self.read_loads.sum()
 
     @invariant()
     def placement_matches_one_write_per_pair(self):
